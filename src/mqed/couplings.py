@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -56,7 +57,8 @@ class TabulatedTable:
     """Sampled coupling tensors on an (omega, |k|) grid.
 
     Entries are interpolated bilinearly and independently; evaluation outside
-    the grid raises OutOfTableRange (never extrapolates).
+    the grid raises OutOfTableRange (never extrapolates). Tables compare and
+    hash by their contents, so models holding them can key caches by value.
     """
 
     omegas: np.ndarray
@@ -70,6 +72,23 @@ class TabulatedTable:
             raise ValidationError("table |k| grid must be strictly increasing")
         if self.values.shape != (self.omegas.size, self.kmags.size, 3, 3):
             raise ValidationError("table values must have shape (n_omega, n_k, 3, 3)")
+
+    def _contents(self):
+        return tuple(
+            (a.dtype.str, a.shape, a.tobytes()) for a in (self.omegas, self.kmags, self.values)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TabulatedTable):
+            return NotImplemented
+        return self is other or self._contents() == other._contents()
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._contents())
+
+    def __hash__(self):
+        return self._hash
 
     def interpolate(self, omegas, kmag: float) -> np.ndarray:
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))

@@ -22,7 +22,7 @@ import numpy as np
 from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import chi_kernel, chi_spectrum
+from .response import KernelStore, chi_kernel, chi_spectrum
 from .tensors import NATURAL, PhysicalConstants, triad
 
 
@@ -55,6 +55,16 @@ def _default_t_grid(model, tail: float = 1e-9, n_t: int = 1200) -> np.ndarray:
     return np.linspace(0.0, model.suggested_t_max(tail), n_t)
 
 
+def _kernel(model, k, t_grid, constants, quad, kernels: KernelStore | None):
+    """The susceptibility kernel on t_grid (default: to the 1e-9 tail), from
+    the run's store when one is given."""
+    if t_grid is None:
+        t_grid = _default_t_grid(model)
+    if kernels is None:
+        return chi_kernel(model, k, t_grid, constants=constants, quad=quad)
+    return kernels.kernel(model, k, t_grid, constants=constants, quad=quad)
+
+
 def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants):
     """Direct assembly of the noise commutator density from the coupling
     tensors and the polarization triad at k (no susceptibility involved)."""
@@ -78,6 +88,7 @@ def noise_commutator(
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
     t_grid=None,
+    kernels: KernelStore | None = None,
 ) -> CommutatorReport:
     """Fluctuation-dissipation check for the noise polarization densities.
 
@@ -93,9 +104,7 @@ def noise_commutator(
     omega = np.asarray(omega_grid, dtype=float)
     k = np.asarray(k, dtype=float)
     lhs = noise_coefficient_density(model, k, omega, constants)
-    if t_grid is None:
-        t_grid = _default_t_grid(model)
-    kernel = chi_kernel(model, k, t_grid, constants=constants, quad=quad)
+    kernel = _kernel(model, k, t_grid, constants, quad, kernels)
     spectrum = chi_spectrum(kernel, omega)
     if which == "P":
         factor = constants.hbar * constants.eps0 / np.pi
@@ -120,6 +129,7 @@ def noise_current_coefficient(
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
     t_grid=None,
+    kernels: KernelStore | None = None,
 ) -> CommutatorReport:
     """Commutator coefficient of the noise current density.
 
@@ -132,9 +142,7 @@ def noise_current_coefficient(
     omega = np.asarray(omega_grid, dtype=float)
     k = np.asarray(k, dtype=float)
     lhs = (omega**2)[:, None, None] * noise_coefficient_density(model, k, omega, constants)
-    if t_grid is None:
-        t_grid = _default_t_grid(model)
-    kernel = chi_kernel(model, k, t_grid, constants=constants, quad=quad)
+    kernel = _kernel(model, k, t_grid, constants, quad, kernels)
     spectrum = chi_spectrum(kernel, omega)
     factor = constants.hbar * constants.eps0 / np.pi
     rhs = factor * (omega**2)[:, None, None] * spectrum.imag_hermitian()
@@ -170,9 +178,8 @@ def _convolution_at(rep, probe, t: float, order: int = 24) -> np.ndarray:
     if t == 0.0:
         return np.zeros((3, 3), dtype=complex)
     s, w = gauss_legendre(order, 0.0, t)
-    sin_block = np.sin(np.outer(rep.nodes, t - s))  # (n, m)
-    weights = sin_block @ (w * probe(s))  # (n,)
-    return np.einsum("n,nij->ij", weights, rep.coeffs)
+    sin_block = np.sin(np.outer(t - s, rep.nodes))  # (m, n)
+    return rep.contract(((w * probe(s)) @ sin_block)[None, :])[0]
 
 
 def pdot_continuity(
@@ -182,6 +189,7 @@ def pdot_continuity(
     dt: float = 1e-3,
     quad: QuadratureSpec = QuadratureSpec(),
     t_grid=None,
+    kernels: KernelStore | None = None,
 ) -> ContinuityReport:
     """Jump of the one-sided limits of dP/dt at t = 0 under a smooth probe.
 
@@ -195,9 +203,7 @@ def pdot_continuity(
     dt = float(dt)
     tau = 5.0 / model.frequency_scale
     probe = _gaussian_probe(tau)
-    if t_grid is None:
-        t_grid = _default_t_grid(model)
-    kernel = chi_kernel(model, k, t_grid, constants=constants, quad=quad)
+    kernel = _kernel(model, k, t_grid, constants, quad, kernels)
     rep = kernel.rep
     eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
 
@@ -223,7 +229,7 @@ def pdot_continuity(
     cum_c[:, 1:] = np.cumsum(0.5 * h * (cosm[:, 1:] + cosm[:, :-1]), axis=1)
     cum_s[:, 1:] = np.cumsum(0.5 * h * (sinm[:, 1:] + sinm[:, :-1]), axis=1)
     inner = np.sin(np.outer(rep.nodes, wide)) * cum_c - np.cos(np.outer(rep.nodes, wide)) * cum_s
-    p_wide = eps0 * np.einsum("nt,nij->tij", inner, rep.coeffs)
+    p_wide = eps0 * rep.contract(inner.T)
     rate = np.abs(np.diff(p_wide, axis=0)) / h
     peak = float(np.max(rate)) if rate.size else 0.0
     return ContinuityReport(dt=dt, jump=jump, peak_rate=peak)

@@ -20,13 +20,13 @@ from scipy.signal import fftconvolve
 
 from .errors import ValidationError
 from .modes import InverseLaplaceSpec, ModeCoefficients, mode_coefficients
-from .noise import CommutatorReport, _relative_deviation
+from .noise import CommutatorReport, _kernel, _relative_deviation
 from .quadrature import QuadratureSpec
 from .rational import ilt_rational
 from .response import (
+    KernelStore,
     LaplaceResponse,
     chi_hat_rational,
-    chi_kernel,
     finite_difference_time,
     laplace_response,
 )
@@ -109,7 +109,7 @@ def _assemble_side(coeffs: ModeCoefficients, sign_k, constants, t_grid, omega_q)
     return photon_E, photon_H, res_E_d, res_E_b, res_H_d, res_H_b, noise_P_d, noise_M_b
 
 
-def _memory_kernel(model, k, t, constants, quad) -> np.ndarray:
+def _memory_kernel(model, k, t, constants, quad, kernels=None) -> np.ndarray:
     """Susceptibility kernel values for the constitutive convolutions,
     matched to the representation the mode solver uses (closed form for
     rational media, quadrature otherwise)."""
@@ -118,7 +118,7 @@ def _memory_kernel(model, k, t, constants, quad) -> np.ndarray:
     if getattr(model, "is_rational", False):
         vals, _, _ = ilt_rational(chi_hat_rational(model), t)
         return vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-    return chi_kernel(model, k, t, constants=constants, quad=quad).values
+    return _kernel(model, k, t, constants, quad, kernels).values
 
 
 def field_representation(
@@ -133,8 +133,11 @@ def field_representation(
     laplace_spec: InverseLaplaceSpec | None = None,
     response: LaplaceResponse | None = None,
     conductor: bool = False,
+    kernels: KernelStore | None = None,
 ) -> FieldOperatorRepresentation:
-    """Build the full coefficient representation of E and H at one k."""
+    """Build the full coefficient representation of E and H at one k.
+
+    The memory kernels come from `kernels`, the run's store, when given."""
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     omega_q = np.asarray(omega_q_grid, dtype=float)
@@ -154,8 +157,8 @@ def field_representation(
         )
         coeffs[sign] = mc
         sides[sign] = _assemble_side(mc, kk, constants, t, omega_q)
-        kernels_e[sign] = _memory_kernel(model_f, kk, t, constants, quad)
-        kernels_m[sign] = _memory_kernel(model_g, kk, t, constants, quad)
+        kernels_e[sign] = _memory_kernel(model_f, kk, t, constants, quad, kernels)
+        kernels_m[sign] = _memory_kernel(model_g, kk, t, constants, quad, kernels)
     return FieldOperatorRepresentation(
         k=k,
         t_grid=t,
@@ -385,6 +388,7 @@ def constitutive_roundtrip(
     quad: QuadratureSpec = QuadratureSpec(),
     direction=(1.0, 1.0, 1.0),
     tau: float | None = None,
+    kernels: KernelStore | None = None,
 ) -> ConstitutiveCheck:
     """Polarization under a c-number probe, two ways.
 
@@ -404,7 +408,7 @@ def constitutive_roundtrip(
     amp = np.exp(-(((t - t0) / tau) ** 2))
     probe_field = amp[:, None] * e_dir[None, :]
 
-    kernel = chi_kernel(model, k, t, constants=constants, quad=quad)
+    kernel = _kernel(model, k, t, constants, quad, kernels)
     eps0 = constants.eps0 if model.which == "electric" else 1.0
     p_a = eps0 * _convolve(kernel.values, probe_field.astype(complex), h)
 
@@ -414,7 +418,7 @@ def constitutive_roundtrip(
     # convolution above, so agreement is a genuine cross-check)
     rep = kernel.rep
     inner = _oscillator_responses(rep.nodes, amp, t)
-    p_b = eps0 * np.einsum("nt,nij,j->ti", inner, rep.coeffs, e_dir.astype(complex))
+    p_b = eps0 * (rep.contract(inner.T) @ e_dir.astype(complex))
 
     scale = float(np.max(np.abs(p_a)))
     residual = float(np.max(np.abs(p_a - p_b))) / scale if scale > 0.0 else float(np.max(np.abs(p_b)))

@@ -107,12 +107,3 @@ def adaptive_nodes(spec: QuadratureSpec, cutoff: float, evaluate):
         f"order {orders[-1]} still changing by {rel:g} (> rtol {spec.rtol:g})"
     )
 
-
-def trapezoid_weights(t: np.ndarray) -> np.ndarray:
-    """Composite trapezoid weights for an arbitrary increasing grid."""
-    t = np.asarray(t, dtype=float)
-    w = np.zeros_like(t)
-    dt = np.diff(t)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return w

@@ -8,13 +8,26 @@ transform of the coupling spectral density,
 
 with pref = 8 pi / (hbar c^3 eps0) for the electric sector and
 8 pi mu0 / (hbar c^3) for the magnetic one; chi vanishes identically for
-t <= 0. The frequency quadrature representation is kept with the kernel so
-the frequency spectrum and Laplace transform can be taken exactly in t.
+t <= 0.
+
+Every consumer reads chi through one object, the Gauss-Legendre
+representation `QuadRep` (nodes omega_n and coefficients
+w_n pref omega_n^2 f f^dag), which is kept with the kernel so the frequency
+spectrum and Laplace transform are taken exactly in t. Its coefficients are
+stored as a real column block, so each contraction (kernel values, the
+half-line transform, the Laplace transform, the KK reconstruction, the
+cosine kernel Q) is a real matrix product. Within one run a `KernelStore`
+holds one representation per (medium, k): a consumer reuses it when it was
+converged on a horizon at least as long as the consumer's own, and builds
+its own otherwise. The Laplace-domain chi_hat of a continuum medium is the
+exception: `LaplaceResponse` converges its own, much smaller representation
+on probe values of rho, because its cost is paid at every Bromwich-line
+point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,11 +40,16 @@ from .errors import (
     ValidationError,
     ZeroFrequency,
 )
-from .quadrature import QuadratureResult, QuadratureSpec, adaptive_nodes, trapezoid_weights
+from .quadrature import QuadratureResult, QuadratureSpec, adaptive_nodes
 from .rational import Rational
 from .tensors import IDENTITY3, NATURAL, PhysicalConstants
 
-_SPECTRUM_CHUNK = 512
+# elements of one (rows x nodes) trigonometric table; bounds the memory of
+# every chunked contraction to ~16 MB per table
+_TABLE_ELEMENTS = 1 << 21
+# |omega - omega_n| T below which the half-line transform of a mode is taken
+# in its cancellation-free sinc form
+_NEAR_PHASE = 1.0
 
 
 def kernel_prefactor(which: str, constants: PhysicalConstants) -> float:
@@ -42,20 +60,67 @@ def kernel_prefactor(which: str, constants: PhysicalConstants) -> float:
     raise ValidationError(f"unknown sector '{which}'", key="which")
 
 
+def tensor_block(tensors) -> np.ndarray:
+    """(n, 3, 3) tensors as a real (n, m) column block: one column when every
+    tensor is a multiple of the identity, the 9 entries when all are real,
+    else the 9 real parts followed by the 9 imaginary parts."""
+    flat = np.asarray(tensors).reshape(-1, 9)
+    if np.any(flat.imag):
+        return np.concatenate([flat.real, flat.imag], axis=1)
+    re = np.ascontiguousarray(flat.real)
+    diag = re[:, 0]
+    if not np.any(re[:, [1, 2, 3, 5, 6, 7]]) and np.array_equal(diag, re[:, 4]) \
+            and np.array_equal(diag, re[:, 8]):
+        return re[:, :1].copy()
+    return re
+
+
+def block_tensors(block: np.ndarray) -> np.ndarray:
+    """Inverse of `tensor_block` (also for a product against a block):
+    (r, m) real or complex -> (r, 3, 3) complex."""
+    m = block.shape[1]
+    if m == 1:
+        return block[:, 0, None, None] * IDENTITY3[None, :, :].astype(complex)
+    if m == 9:
+        return block.reshape(-1, 3, 3).astype(complex)
+    return (block[:, :9] + 1j * block[:, 9:]).reshape(-1, 3, 3)
+
+
+def _time_table_product(fn, t: np.ndarray, nodes: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """fn(t omega_n) @ block, with the trigonometric table built in row
+    chunks of bounded size."""
+    out = np.empty((t.size, block.shape[1]))
+    rows = max(1, _TABLE_ELEMENTS // max(1, nodes.size))
+    for start in range(0, t.size, rows):
+        table = np.multiply.outer(t[start : start + rows], nodes)
+        fn(table, out=table)
+        out[start : start + rows] = table @ block
+    return out
+
+
 @dataclass(frozen=True)
 class QuadRep:
-    """Frequency-quadrature representation sum_n c_n sin(omega_n t)."""
+    """Frequency-quadrature representation sum_n c_n sin(omega_n t), with
+    c_n = weight * pref * omega_n^2 * f f^dag held as a real column block
+    (see `tensor_block`)."""
 
     nodes: np.ndarray  # (n,)
-    coeffs: np.ndarray  # (n, 3, 3): weight * pref * omega^2 * f f^dag
+    block: np.ndarray  # (n, m), m in (1, 9, 18)
+
+    @classmethod
+    def from_coeffs(cls, nodes, coeffs) -> "QuadRep":
+        return cls(nodes=np.asarray(nodes, dtype=float), block=tensor_block(coeffs))
+
+    def contract(self, mat) -> np.ndarray:
+        """sum_n mat[:, n] c_n for a real or complex (r, n) matrix: (r, 3, 3)."""
+        mat = np.asarray(mat)
+        if np.iscomplexobj(mat):
+            return block_tensors(mat.real @ self.block + 1j * (mat.imag @ self.block))
+        return block_tensors(mat @ self.block)
 
     def kernel_values(self, t_grid) -> np.ndarray:
         t = np.asarray(t_grid, dtype=float)
-        out = np.empty((t.size, 3, 3), dtype=complex)
-        for start in range(0, t.size, 4096):
-            s = np.sin(np.outer(t[start : start + 4096], self.nodes))
-            out[start : start + 4096] = np.einsum("tn,nij->tij", s, self.coeffs)
-        return out
+        return block_tensors(_time_table_product(np.sin, t, self.nodes, self.block))
 
 
 @dataclass(frozen=True)
@@ -65,7 +130,7 @@ class SusceptibilityKernel:
     t_grid: np.ndarray
     values: np.ndarray  # (n_t, 3, 3)
     quad: QuadratureResult
-    rep: QuadRep | None = None
+    rep: QuadRep
     model_parameters: dict = field(default_factory=dict)
 
     @property
@@ -112,6 +177,13 @@ def _validate_t_grid(t_grid) -> np.ndarray:
     return t
 
 
+def _cutoff(model, quad: QuadratureSpec) -> float:
+    cutoff = quad.resolve_cutoff(model.frequency_scale)
+    if model.hard_cutoff is not None:
+        cutoff = min(cutoff, model.hard_cutoff)
+    return cutoff
+
+
 def chi_kernel(
     model,
     k,
@@ -123,24 +195,20 @@ def chi_kernel(
 
     The improper frequency integral is truncated at the configured cutoff and
     evaluated by Gauss-Legendre with order doubling until the kernel stops
-    moving on the whole grid.
+    moving on the whole grid. Every call builds a new representation; use a
+    `KernelStore` to share one between consumers.
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
     pref = kernel_prefactor(model.which, constants)
-    cutoff = quad.resolve_cutoff(model.frequency_scale)
-    hard = model.hard_cutoff
-    if hard is not None:
-        cutoff = min(cutoff, hard)
     stash = {}
 
     def evaluate(x, w):
         ff = coupling_product(model, x, k)
-        coeffs = (w * pref * x**2)[:, None, None] * ff
-        stash["rep"] = QuadRep(nodes=x, coeffs=coeffs)
+        stash["rep"] = QuadRep.from_coeffs(x, (w * pref * x**2)[:, None, None] * ff)
         return stash["rep"].kernel_values(t)
 
-    values, result = adaptive_nodes(quad, cutoff, evaluate)
+    values, result = adaptive_nodes(quad, _cutoff(model, quad), evaluate)
     return SusceptibilityKernel(
         which=model.which,
         k=k,
@@ -150,6 +218,40 @@ def chi_kernel(
         rep=stash["rep"],
         model_parameters=model.parameters(),
     )
+
+
+class KernelStore:
+    """The susceptibility kernels of one run: one representation per
+    (medium, k, constants, quadrature spec), keyed by value.
+
+    A request is served from the stored representation when that was
+    converged on a horizon at least as long as the request's, by evaluating
+    it on the requested grid; otherwise `chi_kernel` builds a new one, which
+    replaces the stored one when its horizon is longer.
+    """
+
+    def __init__(self):
+        self._kernels = {}
+
+    def kernel(
+        self,
+        model,
+        k,
+        t_grid,
+        constants: PhysicalConstants = NATURAL,
+        quad: QuadratureSpec = QuadratureSpec(),
+    ) -> SusceptibilityKernel:
+        t = _validate_t_grid(t_grid)
+        k = np.asarray(k, dtype=float)
+        key = (model, tuple(k), constants, quad)
+        have = self._kernels.get(key)
+        if have is not None and have.t_grid[-1] >= t[-1]:
+            if np.array_equal(have.t_grid, t):
+                return have
+            return replace(have, t_grid=t, values=have.rep.kernel_values(t))
+        kernel = chi_kernel(model, k, t, constants=constants, quad=quad)
+        self._kernels[key] = kernel
+        return kernel
 
 
 def _plateau(values: np.ndarray, t_grid: np.ndarray, tail_rtol: float):
@@ -178,22 +280,60 @@ def _plateau(values: np.ndarray, t_grid: np.ndarray, tail_rtol: float):
     return plateau, wobble
 
 
+def _seg(d, t_max):
+    """integral_0^T e^{i d t} dt = T e^{ix/2} sinc(x / 2 pi), x = d T: stable
+    for all x."""
+    x = d * t_max
+    return t_max * np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
+
+
 def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) -> np.ndarray:
-    """integral_0^T sin(a t) e^{i omega t} dt summed over the representation.
+    """integral_0^T sin(omega_n t) e^{i omega t} dt summed over the representation.
 
-    Uses (e^{ix} - 1)/(ix) = e^{ix/2} sinc(x / 2 pi) * T, stable for all x.
+    Per mode the integral factors as
+
+        [e^{i omega T} (omega_n cos(omega_n T) - i omega sin(omega_n T)) - omega_n]
+        / (omega^2 - omega_n^2),
+
+    so all of the (omega, omega_n) dependence sits in one real matrix
+    1 / (omega^2 - omega_n^2), contracted with three stacked column blocks.
+    Where |omega - omega_n| T < _NEAR_PHASE that form cancels; those pairs are
+    dropped from the matrix and added in the sinc form of `_seg`. omega >= 0
+    (`chi_spectrum` checks it) and omega_n > 0, so omega + omega_n is never
+    the small factor.
     """
-
-    def seg(d):  # integral_0^T e^{i d t} dt
-        x = d * t_max
-        return t_max * np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
-
-    out = np.empty((omega.size, 3, 3), dtype=complex)
-    for start in range(0, omega.size, _SPECTRUM_CHUNK):
-        w = omega[start : start + _SPECTRUM_CHUNK][:, None]
-        it = (seg(w + rep.nodes[None, :]) - seg(w - rep.nodes[None, :])) / 2.0j
-        out[start : start + _SPECTRUM_CHUNK] = np.einsum("wn,nij->wij", it, rep.coeffs)
-    return out
+    nodes = rep.nodes
+    block = rep.block
+    m = block.shape[1]
+    phase_n = nodes * t_max
+    stacked = np.concatenate(
+        [
+            nodes[:, None] * block,
+            np.sin(phase_n)[:, None] * block,
+            (nodes * np.cos(phase_n))[:, None] * block,
+        ],
+        axis=1,
+    )
+    near = _NEAR_PHASE / t_max
+    out = np.empty((omega.size, m), dtype=complex)
+    rows = max(1, _TABLE_ELEMENTS // max(1, nodes.size))
+    for start in range(0, omega.size, rows):
+        w = omega[start : start + rows]
+        inv = np.subtract.outer(w, nodes)
+        close_w, close_n = np.nonzero(np.abs(inv) < near)
+        inv *= np.add.outer(w, nodes)
+        with np.errstate(divide="ignore"):
+            np.reciprocal(inv, out=inv)
+        inv[close_w, close_n] = 0.0
+        g = inv @ stacked
+        phase = np.exp(1j * w * t_max)[:, None]
+        chunk = phase * (g[:, 2 * m :] - 1j * w[:, None] * g[:, m : 2 * m]) - g[:, :m]
+        for lo in range(0, close_w.size, rows):  # a few pairs per row unless T is tiny
+            cw, cn = close_w[lo : lo + rows], close_n[lo : lo + rows]
+            it = (_seg(w[cw] + nodes[cn], t_max) - _seg(w[cw] - nodes[cn], t_max)) / 2.0j
+            np.add.at(chunk, cw, it[:, None] * block[cn])
+        out[start : start + rows] = chunk
+    return block_tensors(out)
 
 
 def chi_spectrum(
@@ -219,12 +359,7 @@ def chi_spectrum(
     if has_plateau and np.any(omega == 0.0):
         raise ZeroFrequency("spectrum of a plateau kernel diverges at omega = 0")
 
-    if kernel.rep is not None:
-        values = _half_line_transform_exact(kernel.rep, t_max, omega)
-    else:
-        wt = trapezoid_weights(t)
-        phase = np.exp(1j * np.outer(omega, t)) * wt[None, :]
-        values = np.einsum("wt,tij->wij", phase, kernel.values)
+    values = _half_line_transform_exact(kernel.rep, t_max, omega)
     if has_plateau:
         fac = 1j * np.exp(1j * omega * t_max) / omega
         values = values + fac[:, None, None] * plateau[None, :, :]
@@ -277,16 +412,22 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     if np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1e-30):
         raise GridTooCoarse("kk_check needs a uniform omega grid")
     h = float(h[0])
-    im = spectrum.imag_hermitian()
+    im = tensor_block(spectrum.imag_hermitian())
     re = spectrum.real_hermitian()
     mid = 0.5 * (omega[:-1] + omega[1:])
     re_direct = 0.5 * (re[:-1] + re[1:])
-    re_kk = np.empty_like(re_direct)
-    wj2 = omega**2
-    for start in range(0, mid.size, _SPECTRUM_CHUNK):
-        m = mid[start : start + _SPECTRUM_CHUNK]
-        wmat = (2.0 / np.pi) * h * omega[None, :] / (wj2[None, :] - (m**2)[:, None])
-        re_kk[start : start + _SPECTRUM_CHUNK] = np.einsum("mw,wij->mij", wmat, im)
+    # the numerator -(2/pi) h w' goes into the block, 1/(w^2 - w'^2) stays
+    # a real matrix
+    weighted = ((-2.0 / np.pi) * h * omega)[:, None] * im
+    re_kk = np.empty((mid.size, im.shape[1]))
+    rows = max(1, _TABLE_ELEMENTS // omega.size)
+    for start in range(0, mid.size, rows):
+        m = mid[start : start + rows]
+        inv = np.subtract.outer(m, omega)
+        inv *= np.add.outer(m, omega)
+        np.reciprocal(inv, out=inv)
+        re_kk[start : start + rows] = inv @ weighted
+    re_kk = block_tensors(re_kk)
     scale = float(np.max(np.linalg.norm(re_direct, axis=(1, 2))))
     if scale == 0.0:
         return KKReport(max_rel_residual=0.0, n_grid=int(omega.size), grid_step=h)
@@ -337,30 +478,27 @@ class LaplaceResponse:
             raise LeftHalfPlane("material response requires Re rho > 0")
 
     def _chi_numeric(self, model, k, rho):
-        key = (id(model), model.which, tuple(np.asarray(k, dtype=float)))
+        k = np.asarray(k, dtype=float)
+        key = (model, tuple(k))
         rep = self._rep_cache.get(key)
         if rep is None:
+            # converged on probe values of rho, not on a time horizon: this
+            # representation is evaluated at every Bromwich-line point, so it
+            # stays as small as the Laplace transform allows
             pref = kernel_prefactor(model.which, self.constants)
-            cutoff = self.quad.resolve_cutoff(model.frequency_scale)
-            if model.hard_cutoff is not None:
-                cutoff = min(cutoff, model.hard_cutoff)
             probe = np.array([0.37, 1.1, 3.3]) * model.frequency_scale
+            stash = {}
 
             def evaluate(x, w):
-                ff = coupling_product(model, x, np.asarray(k, dtype=float))
-                coeffs = (w * pref * x**2)[:, None, None] * ff
-                stashed["rep"] = QuadRep(nodes=x, coeffs=coeffs)
-                frac = x[None, :] / (probe[:, None] ** 2 + x[None, :] ** 2)
-                return np.einsum("pn,nij->pij", frac, coeffs)
+                ff = coupling_product(model, x, k)
+                stash["rep"] = QuadRep.from_coeffs(x, (w * pref * x**2)[:, None, None] * ff)
+                return stash["rep"].contract(x[None, :] / (probe[:, None] ** 2 + x[None, :] ** 2))
 
-            stashed = {}
-            adaptive_nodes(self.quad, cutoff, evaluate)
-            rep = stashed["rep"]
+            adaptive_nodes(self.quad, _cutoff(model, self.quad), evaluate)
+            rep = stash["rep"]
             self._rep_cache[key] = rep
         rho = np.atleast_1d(np.asarray(rho, dtype=complex))
-        frac = rep.nodes[None, :] / (rho[:, None] ** 2 + rep.nodes[None, :] ** 2)
-        out = np.einsum("pn,nij->pij", frac, rep.coeffs)
-        return out
+        return rep.contract(rep.nodes[None, :] / (rho[:, None] ** 2 + rep.nodes[None, :] ** 2))
 
     def chi(self, model, k, rho, continued=False) -> np.ndarray:
         """chi_hat(k, rho). With continued=True a rational model is evaluated
@@ -399,7 +537,7 @@ class LaplaceResponse:
             rat = chi_hat_rational(model)
             vals = rat(-1j * omega.astype(complex))
             return vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-        key = ("axis", id(model), tuple(np.asarray(k, dtype=float)))
+        key = ("axis", model, tuple(np.asarray(k, dtype=float)))
         cached = self._rep_cache.get(key)
         if cached is None:
             t_grid = np.linspace(0.0, model.suggested_t_max(1e-9), 1400)
@@ -512,26 +650,15 @@ def conductor_Q(
     k = np.asarray(k, dtype=float)
     pref_q = 8.0 * np.pi / (constants.hbar * constants.c**3)
     pref_chi = kernel_prefactor(ELECTRIC, constants)
-    cutoff = quad.resolve_cutoff(model.frequency_scale)
-    if model.hard_cutoff is not None:
-        cutoff = min(cutoff, model.hard_cutoff)
     stash = {}
 
     def evaluate(x, w):
-        ff = coupling_product(model, x, k)
-        cq = (w * pref_q * x**3)[:, None, None] * ff
-        cc = (w * pref_chi * x**2)[:, None, None] * ff
-        chi_vals = np.empty((t.size, 3, 3), dtype=complex)
-        q_vals = np.empty((t.size, 3, 3), dtype=complex)
-        for start in range(0, t.size, 4096):
-            block = np.outer(t[start : start + 4096], x)
-            chi_vals[start : start + 4096] = np.einsum("tn,nij->tij", np.sin(block), cc)
-            q_vals[start : start + 4096] = np.einsum("tn,nij->tij", np.cos(block), cq)
-        stash["chi"] = chi_vals
-        return q_vals
+        stash["rep"] = QuadRep.from_coeffs(x, (w * x**2)[:, None, None] * coupling_product(model, x, k))
+        block = (pref_q * x)[:, None] * stash["rep"].block
+        return block_tensors(_time_table_product(np.cos, t, x, block))
 
-    q_values, result = adaptive_nodes(quad, cutoff, evaluate)
-    chi_values = stash["chi"]
+    q_values, result = adaptive_nodes(quad, _cutoff(model, quad), evaluate)
+    chi_values = pref_chi * stash["rep"].kernel_values(t)
     dchi = finite_difference_time(chi_values, t)
     implied_sigma = q_values - constants.eps0 * dchi
     return QKernelReport(

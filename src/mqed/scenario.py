@@ -50,7 +50,7 @@ from .observables import (
     vacuum_spectrum,
 )
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import chi_kernel, chi_spectrum, kk_check, laplace_response
+from .response import KernelStore, chi_kernel, chi_spectrum, kk_check, laplace_response
 from .tensors import NATURAL, PhysicalConstants
 
 _SECTIONS = ("medium", "grids", "numerics", "output")
@@ -380,6 +380,9 @@ def run_scenario(
     model_m = config.model("magnetic", constants)
     cond = _conductor_scenario(config, model_e, constants, quad)
     rng = np.random.default_rng(int(num["seed"]))
+    # one kernel representation per (medium, k), shared by the time-domain
+    # consumers of this run
+    kernels = KernelStore()
 
     def emit(name, writer, *args):
         if "csv" in formats:
@@ -415,7 +418,7 @@ def run_scenario(
                     for model, name in ((model_e, "electric"), (model_m, "magnetic")):
                         t_ker = np.linspace(0.0, model.suggested_t_max(1e-11), 2200) \
                             if not model.is_zero else t_grid
-                        kernel = chi_kernel(model, k, t_ker, constants=constants, quad=quad)
+                        kernel = kernels.kernel(model, k, t_ker, constants=constants, quad=quad)
                         manifest.quadrature[f"chi_{name}_{tag}"] = kernel.metadata()
                         emit(f"chi_{name}_{tag}.csv", write_tensor_series_csv, "t",
                              kernel.t_grid, kernel.values)
@@ -435,29 +438,30 @@ def run_scenario(
             if "noise" in stages:
                 with _Timer(manifest, f"noise_{tag}"):
                     if not model_e.is_zero:
-                        rep = noise_commutator(model_e, "P", k, omega,
-                                               constants=constants, quad=quad)
+                        rep = noise_commutator(model_e, "P", k, omega, constants=constants,
+                                               quad=quad, kernels=kernels)
                         manifest.add_check(f"fdt_P_{tag}", rep.max_rel_err, num["fdt_tol"])
                         emit(f"noise_P_{tag}.csv", write_deviation_csv, "omega", rep.grid,
                              _deviation_curve(rep), rep.lhs)
                         emit_report(f"noise_P_{tag}.json", rep)
-                        repj = noise_current_coefficient(model_e, k, omega,
-                                                         constants=constants, quad=quad)
+                        repj = noise_current_coefficient(model_e, k, omega, constants=constants,
+                                                         quad=quad, kernels=kernels)
                         manifest.add_check(f"fdt_J_{tag}", repj.max_rel_err, num["fdt_tol"])
                         cont = pdot_continuity(model_e, k, constants=constants,
-                                               dt=num["continuity_dt"], quad=quad)
+                                               dt=num["continuity_dt"], quad=quad,
+                                               kernels=kernels)
                         manifest.add_check(f"pdot_continuity_{tag}", cont.relative_jump,
                                            num["continuity_tol"])
                         roundtrip = constitutive_roundtrip(
                             model_e, k,
                             np.linspace(0.0, 20.0 / model_e.frequency_scale, 3001),
-                            constants=constants, quad=quad,
+                            constants=constants, quad=quad, kernels=kernels,
                         )
                         manifest.add_check(f"constitutive_roundtrip_{tag}",
                                            roundtrip.residual, num["constitutive_tol"])
                     if not model_m.is_zero:
-                        rep = noise_commutator(model_m, "M", k, omega,
-                                               constants=constants, quad=quad)
+                        rep = noise_commutator(model_m, "M", k, omega, constants=constants,
+                                               quad=quad, kernels=kernels)
                         manifest.add_check(f"fdt_M_{tag}", rep.max_rel_err, num["fdt_tol"])
                         emit(f"noise_M_{tag}.csv", write_deviation_csv, "omega", rep.grid,
                              _deviation_curve(rep), rep.lhs)
@@ -480,6 +484,7 @@ def run_scenario(
                     rep_field = field_representation(
                         model_e, model_m, k, t_modes, nodes, weights,
                         constants=constants, quad=quad, laplace_spec=config.laplace_spec(),
+                        kernels=kernels,
                     )
                     mc = rep_field.plus
                     manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
@@ -521,6 +526,7 @@ def run_scenario(
                     rep_res = field_representation(
                         model_e, model_m, k, t_res, nodes_r, weights_r,
                         constants=constants, quad=quad, laplace_spec=config.laplace_spec(),
+                        kernels=kernels,
                     )
                     res = maxwell_residual(rep_res, reservoir_samples=2)
                     manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,

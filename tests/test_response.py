@@ -239,3 +239,138 @@ def test_magnetic_sector_prefactor():
     exact = 0.8**2 / (1.4**2 - omega**2 - 1j * 0.6 * omega)
     err = np.max(np.abs(spectrum.values[:, 0, 0] - exact)) / np.max(np.abs(exact))
     assert err < 1e-5
+
+
+def _sinc_transform(nodes, coeffs, t_max, omega):
+    """Reference half-line transform: the direct seg/sinc form on every
+    (omega, omega_n) pair, contracted entrywise."""
+
+    def seg(d):
+        x = d * t_max
+        return t_max * np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
+
+    it = (seg(omega[:, None] + nodes[None, :]) - seg(omega[:, None] - nodes[None, :])) / 2.0j
+    return np.einsum("wn,nij->wij", it, coeffs)
+
+
+@pytest.mark.parametrize("form", ["scalar", "real", "complex"])
+def test_factored_transform_matches_sinc_formula(form):
+    from mqed.quadrature import gauss_legendre
+    from mqed.response import QuadRep, _half_line_transform_exact
+
+    rng = np.random.default_rng(3)
+    x, w = gauss_legendre(512, 0.0, 50.0)
+    herm = rng.normal(size=(x.size, 3, 3)) + 1j * rng.normal(size=(x.size, 3, 3))
+    tensors = {
+        "scalar": np.broadcast_to(np.eye(3), herm.shape).astype(complex),
+        "real": (herm + np.conj(np.transpose(herm, (0, 2, 1)))).real.astype(complex),
+        "complex": herm + np.conj(np.transpose(herm, (0, 2, 1))),
+    }[form]
+    coeffs = (w * x**2)[:, None, None] * tensors
+    rep = QuadRep.from_coeffs(x, coeffs)
+    assert rep.block.shape[1] == {"scalar": 1, "real": 9, "complex": 18}[form]
+    special = np.array([0.0, x[7], x[200], x[200] + 1e-9, x[0], x[-1] - 1e-12])
+    for t_max in (90.0, 7.5):
+        for omega in (special, np.linspace(0.0, 60.0, 1001)):
+            ref = _sinc_transform(x, coeffs, t_max, omega)
+            got = _half_line_transform_exact(rep, t_max, omega)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_tensor_block_round_trip():
+    from mqed.response import block_tensors, tensor_block
+
+    rng = np.random.default_rng(5)
+    cases = [
+        (2.5 * np.eye(3)[None].repeat(4, axis=0).astype(complex), 1),
+        (rng.normal(size=(4, 3, 3)).astype(complex), 9),
+        (rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3)), 18),
+    ]
+    for tensors, m in cases:
+        block = tensor_block(tensors)
+        assert block.shape == (4, m) and block.dtype == float
+        assert np.array_equal(block_tensors(block), tensors)
+
+
+def _count_builds(monkeypatch):
+    import mqed.response
+
+    calls = []
+    original = mqed.response.adaptive_nodes
+
+    def counting(spec, cutoff, evaluate):
+        calls.append(cutoff)
+        return original(spec, cutoff, evaluate)
+
+    monkeypatch.setattr(mqed.response, "adaptive_nodes", counting)
+    return calls
+
+
+def test_chi_kernel_builds_on_every_call(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    model = lorentz_isotropic(WP, W0, G)
+    t = np.linspace(0.0, 30.0, 300)
+    a = chi_kernel(model, K, t)
+    b = chi_kernel(model, K, t)
+    assert len(calls) == 2
+    assert a.rep is not b.rep
+    assert np.array_equal(a.values, b.values)
+
+
+def test_kernel_store_reuses_longer_horizons_only(monkeypatch):
+    from mqed.response import KernelStore
+
+    calls = _count_builds(monkeypatch)
+    store = KernelStore()
+    model = lorentz_isotropic(WP, W0, G)
+    long_t = np.linspace(0.0, 90.0, 1500)
+    first = store.kernel(model, K, long_t)
+    assert store.kernel(lorentz_isotropic(WP, W0, G), K, long_t) is first
+    short_t = np.linspace(0.0, 40.0, 700)
+    short = store.kernel(model, K, short_t)
+    assert len(calls) == 1
+    assert short.rep is first.rep and short.t_grid is not first.t_grid
+    direct = chi_kernel(model, K, short_t)
+    assert np.max(np.abs(short.values - direct.values)) <= 1e-6 * np.max(np.abs(direct.values))
+    # a longer horizon, another k or another quadrature spec builds anew
+    store.kernel(model, K, np.linspace(0.0, 120.0, 2000))
+    store.kernel(model, -K, short_t)
+    store.kernel(model, K, short_t, quad=QuadratureSpec(rtol=1e-9))
+    assert len(calls) == 5
+
+
+def test_laplace_cache_keyed_by_value():
+    # one response asked about 20 models that are built and dropped in turn:
+    # a cache keyed by object identity hands a dropped model's chi_hat to the
+    # next model allocated at its address
+    strengths = [(1.0 + 0.05 * i, 0.7, 0.4) for i in range(20)]
+    expected = [
+        laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
+        .chi(gaussian_anisotropic(s, 1.0), K, 0.8)
+        for s in strengths
+    ]
+    resp = laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
+    got = [resp.chi(gaussian_anisotropic(s, 1.0), K, 0.8) for s in strengths]
+    stale = [i for i, (a, b) in enumerate(zip(got, expected)) if not np.array_equal(a, b)]
+    assert not stale
+    assert len(resp._rep_cache) == len(strengths)
+
+
+def test_laplace_cache_distinguishes_table_contents():
+    from mqed.couplings import TabulatedTable, eval_coupling_batch, tabulated
+
+    omegas = np.linspace(0.0, 20.0, 401)
+    kmags = np.array([0.1, 5.0])
+    vals = eval_coupling_batch(lorentz_isotropic(WP, W0, G), omegas, K)
+
+    def model(scale):
+        values = np.repeat(scale * vals[:, None], 2, axis=1)
+        return tabulated(TabulatedTable(omegas=omegas.copy(), kmags=kmags.copy(), values=values))
+
+    resp = laplace_response(zero_coupling("electric"), zero_coupling("magnetic"),
+                            quad=QuadratureSpec(cutoff=20.0))
+    one = resp.chi(model(1.0), K, 0.8)
+    two = resp.chi(model(2.0), K, 0.8)
+    assert two[0, 0].real == pytest.approx(4.0 * one[0, 0].real, rel=1e-9)
+    assert np.array_equal(resp.chi(model(1.0), K, 0.8), one)
+    assert len(resp._rep_cache) == 2

@@ -165,3 +165,37 @@ def test_cli_invert_chi_roundtrip(tmp_path):
     payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
     check = [c for c in payload["checks"] if c["name"].startswith("roundtrip")][0]
     assert check["passed"]
+
+
+def test_run_builds_one_kernel_per_medium_and_k(tmp_path, monkeypatch):
+    # the chi stage converges one representation per nonzero (medium, k) on
+    # its long horizon; the noise consumers evaluate it on their own grids
+    import mqed.response
+
+    calls = []
+    original = mqed.response.adaptive_nodes
+
+    def counting(spec, cutoff, evaluate):
+        calls.append(cutoff)
+        return original(spec, cutoff, evaluate)
+
+    monkeypatch.setattr(mqed.response, "adaptive_nodes", counting)
+    text = LORENTZ_CFG.replace("PLACEHOLDER", str(tmp_path)).replace(
+        "[grids]",
+        "magnetic.kind = lorentz_isotropic\nmagnetic.strength = 0.8\n"
+        "magnetic.resonance = 1.4\nmagnetic.width = 0.6\n\n[grids]",
+    ).replace("k = 0,0,1.3", "k = 0,0,1.3; 0.6,0.8,0")
+    manifest = run_scenario(parse_scenario(text), out_dir=str(tmp_path), stages=("chi", "noise"))
+    names = [c["name"] for c in manifest.checks]
+    assert {"fdt_P_k1", "fdt_M_k1", "pdot_continuity_k1", "constitutive_roundtrip_k1"} <= set(names)
+    assert manifest.all_passed
+    assert len(calls) == 2 * 2
+
+
+def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lorentz.cfg")
+    code = main(["verify", "--config", config, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("[PASS]") == 13
+    assert "[FAIL]" not in out
