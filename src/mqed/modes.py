@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .rational import Rational, ilt_rational, partial_fractions
-from .response import LaplaceResponse
+from .response import _TABLE_ELEMENTS, LaplaceResponse
 from .tensors import (
     NATURAL,
     PhysicalConstants,
@@ -167,11 +167,6 @@ def _talbot_nodes(t: float, n: int):
     )
     weights = np.exp(rho * t) * drho / (1j * n)
     return rho, weights
-
-
-def talbot_axis_reach(t: float, n: int) -> float:
-    """Largest |Im pole| the n-node contour encloses at time t."""
-    return 0.33 * n / t
 
 
 def talbot_transform(evaluator, t: float, n: int) -> np.ndarray:
@@ -529,6 +524,15 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
     return gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, meta
 
 
+# rows and columns of the four 3x3 blocks of Lambda^-1
+_BLOCKS = {
+    "ee": (slice(0, 3), slice(0, 3)),
+    "eh": (slice(0, 3), slice(3, 6)),
+    "he": (slice(3, 6), slice(0, 3)),
+    "hh": (slice(3, 6), slice(3, 6)),
+}
+
+
 def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, conductor):
     """Vacuum-subtracted Bromwich-line inversion for continuum-absorption
     media.
@@ -575,55 +579,66 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
 
     inv_med = stacked_inverse(response, conductor)
     inv_vac = stacked_inverse(vac, False)
-    diff = inv_med - inv_vac  # (n_y, 6, 6), ~ |rho|^-3 tail
+    # the medium-vacuum difference, ~ |rho|^-3 tail, with the line measure
+    # dy / 2 pi folded in; columns hold all four 3x3 blocks of the 6x6
+    diff = (inv_med - inv_vac).reshape(n_y, 36) * (dy / (2.0 * np.pi))
+    # right-hand side of every line sum: the sum itself, and as a zero-
+    # interleaved second half the same sum over every other line point
+    # (the grid-halving error estimate)
+    rhs = np.zeros((n_y, 72), dtype=complex)
+    rhs[:, :36] = diff
+    rhs[::2, 36:] = 2.0 * diff[::2]
+    diff = diff.reshape(n_y, 6, 6)
 
-    phases = dy * np.exp(np.outer(t, rho)) / (2.0 * np.pi)  # (n_t, n_y)
-    blocks = {
-        "ee": diff[:, :3, :3],
-        "eh": diff[:, :3, 3:],
-        "he": diff[:, 3:, :3],
-        "hh": diff[:, 3:, 3:],
-    }
+    # reservoir sums conv[q] = sum_j phase_j block_j / (rho_j + i w_q), with
+    # the factor folded into the block side in column chunks of bounded size
+    res_names = (("ee", "he") if need_g else ()) + (("eh", "hh") if need_f else ())
+    res_blocks = {n: diff[:, _BLOCKS[n][0], _BLOCKS[n][1]].reshape(n_y, 9) for n in res_names}
+    conv = {n: np.empty((n_q, t.size, 3, 3), dtype=complex) for n in res_names}
+    fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
+    q_step = max(1, _TABLE_ELEMENTS // (9 * n_y))
 
-    def line_sum(ph, b):
-        return (ph @ b.reshape(b.shape[0], 9)).reshape(ph.shape[0], 3, 3)
-
-    base = {name: line_sum(phases, b) for name, b in blocks.items()}
-    coarse = {name: line_sum(2.0 * phases[:, ::2], b[::2]) for name, b in blocks.items()}
-    scale = max(float(np.max(np.abs(base["eh"]))), 1e-30)
-    est = max(float(np.max(np.abs(base[n] - coarse[n]))) for n in base) / scale
+    # phase table exp(t rho_j) in t-row chunks of bounded size
+    base = np.empty((t.size, 36), dtype=complex)
+    halving = 0.0
+    rows = max(1, _TABLE_ELEMENTS // n_y)
+    for start in range(0, t.size, rows):
+        sl = slice(start, start + rows)
+        table = np.multiply.outer(t[sl], rho)
+        np.exp(table, out=table)
+        both = table @ rhs
+        base[sl] = both[:, :36]
+        halving = max(halving, float(np.max(np.abs(both[:, :36] - both[:, 36:]))))
+        for name in res_names:
+            for q0 in range(0, n_q, q_step):
+                qs = slice(q0, q0 + q_step)
+                scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
+                part = (table @ scaled.reshape(n_y, -1)).reshape(table.shape[0], -1, 3, 3)
+                conv[name][qs, sl] = part.swapaxes(0, 1)
+    base = base.reshape(t.size, 6, 6)
+    scale = max(float(np.max(np.abs(base[:, :3, 3:]))), 1e-30)
+    est = halving / scale
     if est > spec.line_rtol:
         raise TalbotNotConverged(
             f"bromwich line grid-halving estimate {est:g} above line_rtol {spec.line_rtol:g}"
         )
 
-    gamma = gamma + base["eh"]
-    xi = xi - base["ee"]
-    gamma_t = gamma_t + base["hh"]
-    xi_t = xi_t - base["he"]
+    gamma = gamma + base[:, :3, 3:]
+    xi = xi - base[:, :3, :3]
+    gamma_t = gamma_t + base[:, 3:, 3:]
+    xi_t = xi_t - base[:, 3:, :3]
 
-    if need_f or need_g:
-        fac_d = 1.0 / (rho[None, :] + 1j * omega_q[:, None])  # (q, j)
+    def reservoir_diff(name, coupling):
+        rows_b, cols_b = _BLOCKS[name]
+        total = base[None, :, rows_b, cols_b] - 1j * omega_q[:, None, None, None] * conv[name]
+        return total @ coupling[:, None, :, :]
 
-        def reservoir_diff(name, coupling):
-            # conv[q] = phases @ diag(fac_d[q]) @ block: fold the reservoir
-            # factor into the block side so one BLAS product covers all q
-            block9 = blocks[name].reshape(n_y, 9)
-            scaled = fac_d.T[:, :, None] * block9[:, None, :]  # (j, q, 9)
-            conv = (phases @ scaled.reshape(n_y, n_q * 9)).reshape(t.size, n_q, 3, 3)
-            conv = np.ascontiguousarray(np.moveaxis(conv, 0, 1))  # (q, t, 3, 3)
-            out = (
-                base[name][None, :, :, :]
-                - 1j * omega_q[:, None, None, None] * conv
-            ) @ coupling[:, None, :, :]
-            return out
-
-        if need_g:
-            zeta = zeta + constants.mu0 * reservoir_diff("ee", g_q)
-            zeta_t = zeta_t + constants.mu0 * reservoir_diff("he", g_q)
-        if need_f:
-            eta = eta - reservoir_diff("eh", f_q)
-            eta_t = eta_t - reservoir_diff("hh", f_q)
+    if need_g:
+        zeta = zeta + constants.mu0 * reservoir_diff("ee", g_q)
+        zeta_t = zeta_t + constants.mu0 * reservoir_diff("he", g_q)
+    if need_f:
+        eta = eta - reservoir_diff("eh", f_q)
+        eta_t = eta_t - reservoir_diff("hh", f_q)
 
     meta = {
         "method": "bromwich_line",

@@ -14,9 +14,9 @@ medium-independent; both statements are checked numerically here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ValidationError
 from .modes import InverseLaplaceSpec, ModeCoefficients, mode_coefficients
@@ -24,8 +24,10 @@ from .noise import CommutatorReport, _kernel, _relative_deviation
 from .quadrature import QuadratureSpec
 from .rational import ilt_rational
 from .response import (
+    _TABLE_ELEMENTS,
     KernelStore,
     LaplaceResponse,
+    block_tensors,
     chi_hat_rational,
     finite_difference_time,
     laplace_response,
@@ -43,28 +45,75 @@ TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
 
 @dataclass(frozen=True)
+class FieldSide:
+    """Coefficient channels of E and H at one side (+k or -k) of the fold."""
+
+    coeffs: ModeCoefficients
+    photon_E: np.ndarray  # (2, n_t, 3)
+    photon_H: np.ndarray
+    res_E_d: np.ndarray  # (3, n_q, n_t, 3)
+    res_E_b: np.ndarray
+    res_H_d: np.ndarray
+    res_H_b: np.ndarray
+    noise_P_d: np.ndarray  # (3, n_q, n_t, 3) noise-polarization channel
+    noise_M_b: np.ndarray
+
+
+@dataclass(frozen=True)
 class FieldOperatorRepresentation:
-    """Coefficient families of E and H at one wave vector (both +k and -k
-    are carried, since the delta-normalized commutators fold them together)."""
+    """Coefficient families of E and H at one wave vector.
+
+    The delta-normalized commutators fold +k and -k together, so both sides
+    are available through `side(sign)`; each is built when first read, and
+    the memory kernels (read only by the Maxwell residual, at +k) likewise.
+    """
 
     k: np.ndarray
     t_grid: np.ndarray
     omega_q_grid: np.ndarray
     omega_q_weights: np.ndarray
     constants: PhysicalConstants
-    plus: ModeCoefficients
-    minus: ModeCoefficients
-    chi_e: dict  # sign -> (n_t, 3, 3) electric kernel values
-    chi_m: dict
-    photon_E: dict  # sign -> (2, n_t, 3)
-    photon_H: dict
-    res_E_d: dict  # sign -> (3, n_q, n_t, 3)
-    res_E_b: dict
-    res_H_d: dict
-    res_H_b: dict
-    noise_P_d: dict  # sign -> (3, n_q, n_t, 3) noise-polarization channel
-    noise_M_b: dict
-    metadata: dict = field(default_factory=dict)
+    model_f: object
+    model_g: object
+    response: LaplaceResponse
+    laplace_spec: InverseLaplaceSpec | None
+    quad: QuadratureSpec
+    kernels: KernelStore | None
+    conductor: bool = False
+    _sides: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def side(self, sign: int) -> FieldSide:
+        """The channels at sign * k (sign = +1 or -1)."""
+        if sign not in self._sides:
+            kk = sign * self.k
+            mc = mode_coefficients(
+                self.response, self.model_f, self.model_g, kk, self.t_grid,
+                self.omega_q_grid, spec=self.laplace_spec, constants=self.constants,
+                conductor=self.conductor,
+            )
+            self._sides[sign] = _assemble_side(mc, kk, self.constants, self.t_grid,
+                                               self.omega_q_grid)
+        return self._sides[sign]
+
+    @property
+    def plus(self) -> ModeCoefficients:
+        return self.side(+1).coeffs
+
+    @property
+    def minus(self) -> ModeCoefficients:
+        return self.side(-1).coeffs
+
+    @cached_property
+    def chi_e(self) -> np.ndarray:
+        """(n_t, 3, 3) electric memory kernel at +k."""
+        return _memory_kernel(self.model_f, self.k, self.t_grid, self.constants, self.quad,
+                              self.kernels)
+
+    @cached_property
+    def chi_m(self) -> np.ndarray:
+        """(n_t, 3, 3) magnetic memory kernel at +k."""
+        return _memory_kernel(self.model_g, self.k, self.t_grid, self.constants, self.quad,
+                              self.kernels)
 
     @property
     def radial_measure(self) -> np.ndarray:
@@ -72,7 +121,7 @@ class FieldOperatorRepresentation:
         return 4.0 * np.pi * self.omega_q_grid**2 / self.constants.c**3
 
 
-def _assemble_side(coeffs: ModeCoefficients, sign_k, constants, t_grid, omega_q):
+def _assemble_side(coeffs: ModeCoefficients, sign_k, constants, t_grid, omega_q) -> FieldSide:
     tr = triad(sign_k)
     c = constants
     w_k = c.c * float(np.linalg.norm(sign_k))
@@ -81,32 +130,31 @@ def _assemble_side(coeffs: ModeCoefficients, sign_k, constants, t_grid, omega_q)
     res_w = TWO_PI_CUBED**-0.5
     e_pairs = (tr.e1, tr.e2)
     s_pairs = (tr.s1, tr.s2)
-    photon_E = np.stack(
-        [
-            1j * (w_e * coeffs.gamma @ e + w_m * coeffs.xi @ s)
-            for e, s in zip(e_pairs, s_pairs)
-        ]
-    )
-    photon_H = np.stack(
-        [
-            1j * (w_e * coeffs.gamma_tilde @ e + w_m * coeffs.xi_tilde @ s)
-            for e, s in zip(e_pairs, s_pairs)
-        ]
-    )
     vs = [tr.e(nu) for nu in (1, 2, 3)]
     ss = [tr.s(nu) for nu in (1, 2, 3)]
-    res_E_d = np.stack([res_w * coeffs.eta @ v for v in vs])
-    res_E_b = np.stack([1j * res_w * coeffs.zeta @ s for s in ss])
-    res_H_d = np.stack([res_w * coeffs.eta_tilde @ v for v in vs])
-    res_H_b = np.stack([1j * res_w * coeffs.zeta_tilde @ s for s in ss])
     phase = np.exp(-1j * np.outer(omega_q, t_grid))  # (n_q, n_t)
-    noise_P_d = np.stack(
-        [res_w * np.einsum("qij,j->qi", coeffs.f_q, v)[:, None, :] * phase[:, :, None] for v in vs]
+    return FieldSide(
+        coeffs=coeffs,
+        photon_E=np.stack([
+            1j * (w_e * coeffs.gamma @ e + w_m * coeffs.xi @ s) for e, s in zip(e_pairs, s_pairs)
+        ]),
+        photon_H=np.stack([
+            1j * (w_e * coeffs.gamma_tilde @ e + w_m * coeffs.xi_tilde @ s)
+            for e, s in zip(e_pairs, s_pairs)
+        ]),
+        res_E_d=np.stack([res_w * coeffs.eta @ v for v in vs]),
+        res_E_b=np.stack([1j * res_w * coeffs.zeta @ s for s in ss]),
+        res_H_d=np.stack([res_w * coeffs.eta_tilde @ v for v in vs]),
+        res_H_b=np.stack([1j * res_w * coeffs.zeta_tilde @ s for s in ss]),
+        noise_P_d=np.stack([
+            res_w * np.einsum("qij,j->qi", coeffs.f_q, v)[:, None, :] * phase[:, :, None]
+            for v in vs
+        ]),
+        noise_M_b=np.stack([
+            1j * res_w * np.einsum("qij,j->qi", coeffs.g_q, s)[:, None, :] * phase[:, :, None]
+            for s in ss
+        ]),
     )
-    noise_M_b = np.stack(
-        [1j * res_w * np.einsum("qij,j->qi", coeffs.g_q, s)[:, None, :] * phase[:, :, None] for s in ss]
-    )
-    return photon_E, photon_H, res_E_d, res_E_b, res_H_d, res_H_b, noise_P_d, noise_M_b
 
 
 def _memory_kernel(model, k, t, constants, quad, kernels=None) -> np.ndarray:
@@ -135,68 +183,50 @@ def field_representation(
     conductor: bool = False,
     kernels: KernelStore | None = None,
 ) -> FieldOperatorRepresentation:
-    """Build the full coefficient representation of E and H at one k.
+    """The coefficient representation of E and H at one k, with the +k side
+    built; the -k side and the memory kernels are built when first read.
 
-    The memory kernels come from `kernels`, the run's store, when given."""
+    Pass the run's `response` to share its Laplace-domain chi_hat, and the
+    run's `kernels` store to share the memory kernels."""
     k = np.asarray(k, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
     omega_q = np.asarray(omega_q_grid, dtype=float)
     weights = np.asarray(omega_q_weights, dtype=float)
     if omega_q.shape != weights.shape:
         raise ValidationError("omega_q grid and weights must align")
     if response is None:
         response = laplace_response(model_f, model_g, constants=constants, quad=quad)
-    sides = {}
-    coeffs = {}
-    kernels_e = {}
-    kernels_m = {}
-    for sign, kk in ((+1, k), (-1, -k)):
-        mc = mode_coefficients(
-            response, model_f, model_g, kk, t, omega_q,
-            spec=laplace_spec, constants=constants, conductor=conductor,
-        )
-        coeffs[sign] = mc
-        sides[sign] = _assemble_side(mc, kk, constants, t, omega_q)
-        kernels_e[sign] = _memory_kernel(model_f, kk, t, constants, quad, kernels)
-        kernels_m[sign] = _memory_kernel(model_g, kk, t, constants, quad, kernels)
-    return FieldOperatorRepresentation(
+    rep = FieldOperatorRepresentation(
         k=k,
-        t_grid=t,
+        t_grid=np.asarray(t_grid, dtype=float),
         omega_q_grid=omega_q,
         omega_q_weights=weights,
         constants=constants,
-        plus=coeffs[+1],
-        minus=coeffs[-1],
-        chi_e=kernels_e,
-        chi_m=kernels_m,
-        photon_E={s: sides[s][0] for s in (+1, -1)},
-        photon_H={s: sides[s][1] for s in (+1, -1)},
-        res_E_d={s: sides[s][2] for s in (+1, -1)},
-        res_E_b={s: sides[s][3] for s in (+1, -1)},
-        res_H_d={s: sides[s][4] for s in (+1, -1)},
-        res_H_b={s: sides[s][5] for s in (+1, -1)},
-        noise_P_d={s: sides[s][6] for s in (+1, -1)},
-        noise_M_b={s: sides[s][7] for s in (+1, -1)},
-        metadata={"mode_metadata": coeffs[+1].metadata, "conductor": conductor},
+        model_f=model_f,
+        model_g=model_g,
+        response=response,
+        laplace_spec=laplace_spec,
+        quad=quad,
+        kernels=kernels,
+        conductor=conductor,
     )
+    rep.side(+1)
+    return rep
 
 
 def _eh_coefficient(rep: FieldOperatorRepresentation, it: int) -> np.ndarray:
     """delta-normalized coefficient of [E_i(k, t), H_j^dag(k', t)] at one
     time index (before the i-normalization of the report)."""
-    ph = 0.0
-    e_p = rep.photon_E[+1][:, it]
-    h_p = rep.photon_H[+1][:, it]
-    e_m = rep.photon_E[-1][:, it]
-    h_m = rep.photon_H[-1][:, it]
-    ph = np.einsum("la,lb->ab", e_p, np.conj(h_p)) - np.einsum(
-        "la,lb->ab", np.conj(e_m), h_m
+    p, m = rep.side(+1), rep.side(-1)
+    ph = np.einsum("la,lb->ab", p.photon_E[:, it], np.conj(p.photon_H[:, it])) - np.einsum(
+        "la,lb->ab", np.conj(m.photon_E[:, it]), m.photon_H[:, it]
     )
     wq = rep.omega_q_weights * rep.radial_measure
     res = np.zeros((3, 3), dtype=complex)
-    for ed, hd in ((rep.res_E_d, rep.res_H_d), (rep.res_E_b, rep.res_H_b)):
-        res += np.einsum("nqa,q,nqb->ab", ed[+1][:, :, it], wq, np.conj(hd[+1][:, :, it]))
-        res -= np.einsum("nqa,q,nqb->ab", np.conj(ed[-1][:, :, it]), wq, hd[-1][:, :, it])
+    for e_name, h_name in (("res_E_d", "res_H_d"), ("res_E_b", "res_H_b")):
+        ep, hp = getattr(p, e_name), getattr(p, h_name)
+        em, hm = getattr(m, e_name), getattr(m, h_name)
+        res += np.einsum("nqa,q,nqb->ab", ep[:, :, it], wq, np.conj(hp[:, :, it]))
+        res -= np.einsum("nqa,q,nqb->ab", np.conj(em[:, :, it]), wq, hm[:, :, it])
     return TWO_PI_CUBED * (ph + res)
 
 
@@ -256,16 +286,45 @@ def equal_time_commutators(
     )
 
 
-def _convolve(chi_vals: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid convolution (chi * u)(t) on a uniform grid."""
-    n = u.shape[0]
-    out = np.zeros((n, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            out[:, i] += fftconvolve(chi_vals[:, i, j], u[:, j])[:n]
-    out *= h
-    out -= 0.5 * h * (np.einsum("ij,tj->ti", chi_vals[0], u) + np.einsum("tij,j->ti", chi_vals, u[0]))
-    return out
+def _fft_size(n: int) -> int:
+    """Smallest 11-smooth length >= n, which pocketfft transforms fast."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def _convolver(chi_vals: np.ndarray, h: float):
+    """Trapezoid convolution u -> (chi * u)(t) on a uniform grid, for (n_t, 3)
+    fields u. The zero-padded kernel is transformed once; each field then
+    costs 3 forward and one batch of 9 inverse transforms, whose products are
+    summed over j in the time domain."""
+    n = chi_vals.shape[0]
+    size = _fft_size(2 * n - 1)  # no wrap-around into the first n samples
+    chi_ft = np.fft.fft(chi_vals, size, axis=0)  # (size, 3, 3)
+
+    def convolve(u: np.ndarray) -> np.ndarray:
+        u_ft = np.fft.fft(u, size, axis=0)
+        terms = np.fft.ifft(chi_ft * u_ft[:, None, :], axis=0)[:n]  # (n, i, j)
+        out = terms[:, :, 0] + terms[:, :, 1]
+        out += terms[:, :, 2]
+        out *= h
+        out -= 0.5 * h * (np.einsum("ij,tj->ti", chi_vals[0], u)
+                          + np.einsum("tij,j->ti", chi_vals, u[0]))
+        return out
+
+    return convolve
+
+
+def reservoir_picks(n_q: int, samples: int) -> np.ndarray:
+    """Indices of the reservoir nodes the Maxwell residual samples: `samples`
+    nodes spread evenly over the grid, ends included."""
+    return np.unique(np.linspace(0, n_q - 1, min(samples, n_q)).astype(int))
 
 
 @dataclass(frozen=True)
@@ -293,16 +352,17 @@ def maxwell_residual(
         raise ValidationError("maxwell_residual needs a uniform t_grid")
     c = rep.constants
     o = curl_symbol(rep.k)
-    chi_e = rep.chi_e[+1]
-    chi_m = rep.chi_m[+1]
+    conv_e = _convolver(rep.chi_e, h)
+    conv_m = _convolver(rep.chi_m, h)
+    side = rep.side(+1)
     channels = {}
 
     def record(name, e_ch, h_ch, p_noise=None, m_noise=None):
-        p = c.eps0 * _convolve(chi_e, e_ch, h)
+        p = c.eps0 * conv_e(e_ch)
         if p_noise is not None:
             p = p + p_noise
         d_ch = c.eps0 * e_ch + p
-        m = _convolve(chi_m, h_ch, h)
+        m = conv_m(h_ch)
         if m_noise is not None:
             m = m + m_noise
         b_ch = c.mu0 * (h_ch + m)
@@ -322,33 +382,30 @@ def maxwell_residual(
         channels[name] = resid / scale if scale > 0.0 else resid
 
     for lam in (0, 1):
-        record(f"photon_{lam + 1}", rep.photon_E[+1][lam], rep.photon_H[+1][lam])
+        record(f"photon_{lam + 1}", side.photon_E[lam], side.photon_H[lam])
     n_q = rep.omega_q_grid.size
     if n_q:
-        picks = np.unique(np.linspace(0, n_q - 1, min(reservoir_samples, n_q)).astype(int))
         for nu in range(3):
-            for q in picks:
-                name = f"d_nu{nu + 1}_q{q}"
-                record(
-                    name,
-                    rep.res_E_d[+1][nu, q],
-                    rep.res_H_d[+1][nu, q],
-                    p_noise=rep.noise_P_d[+1][nu, q],
-                )
-                name = f"b_nu{nu + 1}_q{q}"
-                record(
-                    name,
-                    rep.res_E_b[+1][nu, q],
-                    rep.res_H_b[+1][nu, q],
-                    m_noise=rep.noise_M_b[+1][nu, q],
-                )
+            for q in reservoir_picks(n_q, reservoir_samples):
+                record(f"d_nu{nu + 1}_q{q}", side.res_E_d[nu, q], side.res_H_d[nu, q],
+                       p_noise=side.noise_P_d[nu, q])
+                record(f"b_nu{nu + 1}_q{q}", side.res_E_b[nu, q], side.res_H_b[nu, q],
+                       m_noise=side.noise_M_b[nu, q])
     worst = max(channels.values()) if channels else 0.0
     return MaxwellResidualReport(k=rep.k, channels=channels, max_residual=worst)
 
 
-def _oscillator_responses(omega: np.ndarray, drive: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _oscillator_responses(
+    omega: np.ndarray, drive: np.ndarray, t: np.ndarray, block: np.ndarray
+) -> np.ndarray:
     """int_0^t sin(w (t - s)) drive(s) ds for every frequency, by the exact
-    one-step exponential propagator with the drive piecewise linear."""
+    one-step exponential propagator with the drive piecewise linear,
+    contracted against the (n_w, m) coefficient block: (n_t, m).
+
+    The responses of consecutive steps fill a (steps, n_w) table within
+    `_TABLE_ELEMENTS`, one contiguous row per step, and each full table is
+    contracted at once. The steps stay a loop: a cumulative-sum form of the
+    same recurrence over such tables moves far more memory per step."""
     h = float(t[1] - t[0])
     wh = omega * h
     phi = np.exp(1j * wh)
@@ -363,11 +420,15 @@ def _oscillator_responses(omega: np.ndarray, drive: np.ndarray, t: np.ndarray) -
         )
     coeff_old = j0 - j1 / h  # weight of drive(t_m)
     coeff_new = j1 / h  # weight of drive(t_{m+1})
-    out = np.zeros((omega.size, t.size))
+    rows = max(1, _TABLE_ELEMENTS // max(1, omega.size))
+    out = np.zeros((t.size, block.shape[1]))
     state = np.zeros(omega.size, dtype=complex)
-    for m in range(t.size - 1):
-        state = phi * state + coeff_old * drive[m] + coeff_new * drive[m + 1]
-        out[:, m + 1] = state.imag
+    for start in range(1, t.size, rows):
+        table = np.empty((min(rows, t.size - start), omega.size))
+        for i, m in enumerate(range(start - 1, start - 1 + table.shape[0])):
+            state = phi * state + coeff_old * drive[m] + coeff_new * drive[m + 1]
+            table[i] = state.imag
+        out[start : start + table.shape[0]] = table @ block
     return out
 
 
@@ -410,15 +471,15 @@ def constitutive_roundtrip(
 
     kernel = _kernel(model, k, t, constants, quad, kernels)
     eps0 = constants.eps0 if model.which == "electric" else 1.0
-    p_a = eps0 * _convolve(kernel.values, probe_field.astype(complex), h)
+    p_a = eps0 * _convolver(kernel.values, h)(probe_field.astype(complex))
 
     # ladder route: every reservoir frequency driven as an independent
     # oscillator, advanced by the exact one-step propagator with the probe
     # linear on each step (a different discretization from the kernel
     # convolution above, so agreement is a genuine cross-check)
     rep = kernel.rep
-    inner = _oscillator_responses(rep.nodes, amp, t)
-    p_b = eps0 * (rep.contract(inner.T) @ e_dir.astype(complex))
+    ladder = block_tensors(_oscillator_responses(rep.nodes, amp, t, rep.block))
+    p_b = eps0 * (ladder @ e_dir.astype(complex))
 
     scale = float(np.max(np.abs(p_a)))
     residual = float(np.max(np.abs(p_a - p_b))) / scale if scale > 0.0 else float(np.max(np.abs(p_b)))
@@ -449,10 +510,11 @@ def vacuum_spectrum(
     delta = np.asarray(r_offset, dtype=float)
     wq = rep.omega_q_weights * rep.radial_measure
     phase = np.exp(1j * float(rep.k @ delta))
-    e_ph = rep.photon_E[+1][:, it]
+    side = rep.side(+1)
+    e_ph = side.photon_E[:, it]
     gram = np.einsum("la,lb->ab", e_ph, np.conj(e_ph))
-    for sector in (rep.res_E_d, rep.res_E_b):
-        e_res = sector[+1][:, :, it]
+    for sector in (side.res_E_d, side.res_E_b):
+        e_res = sector[:, :, it]
         gram += np.einsum("nqa,q,nqb->ab", e_res, wq, np.conj(e_res))
     out = 0.5 * (phase * gram + np.conj(phase) * gram.conj().T)
     if np.allclose(delta, 0.0):

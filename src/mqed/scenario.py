@@ -47,6 +47,7 @@ from .observables import (
     equal_time_commutators,
     field_representation,
     maxwell_residual,
+    reservoir_picks,
     vacuum_spectrum,
 )
 from .quadrature import QuadratureSpec, gauss_legendre
@@ -484,7 +485,7 @@ def run_scenario(
                     rep_field = field_representation(
                         model_e, model_m, k, t_modes, nodes, weights,
                         constants=constants, quad=quad, laplace_spec=config.laplace_spec(),
-                        kernels=kernels,
+                        response=response, kernels=kernels,
                     )
                     mc = rep_field.plus
                     manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
@@ -519,16 +520,18 @@ def run_scenario(
                                        max(0.0, -float(np.min(eigs))),
                                        1e-10 * max(1.0, float(np.max(np.abs(eigs)))))
                     # Maxwell residual wants a finer uniform grid and a small
-                    # reservoir sample at moderate frequencies
+                    # reservoir sample at moderate frequencies: two nodes of a
+                    # 16-node rule, the only ones the residual reads
                     t_res = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
                     res_cut = 5.0 * max((m.frequency_scale for m in models), default=1.0)
                     nodes_r, weights_r = gauss_legendre(16, 0.0, res_cut)
+                    picks = reservoir_picks(nodes_r.size, 2)
                     rep_res = field_representation(
-                        model_e, model_m, k, t_res, nodes_r, weights_r,
+                        model_e, model_m, k, t_res, nodes_r[picks], weights_r[picks],
                         constants=constants, quad=quad, laplace_spec=config.laplace_spec(),
-                        kernels=kernels,
+                        response=response, kernels=kernels,
                     )
-                    res = maxwell_residual(rep_res, reservoir_samples=2)
+                    res = maxwell_residual(rep_res, reservoir_samples=picks.size)
                     manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,
                                        num["maxwell_tol"], details=res.channels)
 

@@ -83,13 +83,6 @@ class PolarizationTriad:
         return (self.s1, self.s2, self.unit)[nu - 1]
 
 
-def vec3(x, y, z) -> np.ndarray:
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    return v
-
-
 def norm(k) -> float:
     return float(np.linalg.norm(k))
 
@@ -154,10 +147,6 @@ def hermiticity_defect(T) -> float:
     return float(np.max(np.abs(T - T.conj().T)))
 
 
-def is_hermitian(T, tol=1e-12) -> bool:
-    return hermiticity_defect(T) <= tol * max(1.0, float(np.max(np.abs(T))))
-
-
 def hermitian_sqrt(T, tol=1e-12) -> np.ndarray:
     """Principal Hermitian PSD square root via eigendecomposition.
 
@@ -191,9 +180,3 @@ def blocks_to_matrix6(a, b, c, d) -> np.ndarray:
     m[3:, :3] = c
     m[3:, 3:] = d
     return m
-
-
-def matrix6_blocks(m):
-    """Split a 6x6 matrix into its four 3x3 blocks (a, b, c, d)."""
-    m = np.asarray(m)
-    return m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]

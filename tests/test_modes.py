@@ -16,6 +16,7 @@ from mqed.errors import (
     SingularLambda,
     ValidationError,
 )
+from mqed import modes
 from mqed.modes import (
     InverseLaplaceSpec,
     assemble_lambda,
@@ -26,6 +27,7 @@ from mqed.modes import (
 )
 from mqed.rational import Rational, ilt_rational, partial_fractions
 from mqed.response import laplace_response
+from mqed.tensors import NATURAL
 from mqed.tensors import (
     curl_symbol,
     longitudinal_projector,
@@ -311,3 +313,66 @@ def test_drude_poles_flagged_stable():
                            np.linspace(0.0, 5.0, 6), [0.9])
     assert mc.metadata["unstable_poles"] == 0
     assert mc.metadata["max_re_pole"] <= 1e-10
+
+
+def _dense_line_reference(resp, me, mm, k, t, wq, meta):
+    """The Bromwich-line inversion with the whole (n_t, n_y) phase table at
+    once, Lambda assembled point by point, and the grid-halving estimate
+    from a strided copy of the table."""
+    vac = modes.laplace_response_like(resp)
+    parts = modes._rational_mode_path(vac, me, mm, k, t, wq, InverseLaplaceSpec(), NATURAL)
+    gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, _ = parts
+    y_top, n_y = meta["line_halfwidth"], meta["line_points"]
+    y = np.linspace(-y_top, y_top, n_y)
+    rho = meta["line_abscissa"] + 1j * y
+
+    def inverse(r):
+        return np.linalg.inv(np.stack(
+            [assemble_lambda(r, k, x, curl_sign=-1).value for x in rho]))
+
+    diff = inverse(resp) - inverse(vac)
+    phases = (y[1] - y[0]) * np.exp(np.outer(t, rho)) / (2.0 * np.pi)
+    base = np.einsum("tj,jab->tab", phases, diff)
+    coarse = np.einsum("tj,jab->tab", 2.0 * phases[:, ::2], diff[::2])
+    est = float(np.max(np.abs(base - coarse))) / float(np.max(np.abs(base[:, :3, 3:])))
+    fac = 1.0 / (rho[:, None] + 1j * wq[None, :])
+    conv = np.einsum("tj,jq,jab->qtab", phases, fac, diff)
+    iw = 1j * wq[:, None, None, None]
+
+    def res(rows, cols, coupling):
+        return (base[None, :, rows, cols] - iw * conv[:, :, rows, cols]) @ coupling[:, None]
+
+    e, h = slice(0, 3), slice(3, 6)
+    ref = {
+        "gamma": gamma + base[:, e, h],
+        "xi": xi - base[:, e, e],
+        "gamma_tilde": gamma_t + base[:, h, h],
+        "xi_tilde": xi_t - base[:, h, e],
+        "zeta": zeta + NATURAL.mu0 * res(e, e, g_q),
+        "zeta_tilde": zeta_t + NATURAL.mu0 * res(h, e, g_q),
+        "eta": eta - res(e, h, f_q),
+        "eta_tilde": eta_t - res(h, h, f_q),
+    }
+    return ref, est
+
+
+def test_line_path_chunks_match_dense_reference(monkeypatch):
+    # electric plus magnetic medium, so all four reservoir blocks are summed
+    me, mm, resp = lorentz_pair()
+    t = np.linspace(0.0, 6.0, 41)
+    wq = np.array([0.6, 1.7, 2.3])
+    spec = InverseLaplaceSpec(method="bromwich_line")
+    n_y = mode_coefficients(resp, me, mm, K, t, wq[:1], spec=spec).metadata["line_points"]
+    # 18 t rows per chunk (18, 18, 5) and 2 reservoir nodes per column chunk
+    # (2, 1): both last chunks ragged
+    monkeypatch.setattr(modes, "_TABLE_ELEMENTS", 18 * n_y + 3)
+    mc = mode_coefficients(resp, me, mm, K, t, wq, spec=spec)
+    assert mc.metadata["line_points"] == n_y
+    ref, est = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
+    for name, want in ref.items():
+        got = getattr(mc, name)
+        scale = float(np.max(np.abs(want)))
+        assert scale > 0.0, name
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+    # the estimate is already relative to the peak of the eh block
+    assert abs(mc.metadata["est_rel_error"] - est) <= 1e-12

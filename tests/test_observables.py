@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mqed import observables
 from mqed.couplings import (
     apply_gauge,
     gaussian_anisotropic,
@@ -162,5 +163,65 @@ def test_vacuum_spectrum_no_magnetic_reservoir_for_pure_dielectric():
     me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     t = np.linspace(0.0, 4.0, 9)
     rep = make_rep(me, zero_coupling("magnetic"), t, order=32)
-    assert np.max(np.abs(rep.res_E_b[+1])) == 0.0
+    assert np.max(np.abs(rep.side(+1).res_E_b)) == 0.0
     assert np.max(np.abs(rep.plus.zeta)) == 0.0
+
+
+def test_minus_side_built_only_when_read(monkeypatch, lorentz_models):
+    calls = []
+    build = observables.mode_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "mode_coefficients", counted)
+    rep = make_rep(*lorentz_models, np.linspace(0.0, 2.0, 201), order=8)
+    assert rep.plus.gamma.shape == (201, 3, 3)
+    maxwell_residual(rep, reservoir_samples=2)
+    assert len(calls) == 1
+    assert rep.minus.gamma.shape == (201, 3, 3)
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], -calls[0])
+    equal_time_commutators(rep, [0.0, 1.0])
+    assert len(calls) == 2
+
+
+def test_oscillator_tables_match_stepwise_recurrence(monkeypatch):
+    omega = np.array([0.0, 1e-4, 0.7, 3.1, 40.0])
+    t = np.linspace(0.0, 12.0, 602)
+    drive = np.exp(-((t - 4.0) / 1.5) ** 2)
+    block = np.random.default_rng(5).normal(size=(omega.size, 2))
+    # step-by-step exact propagator with the drive linear on each step
+    h = t[1] - t[0]
+    phi = np.exp(1j * omega * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j0 = np.where(omega * h < 1e-3, h * (1.0 + 0.5j * omega * h - (omega * h) ** 2 / 6.0),
+                      (phi - 1.0) / (1j * omega))
+        j1 = np.where(omega * h < 1e-3,
+                      h**2 * (0.5 + 1j * omega * h / 6.0 - (omega * h) ** 2 / 24.0),
+                      h * (phi - 1.0) / (1j * omega)
+                      - (phi * (1.0 - 1j * omega * h) - 1.0) / omega**2)
+    state = np.zeros(omega.size, dtype=complex)
+    want = np.zeros((omega.size, t.size))
+    for m in range(t.size - 1):
+        state = phi * state + (j0 - j1 / h) * drive[m] + (j1 / h) * drive[m + 1]
+        want[:, m + 1] = state.imag
+    want = want.T @ block
+    # 7 steps per table: 601 steps end on a ragged table
+    monkeypatch.setattr(observables, "_TABLE_ELEMENTS", 7 * omega.size)
+    got = observables._oscillator_responses(omega, drive, t, block)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fft_convolver_matches_direct_trapezoid_sum():
+    rng = np.random.default_rng(2)
+    n, h = 37, 0.1
+    chi = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    u = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    want = np.zeros((n, 3), dtype=complex)
+    for m in range(1, n):
+        terms = np.einsum("sij,sj->si", chi[m::-1], u[: m + 1])
+        want[m] = h * (terms.sum(axis=0) - 0.5 * (terms[0] + terms[-1]))
+    got = observables._convolver(chi, h)(u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -192,6 +192,16 @@ def test_run_builds_one_kernel_per_medium_and_k(tmp_path, monkeypatch):
     assert len(calls) == 2 * 2
 
 
+def test_cli_verify_bundled_gaussian_config(tmp_path, capsys):
+    # the Bromwich-line path end to end (continuum-absorption medium)
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "gaussian.cfg")
+    code = main(["verify", "--config", config, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("[PASS]") == 10
+    assert "[FAIL]" not in out
+
+
 def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lorentz.cfg")
     code = main(["verify", "--config", config, "--out", str(tmp_path)])
