@@ -14,7 +14,7 @@ displacement no longer carry their dielectric interpretation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,12 +63,6 @@ class SigmaFromCoupling:
         if np.isscalar(rho) or np.asarray(rho).ndim == 0:
             return self.constants.eps0 * complex(rho) * chi
         return self.constants.eps0 * np.asarray(rho, dtype=complex)[:, None, None] * chi
-
-    def axis(self, k, omega) -> np.ndarray:
-        """Boundary value sigma_hat(k, -i omega)."""
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        chi = self._response.axis_chi(self.model, k, omega)
-        return self.constants.eps0 * (-1j * omega)[:, None, None] * chi
 
     def as_rational(self) -> Rational:
         if not self.model.is_rational:
@@ -133,25 +127,11 @@ def conductor_modes(
         constants=constants,
         conductor=not scenario.free_electric.is_zero,
     )
-    meta = dict(coeffs.metadata)
-    meta["conductor"] = True
-    meta["channel_interpretation"] = "response-function (not polarization) channels"
-    return ModeCoefficients(
-        k=coeffs.k,
-        t_grid=coeffs.t_grid,
-        omega_q_grid=coeffs.omega_q_grid,
-        gamma=coeffs.gamma,
-        xi=coeffs.xi,
-        gamma_tilde=coeffs.gamma_tilde,
-        xi_tilde=coeffs.xi_tilde,
-        zeta=coeffs.zeta,
-        eta=coeffs.eta,
-        zeta_tilde=coeffs.zeta_tilde,
-        eta_tilde=coeffs.eta_tilde,
-        f_q=coeffs.f_q,
-        g_q=coeffs.g_q,
-        metadata=meta,
-    )
+    return replace(coeffs, metadata={
+        **coeffs.metadata,
+        "conductor": True,
+        "channel_interpretation": "response-function (not polarization) channels",
+    })
 
 
 @dataclass(frozen=True)

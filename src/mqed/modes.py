@@ -24,7 +24,7 @@ imaginary-axis branch cut blocks contour deformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .response import _TABLE_ELEMENTS, LaplaceResponse
 from .tensors import (
     NATURAL,
     PhysicalConstants,
-    blocks_to_matrix6,
     curl_symbol,
     longitudinal_projector,
     reciprocal_condition,
@@ -54,9 +53,8 @@ MARGINAL_POLE_TOL = 1e-12
 @dataclass(frozen=True)
 class LambdaMatrix:
     k: np.ndarray
-    rho: complex
-    value: np.ndarray  # (6, 6)
-    conductor: bool = False
+    rho: complex | np.ndarray  # a scalar, or the 1-d stack of rho values
+    value: np.ndarray  # (6, 6), or (n, 6, 6) for a 1-d rho
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,8 @@ def assemble_lambda(
     curl_sign: int = +1,
 ) -> LambdaMatrix:
     """Build Lambda(k, rho); the conductor variant adds sigma_hat to the
-    rho eps_hat block.
+    rho eps_hat block. A scalar rho gives one (6, 6) matrix, a 1-d rho the
+    (n, 6, 6) stack from one batched evaluation of each material tensor.
 
     continued=True allows Re rho <= 0 through analytic continuation, which
     only rational responses support (contour transforms use it internally).
@@ -107,32 +106,45 @@ def assemble_lambda(
     reproduces the initial-data expansions with forward-evolving phases and
     conserves the equal-time commutators (see mode_coefficients).
     """
-    if not continued and np.real(rho) <= 0.0:
-        raise LeftHalfPlane(f"Lambda requires Re rho > 0, got {rho}")
+    scalar = np.ndim(rho) == 0
+    rho = np.asarray(rho, dtype=complex)
+    left = np.real(rho) <= 0.0
+    if not continued and np.any(left):
+        raise LeftHalfPlane(f"Lambda requires Re rho > 0, got {complex(rho[left][0])}")
     k = np.asarray(k, dtype=float)
-    rho = complex(rho)
-    o = curl_sign * curl_symbol(k)
-    lower_left = rho * response.eps(k, rho, continued=continued)
+    r = rho[..., None, None]
+    value = np.empty(rho.shape + (6, 6), dtype=complex)
+    value[..., :3, :3] = value[..., 3:, 3:] = curl_sign * curl_symbol(k)
+    value[..., :3, 3:] = -r * response.mu(k, rho, continued=continued)
+    value[..., 3:, :3] = r * response.eps(k, rho, continued=continued)
     if conductor:
-        lower_left = lower_left + response.sigma(k, rho, continued=continued)
-    value = blocks_to_matrix6(o, -rho * response.mu(k, rho, continued=continued), lower_left, o)
-    return LambdaMatrix(k=k, rho=rho, value=value, conductor=conductor)
+        value[..., 3:, :3] += response.sigma(k, rho, continued=continued)
+    return LambdaMatrix(k=k, rho=complex(rho) if scalar else rho, value=value)
+
+
+def _checked_inverse(lam: LambdaMatrix, rcond_min: float = 1e-12):
+    """Lambda^-1 (of one matrix or of every member of a stack) and the
+    reciprocal conditions that guarded it."""
+    rc = np.atleast_1d(reciprocal_condition(lam.value))
+    worst = int(np.argmin(rc))
+    if rc[worst] < rcond_min:
+        rho = complex(np.ravel(lam.rho)[worst])
+        raise SingularLambda(
+            f"Lambda reciprocal condition {rc[worst]:.3e} below {rcond_min:g} at rho={rho}",
+            k=lam.k,
+            rho=rho,
+        )
+    return np.linalg.inv(lam.value), rc
 
 
 def invert_lambda(lam: LambdaMatrix, rcond_min: float = 1e-12) -> np.ndarray:
-    """Inverse of Lambda with a reciprocal-condition guard.
+    """Inverse of Lambda with a reciprocal-condition guard on every member
+    of a stack; SingularLambda names the worst member's rho.
 
     Singular inversions happen on the imaginary-rho dispersion shell; callers
     must keep the contour off the imaginary axis.
     """
-    rc = reciprocal_condition(lam.value)
-    if rc < rcond_min:
-        raise SingularLambda(
-            f"Lambda reciprocal condition {rc:.3e} below {rcond_min:g} at rho={lam.rho}",
-            k=lam.k,
-            rho=lam.rho,
-        )
-    return np.linalg.inv(lam.value)
+    return _checked_inverse(lam, rcond_min)[0]
 
 
 # cotangent-contour parameters tuned for the midpoint rule; exp(rho t) stays
@@ -250,18 +262,6 @@ class ModeCoefficients:
     g_q: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    def tensors(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "xi": self.xi,
-            "gamma_tilde": self.gamma_tilde,
-            "xi_tilde": self.xi_tilde,
-            "zeta": self.zeta,
-            "eta": self.eta,
-            "zeta_tilde": self.zeta_tilde,
-            "eta_tilde": self.eta_tilde,
-        }
-
 
 def _scalar_rationals(response: LaplaceResponse, k: np.ndarray):
     """Scalar transverse/longitudinal pieces of Lambda^-1 for isotropic
@@ -345,9 +345,9 @@ def _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constan
     eta = np.zeros(shape, dtype=complex)
     zeta_t = np.zeros(shape, dtype=complex)
     eta_t = np.zeros(shape, dtype=complex)
-    if omega_q.size:
+    if omega_q.size and not (model_f.is_zero and model_g.is_zero):
+        w_ee = _ilt_with_reservoir(t_ee, omega_q, t, spec.pole_tol)  # read by zeta and eta-tilde
         if not model_g.is_zero:
-            w_ee = _ilt_with_reservoir(t_ee, omega_q, t, spec.pole_tol)
             zeta = mu0 * np.einsum("qt,ab,qbc->qtac", w_ee, o, g_q)
             w_he = _ilt_with_reservoir(t_he, omega_q, t, spec.pole_tol)
             w_lh = _ilt_with_reservoir(l_h, omega_q, t, spec.pole_tol)
@@ -362,37 +362,24 @@ def _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constan
                 np.einsum("qt,ab,qbc->qtac", w_eh, p_t, f_q)
                 + np.einsum("qt,ab,qbc->qtac", w_le, p_l, f_q)
             )
-            w_ee_f = _ilt_with_reservoir(t_ee, omega_q, t, spec.pole_tol)
-            eta_t = -np.einsum("qt,ab,qbc->qtac", w_ee_f, o, f_q)
+            eta_t = -np.einsum("qt,ab,qbc->qtac", w_ee, o, f_q)
     poles = np.concatenate(all_poles) if all_poles else np.zeros(0, complex)
-    meta = {"method": "rational_exact", **_pole_flags(poles)}
-    return gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, meta
+    return ModeCoefficients(
+        k=k, t_grid=t, omega_q_grid=omega_q,
+        gamma=gamma, xi=xi, gamma_tilde=gamma_t, xi_tilde=xi_t,
+        zeta=zeta, eta=eta, zeta_tilde=zeta_t, eta_tilde=eta_t,
+        f_q=f_q, g_q=g_q,
+        metadata={"method": "rational_exact", **_pole_flags(poles)},
+    )
 
 
-def _axis_lambda_inverse(response, k, omega_q, conductor):
-    """Lambda^-1 on the imaginary axis boundary rho = -i w_q (the reservoir
-    resonance points), via the physical spectrum values of the material
-    tensors. Absorbing media keep Lambda invertible there."""
-    o = -curl_symbol(k)
-    eps_ax = response.axis_eps(k, omega_q)
-    mu_ax = response.axis_mu(k, omega_q)
-    rho = -1j * omega_q
-    lower = rho[:, None, None] * eps_ax
-    if conductor:
-        lower = lower + response.axis_sigma(k, omega_q)
-    lam = np.empty((omega_q.size, 6, 6), dtype=complex)
-    lam[:, :3, :3] = o
-    lam[:, :3, 3:] = -rho[:, None, None] * mu_ax
-    lam[:, 3:, :3] = lower
-    lam[:, 3:, 3:] = o
-    for i in range(omega_q.size):
-        if reciprocal_condition(lam[i]) < 1e-12:
-            raise SingularLambda(
-                "Lambda singular on the axis at a reservoir node",
-                k=k,
-                rho=complex(rho[i]),
-            )
-    return np.linalg.inv(lam)
+# rows and columns of the four 3x3 blocks of Lambda^-1
+_BLOCKS = {
+    "ee": (slice(0, 3), slice(0, 3)),
+    "eh": (slice(0, 3), slice(3, 6)),
+    "he": (slice(3, 6), slice(0, 3)),
+    "hh": (slice(3, 6), slice(3, 6)),
+}
 
 
 def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, conductor):
@@ -404,7 +391,9 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
       L^-1[fac G] = g(t) - i w_q ( L^-1[(G - G_ax)/(rho + i w_q)] + G_ax e^{-i w_q t} )
 
     with G_ax = G(-i w_q) removes that pole from the contour integrand (the
-    subtracted numerator vanishes there), leaving only medium-scale poles."""
+    subtracted numerator vanishes there), leaving only medium-scale poles.
+    The response is rational on this path, so G_ax is its analytic
+    continuation to the axis, which is the boundary value there."""
     mu0 = constants.mu0
     f_q = eval_coupling_batch(model_f, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
     g_q = eval_coupling_batch(model_g, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
@@ -422,19 +411,36 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
     eta_t = np.zeros_like(zeta)
     rcond_worst = 1.0
 
-    inv_ax = None
-    if need_f or need_g:
-        inv_ax = _axis_lambda_inverse(response, k, omega_q, conductor)
-
     def lam_inv(rho):
+        # one guarded inversion of a contour node set (or of a large real
+        # rho); its conditions feed the worst_rcond metadata
         nonlocal rcond_worst
         lam = assemble_lambda(response, k, rho, conductor=conductor, continued=True, curl_sign=-1)
-        rcond_worst = min(rcond_worst, reciprocal_condition(lam.value))
-        return invert_lambda(lam)
+        inv, rc = _checked_inverse(lam)
+        rcond_worst = min(rcond_worst, float(np.min(rc)))
+        return inv
+
+    inv_ax = None
+    if need_f or need_g:
+        inv_ax = invert_lambda(assemble_lambda(
+            response, k, -1j * omega_q, conductor=conductor, continued=True, curl_sign=-1
+        ))
+
+    def limit_parts(rho):
+        # the four base blocks, then the four reservoir families: (4 + 4 n_q, 3, 3)
+        inv = lam_inv(rho)
+        parts = [inv[None, :3, 3:], -inv[None, :3, :3], inv[None, 3:, 3:], -inv[None, 3:, :3]]
+        if n_q:
+            fac = rho / (rho + 1j * omega_q)  # (q,)
+            parts.append(mu0 * fac[:, None, None] * (inv[:3, :3] @ g_q))
+            parts.append(-fac[:, None, None] * (inv[:3, 3:] @ f_q))
+            parts.append(mu0 * fac[:, None, None] * (inv[3:, :3] @ g_q))
+            parts.append(-fac[:, None, None] * (inv[3:, 3:] @ f_q))
+        return np.concatenate(parts)
 
     def eval_all(ti, n):
         rho_nodes, w_nodes = _talbot_nodes(ti, n)
-        inv = np.stack([lam_inv(r) for r in rho_nodes])  # (n, 6, 6)
+        inv = lam_inv(rho_nodes)  # (n, 6, 6)
         base = (
             np.einsum("n,nab->ab", w_nodes, inv[:, :3, 3:]),
             -np.einsum("n,nab->ab", w_nodes, inv[:, :3, :3]),
@@ -445,38 +451,18 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
         if inv_ax is not None:
             denom = rho_nodes[None, :] + 1j * omega_q[:, None]  # (q, n)
             cw = w_nodes[None, :] / denom
-            for name, sl in (("ee", (slice(0, 3), slice(0, 3))),
-                             ("eh", (slice(0, 3), slice(3, 6))),
-                             ("he", (slice(3, 6), slice(0, 3))),
-                             ("hh", (slice(3, 6), slice(3, 6)))):
-                blocks = inv[:, sl[0], sl[1]]  # (n, 3, 3)
-                ax = inv_ax[:, sl[0], sl[1]]  # (q, 3, 3)
-                convs[name] = np.einsum("qn,nab->qab", cw, blocks) - np.einsum(
-                    "qn,qab->qab", cw, ax
+            for name, (rows, cols) in _BLOCKS.items():
+                convs[name] = np.einsum("qn,nab->qab", cw, inv[:, rows, cols]) - np.einsum(
+                    "qn,qab->qab", cw, inv_ax[:, rows, cols]
                 )
         return base, convs
 
     for it, ti in enumerate(t):
         if ti == 0.0:
-            big = spec.limit_rho
-
-            def stacked(rho):
-                inv = lam_inv(rho)
-                parts = [inv[:3, 3:], -inv[:3, :3], inv[3:, 3:], -inv[3:, :3]]
-                if n_q:
-                    fac = rho / (rho + 1j * omega_q)  # (q,)
-                    parts.append(mu0 * fac[:, None, None] * (inv[:3, :3] @ g_q))
-                    parts.append(-fac[:, None, None] * (inv[:3, 3:] @ f_q))
-                    parts.append(mu0 * fac[:, None, None] * (inv[3:, :3] @ g_q))
-                    parts.append(-fac[:, None, None] * (inv[3:, 3:] @ f_q))
-                return parts
-
-            p1 = stacked(big + 0.0j)
-            p2 = stacked(2.0 * big + 0.0j)
-            lim = [2.0 * (2.0 * big) * b - big * a for a, b in zip(p1, p2)]
+            lim = _limit_value(limit_parts, spec.limit_rho)
             gamma[it], xi[it], gamma_t[it], xi_t[it] = lim[:4]
             if n_q:
-                zeta[:, it], eta[:, it], zeta_t[:, it], eta_t[:, it] = lim[4:]
+                zeta[:, it], eta[:, it], zeta_t[:, it], eta_t[:, it] = np.split(lim[4:], 4)
             continue
 
         n = max(spec.talbot_start_n, 24)
@@ -508,29 +494,26 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
             osc = np.exp(-1j * omega_q * ti)  # (q,)
             iw = 1j * omega_q
 
-            def reservoir(block_name, row, col, g_of_t, coupling):
-                conv = convs[block_name] + osc[:, None, None] * inv_ax[:, row, col]
+            def reservoir(name, g_of_t, coupling):
+                rows, cols = _BLOCKS[name]
+                conv = convs[name] + osc[:, None, None] * inv_ax[:, rows, cols]
                 total = g_of_t[None, :, :] - iw[:, None, None] * conv
                 return total @ coupling
 
             if need_g:
-                zeta[:, it] = mu0 * reservoir("ee", slice(0, 3), slice(0, 3), -x, g_q)
-                zeta_t[:, it] = mu0 * reservoir("he", slice(3, 6), slice(0, 3), -xt, g_q)
+                zeta[:, it] = mu0 * reservoir("ee", -x, g_q)
+                zeta_t[:, it] = mu0 * reservoir("he", -xt, g_q)
             if need_f:
-                eta[:, it] = -reservoir("eh", slice(0, 3), slice(3, 6), g, f_q)
-                eta_t[:, it] = -reservoir("hh", slice(3, 6), slice(3, 6), gt, f_q)
+                eta[:, it] = -reservoir("eh", g, f_q)
+                eta_t[:, it] = -reservoir("hh", gt, f_q)
 
-    meta = {"method": "talbot", "worst_rcond": rcond_worst}
-    return gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, meta
-
-
-# rows and columns of the four 3x3 blocks of Lambda^-1
-_BLOCKS = {
-    "ee": (slice(0, 3), slice(0, 3)),
-    "eh": (slice(0, 3), slice(3, 6)),
-    "he": (slice(3, 6), slice(0, 3)),
-    "hh": (slice(3, 6), slice(3, 6)),
-}
+    return ModeCoefficients(
+        k=k, t_grid=t, omega_q_grid=omega_q,
+        gamma=gamma, xi=xi, gamma_tilde=gamma_t, xi_tilde=xi_t,
+        zeta=zeta, eta=eta, zeta_tilde=zeta_t, eta_tilde=eta_t,
+        f_q=f_q, g_q=g_q,
+        metadata={"method": "talbot", "worst_rcond": rcond_worst},
+    )
 
 
 def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, conductor):
@@ -544,8 +527,8 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
     imaginary-axis branch cut of the absorption continuum is never crossed.
     """
     vac = laplace_response_like(response)
-    vac_parts = _rational_mode_path(vac, model_f, model_g, k, t, omega_q, spec, constants)
-    gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, _ = vac_parts
+    vac_modes = _rational_mode_path(vac, model_f, model_g, k, t, omega_q, spec, constants)
+    f_q, g_q = vac_modes.f_q, vac_modes.g_q
     n_q = omega_q.size
     need_f = n_q > 0 and not model_f.is_zero
     need_g = n_q > 0 and not model_g.is_zero
@@ -563,22 +546,10 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
     dy = y[1] - y[0]
     rho = a + 1j * y
 
-    def stacked_inverse(resp, cond):
-        o = -curl_symbol(k)
-        eps = resp.eps(k, rho)  # (n_y, 3, 3), batched
-        mu = resp.mu(k, rho)
-        lower = rho[:, None, None] * eps
-        if cond:
-            lower = lower + resp.sigma(k, rho)
-        lam = np.empty((n_y, 6, 6), dtype=complex)
-        lam[:, :3, :3] = o
-        lam[:, :3, 3:] = -rho[:, None, None] * mu
-        lam[:, 3:, :3] = lower
-        lam[:, 3:, 3:] = o
-        return np.linalg.inv(lam)
-
-    inv_med = stacked_inverse(response, conductor)
-    inv_vac = stacked_inverse(vac, False)
+    # unguarded: a guard would cost one SVD per line point, and the line
+    # stays a distance a off the imaginary-axis dispersion shell
+    inv_med = np.linalg.inv(assemble_lambda(response, k, rho, conductor, curl_sign=-1).value)
+    inv_vac = np.linalg.inv(assemble_lambda(vac, k, rho, curl_sign=-1).value)
     # the medium-vacuum difference, ~ |rho|^-3 tail, with the line measure
     # dy / 2 pi folded in; columns hold all four 3x3 blocks of the 6x6
     diff = (inv_med - inv_vac).reshape(n_y, 36) * (dy / (2.0 * np.pi))
@@ -623,23 +594,23 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
             f"bromwich line grid-halving estimate {est:g} above line_rtol {spec.line_rtol:g}"
         )
 
-    gamma = gamma + base[:, :3, 3:]
-    xi = xi - base[:, :3, :3]
-    gamma_t = gamma_t + base[:, 3:, 3:]
-    xi_t = xi_t - base[:, 3:, :3]
-
     def reservoir_diff(name, coupling):
         rows_b, cols_b = _BLOCKS[name]
         total = base[None, :, rows_b, cols_b] - 1j * omega_q[:, None, None, None] * conv[name]
         return total @ coupling[:, None, :, :]
 
+    sums = {
+        "gamma": vac_modes.gamma + base[:, :3, 3:],
+        "xi": vac_modes.xi - base[:, :3, :3],
+        "gamma_tilde": vac_modes.gamma_tilde + base[:, 3:, 3:],
+        "xi_tilde": vac_modes.xi_tilde - base[:, 3:, :3],
+    }
     if need_g:
-        zeta = zeta + constants.mu0 * reservoir_diff("ee", g_q)
-        zeta_t = zeta_t + constants.mu0 * reservoir_diff("he", g_q)
+        sums["zeta"] = vac_modes.zeta + constants.mu0 * reservoir_diff("ee", g_q)
+        sums["zeta_tilde"] = vac_modes.zeta_tilde + constants.mu0 * reservoir_diff("he", g_q)
     if need_f:
-        eta = eta - reservoir_diff("eh", f_q)
-        eta_t = eta_t - reservoir_diff("hh", f_q)
-
+        sums["eta"] = vac_modes.eta - reservoir_diff("eh", f_q)
+        sums["eta_tilde"] = vac_modes.eta_tilde - reservoir_diff("hh", f_q)
     meta = {
         "method": "bromwich_line",
         "line_points": int(n_y),
@@ -647,7 +618,7 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
         "line_abscissa": float(a),
         "est_rel_error": est,
     }
-    return gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, meta
+    return replace(vac_modes, metadata=meta, **sums)
 
 
 def laplace_response_like(response: LaplaceResponse) -> LaplaceResponse:
@@ -699,37 +670,17 @@ def mode_coefficients(
             raise ValidationError(
                 "rational_exact needs a rational material response; use bromwich_line"
             )
-        parts = _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants)
-    elif method == "talbot":
+        return _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants)
+    if method == "talbot":
         if not response.is_rational:
             raise ValidationError(
                 "talbot deforms into the left half-plane, which a continuum-"
                 "absorption response cannot continue across; use bromwich_line"
             )
-        parts = _talbot_mode_path(
+        return _talbot_mode_path(
             response, model_f, model_g, k, t, omega_q, spec, constants, conductor
         )
-    else:
-        parts = _line_mode_path(
-            response, model_f, model_g, k, t, omega_q, spec, constants, conductor
-        )
-    gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, meta = parts
-    return ModeCoefficients(
-        k=k,
-        t_grid=t,
-        omega_q_grid=omega_q,
-        gamma=gamma,
-        xi=xi,
-        gamma_tilde=gamma_t,
-        xi_tilde=xi_t,
-        zeta=zeta,
-        eta=eta,
-        zeta_tilde=zeta_t,
-        eta_tilde=eta_t,
-        f_q=f_q,
-        g_q=g_q,
-        metadata=meta,
-    )
+    return _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, conductor)
 
 
 @dataclass(frozen=True)
@@ -746,18 +697,18 @@ def lambda_reality_scan(response: LaplaceResponse, k_set, rho_set, conductor=Fal
     The conjugation identity holds on the real rho axis for media whose
     k-space kernels respect real-space reality; violations (e.g. a tabulated
     model with complex entries) are reported, never raised."""
+    rho = np.asarray(rho_set, dtype=float)
     worst = 0.0
     worst_k = None
     worst_rho = None
     n = 0
-    for k in k_set:
+    for k in k_set if rho.size else ():
         k = np.asarray(k, dtype=float)
-        for rho in rho_set:
-            rho = float(rho)
-            a = assemble_lambda(response, k, rho, conductor=conductor).value
-            b = assemble_lambda(response, -k, rho, conductor=conductor).value
-            dev = float(np.max(np.abs(b - np.conj(a))))
-            n += 1
-            if dev > worst:
-                worst, worst_k, worst_rho = dev, k, rho
+        a = assemble_lambda(response, k, rho, conductor=conductor).value
+        b = assemble_lambda(response, -k, rho, conductor=conductor).value
+        dev = np.max(np.abs(b - np.conj(a)), axis=(1, 2))
+        j = int(np.argmax(dev))
+        n += rho.size
+        if dev[j] > worst:
+            worst, worst_k, worst_rho = float(dev[j]), k, float(rho[j])
     return RealityScanReport(max_deviation=worst, n_samples=n, worst_k=worst_k, worst_rho=worst_rho)

@@ -22,7 +22,11 @@ converged on a horizon at least as long as the consumer's own, and builds
 its own otherwise. The Laplace-domain chi_hat of a continuum medium is the
 exception: `LaplaceResponse` converges its own, much smaller representation
 on probe values of rho, because its cost is paid at every Bromwich-line
-point.
+point. `LaplaceResponse` evaluates eps_hat, mu_hat and sigma_hat for a
+scalar rho or a whole 1-d stack at once; at Re rho <= 0 (the contour nodes
+and the reservoir points rho = -i omega on the imaginary axis) only a
+rational model has values, by analytic continuation, which on the axis
+equal the boundary values of the physical spectrum.
 """
 
 from __future__ import annotations
@@ -524,39 +528,6 @@ class LaplaceResponse:
         if not continued:
             self._check_rho(rho)
         return out[0] if scalar else out
-
-    def axis_chi(self, model, k, omega) -> np.ndarray:
-        """Boundary value chi_hat(k, rho -> -i omega + 0): the physical
-        spectrum at real frequency, where the quadrature-node sum would be
-        principal-value singular. Rational models continue analytically;
-        numeric models go through the finite-horizon exact transform."""
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        if model.is_zero:
-            return np.zeros((omega.size, 3, 3), dtype=complex)
-        if model.is_rational:
-            rat = chi_hat_rational(model)
-            vals = rat(-1j * omega.astype(complex))
-            return vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-        key = ("axis", model, tuple(np.asarray(k, dtype=float)))
-        cached = self._rep_cache.get(key)
-        if cached is None:
-            t_grid = np.linspace(0.0, model.suggested_t_max(1e-9), 1400)
-            kernel = chi_kernel(model, k, t_grid, constants=self.constants, quad=self.quad)
-            self._rep_cache[key] = kernel
-            cached = kernel
-        return chi_spectrum(cached, omega).values
-
-    def axis_eps(self, k, omega) -> np.ndarray:
-        return self.constants.eps0 * (IDENTITY3 + self.axis_chi(self.model_e, k, omega))
-
-    def axis_mu(self, k, omega) -> np.ndarray:
-        return self.constants.mu0 * (IDENTITY3 + self.axis_chi(self.model_m, k, omega))
-
-    def axis_sigma(self, k, omega) -> np.ndarray:
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        if self.sigma_evaluator is None:
-            return np.zeros((omega.size, 3, 3), dtype=complex)
-        return self.sigma_evaluator.axis(k, omega)
 
     def eps(self, k, rho, continued=False) -> np.ndarray:
         return self.constants.eps0 * (IDENTITY3 + self.chi(self.model_e, k, rho, continued))

@@ -8,9 +8,9 @@ Configs are structured key-value text with four sections:
     [grids]     omega_max/n_omega (spectrum), t_max/n_t, k (semicolon list of
                 comma triples), reservoir_order, kk_omega_max/kk_n_omega
     [numerics]  laplace = auto|rational_exact|talbot|bromwich_line,
-                quad_rtol, quad_max_order, cutoff_factor, condition_guard,
-                tail_rtol, plus the check tolerances (fdt_tol, kk_tol,
-                commutator_tol, maxwell_tol, roundtrip_tol, continuity_tol)
+                quad_rtol, quad_max_order, cutoff_factor, tail_rtol, plus
+                the check tolerances (fdt_tol, kk_tol, commutator_tol,
+                maxwell_tol, roundtrip_tol, continuity_tol)
     [output]    directory, formats = csv,json
 
 Unknown keys are rejected with their location; all tolerances must be
@@ -87,7 +87,6 @@ _NUMERIC_DEFAULTS = {
     "quad_rtol": 1e-7,
     "quad_max_order": 8192,
     "cutoff_factor": 50.0,
-    "condition_guard": 1e-12,
     "tail_rtol": 1e-6,
     "continuity_dt": 1e-3,
     "fdt_tol": 1e-5,
@@ -241,7 +240,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 def _validate(config: ScenarioConfig):
     for key in ("quad_rtol", "tail_rtol", "fdt_tol", "kk_tol", "commutator_tol",
                 "maxwell_tol", "roundtrip_tol", "continuity_tol", "constitutive_tol",
-                "reality_tol", "condition_guard", "continuity_dt"):
+                "reality_tol", "continuity_dt"):
         if not config.numerics[key] > 0.0:
             raise ValidationError("tolerance must be positive", key=key)
     if config.numerics["laplace"] not in ("auto", "rational_exact", "talbot", "bromwich_line"):

@@ -1,6 +1,6 @@
-"""Core numeric vocabulary: 3-vectors, 3x3 complex tensors, 6x6 block
-matrices, polarization triads, transverse projectors and Hermitian PSD
-square roots.
+"""Core numeric vocabulary: 3-vectors, 3x3 complex tensors, polarization
+triads, transverse projectors, Hermitian PSD square roots and the
+reciprocal condition of a matrix (or of each member of a stack).
 
 Vectors are plain numpy arrays of shape (3,), tensors arrays of shape (3, 3).
 Everything here is pure and reentrant; values are never mutated after
@@ -164,19 +164,10 @@ def hermitian_sqrt(T, tol=1e-12) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def reciprocal_condition(M) -> float:
-    """Reciprocal 2-norm condition estimate (sigma_min / sigma_max)."""
+def reciprocal_condition(M):
+    """Reciprocal 2-norm condition estimate (sigma_min / sigma_max): a float
+    for one matrix, an array with one value per member for a stack."""
     s = np.linalg.svd(np.asarray(M), compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
-
-
-def blocks_to_matrix6(a, b, c, d) -> np.ndarray:
-    """Assemble [[a, b], [c, d]] from four 3x3 blocks."""
-    m = np.empty((6, 6), dtype=complex)
-    m[:3, :3] = a
-    m[:3, 3:] = b
-    m[3:, :3] = c
-    m[3:, 3:] = d
-    return m
+    top = s[..., 0]
+    rc = np.divide(s[..., -1], top, out=np.zeros_like(top), where=top != 0.0)
+    return float(rc) if rc.ndim == 0 else rc

@@ -159,6 +159,89 @@ def test_invert_lambda_singular_on_dispersion_shell():
         invert_lambda(lam)
 
 
+def _conductor_response():
+    from mqed.conductor import ConductorScenario
+
+    return ConductorScenario(
+        bound_electric=lorentz_isotropic(1.0, 1.0, 0.4),
+        free_electric=drude(1.1, 0.5),
+        magnetic=zero_coupling("magnetic"),
+    ).response()
+
+
+_BATCH_RESPONSES = {
+    "lorentz": lambda: lorentz_pair()[2],
+    "gaussian": lambda: laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5),
+                                         zero_coupling("magnetic")),
+    "conductor": _conductor_response,
+}
+
+
+@pytest.mark.parametrize("medium", sorted(_BATCH_RESPONSES))
+def test_batched_lambda_equals_stacked_scalar_calls(medium):
+    resp = _BATCH_RESPONSES[medium]()
+    rng = np.random.default_rng(41)
+    k = rng.standard_normal(3)
+    rho = rng.uniform(0.1, 4.0, 9) + 1j * rng.uniform(-6.0, 6.0, 9)
+    conductor = medium == "conductor"
+    for sign in (+1, -1):
+        lam = assemble_lambda(resp, k, rho, conductor=conductor, curl_sign=sign)
+        one = np.stack([assemble_lambda(resp, k, r, conductor=conductor, curl_sign=sign).value
+                        for r in rho])
+        assert lam.value.shape == (9, 6, 6)
+        assert np.array_equal(lam.rho, rho)
+        if medium != "gaussian":
+            assert np.array_equal(lam.value, one)
+            continue
+        # the continuum chi_hat is a BLAS product against the quadrature
+        # block, and a one-row product goes through a matrix-vector kernel
+        # that rounds differently from the many-row one: every other entry
+        # is equal bit for bit, the eps_hat block to a few ulps
+        e, h = slice(0, 3), slice(3, 6)
+        for rows, cols in ((e, e), (e, h), (h, h)):
+            assert np.array_equal(lam.value[:, rows, cols], one[:, rows, cols])
+        lower, ref = lam.value[:, h, e], one[:, h, e]
+        assert np.max(np.abs(lower - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def test_batched_lambda_left_half_plane_member():
+    _, _, resp = lorentz_pair()
+    rho = np.array([0.5, 1.0 + 2.0j, -0.2 + 1.0j, 3.0])
+    with pytest.raises(LeftHalfPlane, match=r"-0\.2"):
+        assemble_lambda(resp, K, rho)
+    # the continued (contour) variant accepts the same stack
+    assert assemble_lambda(resp, K, rho, continued=True).value.shape == (4, 6, 6)
+
+
+def test_invert_lambda_stack_names_singular_member():
+    shell = 1e-14 + 1j * WK  # vacuum pole at rho = i c |k|
+    rho = np.array([0.8, 0.3 + 2.0j, shell, 1.5 - 0.4j])
+    lam = assemble_lambda(vacuum_response(), K, rho)
+    with pytest.raises(SingularLambda) as err:
+        invert_lambda(lam)
+    assert err.value.rho == shell
+    # the regular members invert to the scalar inverses
+    keep = np.array([0, 1, 3])
+    inv = invert_lambda(assemble_lambda(vacuum_response(), K, rho[keep]))
+    for i, r in zip(range(3), rho[keep]):
+        assert np.array_equal(inv[i], invert_lambda(assemble_lambda(vacuum_response(), K, r)))
+
+
+def test_lambda_reality_scan_one_batched_call_per_k_sign(monkeypatch):
+    _, _, resp = lorentz_pair()
+    calls = []
+
+    def counted(response, k, rho, *args, **kwargs):
+        calls.append(np.shape(rho))
+        return assemble_lambda(response, k, rho, *args, **kwargs)
+
+    monkeypatch.setattr(modes, "assemble_lambda", counted)
+    rng = np.random.default_rng(31)
+    report = lambda_reality_scan(resp, rng.standard_normal((3, 3)), rng.uniform(0.1, 5.0, 7))
+    assert calls == [(7,)] * 6
+    assert report.n_samples == 21
+
+
 def test_conductor_block_substitution():
     from mqed.conductor import ConductorScenario
 
@@ -271,6 +354,27 @@ def test_dual_method_agreement_lorentz():
         assert np.max(np.abs(x - y)) / scale < 1e-8, name
 
 
+def test_talbot_matches_rational_on_conductor():
+    from mqed.conductor import ConductorScenario, conductor_modes
+
+    scenario = ConductorScenario(lorentz_isotropic(1.0, 1.0, 0.4), drude(1.1, 0.5),
+                                 zero_coupling("magnetic"))
+    t = np.linspace(0.0, 6.0, 7)
+    wq = np.array([0.6, 2.3, 20.0])
+    a = conductor_modes(scenario, K, t, wq)
+    b = conductor_modes(scenario, K, t, wq, spec=InverseLaplaceSpec(method="talbot"))
+    assert a.metadata["method"] == "rational_exact" and b.metadata["method"] == "talbot"
+    assert b.metadata["conductor"] and b.metadata["worst_rcond"] > 0.0
+    for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "eta", "eta_tilde"):
+        x, y = getattr(a, name), getattr(b, name)
+        scale = float(np.max(np.abs(x)))
+        assert scale > 0.0, name
+        assert np.max(np.abs(x - y)) / scale < 1e-8, name
+    # no magnetic coupling: both paths leave the zeta families at zero
+    for name in ("zeta", "zeta_tilde"):
+        assert not np.any(getattr(a, name)) and not np.any(getattr(b, name)), name
+
+
 def test_talbot_rejects_continuum_absorption():
     mg = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     resp = laplace_response(mg, zero_coupling("magnetic"))
@@ -320,8 +424,7 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     once, Lambda assembled point by point, and the grid-halving estimate
     from a strided copy of the table."""
     vac = modes.laplace_response_like(resp)
-    parts = modes._rational_mode_path(vac, me, mm, k, t, wq, InverseLaplaceSpec(), NATURAL)
-    gamma, xi, gamma_t, xi_t, zeta, eta, zeta_t, eta_t, f_q, g_q, _ = parts
+    v = modes._rational_mode_path(vac, me, mm, k, t, wq, InverseLaplaceSpec(), NATURAL)
     y_top, n_y = meta["line_halfwidth"], meta["line_points"]
     y = np.linspace(-y_top, y_top, n_y)
     rho = meta["line_abscissa"] + 1j * y
@@ -344,14 +447,14 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
 
     e, h = slice(0, 3), slice(3, 6)
     ref = {
-        "gamma": gamma + base[:, e, h],
-        "xi": xi - base[:, e, e],
-        "gamma_tilde": gamma_t + base[:, h, h],
-        "xi_tilde": xi_t - base[:, h, e],
-        "zeta": zeta + NATURAL.mu0 * res(e, e, g_q),
-        "zeta_tilde": zeta_t + NATURAL.mu0 * res(h, e, g_q),
-        "eta": eta - res(e, h, f_q),
-        "eta_tilde": eta_t - res(h, h, f_q),
+        "gamma": v.gamma + base[:, e, h],
+        "xi": v.xi - base[:, e, e],
+        "gamma_tilde": v.gamma_tilde + base[:, h, h],
+        "xi_tilde": v.xi_tilde - base[:, h, e],
+        "zeta": v.zeta + NATURAL.mu0 * res(e, e, v.g_q),
+        "zeta_tilde": v.zeta_tilde + NATURAL.mu0 * res(h, e, v.g_q),
+        "eta": v.eta - res(e, h, v.f_q),
+        "eta_tilde": v.eta_tilde - res(h, h, v.f_q),
     }
     return ref, est
 

@@ -8,6 +8,8 @@ from mqed.cli import main
 from mqed.errors import ParseError, ValidationError
 from mqed.scenario import parse_scenario, run_scenario, serialize_scenario
 
+TENSOR_HEADER = [f"{p}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")]
+
 VACUUM_CFG = """
 [grids]
 k = 0,0,1
@@ -59,6 +61,35 @@ def test_parse_rejects_unknown_key():
     with pytest.raises(ValidationError) as err:
         parse_scenario("[grids]\nbogus_key = 3\n")
     assert "bogus_key" in str(err.value)
+    # condition_guard was never read (the Lambda guard is invert_lambda's
+    # rcond_min) and is now an unknown key
+    with pytest.raises(ValidationError) as err:
+        parse_scenario("[numerics]\ncondition_guard = 1e-12\n")
+    assert "condition_guard" in str(err.value)
+
+
+def test_csv_row_bytes_match_repr_format(tmp_path):
+    from mqed.io import write_deviation_csv, write_tensor_grid_csv, write_tensor_series_csv
+
+    values = [-0.0, 5e-324, 1e300]
+    tensor = np.zeros((1, 3, 3), dtype=complex)
+    tensor[0, 0, 0] = complex(-0.0, 5e-324)
+    tensor[0, 2, 2] = complex(1e300, -0.0)
+    entries = ["0"] * 18
+    entries[0:2] = [format(-0.0, ".17g"), format(5e-324, ".17g")]
+    entries[16:18] = [format(1e300, ".17g"), format(-0.0, ".17g")]
+    grid = ",".join(format(x, ".17g") for x in values)
+    assert grid == "-0,4.9406564584124654e-324,1.0000000000000001e+300"
+
+    write_tensor_series_csv(tmp_path / "s.csv", "t", np.array([-0.0]), tensor)
+    assert (tmp_path / "s.csv").read_bytes().split(b"\n")[1] == ",".join(["-0"] + entries).encode()
+    write_tensor_grid_csv(tmp_path / "g.csv", ("a", "b"), (np.array([5e-324]), np.array([1e300])),
+                          tensor[None])
+    row = ",".join([format(5e-324, ".17g"), format(1e300, ".17g")] + entries)
+    assert (tmp_path / "g.csv").read_bytes() == ("a,b," + ",".join(TENSOR_HEADER) + "\n"
+                                                 + row + "\n").encode()
+    write_deviation_csv(tmp_path / "d.csv", "w", np.array([1e300]), np.array([-0.0]))
+    assert (tmp_path / "d.csv").read_bytes() == b"w,deviation\n1.0000000000000001e+300,-0\n"
 
 
 def test_parse_error_carries_line_number():
