@@ -22,7 +22,7 @@ import numpy as np
 from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import KernelStore, chi_kernel, chi_spectrum
+from .response import _TABLE_ELEMENTS, KernelStore, block_tensors, chi_kernel, chi_spectrum
 from .tensors import NATURAL, PhysicalConstants, triad
 
 
@@ -182,6 +182,15 @@ def _convolution_at(rep, probe, t: float, order: int = 24) -> np.ndarray:
     return rep.contract(((w * probe(s)) @ sin_block)[None, :])[0]
 
 
+def _running_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid integral of each row of f from its first sample."""
+    out = np.zeros_like(f)
+    np.add(f[:, 1:], f[:, :-1], out=out[:, 1:])
+    out[:, 1:] *= 0.5 * h
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
+
+
 def pdot_continuity(
     model,
     k,
@@ -218,18 +227,26 @@ def pdot_continuity(
     left = (3.0 * p0 - 4.0 * p_minus(dt) + p_minus(2.0 * dt)) / (2.0 * dt)
     jump = float(np.max(np.abs(right - left)))
 
-    # peak |dP/dt| over the pulse for normalization
+    # peak |dP/dt| over the pulse for normalization: P(s) = eps0 sum_n
+    # [sin(w_n s) C_n(s) - cos(w_n s) S_n(s)] c_n, with C_n, S_n the running
+    # trapezoid integrals of cos(w_n s') E(s') and sin(w_n s') E(s'),
+    # accumulated over node chunks of bounded size
     wide = np.linspace(0.0, 4.0 * tau, 801)
     h = wide[1] - wide[0]
-    cum_c = np.zeros((rep.nodes.size, wide.size))
-    cum_s = np.zeros_like(cum_c)
     ew = probe(wide)
-    cosm = np.cos(np.outer(rep.nodes, wide)) * ew[None, :]
-    sinm = np.sin(np.outer(rep.nodes, wide)) * ew[None, :]
-    cum_c[:, 1:] = np.cumsum(0.5 * h * (cosm[:, 1:] + cosm[:, :-1]), axis=1)
-    cum_s[:, 1:] = np.cumsum(0.5 * h * (sinm[:, 1:] + sinm[:, :-1]), axis=1)
-    inner = np.sin(np.outer(rep.nodes, wide)) * cum_c - np.cos(np.outer(rep.nodes, wide)) * cum_s
-    p_wide = eps0 * rep.contract(inner.T)
+    acc = np.zeros((wide.size, rep.block.shape[1]))
+    step = max(1, _TABLE_ELEMENTS // wide.size)
+    for lo in range(0, rep.nodes.size, step):
+        phase = np.multiply.outer(rep.nodes[lo : lo + step], wide)
+        cos_t = np.cos(phase)
+        sin_t = np.sin(phase, out=phase)
+        inner = _running_trapezoid(cos_t * ew, h)
+        inner *= sin_t
+        run_s = _running_trapezoid(sin_t * ew, h)
+        run_s *= cos_t
+        inner -= run_s
+        acc += inner.T @ rep.block[lo : lo + step]
+    p_wide = eps0 * block_tensors(acc)
     rate = np.abs(np.diff(p_wide, axis=0)) / h
     peak = float(np.max(rate)) if rate.size else 0.0
     return ContinuityReport(dt=dt, jump=jump, peak_rate=peak)

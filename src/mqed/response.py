@@ -16,7 +16,9 @@ w_n pref omega_n^2 f f^dag), which is kept with the kernel so the frequency
 spectrum and Laplace transform are taken exactly in t. Its coefficients are
 stored as a real column block, so each contraction (kernel values, the
 half-line transform, the Laplace transform, the KK reconstruction, the
-cosine kernel Q) is a real matrix product. Within one run a `KernelStore`
+cosine kernel Q) is a real matrix product; on a uniform time grid the
+sin/cos tables of the kernel values and of Q are built by angle addition
+from O(sqrt(n_t)) phases per node. Within one run a `KernelStore`
 holds one representation per (medium, k): a consumer reuses it when it was
 converged on a horizon at least as long as the consumer's own, and builds
 its own otherwise. The Laplace-domain chi_hat of a continuum medium is the
@@ -90,16 +92,57 @@ def block_tensors(block: np.ndarray) -> np.ndarray:
     return (block[:, :9] + 1j * block[:, 9:]).reshape(-1, 3, 3)
 
 
+def uniform_step(t: np.ndarray):
+    """h when t[j] = t[0] + j h to within a few ulp of max |t| for every j,
+    else None."""
+    if t.size < 2:
+        return None
+    h = (t[-1] - t[0]) / (t.size - 1)
+    ideal = t[0] + h * np.arange(t.size)
+    if h <= 0.0 or np.max(np.abs(t - ideal)) > 4.0 * np.spacing(np.max(np.abs(t))):
+        return None
+    return float(h)
+
+
 def _time_table_product(fn, t: np.ndarray, nodes: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """fn(t omega_n) @ block, with the trigonometric table built in row
-    chunks of bounded size."""
-    out = np.empty((t.size, block.shape[1]))
-    rows = max(1, _TABLE_ELEMENTS // max(1, nodes.size))
-    for start in range(0, t.size, rows):
-        table = np.multiply.outer(t[start : start + rows], nodes)
-        fn(table, out=table)
-        out[start : start + rows] = table @ block
-    return out
+    """fn(t omega_n) @ block for fn in (np.sin, np.cos).
+
+    On a uniform grid t_j = t_0 + j h, write j = J R + i with R ~ sqrt(n_t),
+    so t_j = a_i + b_J with a_i = i h and b_J = t_0 + J R h. Angle addition,
+
+        fn(omega (a + b)) = fn(omega a) cos(omega b) + fn'(omega a) sin(omega b),
+
+    turns the product into two real GEMMs of the (R, n) tables fn(omega a)
+    and fn'(omega a) against the J-stacked blocks cos(omega b_J) block and
+    sin(omega b_J) block, so 2 (R + n_t / R) n sines and cosines are
+    evaluated instead of n_t n. The J groups are stacked in column chunks of bounded
+    size. Any other grid builds fn(t omega_n) itself in row chunks.
+    """
+    m = block.shape[1]
+    h = uniform_step(t)
+    if h is None:
+        out = np.empty((t.size, m))
+        rows = max(1, _TABLE_ELEMENTS // max(1, nodes.size))
+        for start in range(0, t.size, rows):
+            table = np.multiply.outer(t[start : start + rows], nodes)
+            fn(table, out=table)
+            out[start : start + rows] = table @ block
+        return out
+    r = int(np.ceil(np.sqrt(t.size)))
+    groups = -(-t.size // r)
+    offsets = np.multiply.outer(h * np.arange(r), nodes)
+    second = np.cos(offsets) if fn is np.sin else -np.sin(offsets)  # fn'
+    first = fn(offsets, out=offsets)
+    shifts = np.multiply.outer(nodes, t[0] + (r * h) * np.arange(groups))  # (n, groups)
+    out = np.empty((groups, r, m))
+    step = max(1, _TABLE_ELEMENTS // max(1, nodes.size * m))
+    for g0 in range(0, groups, step):
+        b = shifts[:, g0 : g0 + step, None]
+        lhs = (np.cos(b) * block[:, None, :]).reshape(nodes.size, -1)
+        rhs = (np.sin(b) * block[:, None, :]).reshape(nodes.size, -1)
+        part = first @ lhs + second @ rhs  # (r, g m)
+        out[g0 : g0 + step] = part.reshape(r, -1, m).swapaxes(0, 1)
+    return out.reshape(-1, m)[: t.size]
 
 
 @dataclass(frozen=True)

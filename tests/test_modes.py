@@ -459,10 +459,9 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     return ref, est
 
 
-def test_line_path_chunks_match_dense_reference(monkeypatch):
+def _check_line_chunks_against_dense(monkeypatch, t):
     # electric plus magnetic medium, so all four reservoir blocks are summed
     me, mm, resp = lorentz_pair()
-    t = np.linspace(0.0, 6.0, 41)
     wq = np.array([0.6, 1.7, 2.3])
     spec = InverseLaplaceSpec(method="bromwich_line")
     n_y = mode_coefficients(resp, me, mm, K, t, wq[:1], spec=spec).metadata["line_points"]
@@ -479,3 +478,19 @@ def test_line_path_chunks_match_dense_reference(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
     # the estimate is already relative to the peak of the eh block
     assert abs(mc.metadata["est_rel_error"] - est) <= 1e-12
+
+
+def test_line_path_chunks_match_dense_reference(monkeypatch):
+    # uniform grid: the later chunks reuse the first chunk's phase table
+    _check_line_chunks_against_dense(monkeypatch, np.linspace(0.0, 6.0, 41))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [np.linspace(1.5, 7.5, 41), 6.0 * np.linspace(0.0, 1.0, 41) ** 1.5],
+    ids=["uniform_offset", "nonuniform"],
+)
+def test_line_path_chunks_match_dense_reference_other_grids(monkeypatch, t):
+    # a uniform grid that starts at t > 0, and a non-uniform one (a phase
+    # table per chunk)
+    _check_line_chunks_against_dense(monkeypatch, t)

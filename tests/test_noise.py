@@ -10,7 +10,10 @@ from mqed.couplings import (
     zero_coupling,
 )
 from mqed.errors import ValidationError
+from mqed import noise
 from mqed.noise import noise_commutator, noise_current_coefficient, pdot_continuity
+from mqed.quadrature import QuadratureSpec
+from mqed.response import KernelStore
 
 K = np.array([0.3, -0.2, 0.9])
 OMEGA = np.linspace(0.1, 5.0, 80)
@@ -85,3 +88,35 @@ def test_pdot_continuity_shrinks_with_dt():
     jumps = [pdot_continuity(model, K, dt=dt).jump for dt in (2e-3, 1e-3, 5e-4)]
     assert jumps[1] <= jumps[0] / 2.0
     assert jumps[2] <= jumps[1] / 2.0
+
+
+def _dense_peak_rate(rep, tau, eps0=1.0):
+    """The normalization of `pdot_continuity` on whole (nodes x 801) tables."""
+    wide = np.linspace(0.0, 4.0 * tau, 801)
+    h = wide[1] - wide[0]
+    ew = np.exp(-((wide / tau) ** 2))
+    phase = np.outer(rep.nodes, wide)
+    cosm = np.cos(phase) * ew
+    sinm = np.sin(phase) * ew
+    cum_c = np.zeros_like(cosm)
+    cum_s = np.zeros_like(sinm)
+    cum_c[:, 1:] = np.cumsum(0.5 * h * (cosm[:, 1:] + cosm[:, :-1]), axis=1)
+    cum_s[:, 1:] = np.cumsum(0.5 * h * (sinm[:, 1:] + sinm[:, :-1]), axis=1)
+    inner = np.sin(phase) * cum_c - np.cos(phase) * cum_s
+    p_wide = eps0 * rep.contract(inner.T)
+    return float(np.max(np.abs(np.diff(p_wide, axis=0)))) / h
+
+
+def test_pdot_peak_rate_chunks_match_dense_formula(monkeypatch):
+    # anisotropic medium (9-column block); 300 nodes in chunks of 7 (42 full
+    # chunks and a last one of 6)
+    model = gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8)
+    quad = QuadratureSpec(fixed_order=300)
+    kernels = KernelStore()
+    monkeypatch.setattr(noise, "_TABLE_ELEMENTS", 7 * 801 + 5)
+    report = pdot_continuity(model, K, quad=quad, kernels=kernels)
+    rep = kernels.kernel(model, K, noise._default_t_grid(model), quad=quad).rep
+    assert rep.block.shape == (300, 9)
+    ref = _dense_peak_rate(rep, 5.0 / model.frequency_scale)
+    assert ref > 0.0
+    assert abs(report.peak_rate - ref) <= 1e-13 * ref

@@ -292,6 +292,50 @@ def test_tensor_block_round_trip():
         assert np.array_equal(block_tensors(block), tensors)
 
 
+def _row_loop_table_product(fn, t, nodes, block):
+    """fn(t omega_n) @ block, one grid row at a time."""
+    return np.stack([fn(ti * nodes) @ block for ti in t])
+
+
+@pytest.mark.parametrize("fn", [np.sin, np.cos])
+@pytest.mark.parametrize("m", [1, 9, 18])
+@pytest.mark.parametrize("n_t", [2, 17, 81, 2200, 10001])
+def test_angle_addition_table_matches_row_loop(monkeypatch, fn, m, n_t):
+    import mqed.response
+    from mqed.quadrature import gauss_legendre
+    from mqed.response import _time_table_product, uniform_step
+
+    rng = np.random.default_rng(n_t + m)
+    x, w = gauss_legendre(384, 0.0, 50.0)
+    block = w[:, None] * rng.normal(size=(x.size, m))
+    # R = ceil(sqrt(n_t)) rows per group: n_t 17, 2200 and 10001 leave a
+    # short last group; 3 groups per column chunk leaves a short last chunk
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 3 * x.size * m + 1)
+    grids = [np.linspace(0.0, 90.0, n_t), np.linspace(2.5, 90.0, n_t)]
+    for t in grids:
+        assert uniform_step(t) is not None
+    if n_t > 2:
+        grids.append(np.linspace(0.0, 9.5, n_t) ** 2)  # non-uniform: the row loop
+        assert uniform_step(grids[-1]) is None
+    for t in grids:
+        ref = _row_loop_table_product(fn, t, x, block)
+        got = _time_table_product(fn, t, x, block)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_uniform_step_detection():
+    from mqed.response import uniform_step
+
+    t = np.linspace(0.0, 8.0, 1601)
+    assert uniform_step(t) == pytest.approx(8.0 / 1600, rel=1e-15)
+    bumped = t.copy()
+    bumped[700] += 1e-12
+    assert uniform_step(bumped) is None
+    assert uniform_step(t[::-1]) is None
+    assert uniform_step(t[:1]) is None
+
+
 def _count_builds(monkeypatch):
     import mqed.response
 
