@@ -24,11 +24,9 @@ from .couplings import (
     zero_coupling,
 )
 from .modes import (
-    InverseLaplaceSpec,
     LambdaMatrix,
     ModeCoefficients,
     assemble_lambda,
-    inverse_laplace,
     invert_lambda,
     lambda_reality_scan,
     mode_coefficients,

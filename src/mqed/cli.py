@@ -9,8 +9,8 @@ Subcommands map onto the pipeline stages:
     mqed conductor   --config scenario.cfg --out DIR   free-carrier pathway
     mqed verify      --config scenario.cfg --out DIR   the full check suite
 
-Exit codes: 0 success, 1 configuration error, 2 numerical/model violation,
-3 I/O failure.
+Exit codes: 0 success, 1 configuration error (a bad config or bad
+arguments), 2 numerical/model violation, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -31,17 +31,33 @@ _STAGES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the configuration-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _formats(value: str) -> str:
+    parts = [part.strip() for part in value.split(",")]
+    if any(part not in ("csv", "json") for part in parts):
+        raise argparse.ArgumentTypeError(f"'{value}' is not a comma list of csv and json")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="scenario config path")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--format", default=None, choices=("csv", "json", "csv,json"),
-                        help="override output formats")
+    parser.add_argument("--format", default=None, type=_formats, metavar="FORMATS",
+                        help="output formats, a comma list of csv and json "
+                             "(overrides the config)")
     parser.add_argument("--si", action="store_true",
                         help="use SI constants instead of natural units")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mqed", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="mqed", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("chi", "invert-chi", "modes", "commutators", "conductor", "verify"):
         p = sub.add_parser(name)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .couplings import CouplingModel, ELECTRIC, zero_coupling
 from .errors import ValidationError
-from .modes import InverseLaplaceSpec, ModeCoefficients, mode_coefficients
+from .modes import ModeCoefficients, mode_coefficients
 from .quadrature import QuadratureSpec
 from .rational import Rational
 from .response import (
@@ -105,7 +105,7 @@ def conductor_modes(
     k,
     t_grid,
     omega_q_grid,
-    spec: InverseLaplaceSpec | None = None,
+    method: str = "auto",
     constants: PhysicalConstants | None = None,
 ) -> ModeCoefficients:
     """Mode coefficients through the substituted Lambda block.
@@ -123,7 +123,7 @@ def conductor_modes(
         k,
         t_grid,
         omega_q_grid,
-        spec=spec,
+        method=method,
         constants=constants,
         conductor=not scenario.free_electric.is_zero,
     )
@@ -202,7 +202,6 @@ class QConsistencyReport:
     bound_sigma_residual: float  # Q_bound - eps0 dchi_bound/dt, relative
     implied_sigma: np.ndarray  # (n_t, 3, 3) Q_total - eps0 dchi_bound/dt
     sigma_initial_psd: bool
-    current_ratio_residual: float
 
 
 def q_kernel_consistency(
@@ -215,9 +214,7 @@ def q_kernel_consistency(
 
     For the bound part alone the implied sigma must vanish to finite
     difference accuracy; with a free-carrier part present the implied sigma
-    kernel is eps0 d(chi_free)/dt, positive at t -> 0+. The noise-current
-    coefficient consistency (omega^2 ratio against the polarization
-    coefficient) is checked on the combined coupling.
+    kernel is eps0 d(chi_free)/dt, positive at t -> 0+.
     """
     constants = constants or scenario.constants
     k = np.asarray(k, dtype=float)
@@ -236,21 +233,10 @@ def q_kernel_consistency(
     eigs = np.linalg.eigvalsh(0.5 * (sig0 + sig0.conj().T))
     scale = float(np.max(np.abs(q_total.q_values))) or 1.0
     psd0 = bool(np.min(eigs) >= -1e-8 * scale)
-
-    # noise-current check: J coefficient / P coefficient = omega^2 per entry
-    from .noise import noise_coefficient_density
-
-    omega = np.linspace(0.2, 3.0, 8) * combined.frequency_scale
-    dens = noise_coefficient_density(combined, k, omega, constants)
-    dens_j = (omega**2)[:, None, None] * dens
-    mask = np.abs(dens) > 1e-14 * float(np.max(np.abs(dens)))
-    ratio = np.where(mask, dens_j / np.where(mask, dens, 1.0), (omega**2)[:, None, None])
-    ratio_res = float(np.max(np.abs(ratio - (omega**2)[:, None, None]) / (omega**2)[:, None, None]))
     return QConsistencyReport(
         k=k,
         q_report=q_total,
         bound_sigma_residual=bound_resid,
         implied_sigma=implied,
         sigma_initial_psd=psd0,
-        current_ratio_residual=ratio_res,
     )

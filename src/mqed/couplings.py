@@ -372,16 +372,6 @@ def coupling_product(model, omegas, k) -> np.ndarray:
     return f @ np.conj(np.transpose(f, (0, 2, 1)))
 
 
-def coupling_reality_defect(model, omegas, ks) -> float:
-    """Max violation of f(omega, -k) = conj(f(omega, k)) over the samples."""
-    worst = 0.0
-    for k in ks:
-        a = eval_coupling_batch(model, omegas, k)
-        b = eval_coupling_batch(model, omegas, -np.asarray(k, dtype=float))
-        worst = max(worst, float(np.max(np.abs(b - np.conj(a)))))
-    return worst
-
-
 def coupling_from_target(
     im_chi,
     omega: float,

@@ -16,10 +16,11 @@ partners (magnetic rows):
     eta_ij     = -L^-1[ rho/(rho + i w_q) (Lambda^-1)_{i, l+3} f_lj ]
 
 with rows i+3 for the tilde set. Three inverse-transform methods are
-provided: exact partial fractions for rational (isotropic damped-oscillator)
-media, a deformed cotangent contour that cross-checks them, and a
-vacuum-subtracted Bromwich line for continuum-absorption media whose
-imaginary-axis branch cut blocks contour deformation.
+provided (`METHODS`, with "auto"): exact partial fractions for rational
+(isotropic damped-oscillator) media, a deformed cotangent contour that
+cross-checks them, and a vacuum-subtracted Bromwich line for
+continuum-absorption media whose imaginary-axis branch cut blocks contour
+deformation. Their numerical controls are the module constants below.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .couplings import eval_coupling_batch
+from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch, zero_coupling
 from .errors import (
     LeftHalfPlane,
     PoleFindingFailed,
@@ -37,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .rational import Rational, ilt_rational, partial_fractions
-from .response import _TABLE_ELEMENTS, LaplaceResponse, uniform_step
+from .response import _TABLE_ELEMENTS, LaplaceResponse, laplace_response, uniform_step
 from .tensors import (
     NATURAL,
     PhysicalConstants,
@@ -48,6 +49,18 @@ from .tensors import (
 )
 
 MARGINAL_POLE_TOL = 1e-12
+METHODS = ("auto", "rational_exact", "talbot", "bromwich_line")
+# the relative tolerance of pole finding; the contour's node-count range,
+# tolerance and t = 0 limit point; the line's abscissa (times 1 / t_max),
+# half-width (times the largest frequency scale) and halving tolerance
+_POLE_TOL = 1e-7
+_TALBOT_START_N = 24
+_TALBOT_MAX_N = 2048
+_TALBOT_RTOL = 1e-9
+_LIMIT_RHO = 1e8
+_LINE_ABSCISSA_FACTOR = 3.0
+_LINE_HALFWIDTH_FACTOR = 160.0
+_LINE_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -55,36 +68,6 @@ class LambdaMatrix:
     k: np.ndarray
     rho: complex | np.ndarray  # a scalar, or the 1-d stack of rho values
     value: np.ndarray  # (6, 6), or (n, 6, 6) for a 1-d rho
-
-
-@dataclass(frozen=True)
-class InverseLaplaceSpec:
-    """Numerical controls for the inverse Laplace transform.
-
-    method "rational_exact" needs a rational transform and is exact up to
-    pole finding; "talbot" deforms the contour into the left half-plane and
-    therefore also needs an analytically continuable (rational) response;
-    "bromwich_line" integrates along Re rho = const with the vacuum part
-    split off exactly, and is the generic path for continuum-absorption
-    media (whose branch cut blocks contour deformation). "auto" picks
-    rational_exact when possible, bromwich_line otherwise.
-    """
-
-    method: str = "auto"
-    talbot_start_n: int = 24
-    talbot_max_n: int = 2048
-    talbot_rtol: float = 1e-9
-    pole_tol: float = 1e-7
-    limit_rho: float = 1e8
-    line_abscissa_factor: float = 3.0
-    line_halfwidth_factor: float = 160.0
-    line_rtol: float = 1e-4
-
-    def __post_init__(self):
-        if self.method not in ("auto", "talbot", "rational_exact", "bromwich_line"):
-            raise ValidationError(f"unknown inverse-laplace method '{self.method}'")
-        if self.talbot_start_n < 16:
-            raise ValidationError("talbot needs at least 16 nodes")
 
 
 def assemble_lambda(
@@ -181,64 +164,12 @@ def _talbot_nodes(t: float, n: int):
     return rho, weights
 
 
-def talbot_transform(evaluator, t: float, n: int) -> np.ndarray:
-    rho, w = _talbot_nodes(t, n)
-    vals = np.asarray([evaluator(r) for r in rho])
-    return np.tensordot(w, vals, axes=(0, 0))
-
-
-def _limit_value(evaluator, limit_rho: float):
+def _limit_value(evaluator):
     """t -> 0+ value through the initial-value theorem: rho F(rho) at two
     large real rho, Richardson-extrapolated against the 1/rho correction."""
-    g1 = limit_rho * np.asarray(evaluator(limit_rho + 0.0j))
-    g2 = 2.0 * limit_rho * np.asarray(evaluator(2.0 * limit_rho + 0.0j))
+    g1 = _LIMIT_RHO * np.asarray(evaluator(_LIMIT_RHO + 0.0j))
+    g2 = 2.0 * _LIMIT_RHO * np.asarray(evaluator(2.0 * _LIMIT_RHO + 0.0j))
     return 2.0 * g2 - g1
-
-
-def inverse_laplace(f, t_grid, spec: InverseLaplaceSpec = InverseLaplaceSpec()):
-    """Inverse Laplace transform of a scalar function on a t >= 0 grid.
-
-    rational_exact expects a Rational and is exact up to pole finding;
-    talbot doubles the node count until the whole grid settles. Values at
-    t = 0 use the initial-value limit for the talbot path.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0.0):
-        raise ValidationError("inverse transform defined for t >= 0 only")
-    if spec.method == "rational_exact":
-        if not isinstance(f, Rational):
-            raise PoleFindingFailed("rational_exact requires a Rational input")
-        values, _, _ = ilt_rational(f, t, pole_tol=spec.pole_tol)
-        return values
-    evaluator = f if callable(f) else (lambda rho: f(rho))
-    out = np.empty(t.shape, dtype=complex)
-    positive = t > 0.0
-    if np.any(~positive):
-        out[~positive] = _limit_value(evaluator, spec.limit_rho)
-    if np.any(positive):
-        tp = t[positive]
-        n = max(spec.talbot_start_n, 24)
-        best = np.inf
-        while n <= spec.talbot_max_n:
-            # paired evaluation: n and n+16 sit at a similar round-off floor,
-            # so their difference is an honest error estimate even past the
-            # accuracy optimum (where plain doubling misleads)
-            vals = np.array([talbot_transform(evaluator, ti, n) for ti in tp])
-            check = np.array([talbot_transform(evaluator, ti, n + 16) for ti in tp])
-            scale = float(np.max(np.abs(check))) or 1.0
-            diff = float(np.max(np.abs(vals - check)))
-            if diff <= spec.talbot_rtol * scale:
-                out[positive] = check
-                return out
-            if diff > 4.0 * best and best < 1e-3 * scale:
-                break  # round-off floor passed; more nodes only hurt
-            best = min(best, diff)
-            n = int(np.ceil(n * 1.4))
-        raise TalbotNotConverged(
-            f"talbot error estimate stalled at {best:g} (rtol {spec.talbot_rtol:g}); "
-            "transform may be non-decaying or have poles outside the contour"
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -289,14 +220,14 @@ def _pole_flags(poles: np.ndarray) -> dict:
     }
 
 
-def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray, pole_tol: float):
+def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray):
     """L^-1[rho/(rho + i w_q) * rat] for every reservoir frequency at once.
 
     The base poles are shared; only the extra pole at -i w_q and the residue
     weights depend on w_q, so the expansion vectorizes over the grid."""
     if rat.is_zero or omega_q.size == 0:
         return np.zeros((omega_q.size, t.size), dtype=complex)
-    poles, _ = partial_fractions(rat, pole_tol)
+    poles, _ = partial_fractions(rat, _POLE_TOL)
     num = rat.num
     den = rat.den
     from numpy.polynomial import polynomial as P
@@ -305,7 +236,7 @@ def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray, pole_
     extra = -1j * omega_q  # (n_q,)
     if poles.size:
         dist = np.abs(extra[:, None] - poles[None, :])
-        if float(np.min(dist)) < pole_tol * max(1.0, float(np.max(np.abs(poles)))):
+        if float(np.min(dist)) < _POLE_TOL * max(1.0, float(np.max(np.abs(poles)))):
             raise PoleFindingFailed("reservoir pole collides with a medium pole")
         # residue of rho/(rho+iw) rat at base pole p: p num(p) / ((p+iw) den'(p))
         pn = P.polyval(poles, num) * poles / P.polyval(poles, dden)  # (n_p,)
@@ -320,7 +251,7 @@ def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray, pole_
     return out
 
 
-def _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants):
+def _rational_mode_path(response, model_f, model_g, k, t, omega_q, constants):
     p_t = transverse_projector(k).astype(complex)
     p_l = longitudinal_projector(k).astype(complex)
     o = -curl_symbol(k)  # the commutator-conserving curl-block orientation
@@ -330,7 +261,7 @@ def _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constan
     ilt = {}
     all_poles = []
     for name, rat in (("t_eh", t_eh), ("t_ee", t_ee), ("l_e", l_e), ("t_he", t_he), ("l_h", l_h)):
-        values, poles, _ = ilt_rational(rat, t, pole_tol=spec.pole_tol)
+        values, poles, _ = ilt_rational(rat, t, pole_tol=_POLE_TOL)
         ilt[name] = values
         all_poles.append(poles)
     gamma = ilt["t_eh"][:, None, None] * p_t + ilt["l_e"][:, None, None] * p_l
@@ -346,18 +277,18 @@ def _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constan
     zeta_t = np.zeros(shape, dtype=complex)
     eta_t = np.zeros(shape, dtype=complex)
     if omega_q.size and not (model_f.is_zero and model_g.is_zero):
-        w_ee = _ilt_with_reservoir(t_ee, omega_q, t, spec.pole_tol)  # read by zeta and eta-tilde
+        w_ee = _ilt_with_reservoir(t_ee, omega_q, t)  # read by zeta and eta-tilde
         if not model_g.is_zero:
             zeta = mu0 * np.einsum("qt,ab,qbc->qtac", w_ee, o, g_q)
-            w_he = _ilt_with_reservoir(t_he, omega_q, t, spec.pole_tol)
-            w_lh = _ilt_with_reservoir(l_h, omega_q, t, spec.pole_tol)
+            w_he = _ilt_with_reservoir(t_he, omega_q, t)
+            w_lh = _ilt_with_reservoir(l_h, omega_q, t)
             zeta_t = -mu0 * (
                 np.einsum("qt,ab,qbc->qtac", w_he, p_t, g_q)
                 + np.einsum("qt,ab,qbc->qtac", w_lh, p_l, g_q)
             )
         if not model_f.is_zero:
-            w_eh = _ilt_with_reservoir(t_eh, omega_q, t, spec.pole_tol)
-            w_le = _ilt_with_reservoir(l_e, omega_q, t, spec.pole_tol)
+            w_eh = _ilt_with_reservoir(t_eh, omega_q, t)
+            w_le = _ilt_with_reservoir(l_e, omega_q, t)
             eta = -(
                 np.einsum("qt,ab,qbc->qtac", w_eh, p_t, f_q)
                 + np.einsum("qt,ab,qbc->qtac", w_le, p_l, f_q)
@@ -382,7 +313,7 @@ _BLOCKS = {
 }
 
 
-def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, conductor):
+def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor):
     """Contour inversion with the reservoir oscillation split off exactly.
 
     The factor rho/(rho + i w_q) carries a pole at -i w_q that can sit far
@@ -459,16 +390,19 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
 
     for it, ti in enumerate(t):
         if ti == 0.0:
-            lim = _limit_value(limit_parts, spec.limit_rho)
+            lim = _limit_value(limit_parts)
             gamma[it], xi[it], gamma_t[it], xi_t[it] = lim[:4]
             if n_q:
                 zeta[:, it], eta[:, it], zeta_t[:, it], eta_t[:, it] = np.split(lim[4:], 4)
             continue
 
-        n = max(spec.talbot_start_n, 24)
+        n = _TALBOT_START_N
         got = None
         best = np.inf
-        while n <= spec.talbot_max_n:
+        while n <= _TALBOT_MAX_N:
+            # paired evaluation: n and n+16 sit at a similar round-off floor,
+            # so their difference is an honest error estimate even past the
+            # accuracy optimum (where plain doubling misleads)
             a_base, a_convs = eval_all(ti, n)
             b_base, b_convs = eval_all(ti, n + 16)
             flat_a = np.concatenate([np.ravel(x) for x in a_base]
@@ -477,11 +411,11 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
                                     + [np.ravel(v) for v in b_convs.values()])
             scale = float(np.max(np.abs(flat_b))) or 1.0
             diff = float(np.max(np.abs(flat_a - flat_b)))
-            if diff <= spec.talbot_rtol * scale:
+            if diff <= _TALBOT_RTOL * scale:
                 got = (b_base, b_convs)
                 break
             if diff > 4.0 * best and best < 1e-3 * scale:
-                break
+                break  # round-off floor passed; more nodes only hurt
             best = min(best, diff)
             n = int(np.ceil(n * 1.4))
         if got is None:
@@ -516,7 +450,7 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants
     )
 
 
-def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, conductor):
+def _line_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor):
     """Vacuum-subtracted Bromwich-line inversion for continuum-absorption
     media.
 
@@ -526,20 +460,21 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
     numerically. All material evaluations stay in Re rho > 0, so the
     imaginary-axis branch cut of the absorption continuum is never crossed.
     """
-    vac = laplace_response_like(response)
-    vac_modes = _rational_mode_path(vac, model_f, model_g, k, t, omega_q, spec, constants)
+    vac = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
+                           constants=response.constants, quad=response.quad)
+    vac_modes = _rational_mode_path(vac, model_f, model_g, k, t, omega_q, constants)
     f_q, g_q = vac_modes.f_q, vac_modes.g_q
     n_q = omega_q.size
     need_f = n_q > 0 and not model_f.is_zero
     need_g = n_q > 0 and not model_g.is_zero
 
     t_max = float(np.max(t)) if np.max(t) > 0 else 1.0
-    a = spec.line_abscissa_factor / t_max
+    a = _LINE_ABSCISSA_FACTOR / t_max
     scales = [1.0, constants.c * float(np.linalg.norm(k))]
     for m in (model_f, model_g):
         if not m.is_zero:
             scales.append(m.frequency_scale)
-    y_top = spec.line_halfwidth_factor * max(scales)
+    y_top = _LINE_HALFWIDTH_FACTOR * max(scales)
     dy = min(0.5 / t_max, a / 6.0)
     n_y = int(2.0 * y_top / dy) + 1
     y = np.linspace(-y_top, y_top, n_y)
@@ -601,9 +536,9 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
     base = base.reshape(t.size, 6, 6)
     scale = max(float(np.max(np.abs(base[:, :3, 3:]))), 1e-30)
     est = halving / scale
-    if est > spec.line_rtol:
+    if est > _LINE_RTOL:
         raise TalbotNotConverged(
-            f"bromwich line grid-halving estimate {est:g} above line_rtol {spec.line_rtol:g}"
+            f"bromwich line grid-halving estimate {est:g} above {_LINE_RTOL:g}"
         )
 
     def reservoir_diff(name, coupling):
@@ -633,19 +568,6 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, 
     return replace(vac_modes, metadata=meta, **sums)
 
 
-def laplace_response_like(response: LaplaceResponse) -> LaplaceResponse:
-    """Vacuum response sharing the constants of an existing one."""
-    from .couplings import zero_coupling
-    from .response import laplace_response
-
-    return laplace_response(
-        zero_coupling("electric"),
-        zero_coupling("magnetic"),
-        constants=response.constants,
-        quad=response.quad,
-    )
-
-
 def mode_coefficients(
     response: LaplaceResponse,
     model_f,
@@ -653,14 +575,20 @@ def mode_coefficients(
     k,
     t_grid,
     omega_q_grid,
-    spec: InverseLaplaceSpec | None = None,
+    method: str = "auto",
     constants: PhysicalConstants = NATURAL,
     conductor: bool = False,
 ) -> ModeCoefficients:
     """Mode-coefficient tensors on the (t, omega_q) grids.
 
-    "auto" picks the exact rational path for isotropic rational media and
-    the Bromwich line otherwise. Internally the block system is oriented
+    method is one of `METHODS`. "rational_exact" needs a rational transform
+    and is exact up to pole finding; "talbot" deforms the contour into the
+    left half-plane and therefore also needs an analytically continuable
+    (rational) response; "bromwich_line" integrates along Re rho = const
+    with the vacuum part split off exactly, and is the generic path for
+    continuum-absorption media (whose branch cut blocks contour
+    deformation). "auto" picks rational_exact when possible, bromwich_line
+    otherwise. Internally the block system is oriented
     with flipped curl blocks (Lambda(-k, rho) for even media), the one
     reading of the index map that reproduces the initial-data expansions at
     t = 0 with forward-evolving phases and keeps the equal-time commutators
@@ -672,9 +600,8 @@ def mode_coefficients(
     omega_q = np.asarray(omega_q_grid, dtype=float)
     if t.size == 0:
         raise ValidationError("t_grid must be nonempty")
-    if spec is None:
-        spec = InverseLaplaceSpec()
-    method = spec.method
+    if method not in METHODS:
+        raise ValidationError(f"unknown inverse-laplace method '{method}'")
     if method == "auto":
         method = "rational_exact" if response.is_rational else "bromwich_line"
     if method == "rational_exact":
@@ -682,17 +609,15 @@ def mode_coefficients(
             raise ValidationError(
                 "rational_exact needs a rational material response; use bromwich_line"
             )
-        return _rational_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants)
+        return _rational_mode_path(response, model_f, model_g, k, t, omega_q, constants)
     if method == "talbot":
         if not response.is_rational:
             raise ValidationError(
                 "talbot deforms into the left half-plane, which a continuum-"
                 "absorption response cannot continue across; use bromwich_line"
             )
-        return _talbot_mode_path(
-            response, model_f, model_g, k, t, omega_q, spec, constants, conductor
-        )
-    return _line_mode_path(response, model_f, model_g, k, t, omega_q, spec, constants, conductor)
+        return _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor)
+    return _line_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor)
 
 
 @dataclass(frozen=True)

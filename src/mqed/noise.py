@@ -51,15 +51,14 @@ def _relative_deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))) / scale
 
 
-def _default_t_grid(model, tail: float = 1e-9, n_t: int = 1200) -> np.ndarray:
-    return np.linspace(0.0, model.suggested_t_max(tail), n_t)
+def _default_t_grid(model) -> np.ndarray:
+    """The kernel grid of the noise checks: 1200 points to the 1e-9 tail."""
+    return np.linspace(0.0, model.suggested_t_max(1e-9), 1200)
 
 
 def _kernel(model, k, t_grid, constants, quad, kernels: KernelStore | None):
-    """The susceptibility kernel on t_grid (default: to the 1e-9 tail), from
-    the run's store when one is given."""
-    if t_grid is None:
-        t_grid = _default_t_grid(model)
+    """The susceptibility kernel on t_grid, from the run's store when one is
+    given."""
     if kernels is None:
         return chi_kernel(model, k, t_grid, constants=constants, quad=quad)
     return kernels.kernel(model, k, t_grid, constants=constants, quad=quad)
@@ -87,7 +86,6 @@ def noise_commutator(
     omega_grid,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
-    t_grid=None,
     kernels: KernelStore | None = None,
 ) -> CommutatorReport:
     """Fluctuation-dissipation check for the noise polarization densities.
@@ -104,7 +102,7 @@ def noise_commutator(
     omega = np.asarray(omega_grid, dtype=float)
     k = np.asarray(k, dtype=float)
     lhs = noise_coefficient_density(model, k, omega, constants)
-    kernel = _kernel(model, k, t_grid, constants, quad, kernels)
+    kernel = _kernel(model, k, _default_t_grid(model), constants, quad, kernels)
     spectrum = chi_spectrum(kernel, omega)
     if which == "P":
         factor = constants.hbar * constants.eps0 / np.pi
@@ -128,7 +126,6 @@ def noise_current_coefficient(
     omega_grid,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
-    t_grid=None,
     kernels: KernelStore | None = None,
 ) -> CommutatorReport:
     """Commutator coefficient of the noise current density.
@@ -142,7 +139,7 @@ def noise_current_coefficient(
     omega = np.asarray(omega_grid, dtype=float)
     k = np.asarray(k, dtype=float)
     lhs = (omega**2)[:, None, None] * noise_coefficient_density(model, k, omega, constants)
-    kernel = _kernel(model, k, t_grid, constants, quad, kernels)
+    kernel = _kernel(model, k, _default_t_grid(model), constants, quad, kernels)
     spectrum = chi_spectrum(kernel, omega)
     factor = constants.hbar * constants.eps0 / np.pi
     rhs = factor * (omega**2)[:, None, None] * spectrum.imag_hermitian()
@@ -197,7 +194,6 @@ def pdot_continuity(
     constants: PhysicalConstants = NATURAL,
     dt: float = 1e-3,
     quad: QuadratureSpec = QuadratureSpec(),
-    t_grid=None,
     kernels: KernelStore | None = None,
 ) -> ContinuityReport:
     """Jump of the one-sided limits of dP/dt at t = 0 under a smooth probe.
@@ -212,7 +208,7 @@ def pdot_continuity(
     dt = float(dt)
     tau = 5.0 / model.frequency_scale
     probe = _gaussian_probe(tau)
-    kernel = _kernel(model, k, t_grid, constants, quad, kernels)
+    kernel = _kernel(model, k, _default_t_grid(model), constants, quad, kernels)
     rep = kernel.rep
     eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
 

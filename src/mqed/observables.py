@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .modes import InverseLaplaceSpec, ModeCoefficients, mode_coefficients
+from .modes import ModeCoefficients, mode_coefficients
 from .noise import CommutatorReport, _kernel, _relative_deviation
 from .quadrature import QuadratureSpec
 from .rational import ilt_rational
@@ -76,7 +76,7 @@ class FieldOperatorRepresentation:
     model_f: object
     model_g: object
     response: LaplaceResponse
-    laplace_spec: InverseLaplaceSpec | None
+    method: str
     quad: QuadratureSpec
     kernels: KernelStore | None
     conductor: bool = False
@@ -88,7 +88,7 @@ class FieldOperatorRepresentation:
             kk = sign * self.k
             mc = mode_coefficients(
                 self.response, self.model_f, self.model_g, kk, self.t_grid,
-                self.omega_q_grid, spec=self.laplace_spec, constants=self.constants,
+                self.omega_q_grid, method=self.method, constants=self.constants,
                 conductor=self.conductor,
             )
             self._sides[sign] = _assemble_side(mc, kk, self.constants, self.t_grid,
@@ -178,7 +178,7 @@ def field_representation(
     omega_q_weights,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
-    laplace_spec: InverseLaplaceSpec | None = None,
+    method: str = "auto",
     response: LaplaceResponse | None = None,
     conductor: bool = False,
     kernels: KernelStore | None = None,
@@ -204,7 +204,7 @@ def field_representation(
         model_f=model_f,
         model_g=model_g,
         response=response,
-        laplace_spec=laplace_spec,
+        method=method,
         quad=quad,
         kernels=kernels,
         conductor=conductor,
@@ -447,8 +447,6 @@ def constitutive_roundtrip(
     t_grid,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
-    direction=(1.0, 1.0, 1.0),
-    tau: float | None = None,
     kernels: KernelStore | None = None,
 ) -> ConstitutiveCheck:
     """Polarization under a c-number probe, two ways.
@@ -456,15 +454,14 @@ def constitutive_roundtrip(
     Route A computes the memory kernel once and convolves it with the probe;
     route B drives each reservoir frequency as an independent oscillator
     (per-node sine convolution) and sums with the quadrature weights. The two
-    routes share only the coupling evaluation.
+    routes share only the coupling evaluation. The probe is a Gaussian pulse
+    of width 2 / frequency_scale along (1, 1, 1).
     """
     t = np.asarray(t_grid, dtype=float)
     h = float(t[1] - t[0])
     k = np.asarray(k, dtype=float)
-    e_dir = np.asarray(direction, dtype=float)
-    e_dir = e_dir / np.linalg.norm(e_dir)
-    if tau is None:
-        tau = 2.0 / model.frequency_scale
+    e_dir = np.ones(3) / np.linalg.norm(np.ones(3))
+    tau = 2.0 / model.frequency_scale
     t0 = 5.0 * tau
     amp = np.exp(-(((t - t0) / tau) ** 2))
     probe_field = amp[:, None] * e_dir[None, :]
@@ -496,7 +493,6 @@ def vacuum_spectrum(
     rep: FieldOperatorRepresentation,
     r_offset=(0.0, 0.0, 0.0),
     t: float = 0.0,
-    psd_tol: float = 1e-10,
 ) -> np.ndarray:
     """Symmetrized equal-time <E_i E_j> coefficient density at one k.
 
@@ -520,6 +516,6 @@ def vacuum_spectrum(
     if np.allclose(delta, 0.0):
         eigs = np.linalg.eigvalsh(out)
         scale = float(np.max(np.abs(eigs))) or 1.0
-        if float(np.min(eigs)) < -psd_tol * scale:
+        if float(np.min(eigs)) < -1e-10 * scale:
             raise ValidationError("vacuum spectrum lost positivity at zero separation")
     return out

@@ -21,14 +21,16 @@ sin/cos tables of the kernel values and of Q are built by angle addition
 from O(sqrt(n_t)) phases per node. Within one run a `KernelStore`
 holds one representation per (medium, k): a consumer reuses it when it was
 converged on a horizon at least as long as the consumer's own, and builds
-its own otherwise. The Laplace-domain chi_hat of a continuum medium is the
-exception: `LaplaceResponse` converges its own, much smaller representation
-on probe values of rho, because its cost is paid at every Bromwich-line
-point. `LaplaceResponse` evaluates eps_hat, mu_hat and sigma_hat for a
-scalar rho or a whole 1-d stack at once; at Re rho <= 0 (the contour nodes
-and the reservoir points rho = -i omega on the imaginary axis) only a
-rational model has values, by analytic continuation, which on the axis
-equal the boundary values of the physical spectrum.
+its own otherwise. Every representation is converged by one order-doubling
+loop (`_converged_rep`) on the functional its consumer reads: the kernel
+values on t for `chi_kernel`, chi_hat at three probe values of rho for the
+Laplace-domain response of a continuum medium (a much smaller
+representation, because its cost is paid at every Bromwich-line point), and
+Q on t for `conductor_Q`. `LaplaceResponse` evaluates eps_hat, mu_hat and
+sigma_hat for a scalar rho or a whole 1-d stack at once; at Re rho <= 0
+(the contour nodes and the reservoir points rho = -i omega on the imaginary
+axis) only a rational model has values, by analytic continuation, which on
+the axis equal the boundary values of the physical spectrum.
 """
 
 from __future__ import annotations
@@ -180,10 +182,6 @@ class SusceptibilityKernel:
     rep: QuadRep
     model_parameters: dict = field(default_factory=dict)
 
-    @property
-    def imag_defect(self) -> float:
-        return float(np.max(np.abs(self.values.imag))) if self.values.size else 0.0
-
     def metadata(self) -> dict:
         return {
             "which": self.which,
@@ -231,6 +229,23 @@ def _cutoff(model, quad: QuadratureSpec) -> float:
     return cutoff
 
 
+def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional):
+    """The Gauss-Legendre representation of `model` at k, with coefficients
+    w_n pref omega_n^2 f f^dag, whose order is doubled until
+    functional(rep) stops moving. Returns the representation, the converged
+    functional and the quadrature record."""
+    stash = {}
+
+    def evaluate(x, w):
+        stash["rep"] = QuadRep.from_coeffs(
+            x, (w * pref * x**2)[:, None, None] * coupling_product(model, x, k)
+        )
+        return functional(stash["rep"])
+
+    values, result = adaptive_nodes(quad, _cutoff(model, quad), evaluate)
+    return stash["rep"], values, result
+
+
 def chi_kernel(
     model,
     k,
@@ -248,21 +263,14 @@ def chi_kernel(
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
     pref = kernel_prefactor(model.which, constants)
-    stash = {}
-
-    def evaluate(x, w):
-        ff = coupling_product(model, x, k)
-        stash["rep"] = QuadRep.from_coeffs(x, (w * pref * x**2)[:, None, None] * ff)
-        return stash["rep"].kernel_values(t)
-
-    values, result = adaptive_nodes(quad, _cutoff(model, quad), evaluate)
+    rep, values, result = _converged_rep(model, k, quad, pref, lambda rep: rep.kernel_values(t))
     return SusceptibilityKernel(
         which=model.which,
         k=k,
         t_grid=t,
         values=values,
         quad=result,
-        rep=stash["rep"],
+        rep=rep,
         model_parameters=model.parameters(),
     )
 
@@ -387,7 +395,6 @@ def chi_spectrum(
     kernel: SusceptibilityKernel,
     omega_grid,
     tail_rtol: float = 1e-6,
-    psd_tol: float = 1e-8,
 ) -> ResponseSpectrum:
     """Half-line frequency transform chi_hat(k, omega) = int_0^inf chi e^{i omega t} dt.
 
@@ -417,7 +424,7 @@ def chi_spectrum(
         eigs = np.linalg.eigvalsh(imh[positive])
         min_eig = float(np.min(eigs))
         scale = float(np.max(np.abs(eigs))) or 1.0
-        if min_eig < -psd_tol * scale:
+        if min_eig < -1e-8 * scale:
             raise NotPSD(f"Im chi_hat has eigenvalue {min_eig:g} below -tol for omega > 0")
     else:
         min_eig = 0.0
@@ -534,15 +541,9 @@ class LaplaceResponse:
             # stays as small as the Laplace transform allows
             pref = kernel_prefactor(model.which, self.constants)
             probe = np.array([0.37, 1.1, 3.3]) * model.frequency_scale
-            stash = {}
-
-            def evaluate(x, w):
-                ff = coupling_product(model, x, k)
-                stash["rep"] = QuadRep.from_coeffs(x, (w * pref * x**2)[:, None, None] * ff)
-                return stash["rep"].contract(x[None, :] / (probe[:, None] ** 2 + x[None, :] ** 2))
-
-            adaptive_nodes(self.quad, _cutoff(model, self.quad), evaluate)
-            rep = stash["rep"]
+            rep, _, _ = _converged_rep(model, k, self.quad, pref, lambda rep: rep.contract(
+                rep.nodes[None, :] / (probe[:, None] ** 2 + rep.nodes[None, :] ** 2)
+            ))
             self._rep_cache[key] = rep
         rho = np.atleast_1d(np.asarray(rho, dtype=complex))
         return rep.contract(rep.nodes[None, :] / (rho[:, None] ** 2 + rep.nodes[None, :] ** 2))
@@ -664,15 +665,15 @@ def conductor_Q(
     k = np.asarray(k, dtype=float)
     pref_q = 8.0 * np.pi / (constants.hbar * constants.c**3)
     pref_chi = kernel_prefactor(ELECTRIC, constants)
-    stash = {}
 
-    def evaluate(x, w):
-        stash["rep"] = QuadRep.from_coeffs(x, (w * x**2)[:, None, None] * coupling_product(model, x, k))
-        block = (pref_q * x)[:, None] * stash["rep"].block
-        return block_tensors(_time_table_product(np.cos, t, x, block))
+    def q_on_t(rep):
+        block = (pref_q * rep.nodes)[:, None] * rep.block
+        return block_tensors(_time_table_product(np.cos, t, rep.nodes, block))
 
-    q_values, result = adaptive_nodes(quad, _cutoff(model, quad), evaluate)
-    chi_values = pref_chi * stash["rep"].kernel_values(t)
+    # pref = 1: the one representation carries w omega^2 f f^dag, scaled per
+    # consumer to Q and to chi
+    rep, q_values, result = _converged_rep(model, k, quad, 1.0, q_on_t)
+    chi_values = pref_chi * rep.kernel_values(t)
     dchi = finite_difference_time(chi_values, t)
     implied_sigma = q_values - constants.eps0 * dchi
     return QKernelReport(

@@ -20,7 +20,9 @@ lists every executed check exactly once.
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,7 @@ import numpy as np
 from . import __version__
 from .conductor import ConductorScenario, conductor_modes, q_kernel_consistency
 from .couplings import (
+    _KINDS,
     ELECTRIC,
     MAGNETIC,
     coupling_from_target,
@@ -40,7 +43,7 @@ from .couplings import (
 )
 from .errors import NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
-from .modes import InverseLaplaceSpec, lambda_reality_scan
+from .modes import METHODS, lambda_reality_scan
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (
     constitutive_roundtrip,
@@ -120,9 +123,6 @@ class ScenarioConfig:
             cutoff_factor=n["cutoff_factor"],
         )
 
-    def laplace_spec(self) -> InverseLaplaceSpec:
-        return InverseLaplaceSpec(method=self.numerics["laplace"])
-
     def model(self, section: str, constants: PhysicalConstants):
         raw = {k.split(".", 1)[1]: v for k, v in self.medium.items() if k.startswith(section + ".")}
         kind = raw.get("kind", "zero")
@@ -157,10 +157,6 @@ _FLOAT_KEYS_MEDIUM = {
 def _parse_value(section: str, key: str, value: str, line: int):
     if section == "medium":
         sub = key.split(".", 1)[1]
-        if sub in ("kind",):
-            return value
-        if sub in ("table", "target_table"):
-            return value
         if sub == "axis_strengths":
             return tuple(float(x) for x in value.split(","))
         if sub in _FLOAT_KEYS_MEDIUM:
@@ -243,7 +239,7 @@ def _validate(config: ScenarioConfig):
                 "reality_tol", "continuity_dt"):
         if not config.numerics[key] > 0.0:
             raise ValidationError("tolerance must be positive", key=key)
-    if config.numerics["laplace"] not in ("auto", "rational_exact", "talbot", "bromwich_line"):
+    if config.numerics["laplace"] not in METHODS:
         raise ValidationError("unknown laplace method", key="laplace")
     for key in ("n_omega", "n_t", "reservoir_order", "kk_n_omega", "maxwell_n_t"):
         if int(config.grids[key]) <= 1:
@@ -257,10 +253,9 @@ def _validate(config: ScenarioConfig):
                 "maxwell_t_max"):
         if not config.grids[key] > 0.0:
             raise ValidationError("grid extents must be positive", key=key)
-    kinds = {"zero", "lorentz_isotropic", "drude", "gaussian_anisotropic", "tabulated"}
     for section in ("electric", "magnetic", "conductor"):
         kind = config.medium.get(f"{section}.kind")
-        if kind is not None and kind not in kinds:
+        if kind is not None and kind not in _KINDS:
             raise ValidationError(f"unknown kind '{kind}'", key=f"{section}.kind")
     if config.medium.get("conductor.kind") not in (None, "zero", "drude"):
         raise ValidationError("conductor part must be a drude (free-carrier) model",
@@ -340,6 +335,30 @@ class _Timer:
         return False
 
 
+@contextmanager
+def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants):
+    """The manifest of one run with its output directory and formats. The
+    manifest is written when the run completes, and when a NumericalError
+    ends it, after recording the error; the error then propagates."""
+    out_dir = out_dir or config.output["directory"]
+    formats = [f.strip() for f in str(config.output["formats"]).split(",") if f.strip()]
+    manifest = RunManifest(
+        config_text=serialize_scenario(config),
+        constants="natural" if constants is NATURAL else "si",
+    )
+    try:
+        yield manifest, out_dir, formats
+    except NumericalError as exc:
+        manifest.error = {
+            "module": type(exc).__module__,
+            "type": type(exc).__name__,
+            "message": str(exc),
+        }
+        _finalize(manifest, out_dir, formats)
+        raise
+    _finalize(manifest, out_dir, formats)
+
+
 def _conductor_scenario(config, model_e, constants, quad):
     kind = config.medium.get("conductor.kind")
     if kind in (None, "zero"):
@@ -365,14 +384,6 @@ def run_scenario(
     Deterministic for a fixed config and version: CSV bytes depend only on
     the numbers produced, and all random sampling is seeded from the config.
     """
-    import os
-
-    out_dir = out_dir or config.output["directory"]
-    formats = [f.strip() for f in str(config.output["formats"]).split(",") if f.strip()]
-    manifest = RunManifest(
-        config_text=serialize_scenario(config),
-        constants="natural" if constants is NATURAL else "si",
-    )
     quad = config.quadrature()
     num = config.numerics
     grids = config.grids
@@ -384,29 +395,29 @@ def run_scenario(
     # consumers of this run
     kernels = KernelStore()
 
-    def emit(name, writer, *args):
-        if "csv" in formats:
-            path = os.path.join(out_dir, name)
-            writer(path, *args)
-            manifest.outputs.append(name)
-
-    def emit_report(name, report):
-        if "json" in formats:
-            write_json(os.path.join(out_dir, name), {
-                "kind": report.kind,
-                "k": [float(x) for x in report.k],
-                "grid": report.grid,
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-                "max_rel_err": report.max_rel_err,
-                "details": report.details,
-            })
-            manifest.outputs.append(name)
-
     omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
     t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
 
-    try:
+    with _recorded_run(config, out_dir, constants) as (manifest, out_dir, formats):
+        def emit(name, writer, *args):
+            if "csv" in formats:
+                path = os.path.join(out_dir, name)
+                writer(path, *args)
+                manifest.outputs.append(name)
+
+        def emit_report(name, report):
+            if "json" in formats:
+                write_json(os.path.join(out_dir, name), {
+                    "kind": report.kind,
+                    "k": [float(x) for x in report.k],
+                    "grid": report.grid,
+                    "lhs": report.lhs,
+                    "rhs": report.rhs,
+                    "max_rel_err": report.max_rel_err,
+                    "details": report.details,
+                })
+                manifest.outputs.append(name)
+
         for ik, k in enumerate(config.k_list()):
             tag = f"k{ik}"
             models = [m for m in (model_e, model_m) if not m.is_zero]
@@ -483,7 +494,7 @@ def run_scenario(
                     t_modes = np.linspace(0.0, grids["t_max"], 81)
                     rep_field = field_representation(
                         model_e, model_m, k, t_modes, nodes, weights,
-                        constants=constants, quad=quad, laplace_spec=config.laplace_spec(),
+                        constants=constants, quad=quad, method=num["laplace"],
                         response=response, kernels=kernels,
                     )
                     mc = rep_field.plus
@@ -527,7 +538,7 @@ def run_scenario(
                     picks = reservoir_picks(nodes_r.size, 2)
                     rep_res = field_representation(
                         model_e, model_m, k, t_res, nodes_r[picks], weights_r[picks],
-                        constants=constants, quad=quad, laplace_spec=config.laplace_spec(),
+                        constants=constants, quad=quad, method=num["laplace"],
                         response=response, kernels=kernels,
                     )
                     res = maxwell_residual(rep_res, reservoir_samples=picks.size)
@@ -552,21 +563,10 @@ def run_scenario(
                                        num["maxwell_tol"] * 10.0)
                     emit(f"conductor_gamma_{tag}.csv", write_tensor_series_csv, "t",
                          mc_c.t_grid, mc_c.gamma)
-    except NumericalError as exc:
-        manifest.error = {
-            "module": type(exc).__module__,
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
-        _finalize(manifest, out_dir, formats)
-        raise
-    _finalize(manifest, out_dir, formats)
     return manifest
 
 
 def _finalize(manifest: RunManifest, out_dir, formats):
-    import os
-
     if "json" in formats:
         write_json(os.path.join(out_dir, "manifest.json"), manifest.payload())
         manifest.outputs.append("manifest.json")
@@ -597,16 +597,11 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
     CSV (omega, |k| grid); a non-PSD target raises NotPSD with provenance in
     the manifest. Otherwise the configured analytic medium is round-tripped.
     """
-    import os
-
-    out_dir = out_dir or config.output["directory"]
-    formats = [f.strip() for f in str(config.output["formats"]).split(",") if f.strip()]
-    manifest = RunManifest(config_text=serialize_scenario(config))
     quad = config.quadrature()
     num = config.numerics
     omega = np.linspace(config.grids["omega_min"], config.grids["omega_max"],
                         int(config.grids["n_omega"]))
-    try:
+    with _recorded_run(config, out_dir, constants) as (manifest, out_dir, formats):
         target_path = config.medium.get("electric.target_table")
         for ik, k in enumerate(config.k_list()):
             tag = f"k{ik}"
@@ -632,13 +627,4 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
                     spectrum = chi_spectrum(kernel, omega, tail_rtol=num["tail_rtol"])
                     err = _roundtrip_error(model, spectrum, omega, k, constants)
                     manifest.add_check(f"roundtrip_{tag}", err, num["roundtrip_tol"])
-    except NumericalError as exc:
-        manifest.error = {
-            "module": type(exc).__module__,
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
-        _finalize(manifest, out_dir, formats)
-        raise
-    _finalize(manifest, out_dir, formats)
     return manifest

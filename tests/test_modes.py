@@ -18,9 +18,7 @@ from mqed.errors import (
 )
 from mqed import modes
 from mqed.modes import (
-    InverseLaplaceSpec,
     assemble_lambda,
-    inverse_laplace,
     invert_lambda,
     lambda_reality_scan,
     mode_coefficients,
@@ -49,35 +47,33 @@ def lorentz_pair():
 
 
 def test_spec_validation():
+    me, mm, resp = lorentz_pair()
     with pytest.raises(ValidationError):
-        InverseLaplaceSpec(method="bogus")
-    with pytest.raises(ValidationError):
-        InverseLaplaceSpec(talbot_start_n=8)
+        mode_coefficients(resp, me, mm, K, [0.0, 1.0], [], method="bogus")
+
+
+def _talbot_sum(transform, t, n):
+    """The contour rule of the mode solver at one t > 0 and n nodes."""
+    rho, weights = modes._talbot_nodes(t, n)
+    return np.sum(weights * transform(rho))
 
 
 def test_inverse_laplace_textbook_exponential():
-    spec = InverseLaplaceSpec(method="talbot", talbot_rtol=1e-11)
-    got = inverse_laplace(lambda r: 1.0 / (r + 1.0), [1.0], spec)[0]
+    got = _talbot_sum(lambda r: 1.0 / (r + 1.0), 1.0, 32)
     assert abs(got - np.exp(-1.0)) < 1e-12
 
 
 def test_inverse_laplace_textbook_cosine():
-    t = np.linspace(0.0, 3.0, 13)
-    spec = InverseLaplaceSpec(method="talbot", talbot_rtol=1e-10)
-    got = inverse_laplace(lambda r: r / (r**2 + 4.0), t, spec)
+    # t * |Im pole| reaches 6, which takes about 50 nodes
+    t = np.linspace(0.0, 3.0, 13)[1:]
+    got = np.array([_talbot_sum(lambda r: r / (r**2 + 4.0), ti, 52) for ti in t])
     assert np.max(np.abs(got - np.cos(2.0 * t))) < 1e-10
 
 
 def test_inverse_laplace_rational_exact():
     t = np.linspace(0.0, 6.0, 25)
-    got = inverse_laplace(Rational.make([0.0, 1.0], [4.0, 0.0, 1.0]), t,
-                          InverseLaplaceSpec(method="rational_exact"))
+    got, _, _ = ilt_rational(Rational.make([0.0, 1.0], [4.0, 0.0, 1.0]), t)
     assert np.max(np.abs(got - np.cos(2.0 * t))) < 1e-12
-
-
-def test_inverse_laplace_rational_requires_rational():
-    with pytest.raises(PoleFindingFailed):
-        inverse_laplace(lambda r: 1.0 / r, [1.0], InverseLaplaceSpec(method="rational_exact"))
 
 
 def test_partial_fractions_zero_residue_at_shared_simple_roots():
@@ -343,10 +339,7 @@ def test_dual_method_agreement_lorentz():
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = mode_coefficients(resp, me, mm, K, t, wq)
-    b = mode_coefficients(
-        resp, me, mm, K, t, wq,
-        spec=InverseLaplaceSpec(method="talbot", talbot_rtol=1e-9),
-    )
+    b = mode_coefficients(resp, me, mm, K, t, wq, method="talbot")
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
@@ -362,7 +355,7 @@ def test_talbot_matches_rational_on_conductor():
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = conductor_modes(scenario, K, t, wq)
-    b = conductor_modes(scenario, K, t, wq, spec=InverseLaplaceSpec(method="talbot"))
+    b = conductor_modes(scenario, K, t, wq, method="talbot")
     assert a.metadata["method"] == "rational_exact" and b.metadata["method"] == "talbot"
     assert b.metadata["conductor"] and b.metadata["worst_rcond"] > 0.0
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "eta", "eta_tilde"):
@@ -380,8 +373,7 @@ def test_talbot_rejects_continuum_absorption():
     resp = laplace_response(mg, zero_coupling("magnetic"))
     with pytest.raises(ValidationError):
         mode_coefficients(resp, mg, zero_coupling("magnetic"), K,
-                          np.linspace(0.0, 2.0, 3), [],
-                          spec=InverseLaplaceSpec(method="talbot"))
+                          np.linspace(0.0, 2.0, 3), [], method="talbot")
 
 
 def test_line_method_matches_rational_on_rational_medium():
@@ -389,8 +381,7 @@ def test_line_method_matches_rational_on_rational_medium():
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3])
     a = mode_coefficients(resp, me, mm, K, t, wq)
-    b = mode_coefficients(resp, me, mm, K, t, wq,
-                          spec=InverseLaplaceSpec(method="bromwich_line"))
+    b = mode_coefficients(resp, me, mm, K, t, wq, method="bromwich_line")
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
@@ -423,8 +414,8 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     """The Bromwich-line inversion with the whole (n_t, n_y) phase table at
     once, Lambda assembled point by point, and the grid-halving estimate
     from a strided copy of the table."""
-    vac = modes.laplace_response_like(resp)
-    v = modes._rational_mode_path(vac, me, mm, k, t, wq, InverseLaplaceSpec(), NATURAL)
+    vac = vacuum_response()
+    v = modes._rational_mode_path(vac, me, mm, k, t, wq, NATURAL)
     y_top, n_y = meta["line_halfwidth"], meta["line_points"]
     y = np.linspace(-y_top, y_top, n_y)
     rho = meta["line_abscissa"] + 1j * y
@@ -463,12 +454,12 @@ def _check_line_chunks_against_dense(monkeypatch, t):
     # electric plus magnetic medium, so all four reservoir blocks are summed
     me, mm, resp = lorentz_pair()
     wq = np.array([0.6, 1.7, 2.3])
-    spec = InverseLaplaceSpec(method="bromwich_line")
-    n_y = mode_coefficients(resp, me, mm, K, t, wq[:1], spec=spec).metadata["line_points"]
+    method = "bromwich_line"
+    n_y = mode_coefficients(resp, me, mm, K, t, wq[:1], method=method).metadata["line_points"]
     # 18 t rows per chunk (18, 18, 5) and 2 reservoir nodes per column chunk
     # (2, 1): both last chunks ragged
     monkeypatch.setattr(modes, "_TABLE_ELEMENTS", 18 * n_y + 3)
-    mc = mode_coefficients(resp, me, mm, K, t, wq, spec=spec)
+    mc = mode_coefficients(resp, me, mm, K, t, wq, method=method)
     assert mc.metadata["line_points"] == n_y
     ref, est = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
     for name, want in ref.items():

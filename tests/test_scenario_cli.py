@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mqed.cli import main
+from mqed.cli import build_parser, main
 from mqed.errors import ParseError, ValidationError
 from mqed.scenario import parse_scenario, run_scenario, serialize_scenario
 
@@ -184,7 +184,7 @@ def test_cli_invert_chi_not_psd_exit_code(tmp_path):
     assert payload["error"]["type"] == "NotPSD"
 
 
-def test_cli_invert_chi_roundtrip(tmp_path):
+def _invert_lorentz_config(tmp_path):
     cfg = tmp_path / "invert.cfg"
     cfg.write_text(
         "[medium]\nelectric.kind = lorentz_isotropic\nelectric.strength = 1.3\n"
@@ -192,10 +192,46 @@ def test_cli_invert_chi_roundtrip(tmp_path):
         "[grids]\nk = 0,0,1\nn_omega = 40\n"
         f"[output]\ndirectory = {tmp_path / 'out'}\n"
     )
-    assert main(["invert-chi", "--config", str(cfg)]) == 0
+    return str(cfg)
+
+
+def test_cli_invert_chi_roundtrip(tmp_path):
+    assert main(["invert-chi", "--config", _invert_lorentz_config(tmp_path)]) == 0
     payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert payload["constants"] == "natural"
     check = [c for c in payload["checks"] if c["name"].startswith("roundtrip")][0]
     assert check["passed"]
+
+
+def test_cli_invert_chi_si_records_constants(tmp_path):
+    assert main(["invert-chi", "--config", _invert_lorentz_config(tmp_path), "--si"]) == 0
+    payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert payload["constants"] == "si"
+
+
+@pytest.mark.parametrize("formats", ["csv,json", "json,csv"])
+def test_cli_format_accepts_either_order(formats):
+    args = build_parser().parse_args(["verify", "--config", "x.cfg", "--format", formats])
+    assert args.format == formats
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "x.cfg", "--format", "csv,xml"],
+    ["verify"],
+])
+def test_cli_usage_error_exit_code(argv, capsys):
+    # a bad --format value and a missing --config are configuration errors
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: mqed verify" in capsys.readouterr().err
+
+
+def test_cli_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--format FORMATS" in capsys.readouterr().out
 
 
 def test_run_builds_one_kernel_per_medium_and_k(tmp_path, monkeypatch):
