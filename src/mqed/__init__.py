@@ -8,6 +8,9 @@ the scheme's consistency claims (fluctuation-dissipation, gauge freedom,
 free-space limit, canonical commutators).
 """
 
+# defined before the layer imports: `scenario` records it in each manifest
+__version__ = "0.1.0"
+
 from .conductor import ConductorScenario, conductor_modes, q_kernel_consistency
 from .couplings import (
     CouplingModel,
@@ -49,6 +52,8 @@ from .response import (
     kk_check,
     laplace_response,
 )
+# scenario, and io through it, so that `import mqed` loads every pipeline layer
+from .scenario import invert_chi, parse_scenario, run_scenario
 from .tensors import (
     NATURAL,
     PhysicalConstants,
@@ -58,5 +63,3 @@ from .tensors import (
     transverse_projector,
     triad,
 )
-
-__version__ = "0.1.0"

@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, NumericalError
-from .scenario import invert_chi, parse_scenario, run_scenario
+from .scenario import invert_chi, output_formats, parse_scenario, run_scenario
 from .tensors import NATURAL, PhysicalConstants
 
 _STAGES = {
@@ -40,9 +40,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _formats(value: str) -> str:
-    parts = [part.strip() for part in value.split(",")]
-    if any(part not in ("csv", "json") for part in parts):
-        raise argparse.ArgumentTypeError(f"'{value}' is not a comma list of csv and json")
+    try:
+        output_formats(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

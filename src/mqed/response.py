@@ -281,12 +281,13 @@ class KernelStore:
 
     A request is served from the stored representation when that was
     converged on a horizon at least as long as the request's, by evaluating
-    it on the requested grid; otherwise `chi_kernel` builds a new one, which
-    replaces the stored one when its horizon is longer.
+    it on the requested grid once and keeping that evaluation for repeat
+    requests; otherwise `chi_kernel` builds a new one, which replaces the
+    stored one (and drops its evaluations) when its horizon is longer.
     """
 
     def __init__(self):
-        self._kernels = {}
+        self._kernels = {}  # key -> (converged kernel, {grid bytes: evaluation})
 
     def kernel(
         self,
@@ -300,13 +301,16 @@ class KernelStore:
         k = np.asarray(k, dtype=float)
         key = (model, tuple(k), constants, quad)
         have = self._kernels.get(key)
-        if have is not None and have.t_grid[-1] >= t[-1]:
-            if np.array_equal(have.t_grid, t):
-                return have
-            return replace(have, t_grid=t, values=have.rep.kernel_values(t))
-        kernel = chi_kernel(model, k, t, constants=constants, quad=quad)
-        self._kernels[key] = kernel
-        return kernel
+        if have is None or have[0].t_grid[-1] < t[-1]:
+            built = chi_kernel(model, k, t, constants=constants, quad=quad)
+            have = self._kernels[key] = (built, {})
+        kernel, evaluated = have
+        if np.array_equal(kernel.t_grid, t):
+            return kernel
+        grid = t.tobytes()
+        if grid not in evaluated:
+            evaluated[grid] = replace(kernel, t_grid=t, values=kernel.rep.kernel_values(t))
+        return evaluated[grid]
 
 
 def _plateau(values: np.ndarray, t_grid: np.ndarray, tail_rtol: float):

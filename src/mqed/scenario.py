@@ -106,6 +106,15 @@ _NUMERIC_DEFAULTS = {
 _OUTPUT_DEFAULTS = {"directory": "out", "formats": "csv,json"}
 
 
+def output_formats(value) -> list:
+    """The formats named by a comma list of csv and json (the config's
+    `formats` key and the CLI's --format); ValueError for anything else."""
+    parts = [part.strip() for part in str(value).split(",")]
+    if any(part not in ("csv", "json") for part in parts):
+        raise ValueError(f"'{value}' is not a comma list of csv and json")
+    return parts
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     medium: dict
@@ -260,6 +269,10 @@ def _validate(config: ScenarioConfig):
     if config.medium.get("conductor.kind") not in (None, "zero", "drude"):
         raise ValidationError("conductor part must be a drude (free-carrier) model",
                               key="conductor.kind")
+    try:
+        output_formats(config.output["formats"])
+    except ValueError as exc:
+        raise ValidationError(str(exc), key="formats") from None
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:
@@ -341,7 +354,7 @@ def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants)
     manifest is written when the run completes, and when a NumericalError
     ends it, after recording the error; the error then propagates."""
     out_dir = out_dir or config.output["directory"]
-    formats = [f.strip() for f in str(config.output["formats"]).split(",") if f.strip()]
+    formats = output_formats(config.output["formats"])
     manifest = RunManifest(
         config_text=serialize_scenario(config),
         constants="natural" if constants is NATURAL else "si",

@@ -2,6 +2,9 @@
 name; every name it wraps must still exist, or a traced run breaks."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mqed.response
@@ -33,3 +36,19 @@ def test_every_tracer_target_resolves():
 def test_adaptive_nodes_is_a_response_global():
     # the bench's own tests call it there, and build counters patch it there
     assert callable(mqed.response.adaptive_nodes)
+
+
+def test_tracer_installs_after_a_bare_import():
+    # a fresh interpreter that only ran `import mqed` has every traced layer
+    code = (
+        "import mqed\n"
+        "namespace = {'__name__': 'perfbench_tracer'}\n"
+        f"exec(compile(open({str(TRACER)!r}).read(), {str(TRACER)!r}, 'exec'), namespace)\n"
+        "print(namespace['Tracer']().install())\n"
+    )
+    src = str(Path(mqed.response.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) > 0

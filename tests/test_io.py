@@ -1,0 +1,103 @@
+"""The vectorised CSV writer against Python's own '%.17g' rows, byte for
+byte."""
+
+import numpy as np
+import pytest
+
+from mqed import io
+
+
+def _reference(header, table) -> bytes:
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows = "".join(template % tuple(row) for row in table.tolist())
+    return (",".join(header) + "\n" + rows).encode()
+
+
+def _assert_same_bytes(tmp_path, table):
+    table = np.asarray(table, dtype=float)
+    header = [f"c{j}" for j in range(table.shape[1])]
+    path = tmp_path / "table.csv"
+    io._write_table(path, header, [table])
+    got, want = path.read_bytes(), _reference(header, table)
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(bad)} rows differ, first: {bad[:1]}")
+
+
+def test_random_bit_patterns(tmp_path):
+    rng = np.random.default_rng(20261018)
+    values = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64).view(np.float64)
+    # subnormals of both signs, signed zeros and the non-finite values
+    values[:20000] = rng.integers(1, 2**52, size=20000, dtype=np.uint64).view(np.float64)
+    values[:10000] *= -1.0
+    values[20000:20008] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+    rng.shuffle(values)
+    _assert_same_bytes(tmp_path, values.reshape(-1, 20))
+
+
+def test_powers_of_ten_and_neighbours(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    probes = [powers, 5.0 * powers[:-1], 9.5 * powers[:-1]]
+    up = down = powers
+    for _ in range(2):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        probes += [up, down]
+    values = np.concatenate(probes)
+    values = values[np.isfinite(values)]
+    _assert_same_bytes(tmp_path, np.concatenate([values, -values]).reshape(-1, 1))
+
+
+def test_exact_ties_and_large_integers(tmp_path):
+    rng = np.random.default_rng(7)
+    ties = []
+    # x = m 2**(X - 17), m odd: x 10**(16 - X) is a half-integer
+    for x in range(-7, 16):
+        lo = int(np.ceil(10.0**x * 2.0 ** (17 - x)))
+        hi = min(int(10.0 ** (x + 1) * 2.0 ** (17 - x)), 2**53)
+        m = rng.integers(lo // 2, hi // 2, size=40) * 2 + 1
+        ties.append(np.ldexp(m.astype(float), x - 17))
+    ties = np.concatenate(ties)
+    assert not io._nonzero_cells(ties)[1].any()  # every tie goes to Python
+    ints = rng.integers(2**53, 2**63, size=4000).astype(float)
+    even = 2.0**53 + 2.0 * np.arange(100)
+    values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+                             ints, even, [1.0, 10.0, 0.5, 1e16, 1e17, 1e22, 1e23]])
+    _assert_same_bytes(tmp_path, np.concatenate([values, -values]).reshape(-1, 2))
+
+
+def test_every_notation_width(tmp_path):
+    # short and full-length digit strings at every fixed-notation exponent
+    # and both exponent widths
+    rng = np.random.default_rng(11)
+    x = np.arange(-12, 26)
+    mantissa = np.concatenate([[1.0, 2.5, 1.25], rng.uniform(1.0, 10.0, size=5)])
+    values = (mantissa[:, None] * 10.0 ** x[None, :]).ravel()
+    values = np.concatenate([values, values * 1e-100, values * 1e100])
+    _assert_same_bytes(tmp_path, values.reshape(-1, 8))
+
+
+@pytest.mark.parametrize("block", [10, 2])
+def test_ragged_last_block(tmp_path, monkeypatch, block):
+    # 11 rows of 3 in blocks of 3 rows (the last one short), or of 1 row
+    # when a block holds fewer values than a row; the first block is all zeros
+    monkeypatch.setattr(io, "_BLOCK_VALUES", block)
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(11, 3)) * 10.0 ** rng.integers(-30, 30, size=(11, 3))
+    table[:3] = [[0.0, -0.0, 0.0]]
+    table[4, 1] = 0.0
+    table[7, 2] = np.nan
+    _assert_same_bytes(tmp_path, table)
+
+
+def test_tiny_values_take_the_vectorised_path():
+    # subnormals and the < 1e-270 entries of the mode tensors need no
+    # Python formatting; only non-finite values, ties and |x| >= 1e300 do
+    rng = np.random.default_rng(5)
+    tiny = np.concatenate([
+        rng.integers(1, 2**52, size=5000, dtype=np.uint64).view(np.float64),
+        rng.uniform(1.0, 10.0, size=5000) * 10.0 ** rng.integers(-307, -270, size=5000),
+    ])
+    _, good = io._nonzero_cells(tiny)
+    assert good.all()
+    _, good = io._nonzero_cells(np.array([np.inf, -np.nan, 1e300, 1.00000762939453125]))
+    assert not good.any()

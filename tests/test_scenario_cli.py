@@ -92,6 +92,22 @@ def test_csv_row_bytes_match_repr_format(tmp_path):
     assert (tmp_path / "d.csv").read_bytes() == b"w,deviation\n1.0000000000000001e+300,-0\n"
 
 
+@pytest.mark.parametrize("value", ["xml", "csv,xml", "csv,", ""])
+def test_parse_rejects_unknown_output_format(value):
+    # the config key follows the rule of the --format flag
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(f"[output]\nformats = {value}\n")
+    assert "formats" in str(err.value)
+    assert parse_scenario("[output]\nformats = json , csv\n").output["formats"] == "json , csv"
+
+
+def test_cli_unknown_config_format_exit_code(tmp_path):
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text(VACUUM_CFG + f"[output]\ndirectory = {tmp_path / 'out'}\nformats = xml\n")
+    assert main(["chi", "--config", str(cfg)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_scenario("[grids]\nk 0,0,1\n")
