@@ -11,7 +11,7 @@ free-space limit, canonical commutators).
 # defined before the layer imports: `scenario` records it in each manifest
 __version__ = "0.1.0"
 
-from .conductor import ConductorScenario, conductor_modes, q_kernel_consistency
+from .conductor import conductor_modes, q_kernel_consistency
 from .couplings import (
     CouplingModel,
     GaugeTransform,

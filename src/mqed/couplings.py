@@ -372,6 +372,60 @@ def coupling_product(model, omegas, k) -> np.ndarray:
     return f @ np.conj(np.transpose(f, (0, 2, 1)))
 
 
+@dataclass(frozen=True)
+class CombinedElectric:
+    """Bound + free electric coupling acting as one model.
+
+    The two parts live on disjoint oscillator families, so their spectral
+    densities f f^dag add; the single-tensor representative is the principal
+    PSD square root of the sum, equivalent to any two-family representation
+    by the gauge freedom of the couplings."""
+
+    bound: CouplingModel
+    free: CouplingModel
+
+    @property
+    def which(self) -> str:
+        return ELECTRIC
+
+    def eval_batch(self, omegas, k) -> np.ndarray:
+        total = coupling_product(self.bound, omegas, k) + coupling_product(self.free, omegas, k)
+        diag_defect = float(np.max(np.abs(total - total * np.eye(3)))) if total.size else 0.0
+        if diag_defect == 0.0:
+            return np.sqrt(total.real).astype(complex)
+        return np.stack([hermitian_sqrt(m, tol=1e-10) for m in total])
+
+    @property
+    def is_zero(self) -> bool:
+        return self.bound.is_zero and self.free.is_zero
+
+    @property
+    def is_rational(self) -> bool:
+        return self.bound.is_rational and self.free.is_rational
+
+    @property
+    def frequency_scale(self) -> float:
+        return max(self.bound.frequency_scale, self.free.frequency_scale)
+
+    @property
+    def hard_cutoff(self):
+        cuts = [m.hard_cutoff for m in (self.bound, self.free) if m.hard_cutoff is not None]
+        return min(cuts) if cuts else None
+
+    def parameters(self) -> dict:
+        return {"bound": self.bound.parameters(), "free": self.free.parameters()}
+
+
+def combined_electric(bound, free=None):
+    """The electric coupling of bound plus free carriers: either part alone
+    when the other is absent or zero."""
+    if free is None or free.is_zero:
+        return bound
+    if bound.is_zero:
+        return free
+    return CombinedElectric(bound=bound, free=free)
+
+
 def coupling_from_target(
     im_chi,
     omega: float,

@@ -40,8 +40,6 @@ from .errors import (
 from .rational import Rational, ilt_rational, partial_fractions
 from .response import _TABLE_ELEMENTS, LaplaceResponse, laplace_response, uniform_step
 from .tensors import (
-    NATURAL,
-    PhysicalConstants,
     curl_symbol,
     longitudinal_projector,
     reciprocal_condition,
@@ -74,13 +72,13 @@ def assemble_lambda(
     response: LaplaceResponse,
     k,
     rho,
-    conductor: bool = False,
     continued: bool = False,
     curl_sign: int = +1,
 ) -> LambdaMatrix:
-    """Build Lambda(k, rho); the conductor variant adds sigma_hat to the
-    rho eps_hat block. A scalar rho gives one (6, 6) matrix, a 1-d rho the
-    (n, 6, 6) stack from one batched evaluation of each material tensor.
+    """Build Lambda(k, rho); a response with a free-carrier part adds its
+    sigma_hat to the rho eps_hat block. A scalar rho gives one (6, 6)
+    matrix, a 1-d rho the (n, 6, 6) stack from one batched evaluation of
+    each material tensor.
 
     continued=True allows Re rho <= 0 through analytic continuation, which
     only rational responses support (contour transforms use it internally).
@@ -100,7 +98,7 @@ def assemble_lambda(
     value[..., :3, :3] = value[..., 3:, 3:] = curl_sign * curl_symbol(k)
     value[..., :3, 3:] = -r * response.mu(k, rho, continued=continued)
     value[..., 3:, :3] = r * response.eps(k, rho, continued=continued)
-    if conductor:
+    if response.model_free is not None:
         value[..., 3:, :3] += response.sigma(k, rho, continued=continued)
     return LambdaMatrix(k=k, rho=complex(rho) if scalar else rho, value=value)
 
@@ -198,7 +196,7 @@ def _scalar_rationals(response: LaplaceResponse, k: np.ndarray):
     """Scalar transverse/longitudinal pieces of Lambda^-1 for isotropic
     rational media. Returns (t_eh, t_ee, l_e, t_he, l_h) with
     D_T = k^2 + rho mu_hat (rho eps_hat + sigma_hat)."""
-    eps_rat, mu_rat, sigma_rat = response.rational_scalars(k)
+    eps_rat, mu_rat, sigma_rat = response.rational_scalars()
     rho = Rational.variable()
     a_rat = rho * eps_rat + sigma_rat
     d_t = (rho * mu_rat) * a_rat + float(k @ k)
@@ -251,12 +249,12 @@ def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray):
     return out
 
 
-def _rational_mode_path(response, model_f, model_g, k, t, omega_q, constants):
+def _rational_mode_path(response, model_f, model_g, k, t, omega_q):
     p_t = transverse_projector(k).astype(complex)
     p_l = longitudinal_projector(k).astype(complex)
     o = -curl_symbol(k)  # the commutator-conserving curl-block orientation
     t_eh, t_ee, l_e, t_he, l_h = _scalar_rationals(response, k)
-    mu0 = constants.mu0
+    mu0 = response.constants.mu0
 
     ilt = {}
     all_poles = []
@@ -313,7 +311,7 @@ _BLOCKS = {
 }
 
 
-def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor):
+def _talbot_mode_path(response, model_f, model_g, k, t, omega_q):
     """Contour inversion with the reservoir oscillation split off exactly.
 
     The factor rho/(rho + i w_q) carries a pole at -i w_q that can sit far
@@ -325,7 +323,7 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, cond
     subtracted numerator vanishes there), leaving only medium-scale poles.
     The response is rational on this path, so G_ax is its analytic
     continuation to the axis, which is the boundary value there."""
-    mu0 = constants.mu0
+    mu0 = response.constants.mu0
     f_q = eval_coupling_batch(model_f, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
     g_q = eval_coupling_batch(model_g, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
     n_t = t.size
@@ -346,7 +344,7 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, cond
         # one guarded inversion of a contour node set (or of a large real
         # rho); its conditions feed the worst_rcond metadata
         nonlocal rcond_worst
-        lam = assemble_lambda(response, k, rho, conductor=conductor, continued=True, curl_sign=-1)
+        lam = assemble_lambda(response, k, rho, continued=True, curl_sign=-1)
         inv, rc = _checked_inverse(lam)
         rcond_worst = min(rcond_worst, float(np.min(rc)))
         return inv
@@ -354,7 +352,7 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, cond
     inv_ax = None
     if need_f or need_g:
         inv_ax = invert_lambda(assemble_lambda(
-            response, k, -1j * omega_q, conductor=conductor, continued=True, curl_sign=-1
+            response, k, -1j * omega_q, continued=True, curl_sign=-1
         ))
 
     def limit_parts(rho):
@@ -450,7 +448,7 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, cond
     )
 
 
-def _line_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor):
+def _line_mode_path(response, model_f, model_g, k, t, omega_q):
     """Vacuum-subtracted Bromwich-line inversion for continuum-absorption
     media.
 
@@ -460,9 +458,10 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, constants, conduc
     numerically. All material evaluations stay in Re rho > 0, so the
     imaginary-axis branch cut of the absorption continuum is never crossed.
     """
+    constants = response.constants
     vac = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
-                           constants=response.constants, quad=response.quad)
-    vac_modes = _rational_mode_path(vac, model_f, model_g, k, t, omega_q, constants)
+                           constants=constants, quad=response.quad)
+    vac_modes = _rational_mode_path(vac, model_f, model_g, k, t, omega_q)
     f_q, g_q = vac_modes.f_q, vac_modes.g_q
     n_q = omega_q.size
     need_f = n_q > 0 and not model_f.is_zero
@@ -483,7 +482,7 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, constants, conduc
 
     # unguarded: a guard would cost one SVD per line point, and the line
     # stays a distance a off the imaginary-axis dispersion shell
-    inv_med = np.linalg.inv(assemble_lambda(response, k, rho, conductor, curl_sign=-1).value)
+    inv_med = np.linalg.inv(assemble_lambda(response, k, rho, curl_sign=-1).value)
     inv_vac = np.linalg.inv(assemble_lambda(vac, k, rho, curl_sign=-1).value)
     # the medium-vacuum difference, ~ |rho|^-3 tail, with the line measure
     # dy / 2 pi folded in; columns hold all four 3x3 blocks of the 6x6
@@ -570,16 +569,14 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q, constants, conduc
 
 def mode_coefficients(
     response: LaplaceResponse,
-    model_f,
-    model_g,
     k,
     t_grid,
     omega_q_grid,
     method: str = "auto",
-    constants: PhysicalConstants = NATURAL,
-    conductor: bool = False,
 ) -> ModeCoefficients:
-    """Mode-coefficient tensors on the (t, omega_q) grids.
+    """Mode-coefficient tensors of the medium `response` on the (t, omega_q)
+    grids; the reservoir columns contract against its electric (bound plus
+    free) and magnetic couplings.
 
     method is one of `METHODS`. "rational_exact" needs a rational transform
     and is exact up to pole finding; "talbot" deforms the contour into the
@@ -602,6 +599,7 @@ def mode_coefficients(
         raise ValidationError("t_grid must be nonempty")
     if method not in METHODS:
         raise ValidationError(f"unknown inverse-laplace method '{method}'")
+    couplings = (response.reservoir_electric, response.model_m)
     if method == "auto":
         method = "rational_exact" if response.is_rational else "bromwich_line"
     if method == "rational_exact":
@@ -609,15 +607,15 @@ def mode_coefficients(
             raise ValidationError(
                 "rational_exact needs a rational material response; use bromwich_line"
             )
-        return _rational_mode_path(response, model_f, model_g, k, t, omega_q, constants)
+        return _rational_mode_path(response, *couplings, k, t, omega_q)
     if method == "talbot":
         if not response.is_rational:
             raise ValidationError(
                 "talbot deforms into the left half-plane, which a continuum-"
                 "absorption response cannot continue across; use bromwich_line"
             )
-        return _talbot_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor)
-    return _line_mode_path(response, model_f, model_g, k, t, omega_q, constants, conductor)
+        return _talbot_mode_path(response, *couplings, k, t, omega_q)
+    return _line_mode_path(response, *couplings, k, t, omega_q)
 
 
 @dataclass(frozen=True)
@@ -628,7 +626,7 @@ class RealityScanReport:
     worst_rho: float | None
 
 
-def lambda_reality_scan(response: LaplaceResponse, k_set, rho_set, conductor=False) -> RealityScanReport:
+def lambda_reality_scan(response: LaplaceResponse, k_set, rho_set) -> RealityScanReport:
     """Max deviation of Lambda(-k, rho) - conj(Lambda(k, rho)) on real rho > 0.
 
     The conjugation identity holds on the real rho axis for media whose
@@ -641,8 +639,8 @@ def lambda_reality_scan(response: LaplaceResponse, k_set, rho_set, conductor=Fal
     n = 0
     for k in k_set if rho.size else ():
         k = np.asarray(k, dtype=float)
-        a = assemble_lambda(response, k, rho, conductor=conductor).value
-        b = assemble_lambda(response, -k, rho, conductor=conductor).value
+        a = assemble_lambda(response, k, rho).value
+        b = assemble_lambda(response, -k, rho).value
         dev = np.max(np.abs(b - np.conj(a)), axis=(1, 2))
         j = int(np.argmax(dev))
         n += rho.size

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch
+from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, gauss_legendre
 from .response import _TABLE_ELEMENTS, KernelStore, block_tensors, chi_kernel, chi_spectrum
@@ -81,7 +81,6 @@ def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants
 
 def noise_commutator(
     model,
-    which: str,
     k,
     omega_grid,
     constants: PhysicalConstants = NATURAL,
@@ -90,27 +89,22 @@ def noise_commutator(
 ) -> CommutatorReport:
     """Fluctuation-dissipation check for the noise polarization densities.
 
-    which selects the sector: "P" pairs an electric model with
-    (hbar eps0 / pi) Im chi_hat_e, "M" a magnetic model with
-    (hbar / (mu0 pi)) Im chi_hat_m.
+    The model's sector selects the pairing: an electric model gives the P
+    report against (hbar eps0 / pi) Im chi_hat_e, a magnetic one the M report
+    against (hbar / (mu0 pi)) Im chi_hat_m.
     """
-    if which not in ("P", "M"):
-        raise ValidationError("which must be 'P' or 'M'")
-    expected_sector = ELECTRIC if which == "P" else MAGNETIC
-    if model.which != expected_sector:
-        raise ValidationError(f"'{which}' commutator needs a {expected_sector} model")
     omega = np.asarray(omega_grid, dtype=float)
     k = np.asarray(k, dtype=float)
     lhs = noise_coefficient_density(model, k, omega, constants)
     kernel = _kernel(model, k, _default_t_grid(model), constants, quad, kernels)
     spectrum = chi_spectrum(kernel, omega)
-    if which == "P":
+    if model.which == ELECTRIC:
         factor = constants.hbar * constants.eps0 / np.pi
     else:
         factor = constants.hbar / (constants.mu0 * np.pi)
     rhs = factor * spectrum.imag_hermitian()
     return CommutatorReport(
-        kind="noise_P" if which == "P" else "noise_M",
+        kind="noise_P" if model.which == ELECTRIC else "noise_M",
         k=k,
         grid=omega,
         lhs=lhs,
@@ -120,37 +114,26 @@ def noise_commutator(
     )
 
 
-def noise_current_coefficient(
-    model,
-    k,
-    omega_grid,
-    constants: PhysicalConstants = NATURAL,
-    quad: QuadratureSpec = QuadratureSpec(),
-    kernels: KernelStore | None = None,
-) -> CommutatorReport:
-    """Commutator coefficient of the noise current density.
+def noise_current_coefficient(report: CommutatorReport) -> CommutatorReport:
+    """Commutator coefficient of the noise current density from the noise
+    polarization report of an electric model.
 
     The current picks up one power of the reservoir frequency relative to the
-    noise polarization, so its coefficient density is omega^2 times the
-    polarization one, matching (hbar eps0 / pi) omega^2 Im chi_hat_e.
+    noise polarization, so both sides are omega^2 times the polarization
+    ones: the coefficient density against (hbar eps0 / pi) omega^2 Im chi_hat_e.
     """
-    if model.which != ELECTRIC:
-        raise ValidationError("the noise current pairs with an electric model")
-    omega = np.asarray(omega_grid, dtype=float)
-    k = np.asarray(k, dtype=float)
-    lhs = (omega**2)[:, None, None] * noise_coefficient_density(model, k, omega, constants)
-    kernel = _kernel(model, k, _default_t_grid(model), constants, quad, kernels)
-    spectrum = chi_spectrum(kernel, omega)
-    factor = constants.hbar * constants.eps0 / np.pi
-    rhs = factor * (omega**2)[:, None, None] * spectrum.imag_hermitian()
+    if report.kind != "noise_P":
+        raise ValidationError("the noise current pairs with an electric (noise_P) report")
+    w2 = (report.grid**2)[:, None, None]
+    lhs, rhs = w2 * report.lhs, w2 * report.rhs
     return CommutatorReport(
         kind="noise_J",
-        k=k,
-        grid=omega,
+        k=report.k,
+        grid=report.grid,
         lhs=lhs,
         rhs=rhs,
         max_rel_err=_relative_deviation(lhs, rhs),
-        details={"quadrature": kernel.quad.metadata()},
+        details=report.details,
     )
 
 

@@ -8,7 +8,9 @@ sqrt(hbar w_k eps0 / 2 (2pi)^3) and the mu0 twin) and the initial reservoir
 operators d(0), b(0) (weights (2pi)^{-3/2} with triad contractions). Each
 coefficient channel must satisfy the transformed Maxwell system on its own,
 and the equal-time commutators assembled from the channels must be
-medium-independent; both statements are checked numerically here.
+medium-independent; both statements are checked numerically here. A
+representation reads the medium from one `LaplaceResponse`: its Lambda
+system, its reservoir couplings and its memory kernels.
 """
 
 from __future__ import annotations
@@ -30,14 +32,12 @@ from .response import (
     block_tensors,
     chi_hat_rational,
     finite_difference_time,
-    laplace_response,
 )
 from .tensors import (
     IDENTITY3,
     NATURAL,
     PhysicalConstants,
     curl_symbol,
-    transverse_projector,
     triad,
 )
 
@@ -72,25 +72,17 @@ class FieldOperatorRepresentation:
     t_grid: np.ndarray
     omega_q_grid: np.ndarray
     omega_q_weights: np.ndarray
-    constants: PhysicalConstants
-    model_f: object
-    model_g: object
     response: LaplaceResponse
     method: str
-    quad: QuadratureSpec
     kernels: KernelStore | None
-    conductor: bool = False
     _sides: dict = field(default_factory=dict, repr=False, compare=False)
 
     def side(self, sign: int) -> FieldSide:
         """The channels at sign * k (sign = +1 or -1)."""
         if sign not in self._sides:
             kk = sign * self.k
-            mc = mode_coefficients(
-                self.response, self.model_f, self.model_g, kk, self.t_grid,
-                self.omega_q_grid, method=self.method, constants=self.constants,
-                conductor=self.conductor,
-            )
+            mc = mode_coefficients(self.response, kk, self.t_grid, self.omega_q_grid,
+                                   method=self.method)
             self._sides[sign] = _assemble_side(mc, kk, self.constants, self.t_grid,
                                                self.omega_q_grid)
         return self._sides[sign]
@@ -103,17 +95,19 @@ class FieldOperatorRepresentation:
     def minus(self) -> ModeCoefficients:
         return self.side(-1).coeffs
 
+    @property
+    def constants(self) -> PhysicalConstants:
+        return self.response.constants
+
     @cached_property
     def chi_e(self) -> np.ndarray:
-        """(n_t, 3, 3) electric memory kernel at +k."""
-        return _memory_kernel(self.model_f, self.k, self.t_grid, self.constants, self.quad,
-                              self.kernels)
+        """(n_t, 3, 3) electric (bound plus free) memory kernel at +k."""
+        return _memory_kernel(self.response.reservoir_electric, self)
 
     @cached_property
     def chi_m(self) -> np.ndarray:
         """(n_t, 3, 3) magnetic memory kernel at +k."""
-        return _memory_kernel(self.model_g, self.k, self.t_grid, self.constants, self.quad,
-                              self.kernels)
+        return _memory_kernel(self.response.model_m, self)
 
     @property
     def radial_measure(self) -> np.ndarray:
@@ -157,57 +151,47 @@ def _assemble_side(coeffs: ModeCoefficients, sign_k, constants, t_grid, omega_q)
     )
 
 
-def _memory_kernel(model, k, t, constants, quad, kernels=None) -> np.ndarray:
-    """Susceptibility kernel values for the constitutive convolutions,
-    matched to the representation the mode solver uses (closed form for
-    rational media, quadrature otherwise)."""
+def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
+    """Susceptibility kernel values of `model` on the representation's t grid
+    for the constitutive convolutions, matched to the representation the
+    mode solver uses (closed form for rational media, quadrature otherwise)."""
+    t = rep.t_grid
     if model.is_zero:
         return np.zeros((t.size, 3, 3), dtype=complex)
-    if getattr(model, "is_rational", False):
+    if model.is_rational:
         vals, _, _ = ilt_rational(chi_hat_rational(model), t)
         return vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-    return _kernel(model, k, t, constants, quad, kernels).values
+    return _kernel(model, rep.k, t, rep.constants, rep.response.quad, rep.kernels).values
 
 
 def field_representation(
-    model_f,
-    model_g,
+    response: LaplaceResponse,
     k,
     t_grid,
     omega_q_grid,
     omega_q_weights,
-    constants: PhysicalConstants = NATURAL,
-    quad: QuadratureSpec = QuadratureSpec(),
     method: str = "auto",
-    response: LaplaceResponse | None = None,
-    conductor: bool = False,
     kernels: KernelStore | None = None,
 ) -> FieldOperatorRepresentation:
-    """The coefficient representation of E and H at one k, with the +k side
-    built; the -k side and the memory kernels are built when first read.
+    """The coefficient representation of E and H in the medium `response` at
+    one k, with the +k side built; the -k side and the memory kernels are
+    built when first read.
 
-    Pass the run's `response` to share its Laplace-domain chi_hat, and the
-    run's `kernels` store to share the memory kernels."""
+    The run's `response` shares its Laplace-domain chi_hat between calls, and
+    the run's `kernels` store shares the memory kernels."""
     k = np.asarray(k, dtype=float)
     omega_q = np.asarray(omega_q_grid, dtype=float)
     weights = np.asarray(omega_q_weights, dtype=float)
     if omega_q.shape != weights.shape:
         raise ValidationError("omega_q grid and weights must align")
-    if response is None:
-        response = laplace_response(model_f, model_g, constants=constants, quad=quad)
     rep = FieldOperatorRepresentation(
         k=k,
         t_grid=np.asarray(t_grid, dtype=float),
         omega_q_grid=omega_q,
         omega_q_weights=weights,
-        constants=constants,
-        model_f=model_f,
-        model_g=model_g,
         response=response,
         method=method,
-        quad=quad,
         kernels=kernels,
-        conductor=conductor,
     )
     rep.side(+1)
     return rep
@@ -247,9 +231,7 @@ def equal_time_commutators(
 
     The baseline defaults to the vacuum representation assembled through the
     same pipeline on the same grids; its analytic value is
-    i hbar c^2 x (curl matrix). Also reports the [A, -D^dag] pair at t = 0
-    whose target hbar x (transverse projector) is medium-independent because
-    the initial data are free-field operators.
+    i hbar c^2 x (curl matrix).
     """
     t_set = np.atleast_1d(np.asarray(t_set, dtype=float))
     idx = [int(np.argmin(np.abs(rep.t_grid - ti))) for ti in t_set]
@@ -260,18 +242,6 @@ def equal_time_commutators(
         rhs = np.stack([_eh_coefficient(baseline, i) / 1j for i in idx])
     else:
         rhs = np.broadcast_to(vacuum_eh_coefficient(rep), lhs.shape).copy()
-    c = rep.constants
-    w_k = c.c * float(np.linalg.norm(rep.k))
-    w_a = np.sqrt(c.hbar / (2.0 * TWO_PI_CUBED * c.eps0 * w_k))
-    w_e = np.sqrt(c.hbar * w_k * c.eps0 / (2.0 * TWO_PI_CUBED))
-    tr_p, tr_m = triad(rep.k), triad(-rep.k)
-    ad = np.zeros((3, 3), dtype=complex)
-    for tr in (tr_p, tr_m):
-        for e in (tr.e1, tr.e2):
-            ad += 1j * w_a * w_e * np.outer(e, e)
-    ad_lhs = TWO_PI_CUBED * ad / 1j
-    ad_rhs = c.hbar * transverse_projector(rep.k)
-    ad_dev = float(np.max(np.abs(ad_lhs - ad_rhs))) / float(np.max(np.abs(ad_rhs)))
     return CommutatorReport(
         kind="field_equal_time",
         k=rep.k,
@@ -279,10 +249,7 @@ def equal_time_commutators(
         lhs=lhs,
         rhs=rhs,
         max_rel_err=_relative_deviation(lhs, rhs),
-        details={
-            "ad_pair_rel_dev": ad_dev,
-            "n_reservoir": int(rep.omega_q_grid.size),
-        },
+        details={"n_reservoir": int(rep.omega_q_grid.size)},
     )
 
 

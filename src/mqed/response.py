@@ -26,8 +26,10 @@ loop (`_converged_rep`) on the functional its consumer reads: the kernel
 values on t for `chi_kernel`, chi_hat at three probe values of rho for the
 Laplace-domain response of a continuum medium (a much smaller
 representation, because its cost is paid at every Bromwich-line point), and
-Q on t for `conductor_Q`. `LaplaceResponse` evaluates eps_hat, mu_hat and
-sigma_hat for a scalar rho or a whole 1-d stack at once; at Re rho <= 0
+Q on t for `conductor_Q`. `LaplaceResponse` is the one carrier of the
+medium: its bound electric, magnetic and optional free-carrier couplings fix
+eps_hat, mu_hat, sigma_hat and the reservoir couplings. It evaluates the
+material tensors for a scalar rho or a whole 1-d stack at once; at Re rho <= 0
 (the contour nodes and the reservoir points rho = -i omega on the imaginary
 axis) only a rational model has values, by analytic continuation, which on
 the axis equal the boundary values of the physical spectrum.
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .couplings import ELECTRIC, MAGNETIC, coupling_product
+from .couplings import ELECTRIC, MAGNETIC, CombinedElectric, combined_electric, coupling_product
 from .errors import (
     GridTooCoarse,
     LeftHalfPlane,
@@ -495,8 +497,8 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
 
 def chi_hat_rational(model) -> Rational:
     """chi_hat(rho) for the rational (damped-oscillator family) kinds."""
-    if hasattr(model, "chi_rational"):
-        return model.chi_rational()
+    if isinstance(model, CombinedElectric):
+        return chi_hat_rational(model.bound) + chi_hat_rational(model.free)
     base = getattr(model, "base", model)
     if not base.is_rational:
         raise ValidationError(f"model kind '{base.kind}' has no rational transform")
@@ -509,31 +511,41 @@ def chi_hat_rational(model) -> Rational:
 
 @dataclass(frozen=True)
 class LaplaceResponse:
-    """Laplace-domain permittivity/permeability (and optional conductivity).
+    """The medium in the Laplace domain: eps_hat, mu_hat and sigma_hat.
 
-    eps_hat = eps0 (1 + chi_hat_e), mu_hat = mu0 (1 + chi_hat_m), evaluated
-    for Re rho > 0. Rational models use the closed form; everything else goes
-    through the kernel quadrature representation, for which the transform of
-    each sine mode is omega_n / (rho^2 + omega_n^2) exactly.
+    eps_hat = eps0 (1 + chi_hat_e) from the bound electric coupling model_e,
+    mu_hat = mu0 (1 + chi_hat_m), and, when part of the electric coupling is
+    routed as free carriers (model_free), sigma_hat = eps0 rho chi_hat_free;
+    without one sigma_hat is zero. The reservoir couples to the combined
+    electric coupling (`reservoir_electric`). Values are for Re rho > 0.
+    Rational models use the closed form; everything else goes through the
+    kernel quadrature representation, for which the transform of each sine
+    mode is omega_n / (rho^2 + omega_n^2) exactly.
     """
 
     model_e: object
     model_m: object
     constants: PhysicalConstants
     quad: QuadratureSpec
-    sigma_evaluator: object = None  # callable (k, rho) -> 3x3, or None
+    model_free: object = None  # free-carrier electric coupling; a zero one becomes None
     _rep_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for model, name in ((self.model_e, "bound"), (self.model_free, "free")):
+            if model is not None and model.which != ELECTRIC:
+                raise ValidationError(f"{name} coupling must be electric")
+        if self.model_free is not None and self.model_free.is_zero:
+            object.__setattr__(self, "model_free", None)
 
     @property
     def is_rational(self) -> bool:
-        ok = self.model_e.is_rational and self.model_m.is_rational
-        return ok and (self.sigma_evaluator is None or getattr(self.sigma_evaluator, "is_rational", False))
+        models = (self.model_e, self.model_m, self.model_free)
+        return all(m.is_rational for m in models if m is not None)
 
-    def _check_rho(self, rho, continued=False):
-        if continued:
-            return
-        if np.any(np.real(np.atleast_1d(rho)) <= 0.0):
-            raise LeftHalfPlane("material response requires Re rho > 0")
+    @property
+    def reservoir_electric(self):
+        """The electric coupling of the reservoir: bound and free parts."""
+        return combined_electric(self.model_e, self.model_free)
 
     def _chi_numeric(self, model, k, rho):
         k = np.asarray(k, dtype=float)
@@ -557,24 +569,21 @@ class LaplaceResponse:
         by analytic continuation anywhere off its poles (contour methods need
         this); continuum-absorption models have a branch cut on the imaginary
         axis and refuse to continue."""
-        scalar = np.isscalar(rho) or np.asarray(rho).ndim == 0
+        scalar = np.ndim(rho) == 0
+        if not continued and np.any(np.real(rho) <= 0.0):
+            raise LeftHalfPlane("material response requires Re rho > 0")
         if model.is_zero:
-            shape = (1, 3, 3) if scalar else (np.asarray(rho).size, 3, 3)
-            out = np.zeros(shape, dtype=complex)
+            out = np.zeros((np.size(rho), 3, 3), dtype=complex)
         elif model.is_rational:
-            rat = chi_hat_rational(model)
-            vals = rat(np.atleast_1d(np.asarray(rho, dtype=complex)))
+            vals = chi_hat_rational(model)(np.atleast_1d(np.asarray(rho, dtype=complex)))
             out = vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
+        elif continued:
+            raise ValidationError(
+                "continuum-absorption response cannot be continued across "
+                "its imaginary-axis branch cut"
+            )
         else:
-            if continued:
-                raise ValidationError(
-                    "continuum-absorption response cannot be continued across "
-                    "its imaginary-axis branch cut"
-                )
-            self._check_rho(rho)
             out = self._chi_numeric(model, k, rho)
-        if not continued:
-            self._check_rho(rho)
         return out[0] if scalar else out
 
     def eps(self, k, rho, continued=False) -> np.ndarray:
@@ -584,28 +593,30 @@ class LaplaceResponse:
         return self.constants.mu0 * (IDENTITY3 + self.chi(self.model_m, k, rho, continued))
 
     def sigma(self, k, rho, continued=False) -> np.ndarray:
-        if self.sigma_evaluator is None:
-            return np.zeros((3, 3), dtype=complex)
-        return self.sigma_evaluator(k, rho, continued=continued)
+        """sigma_hat = eps0 rho chi_hat_free(k, rho); zero without a free part."""
+        if self.model_free is None:
+            return np.zeros(np.shape(rho) + (3, 3), dtype=complex)
+        r = np.asarray(rho, dtype=complex)[..., None, None]
+        return self.constants.eps0 * r * self.chi(self.model_free, k, rho, continued)
 
-    def rational_scalars(self, k=None):
+    def rational_scalars(self):
         """Scalar Rational pieces (eps_hat, mu_hat, sigma_hat) for the exact
         inverse-transform path. Requires rational isotropic models."""
         if not self.is_rational:
             raise ValidationError("laplace response is not rational; use the talbot path")
         eps_rat = (chi_hat_rational(self.model_e) + 1.0) * self.constants.eps0
         mu_rat = (chi_hat_rational(self.model_m) + 1.0) * self.constants.mu0
-        if self.sigma_evaluator is None:
+        if self.model_free is None:
             sigma_rat = Rational.constant(0.0)
         else:
-            sigma_rat = self.sigma_evaluator.as_rational()
+            sigma_rat = Rational.variable() * chi_hat_rational(self.model_free) * self.constants.eps0
         return eps_rat, mu_rat, sigma_rat
 
 
 def laplace_response(
     model_e,
     model_m,
-    sigma_evaluator=None,
+    model_free=None,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> LaplaceResponse:
@@ -614,7 +625,7 @@ def laplace_response(
         model_m=model_m,
         constants=constants,
         quad=quad,
-        sigma_evaluator=sigma_evaluator,
+        model_free=model_free,
     )
 
 

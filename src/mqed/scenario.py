@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .conductor import ConductorScenario, conductor_modes, q_kernel_consistency
+from .conductor import conductor_modes, q_kernel_consistency
 from .couplings import (
     _KINDS,
     ELECTRIC,
@@ -181,7 +181,7 @@ def _parse_value(section: str, key: str, value: str, line: int):
                 triples.append(tuple(comps))
             return triples
         if key == "commutator_t":
-            return value
+            return tuple(float(x) for x in value.split(","))
         if key in ("n_omega", "n_t", "reservoir_order", "kk_n_omega", "maxwell_n_t"):
             return int(value)
         return float(value)
@@ -228,11 +228,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
         except ParseError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad value for {key}: {exc}", lineno)
+            raise ValidationError(f"bad value on line {lineno}: {exc}", key=key)
 
     grids = {**_GRID_DEFAULTS, **sections["grids"]}
-    if isinstance(grids["k"], str):
-        grids["k"] = _parse_value("grids", "k", grids["k"], 0)
+    for key in ("k", "commutator_t"):
+        if isinstance(grids[key], str):
+            grids[key] = _parse_value("grids", key, grids[key], 0)
     numerics = {**_NUMERIC_DEFAULTS, **sections["numerics"]}
     output = {**_OUTPUT_DEFAULTS, **sections["output"]}
     config = ScenarioConfig(
@@ -250,6 +251,12 @@ def _validate(config: ScenarioConfig):
             raise ValidationError("tolerance must be positive", key=key)
     if config.numerics["laplace"] not in METHODS:
         raise ValidationError("unknown laplace method", key="laplace")
+    if config.numerics["seed"] < 0:
+        raise ValidationError("seed must be nonnegative", key="seed")
+    start = QuadratureSpec().start_order
+    if config.numerics["quad_max_order"] < start:
+        raise ValidationError(f"must be at least the start order {start}",
+                              key="quad_max_order")
     for key in ("n_omega", "n_t", "reservoir_order", "kk_n_omega", "maxwell_n_t"):
         if int(config.grids[key]) <= 1:
             raise ValidationError("grid sizes must exceed 1", key=key)
@@ -372,7 +379,10 @@ def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants)
     _finalize(manifest, out_dir, formats)
 
 
-def _conductor_scenario(config, model_e, constants, quad):
+def _conductor_response(config, model_e, constants, quad):
+    """The medium of the conductor stage: the bound electric part, the
+    configured Drude part as free carriers and no magnetic part; None when
+    no conductor part is configured."""
     kind = config.medium.get("conductor.kind")
     if kind in (None, "zero"):
         return None
@@ -380,10 +390,8 @@ def _conductor_scenario(config, model_e, constants, quad):
         config.medium["conductor.strength"], config.medium["conductor.width"],
         constants=constants,
     )
-    return ConductorScenario(
-        bound_electric=model_e, free_electric=free,
-        magnetic=zero_coupling(MAGNETIC), constants=constants, quad=quad,
-    )
+    return laplace_response(model_e, zero_coupling(MAGNETIC), model_free=free,
+                            constants=constants, quad=quad)
 
 
 def run_scenario(
@@ -402,7 +410,7 @@ def run_scenario(
     grids = config.grids
     model_e = config.model("electric", constants)
     model_m = config.model("magnetic", constants)
-    cond = _conductor_scenario(config, model_e, constants, quad)
+    cond = _conductor_response(config, model_e, constants, quad)
     rng = np.random.default_rng(int(num["seed"]))
     # one kernel representation per (medium, k), shared by the time-domain
     # consumers of this run
@@ -435,7 +443,7 @@ def run_scenario(
             tag = f"k{ik}"
             models = [m for m in (model_e, model_m) if not m.is_zero]
             if cond is not None:
-                models.append(cond.free_electric)
+                models.append(cond.model_free)
 
             if "chi" in stages:
                 with _Timer(manifest, f"chi_{tag}"):
@@ -462,15 +470,14 @@ def run_scenario(
             if "noise" in stages:
                 with _Timer(manifest, f"noise_{tag}"):
                     if not model_e.is_zero:
-                        rep = noise_commutator(model_e, "P", k, omega, constants=constants,
+                        rep = noise_commutator(model_e, k, omega, constants=constants,
                                                quad=quad, kernels=kernels)
                         manifest.add_check(f"fdt_P_{tag}", rep.max_rel_err, num["fdt_tol"])
                         emit(f"noise_P_{tag}.csv", write_deviation_csv, "omega", rep.grid,
                              _deviation_curve(rep), rep.lhs)
                         emit_report(f"noise_P_{tag}.json", rep)
-                        repj = noise_current_coefficient(model_e, k, omega, constants=constants,
-                                                         quad=quad, kernels=kernels)
-                        manifest.add_check(f"fdt_J_{tag}", repj.max_rel_err, num["fdt_tol"])
+                        manifest.add_check(f"fdt_J_{tag}", noise_current_coefficient(rep).max_rel_err,
+                                           num["fdt_tol"])
                         cont = pdot_continuity(model_e, k, constants=constants,
                                                dt=num["continuity_dt"], quad=quad,
                                                kernels=kernels)
@@ -484,7 +491,7 @@ def run_scenario(
                         manifest.add_check(f"constitutive_roundtrip_{tag}",
                                            roundtrip.residual, num["constitutive_tol"])
                     if not model_m.is_zero:
-                        rep = noise_commutator(model_m, "M", k, omega, constants=constants,
+                        rep = noise_commutator(model_m, k, omega, constants=constants,
                                                quad=quad, kernels=kernels)
                         manifest.add_check(f"fdt_M_{tag}", rep.max_rel_err, num["fdt_tol"])
                         emit(f"noise_M_{tag}.csv", write_deviation_csv, "omega", rep.grid,
@@ -506,9 +513,8 @@ def run_scenario(
                     )
                     t_modes = np.linspace(0.0, grids["t_max"], 81)
                     rep_field = field_representation(
-                        model_e, model_m, k, t_modes, nodes, weights,
-                        constants=constants, quad=quad, method=num["laplace"],
-                        response=response, kernels=kernels,
+                        response, k, t_modes, nodes, weights, method=num["laplace"],
+                        kernels=kernels,
                     )
                     mc = rep_field.plus
                     manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
@@ -524,16 +530,14 @@ def run_scenario(
 
             if "commutators" in stages:
                 with _Timer(manifest, f"commutators_{tag}"):
-                    t_set = [float(x) for x in str(grids["commutator_t"]).split(",")]
-                    t_set = [t_modes[np.argmin(np.abs(t_modes - ti))] for ti in t_set]
-                    baseline = field_representation(
-                        zero_coupling(ELECTRIC), zero_coupling(MAGNETIC), k,
-                        t_modes, nodes, weights, constants=constants, quad=quad,
-                    )
+                    t_set = [t_modes[np.argmin(np.abs(t_modes - ti))]
+                             for ti in grids["commutator_t"]]
+                    vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
+                                              constants=constants, quad=quad)
+                    baseline = field_representation(vacuum, k, t_modes, nodes, weights)
                     comm = equal_time_commutators(rep_field, t_set, baseline=baseline)
                     manifest.add_check(f"equal_time_commutator_{tag}", comm.max_rel_err,
-                                       num["commutator_tol"],
-                                       details={"ad_pair": comm.details["ad_pair_rel_dev"]})
+                                       num["commutator_tol"])
                     emit(f"commutator_equal_time_{tag}.csv", write_deviation_csv, "t",
                          comm.grid, _deviation_curve(comm), comm.lhs)
                     emit_report(f"commutator_equal_time_{tag}.json", comm)
@@ -550,9 +554,8 @@ def run_scenario(
                     nodes_r, weights_r = gauss_legendre(16, 0.0, res_cut)
                     picks = reservoir_picks(nodes_r.size, 2)
                     rep_res = field_representation(
-                        model_e, model_m, k, t_res, nodes_r[picks], weights_r[picks],
-                        constants=constants, quad=quad, method=num["laplace"],
-                        response=response, kernels=kernels,
+                        response, k, t_res, nodes_r[picks], weights_r[picks],
+                        method=num["laplace"], kernels=kernels,
                     )
                     res = maxwell_residual(rep_res, reservoir_samples=picks.size)
                     manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,
@@ -563,15 +566,14 @@ def run_scenario(
                     wq_cond, _ = gauss_legendre(
                         int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"]
                     )
-                    mc_c = conductor_modes(cond, k, t_grid[:: max(1, t_grid.size // 64)],
-                                           wq_cond, constants=constants)
+                    mc_c = conductor_modes(cond, k, t_grid[:: max(1, t_grid.size // 64)], wq_cond)
                     manifest.quadrature[f"conductor_{tag}"] = dict(mc_c.metadata)
                     manifest.add_check(
                         f"conductor_poles_{tag}",
                         float(mc_c.metadata.get("max_re_pole", 0.0)),
                         1e-10,
                     )
-                    qrep = q_kernel_consistency(cond, k, t_grid, constants=constants)
+                    qrep = q_kernel_consistency(cond, k, t_grid)
                     manifest.add_check(f"q_decomposition_{tag}", qrep.bound_sigma_residual,
                                        num["maxwell_tol"] * 10.0)
                     emit(f"conductor_gamma_{tag}.csv", write_tensor_series_csv, "t",

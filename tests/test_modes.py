@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ def lorentz_pair():
 def test_spec_validation():
     me, mm, resp = lorentz_pair()
     with pytest.raises(ValidationError):
-        mode_coefficients(resp, me, mm, K, [0.0, 1.0], [], method="bogus")
+        mode_coefficients(resp, K, [0.0, 1.0], [], method="bogus")
 
 
 def _talbot_sum(transform, t, n):
@@ -156,13 +158,8 @@ def test_invert_lambda_singular_on_dispersion_shell():
 
 
 def _conductor_response():
-    from mqed.conductor import ConductorScenario
-
-    return ConductorScenario(
-        bound_electric=lorentz_isotropic(1.0, 1.0, 0.4),
-        free_electric=drude(1.1, 0.5),
-        magnetic=zero_coupling("magnetic"),
-    ).response()
+    return laplace_response(lorentz_isotropic(1.0, 1.0, 0.4), zero_coupling("magnetic"),
+                            model_free=drude(1.1, 0.5))
 
 
 _BATCH_RESPONSES = {
@@ -179,11 +176,9 @@ def test_batched_lambda_equals_stacked_scalar_calls(medium):
     rng = np.random.default_rng(41)
     k = rng.standard_normal(3)
     rho = rng.uniform(0.1, 4.0, 9) + 1j * rng.uniform(-6.0, 6.0, 9)
-    conductor = medium == "conductor"
     for sign in (+1, -1):
-        lam = assemble_lambda(resp, k, rho, conductor=conductor, curl_sign=sign)
-        one = np.stack([assemble_lambda(resp, k, r, conductor=conductor, curl_sign=sign).value
-                        for r in rho])
+        lam = assemble_lambda(resp, k, rho, curl_sign=sign)
+        one = np.stack([assemble_lambda(resp, k, r, curl_sign=sign).value for r in rho])
         assert lam.value.shape == (9, 6, 6)
         assert np.array_equal(lam.rho, rho)
         if medium != "gaussian":
@@ -239,20 +234,17 @@ def test_lambda_reality_scan_one_batched_call_per_k_sign(monkeypatch):
 
 
 def test_conductor_block_substitution():
-    from mqed.conductor import ConductorScenario
-
-    scenario = ConductorScenario(
-        bound_electric=lorentz_isotropic(1.0, 1.0, 0.4),
-        free_electric=drude(1.1, 0.5),
-        magnetic=zero_coupling("magnetic"),
-    )
-    resp = scenario.response()
-    rho = 0.9
-    lam_d = assemble_lambda(resp, K, rho, conductor=False)
-    lam_c = assemble_lambda(resp, K, rho, conductor=True)
-    sigma = resp.sigma(K, rho)
-    assert np.max(np.abs(lam_c.value[3:, :3] - lam_d.value[3:, :3] - sigma)) < 1e-14
-    assert np.allclose(lam_c.value[:3, :3], lam_d.value[:3, :3])
+    # the free part adds exactly sigma_hat to the lower-left block and
+    # touches nothing else, for one rho and for a stack
+    resp = _conductor_response()
+    for rho in (0.9, np.array([0.9, 1.5 + 2.0j])):
+        lam_d = assemble_lambda(replace(resp, model_free=None), K, rho).value
+        lam_c = assemble_lambda(resp, K, rho).value
+        sigma = resp.sigma(K, rho)
+        assert np.max(np.abs(sigma)) > 0.0
+        assert np.array_equal(lam_c[..., 3:, :3], lam_d[..., 3:, :3] + sigma)
+        lam_c[..., 3:, :3] = lam_d[..., 3:, :3]
+        assert np.array_equal(lam_c, lam_d)
 
 
 def test_lambda_reality_scan_media():
@@ -282,8 +274,7 @@ def test_lambda_reality_scan_flags_violation():
 def test_vacuum_mode_coefficients_closed_forms():
     resp = vacuum_response()
     t = np.linspace(0.0, 10.0, 41)
-    mc = mode_coefficients(resp, zero_coupling("electric"), zero_coupling("magnetic"),
-                           K, t, [])
+    mc = mode_coefficients(resp, K, t, [])
     p_t = transverse_projector(K)
     p_l = longitudinal_projector(K)
     o = curl_symbol(K)
@@ -300,8 +291,7 @@ def test_vacuum_mode_coefficients_closed_forms():
 def test_vacuum_reservoir_coefficients_vanish():
     resp = vacuum_response()
     t = np.linspace(0.0, 5.0, 11)
-    mc = mode_coefficients(resp, zero_coupling("electric"), zero_coupling("magnetic"),
-                           K, t, [0.5, 1.5])
+    mc = mode_coefficients(resp, K, t, [0.5, 1.5])
     for name in ("zeta", "eta", "zeta_tilde", "eta_tilde"):
         assert np.max(np.abs(getattr(mc, name))) == 0.0
 
@@ -310,7 +300,7 @@ def test_medium_initial_values():
     me, mm, resp = lorentz_pair()
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
-    mc = mode_coefficients(resp, me, mm, K, t, wq)
+    mc = mode_coefficients(resp, K, t, wq)
     f_q = eval_coupling_batch(me, wq, K)
     g_q = eval_coupling_batch(mm, wq, K)
     assert np.max(np.abs(mc.gamma[0] - np.eye(3))) < 1e-12
@@ -328,7 +318,7 @@ def test_initial_value_theorem_vs_small_time():
     lam2 = np.linalg.inv(assemble_lambda(resp, K, 2.0 * rho_big, curl_sign=-1).value)
     limit = 2.0 * (2.0 * rho_big * lam2) - rho_big * lam1
     t = np.array([0.0, 1e-6])
-    mc = mode_coefficients(resp, me, mm, K, t, [])
+    mc = mode_coefficients(resp, K, t, [])
     assert np.max(np.abs(mc.gamma[1] - limit[:3, 3:])) < 1e-6
     # xi has a vanishing t -> 0 limit; the comparison floor is its O(t) slope
     assert np.max(np.abs(mc.xi[1] + limit[:3, :3])) < 2e-6
@@ -338,8 +328,8 @@ def test_dual_method_agreement_lorentz():
     me, mm, resp = lorentz_pair()
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
-    a = mode_coefficients(resp, me, mm, K, t, wq)
-    b = mode_coefficients(resp, me, mm, K, t, wq, method="talbot")
+    a = mode_coefficients(resp, K, t, wq)
+    b = mode_coefficients(resp, K, t, wq, method="talbot")
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
@@ -348,14 +338,13 @@ def test_dual_method_agreement_lorentz():
 
 
 def test_talbot_matches_rational_on_conductor():
-    from mqed.conductor import ConductorScenario, conductor_modes
+    from mqed.conductor import conductor_modes
 
-    scenario = ConductorScenario(lorentz_isotropic(1.0, 1.0, 0.4), drude(1.1, 0.5),
-                                 zero_coupling("magnetic"))
+    resp = _conductor_response()
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
-    a = conductor_modes(scenario, K, t, wq)
-    b = conductor_modes(scenario, K, t, wq, method="talbot")
+    a = conductor_modes(resp, K, t, wq)
+    b = conductor_modes(resp, K, t, wq, method="talbot")
     assert a.metadata["method"] == "rational_exact" and b.metadata["method"] == "talbot"
     assert b.metadata["conductor"] and b.metadata["worst_rcond"] > 0.0
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "eta", "eta_tilde"):
@@ -372,7 +361,7 @@ def test_talbot_rejects_continuum_absorption():
     mg = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     resp = laplace_response(mg, zero_coupling("magnetic"))
     with pytest.raises(ValidationError):
-        mode_coefficients(resp, mg, zero_coupling("magnetic"), K,
+        mode_coefficients(resp, K,
                           np.linspace(0.0, 2.0, 3), [], method="talbot")
 
 
@@ -380,8 +369,8 @@ def test_line_method_matches_rational_on_rational_medium():
     me, mm, resp = lorentz_pair()
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3])
-    a = mode_coefficients(resp, me, mm, K, t, wq)
-    b = mode_coefficients(resp, me, mm, K, t, wq, method="bromwich_line")
+    a = mode_coefficients(resp, K, t, wq)
+    b = mode_coefficients(resp, K, t, wq, method="bromwich_line")
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
@@ -394,7 +383,7 @@ def test_gaussian_medium_line_path_initial_data():
     resp = laplace_response(mg, zero_coupling("magnetic"))
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
-    mc = mode_coefficients(resp, mg, zero_coupling("magnetic"), K, t, wq)
+    mc = mode_coefficients(resp, K, t, wq)
     assert mc.metadata["method"] == "bromwich_line"
     f_q = eval_coupling_batch(mg, wq, K)
     assert np.max(np.abs(mc.gamma[0] - np.eye(3))) < 1e-5
@@ -404,7 +393,7 @@ def test_gaussian_medium_line_path_initial_data():
 def test_drude_poles_flagged_stable():
     md = drude(1.1, 0.5)
     resp = laplace_response(md, zero_coupling("magnetic"))
-    mc = mode_coefficients(resp, md, zero_coupling("magnetic"), K,
+    mc = mode_coefficients(resp, K,
                            np.linspace(0.0, 5.0, 6), [0.9])
     assert mc.metadata["unstable_poles"] == 0
     assert mc.metadata["max_re_pole"] <= 1e-10
@@ -415,7 +404,7 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     once, Lambda assembled point by point, and the grid-halving estimate
     from a strided copy of the table."""
     vac = vacuum_response()
-    v = modes._rational_mode_path(vac, me, mm, k, t, wq, NATURAL)
+    v = modes._rational_mode_path(vac, me, mm, k, t, wq)
     y_top, n_y = meta["line_halfwidth"], meta["line_points"]
     y = np.linspace(-y_top, y_top, n_y)
     rho = meta["line_abscissa"] + 1j * y
@@ -455,11 +444,11 @@ def _check_line_chunks_against_dense(monkeypatch, t):
     me, mm, resp = lorentz_pair()
     wq = np.array([0.6, 1.7, 2.3])
     method = "bromwich_line"
-    n_y = mode_coefficients(resp, me, mm, K, t, wq[:1], method=method).metadata["line_points"]
+    n_y = mode_coefficients(resp, K, t, wq[:1], method=method).metadata["line_points"]
     # 18 t rows per chunk (18, 18, 5) and 2 reservoir nodes per column chunk
     # (2, 1): both last chunks ragged
     monkeypatch.setattr(modes, "_TABLE_ELEMENTS", 18 * n_y + 3)
-    mc = mode_coefficients(resp, me, mm, K, t, wq, method=method)
+    mc = mode_coefficients(resp, K, t, wq, method=method)
     assert mc.metadata["line_points"] == n_y
     ref, est = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
     for name, want in ref.items():

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from mqed.couplings import (
     apply_gauge,
@@ -9,7 +8,6 @@ from mqed.couplings import (
     random_orthogonal_gauge,
     zero_coupling,
 )
-from mqed.errors import ValidationError
 from mqed import noise
 from mqed.noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from mqed.quadrature import QuadratureSpec
@@ -20,30 +18,25 @@ OMEGA = np.linspace(0.1, 5.0, 80)
 
 
 def test_zero_coupling_gives_zero_sides():
-    report = noise_commutator(zero_coupling(), "P", K, OMEGA)
+    report = noise_commutator(zero_coupling(), K, OMEGA)
     assert np.allclose(report.lhs, 0.0)
     assert np.allclose(report.rhs, 0.0)
 
 
 def test_lorentz_fdt_electric():
-    report = noise_commutator(lorentz_isotropic(1.3, 1.0, 0.5), "P", K, OMEGA)
+    report = noise_commutator(lorentz_isotropic(1.3, 1.0, 0.5), K, OMEGA)
     assert report.max_rel_err < 1e-5
 
 
 def test_lorentz_fdt_magnetic():
     report = noise_commutator(
-        lorentz_isotropic(0.8, 1.4, 0.6, which="magnetic"), "M", K, OMEGA
+        lorentz_isotropic(0.8, 1.4, 0.6, which="magnetic"), K, OMEGA
     )
     assert report.max_rel_err < 1e-5
 
 
-def test_sector_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        noise_commutator(lorentz_isotropic(1.0, 1.0, 0.5), "M", K, OMEGA)
-
-
 def test_lhs_hermitian_psd():
-    report = noise_commutator(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5), "P", K, OMEGA)
+    report = noise_commutator(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5), K, OMEGA)
     herm = np.max(np.abs(report.lhs - np.conj(np.transpose(report.lhs, (0, 2, 1)))))
     assert herm < 1e-12
     assert float(np.min(np.linalg.eigvalsh(report.lhs))) >= -1e-12
@@ -51,17 +44,17 @@ def test_lhs_hermitian_psd():
 
 def test_gauge_invariance_of_commutator():
     model = lorentz_isotropic(1.3, 1.0, 0.5)
-    base = noise_commutator(model, "P", K, OMEGA)
+    base = noise_commutator(model, K, OMEGA)
     for seed in range(3):
         gauge = random_orthogonal_gauge(np.random.default_rng(seed))
-        gauged = noise_commutator(apply_gauge(model, gauge), "P", K, OMEGA)
+        gauged = noise_commutator(apply_gauge(model, gauge), K, OMEGA)
         assert np.max(np.abs(base.lhs - gauged.lhs)) < 1e-12
 
 
 def test_noise_current_ratio_is_omega_squared():
     model = drude(1.1, 0.5)
-    rep_p = noise_commutator(model, "P", K, OMEGA)
-    rep_j = noise_current_coefficient(model, K, OMEGA)
+    rep_p = noise_commutator(model, K, OMEGA)
+    rep_j = noise_current_coefficient(rep_p)
     mask = np.abs(rep_p.lhs) > 1e-14 * np.max(np.abs(rep_p.lhs))
     ratio = rep_j.lhs[mask] / rep_p.lhs[mask]
     expected = np.broadcast_to((OMEGA**2)[:, None, None], rep_p.lhs.shape)[mask]
@@ -69,7 +62,8 @@ def test_noise_current_ratio_is_omega_squared():
 
 
 def test_noise_current_fdt():
-    report = noise_current_coefficient(lorentz_isotropic(1.3, 1.0, 0.5), K, OMEGA)
+    rep_p = noise_commutator(lorentz_isotropic(1.3, 1.0, 0.5), K, OMEGA)
+    report = noise_current_coefficient(rep_p)
     assert report.max_rel_err < 1e-5
 
 

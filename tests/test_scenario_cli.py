@@ -292,3 +292,31 @@ def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
     assert code == 0
     assert out.count("[PASS]") == 13
     assert "[FAIL]" not in out
+
+
+def test_cli_conductor_bundled_config(tmp_path, capsys):
+    # the free-carrier pathway end to end: one response carries the bound
+    # and the Drude part
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "conductor.cfg")
+    code = main(["conductor", "--config", config, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS] conductor_poles_k0" in out
+    assert "[PASS] q_decomposition_k0" in out
+    assert (tmp_path / "conductor_gamma_k0.csv").is_file()
+
+
+@pytest.mark.parametrize("section, line", [
+    ("grids", "commutator_t = 0,x"),
+    ("numerics", "seed = -3"),
+    ("numerics", "quad_max_order = 100"),
+])
+def test_cli_bad_config_value_exits_before_any_stage(tmp_path, capsys, section, line):
+    out_dir = tmp_path / "out"
+    text = LORENTZ_CFG.replace("PLACEHOLDER", str(out_dir)) + f"\n[{section}]\n{line}\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg)]) == 1
+    key = line.split(" = ")[0]
+    assert f"config error: key '{key}'" in capsys.readouterr().err
+    assert not out_dir.exists()
