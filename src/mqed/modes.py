@@ -26,6 +26,7 @@ deformation. Their numerical controls are the module constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .rational import Rational, ilt_rational, partial_fractions
-from .response import _TABLE_ELEMENTS, LaplaceResponse, laplace_response, uniform_step
+from .response import _TABLE_ELEMENTS, LaplaceResponse, _fft_size, laplace_response, uniform_step
 from .tensors import (
     curl_symbol,
     longitudinal_projector,
@@ -448,6 +449,43 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q):
     )
 
 
+def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
+    """cols -> exp(outer(t, rho)) @ cols for a uniform t (step h) and line
+    rho_j = a + i y_j (step dy), by Bluestein's chirp-z transform in
+    O((n_t + n_y) log) per column. With m and j counted from the middles of
+    their grids (which keeps the chirp phases small where the line has its
+    weight, near y = 0) and the chirp w_n = exp(i h dy n^2 / 2),
+
+        exp(t_m rho_j) = exp(t_m (a + i y_c)) w_m conj(w_(m - j)) w_j exp(i t_c j dy):
+
+    one FFT convolution with conj(w) between a row and a column factor, on
+    column blocks of at most `_TABLE_ELEMENTS` entries."""
+    n_t, n_y = t.size, rho.size
+    dy = (rho[-1].imag - rho[0].imag) / (n_y - 1)
+    theta = 0.5 * h * dy
+    m_c, j_c = (n_t - 1) // 2, (n_y - 1) // 2
+    size = _fft_size(n_t + n_y - 1)
+    # conj(w) at m - j upwards from j_c - m_c - (n_y - 1): the sum for row m
+    # is entry m + n_y - 1 of the linear convolution
+    n = np.arange(n_t + n_y - 1.0) - (n_y - 1 - j_c + m_c)
+    kernel = np.fft.fft(np.exp(-1j * theta * (n * n)), size)[:, None]
+    j = np.arange(n_y) - j_c
+    col_fold = np.exp(1j * theta * (j * j) + (1j * t[m_c] * dy) * j)[:, None]
+    m = np.arange(n_t) - m_c
+    row_fold = np.exp(1j * theta * (m * m) + t * (rho[0].real + 1j * rho[j_c].imag))[:, None]
+    step = max(1, _TABLE_ELEMENTS // size)
+
+    def line_sum(cols: np.ndarray) -> np.ndarray:
+        out = np.empty((n_t, cols.shape[1]), dtype=complex)
+        for c0 in range(0, cols.shape[1], step):
+            spec = np.fft.fft(col_fold * cols[:, c0 : c0 + step], size, axis=0)
+            spec *= kernel
+            out[:, c0 : c0 + step] = row_fold * np.fft.ifft(spec, axis=0)[n_y - 1 : n_y - 1 + n_t]
+        return out
+
+    return line_sum
+
+
 def _line_mode_path(response, model_f, model_g, k, t, omega_q):
     """Vacuum-subtracted Bromwich-line inversion for continuum-absorption
     media.
@@ -457,6 +495,9 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q):
     which decays like |rho|^-3 along the line Re rho = a, is integrated
     numerically. All material evaluations stay in Re rho > 0, so the
     imaginary-axis branch cut of the absorption continuum is never crossed.
+
+    The line sums take the phase table exp(t rho_j) in row chunks of
+    `_TABLE_ELEMENTS`, or `_chirp_z` on a uniform grid longer than one chunk.
     """
     constants = response.constants
     vac = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
@@ -503,38 +544,29 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q):
     fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
     q_step = max(1, _TABLE_ELEMENTS // (9 * n_y))
 
-    # phase table exp(t rho_j) in t-row chunks of bounded size. On a uniform
-    # grid, t[start + i] = t[i] + start h, so every chunk reuses the first
-    # chunk's table, with the factor exp(start h rho_j) folded into the
-    # right-hand sides: n_y (72 + n_q) multiplies per chunk instead of a
-    # complex exp per table entry
-    base = np.empty((t.size, 36), dtype=complex)
-    halving = 0.0
-    rows = max(1, _TABLE_ELEMENTS // n_y)
-    h = uniform_step(t)
-    table = None
-    for start in range(0, t.size, rows):
-        sl = slice(start, start + rows)
-        if h is None or table is None:
-            table = np.multiply.outer(t[sl], rho)
-            np.exp(table, out=table)
-            lhs, rhs_c, fac_c = table, rhs, fac_d
-        else:
-            shift = np.exp((start * h) * rho)[:, None]
-            lhs = table[: t[sl].size]
-            rhs_c, fac_c = shift * rhs, shift * fac_d
-        both = lhs @ rhs_c
-        base[sl] = both[:, :36]
-        halving = max(halving, float(np.max(np.abs(both[:, :36] - both[:, 36:]))))
+    both = np.empty((t.size, 72), dtype=complex)
+
+    def line_sums(rows, line_sum):
+        both[rows] = line_sum(rhs)
         for name in res_names:
             for q0 in range(0, n_q, q_step):
                 qs = slice(q0, q0 + q_step)
-                scaled = fac_c[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
-                part = (lhs @ scaled.reshape(n_y, -1)).reshape(lhs.shape[0], -1, 3, 3)
-                conv[name][qs, sl] = part.swapaxes(0, 1)
-    base = base.reshape(t.size, 6, 6)
+                scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
+                part = line_sum(scaled.reshape(n_y, -1))
+                conv[name][qs, rows] = part.reshape(part.shape[0], -1, 3, 3).swapaxes(0, 1)
+
+    rows = max(1, _TABLE_ELEMENTS // n_y)
+    h = uniform_step(t)
+    if h is not None and t.size > rows:
+        line_sums(slice(None), _chirp_z(t, h, rho))
+    else:
+        for start in range(0, t.size, rows):
+            table = np.multiply.outer(t[start : start + rows], rho)
+            np.exp(table, out=table)
+            line_sums(slice(start, start + rows), partial(np.matmul, table))
+    base = both[:, :36].reshape(t.size, 6, 6)
     scale = max(float(np.max(np.abs(base[:, :3, 3:]))), 1e-30)
-    est = halving / scale
+    est = float(np.max(np.abs(both[:, :36] - both[:, 36:]))) / scale
     if est > _LINE_RTOL:
         raise TalbotNotConverged(
             f"bromwich line grid-halving estimate {est:g} above {_LINE_RTOL:g}"

@@ -10,16 +10,18 @@ coefficient channel must satisfy the transformed Maxwell system on its own,
 and the equal-time commutators assembled from the channels must be
 medium-independent; both statements are checked numerically here. A
 representation reads the medium from one `LaplaceResponse`: its Lambda
-system, its reservoir couplings and its memory kernels.
+system, its reservoir couplings and its memory kernels. It holds the +k
+channels; the commutators solve -k at their own times only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .couplings import CombinedElectric
 from .errors import ValidationError
 from .modes import ModeCoefficients, mode_coefficients
 from .noise import CommutatorReport, _kernel, _relative_deviation
@@ -29,6 +31,7 @@ from .response import (
     _TABLE_ELEMENTS,
     KernelStore,
     LaplaceResponse,
+    _fft_size,
     block_tensors,
     chi_hat_rational,
     finite_difference_time,
@@ -61,12 +64,9 @@ class FieldSide:
 
 @dataclass(frozen=True)
 class FieldOperatorRepresentation:
-    """Coefficient families of E and H at one wave vector.
-
-    The delta-normalized commutators fold +k and -k together, so both sides
-    are available through `side(sign)`; each is built when first read, and
-    the memory kernels (read only by the Maxwell residual, at +k) likewise.
-    """
+    """Coefficient families of E and H at one wave vector: the +k channels
+    on the whole t grid, and the memory kernels (read only by the Maxwell
+    residual) when first read."""
 
     k: np.ndarray
     t_grid: np.ndarray
@@ -74,26 +74,11 @@ class FieldOperatorRepresentation:
     omega_q_weights: np.ndarray
     response: LaplaceResponse
     method: str
-    kernels: KernelStore | None
-    _sides: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def side(self, sign: int) -> FieldSide:
-        """The channels at sign * k (sign = +1 or -1)."""
-        if sign not in self._sides:
-            kk = sign * self.k
-            mc = mode_coefficients(self.response, kk, self.t_grid, self.omega_q_grid,
-                                   method=self.method)
-            self._sides[sign] = _assemble_side(mc, kk, self.constants, self.t_grid,
-                                               self.omega_q_grid)
-        return self._sides[sign]
+    side: FieldSide
 
     @property
     def plus(self) -> ModeCoefficients:
-        return self.side(+1).coeffs
-
-    @property
-    def minus(self) -> ModeCoefficients:
-        return self.side(-1).coeffs
+        return self.side.coeffs
 
     @property
     def constants(self) -> PhysicalConstants:
@@ -152,16 +137,24 @@ def _assemble_side(coeffs: ModeCoefficients, sign_k, constants, t_grid, omega_q)
 
 
 def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
-    """Susceptibility kernel values of `model` on the representation's t grid
-    for the constitutive convolutions, matched to the representation the
-    mode solver uses (closed form for rational media, quadrature otherwise)."""
+    """The chi(t) of `model` on the representation's t grid whose transform
+    the mode solver inverted: closed form for rational media, else the
+    response's Laplace representation at +k (a combined coupling sums its parts)."""
     t = rep.t_grid
     if model.is_zero:
         return np.zeros((t.size, 3, 3), dtype=complex)
     if model.is_rational:
         vals, _, _ = ilt_rational(chi_hat_rational(model), t)
         return vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-    return _kernel(model, rep.k, t, rep.constants, rep.response.quad, rep.kernels).values
+    if isinstance(model, CombinedElectric):
+        return _memory_kernel(model.bound, rep) + _memory_kernel(model.free, rep)
+    return rep.response.laplace_rep(model, rep.k).kernel_values(t)
+
+
+def _side(response: LaplaceResponse, k, t, omega_q, method: str) -> FieldSide:
+    """The E and H channels at k on the (t, omega_q) grids."""
+    mc = mode_coefficients(response, k, t, omega_q, method=method)
+    return _assemble_side(mc, k, response.constants, t, omega_q)
 
 
 def field_representation(
@@ -171,47 +164,46 @@ def field_representation(
     omega_q_grid,
     omega_q_weights,
     method: str = "auto",
-    kernels: KernelStore | None = None,
 ) -> FieldOperatorRepresentation:
     """The coefficient representation of E and H in the medium `response` at
-    one k, with the +k side built; the -k side and the memory kernels are
-    built when first read.
-
-    The run's `response` shares its Laplace-domain chi_hat between calls, and
-    the run's `kernels` store shares the memory kernels."""
+    one k, with the +k channels built; the memory kernels are built when
+    first read. The run's `response` shares its Laplace-domain chi_hat
+    between calls."""
     k = np.asarray(k, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
     omega_q = np.asarray(omega_q_grid, dtype=float)
     weights = np.asarray(omega_q_weights, dtype=float)
     if omega_q.shape != weights.shape:
         raise ValidationError("omega_q grid and weights must align")
-    rep = FieldOperatorRepresentation(
-        k=k,
-        t_grid=np.asarray(t_grid, dtype=float),
-        omega_q_grid=omega_q,
-        omega_q_weights=weights,
-        response=response,
-        method=method,
-        kernels=kernels,
-    )
-    rep.side(+1)
-    return rep
+    return FieldOperatorRepresentation(k, t, omega_q, weights, response, method,
+                                       _side(response, k, t, omega_q, method))
 
 
-def _eh_coefficient(rep: FieldOperatorRepresentation, it: int) -> np.ndarray:
-    """delta-normalized coefficient of [E_i(k, t), H_j^dag(k', t)] at one
-    time index (before the i-normalization of the report)."""
-    p, m = rep.side(+1), rep.side(-1)
-    ph = np.einsum("la,lb->ab", p.photon_E[:, it], np.conj(p.photon_H[:, it])) - np.einsum(
-        "la,lb->ab", np.conj(m.photon_E[:, it]), m.photon_H[:, it]
+def _eh_coefficient(p: FieldSide, m: FieldSide, ip: int, im: int, wq: np.ndarray) -> np.ndarray:
+    """delta-normalized coefficient of [E_i(k, t), H_j^dag(k', t)] from +k
+    channels `p` at time index ip and -k channels `m` at index im, before the
+    i-normalization; wq holds the reservoir weights times the radial measure."""
+    ph = np.einsum("la,lb->ab", p.photon_E[:, ip], np.conj(p.photon_H[:, ip])) - np.einsum(
+        "la,lb->ab", np.conj(m.photon_E[:, im]), m.photon_H[:, im]
     )
-    wq = rep.omega_q_weights * rep.radial_measure
     res = np.zeros((3, 3), dtype=complex)
-    for e_name, h_name in (("res_E_d", "res_H_d"), ("res_E_b", "res_H_b")):
-        ep, hp = getattr(p, e_name), getattr(p, h_name)
-        em, hm = getattr(m, e_name), getattr(m, h_name)
-        res += np.einsum("nqa,q,nqb->ab", ep[:, :, it], wq, np.conj(hp[:, :, it]))
-        res -= np.einsum("nqa,q,nqb->ab", np.conj(em[:, :, it]), wq, hm[:, :, it])
+    for e, h in (("res_E_d", "res_H_d"), ("res_E_b", "res_H_b")):
+        ep, hp, em, hm = getattr(p, e), getattr(p, h), getattr(m, e), getattr(m, h)
+        res += np.einsum("nqa,q,nqb->ab", ep[:, :, ip], wq, np.conj(hp[:, :, ip]))
+        res -= np.einsum("nqa,q,nqb->ab", np.conj(em[:, :, im]), wq, hm[:, :, im])
     return TWO_PI_CUBED * (ph + res)
+
+
+def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray) -> np.ndarray:
+    """The i-normalized [E, H^dag] coefficients at the times t_set, which must
+    lie on the representation's t grid: +k is read from `rep`, -k is solved
+    at those times only."""
+    idx = [int(np.argmin(np.abs(rep.t_grid - ti))) for ti in t_set]
+    if any(abs(rep.t_grid[i] - ti) > 1e-9 * max(1.0, abs(ti)) for i, ti in zip(idx, t_set)):
+        raise ValidationError("t_set must be drawn from the representation t_grid")
+    minus = _side(rep.response, -rep.k, rep.t_grid[idx], rep.omega_q_grid, rep.method)
+    wq = rep.omega_q_weights * rep.radial_measure
+    return np.stack([_eh_coefficient(rep.side, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
 
 
 def vacuum_eh_coefficient(rep: FieldOperatorRepresentation) -> np.ndarray:
@@ -229,17 +221,14 @@ def equal_time_commutators(
 ) -> CommutatorReport:
     """Equal-time [E, H^dag] coefficients against the vacuum baseline.
 
-    The baseline defaults to the vacuum representation assembled through the
-    same pipeline on the same grids; its analytic value is
-    i hbar c^2 x (curl matrix).
+    The -k channels are solved at the times t_set, which must lie on the t
+    grid of `rep` and of the vacuum `baseline` (which may hold just t_set);
+    without a baseline the target is the analytic i hbar c^2 x (curl matrix).
     """
     t_set = np.atleast_1d(np.asarray(t_set, dtype=float))
-    idx = [int(np.argmin(np.abs(rep.t_grid - ti))) for ti in t_set]
-    if any(abs(rep.t_grid[i] - ti) > 1e-9 * max(1.0, abs(ti)) for i, ti in zip(idx, t_set)):
-        raise ValidationError("t_set must be drawn from the representation t_grid")
-    lhs = np.stack([_eh_coefficient(rep, i) / 1j for i in idx])
+    lhs = _eh_coefficients(rep, t_set)
     if baseline is not None:
-        rhs = np.stack([_eh_coefficient(baseline, i) / 1j for i in idx])
+        rhs = _eh_coefficients(baseline, t_set)
     else:
         rhs = np.broadcast_to(vacuum_eh_coefficient(rep), lhs.shape).copy()
     return CommutatorReport(
@@ -251,19 +240,6 @@ def equal_time_commutators(
         max_rel_err=_relative_deviation(lhs, rhs),
         details={"n_reservoir": int(rep.omega_q_grid.size)},
     )
-
-
-def _fft_size(n: int) -> int:
-    """Smallest 11-smooth length >= n, which pocketfft transforms fast."""
-    m = n
-    while True:
-        r = m
-        for p in (2, 3, 5, 7, 11):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return m
-        m += 1
 
 
 def _convolver(chi_vals: np.ndarray, h: float):
@@ -321,7 +297,7 @@ def maxwell_residual(
     o = curl_symbol(rep.k)
     conv_e = _convolver(rep.chi_e, h)
     conv_m = _convolver(rep.chi_m, h)
-    side = rep.side(+1)
+    side = rep.side
     channels = {}
 
     def record(name, e_ch, h_ch, p_noise=None, m_noise=None):
@@ -473,7 +449,7 @@ def vacuum_spectrum(
     delta = np.asarray(r_offset, dtype=float)
     wq = rep.omega_q_weights * rep.radial_measure
     phase = np.exp(1j * float(rep.k @ delta))
-    side = rep.side(+1)
+    side = rep.side
     e_ph = side.photon_E[:, it]
     gram = np.einsum("la,lb->ab", e_ph, np.conj(e_ph))
     for sector in (side.res_E_d, side.res_E_b):

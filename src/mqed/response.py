@@ -96,6 +96,19 @@ def block_tensors(block: np.ndarray) -> np.ndarray:
     return (block[:, :9] + 1j * block[:, 9:]).reshape(-1, 3, 3)
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 11-smooth length >= n, which pocketfft transforms fast."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def uniform_step(t: np.ndarray):
     """h when t[j] = t[0] + j h to within a few ulp of max |t| for every j,
     else None."""
@@ -547,7 +560,10 @@ class LaplaceResponse:
         """The electric coupling of the reservoir: bound and free parts."""
         return combined_electric(self.model_e, self.model_free)
 
-    def _chi_numeric(self, model, k, rho):
+    def laplace_rep(self, model, k) -> QuadRep:
+        """The representation chi_hat of the continuum `model` at k is
+        evaluated from, built on first use. Its kernel values are the chi(t)
+        whose transform the mode solver inverts."""
         k = np.asarray(k, dtype=float)
         key = (model, tuple(k))
         rep = self._rep_cache.get(key)
@@ -561,8 +577,7 @@ class LaplaceResponse:
                 rep.nodes[None, :] / (probe[:, None] ** 2 + rep.nodes[None, :] ** 2)
             ))
             self._rep_cache[key] = rep
-        rho = np.atleast_1d(np.asarray(rho, dtype=complex))
-        return rep.contract(rep.nodes[None, :] / (rho[:, None] ** 2 + rep.nodes[None, :] ** 2))
+        return rep
 
     def chi(self, model, k, rho, continued=False) -> np.ndarray:
         """chi_hat(k, rho). With continued=True a rational model is evaluated
@@ -572,10 +587,11 @@ class LaplaceResponse:
         scalar = np.ndim(rho) == 0
         if not continued and np.any(np.real(rho) <= 0.0):
             raise LeftHalfPlane("material response requires Re rho > 0")
+        rho = np.atleast_1d(np.asarray(rho, dtype=complex))
         if model.is_zero:
-            out = np.zeros((np.size(rho), 3, 3), dtype=complex)
+            out = np.zeros((rho.size, 3, 3), dtype=complex)
         elif model.is_rational:
-            vals = chi_hat_rational(model)(np.atleast_1d(np.asarray(rho, dtype=complex)))
+            vals = chi_hat_rational(model)(rho)
             out = vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
         elif continued:
             raise ValidationError(
@@ -583,7 +599,13 @@ class LaplaceResponse:
                 "its imaginary-axis branch cut"
             )
         else:
-            out = self._chi_numeric(model, k, rho)
+            rep = self.laplace_rep(model, k)
+            out = np.empty((rho.size, 3, 3), dtype=complex)
+            # near-equal bounded chunks: no lone row (gemv rounds apart from gemm) unless n = 1
+            chunks = -(-rho.size // max(1, _TABLE_ELEMENTS // rep.nodes.size))
+            n2 = rep.nodes[None, :] ** 2
+            for r, o in zip(np.array_split(rho, chunks), np.array_split(out, chunks)):
+                o[...] = rep.contract(rep.nodes[None, :] / (r[:, None] ** 2 + n2))
         return out[0] if scalar else out
 
     def eps(self, k, rho, continued=False) -> np.ndarray:

@@ -269,6 +269,8 @@ def _validate(config: ScenarioConfig):
                 "maxwell_t_max"):
         if not config.grids[key] > 0.0:
             raise ValidationError("grid extents must be positive", key=key)
+    if not all(0.0 <= ti <= config.grids["t_max"] for ti in config.grids["commutator_t"]):
+        raise ValidationError("commutator times must lie in [0, t_max]", key="commutator_t")
     for section in ("electric", "magnetic", "conductor"):
         kind = config.medium.get(f"{section}.kind")
         if kind is not None and kind not in _KINDS:
@@ -514,7 +516,6 @@ def run_scenario(
                     t_modes = np.linspace(0.0, grids["t_max"], 81)
                     rep_field = field_representation(
                         response, k, t_modes, nodes, weights, method=num["laplace"],
-                        kernels=kernels,
                     )
                     mc = rep_field.plus
                     manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
@@ -534,7 +535,7 @@ def run_scenario(
                              for ti in grids["commutator_t"]]
                     vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
                                               constants=constants, quad=quad)
-                    baseline = field_representation(vacuum, k, t_modes, nodes, weights)
+                    baseline = field_representation(vacuum, k, t_set, nodes, weights)
                     comm = equal_time_commutators(rep_field, t_set, baseline=baseline)
                     manifest.add_check(f"equal_time_commutator_{tag}", comm.max_rel_err,
                                        num["commutator_tol"])
@@ -555,7 +556,7 @@ def run_scenario(
                     picks = reservoir_picks(nodes_r.size, 2)
                     rep_res = field_representation(
                         response, k, t_res, nodes_r[picks], weights_r[picks],
-                        method=num["laplace"], kernels=kernels,
+                        method=num["laplace"],
                     )
                     res = maxwell_residual(rep_res, reservoir_samples=picks.size)
                     manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,

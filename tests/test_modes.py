@@ -445,9 +445,13 @@ def _check_line_chunks_against_dense(monkeypatch, t):
     wq = np.array([0.6, 1.7, 2.3])
     method = "bromwich_line"
     n_y = mode_coefficients(resp, K, t, wq[:1], method=method).metadata["line_points"]
-    # 18 t rows per chunk (18, 18, 5) and 2 reservoir nodes per column chunk
-    # (2, 1): both last chunks ragged
+    # 18 t rows per table chunk (18, 18, 5) and 2 reservoir nodes per column
+    # chunk (2, 1): both last chunks ragged. A uniform grid of 41 > 18 rows
+    # goes through chirp-z instead, whose column blocks end ragged on the
+    # 72 base columns and on the 18 columns of two reservoir nodes
     monkeypatch.setattr(modes, "_TABLE_ELEMENTS", 18 * n_y + 3)
+    step = modes._TABLE_ELEMENTS // modes._fft_size(t.size + n_y - 1)
+    assert 72 % step and 18 % step
     mc = mode_coefficients(resp, K, t, wq, method=method)
     assert mc.metadata["line_points"] == n_y
     ref, est = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
@@ -461,7 +465,7 @@ def _check_line_chunks_against_dense(monkeypatch, t):
 
 
 def test_line_path_chunks_match_dense_reference(monkeypatch):
-    # uniform grid: the later chunks reuse the first chunk's phase table
+    # uniform grid: every line sum by chirp-z
     _check_line_chunks_against_dense(monkeypatch, np.linspace(0.0, 6.0, 41))
 
 
@@ -471,6 +475,6 @@ def test_line_path_chunks_match_dense_reference(monkeypatch):
     ids=["uniform_offset", "nonuniform"],
 )
 def test_line_path_chunks_match_dense_reference_other_grids(monkeypatch, t):
-    # a uniform grid that starts at t > 0, and a non-uniform one (a phase
-    # table per chunk)
+    # a uniform grid that starts at t > 0 (chirp-z with the t_0 fold), and
+    # a non-uniform one (a phase table per chunk)
     _check_line_chunks_against_dense(monkeypatch, t)

@@ -18,7 +18,7 @@ from mqed.observables import (
     vacuum_spectrum,
 )
 from mqed.quadrature import QuadratureSpec, gauss_legendre
-from mqed.response import laplace_response
+from mqed.response import chi_kernel, laplace_response
 from mqed.tensors import NATURAL, transverse_projector
 
 K = np.array([0.4, -0.3, 1.1])
@@ -163,28 +163,59 @@ def test_vacuum_spectrum_no_magnetic_reservoir_for_pure_dielectric():
     me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     t = np.linspace(0.0, 4.0, 9)
     rep = make_rep(me, zero_coupling("magnetic"), t, order=32)
-    assert np.max(np.abs(rep.side(+1).res_E_b)) == 0.0
+    assert np.max(np.abs(rep.side.res_E_b)) == 0.0
     assert np.max(np.abs(rep.plus.zeta)) == 0.0
 
 
-def test_minus_side_built_only_when_read(monkeypatch, lorentz_models):
+def test_minus_side_solved_once_at_commutator_times(monkeypatch, lorentz_models):
     calls = []
     build = observables.mode_coefficients
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((args[1], args[2]))
         return build(*args, **kwargs)
 
     monkeypatch.setattr(observables, "mode_coefficients", counted)
-    rep = make_rep(*lorentz_models, np.linspace(0.0, 2.0, 201), order=8)
+    t = np.linspace(0.0, 2.0, 201)
+    rep = make_rep(*lorentz_models, t, order=8)
     assert rep.plus.gamma.shape == (201, 3, 3)
+    assert len(calls) == 1
     maxwell_residual(rep, reservoir_samples=2)
     assert len(calls) == 1
-    assert rep.minus.gamma.shape == (201, 3, 3)
+    equal_time_commutators(rep, [0.0, 1.0, 2.0])
     assert len(calls) == 2
-    assert np.array_equal(calls[1], -calls[0])
-    equal_time_commutators(rep, [0.0, 1.0])
-    assert len(calls) == 2
+    k_minus, t_minus = calls[1]
+    assert np.array_equal(k_minus, -calls[0][0])
+    assert np.array_equal(t_minus, t[[0, 100, 200]])
+
+
+def test_commutators_equal_full_grid_minus_side(lorentz_rep):
+    # the -k channels on the whole t grid, read at the commutator times, as
+    # the commutators were computed before -k was solved at those times only
+    rep = lorentz_rep
+    t_set = rep.t_grid[[0, 4, 20, 80]]
+    minus = observables._side(rep.response, -rep.k, rep.t_grid, rep.omega_q_grid, rep.method)
+    wq = rep.omega_q_weights * rep.radial_measure
+    want = np.stack([observables._eh_coefficient(rep.side, minus, i, i, wq) / 1j
+                     for i in (0, 4, 20, 80)])
+    got = equal_time_commutators(rep, t_set).lhs
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_memory_kernel_is_the_mode_solvers_laplace_kernel():
+    model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8)
+    quad = QuadratureSpec()
+    response = laplace_response(model, zero_coupling("magnetic"), quad=quad)
+    t = np.linspace(0.0, 4.0, 801)
+    rep = field_representation(response, K, t, [1.0], [0.5], method="bromwich_line")
+    got = rep.chi_e
+    # the representation the mode solve converged for chi_hat at +k
+    assert np.array_equal(got, response.laplace_rep(model, K).kernel_values(t))
+    # the time-domain kernel converged on the long horizon of the chi stage
+    # (8192 nodes), which the Maxwell residual read before
+    t_long = np.linspace(0.0, model.suggested_t_max(1e-11), 2200)
+    want = chi_kernel(model, K, t_long, quad=quad).rep.kernel_values(t)
+    assert np.max(np.abs(got - want)) <= quad.rtol * np.max(np.abs(want))
 
 
 def test_oscillator_tables_match_stepwise_recurrence(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from mqed.cli import build_parser, main
 from mqed.errors import ParseError, ValidationError
 from mqed.scenario import parse_scenario, run_scenario, serialize_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TENSOR_HEADER = [f"{p}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")]
 
@@ -16,6 +20,7 @@ k = 0,0,1
 n_omega = 40
 n_t = 801
 t_max = 4.0
+commutator_t = 0,1,4
 maxwell_n_t = 2001
 maxwell_t_max = 2.0
 reservoir_order = 16
@@ -275,23 +280,35 @@ def test_run_builds_one_kernel_per_medium_and_k(tmp_path, monkeypatch):
     assert len(calls) == 2 * 2
 
 
+def _bench_gate_problems(workload: str, code: int, out: str, out_dir) -> list:
+    """The benchmark's correctness gate on one run, against its recorded
+    reference; the gate is executed from its source text, so nothing is
+    written beside it."""
+    gate = PERFBENCH / "gate.py"
+    namespace = {"__name__": "perfbench_gate", "__file__": str(gate)}
+    exec(compile(gate.read_text(encoding="utf-8"), str(gate), "exec"), namespace)
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    problems, _ = namespace["check_run"](reference[workload], code, out, Path(out_dir))
+    return problems
+
+
 def test_cli_verify_bundled_gaussian_config(tmp_path, capsys):
     # the Bromwich-line path end to end (continuum-absorption medium)
-    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "gaussian.cfg")
-    code = main(["verify", "--config", config, "--out", str(tmp_path)])
+    code = main(["verify", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 10
     assert "[FAIL]" not in out
+    assert _bench_gate_problems("gaussian-verify", code, out, tmp_path) == []
 
 
 def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
-    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lorentz.cfg")
-    code = main(["verify", "--config", config, "--out", str(tmp_path)])
+    code = main(["verify", "--config", str(CONFIGS / "lorentz.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 13
     assert "[FAIL]" not in out
+    assert _bench_gate_problems("lorentz-verify", code, out, tmp_path) == []
 
 
 def test_cli_conductor_bundled_config(tmp_path, capsys):
@@ -319,4 +336,16 @@ def test_cli_bad_config_value_exits_before_any_stage(tmp_path, capsys, section, 
     assert main(["verify", "--config", str(cfg)]) == 1
     key = line.split(" = ")[0]
     assert f"config error: key '{key}'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["0,100,-7", "0,4.5", "-0.5", "nan"])
+def test_cli_commutator_time_outside_grid_exits_before_any_stage(tmp_path, capsys, value):
+    # commutator times lie on the modes grid on [0, t_max]: nothing is snapped
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    text = VACUUM_CFG.replace("commutator_t = 0,1,4", f"commutator_t = {value}")
+    cfg.write_text(text + f"[output]\ndirectory = {out_dir}\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "config error: key 'commutator_t'" in capsys.readouterr().err
     assert not out_dir.exists()
