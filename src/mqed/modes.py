@@ -6,26 +6,27 @@ tensors,
 
     Lambda = [[O(k), -rho mu_hat], [rho eps_hat (+ sigma_hat), O(k)]],
 
-and its inverse, pushed through the inverse Laplace transform, yields the
-coefficient tensors gamma, xi, zeta, eta (electric rows) and their tilde
-partners (magnetic rows):
+and the field operators are read from two transforms of its inverse: the
+(n_t, 6, 6) base L^-1[Lambda^-1] and, for each 3x3 block a nonzero
+coupling reads, R[block] = L^-1[rho/(rho + i w_q) Lambda^-1 block]. One
+index map (`_families`) turns them into the coefficient tensors gamma, xi,
+zeta, eta (electric rows) and their tilde partners (magnetic rows):
 
-    gamma_ij   = L^-1[ (Lambda^-1)_{i, j+3} ]
-    xi_ij      = -L^-1[ (Lambda^-1)_{i, j} ]
-    zeta_ij    = mu0 L^-1[ rho/(rho + i w_q) (Lambda^-1)_{i, l} g_lj ]
-    eta_ij     = -L^-1[ rho/(rho + i w_q) (Lambda^-1)_{i, l+3} f_lj ]
+    gamma = [eh]   xi = -[ee]   zeta = mu0 R[ee] g   eta = -R[eh] f
+    gamma~ = [hh]  xi~ = -[he]  zeta~ = mu0 R[he] g  eta~ = -R[hh] f
 
-with rows i+3 for the tilde set. Three inverse-transform methods are
-provided (`METHODS`, with "auto"): exact partial fractions for rational
-(isotropic damped-oscillator) media, a deformed cotangent contour that
-cross-checks them, and a vacuum-subtracted Bromwich line for
-continuum-absorption media whose imaginary-axis branch cut blocks contour
-deformation. Their numerical controls are the module constants below.
+with f, g the electric and magnetic couplings at the reservoir nodes.
+Three inverse-transform methods produce the transforms (`METHODS`, with
+"auto"): exact partial fractions for rational (isotropic damped-oscillator)
+media, a deformed cotangent contour that cross-checks them, and a
+vacuum-subtracted Bromwich line for continuum-absorption media whose
+imaginary-axis branch cut blocks contour deformation. Their numerical
+controls are the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -193,20 +194,37 @@ class ModeCoefficients:
     metadata: dict = field(default_factory=dict)
 
 
-def _scalar_rationals(response: LaplaceResponse, k: np.ndarray):
-    """Scalar transverse/longitudinal pieces of Lambda^-1 for isotropic
-    rational media. Returns (t_eh, t_ee, l_e, t_he, l_h) with
-    D_T = k^2 + rho mu_hat (rho eps_hat + sigma_hat)."""
-    eps_rat, mu_rat, sigma_rat = response.rational_scalars()
-    rho = Rational.variable()
-    a_rat = rho * eps_rat + sigma_rat
-    d_t = (rho * mu_rat) * a_rat + float(k @ k)
-    t_eh = (rho * mu_rat) / d_t
-    t_ee = Rational.constant(1.0) / d_t
-    l_e = Rational.constant(1.0) / a_rat
-    t_he = a_rat / d_t
-    l_h = Rational.constant(1.0) / (rho * mu_rat)
-    return t_eh, t_ee, l_e, t_he, l_h
+# rows and columns of the four 3x3 blocks of Lambda^-1
+_BLOCKS = {
+    "ee": (slice(0, 3), slice(0, 3)),
+    "eh": (slice(0, 3), slice(3, 6)),
+    "he": (slice(3, 6), slice(0, 3)),
+    "hh": (slice(3, 6), slice(3, 6)),
+}
+
+
+def _families(k, t, omega_q, f_q, g_q, mu0, base, res, metadata) -> ModeCoefficients:
+    """The index map from the transforms to the field-operator families.
+
+    base is L^-1[Lambda^-1] on t, (n_t, 6, 6); res[block] is
+    L^-1[rho/(rho + i w_q) Lambda^-1 block], (n_q, n_t, 3, 3), for the
+    blocks a nonzero coupling reads (a missing block gives zero families)."""
+    e, h = slice(0, 3), slice(3, 6)
+
+    def reservoir(name, factor, coupling):
+        if name not in res:
+            return np.zeros((omega_q.size, t.size, 3, 3), dtype=complex)
+        return factor * np.einsum("qtab,qbc->qtac", res[name], coupling)
+
+    return ModeCoefficients(
+        k=k, t_grid=t, omega_q_grid=omega_q,
+        # copies, so that no family is a strided view that keeps base alive
+        gamma=base[:, e, h].copy(), xi=-base[:, e, e],
+        gamma_tilde=base[:, h, h].copy(), xi_tilde=-base[:, h, e],
+        zeta=reservoir("ee", mu0, g_q), eta=reservoir("eh", -1.0, f_q),
+        zeta_tilde=reservoir("he", mu0, g_q), eta_tilde=reservoir("hh", -1.0, f_q),
+        f_q=f_q, g_q=g_q, metadata=metadata,
+    )
 
 
 def _pole_flags(poles: np.ndarray) -> dict:
@@ -250,69 +268,49 @@ def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray):
     return out
 
 
-def _rational_mode_path(response, model_f, model_g, k, t, omega_q):
+def _rational_mode_path(response, blocks, k, t, omega_q):
+    """Exact partial-fraction transforms for isotropic rational media: each
+    block of Lambda^-1 is a sum of scalar rationals times the transverse
+    projector, the longitudinal one or the curl blocks' orientation.
+
+    With D_T = k^2 + rho mu_hat (rho eps_hat + sigma_hat), the scalars are
+    t_eh = rho mu_hat / D_T, t_ee = 1 / D_T, l_e = 1 / (rho eps_hat +
+    sigma_hat), t_he = (rho eps_hat + sigma_hat) / D_T and l_h = 1 / (rho
+    mu_hat)."""
+    eps_rat, mu_rat, sigma_rat = response.rational_scalars()
+    rho = Rational.variable()
+    a_rat = rho * eps_rat + sigma_rat
+    d_t = (rho * mu_rat) * a_rat + float(k @ k)
+    one = Rational.constant(1.0)
+    scalars = {"t_eh": (rho * mu_rat) / d_t, "t_ee": one / d_t, "l_e": one / a_rat,
+               "t_he": a_rat / d_t, "l_h": one / (rho * mu_rat)}
     p_t = transverse_projector(k).astype(complex)
     p_l = longitudinal_projector(k).astype(complex)
     o = -curl_symbol(k)  # the commutator-conserving curl-block orientation
-    t_eh, t_ee, l_e, t_he, l_h = _scalar_rationals(response, k)
-    mu0 = response.constants.mu0
+    terms = {
+        "ee": (("t_ee", o),),
+        "eh": (("t_eh", p_t), ("l_e", p_l)),
+        "he": (("t_he", -p_t), ("l_h", -p_l)),
+        "hh": (("t_ee", o),),
+    }
 
-    ilt = {}
-    all_poles = []
-    for name, rat in (("t_eh", t_eh), ("t_ee", t_ee), ("l_e", l_e), ("t_he", t_he), ("l_h", l_h)):
-        values, poles, _ = ilt_rational(rat, t, pole_tol=_POLE_TOL)
-        ilt[name] = values
-        all_poles.append(poles)
-    gamma = ilt["t_eh"][:, None, None] * p_t + ilt["l_e"][:, None, None] * p_l
-    xi = -ilt["t_ee"][:, None, None] * o
-    gamma_t = ilt["t_ee"][:, None, None] * o
-    xi_t = ilt["t_he"][:, None, None] * p_t + ilt["l_h"][:, None, None] * p_l
+    def block(values, name):
+        return sum(values[scalar][..., None, None] * proj for scalar, proj in terms[name])
 
-    f_q = eval_coupling_batch(model_f, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
-    g_q = eval_coupling_batch(model_g, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
-    shape = (omega_q.size, t.size, 3, 3)
-    zeta = np.zeros(shape, dtype=complex)
-    eta = np.zeros(shape, dtype=complex)
-    zeta_t = np.zeros(shape, dtype=complex)
-    eta_t = np.zeros(shape, dtype=complex)
-    if omega_q.size and not (model_f.is_zero and model_g.is_zero):
-        w_ee = _ilt_with_reservoir(t_ee, omega_q, t)  # read by zeta and eta-tilde
-        if not model_g.is_zero:
-            zeta = mu0 * np.einsum("qt,ab,qbc->qtac", w_ee, o, g_q)
-            w_he = _ilt_with_reservoir(t_he, omega_q, t)
-            w_lh = _ilt_with_reservoir(l_h, omega_q, t)
-            zeta_t = -mu0 * (
-                np.einsum("qt,ab,qbc->qtac", w_he, p_t, g_q)
-                + np.einsum("qt,ab,qbc->qtac", w_lh, p_l, g_q)
-            )
-        if not model_f.is_zero:
-            w_eh = _ilt_with_reservoir(t_eh, omega_q, t)
-            w_le = _ilt_with_reservoir(l_e, omega_q, t)
-            eta = -(
-                np.einsum("qt,ab,qbc->qtac", w_eh, p_t, f_q)
-                + np.einsum("qt,ab,qbc->qtac", w_le, p_l, f_q)
-            )
-            eta_t = -np.einsum("qt,ab,qbc->qtac", w_ee, o, f_q)
-    poles = np.concatenate(all_poles) if all_poles else np.zeros(0, complex)
-    return ModeCoefficients(
-        k=k, t_grid=t, omega_q_grid=omega_q,
-        gamma=gamma, xi=xi, gamma_tilde=gamma_t, xi_tilde=xi_t,
-        zeta=zeta, eta=eta, zeta_tilde=zeta_t, eta_tilde=eta_t,
-        f_q=f_q, g_q=g_q,
-        metadata={"method": "rational_exact", **_pole_flags(poles)},
-    )
+    ilt, poles = {}, []
+    for name, rat in scalars.items():
+        ilt[name], p, _ = ilt_rational(rat, t, pole_tol=_POLE_TOL)
+        poles.append(p)
+    base = np.empty((t.size, 6, 6), dtype=complex)
+    for name, (rows, cols) in _BLOCKS.items():
+        base[:, rows, cols] = block(ilt, name)
+    needed = {scalar for name in blocks for scalar, _ in terms[name]}
+    weighted = {s: _ilt_with_reservoir(scalars[s], omega_q, t) for s in scalars if s in needed}
+    res = {name: block(weighted, name) for name in blocks}
+    return base, res, {"method": "rational_exact", **_pole_flags(np.concatenate(poles))}
 
 
-# rows and columns of the four 3x3 blocks of Lambda^-1
-_BLOCKS = {
-    "ee": (slice(0, 3), slice(0, 3)),
-    "eh": (slice(0, 3), slice(3, 6)),
-    "he": (slice(3, 6), slice(0, 3)),
-    "hh": (slice(3, 6), slice(3, 6)),
-}
-
-
-def _talbot_mode_path(response, model_f, model_g, k, t, omega_q):
+def _talbot_mode_path(response, blocks, k, t, omega_q):
     """Contour inversion with the reservoir oscillation split off exactly.
 
     The factor rho/(rho + i w_q) carries a pole at -i w_q that can sit far
@@ -324,21 +322,9 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q):
     subtracted numerator vanishes there), leaving only medium-scale poles.
     The response is rational on this path, so G_ax is its analytic
     continuation to the axis, which is the boundary value there."""
-    mu0 = response.constants.mu0
-    f_q = eval_coupling_batch(model_f, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
-    g_q = eval_coupling_batch(model_g, omega_q, k) if omega_q.size else np.zeros((0, 3, 3), complex)
-    n_t = t.size
     n_q = omega_q.size
-    need_f = n_q > 0 and not model_f.is_zero
-    need_g = n_q > 0 and not model_g.is_zero
-    gamma = np.empty((n_t, 3, 3), dtype=complex)
-    xi = np.empty_like(gamma)
-    gamma_t = np.empty_like(gamma)
-    xi_t = np.empty_like(gamma)
-    zeta = np.zeros((n_q, n_t, 3, 3), dtype=complex)
-    eta = np.zeros_like(zeta)
-    zeta_t = np.zeros_like(zeta)
-    eta_t = np.zeros_like(zeta)
+    base = np.empty((t.size, 6, 6), dtype=complex)
+    res = {name: np.empty((n_q, t.size, 3, 3), dtype=complex) for name in blocks}
     rcond_worst = 1.0
 
     def lam_inv(rho):
@@ -350,49 +336,36 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q):
         rcond_worst = min(rcond_worst, float(np.min(rc)))
         return inv
 
-    inv_ax = None
-    if need_f or need_g:
-        inv_ax = invert_lambda(assemble_lambda(
-            response, k, -1j * omega_q, continued=True, curl_sign=-1
-        ))
+    inv_ax = invert_lambda(assemble_lambda(
+        response, k, -1j * omega_q, continued=True, curl_sign=-1
+    )) if blocks else None
 
     def limit_parts(rho):
-        # the four base blocks, then the four reservoir families: (4 + 4 n_q, 3, 3)
+        # Lambda^-1, then each reservoir-weighted block, flattened
         inv = lam_inv(rho)
-        parts = [inv[None, :3, 3:], -inv[None, :3, :3], inv[None, 3:, 3:], -inv[None, 3:, :3]]
-        if n_q:
-            fac = rho / (rho + 1j * omega_q)  # (q,)
-            parts.append(mu0 * fac[:, None, None] * (inv[:3, :3] @ g_q))
-            parts.append(-fac[:, None, None] * (inv[:3, 3:] @ f_q))
-            parts.append(mu0 * fac[:, None, None] * (inv[3:, :3] @ g_q))
-            parts.append(-fac[:, None, None] * (inv[3:, 3:] @ f_q))
-        return np.concatenate(parts)
+        fac = (rho / (rho + 1j * omega_q))[:, None, None]
+        return np.concatenate([inv.ravel()] + [
+            (fac * inv[_BLOCKS[name]]).ravel() for name in blocks
+        ])
 
     def eval_all(ti, n):
         rho_nodes, w_nodes = _talbot_nodes(ti, n)
         inv = lam_inv(rho_nodes)  # (n, 6, 6)
-        base = (
-            np.einsum("n,nab->ab", w_nodes, inv[:, :3, 3:]),
-            -np.einsum("n,nab->ab", w_nodes, inv[:, :3, :3]),
-            np.einsum("n,nab->ab", w_nodes, inv[:, 3:, 3:]),
-            -np.einsum("n,nab->ab", w_nodes, inv[:, 3:, :3]),
-        )
-        convs = {}
-        if inv_ax is not None:
-            denom = rho_nodes[None, :] + 1j * omega_q[:, None]  # (q, n)
-            cw = w_nodes[None, :] / denom
-            for name, (rows, cols) in _BLOCKS.items():
-                convs[name] = np.einsum("qn,nab->qab", cw, inv[:, rows, cols]) - np.einsum(
-                    "qn,qab->qab", cw, inv_ax[:, rows, cols]
-                )
-        return base, convs
+        parts = [np.einsum("n,nab->ab", w_nodes, inv)]
+        if blocks:
+            cw = w_nodes[None, :] / (rho_nodes[None, :] + 1j * omega_q[:, None])  # (q, n)
+            for name in blocks:
+                rows, cols = _BLOCKS[name]
+                parts.append(np.einsum("qn,nab->qab", cw, inv[:, rows, cols])
+                             - np.einsum("qn,qab->qab", cw, inv_ax[:, rows, cols]))
+        return parts
 
     for it, ti in enumerate(t):
         if ti == 0.0:
             lim = _limit_value(limit_parts)
-            gamma[it], xi[it], gamma_t[it], xi_t[it] = lim[:4]
-            if n_q:
-                zeta[:, it], eta[:, it], zeta_t[:, it], eta_t[:, it] = np.split(lim[4:], 4)
+            base[it] = lim[:36].reshape(6, 6)
+            for name, part in zip(blocks, lim[36:].reshape(len(blocks), n_q, 3, 3)):
+                res[name][:, it] = part
             continue
 
         n = _TALBOT_START_N
@@ -402,16 +375,13 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q):
             # paired evaluation: n and n+16 sit at a similar round-off floor,
             # so their difference is an honest error estimate even past the
             # accuracy optimum (where plain doubling misleads)
-            a_base, a_convs = eval_all(ti, n)
-            b_base, b_convs = eval_all(ti, n + 16)
-            flat_a = np.concatenate([np.ravel(x) for x in a_base]
-                                    + [np.ravel(v) for v in a_convs.values()])
-            flat_b = np.concatenate([np.ravel(x) for x in b_base]
-                                    + [np.ravel(v) for v in b_convs.values()])
+            flat_a = np.concatenate([np.ravel(x) for x in eval_all(ti, n)])
+            b = eval_all(ti, n + 16)
+            flat_b = np.concatenate([np.ravel(x) for x in b])
             scale = float(np.max(np.abs(flat_b))) or 1.0
             diff = float(np.max(np.abs(flat_a - flat_b)))
             if diff <= _TALBOT_RTOL * scale:
-                got = (b_base, b_convs)
+                got = b
                 break
             if diff > 4.0 * best and best < 1e-3 * scale:
                 break  # round-off floor passed; more nodes only hurt
@@ -421,32 +391,13 @@ def _talbot_mode_path(response, model_f, model_g, k, t, omega_q):
             raise TalbotNotConverged(
                 f"talbot mode coefficients at t={ti:g} stalled at estimate {best:g}"
             )
-        (g, x, gt, xt), convs = got
-        gamma[it], xi[it], gamma_t[it], xi_t[it] = g, x, gt, xt
-        if inv_ax is not None:
-            osc = np.exp(-1j * omega_q * ti)  # (q,)
-            iw = 1j * omega_q
-
-            def reservoir(name, g_of_t, coupling):
-                rows, cols = _BLOCKS[name]
-                conv = convs[name] + osc[:, None, None] * inv_ax[:, rows, cols]
-                total = g_of_t[None, :, :] - iw[:, None, None] * conv
-                return total @ coupling
-
-            if need_g:
-                zeta[:, it] = mu0 * reservoir("ee", -x, g_q)
-                zeta_t[:, it] = mu0 * reservoir("he", -xt, g_q)
-            if need_f:
-                eta[:, it] = -reservoir("eh", g, f_q)
-                eta_t[:, it] = -reservoir("hh", gt, f_q)
-
-    return ModeCoefficients(
-        k=k, t_grid=t, omega_q_grid=omega_q,
-        gamma=gamma, xi=xi, gamma_tilde=gamma_t, xi_tilde=xi_t,
-        zeta=zeta, eta=eta, zeta_tilde=zeta_t, eta_tilde=eta_t,
-        f_q=f_q, g_q=g_q,
-        metadata={"method": "talbot", "worst_rcond": rcond_worst},
-    )
+        base[it] = got[0]
+        osc = np.exp(-1j * omega_q * ti)[:, None, None]
+        iw = 1j * omega_q[:, None, None]
+        for name, conv in zip(blocks, got[1:]):
+            rows, cols = _BLOCKS[name]
+            res[name][:, it] = got[0][None, rows, cols] - iw * (conv + osc * inv_ax[:, rows, cols])
+    return base, res, {"method": "talbot", "worst_rcond": rcond_worst}
 
 
 def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
@@ -486,15 +437,16 @@ def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
     return line_sum
 
 
-def _line_mode_path(response, model_f, model_g, k, t, omega_q):
+def _line_mode_path(response, blocks, k, t, omega_q):
     """Vacuum-subtracted Bromwich-line inversion for continuum-absorption
     media.
 
     The free-space part of Lambda^-1 is inverted exactly (rational path, with
     the reservoir factors included), and only the medium-vacuum difference,
     which decays like |rho|^-3 along the line Re rho = a, is integrated
-    numerically. All material evaluations stay in Re rho > 0, so the
-    imaginary-axis branch cut of the absorption continuum is never crossed.
+    numerically and added to the vacuum transforms. All material
+    evaluations stay in Re rho > 0, so the imaginary-axis branch cut of the
+    absorption continuum is never crossed.
 
     The line sums take the phase table exp(t rho_j) in row chunks of
     `_TABLE_ELEMENTS`, or `_chirp_z` on a uniform grid longer than one chunk.
@@ -502,16 +454,13 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q):
     constants = response.constants
     vac = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
                            constants=constants, quad=response.quad)
-    vac_modes = _rational_mode_path(vac, model_f, model_g, k, t, omega_q)
-    f_q, g_q = vac_modes.f_q, vac_modes.g_q
+    base, res, _ = _rational_mode_path(vac, blocks, k, t, omega_q)
     n_q = omega_q.size
-    need_f = n_q > 0 and not model_f.is_zero
-    need_g = n_q > 0 and not model_g.is_zero
 
     t_max = float(np.max(t)) if np.max(t) > 0 else 1.0
     a = _LINE_ABSCISSA_FACTOR / t_max
     scales = [1.0, constants.c * float(np.linalg.norm(k))]
-    for m in (model_f, model_g):
+    for m in (response.reservoir_electric, response.model_m):
         if not m.is_zero:
             scales.append(m.frequency_scale)
     y_top = _LINE_HALFWIDTH_FACTOR * max(scales)
@@ -538,9 +487,8 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q):
 
     # reservoir sums conv[q] = sum_j phase_j block_j / (rho_j + i w_q), with
     # the factor folded into the block side in column chunks of bounded size
-    res_names = (("ee", "he") if need_g else ()) + (("eh", "hh") if need_f else ())
-    res_blocks = {n: diff[:, _BLOCKS[n][0], _BLOCKS[n][1]].reshape(n_y, 9) for n in res_names}
-    conv = {n: np.empty((n_q, t.size, 3, 3), dtype=complex) for n in res_names}
+    res_blocks = {n: diff[:, _BLOCKS[n][0], _BLOCKS[n][1]].reshape(n_y, 9) for n in blocks}
+    conv = {n: np.empty((n_q, t.size, 3, 3), dtype=complex) for n in blocks}
     fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
     q_step = max(1, _TABLE_ELEMENTS // (9 * n_y))
 
@@ -548,7 +496,7 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q):
 
     def line_sums(rows, line_sum):
         both[rows] = line_sum(rhs)
-        for name in res_names:
+        for name in blocks:
             for q0 in range(0, n_q, q_step):
                 qs = slice(q0, q0 + q_step)
                 scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
@@ -564,39 +512,27 @@ def _line_mode_path(response, model_f, model_g, k, t, omega_q):
             table = np.multiply.outer(t[start : start + rows], rho)
             np.exp(table, out=table)
             line_sums(slice(start, start + rows), partial(np.matmul, table))
-    base = both[:, :36].reshape(t.size, 6, 6)
-    scale = max(float(np.max(np.abs(base[:, :3, 3:]))), 1e-30)
+    line_base = both[:, :36].reshape(t.size, 6, 6)
+    scale = max(float(np.max(np.abs(line_base[:, :3, 3:]))), 1e-30)
     est = float(np.max(np.abs(both[:, :36] - both[:, 36:]))) / scale
     if est > _LINE_RTOL:
         raise TalbotNotConverged(
             f"bromwich line grid-halving estimate {est:g} above {_LINE_RTOL:g}"
         )
-
-    def reservoir_diff(name, coupling):
-        rows_b, cols_b = _BLOCKS[name]
-        total = base[None, :, rows_b, cols_b] - 1j * omega_q[:, None, None, None] * conv[name]
-        return total @ coupling[:, None, :, :]
-
-    sums = {
-        "gamma": vac_modes.gamma + base[:, :3, 3:],
-        "xi": vac_modes.xi - base[:, :3, :3],
-        "gamma_tilde": vac_modes.gamma_tilde + base[:, 3:, 3:],
-        "xi_tilde": vac_modes.xi_tilde - base[:, 3:, :3],
-    }
-    if need_g:
-        sums["zeta"] = vac_modes.zeta + constants.mu0 * reservoir_diff("ee", g_q)
-        sums["zeta_tilde"] = vac_modes.zeta_tilde + constants.mu0 * reservoir_diff("he", g_q)
-    if need_f:
-        sums["eta"] = vac_modes.eta - reservoir_diff("eh", f_q)
-        sums["eta_tilde"] = vac_modes.eta_tilde - reservoir_diff("hh", f_q)
-    meta = {
+    # L^-1[fac G] = L^-1[G] - i w_q L^-1[G / (rho + i w_q)] for the difference
+    iw = 1j * omega_q[:, None, None, None]
+    for name in blocks:
+        res[name] += line_base[None, :, _BLOCKS[name][0], _BLOCKS[name][1]]
+        conv[name] *= iw
+        res[name] -= conv[name]
+    base += line_base
+    return base, res, {
         "method": "bromwich_line",
         "line_points": int(n_y),
         "line_halfwidth": float(y_top),
         "line_abscissa": float(a),
         "est_rel_error": est,
     }
-    return replace(vac_modes, metadata=meta, **sums)
 
 
 def mode_coefficients(
@@ -617,7 +553,9 @@ def mode_coefficients(
     with the vacuum part split off exactly, and is the generic path for
     continuum-absorption media (whose branch cut blocks contour
     deformation). "auto" picks rational_exact when possible, bromwich_line
-    otherwise. Internally the block system is oriented
+    otherwise. Every path returns the transforms of Lambda^-1 and of the
+    reservoir-weighted blocks the couplings read; `_families` maps them to
+    the coefficient tensors. Internally the block system is oriented
     with flipped curl blocks (Lambda(-k, rho) for even media), the one
     reading of the index map that reproduces the initial-data expansions at
     t = 0 with forward-evolving phases and keeps the equal-time commutators
@@ -631,23 +569,30 @@ def mode_coefficients(
         raise ValidationError("t_grid must be nonempty")
     if method not in METHODS:
         raise ValidationError(f"unknown inverse-laplace method '{method}'")
-    couplings = (response.reservoir_electric, response.model_m)
     if method == "auto":
         method = "rational_exact" if response.is_rational else "bromwich_line"
-    if method == "rational_exact":
-        if not response.is_rational:
-            raise ValidationError(
-                "rational_exact needs a rational material response; use bromwich_line"
-            )
-        return _rational_mode_path(response, *couplings, k, t, omega_q)
-    if method == "talbot":
-        if not response.is_rational:
-            raise ValidationError(
-                "talbot deforms into the left half-plane, which a continuum-"
-                "absorption response cannot continue across; use bromwich_line"
-            )
-        return _talbot_mode_path(response, *couplings, k, t, omega_q)
-    return _line_mode_path(response, *couplings, k, t, omega_q)
+    if method == "rational_exact" and not response.is_rational:
+        raise ValidationError(
+            "rational_exact needs a rational material response; use bromwich_line"
+        )
+    if method == "talbot" and not response.is_rational:
+        raise ValidationError(
+            "talbot deforms into the left half-plane, which a continuum-"
+            "absorption response cannot continue across; use bromwich_line"
+        )
+    model_f, model_g = response.reservoir_electric, response.model_m
+    if omega_q.size:
+        f_q = eval_coupling_batch(model_f, omega_q, k)
+        g_q = eval_coupling_batch(model_g, omega_q, k)
+    else:
+        f_q = g_q = np.zeros((0, 3, 3), dtype=complex)
+    # zeta and zeta-tilde read the ee and he blocks, eta and eta-tilde eh and hh
+    blocks = ((("ee", "he") if not model_g.is_zero else ())
+              + (("eh", "hh") if not model_f.is_zero else ())) if omega_q.size else ()
+    path = {"rational_exact": _rational_mode_path, "talbot": _talbot_mode_path,
+            "bromwich_line": _line_mode_path}[method]
+    base, res, metadata = path(response, blocks, k, t, omega_q)
+    return _families(k, t, omega_q, f_q, g_q, response.constants.mu0, base, res, metadata)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ import numpy as np
 from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import _TABLE_ELEMENTS, KernelStore, block_tensors, chi_kernel, chi_spectrum
+from .response import _TABLE_ELEMENTS, KernelStore, block_tensors, chi_spectrum
+from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
 from .tensors import NATURAL, PhysicalConstants, triad
 
 
@@ -54,14 +55,6 @@ def _relative_deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
 def _default_t_grid(model) -> np.ndarray:
     """The kernel grid of the noise checks: 1200 points to the 1e-9 tail."""
     return np.linspace(0.0, model.suggested_t_max(1e-9), 1200)
-
-
-def _kernel(model, k, t_grid, constants, quad, kernels: KernelStore | None):
-    """The susceptibility kernel on t_grid, from the run's store when one is
-    given."""
-    if kernels is None:
-        return chi_kernel(model, k, t_grid, constants=constants, quad=quad)
-    return kernels.kernel(model, k, t_grid, constants=constants, quad=quad)
 
 
 def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants):
@@ -96,7 +89,8 @@ def noise_commutator(
     omega = np.asarray(omega_grid, dtype=float)
     k = np.asarray(k, dtype=float)
     lhs = noise_coefficient_density(model, k, omega, constants)
-    kernel = _kernel(model, k, _default_t_grid(model), constants, quad, kernels)
+    kernel = (kernels or KernelStore()).kernel(model, k, _default_t_grid(model),
+                                               constants=constants, quad=quad)
     spectrum = chi_spectrum(kernel, omega)
     if model.which == ELECTRIC:
         factor = constants.hbar * constants.eps0 / np.pi
@@ -162,12 +156,40 @@ def _convolution_at(rep, probe, t: float, order: int = 24) -> np.ndarray:
     return rep.contract(((w * probe(s)) @ sin_block)[None, :])[0]
 
 
-def _running_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative trapezoid integral of each row of f from its first sample."""
-    out = np.zeros_like(f)
-    np.add(f[:, 1:], f[:, :-1], out=out[:, 1:])
-    out[:, 1:] *= 0.5 * h
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+def _oscillator_responses(
+    omega: np.ndarray, drive: np.ndarray, t: np.ndarray, block: np.ndarray
+) -> np.ndarray:
+    """int_0^t sin(w (t - s)) drive(s) ds for every frequency, by the exact
+    one-step exponential propagator with the drive piecewise linear,
+    contracted against the (n_w, m) coefficient block: (n_t, m).
+
+    The responses of consecutive steps fill a (steps, n_w) table within
+    `_TABLE_ELEMENTS`, one contiguous row per step, and each full table is
+    contracted at once. The steps stay a loop: a cumulative-sum form of the
+    same recurrence over such tables moves far more memory per step."""
+    h = float(t[1] - t[0])
+    wh = omega * h
+    phi = np.exp(1j * wh)
+    iw = 1j * omega
+    small = np.abs(wh) < 1e-3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j0 = np.where(small, h * (1.0 + 0.5j * wh - wh**2 / 6.0), (phi - 1.0) / iw)
+        j1 = np.where(
+            small,
+            h**2 * (0.5 + 1j * wh / 6.0 - wh**2 / 24.0),
+            h * (phi - 1.0) / iw - (phi * (1.0 - 1j * wh) - 1.0) / omega**2,
+        )
+    coeff_old = j0 - j1 / h  # weight of drive(t_m)
+    coeff_new = j1 / h  # weight of drive(t_{m+1})
+    rows = max(1, _TABLE_ELEMENTS // max(1, omega.size))
+    out = np.zeros((t.size, block.shape[1]))
+    state = np.zeros(omega.size, dtype=complex)
+    for start in range(1, t.size, rows):
+        table = np.empty((min(rows, t.size - start), omega.size))
+        for i, m in enumerate(range(start - 1, start - 1 + table.shape[0])):
+            state = phi * state + coeff_old * drive[m] + coeff_new * drive[m + 1]
+            table[i] = state.imag
+        out[start : start + table.shape[0]] = table @ block
     return out
 
 
@@ -191,7 +213,8 @@ def pdot_continuity(
     dt = float(dt)
     tau = 5.0 / model.frequency_scale
     probe = _gaussian_probe(tau)
-    kernel = _kernel(model, k, _default_t_grid(model), constants, quad, kernels)
+    kernel = (kernels or KernelStore()).kernel(model, k, _default_t_grid(model),
+                                               constants=constants, quad=quad)
     rep = kernel.rep
     eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
 
@@ -206,26 +229,11 @@ def pdot_continuity(
     left = (3.0 * p0 - 4.0 * p_minus(dt) + p_minus(2.0 * dt)) / (2.0 * dt)
     jump = float(np.max(np.abs(right - left)))
 
-    # peak |dP/dt| over the pulse for normalization: P(s) = eps0 sum_n
-    # [sin(w_n s) C_n(s) - cos(w_n s) S_n(s)] c_n, with C_n, S_n the running
-    # trapezoid integrals of cos(w_n s') E(s') and sin(w_n s') E(s'),
-    # accumulated over node chunks of bounded size
+    # peak |dP/dt| over the pulse for normalization, from the oscillator
+    # responses of the quadrature nodes to the probe on a uniform grid
     wide = np.linspace(0.0, 4.0 * tau, 801)
     h = wide[1] - wide[0]
-    ew = probe(wide)
-    acc = np.zeros((wide.size, rep.block.shape[1]))
-    step = max(1, _TABLE_ELEMENTS // wide.size)
-    for lo in range(0, rep.nodes.size, step):
-        phase = np.multiply.outer(rep.nodes[lo : lo + step], wide)
-        cos_t = np.cos(phase)
-        sin_t = np.sin(phase, out=phase)
-        inner = _running_trapezoid(cos_t * ew, h)
-        inner *= sin_t
-        run_s = _running_trapezoid(sin_t * ew, h)
-        run_s *= cos_t
-        inner -= run_s
-        acc += inner.T @ rep.block[lo : lo + step]
-    p_wide = eps0 * block_tensors(acc)
+    p_wide = eps0 * block_tensors(_oscillator_responses(rep.nodes, probe(wide), wide, rep.block))
     rate = np.abs(np.diff(p_wide, axis=0)) / h
     peak = float(np.max(rate)) if rate.size else 0.0
     return ContinuityReport(dt=dt, jump=jump, peak_rate=peak)

@@ -10,8 +10,9 @@ coefficient channel must satisfy the transformed Maxwell system on its own,
 and the equal-time commutators assembled from the channels must be
 medium-independent; both statements are checked numerically here. A
 representation reads the medium from one `LaplaceResponse`: its Lambda
-system, its reservoir couplings and its memory kernels. It holds the +k
-channels; the commutators solve -k at their own times only.
+system, its reservoir couplings and its memory kernels. It holds the mode
+coefficients and channels at one wave vector; the commutators pair it with
+the representation at -k, built at their own times only.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import numpy as np
 from .couplings import CombinedElectric
 from .errors import ValidationError
 from .modes import ModeCoefficients, mode_coefficients
-from .noise import CommutatorReport, _kernel, _relative_deviation
+from .noise import CommutatorReport, _oscillator_responses, _relative_deviation
 from .quadrature import QuadratureSpec
 from .rational import ilt_rational
 from .response import (
-    _TABLE_ELEMENTS,
     KernelStore,
     LaplaceResponse,
     _fft_size,
@@ -48,9 +48,17 @@ TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
 
 @dataclass(frozen=True)
-class FieldSide:
-    """Coefficient channels of E and H at one side (+k or -k) of the fold."""
+class FieldOperatorRepresentation:
+    """Coefficient channels of E and H at one wave vector on the whole t
+    grid, and the memory kernels (read only by the Maxwell residual) when
+    first read."""
 
+    k: np.ndarray
+    t_grid: np.ndarray
+    omega_q_grid: np.ndarray
+    omega_q_weights: np.ndarray
+    response: LaplaceResponse
+    method: str
     coeffs: ModeCoefficients
     photon_E: np.ndarray  # (2, n_t, 3)
     photon_H: np.ndarray
@@ -61,37 +69,18 @@ class FieldSide:
     noise_P_d: np.ndarray  # (3, n_q, n_t, 3) noise-polarization channel
     noise_M_b: np.ndarray
 
-
-@dataclass(frozen=True)
-class FieldOperatorRepresentation:
-    """Coefficient families of E and H at one wave vector: the +k channels
-    on the whole t grid, and the memory kernels (read only by the Maxwell
-    residual) when first read."""
-
-    k: np.ndarray
-    t_grid: np.ndarray
-    omega_q_grid: np.ndarray
-    omega_q_weights: np.ndarray
-    response: LaplaceResponse
-    method: str
-    side: FieldSide
-
-    @property
-    def plus(self) -> ModeCoefficients:
-        return self.side.coeffs
-
     @property
     def constants(self) -> PhysicalConstants:
         return self.response.constants
 
     @cached_property
     def chi_e(self) -> np.ndarray:
-        """(n_t, 3, 3) electric (bound plus free) memory kernel at +k."""
+        """(n_t, 3, 3) electric (bound plus free) memory kernel at k."""
         return _memory_kernel(self.response.reservoir_electric, self)
 
     @cached_property
     def chi_m(self) -> np.ndarray:
-        """(n_t, 3, 3) magnetic memory kernel at +k."""
+        """(n_t, 3, 3) magnetic memory kernel at k."""
         return _memory_kernel(self.response.model_m, self)
 
     @property
@@ -100,46 +89,10 @@ class FieldOperatorRepresentation:
         return 4.0 * np.pi * self.omega_q_grid**2 / self.constants.c**3
 
 
-def _assemble_side(coeffs: ModeCoefficients, sign_k, constants, t_grid, omega_q) -> FieldSide:
-    tr = triad(sign_k)
-    c = constants
-    w_k = c.c * float(np.linalg.norm(sign_k))
-    w_e = np.sqrt(c.hbar * w_k * c.eps0 / (2.0 * TWO_PI_CUBED))
-    w_m = np.sqrt(c.hbar * w_k * c.mu0 / (2.0 * TWO_PI_CUBED))
-    res_w = TWO_PI_CUBED**-0.5
-    e_pairs = (tr.e1, tr.e2)
-    s_pairs = (tr.s1, tr.s2)
-    vs = [tr.e(nu) for nu in (1, 2, 3)]
-    ss = [tr.s(nu) for nu in (1, 2, 3)]
-    phase = np.exp(-1j * np.outer(omega_q, t_grid))  # (n_q, n_t)
-    return FieldSide(
-        coeffs=coeffs,
-        photon_E=np.stack([
-            1j * (w_e * coeffs.gamma @ e + w_m * coeffs.xi @ s) for e, s in zip(e_pairs, s_pairs)
-        ]),
-        photon_H=np.stack([
-            1j * (w_e * coeffs.gamma_tilde @ e + w_m * coeffs.xi_tilde @ s)
-            for e, s in zip(e_pairs, s_pairs)
-        ]),
-        res_E_d=np.stack([res_w * coeffs.eta @ v for v in vs]),
-        res_E_b=np.stack([1j * res_w * coeffs.zeta @ s for s in ss]),
-        res_H_d=np.stack([res_w * coeffs.eta_tilde @ v for v in vs]),
-        res_H_b=np.stack([1j * res_w * coeffs.zeta_tilde @ s for s in ss]),
-        noise_P_d=np.stack([
-            res_w * np.einsum("qij,j->qi", coeffs.f_q, v)[:, None, :] * phase[:, :, None]
-            for v in vs
-        ]),
-        noise_M_b=np.stack([
-            1j * res_w * np.einsum("qij,j->qi", coeffs.g_q, s)[:, None, :] * phase[:, :, None]
-            for s in ss
-        ]),
-    )
-
-
 def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
     """The chi(t) of `model` on the representation's t grid whose transform
     the mode solver inverted: closed form for rational media, else the
-    response's Laplace representation at +k (a combined coupling sums its parts)."""
+    response's Laplace representation at k (a combined coupling sums its parts)."""
     t = rep.t_grid
     if model.is_zero:
         return np.zeros((t.size, 3, 3), dtype=complex)
@@ -151,12 +104,6 @@ def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
     return rep.response.laplace_rep(model, rep.k).kernel_values(t)
 
 
-def _side(response: LaplaceResponse, k, t, omega_q, method: str) -> FieldSide:
-    """The E and H channels at k on the (t, omega_q) grids."""
-    mc = mode_coefficients(response, k, t, omega_q, method=method)
-    return _assemble_side(mc, k, response.constants, t, omega_q)
-
-
 def field_representation(
     response: LaplaceResponse,
     k,
@@ -166,20 +113,53 @@ def field_representation(
     method: str = "auto",
 ) -> FieldOperatorRepresentation:
     """The coefficient representation of E and H in the medium `response` at
-    one k, with the +k channels built; the memory kernels are built when
-    first read. The run's `response` shares its Laplace-domain chi_hat
-    between calls."""
+    one k on the (t, omega_q) grids; the memory kernels are built when first
+    read. The run's `response` shares its Laplace-domain chi_hat between
+    calls."""
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     omega_q = np.asarray(omega_q_grid, dtype=float)
     weights = np.asarray(omega_q_weights, dtype=float)
     if omega_q.shape != weights.shape:
         raise ValidationError("omega_q grid and weights must align")
-    return FieldOperatorRepresentation(k, t, omega_q, weights, response, method,
-                                       _side(response, k, t, omega_q, method))
+    mc = mode_coefficients(response, k, t, omega_q, method=method)
+    tr = triad(k)
+    c = response.constants
+    w_k = c.c * float(np.linalg.norm(k))
+    w_e = np.sqrt(c.hbar * w_k * c.eps0 / (2.0 * TWO_PI_CUBED))
+    w_m = np.sqrt(c.hbar * w_k * c.mu0 / (2.0 * TWO_PI_CUBED))
+    res_w = TWO_PI_CUBED**-0.5
+    e_pairs = (tr.e1, tr.e2)
+    s_pairs = (tr.s1, tr.s2)
+    vs = [tr.e(nu) for nu in (1, 2, 3)]
+    ss = [tr.s(nu) for nu in (1, 2, 3)]
+    phase = np.exp(-1j * np.outer(omega_q, t))  # (n_q, n_t)
+    return FieldOperatorRepresentation(
+        k, t, omega_q, weights, response, method, mc,
+        photon_E=np.stack([
+            1j * (w_e * mc.gamma @ e + w_m * mc.xi @ s) for e, s in zip(e_pairs, s_pairs)
+        ]),
+        photon_H=np.stack([
+            1j * (w_e * mc.gamma_tilde @ e + w_m * mc.xi_tilde @ s)
+            for e, s in zip(e_pairs, s_pairs)
+        ]),
+        res_E_d=np.stack([res_w * mc.eta @ v for v in vs]),
+        res_E_b=np.stack([1j * res_w * mc.zeta @ s for s in ss]),
+        res_H_d=np.stack([res_w * mc.eta_tilde @ v for v in vs]),
+        res_H_b=np.stack([1j * res_w * mc.zeta_tilde @ s for s in ss]),
+        noise_P_d=np.stack([
+            res_w * np.einsum("qij,j->qi", mc.f_q, v)[:, None, :] * phase[:, :, None]
+            for v in vs
+        ]),
+        noise_M_b=np.stack([
+            1j * res_w * np.einsum("qij,j->qi", mc.g_q, s)[:, None, :] * phase[:, :, None]
+            for s in ss
+        ]),
+    )
 
 
-def _eh_coefficient(p: FieldSide, m: FieldSide, ip: int, im: int, wq: np.ndarray) -> np.ndarray:
+def _eh_coefficient(p: FieldOperatorRepresentation, m: FieldOperatorRepresentation,
+                    ip: int, im: int, wq: np.ndarray) -> np.ndarray:
     """delta-normalized coefficient of [E_i(k, t), H_j^dag(k', t)] from +k
     channels `p` at time index ip and -k channels `m` at index im, before the
     i-normalization; wq holds the reservoir weights times the radial measure."""
@@ -201,9 +181,10 @@ def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray) -> np.
     idx = [int(np.argmin(np.abs(rep.t_grid - ti))) for ti in t_set]
     if any(abs(rep.t_grid[i] - ti) > 1e-9 * max(1.0, abs(ti)) for i, ti in zip(idx, t_set)):
         raise ValidationError("t_set must be drawn from the representation t_grid")
-    minus = _side(rep.response, -rep.k, rep.t_grid[idx], rep.omega_q_grid, rep.method)
+    minus = field_representation(rep.response, -rep.k, rep.t_grid[idx], rep.omega_q_grid,
+                                 rep.omega_q_weights, method=rep.method)
     wq = rep.omega_q_weights * rep.radial_measure
-    return np.stack([_eh_coefficient(rep.side, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
+    return np.stack([_eh_coefficient(rep, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
 
 
 def vacuum_eh_coefficient(rep: FieldOperatorRepresentation) -> np.ndarray:
@@ -297,7 +278,6 @@ def maxwell_residual(
     o = curl_symbol(rep.k)
     conv_e = _convolver(rep.chi_e, h)
     conv_m = _convolver(rep.chi_m, h)
-    side = rep.side
     channels = {}
 
     def record(name, e_ch, h_ch, p_noise=None, m_noise=None):
@@ -325,54 +305,17 @@ def maxwell_residual(
         channels[name] = resid / scale if scale > 0.0 else resid
 
     for lam in (0, 1):
-        record(f"photon_{lam + 1}", side.photon_E[lam], side.photon_H[lam])
+        record(f"photon_{lam + 1}", rep.photon_E[lam], rep.photon_H[lam])
     n_q = rep.omega_q_grid.size
     if n_q:
         for nu in range(3):
             for q in reservoir_picks(n_q, reservoir_samples):
-                record(f"d_nu{nu + 1}_q{q}", side.res_E_d[nu, q], side.res_H_d[nu, q],
-                       p_noise=side.noise_P_d[nu, q])
-                record(f"b_nu{nu + 1}_q{q}", side.res_E_b[nu, q], side.res_H_b[nu, q],
-                       m_noise=side.noise_M_b[nu, q])
+                record(f"d_nu{nu + 1}_q{q}", rep.res_E_d[nu, q], rep.res_H_d[nu, q],
+                       p_noise=rep.noise_P_d[nu, q])
+                record(f"b_nu{nu + 1}_q{q}", rep.res_E_b[nu, q], rep.res_H_b[nu, q],
+                       m_noise=rep.noise_M_b[nu, q])
     worst = max(channels.values()) if channels else 0.0
     return MaxwellResidualReport(k=rep.k, channels=channels, max_residual=worst)
-
-
-def _oscillator_responses(
-    omega: np.ndarray, drive: np.ndarray, t: np.ndarray, block: np.ndarray
-) -> np.ndarray:
-    """int_0^t sin(w (t - s)) drive(s) ds for every frequency, by the exact
-    one-step exponential propagator with the drive piecewise linear,
-    contracted against the (n_w, m) coefficient block: (n_t, m).
-
-    The responses of consecutive steps fill a (steps, n_w) table within
-    `_TABLE_ELEMENTS`, one contiguous row per step, and each full table is
-    contracted at once. The steps stay a loop: a cumulative-sum form of the
-    same recurrence over such tables moves far more memory per step."""
-    h = float(t[1] - t[0])
-    wh = omega * h
-    phi = np.exp(1j * wh)
-    iw = 1j * omega
-    small = np.abs(wh) < 1e-3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j0 = np.where(small, h * (1.0 + 0.5j * wh - wh**2 / 6.0), (phi - 1.0) / iw)
-        j1 = np.where(
-            small,
-            h**2 * (0.5 + 1j * wh / 6.0 - wh**2 / 24.0),
-            h * (phi - 1.0) / iw - (phi * (1.0 - 1j * wh) - 1.0) / omega**2,
-        )
-    coeff_old = j0 - j1 / h  # weight of drive(t_m)
-    coeff_new = j1 / h  # weight of drive(t_{m+1})
-    rows = max(1, _TABLE_ELEMENTS // max(1, omega.size))
-    out = np.zeros((t.size, block.shape[1]))
-    state = np.zeros(omega.size, dtype=complex)
-    for start in range(1, t.size, rows):
-        table = np.empty((min(rows, t.size - start), omega.size))
-        for i, m in enumerate(range(start - 1, start - 1 + table.shape[0])):
-            state = phi * state + coeff_old * drive[m] + coeff_new * drive[m + 1]
-            table[i] = state.imag
-        out[start : start + table.shape[0]] = table @ block
-    return out
 
 
 @dataclass(frozen=True)
@@ -409,7 +352,7 @@ def constitutive_roundtrip(
     amp = np.exp(-(((t - t0) / tau) ** 2))
     probe_field = amp[:, None] * e_dir[None, :]
 
-    kernel = _kernel(model, k, t, constants, quad, kernels)
+    kernel = (kernels or KernelStore()).kernel(model, k, t, constants=constants, quad=quad)
     eps0 = constants.eps0 if model.which == "electric" else 1.0
     p_a = eps0 * _convolver(kernel.values, h)(probe_field.astype(complex))
 
@@ -449,10 +392,9 @@ def vacuum_spectrum(
     delta = np.asarray(r_offset, dtype=float)
     wq = rep.omega_q_weights * rep.radial_measure
     phase = np.exp(1j * float(rep.k @ delta))
-    side = rep.side
-    e_ph = side.photon_E[:, it]
+    e_ph = rep.photon_E[:, it]
     gram = np.einsum("la,lb->ab", e_ph, np.conj(e_ph))
-    for sector in (side.res_E_d, side.res_E_b):
+    for sector in (rep.res_E_d, rep.res_E_b):
         e_res = sector[:, :, it]
         gram += np.einsum("nqa,q,nqb->ab", e_res, wq, np.conj(e_res))
     out = 0.5 * (phase * gram + np.conj(phase) * gram.conj().T)

@@ -197,6 +197,7 @@ def _parse_value(section: str, key: str, value: str, line: int):
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config; errors carry line numbers."""
     sections = {name: {} for name in _SECTIONS}
+    lines = {}  # (section, key) -> the line that set it
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -223,6 +224,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         }[current]
         if key not in known:
             raise ValidationError(f"unknown key in [{current}] (line {lineno})", key=key)
+        first = lines.setdefault((current, key), lineno)
+        if first != lineno:
+            raise ValidationError(f"set twice in [{current}] (lines {first} and {lineno})",
+                                  key=key)
         try:
             sections[current][key] = _parse_value(current, key, value, lineno)
         except ParseError:
@@ -517,7 +522,7 @@ def run_scenario(
                     rep_field = field_representation(
                         response, k, t_modes, nodes, weights, method=num["laplace"],
                     )
-                    mc = rep_field.plus
+                    mc = rep_field.coeffs
                     manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
                     if "modes" in stages:
                         for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):

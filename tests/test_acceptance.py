@@ -199,7 +199,7 @@ def test_criterion_6_gauge_freedom():
         worst["spectrum"] = max(worst["spectrum"], float(np.max(np.abs(
             vacuum_spectrum(rep_g, (0.0, 0.0, 0.0), 4.0) - spec0))))
         channel_change = min(channel_change,
-                             float(np.max(np.abs(rep_g.plus.eta - rep0.plus.eta))))
+                             float(np.max(np.abs(rep_g.coeffs.eta - rep0.coeffs.eta))))
     ok = max(worst.values()) < 1e-10 and channel_change > 1e-8
     detail = (", ".join(f"{n}={v:.1e}" for n, v in worst.items())
               + f"; eta channel change {channel_change:.1e} (must differ)")

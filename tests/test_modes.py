@@ -345,6 +345,7 @@ def test_talbot_matches_rational_on_conductor():
     wq = np.array([0.6, 2.3, 20.0])
     a = conductor_modes(resp, K, t, wq)
     b = conductor_modes(resp, K, t, wq, method="talbot")
+    c = conductor_modes(resp, K, t, wq, method="bromwich_line")
     assert a.metadata["method"] == "rational_exact" and b.metadata["method"] == "talbot"
     assert b.metadata["conductor"] and b.metadata["worst_rcond"] > 0.0
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "eta", "eta_tilde"):
@@ -352,9 +353,11 @@ def test_talbot_matches_rational_on_conductor():
         scale = float(np.max(np.abs(x)))
         assert scale > 0.0, name
         assert np.max(np.abs(x - y)) / scale < 1e-8, name
-    # no magnetic coupling: both paths leave the zeta families at zero
+    # no magnetic coupling: every path leaves the zeta families at zero
     for name in ("zeta", "zeta_tilde"):
-        assert not np.any(getattr(a, name)) and not np.any(getattr(b, name)), name
+        for mc in (a, b, c):
+            assert getattr(mc, name).shape == (3, 7, 3, 3), name
+            assert not np.any(getattr(mc, name)), (name, mc.metadata["method"])
 
 
 def test_talbot_rejects_continuum_absorption():
@@ -402,9 +405,10 @@ def test_drude_poles_flagged_stable():
 def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     """The Bromwich-line inversion with the whole (n_t, n_y) phase table at
     once, Lambda assembled point by point, and the grid-halving estimate
-    from a strided copy of the table."""
+    from a strided copy of the table; the vacuum transforms are added
+    before the reference's own block-to-family map."""
     vac = vacuum_response()
-    v = modes._rational_mode_path(vac, me, mm, k, t, wq)
+    v_base, v_res, _ = modes._rational_mode_path(vac, ("ee", "he", "eh", "hh"), k, t, wq)
     y_top, n_y = meta["line_halfwidth"], meta["line_points"]
     y = np.linspace(-y_top, y_top, n_y)
     rho = meta["line_abscissa"] + 1j * y
@@ -420,21 +424,22 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     est = float(np.max(np.abs(base - coarse))) / float(np.max(np.abs(base[:, :3, 3:])))
     fac = 1.0 / (rho[:, None] + 1j * wq[None, :])
     conv = np.einsum("tj,jq,jab->qtab", phases, fac, diff)
-    iw = 1j * wq[:, None, None, None]
-
-    def res(rows, cols, coupling):
-        return (base[None, :, rows, cols] - iw * conv[:, :, rows, cols]) @ coupling[:, None]
-
     e, h = slice(0, 3), slice(3, 6)
+    # L^-1[rho/(rho + i w_q) Lambda^-1 block], medium = vacuum + difference
+    res = {name: v_res[name] + base[None, :, rows, cols] - 1j * wq[:, None, None, None]
+           * conv[:, :, rows, cols]
+           for name, rows, cols in (("ee", e, e), ("eh", e, h), ("he", h, e), ("hh", h, h))}
+    base = base + v_base
+    f_q, g_q = eval_coupling_batch(me, wq, k), eval_coupling_batch(mm, wq, k)
     ref = {
-        "gamma": v.gamma + base[:, e, h],
-        "xi": v.xi - base[:, e, e],
-        "gamma_tilde": v.gamma_tilde + base[:, h, h],
-        "xi_tilde": v.xi_tilde - base[:, h, e],
-        "zeta": v.zeta + NATURAL.mu0 * res(e, e, v.g_q),
-        "zeta_tilde": v.zeta_tilde + NATURAL.mu0 * res(h, e, v.g_q),
-        "eta": v.eta - res(e, h, v.f_q),
-        "eta_tilde": v.eta_tilde - res(h, h, v.f_q),
+        "gamma": base[:, e, h],
+        "xi": -base[:, e, e],
+        "gamma_tilde": base[:, h, h],
+        "xi_tilde": -base[:, h, e],
+        "zeta": NATURAL.mu0 * res["ee"] @ g_q[:, None],
+        "zeta_tilde": NATURAL.mu0 * res["he"] @ g_q[:, None],
+        "eta": -res["eh"] @ f_q[:, None],
+        "eta_tilde": -res["hh"] @ f_q[:, None],
     }
     return ref, est
 

@@ -85,7 +85,10 @@ def test_pdot_continuity_shrinks_with_dt():
 
 
 def _dense_peak_rate(rep, tau, eps0=1.0):
-    """The normalization of `pdot_continuity` on whole (nodes x 801) tables."""
+    """The peak |dP/dt| over the probe pulse from whole (nodes x 801)
+    tables: P(s) = eps0 sum_n [sin(w_n s) C_n(s) - cos(w_n s) S_n(s)] c_n,
+    with C_n, S_n the running trapezoid integrals of cos(w_n s') E(s') and
+    sin(w_n s') E(s')."""
     wide = np.linspace(0.0, 4.0 * tau, 801)
     h = wide[1] - wide[0]
     ew = np.exp(-((wide / tau) ** 2))
@@ -101,16 +104,18 @@ def _dense_peak_rate(rep, tau, eps0=1.0):
     return float(np.max(np.abs(np.diff(p_wide, axis=0)))) / h
 
 
-def test_pdot_peak_rate_chunks_match_dense_formula(monkeypatch):
-    # anisotropic medium (9-column block); 300 nodes in chunks of 7 (42 full
-    # chunks and a last one of 6)
+def test_pdot_peak_rate_matches_dense_trapezoid(monkeypatch):
+    # anisotropic medium (9-column block), 300 nodes; the oscillator tables
+    # hold 7 of the 800 steps (114 full tables and a last one of 2). The
+    # exact propagator with a piecewise-linear probe and the trapezoid of
+    # the reference are different O(h^2) discretizations
     model = gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8)
     quad = QuadratureSpec(fixed_order=300)
     kernels = KernelStore()
-    monkeypatch.setattr(noise, "_TABLE_ELEMENTS", 7 * 801 + 5)
+    monkeypatch.setattr(noise, "_TABLE_ELEMENTS", 7 * 300 + 5)
     report = pdot_continuity(model, K, quad=quad, kernels=kernels)
     rep = kernels.kernel(model, K, noise._default_t_grid(model), quad=quad).rep
     assert rep.block.shape == (300, 9)
     ref = _dense_peak_rate(rep, 5.0 / model.frequency_scale)
     assert ref > 0.0
-    assert abs(report.peak_rate - ref) <= 1e-13 * ref
+    assert abs(report.peak_rate - ref) <= 1e-3 * ref

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mqed import observables
+from mqed import noise, observables
 from mqed.couplings import (
     apply_gauge,
     gaussian_anisotropic,
@@ -92,7 +92,7 @@ def test_gauge_leaves_commutator_and_spectrum_invariant(lorentz_models):
         spec_g = vacuum_spectrum(rep_g, (0.0, 0.0, 0.0), 4.0)
         assert np.max(np.abs(spec_g - base_spec)) < 1e-10
         # the individual reservoir channels do change
-        assert not np.allclose(rep_g.plus.eta, rep.plus.eta, atol=1e-6)
+        assert not np.allclose(rep_g.coeffs.eta, rep.coeffs.eta, atol=1e-6)
 
 
 def test_maxwell_residual_vacuum_photon_channel():
@@ -163,8 +163,8 @@ def test_vacuum_spectrum_no_magnetic_reservoir_for_pure_dielectric():
     me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     t = np.linspace(0.0, 4.0, 9)
     rep = make_rep(me, zero_coupling("magnetic"), t, order=32)
-    assert np.max(np.abs(rep.side.res_E_b)) == 0.0
-    assert np.max(np.abs(rep.plus.zeta)) == 0.0
+    assert np.max(np.abs(rep.res_E_b)) == 0.0
+    assert np.max(np.abs(rep.coeffs.zeta)) == 0.0
 
 
 def test_minus_side_solved_once_at_commutator_times(monkeypatch, lorentz_models):
@@ -178,7 +178,7 @@ def test_minus_side_solved_once_at_commutator_times(monkeypatch, lorentz_models)
     monkeypatch.setattr(observables, "mode_coefficients", counted)
     t = np.linspace(0.0, 2.0, 201)
     rep = make_rep(*lorentz_models, t, order=8)
-    assert rep.plus.gamma.shape == (201, 3, 3)
+    assert rep.coeffs.gamma.shape == (201, 3, 3)
     assert len(calls) == 1
     maxwell_residual(rep, reservoir_samples=2)
     assert len(calls) == 1
@@ -194,9 +194,10 @@ def test_commutators_equal_full_grid_minus_side(lorentz_rep):
     # the commutators were computed before -k was solved at those times only
     rep = lorentz_rep
     t_set = rep.t_grid[[0, 4, 20, 80]]
-    minus = observables._side(rep.response, -rep.k, rep.t_grid, rep.omega_q_grid, rep.method)
+    minus = field_representation(rep.response, -rep.k, rep.t_grid, rep.omega_q_grid,
+                                 rep.omega_q_weights, method=rep.method)
     wq = rep.omega_q_weights * rep.radial_measure
-    want = np.stack([observables._eh_coefficient(rep.side, minus, i, i, wq) / 1j
+    want = np.stack([observables._eh_coefficient(rep, minus, i, i, wq) / 1j
                      for i in (0, 4, 20, 80)])
     got = equal_time_commutators(rep, t_set).lhs
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -240,8 +241,8 @@ def test_oscillator_tables_match_stepwise_recurrence(monkeypatch):
         want[:, m + 1] = state.imag
     want = want.T @ block
     # 7 steps per table: 601 steps end on a ragged table
-    monkeypatch.setattr(observables, "_TABLE_ELEMENTS", 7 * omega.size)
-    got = observables._oscillator_responses(omega, drive, t, block)
+    monkeypatch.setattr(noise, "_TABLE_ELEMENTS", 7 * omega.size)
+    got = noise._oscillator_responses(omega, drive, t, block)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

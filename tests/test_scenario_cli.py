@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +114,24 @@ def test_cli_unknown_config_format_exit_code(tmp_path):
     cfg.write_text(VACUUM_CFG + f"[output]\ndirectory = {tmp_path / 'out'}\nformats = xml\n")
     assert main(["chi", "--config", str(cfg)]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("[grids]\nn_t = 11\nn_t = 801\n", (2, 3)),
+    ("[grids]\nn_t = 11\n\n[numerics]\nseed = 1\n[grids]\nn_t = 801\n", (2, 7)),
+    ("[numerics]\nseed = 1\n\n[grids]\nn_t = 11\n[numerics]\nfdt_tol = 1e-3\n", None),
+], ids=["same_header", "second_header", "distinct_keys"])
+def test_parse_key_set_twice_in_a_section(text, lines):
+    # a repeated key is an error naming both lines, even under a second
+    # header of its section; a repeated header with new keys stays legal
+    if lines is None:
+        config = parse_scenario(text)
+        assert (config.numerics["seed"], config.numerics["fdt_tol"]) == (1, 1e-3)
+        assert config.grids["n_t"] == 11
+        return
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"key 'n_t': set twice in [grids] (lines {lines[0]} and {lines[1]})"
 
 
 def test_parse_error_carries_line_number():
@@ -280,15 +301,27 @@ def test_run_builds_one_kernel_per_medium_and_k(tmp_path, monkeypatch):
     assert len(calls) == 2 * 2
 
 
+def _perfbench_module(name: str) -> dict:
+    """The namespace of a perfbench module executed from its source text,
+    so nothing is written beside it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    # registered while it runs: dataclasses look their module up
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return vars(module)
+
+
 def _bench_gate_problems(workload: str, code: int, out: str, out_dir) -> list:
     """The benchmark's correctness gate on one run, against its recorded
-    reference; the gate is executed from its source text, so nothing is
-    written beside it."""
-    gate = PERFBENCH / "gate.py"
-    namespace = {"__name__": "perfbench_gate", "__file__": str(gate)}
-    exec(compile(gate.read_text(encoding="utf-8"), str(gate), "exec"), namespace)
+    reference."""
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
-    problems, _ = namespace["check_run"](reference[workload], code, out, Path(out_dir))
+    check_run = _perfbench_module("gate")["check_run"]
+    problems, _ = check_run(reference[workload], code, out, Path(out_dir))
     return problems
 
 
@@ -311,6 +344,32 @@ def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
     assert _bench_gate_problems("lorentz-verify", code, out, tmp_path) == []
 
 
+def test_cli_verify_bundled_conductor_config(tmp_path, capsys):
+    # exit 2 with the two known failures: the KK residual measures its
+    # reference's interpolation, and the reservoir sum is under-resolved
+    code = main(["verify", "--config", str(CONFIGS / "conductor.cfg"), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert re.findall(r"^\[FAIL\] (\S+):", out, re.MULTILINE) == [
+        "kk_electric_k0", "equal_time_commutator_k0"]
+    assert out.count("[PASS]") == 10
+    assert _bench_gate_problems("conductor-verify", code, out, tmp_path) == []
+
+
+def test_cli_modes_bench_sweep_config(tmp_path, capsys):
+    # the benchmark's four-k modes sweep at seed 0, its config generated by
+    # perfbench's own workload code
+    workloads = _perfbench_module("workloads")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(workloads["config_text"](workloads["WORKLOADS"]["gaussian-modes-sweep"], 0))
+    out_dir = tmp_path / "out"
+    code = main(["modes", "--config", str(cfg), "--out", str(out_dir)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(list(out_dir.glob("modes_*_k3.csv"))) == 8
+    assert _bench_gate_problems("gaussian-modes-sweep", code, out, out_dir) == []
+
+
 def test_cli_conductor_bundled_config(tmp_path, capsys):
     # the free-carrier pathway end to end: one response carries the bound
     # and the Drude part
@@ -327,6 +386,7 @@ def test_cli_conductor_bundled_config(tmp_path, capsys):
     ("grids", "commutator_t = 0,x"),
     ("numerics", "seed = -3"),
     ("numerics", "quad_max_order = 100"),
+    ("grids", "n_t = 11"),
 ])
 def test_cli_bad_config_value_exits_before_any_stage(tmp_path, capsys, section, line):
     out_dir = tmp_path / "out"
