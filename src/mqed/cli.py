@@ -16,6 +16,7 @@ arguments), 2 numerical/model violation, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigError, NumericalError
@@ -60,7 +61,7 @@ def _add_common(parser: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mqed", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("chi", "invert-chi", "modes", "commutators", "conductor", "verify"):
+    for name in (*_STAGES, "invert-chi"):
         p = sub.add_parser(name)
         _add_common(p)
     return parser
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
     try:
         config = parse_scenario(text)
         if args.format:
-            config.output["formats"] = args.format
+            config = dataclasses.replace(config, output={**config.output, "formats": args.format})
         constants = PhysicalConstants.si() if args.si else NATURAL
         if args.command == "invert-chi":
             manifest = invert_chi(config, out_dir=args.out, constants=constants)

@@ -535,6 +535,27 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     }
 
 
+def resolve_method(response: LaplaceResponse, method: str) -> str:
+    """The inverse-Laplace path `method` (one of `METHODS`) takes for the
+    medium `response`: "auto" becomes rational_exact for a rational
+    response and bromwich_line otherwise. ValidationError when the medium
+    cannot use the method."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown inverse-laplace method '{method}'")
+    if method == "auto":
+        return "rational_exact" if response.is_rational else "bromwich_line"
+    if method == "rational_exact" and not response.is_rational:
+        raise ValidationError(
+            "rational_exact needs a rational material response; use bromwich_line"
+        )
+    if method == "talbot" and not response.is_rational:
+        raise ValidationError(
+            "talbot deforms into the left half-plane, which a continuum-"
+            "absorption response cannot continue across; use bromwich_line"
+        )
+    return method
+
+
 def mode_coefficients(
     response: LaplaceResponse,
     k,
@@ -567,19 +588,7 @@ def mode_coefficients(
     omega_q = np.asarray(omega_q_grid, dtype=float)
     if t.size == 0:
         raise ValidationError("t_grid must be nonempty")
-    if method not in METHODS:
-        raise ValidationError(f"unknown inverse-laplace method '{method}'")
-    if method == "auto":
-        method = "rational_exact" if response.is_rational else "bromwich_line"
-    if method == "rational_exact" and not response.is_rational:
-        raise ValidationError(
-            "rational_exact needs a rational material response; use bromwich_line"
-        )
-    if method == "talbot" and not response.is_rational:
-        raise ValidationError(
-            "talbot deforms into the left half-plane, which a continuum-"
-            "absorption response cannot continue across; use bromwich_line"
-        )
+    method = resolve_method(response, method)
     model_f, model_g = response.reservoir_electric, response.model_m
     if omega_q.size:
         f_q = eval_coupling_batch(model_f, omega_q, k)

@@ -57,6 +57,8 @@ from .tensors import IDENTITY3, NATURAL, PhysicalConstants
 # elements of one (rows x nodes) trigonometric table; bounds the memory of
 # every chunked contraction to ~16 MB per table
 _TABLE_ELEMENTS = 1 << 21
+# the fewest omega points kk_check accepts
+KK_MIN_POINTS = 64
 # |omega - omega_n| T below which the half-line transform of a mode is taken
 # in its cancellation-free sinc form
 _NEAR_PHASE = 1.0
@@ -479,8 +481,8 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     spectrum shows up as an O(1) residual, not an exception.
     """
     omega = spectrum.omega_grid
-    if omega.size < 64:
-        raise GridTooCoarse("kk_check needs at least 64 grid points")
+    if omega.size < KK_MIN_POINTS:
+        raise GridTooCoarse(f"kk_check needs at least {KK_MIN_POINTS} grid points")
     h = np.diff(omega)
     if np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1e-30):
         raise GridTooCoarse("kk_check needs a uniform omega grid")

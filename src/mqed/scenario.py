@@ -1,20 +1,13 @@
 """Scenario configuration, batch execution and verification reporting.
 
-Configs are structured key-value text with four sections:
-
-    [medium]    electric.kind = lorentz_isotropic, electric.strength = ...,
-                magnetic.*, conductor.* (free-carrier part routed through
-                sigma_hat), electric.target_table = path (inversion target)
-    [grids]     omega_max/n_omega (spectrum), t_max/n_t, k (semicolon list of
-                comma triples), reservoir_order, kk_omega_max/kk_n_omega
-    [numerics]  laplace = auto|rational_exact|talbot|bromwich_line,
-                quad_rtol, quad_max_order, cutoff_factor, tail_rtol, plus
-                the check tolerances (fdt_tol, kk_tol, commutator_tol,
-                maxwell_tol, roundtrip_tol, continuity_tol)
-    [output]    directory, formats = csv,json
-
-Unknown keys are rejected with their location; all tolerances must be
-positive; running a scenario writes CSV/JSON artifacts plus a manifest that
+A config is `key = value` lines in four sections: [medium], [grids],
+[numerics] and [output]. `_SCHEMA` declares each [grids], [numerics] and
+[output] key with its default, parser and range rule; `_PARTS` declares the
+medium kinds each part (electric, magnetic, conductor) takes, each with its
+constructor and its required and optional parameters. README.md lists both
+in its "Scenario config keys" table. Every value is checked when the config
+is parsed, so a bad one is a config error naming its key before any stage
+runs. Running a scenario writes CSV/JSON artifacts plus a manifest that
 lists every executed check exactly once.
 """
 
@@ -23,6 +16,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +24,6 @@ import numpy as np
 from . import __version__
 from .conductor import conductor_modes, q_kernel_consistency
 from .couplings import (
-    _KINDS,
     ELECTRIC,
     MAGNETIC,
     coupling_from_target,
@@ -43,7 +36,7 @@ from .couplings import (
 )
 from .errors import NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
-from .modes import METHODS, lambda_reality_scan
+from .modes import METHODS, lambda_reality_scan, resolve_method
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (
     constitutive_roundtrip,
@@ -54,56 +47,9 @@ from .observables import (
     vacuum_spectrum,
 )
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import KernelStore, chi_kernel, chi_spectrum, kk_check, laplace_response
+from .response import (KK_MIN_POINTS, KernelStore, chi_kernel, chi_spectrum, kk_check,
+                       laplace_response)
 from .tensors import NATURAL, PhysicalConstants
-
-_SECTIONS = ("medium", "grids", "numerics", "output")
-
-_MEDIUM_KEYS = {
-    "electric.kind", "electric.strength", "electric.resonance", "electric.width",
-    "electric.axis_strengths", "electric.center", "electric.correlation_length",
-    "electric.omega_max", "electric.table", "electric.target_table",
-    "magnetic.kind", "magnetic.strength", "magnetic.resonance", "magnetic.width",
-    "magnetic.axis_strengths", "magnetic.center", "magnetic.correlation_length",
-    "magnetic.omega_max", "magnetic.table",
-    "conductor.kind", "conductor.strength", "conductor.width",
-}
-
-_GRID_DEFAULTS = {
-    "omega_min": 0.1,
-    "omega_max": 5.0,
-    "n_omega": 200,
-    "t_max": 10.0,
-    "n_t": 2001,
-    "reservoir_order": 384,
-    "reservoir_cutoff": 50.0,
-    "commutator_t": "0,1,5",
-    "kk_omega_max": 50.0,
-    "kk_n_omega": 4096,
-    "maxwell_t_max": 6.0,
-    "maxwell_n_t": 8001,
-    "k": "0,0,1",
-}
-
-_NUMERIC_DEFAULTS = {
-    "laplace": "auto",
-    "quad_rtol": 1e-7,
-    "quad_max_order": 8192,
-    "cutoff_factor": 50.0,
-    "tail_rtol": 1e-6,
-    "continuity_dt": 1e-3,
-    "fdt_tol": 1e-5,
-    "kk_tol": 1e-3,
-    "commutator_tol": 1e-4,
-    "maxwell_tol": 1e-5,
-    "roundtrip_tol": 1e-6,
-    "continuity_tol": 1e-5,
-    "constitutive_tol": 1e-5,
-    "reality_tol": 1e-13,
-    "seed": 20260808,
-}
-
-_OUTPUT_DEFAULTS = {"directory": "out", "formats": "csv,json"}
 
 
 def output_formats(value) -> list:
@@ -113,6 +59,111 @@ def output_formats(value) -> list:
     if any(part not in ("csv", "json") for part in parts):
         raise ValueError(f"'{value}' is not a comma list of csv and json")
     return parts
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"'{text}' is not a finite number")
+    return value
+
+
+def _finite_list(text: str) -> tuple:
+    return tuple(_finite(x) for x in text.split(","))
+
+
+def _wave_vectors(text: str) -> list:
+    triples = [_finite_list(part) for part in text.split(";")]
+    if any(len(trip) != 3 for trip in triples):
+        raise ValueError("k entries need three components")
+    return triples
+
+
+def _formats(text: str) -> str:
+    output_formats(text)
+    return text
+
+
+# a value must be `text`; the default is the text parsed for an absent key
+_Rule = namedtuple("_Rule", "text holds")
+_Key = namedtuple("_Key", "default parse rule", defaults=(None,))
+_POSITIVE = _Rule("> 0", lambda x: x > 0.0)
+_SIZE = _Rule("> 1", lambda n: n > 1)
+_TIME_SIZE = _Rule(">= 3", lambda n: n >= 3)  # finite_difference_time reads three points
+_START_ORDER = QuadratureSpec().start_order
+
+_SCHEMA = {
+    "grids": {
+        "omega_min": _Key("0.1", _finite, _POSITIVE),
+        "omega_max": _Key("5.0", _finite, _POSITIVE),
+        "n_omega": _Key("200", int, _SIZE),
+        "t_max": _Key("10.0", _finite, _POSITIVE),
+        "n_t": _Key("2001", int, _TIME_SIZE),
+        "reservoir_order": _Key("384", int, _SIZE),
+        "reservoir_cutoff": _Key("50.0", _finite, _POSITIVE),
+        "commutator_t": _Key("0,1,5", _finite_list),  # in [0, t_max]: _validate
+        "kk_omega_max": _Key("50.0", _finite, _POSITIVE),
+        "kk_n_omega": _Key("4096", int, _Rule(f">= {KK_MIN_POINTS}", lambda n: n >= KK_MIN_POINTS)),
+        "maxwell_t_max": _Key("6.0", _finite, _POSITIVE),
+        "maxwell_n_t": _Key("8001", int, _TIME_SIZE),
+        "k": _Key("0,0,1", _wave_vectors, _Rule("nonzero", lambda ks: all(any(k) for k in ks))),
+    },
+    "numerics": {
+        "laplace": _Key("auto", str, _Rule(f"one of {', '.join(METHODS)}", METHODS.__contains__)),
+        "quad_rtol": _Key("1e-7", _finite, _POSITIVE),
+        "quad_max_order": _Key("8192", int, _Rule(f">= the quadrature start order {_START_ORDER}",
+                                                  lambda n: n >= _START_ORDER)),
+        "cutoff_factor": _Key("50.0", _finite, _POSITIVE),
+        "tail_rtol": _Key("1e-6", _finite, _POSITIVE),
+        "continuity_dt": _Key("1e-3", _finite, _POSITIVE),
+        "fdt_tol": _Key("1e-5", _finite, _POSITIVE),
+        "kk_tol": _Key("1e-3", _finite, _POSITIVE),
+        "commutator_tol": _Key("1e-4", _finite, _POSITIVE),
+        "maxwell_tol": _Key("1e-5", _finite, _POSITIVE),
+        "roundtrip_tol": _Key("1e-6", _finite, _POSITIVE),
+        "continuity_tol": _Key("1e-5", _finite, _POSITIVE),
+        "constitutive_tol": _Key("1e-5", _finite, _POSITIVE),
+        "reality_tol": _Key("1e-13", _finite, _POSITIVE),
+        "seed": _Key("20260808", int, _Rule(">= 0", lambda n: n >= 0)),
+    },
+    "output": {"directory": _Key("out", str), "formats": _Key("csv,json", _formats)},
+}
+_SECTIONS = ("medium", *_SCHEMA)
+
+# a medium kind: its constructor, called with which=, constants= and the
+# parameters the config gives, and its required and optional parameters
+_Kind = namedtuple("_Kind", "build required optional", defaults=((), ()))
+_KINDS = {
+    "zero": _Kind(lambda which, constants: zero_coupling(which)),
+    "lorentz_isotropic": _Kind(lorentz_isotropic, ("strength", "resonance", "width"),
+                               ("omega_max",)),
+    "drude": _Kind(drude, ("strength", "width"), ("omega_max",)),
+    "gaussian_anisotropic": _Kind(gaussian_anisotropic, ("axis_strengths", "center"),
+                                  ("correlation_length", "omega_max")),
+    "tabulated": _Kind(lambda which, constants, table: tabulated_from_csv(table, which=which),
+                       ("table",)),
+}
+# part -> (sector, the kinds it takes, its parameters outside any kind): the
+# conductor part is the free carriers, a plain Drude form routed through
+# sigma_hat; electric.target_table is invert-chi's target spectrum
+_PARTS = {
+    "electric": (ELECTRIC, _KINDS, ("target_table",)),
+    "magnetic": (MAGNETIC, _KINDS, ()),
+    "conductor": (ELECTRIC, {"zero": _KINDS["zero"], "drude": _Kind(drude, ("strength", "width"))},
+                  ()),
+}
+_PARAMETERS = {
+    "kind": _Key(None, str),
+    "strength": _Key(None, _finite),
+    "resonance": _Key(None, _finite, _POSITIVE),
+    "width": _Key(None, _finite, _POSITIVE),
+    "axis_strengths": _Key(None, _finite_list, _Rule("three values", lambda v: len(v) == 3)),
+    "center": _Key(None, _finite, _POSITIVE),
+    "correlation_length": _Key(None, _finite),
+    "omega_max": _Key(None, _finite, _POSITIVE),
+    "table": _Key(None, str),
+    "target_table": _Key(None, str),
+}
 
 
 @dataclass(frozen=True)
@@ -132,65 +183,25 @@ class ScenarioConfig:
             cutoff_factor=n["cutoff_factor"],
         )
 
-    def model(self, section: str, constants: PhysicalConstants):
-        raw = {k.split(".", 1)[1]: v for k, v in self.medium.items() if k.startswith(section + ".")}
-        kind = raw.get("kind", "zero")
-        which = MAGNETIC if section == "magnetic" else ELECTRIC
-        omega_max = raw.get("omega_max")
-        if kind == "zero":
-            return zero_coupling(which)
-        if kind == "lorentz_isotropic":
-            return lorentz_isotropic(
-                raw["strength"], raw["resonance"], raw["width"],
-                which=which, omega_max=omega_max, constants=constants,
-            )
-        if kind == "drude":
-            return drude(raw["strength"], raw["width"], which=which,
-                         omega_max=omega_max, constants=constants)
-        if kind == "gaussian_anisotropic":
-            return gaussian_anisotropic(
-                raw["axis_strengths"], raw["center"],
-                raw.get("correlation_length", 0.0),
-                which=which, omega_max=omega_max, constants=constants,
-            )
-        if kind == "tabulated":
-            return tabulated_from_csv(raw["table"], which=which)
-        raise ValidationError(f"unknown medium kind '{kind}'", key=f"{section}.kind")
+    def model(self, part: str, constants: PhysicalConstants):
+        """The coupling model of the medium part electric, magnetic or
+        conductor; zero when the config names no kind for it."""
+        which, kinds, _ = _PARTS[part]
+        kind = kinds[self.medium.get(f"{part}.kind", "zero")]
+        given = {name: self.medium[f"{part}.{name}"] for name in kind.required + kind.optional
+                 if f"{part}.{name}" in self.medium}
+        return kind.build(which=which, constants=constants, **given)
 
 
-_FLOAT_KEYS_MEDIUM = {
-    "strength", "resonance", "width", "center", "correlation_length", "omega_max",
-}
-
-
-def _parse_value(section: str, key: str, value: str, line: int):
-    if section == "medium":
-        sub = key.split(".", 1)[1]
-        if sub == "axis_strengths":
-            return tuple(float(x) for x in value.split(","))
-        if sub in _FLOAT_KEYS_MEDIUM:
-            return float(value)
-        return value
-    if section == "grids":
-        if key == "k":
-            triples = []
-            for part in value.split(";"):
-                comps = [float(x) for x in part.split(",")]
-                if len(comps) != 3:
-                    raise ParseError(f"k entries need three components, got '{part}'", line)
-                triples.append(tuple(comps))
-            return triples
-        if key == "commutator_t":
-            return tuple(float(x) for x in value.split(","))
-        if key in ("n_omega", "n_t", "reservoir_order", "kk_n_omega", "maxwell_n_t"):
-            return int(value)
-        return float(value)
-    if section == "numerics":
-        if key == "laplace":
-            return value
-        if key in ("quad_max_order", "seed"):
-            return int(value)
-        return float(value)
+def _value(key: str, spec: _Key, text: str, line: int | None = None):
+    """The value of `key` parsed from `text` and checked against its rule."""
+    where = "" if line is None else f" on line {line}"
+    try:
+        value = spec.parse(text)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad value{where}: {exc}", key=key) from None
+    if spec.rule is not None and not spec.rule.holds(value):
+        raise ValidationError(f"must be {spec.rule.text}{where}", key=key)
     return value
 
 
@@ -216,77 +227,45 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if "=" not in stripped:
             raise ParseError(f"expected 'key = value', got '{stripped}'", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        known = {
-            "medium": _MEDIUM_KEYS,
-            "grids": set(_GRID_DEFAULTS),
-            "numerics": set(_NUMERIC_DEFAULTS),
-            "output": set(_OUTPUT_DEFAULTS),
-        }[current]
-        if key not in known:
+        if current == "medium":
+            part, _, param = key.partition(".")
+            spec = _PARAMETERS.get(param) if part in _PARTS else None
+        else:
+            spec = _SCHEMA[current].get(key)
+        if spec is None:
             raise ValidationError(f"unknown key in [{current}] (line {lineno})", key=key)
         first = lines.setdefault((current, key), lineno)
         if first != lineno:
             raise ValidationError(f"set twice in [{current}] (lines {first} and {lineno})",
                                   key=key)
-        try:
-            sections[current][key] = _parse_value(current, key, value, lineno)
-        except ParseError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad value on line {lineno}: {exc}", key=key)
+        sections[current][key] = _value(key, spec, value, lineno)
 
-    grids = {**_GRID_DEFAULTS, **sections["grids"]}
-    for key in ("k", "commutator_t"):
-        if isinstance(grids[key], str):
-            grids[key] = _parse_value("grids", key, grids[key], 0)
-    numerics = {**_NUMERIC_DEFAULTS, **sections["numerics"]}
-    output = {**_OUTPUT_DEFAULTS, **sections["output"]}
-    config = ScenarioConfig(
-        medium=dict(sections["medium"]), grids=grids, numerics=numerics, output=output
-    )
+    for name, keys in _SCHEMA.items():
+        sections[name] = {key: _value(key, spec, spec.default) for key, spec in keys.items()
+                          } | sections[name]
+    config = ScenarioConfig(**sections)
     _validate(config)
     return config
 
 
 def _validate(config: ScenarioConfig):
-    for key in ("quad_rtol", "tail_rtol", "fdt_tol", "kk_tol", "commutator_tol",
-                "maxwell_tol", "roundtrip_tol", "continuity_tol", "constitutive_tol",
-                "reality_tol", "continuity_dt"):
-        if not config.numerics[key] > 0.0:
-            raise ValidationError("tolerance must be positive", key=key)
-    if config.numerics["laplace"] not in METHODS:
-        raise ValidationError("unknown laplace method", key="laplace")
-    if config.numerics["seed"] < 0:
-        raise ValidationError("seed must be nonnegative", key="seed")
-    start = QuadratureSpec().start_order
-    if config.numerics["quad_max_order"] < start:
-        raise ValidationError(f"must be at least the start order {start}",
-                              key="quad_max_order")
-    for key in ("n_omega", "n_t", "reservoir_order", "kk_n_omega", "maxwell_n_t"):
-        if int(config.grids[key]) <= 1:
-            raise ValidationError("grid sizes must exceed 1", key=key)
-    if not config.grids["k"]:
-        raise ValidationError("k list must be nonempty", key="k")
-    for trip in config.grids["k"]:
-        if not all(np.isfinite(trip)):
-            raise ValidationError("k components must be finite", key="k")
-    for key in ("omega_min", "omega_max", "t_max", "kk_omega_max", "reservoir_cutoff",
-                "maxwell_t_max"):
-        if not config.grids[key] > 0.0:
-            raise ValidationError("grid extents must be positive", key=key)
+    """The rules that read more than one key."""
     if not all(0.0 <= ti <= config.grids["t_max"] for ti in config.grids["commutator_t"]):
         raise ValidationError("commutator times must lie in [0, t_max]", key="commutator_t")
-    for section in ("electric", "magnetic", "conductor"):
-        kind = config.medium.get(f"{section}.kind")
-        if kind is not None and kind not in _KINDS:
-            raise ValidationError(f"unknown kind '{kind}'", key=f"{section}.kind")
-    if config.medium.get("conductor.kind") not in (None, "zero", "drude"):
-        raise ValidationError("conductor part must be a drude (free-carrier) model",
-                              key="conductor.kind")
-    try:
-        output_formats(config.output["formats"])
-    except ValueError as exc:
-        raise ValidationError(str(exc), key="formats") from None
+    medium = config.medium
+    for part, (_, kinds, extra) in _PARTS.items():
+        name = medium.get(f"{part}.kind", "zero")
+        if name not in kinds:
+            raise ValidationError(f"the {part} part takes the kinds {', '.join(kinds)}",
+                                  key=f"{part}.kind")
+        kind = kinds[name]
+        for key in medium:
+            owner, _, param = key.partition(".")
+            if owner == part and param not in ("kind", *extra, *kind.required, *kind.optional):
+                raise ValidationError(f"kind '{name}' takes no such parameter", key=key)
+        for param in kind.required:
+            if f"{part}.{param}" not in medium:
+                raise ValidationError(f"kind '{name}' requires it", key=f"{part}.{param}")
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:
@@ -297,7 +276,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
         lines.append(f"[{name}]")
         for key in sorted(data):
             value = data[key]
-            if key == "k":
+            if isinstance(value, list):
                 value = "; ".join(",".join(format(c, ".17g") for c in trip) for trip in value)
             elif isinstance(value, tuple):
                 value = ",".join(format(v, ".17g") for v in value)
@@ -330,6 +309,15 @@ class RunManifest:
         self.checks.append(entry)
         return entry["passed"]
 
+    @contextmanager
+    def timed(self, name):
+        """Records the wall time of the block as timings[name]."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = round(time.perf_counter() - start, 6)
+
     @property
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -348,57 +336,36 @@ class RunManifest:
         }
 
 
-class _Timer:
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.timings[self.name] = round(time.perf_counter() - self.start, 6)
-        return False
-
-
 @contextmanager
 def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants):
-    """The manifest of one run with its output directory and formats. The
-    manifest is written when the run completes, and when a NumericalError
-    ends it, after recording the error; the error then propagates."""
+    """The manifest of one run and its writer: emit(name, writer, *args)
+    writes the output `name` when the config's formats include its
+    extension, and lists it in the manifest. The manifest is written when the
+    run completes, and when a NumericalError ends it, after recording the
+    error; the error then propagates."""
     out_dir = out_dir or config.output["directory"]
     formats = output_formats(config.output["formats"])
     manifest = RunManifest(
         config_text=serialize_scenario(config),
         constants="natural" if constants is NATURAL else "si",
     )
+
+    def emit(name, writer, *args):
+        if name.rsplit(".", 1)[1] in formats:
+            writer(os.path.join(out_dir, name), *args)
+            manifest.outputs.append(name)
+
     try:
-        yield manifest, out_dir, formats
+        yield manifest, emit
     except NumericalError as exc:
         manifest.error = {
             "module": type(exc).__module__,
             "type": type(exc).__name__,
             "message": str(exc),
         }
-        _finalize(manifest, out_dir, formats)
+        emit("manifest.json", write_json, manifest.payload())
         raise
-    _finalize(manifest, out_dir, formats)
-
-
-def _conductor_response(config, model_e, constants, quad):
-    """The medium of the conductor stage: the bound electric part, the
-    configured Drude part as free carriers and no magnetic part; None when
-    no conductor part is configured."""
-    kind = config.medium.get("conductor.kind")
-    if kind in (None, "zero"):
-        return None
-    free = drude(
-        config.medium["conductor.strength"], config.medium["conductor.width"],
-        constants=constants,
-    )
-    return laplace_response(model_e, zero_coupling(MAGNETIC), model_free=free,
-                            constants=constants, quad=quad)
+    emit("manifest.json", write_json, manifest.payload())
 
 
 def run_scenario(
@@ -417,7 +384,18 @@ def run_scenario(
     grids = config.grids
     model_e = config.model("electric", constants)
     model_m = config.model("magnetic", constants)
-    cond = _conductor_response(config, model_e, constants, quad)
+    # the medium of the conductor stage: the bound electric part and the free
+    # carriers, no magnetic part; None without free carriers
+    free = config.model("conductor", constants)
+    cond = None if free.is_zero else laplace_response(
+        model_e, zero_coupling(MAGNETIC), model_free=free, constants=constants, quad=quad)
+    response = laplace_response(model_e, model_m, constants=constants, quad=quad)
+    try:
+        method = resolve_method(response, num["laplace"])
+    except ValidationError as exc:
+        raise ValidationError(str(exc), key="laplace") from None
+    vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
+                              constants=constants, quad=quad)
     rng = np.random.default_rng(int(num["seed"]))
     # one kernel representation per (medium, k), shared by the time-domain
     # consumers of this run
@@ -425,35 +403,17 @@ def run_scenario(
 
     omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
     t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
+    n_kk = int(grids["kk_n_omega"])
+    kk_grid = (np.arange(n_kk) + 0.5) * grids["kk_omega_max"] / n_kk
+    # the scale of the Maxwell residual's reservoir sample
+    models = [m for m in (model_e, model_m) if not m.is_zero] + ([cond.model_free] if cond else [])
 
-    with _recorded_run(config, out_dir, constants) as (manifest, out_dir, formats):
-        def emit(name, writer, *args):
-            if "csv" in formats:
-                path = os.path.join(out_dir, name)
-                writer(path, *args)
-                manifest.outputs.append(name)
-
-        def emit_report(name, report):
-            if "json" in formats:
-                write_json(os.path.join(out_dir, name), {
-                    "kind": report.kind,
-                    "k": [float(x) for x in report.k],
-                    "grid": report.grid,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "max_rel_err": report.max_rel_err,
-                    "details": report.details,
-                })
-                manifest.outputs.append(name)
-
+    with _recorded_run(config, out_dir, constants) as (manifest, emit):
         for ik, k in enumerate(config.k_list()):
             tag = f"k{ik}"
-            models = [m for m in (model_e, model_m) if not m.is_zero]
-            if cond is not None:
-                models.append(cond.model_free)
 
             if "chi" in stages:
-                with _Timer(manifest, f"chi_{tag}"):
+                with manifest.timed(f"chi_{tag}"):
                     for model, name in ((model_e, "electric"), (model_m, "magnetic")):
                         t_ker = np.linspace(0.0, model.suggested_t_max(1e-11), 2200) \
                             if not model.is_zero else t_grid
@@ -465,8 +425,6 @@ def run_scenario(
                         emit(f"spectrum_{name}_{tag}.csv", write_tensor_series_csv,
                              "omega", spectrum.omega_grid, spectrum.values)
                         if not model.is_zero:
-                            kk_grid = (np.arange(int(grids["kk_n_omega"])) + 0.5) \
-                                * grids["kk_omega_max"] / int(grids["kk_n_omega"])
                             kk = kk_check(chi_spectrum(kernel, kk_grid, tail_rtol=num["tail_rtol"]))
                             manifest.add_check(f"kk_{name}_{tag}", kk.max_rel_residual,
                                                num["kk_tol"])
@@ -475,14 +433,18 @@ def run_scenario(
                                                num["roundtrip_tol"])
 
             if "noise" in stages:
-                with _Timer(manifest, f"noise_{tag}"):
-                    if not model_e.is_zero:
-                        rep = noise_commutator(model_e, k, omega, constants=constants,
+                with manifest.timed(f"noise_{tag}"):
+                    for model, name in ((model_e, "P"), (model_m, "M")):
+                        if model.is_zero:
+                            continue
+                        rep = noise_commutator(model, k, omega, constants=constants,
                                                quad=quad, kernels=kernels)
-                        manifest.add_check(f"fdt_P_{tag}", rep.max_rel_err, num["fdt_tol"])
-                        emit(f"noise_P_{tag}.csv", write_deviation_csv, "omega", rep.grid,
+                        manifest.add_check(f"fdt_{name}_{tag}", rep.max_rel_err, num["fdt_tol"])
+                        emit(f"noise_{name}_{tag}.csv", write_deviation_csv, "omega", rep.grid,
                              _deviation_curve(rep), rep.lhs)
-                        emit_report(f"noise_P_{tag}.json", rep)
+                        emit(f"noise_{name}_{tag}.json", _write_report, rep)
+                        if name == "M":
+                            continue
                         manifest.add_check(f"fdt_J_{tag}", noise_current_coefficient(rep).max_rel_err,
                                            num["fdt_tol"])
                         cont = pdot_continuity(model_e, k, constants=constants,
@@ -497,17 +459,9 @@ def run_scenario(
                         )
                         manifest.add_check(f"constitutive_roundtrip_{tag}",
                                            roundtrip.residual, num["constitutive_tol"])
-                    if not model_m.is_zero:
-                        rep = noise_commutator(model_m, k, omega, constants=constants,
-                                               quad=quad, kernels=kernels)
-                        manifest.add_check(f"fdt_M_{tag}", rep.max_rel_err, num["fdt_tol"])
-                        emit(f"noise_M_{tag}.csv", write_deviation_csv, "omega", rep.grid,
-                             _deviation_curve(rep), rep.lhs)
-                        emit_report(f"noise_M_{tag}.json", rep)
 
-            response = laplace_response(model_e, model_m, constants=constants, quad=quad)
             if "modes" in stages or "commutators" in stages:
-                with _Timer(manifest, f"modes_{tag}"):
+                with manifest.timed(f"modes_{tag}"):
                     scan = lambda_reality_scan(
                         response,
                         rng.normal(size=(10, 3)),
@@ -520,7 +474,7 @@ def run_scenario(
                     )
                     t_modes = np.linspace(0.0, grids["t_max"], 81)
                     rep_field = field_representation(
-                        response, k, t_modes, nodes, weights, method=num["laplace"],
+                        response, k, t_modes, nodes, weights, method=method,
                     )
                     mc = rep_field.coeffs
                     manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
@@ -535,18 +489,16 @@ def run_scenario(
                                      getattr(mc, name))
 
             if "commutators" in stages:
-                with _Timer(manifest, f"commutators_{tag}"):
+                with manifest.timed(f"commutators_{tag}"):
                     t_set = [t_modes[np.argmin(np.abs(t_modes - ti))]
                              for ti in grids["commutator_t"]]
-                    vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
-                                              constants=constants, quad=quad)
                     baseline = field_representation(vacuum, k, t_set, nodes, weights)
                     comm = equal_time_commutators(rep_field, t_set, baseline=baseline)
                     manifest.add_check(f"equal_time_commutator_{tag}", comm.max_rel_err,
                                        num["commutator_tol"])
                     emit(f"commutator_equal_time_{tag}.csv", write_deviation_csv, "t",
                          comm.grid, _deviation_curve(comm), comm.lhs)
-                    emit_report(f"commutator_equal_time_{tag}.json", comm)
+                    emit(f"commutator_equal_time_{tag}.json", _write_report, comm)
                     spec_v = vacuum_spectrum(rep_field, (0.0, 0.0, 0.0), 0.0)
                     eigs = np.linalg.eigvalsh(spec_v)
                     manifest.add_check(f"vacuum_spectrum_psd_{tag}",
@@ -561,14 +513,14 @@ def run_scenario(
                     picks = reservoir_picks(nodes_r.size, 2)
                     rep_res = field_representation(
                         response, k, t_res, nodes_r[picks], weights_r[picks],
-                        method=num["laplace"],
+                        method=method,
                     )
                     res = maxwell_residual(rep_res, reservoir_samples=picks.size)
                     manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,
                                        num["maxwell_tol"], details=res.channels)
 
             if "conductor" in stages and cond is not None:
-                with _Timer(manifest, f"conductor_{tag}"):
+                with manifest.timed(f"conductor_{tag}"):
                     wq_cond, _ = gauss_legendre(
                         int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"]
                     )
@@ -587,10 +539,16 @@ def run_scenario(
     return manifest
 
 
-def _finalize(manifest: RunManifest, out_dir, formats):
-    if "json" in formats:
-        write_json(os.path.join(out_dir, "manifest.json"), manifest.payload())
-        manifest.outputs.append("manifest.json")
+def _write_report(path, report):
+    write_json(path, {
+        "kind": report.kind,
+        "k": [float(x) for x in report.k],
+        "grid": report.grid,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "max_rel_err": report.max_rel_err,
+        "details": report.details,
+    })
 
 
 def _deviation_curve(report) -> np.ndarray:
@@ -622,11 +580,11 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
     num = config.numerics
     omega = np.linspace(config.grids["omega_min"], config.grids["omega_max"],
                         int(config.grids["n_omega"]))
-    with _recorded_run(config, out_dir, constants) as (manifest, out_dir, formats):
+    with _recorded_run(config, out_dir, constants) as (manifest, emit):
         target_path = config.medium.get("electric.target_table")
         for ik, k in enumerate(config.k_list()):
             tag = f"k{ik}"
-            with _Timer(manifest, f"invert_{tag}"):
+            with manifest.timed(f"invert_{tag}"):
                 if target_path is not None:
                     table_model = tabulated_from_csv(target_path, which=ELECTRIC)
                     values = table_model.table.interpolate(omega, float(np.linalg.norm(k)))
@@ -634,11 +592,8 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
                         coupling_from_target(values[i], w, k, constants=constants)
                         for i, w in enumerate(omega)
                     ])
-                    if "csv" in formats:
-                        write_tensor_series_csv(
-                            os.path.join(out_dir, f"recovered_coupling_{tag}.csv"),
-                            "omega", omega, rec)
-                        manifest.outputs.append(f"recovered_coupling_{tag}.csv")
+                    emit(f"recovered_coupling_{tag}.csv", write_tensor_series_csv, "omega", omega,
+                         rec)
                 else:
                     model = config.model("electric", constants)
                     if model.is_zero:

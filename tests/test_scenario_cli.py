@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mqed import NATURAL
 from mqed.cli import build_parser, main
+from mqed.couplings import MAGNETIC, drude, gaussian_anisotropic, lorentz_isotropic
 from mqed.errors import ParseError, ValidationError
-from mqed.scenario import parse_scenario, run_scenario, serialize_scenario
+from mqed.scenario import _KINDS, _SCHEMA, parse_scenario, run_scenario, serialize_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -145,11 +147,65 @@ def test_parse_rejects_key_outside_section():
         parse_scenario("n_t = 100\n")
 
 
-def test_serialize_round_trip():
-    config = parse_scenario(LORENTZ_CFG.replace("PLACEHOLDER", "out"))
+@pytest.mark.parametrize("name", ["lorentz.cfg", "gaussian.cfg", "conductor.cfg"])
+def test_serialize_round_trip(name):
+    config = parse_scenario((CONFIGS / name).read_text(encoding="utf-8"))
     text = serialize_scenario(config)
     again = parse_scenario(text)
+    assert again == config
     assert serialize_scenario(again) == text
+
+
+def _readme_rows(pattern: str) -> list:
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(pattern, readme, re.MULTILINE)
+
+
+def test_readme_config_table_matches_schema():
+    # README's key table lists every key with the schema's default, and its
+    # kind table every kind with the schema's parameters
+    rows = _readme_rows(r"^\| `\[(\w+)\]` \| `(\w+)` \| `([^`]*)` \|")
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(section, key, spec.default) for section, keys in _SCHEMA.items()
+                         for key, spec in keys.items()}
+    kinds = {kind: (re.findall(r"`(\w+)`", required), re.findall(r"`(\w+)`", optional))
+             for kind, required, optional in _readme_rows(r"^\| `(\w+)` \|([^|]*)\|([^|]*)\|$")}
+    assert kinds == {name: (list(kind.required), list(kind.optional))
+                     for name, kind in _KINDS.items()}
+
+
+def test_model_builds_each_kind_from_its_parameters():
+    config = parse_scenario(
+        "[medium]\nelectric.kind = gaussian_anisotropic\nelectric.axis_strengths = 1,0.7,0.4\n"
+        "electric.center = 1.0\nmagnetic.kind = lorentz_isotropic\nmagnetic.strength = 0.8\n"
+        "magnetic.resonance = 1.4\nmagnetic.width = 0.6\nmagnetic.omega_max = 9\n"
+        "conductor.kind = drude\nconductor.strength = 1.1\nconductor.width = 0.5\n"
+    )
+    assert config.model("electric", NATURAL) == gaussian_anisotropic((1.0, 0.7, 0.4), 1.0)
+    assert config.model("magnetic", NATURAL) == lorentz_isotropic(
+        0.8, 1.4, 0.6, which=MAGNETIC, omega_max=9.0)
+    assert config.model("conductor", NATURAL) == drude(1.1, 0.5)
+
+
+@pytest.mark.parametrize("medium, key", [
+    ("electric.kind = drude\nelectric.strength = 1\nelectric.width = 1\nelectric.resonance = 1",
+     "electric.resonance"),
+    ("magnetic.table = chi.csv", "magnetic.table"),
+    ("conductor.kind = lorentz_isotropic", "conductor.kind"),
+    ("electric.kind = bogus", "electric.kind"),
+    ("conductor.kind = drude\nconductor.strength = 1\nconductor.width = 1\n"
+     "conductor.omega_max = 3", "conductor.omega_max"),
+    ("electric.kind = gaussian_anisotropic\nelectric.axis_strengths = 1,1\n"
+     "electric.center = 1", "electric.axis_strengths"),
+    ("electric.kind = lorentz_isotropic\nelectric.strength = 1\nelectric.resonance = 0\n"
+     "electric.width = 1", "electric.resonance"),
+])
+def test_parse_rejects_medium_key_its_kind_does_not_take(medium, key):
+    # a parameter the part's kind does not take, a kind the part does not
+    # take and a parameter outside its range each name their key
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(f"[medium]\n{medium}\n")
+    assert err.value.key == key
 
 
 def test_run_vacuum_scenario(tmp_path):
@@ -382,20 +438,67 @@ def test_cli_conductor_bundled_config(tmp_path, capsys):
     assert (tmp_path / "conductor_gamma_k0.csv").is_file()
 
 
-@pytest.mark.parametrize("section, line", [
-    ("grids", "commutator_t = 0,x"),
-    ("numerics", "seed = -3"),
-    ("numerics", "quad_max_order = 100"),
-    ("grids", "n_t = 11"),
+LORENTZ_ELECTRIC = ("electric.kind = lorentz_isotropic\nelectric.strength = 1.3\n"
+                    "electric.resonance = 1.0\nelectric.width = 0.5\n")
+GAUSSIAN_ELECTRIC = ("electric.kind = gaussian_anisotropic\nelectric.axis_strengths = 1.0,0.7,0.4\n"
+                     "electric.center = 1.0\n")
+
+
+def _append(section, line):
+    return [(None, f"[{section}]\n{line}")]
+
+
+@pytest.mark.parametrize("key, edits", [
+    pytest.param("commutator_t", _append("grids", "commutator_t = 0,x"),
+                 id="grids-commutator_t = 0,x"),
+    pytest.param("seed", _append("numerics", "seed = -3"), id="numerics-seed = -3"),
+    pytest.param("quad_max_order", _append("numerics", "quad_max_order = 100"),
+                 id="numerics-quad_max_order = 100"),
+    # set a second time
+    pytest.param("n_t", _append("grids", "n_t = 11"), id="grids-n_t = 11"),
+    pytest.param("n_t", [("n_t = 1201", "n_t = 2")], id="n_t = 2"),
+    pytest.param("maxwell_n_t", [("maxwell_n_t = 6001", "maxwell_n_t = 2")],
+                 id="maxwell_n_t = 2"),
+    pytest.param("omega_max", _append("grids", "omega_max = inf"), id="omega_max = inf"),
+    pytest.param("k", [("k = 0,0,1.3", "k = 0,0,0")], id="k = 0,0,0"),
+    pytest.param("kk_n_omega", [("kk_n_omega = 4096", "kk_n_omega = 32")],
+                 id="kk_n_omega = 32"),
+    pytest.param("electric.table", [(LORENTZ_ELECTRIC, "electric.kind = tabulated\n")],
+                 id="tabulated without table"),
+    pytest.param("laplace", [(LORENTZ_ELECTRIC, GAUSSIAN_ELECTRIC)]
+                 + _append("numerics", "laplace = rational_exact"),
+                 id="rational_exact on gaussian"),
 ])
-def test_cli_bad_config_value_exits_before_any_stage(tmp_path, capsys, section, line):
+def test_cli_bad_config_value_exits_before_any_stage(tmp_path, capsys, key, edits):
+    # each edit replaces a line of the config, or appends one (old is None)
     out_dir = tmp_path / "out"
-    text = LORENTZ_CFG.replace("PLACEHOLDER", str(out_dir)) + f"\n[{section}]\n{line}\n"
+    text = LORENTZ_CFG.replace("PLACEHOLDER", str(out_dir))
+    for old, new in edits:
+        assert old is None or old in text
+        text = text + f"\n{new}\n" if old is None else text.replace(old, new)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["verify", "--config", str(cfg)]) == 1
-    key = line.split(" = ")[0]
     assert f"config error: key '{key}'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name, line", [
+    ("lorentz.cfg", "electric.strength = 1.3"),
+    ("lorentz.cfg", "magnetic.resonance = 1.4"),
+    ("gaussian.cfg", "electric.axis_strengths = 1.0,0.7,0.4"),
+    ("conductor.cfg", "conductor.strength = 1.1"),
+    ("conductor.cfg", "conductor.width = 0.5"),
+])
+def test_cli_missing_medium_parameter_exits_before_any_stage(tmp_path, capsys, name, line):
+    # a bundled config with one required parameter of its medium deleted
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    assert line + "\n" in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(line + "\n", ""))
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert f"config error: key '{line.split(' = ')[0]}'" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
