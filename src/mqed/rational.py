@@ -87,6 +87,22 @@ class Rational:
     def strictly_proper(self) -> bool:
         return self.num.size < self.den.size or self.is_zero
 
+    def at_infinity(self, n: int) -> np.ndarray:
+        """c_0 .. c_n of the expansion sum_j c_j rho^-j at rho = infinity,
+        by power-series division in u = 1/rho (reversed coefficients)."""
+        if self.num.size > self.den.size:
+            raise ValueError("an improper rational function has no expansion at infinity")
+        num, den = self.num[::-1], self.den[::-1]
+        shift = self.den.size - self.num.size
+        out = np.zeros(n + 1, dtype=complex)
+        for j in range(shift, n + 1):
+            i = j - shift
+            acc = num[i] if i < num.size else 0.0
+            for m in range(1, min(i, den.size - 1) + 1):
+                acc -= den[m] * out[j - m]
+            out[j] = acc / den[0]
+        return out
+
 
 def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
     """Synthetic division of a (low-to-high) polynomial by (x - root)."""

@@ -610,6 +610,18 @@ class LaplaceResponse:
                 o[...] = rep.contract(rep.nodes[None, :] / (r[:, None] ** 2 + n2))
         return out[0] if scalar else out
 
+    def chi_moments(self, model, k):
+        """(M1, M2) of chi_hat = M1 rho^-2 + M2 rho^-3 + O(rho^-4) at large
+        rho, as (3, 3) tensors: chi'(0+) and chi''(0+). A continuum model's
+        representation gives M1 = sum_n c_n omega_n and M2 = 0; a rational
+        model takes both from the expansion of its transform."""
+        if model is None or model.is_zero:
+            return np.zeros((2, 3, 3), dtype=complex)
+        if model.is_rational:
+            return chi_hat_rational(model).at_infinity(3)[2:, None, None] * IDENTITY3
+        rep = self.laplace_rep(model, k)
+        return np.stack([rep.contract(rep.nodes[None, :])[0], np.zeros((3, 3), dtype=complex)])
+
     def eps(self, k, rho, continued=False) -> np.ndarray:
         return self.constants.eps0 * (IDENTITY3 + self.chi(self.model_e, k, rho, continued))
 

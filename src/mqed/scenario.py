@@ -252,6 +252,8 @@ def _validate(config: ScenarioConfig):
     """The rules that read more than one key."""
     if not all(0.0 <= ti <= config.grids["t_max"] for ti in config.grids["commutator_t"]):
         raise ValidationError("commutator times must lie in [0, t_max]", key="commutator_t")
+    if config.grids["omega_min"] >= config.grids["omega_max"]:
+        raise ValidationError("omega_min must lie below omega_max", key="omega_min")
     medium = config.medium
     for part, (_, kinds, extra) in _PARTS.items():
         name = medium.get(f"{part}.kind", "zero")

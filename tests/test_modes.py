@@ -378,7 +378,86 @@ def test_line_method_matches_rational_on_rational_medium():
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
         scale = max(float(np.max(np.abs(x))), 1e-30)
-        assert np.max(np.abs(x - y)) / scale < 2e-4, name
+        assert np.max(np.abs(x - y)) / scale < 1e-6, name
+
+
+@pytest.mark.parametrize("medium", sorted(_BATCH_RESPONSES))
+def test_line_tail_coefficients_match_the_large_rho_difference(medium):
+    # Lambda_med^-1 - Lambda_vac^-1 less C3 rho^-3 and C4 rho^-4 leaves an
+    # O(rho^-5) remainder: relative to the difference it falls 4x per
+    # doubling of |rho|, which a wrong C3 (no fall) or C4 (2x) would not
+    resp = _BATCH_RESPONSES[medium]()
+    vac = vacuum_response()
+    c3, c4 = modes._line_tail(resp, K, 0.0)
+    rel = []
+    for y in (200.0, 400.0, 800.0):
+        rho = 0.4 + 1j * y
+        diff = (np.linalg.inv(assemble_lambda(resp, K, rho, curl_sign=-1).value)
+                - np.linalg.inv(assemble_lambda(vac, K, rho, curl_sign=-1).value))
+        rel.append(np.max(np.abs(diff - c3 / rho**3 - c4 / rho**4)) / np.max(np.abs(diff)))
+    assert rel[0] < 3e-4
+    for coarse, fine in zip(rel, rel[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+def test_line_tail_shift_keeps_the_two_leading_terms():
+    # C3 (rho + a)^-3 + C4' (rho + a)^-4 and C3 rho^-3 + C4 rho^-4 differ by
+    # O(rho^-5): 32x less per doubling of |rho|
+    resp = _BATCH_RESPONSES["gaussian"]()
+    c3, c4 = modes._line_tail(resp, K, 0.0)
+    a = 0.7
+    s3, s4 = modes._line_tail(resp, K, a)
+    assert np.array_equal(s3, c3)
+    gaps = [np.max(np.abs(c3 / r**3 + c4 / r**4 - s3 / (r + a)**3 - s4 / (r + a)**4))
+            for r in (0.3 + 100j, 0.3 + 200j)]
+    assert 28.0 < gaps[0] / gaps[1] < 36.0
+
+
+def test_phi_functions_against_their_integral():
+    # phi_n(z) = int_0^1 e^((1 - s) z) s^(n - 1) / (n - 1)! ds by a 64-point
+    # Gauss-Legendre rule, on both sides of the series branch at |z| = 1
+    from math import factorial
+
+    x, w = np.polynomial.legendre.leggauss(64)
+    s_, w_ = 0.5 * (x + 1.0), 0.5 * w
+    z = np.array([0.0, 1e-3 - 2e-3j, 0.5j, 0.99, 1.01j, 3.0 - 0.2j, 0.375 - 40.0j])
+    for n in (3, 4):
+        want = (np.exp(np.outer(z, 1.0 - s_)) * s_ ** (n - 1) / factorial(n - 1)) @ w_
+        assert np.max(np.abs(modes._phi(n, z) - want) / np.abs(want)) < 1e-13
+
+
+@pytest.mark.parametrize("medium", ["gaussian", "lorentz"])
+def test_line_transforms_match_a_wider_line(monkeypatch, medium):
+    # the bundled gaussian medium at its k, and the Lorentz pair, with 96
+    # reservoir nodes, on the modes grid and at the commutator times: the
+    # same solve on a line at least 4x as wide moves no family by 1e-7 of
+    # its peak, and the larger of the line's two estimates bounds the error
+    # of the base transforms
+    from mqed.quadrature import gauss_legendre
+
+    if medium == "gaussian":
+        resp = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8),
+                                zero_coupling("magnetic"))
+        k = np.array([0.4, -0.3, 1.1])
+    else:
+        resp, k = lorentz_pair()[2], K
+    wq, _ = gauss_legendre(96, 0.0, 50.0)
+    for t in (np.linspace(0.0, 8.0, 81), np.array([0.0, 1.0, 5.0])):
+        mc = mode_coefficients(resp, k, t, wq, method="bromwich_line")
+        with monkeypatch.context() as m:
+            # the frequency scale the factor multiplies is at least 1
+            m.setattr(modes, "_LINE_HALFWIDTH_FACTOR", 4.0 * mc.metadata["line_halfwidth"])
+            ref = mode_coefficients(resp, k, t, wq, method="bromwich_line")
+        assert ref.metadata["line_halfwidth"] >= 4.0 * mc.metadata["line_halfwidth"]
+        for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
+                     "zeta_tilde", "eta_tilde"):
+            x, y = getattr(mc, name), getattr(ref, name)
+            assert np.max(np.abs(x - y)) <= 1e-7 * np.max(np.abs(y)), name
+        vac = mode_coefficients(vacuum_response(), k, t, [])
+        scale = np.max(np.abs(ref.gamma - vac.gamma))
+        err = max(np.max(np.abs(getattr(mc, n) - getattr(ref, n)))
+                  for n in ("gamma", "xi", "gamma_tilde", "xi_tilde")) / scale
+        assert err <= max(mc.metadata["est_rel_error"], mc.metadata["est_truncation"])
 
 
 def test_gaussian_medium_line_path_initial_data():
@@ -404,26 +483,47 @@ def test_drude_poles_flagged_stable():
 
 def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     """The Bromwich-line inversion with the whole (n_t, n_y) phase table at
-    once, Lambda assembled point by point, and the grid-halving estimate
-    from a strided copy of the table; the vacuum transforms are added
-    before the reference's own block-to-family map."""
+    once, Lambda assembled point by point, and the grid-halving and
+    truncation estimates from a strided and a cut copy of the table. The
+    closed-form tail C3 (rho + a)^-3 + C4' (rho + a)^-4 is subtracted on the
+    line and its transforms added in their exponential form,
+    L^-1[(rho + a)^-n / (rho + i w)] = (e^-iwt - e^-at sum_(j<n) (ct)^j / j!)
+    / c^n with c = a - i w; the vacuum transforms are added before the
+    reference's own block-to-family map."""
+    from math import factorial
+
     vac = vacuum_response()
     v_base, v_res, _ = modes._rational_mode_path(vac, ("ee", "he", "eh", "hh"), k, t, wq)
-    y_top, n_y = meta["line_halfwidth"], meta["line_points"]
+    y_top, n_y, a = meta["line_halfwidth"], meta["line_points"], meta["line_abscissa"]
     y = np.linspace(-y_top, y_top, n_y)
-    rho = meta["line_abscissa"] + 1j * y
+    rho = a + 1j * y
 
     def inverse(r):
         return np.linalg.inv(np.stack(
             [assemble_lambda(r, k, x, curl_sign=-1).value for x in rho]))
 
-    diff = inverse(resp) - inverse(vac)
+    c3, c4 = modes._line_tail(resp, k, a)
+    u = 1.0 / (rho + a)
+    diff = (inverse(resp) - inverse(vac) - np.multiply.outer(u**3, c3)
+            - np.multiply.outer(u**4, c4))
     phases = (y[1] - y[0]) * np.exp(np.outer(t, rho)) / (2.0 * np.pi)
-    base = np.einsum("tj,jab->tab", phases, diff)
+    line = np.einsum("tj,jab->tab", phases, diff)
     coarse = np.einsum("tj,jab->tab", 2.0 * phases[:, ::2], diff[::2])
-    est = float(np.max(np.abs(base - coarse))) / float(np.max(np.abs(base[:, :3, 3:])))
+    inner = np.abs(y) <= 0.5 * y_top
+    cut = np.einsum("tj,jab->tab", phases[:, inner], diff[inner])
+    decay = np.exp(-a * t)
+    base = line + np.multiply.outer(decay * t**2 / 2.0, c3) + np.multiply.outer(
+        decay * t**3 / 6.0, c4)
+    scale = float(np.max(np.abs(base[:, :3, 3:])))
+    est = float(np.max(np.abs(line - coarse))) / scale
+    trunc = float(np.max(np.abs(line - cut))) / scale
     fac = 1.0 / (rho[:, None] + 1j * wq[None, :])
     conv = np.einsum("tj,jq,jab->qtab", phases, fac, diff)
+    c = (a - 1j * wq)[:, None]
+    for n, coeff in ((3, c3), (4, c4)):
+        partial = sum((c * t) ** j / factorial(j) for j in range(n))
+        conv += np.multiply.outer((np.exp(-1j * np.outer(wq, t)) - decay * partial) / c**n,
+                                  coeff)
     e, h = slice(0, 3), slice(3, 6)
     # L^-1[rho/(rho + i w_q) Lambda^-1 block], medium = vacuum + difference
     res = {name: v_res[name] + base[None, :, rows, cols] - 1j * wq[:, None, None, None]
@@ -441,7 +541,7 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
         "eta": -res["eh"] @ f_q[:, None],
         "eta_tilde": -res["hh"] @ f_q[:, None],
     }
-    return ref, est
+    return ref, est, trunc
 
 
 def _check_line_chunks_against_dense(monkeypatch, t):
@@ -453,20 +553,21 @@ def _check_line_chunks_against_dense(monkeypatch, t):
     # 18 t rows per table chunk (18, 18, 5) and 2 reservoir nodes per column
     # chunk (2, 1): both last chunks ragged. A uniform grid of 41 > 18 rows
     # goes through chirp-z instead, whose column blocks end ragged on the
-    # 72 base columns and on the 18 columns of two reservoir nodes
+    # 108 base columns and on the 18 columns of two reservoir nodes
     monkeypatch.setattr(modes, "_TABLE_ELEMENTS", 18 * n_y + 3)
     step = modes._TABLE_ELEMENTS // modes._fft_size(t.size + n_y - 1)
-    assert 72 % step and 18 % step
+    assert 108 % step and 18 % step
     mc = mode_coefficients(resp, K, t, wq, method=method)
     assert mc.metadata["line_points"] == n_y
-    ref, est = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
+    ref, est, trunc = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
     for name, want in ref.items():
         got = getattr(mc, name)
         scale = float(np.max(np.abs(want)))
         assert scale > 0.0, name
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
-    # the estimate is already relative to the peak of the eh block
+    # the estimates are already relative to the peak of the eh block
     assert abs(mc.metadata["est_rel_error"] - est) <= 1e-12
+    assert abs(mc.metadata["est_truncation"] - trunc) <= 1e-12
 
 
 def test_line_path_chunks_match_dense_reference(monkeypatch):

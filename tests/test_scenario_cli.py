@@ -391,6 +391,18 @@ def test_cli_verify_bundled_gaussian_config(tmp_path, capsys):
     assert _bench_gate_problems("gaussian-verify", code, out, tmp_path) == []
 
 
+def test_cli_modes_bundled_gaussian_line_budget(tmp_path, capsys):
+    # with its tail taken in closed form, the gaussian config's Bromwich line
+    # stays short and both of its error estimates stay small
+    code = main(["modes", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
+    assert code == 0
+    line = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]["modes_k0"]
+    assert line["method"] == "bromwich_line"
+    assert line["line_points"] <= 2400
+    assert line["est_rel_error"] <= 1e-7
+    assert line["est_truncation"] <= 1e-7
+
+
 def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
     code = main(["verify", "--config", str(CONFIGS / "lorentz.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -460,6 +472,9 @@ def _append(section, line):
     pytest.param("maxwell_n_t", [("maxwell_n_t = 6001", "maxwell_n_t = 2")],
                  id="maxwell_n_t = 2"),
     pytest.param("omega_max", _append("grids", "omega_max = inf"), id="omega_max = inf"),
+    # the spectrum grid runs from omega_min up to omega_max
+    pytest.param("omega_min", _append("grids", "omega_min = 6"), id="omega_min = 6"),
+    pytest.param("omega_min", _append("grids", "omega_min = 5.0"), id="omega_min = omega_max"),
     pytest.param("k", [("k = 0,0,1.3", "k = 0,0,0")], id="k = 0,0,0"),
     pytest.param("kk_n_omega", [("kk_n_omega = 4096", "kk_n_omega = 32")],
                  id="kk_n_omega = 32"),
