@@ -1,13 +1,14 @@
-"""Conducting-medium pathway: the free-carrier part of the electric coupling
-(`LaplaceResponse.model_free`) is routed through a conductivity tensor
-sigma_hat instead of the bound susceptibility, and the Laplace system gets
-the block substitution rho eps_hat -> rho eps_hat + sigma_hat.
+"""Conducting-medium pathway: free carriers are one more oscillator family of
+the electric polarization, so a conductor is the medium whose electric
+coupling is `combined_electric(bound, free)`. Their spectral densities add,
+chi_hat is the sum of the parts, and the mode solver runs on that medium
+unchanged.
 
-sigma_hat is derived from the same coupling data via the kernel
-decomposition Q = eps0 d(chi)/dt + sigma, i.e. sigma_hat(k, rho) =
-eps0 rho chi_hat_free(k, rho) (`LaplaceResponse.sigma`), which keeps the
-fluctuation-dissipation bookkeeping closed and makes the substitution
-exactly equivalent to the dielectric pipeline run on the combined coupling.
+The conductivity appears only in the kernel decomposition
+Q = eps0 d(chi)/dt + sigma, which `q_kernel_consistency` checks on the
+coupling data: the Q of the combined coupling less the bound part's
+eps0 d(chi)/dt leaves sigma = eps0 d(chi_free)/dt, whose transform is
+sigma_hat = eps0 rho chi_hat_free.
 The outputs of this path are response-function channels; for a conductor
 the polarization and displacement no longer carry their dielectric
 interpretation.
@@ -19,8 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .couplings import combined_electric
 from .modes import ModeCoefficients, mode_coefficients
+from .quadrature import QuadratureSpec
 from .response import LaplaceResponse, QKernelReport, conductor_Q, finite_difference_time
+from .tensors import NATURAL, PhysicalConstants
 
 
 def conductor_modes(
@@ -30,11 +34,9 @@ def conductor_modes(
     omega_q_grid,
     method: str = "auto",
 ) -> ModeCoefficients:
-    """Mode coefficients through the substituted Lambda block.
-
-    With no free-carrier part this is the dielectric pipeline identically.
-    The reservoir columns contract against the full electric coupling
-    (bound + free share the same noise current)."""
+    """Mode coefficients of a conducting medium, whose electric coupling
+    holds the bound and free carriers together: `mode_coefficients` on the
+    same response, with its channels marked as response functions."""
     coeffs = mode_coefficients(response, k, t_grid, omega_q_grid, method=method)
     return replace(coeffs, metadata={
         **coeffs.metadata,
@@ -52,22 +54,29 @@ class QConsistencyReport:
     sigma_initial_psd: bool
 
 
-def q_kernel_consistency(response: LaplaceResponse, k, t_grid) -> QConsistencyReport:
-    """Verify the Q = eps0 d(chi)/dt + sigma decomposition.
+def q_kernel_consistency(
+    bound,
+    free,
+    k,
+    t_grid,
+    constants: PhysicalConstants = NATURAL,
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> QConsistencyReport:
+    """Verify the Q = eps0 d(chi)/dt + sigma decomposition for the bound and
+    free electric couplings.
 
     For the bound part alone the implied sigma must vanish to finite
     difference accuracy; with a free-carrier part present the implied sigma
     kernel is eps0 d(chi_free)/dt, positive at t -> 0+.
     """
-    constants, quad = response.constants, response.quad
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
-    q_total = conductor_Q(response.reservoir_electric, k, t, constants=constants, quad=quad)
-    if response.model_e.is_zero:
+    q_total = conductor_Q(combined_electric(bound, free), k, t, constants=constants, quad=quad)
+    if bound.is_zero:
         bound_resid = 0.0
         dchi_bound = np.zeros((t.size, 3, 3), dtype=complex)
     else:
-        q_bound = conductor_Q(response.model_e, k, t, constants=constants, quad=quad)
+        q_bound = conductor_Q(bound, k, t, constants=constants, quad=quad)
         bound_resid = q_bound.sigma_residual
         dchi_bound = finite_difference_time(q_bound.chi_values, t)
     implied = q_total.q_values - constants.eps0 * dchi_bound

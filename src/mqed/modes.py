@@ -4,7 +4,7 @@ mode-coefficient tensors of the field operators.
 Lambda(k, rho) stacks the curl symbol against the rho-weighted material
 tensors,
 
-    Lambda = [[O(k), -rho mu_hat], [rho eps_hat (+ sigma_hat), O(k)]],
+    Lambda = [[O(k), -rho mu_hat], [rho eps_hat, O(k)]],
 
 and the field operators are read from two transforms of its inverse: the
 (n_t, 6, 6) base L^-1[Lambda^-1] and, for each 3x3 block a nonzero
@@ -43,7 +43,8 @@ from .errors import (
     ValidationError,
 )
 from .rational import Rational, ilt_rational, partial_fractions
-from .response import _TABLE_ELEMENTS, LaplaceResponse, _fft_size, laplace_response, uniform_step
+from .response import (_TABLE_ELEMENTS, LaplaceResponse, _fft_size, chi_hat_rational,
+                       laplace_response, uniform_step)
 from .tensors import (
     curl_symbol,
     longitudinal_projector,
@@ -82,10 +83,8 @@ def assemble_lambda(
     continued: bool = False,
     curl_sign: int = +1,
 ) -> LambdaMatrix:
-    """Build Lambda(k, rho); a response with a free-carrier part adds its
-    sigma_hat to the rho eps_hat block. A scalar rho gives one (6, 6)
-    matrix, a 1-d rho the (n, 6, 6) stack from one batched evaluation of
-    each material tensor.
+    """Build Lambda(k, rho). A scalar rho gives one (6, 6) matrix, a 1-d rho
+    the (n, 6, 6) stack from one batched evaluation of each material tensor.
 
     continued=True allows Re rho <= 0 through analytic continuation, which
     only rational responses support (contour transforms use it internally).
@@ -105,8 +104,6 @@ def assemble_lambda(
     value[..., :3, :3] = value[..., 3:, 3:] = curl_sign * curl_symbol(k)
     value[..., :3, 3:] = -r * response.mu(k, rho, continued=continued)
     value[..., 3:, :3] = r * response.eps(k, rho, continued=continued)
-    if response.model_free is not None:
-        value[..., 3:, :3] += response.sigma(k, rho, continued=continued)
     return LambdaMatrix(k=k, rho=complex(rho) if scalar else rho, value=value)
 
 
@@ -278,13 +275,13 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
     block of Lambda^-1 is a sum of scalar rationals times the transverse
     projector, the longitudinal one or the curl blocks' orientation.
 
-    With D_T = k^2 + rho mu_hat (rho eps_hat + sigma_hat), the scalars are
-    t_eh = rho mu_hat / D_T, t_ee = 1 / D_T, l_e = 1 / (rho eps_hat +
-    sigma_hat), t_he = (rho eps_hat + sigma_hat) / D_T and l_h = 1 / (rho
-    mu_hat)."""
-    eps_rat, mu_rat, sigma_rat = response.rational_scalars()
+    With D_T = k^2 + rho^2 mu_hat eps_hat, the scalars are t_eh = rho mu_hat
+    / D_T, t_ee = 1 / D_T, l_e = 1 / (rho eps_hat), t_he = rho eps_hat / D_T
+    and l_h = 1 / (rho mu_hat)."""
+    c = response.constants
     rho = Rational.variable()
-    a_rat = rho * eps_rat + sigma_rat
+    a_rat = rho * ((chi_hat_rational(response.model_e) + 1.0) * c.eps0)
+    mu_rat = (chi_hat_rational(response.model_m) + 1.0) * c.mu0
     d_t = (rho * mu_rat) * a_rat + float(k @ k)
     one = Rational.constant(1.0)
     scalars = {"t_eh": (rho * mu_rat) / d_t, "t_ee": one / d_t, "l_e": one / a_rat,
@@ -450,9 +447,7 @@ def _line_tail(response, k, a):
     Write Lambda = rho A + B + rho^-1 E1 + rho^-2 E2 + O(rho^-3): A =
     [[0, -mu0], [eps0, 0]], B the curl blocks, and E1, E2 the same ladder
     shape holding the moments M1, M2 of chi_hat = M1 rho^-2 + M2 rho^-3 + ...
-    (the free carriers add to the electric ones, since rho eps_hat +
-    sigma_hat = rho eps0 (1 + chi_e + chi_free)). The difference is then
-    C3 rho^-3 + C4 rho^-4 + O(rho^-5) with
+    The difference is then C3 rho^-3 + C4 rho^-4 + O(rho^-5) with
 
         C3 = -A^-1 E1 A^-1,
         C4 = A^-1 B A^-1 E1 A^-1 + A^-1 E1 A^-1 B A^-1 - A^-1 E2 A^-1.
@@ -460,8 +455,8 @@ def _line_tail(response, k, a):
     Shifting the pole to rho = -a (C4' = C4 + 3 a C3) keeps the same two
     leading terms and makes the tail's transforms decay like e^-at."""
     c = response.constants
-    models = (response.model_e, response.model_m, response.model_free)
-    (m1e, m2e), (m1m, m2m), (m1f, m2f) = (response.chi_moments(m, k) for m in models)
+    m1e, m2e = response.chi_moments(response.model_e, k)
+    m1m, m2m = response.chi_moments(response.model_m, k)
 
     def ladder(upper, lower):
         out = np.zeros((6, 6), dtype=complex)
@@ -472,9 +467,9 @@ def _line_tail(response, k, a):
     b = np.zeros((6, 6), dtype=complex)
     b[:3, :3] = b[3:, 3:] = -curl_symbol(k)
     x = a_inv @ b
-    y = a_inv @ ladder(-c.mu0 * m1m, c.eps0 * (m1e + m1f))
+    y = a_inv @ ladder(-c.mu0 * m1m, c.eps0 * m1e)
     c3 = -y @ a_inv
-    c4 = (x @ y + y @ x - a_inv @ ladder(-c.mu0 * m2m, c.eps0 * (m2e + m2f))) @ a_inv
+    c4 = (x @ y + y @ x - a_inv @ ladder(-c.mu0 * m2m, c.eps0 * m2e)) @ a_inv
     return c3, c4 + 3.0 * a * c3
 
 
@@ -532,7 +527,7 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     t_max = float(np.max(t)) if np.max(t) > 0 else 1.0
     a = _LINE_ABSCISSA_FACTOR / t_max
     scales = [1.0, constants.c * float(np.linalg.norm(k))]
-    for m in (response.reservoir_electric, response.model_m):
+    for m in (response.model_e, response.model_m):
         if not m.is_zero:
             scales.append(m.frequency_scale)
     y_top = _LINE_HALFWIDTH_FACTOR * max(scales)
@@ -655,8 +650,8 @@ def mode_coefficients(
     method: str = "auto",
 ) -> ModeCoefficients:
     """Mode-coefficient tensors of the medium `response` on the (t, omega_q)
-    grids; the reservoir columns contract against its electric (bound plus
-    free) and magnetic couplings.
+    grids; the reservoir columns contract against its electric and magnetic
+    couplings.
 
     method is one of `METHODS`. "rational_exact" needs a rational transform
     and is exact up to pole finding; "talbot" deforms the contour into the
@@ -680,7 +675,7 @@ def mode_coefficients(
     if t.size == 0:
         raise ValidationError("t_grid must be nonempty")
     method = resolve_method(response, method)
-    model_f, model_g = response.reservoir_electric, response.model_m
+    model_f, model_g = response.model_e, response.model_m
     if omega_q.size:
         f_q = eval_coupling_batch(model_f, omega_q, k)
         g_q = eval_coupling_batch(model_g, omega_q, k)

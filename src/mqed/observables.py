@@ -76,7 +76,7 @@ class FieldOperatorRepresentation:
     @cached_property
     def chi_e(self) -> np.ndarray:
         """(n_t, 3, 3) electric (bound plus free) memory kernel at k."""
-        return _memory_kernel(self.response.reservoir_electric, self)
+        return _memory_kernel(self.response.model_e, self)
 
     @cached_property
     def chi_m(self) -> np.ndarray:
@@ -383,8 +383,10 @@ def vacuum_spectrum(
     """Symmetrized equal-time <E_i E_j> coefficient density at one k.
 
     Includes the +-k fold and all three operator sectors in the joint vacuum
-    of a(0), d(0), b(0). Hermitian always; PSD whenever r_offset = 0 (a fixed
-    nonzero separation need not give a pointwise PSD matrix).
+    of a(0), d(0), b(0). Hermitian always; PSD at r_offset = 0 for a sound
+    representation (a fixed nonzero separation need not give a pointwise PSD
+    matrix). Positivity is returned, not enforced: a caller judges it from the
+    eigenvalues.
     """
     it = int(np.argmin(np.abs(rep.t_grid - t)))
     if abs(rep.t_grid[it] - t) > 1e-9 * max(1.0, abs(t)):
@@ -397,10 +399,4 @@ def vacuum_spectrum(
     for sector in (rep.res_E_d, rep.res_E_b):
         e_res = sector[:, :, it]
         gram += np.einsum("nqa,q,nqb->ab", e_res, wq, np.conj(e_res))
-    out = 0.5 * (phase * gram + np.conj(phase) * gram.conj().T)
-    if np.allclose(delta, 0.0):
-        eigs = np.linalg.eigvalsh(out)
-        scale = float(np.max(np.abs(eigs))) or 1.0
-        if float(np.min(eigs)) < -1e-10 * scale:
-            raise ValidationError("vacuum spectrum lost positivity at zero separation")
-    return out
+    return 0.5 * (phase * gram + np.conj(phase) * gram.conj().T)

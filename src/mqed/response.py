@@ -27,9 +27,10 @@ values on t for `chi_kernel`, chi_hat at three probe values of rho for the
 Laplace-domain response of a continuum medium (a much smaller
 representation, because its cost is paid at every Bromwich-line point), and
 Q on t for `conductor_Q`. `LaplaceResponse` is the one carrier of the
-medium: its bound electric, magnetic and optional free-carrier couplings fix
-eps_hat, mu_hat, sigma_hat and the reservoir couplings. It evaluates the
-material tensors for a scalar rho or a whole 1-d stack at once; at Re rho <= 0
+medium: its electric coupling (bound and free carriers alike, as one
+`CombinedElectric` when both are present) and its magnetic coupling fix
+eps_hat, mu_hat and the reservoir couplings. It evaluates the material
+tensors for a scalar rho or a whole 1-d stack at once; at Re rho <= 0
 (the contour nodes and the reservoir points rho = -i omega on the imaginary
 axis) only a rational model has values, by analytic continuation, which on
 the axis equal the boundary values of the physical spectrum.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .couplings import ELECTRIC, MAGNETIC, CombinedElectric, combined_electric, coupling_product
+from .couplings import ELECTRIC, MAGNETIC, CombinedElectric, coupling_product
 from .errors import (
     GridTooCoarse,
     LeftHalfPlane,
@@ -526,41 +527,33 @@ def chi_hat_rational(model) -> Rational:
 
 @dataclass(frozen=True)
 class LaplaceResponse:
-    """The medium in the Laplace domain: eps_hat, mu_hat and sigma_hat.
+    """The medium in the Laplace domain: eps_hat and mu_hat.
 
-    eps_hat = eps0 (1 + chi_hat_e) from the bound electric coupling model_e,
-    mu_hat = mu0 (1 + chi_hat_m), and, when part of the electric coupling is
-    routed as free carriers (model_free), sigma_hat = eps0 rho chi_hat_free;
-    without one sigma_hat is zero. The reservoir couples to the combined
-    electric coupling (`reservoir_electric`). Values are for Re rho > 0.
-    Rational models use the closed form; everything else goes through the
-    kernel quadrature representation, for which the transform of each sine
-    mode is omega_n / (rho^2 + omega_n^2) exactly.
+    eps_hat = eps0 (1 + chi_hat_e) from the electric coupling model_e and
+    mu_hat = mu0 (1 + chi_hat_m) from the magnetic one, model_m; the
+    reservoir couples to the same two. Free carriers are part of model_e
+    (`combined_electric(bound, free)`), whose chi_hat is the sum of its
+    parts. Values are for Re rho > 0. Rational models use the closed form;
+    everything else goes through the kernel quadrature representation, for
+    which the transform of each sine mode is omega_n / (rho^2 + omega_n^2)
+    exactly.
     """
 
     model_e: object
     model_m: object
     constants: PhysicalConstants
     quad: QuadratureSpec
-    model_free: object = None  # free-carrier electric coupling; a zero one becomes None
     _rep_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for model, name in ((self.model_e, "bound"), (self.model_free, "free")):
-            if model is not None and model.which != ELECTRIC:
-                raise ValidationError(f"{name} coupling must be electric")
-        if self.model_free is not None and self.model_free.is_zero:
-            object.__setattr__(self, "model_free", None)
+        for model, name, which in ((self.model_e, "model_e", ELECTRIC),
+                                   (self.model_m, "model_m", MAGNETIC)):
+            if model.which != which:
+                raise ValidationError(f"{name} must be {which}")
 
     @property
     def is_rational(self) -> bool:
-        models = (self.model_e, self.model_m, self.model_free)
-        return all(m.is_rational for m in models if m is not None)
-
-    @property
-    def reservoir_electric(self):
-        """The electric coupling of the reservoir: bound and free parts."""
-        return combined_electric(self.model_e, self.model_free)
+        return self.model_e.is_rational and self.model_m.is_rational
 
     def laplace_rep(self, model, k) -> QuadRep:
         """The representation chi_hat of the continuum `model` at k is
@@ -582,10 +575,14 @@ class LaplaceResponse:
         return rep
 
     def chi(self, model, k, rho, continued=False) -> np.ndarray:
-        """chi_hat(k, rho). With continued=True a rational model is evaluated
-        by analytic continuation anywhere off its poles (contour methods need
-        this); continuum-absorption models have a branch cut on the imaginary
-        axis and refuse to continue."""
+        """chi_hat(k, rho), the sum of the parts for a combined coupling.
+        With continued=True a rational model is evaluated by analytic
+        continuation anywhere off its poles (contour methods need this);
+        continuum-absorption models have a branch cut on the imaginary axis
+        and refuse to continue."""
+        if isinstance(model, CombinedElectric):
+            return (self.chi(model.bound, k, rho, continued)
+                    + self.chi(model.free, k, rho, continued))
         scalar = np.ndim(rho) == 0
         if not continued and np.any(np.real(rho) <= 0.0):
             raise LeftHalfPlane("material response requires Re rho > 0")
@@ -612,10 +609,13 @@ class LaplaceResponse:
 
     def chi_moments(self, model, k):
         """(M1, M2) of chi_hat = M1 rho^-2 + M2 rho^-3 + O(rho^-4) at large
-        rho, as (3, 3) tensors: chi'(0+) and chi''(0+). A continuum model's
-        representation gives M1 = sum_n c_n omega_n and M2 = 0; a rational
-        model takes both from the expansion of its transform."""
-        if model is None or model.is_zero:
+        rho, as (3, 3) tensors: chi'(0+) and chi''(0+), summed over the parts
+        of a combined coupling. A continuum model's representation gives
+        M1 = sum_n c_n omega_n and M2 = 0; a rational model takes both from
+        the expansion of its transform."""
+        if isinstance(model, CombinedElectric):
+            return self.chi_moments(model.bound, k) + self.chi_moments(model.free, k)
+        if model.is_zero:
             return np.zeros((2, 3, 3), dtype=complex)
         if model.is_rational:
             return chi_hat_rational(model).at_infinity(3)[2:, None, None] * IDENTITY3
@@ -628,41 +628,14 @@ class LaplaceResponse:
     def mu(self, k, rho, continued=False) -> np.ndarray:
         return self.constants.mu0 * (IDENTITY3 + self.chi(self.model_m, k, rho, continued))
 
-    def sigma(self, k, rho, continued=False) -> np.ndarray:
-        """sigma_hat = eps0 rho chi_hat_free(k, rho); zero without a free part."""
-        if self.model_free is None:
-            return np.zeros(np.shape(rho) + (3, 3), dtype=complex)
-        r = np.asarray(rho, dtype=complex)[..., None, None]
-        return self.constants.eps0 * r * self.chi(self.model_free, k, rho, continued)
-
-    def rational_scalars(self):
-        """Scalar Rational pieces (eps_hat, mu_hat, sigma_hat) for the exact
-        inverse-transform path. Requires rational isotropic models."""
-        if not self.is_rational:
-            raise ValidationError("laplace response is not rational; use the talbot path")
-        eps_rat = (chi_hat_rational(self.model_e) + 1.0) * self.constants.eps0
-        mu_rat = (chi_hat_rational(self.model_m) + 1.0) * self.constants.mu0
-        if self.model_free is None:
-            sigma_rat = Rational.constant(0.0)
-        else:
-            sigma_rat = Rational.variable() * chi_hat_rational(self.model_free) * self.constants.eps0
-        return eps_rat, mu_rat, sigma_rat
-
 
 def laplace_response(
     model_e,
     model_m,
-    model_free=None,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> LaplaceResponse:
-    return LaplaceResponse(
-        model_e=model_e,
-        model_m=model_m,
-        constants=constants,
-        quad=quad,
-        model_free=model_free,
-    )
+    return LaplaceResponse(model_e=model_e, model_m=model_m, constants=constants, quad=quad)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .conductor import conductor_modes, q_kernel_consistency
 from .couplings import (
     ELECTRIC,
     MAGNETIC,
+    combined_electric,
     coupling_from_target,
     coupling_product,
     drude,
@@ -144,8 +145,9 @@ _KINDS = {
                        ("table",)),
 }
 # part -> (sector, the kinds it takes, its parameters outside any kind): the
-# conductor part is the free carriers, a plain Drude form routed through
-# sigma_hat; electric.target_table is invert-chi's target spectrum
+# conductor part is the free carriers, a plain Drude form that joins the
+# electric part in the conductor stage; electric.target_table is invert-chi's
+# target spectrum
 _PARTS = {
     "electric": (ELECTRIC, _KINDS, ("target_table",)),
     "magnetic": (MAGNETIC, _KINDS, ()),
@@ -387,10 +389,11 @@ def run_scenario(
     model_e = config.model("electric", constants)
     model_m = config.model("magnetic", constants)
     # the medium of the conductor stage: the bound electric part and the free
-    # carriers, no magnetic part; None without free carriers
+    # carriers as one electric coupling, no magnetic part; None without free
+    # carriers
     free = config.model("conductor", constants)
     cond = None if free.is_zero else laplace_response(
-        model_e, zero_coupling(MAGNETIC), model_free=free, constants=constants, quad=quad)
+        combined_electric(model_e, free), zero_coupling(MAGNETIC), constants=constants, quad=quad)
     response = laplace_response(model_e, model_m, constants=constants, quad=quad)
     try:
         method = resolve_method(response, num["laplace"])
@@ -408,7 +411,9 @@ def run_scenario(
     n_kk = int(grids["kk_n_omega"])
     kk_grid = (np.arange(n_kk) + 0.5) * grids["kk_omega_max"] / n_kk
     # the scale of the Maxwell residual's reservoir sample
-    models = [m for m in (model_e, model_m) if not m.is_zero] + ([cond.model_free] if cond else [])
+    models = [m for m in (model_e, model_m, free) if not m.is_zero]
+    # the reservoir rule of the modes, commutators and conductor stages
+    nodes, weights = gauss_legendre(int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"])
 
     with _recorded_run(config, out_dir, constants) as (manifest, emit):
         for ik, k in enumerate(config.k_list()):
@@ -471,9 +476,6 @@ def run_scenario(
                     )
                     manifest.add_check(f"lambda_reality_{tag}", scan.max_deviation,
                                        num["reality_tol"])
-                    nodes, weights = gauss_legendre(
-                        int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"]
-                    )
                     t_modes = np.linspace(0.0, grids["t_max"], 81)
                     rep_field = field_representation(
                         response, k, t_modes, nodes, weights, method=method,
@@ -523,17 +525,14 @@ def run_scenario(
 
             if "conductor" in stages and cond is not None:
                 with manifest.timed(f"conductor_{tag}"):
-                    wq_cond, _ = gauss_legendre(
-                        int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"]
-                    )
-                    mc_c = conductor_modes(cond, k, t_grid[:: max(1, t_grid.size // 64)], wq_cond)
+                    mc_c = conductor_modes(cond, k, t_grid[:: max(1, t_grid.size // 64)], nodes)
                     manifest.quadrature[f"conductor_{tag}"] = dict(mc_c.metadata)
                     manifest.add_check(
                         f"conductor_poles_{tag}",
                         float(mc_c.metadata.get("max_re_pole", 0.0)),
                         1e-10,
                     )
-                    qrep = q_kernel_consistency(cond, k, t_grid)
+                    qrep = q_kernel_consistency(model_e, free, k, t_grid, constants, quad)
                     manifest.add_check(f"q_decomposition_{tag}", qrep.bound_sigma_residual,
                                        num["maxwell_tol"] * 10.0)
                     emit(f"conductor_gamma_{tag}.csv", write_tensor_series_csv, "t",

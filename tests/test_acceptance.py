@@ -11,6 +11,7 @@ import numpy as np
 from mqed.conductor import conductor_modes, q_kernel_consistency
 from mqed.couplings import (
     apply_gauge,
+    combined_electric,
     coupling_product,
     drude,
     gaussian_anisotropic,
@@ -249,10 +250,10 @@ def test_criterion_9_t0_continuity():
 
 
 def test_criterion_10_conductor_pathway():
-    """sigma = 0 reduces exactly; Drude poles stable; Q decomposition holds."""
+    """No free carriers reduces exactly; Drude poles stable; Q decomposition holds."""
     t = np.linspace(0.0, 6.0, 13)
     wq = np.array([0.7, 2.1])
-    dielectric = laplace_response(LORENTZ_E, LORENTZ_M, model_free=ZERO_E)
+    dielectric = laplace_response(combined_electric(LORENTZ_E, ZERO_E), LORENTZ_M)
     mc_c = conductor_modes(dielectric, K, t, wq)
     mc_d = mode_coefficients(laplace_response(LORENTZ_E, LORENTZ_M), K, t, wq)
     reduction = max(
@@ -260,10 +261,11 @@ def test_criterion_10_conductor_pathway():
         for n in ("gamma", "xi", "zeta", "eta", "gamma_tilde", "xi_tilde",
                   "zeta_tilde", "eta_tilde")
     )
-    mc_drude = conductor_modes(laplace_response(ZERO_E, ZERO_M, model_free=DRUDE_E), K, t, wq)
+    mc_drude = conductor_modes(laplace_response(combined_electric(ZERO_E, DRUDE_E), ZERO_M),
+                               K, t, wq)
     poles_ok = (mc_drude.metadata["unstable_poles"] == 0
                 and mc_drude.metadata["max_re_pole"] <= 1e-10)
-    q_bound = q_kernel_consistency(dielectric, K, np.linspace(0.0, 10.0, 10001))
+    q_bound = q_kernel_consistency(LORENTZ_E, ZERO_E, K, np.linspace(0.0, 10.0, 10001))
     ok = reduction < 1e-12 and poles_ok and q_bound.bound_sigma_residual < 1e-5
     detail = (f"sigma=0 reduction {reduction:.1e}, max Re pole "
               f"{mc_drude.metadata['max_re_pole']:.1e}, Q residual "

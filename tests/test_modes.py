@@ -1,10 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from mqed.couplings import (
     TabulatedTable,
+    combined_electric,
     drude,
     eval_coupling_batch,
     gaussian_anisotropic,
@@ -158,8 +157,8 @@ def test_invert_lambda_singular_on_dispersion_shell():
 
 
 def _conductor_response():
-    return laplace_response(lorentz_isotropic(1.0, 1.0, 0.4), zero_coupling("magnetic"),
-                            model_free=drude(1.1, 0.5))
+    return laplace_response(combined_electric(lorentz_isotropic(1.0, 1.0, 0.4), drude(1.1, 0.5)),
+                            zero_coupling("magnetic"))
 
 
 _BATCH_RESPONSES = {
@@ -234,17 +233,24 @@ def test_lambda_reality_scan_one_batched_call_per_k_sign(monkeypatch):
 
 
 def test_conductor_block_substitution():
-    # the free part adds exactly sigma_hat to the lower-left block and
-    # touches nothing else, for one rho and for a stack
-    resp = _conductor_response()
+    # free carriers joined to a continuum bound part add their closed-form
+    # Drude term rho eps0 s^2 / (rho^2 + gamma rho) to the lower-left block
+    # and touch nothing else, for one rho and for a stack
+    k = np.array([0.4, -0.3, 1.1])
+    bound = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
+    strength, width = 1.1, 0.5
+    mm = zero_coupling("magnetic")
+    cond = laplace_response(combined_electric(bound, drude(strength, width)), mm)
     for rho in (0.9, np.array([0.9, 1.5 + 2.0j])):
-        lam_d = assemble_lambda(replace(resp, model_free=None), K, rho).value
-        lam_c = assemble_lambda(resp, K, rho).value
-        sigma = resp.sigma(K, rho)
-        assert np.max(np.abs(sigma)) > 0.0
-        assert np.array_equal(lam_c[..., 3:, :3], lam_d[..., 3:, :3] + sigma)
-        lam_c[..., 3:, :3] = lam_d[..., 3:, :3]
-        assert np.array_equal(lam_c, lam_d)
+        lam_b = assemble_lambda(laplace_response(bound, mm), k, rho).value
+        lam_c = assemble_lambda(cond, k, rho).value
+        r = np.asarray(rho)[..., None, None]
+        drude_term = NATURAL.eps0 * r * strength**2 / (r**2 + width * r) * np.eye(3)
+        want = lam_b[..., 3:, :3] + drude_term
+        err = np.max(np.abs(lam_c[..., 3:, :3] - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, err
+        lam_c[..., 3:, :3] = lam_b[..., 3:, :3]
+        assert np.array_equal(lam_c, lam_b)
 
 
 def test_lambda_reality_scan_media():
@@ -368,8 +374,9 @@ def test_talbot_rejects_continuum_absorption():
                           np.linspace(0.0, 2.0, 3), [], method="talbot")
 
 
-def test_line_method_matches_rational_on_rational_medium():
-    me, mm, resp = lorentz_pair()
+@pytest.mark.parametrize("medium", ["conductor", "lorentz"])
+def test_line_method_matches_rational_on_rational_medium(medium):
+    resp = _BATCH_RESPONSES[medium]()
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3])
     a = mode_coefficients(resp, K, t, wq)

@@ -159,6 +159,17 @@ def test_vacuum_spectrum_offset_hermitian(lorentz_rep):
     assert np.max(np.abs(s - s.conj().T)) < 1e-14
 
 
+def test_vacuum_spectrum_returns_a_non_psd_matrix(lorentz_models):
+    # one strongly negative reservoir weight breaks positivity: the spectrum
+    # is returned for the run's vacuum_spectrum_psd check to judge, not raised
+    nodes, weights = gauss_legendre(16, 0.0, 7.0)
+    weights[3] *= -40.0
+    rep = field_representation(laplace_response(*lorentz_models), K, [0.0, 1.0], nodes, weights)
+    s = vacuum_spectrum(rep, (0.0, 0.0, 0.0), 0.0)
+    assert float(np.min(np.linalg.eigvalsh(s))) < -0.01
+    assert np.max(np.abs(s - s.conj().T)) < 1e-14
+
+
 def test_vacuum_spectrum_no_magnetic_reservoir_for_pure_dielectric():
     me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     t = np.linspace(0.0, 4.0, 9)
