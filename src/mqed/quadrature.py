@@ -2,11 +2,17 @@
 reservoir integrals.
 
 The nodes of order n are the roots of the Legendre polynomial P_n, found by
-Newton's method from Tricomi's asymptotic guess, with P_n and P_{n-1}
-evaluated by the three-term recurrence (the recurrence-Newton scheme of
-Hale & Townsend, SIAM J. Sci. Comput. 35:A652, 2013). The iteration runs on
-the nonnegative half of the nodes at once and mirrors the rest, so an order
-costs O(n^2) multiply-adds and O(n) transcendental calls. The weights
+Newton's method on P_n and P_{n-1} evaluated by the three-term recurrence
+(the recurrence-Newton scheme of Hale & Townsend, SIAM J. Sci. Comput.
+35:A652, 2013). Newton starts from the Bessel-type asymptotic
+theta_k = a + (cot a - 1/a) / (8 nu^2), a = j_{0,k} / nu, nu = n + 1/2,
+with j_{0,k} the zeros of J_0 (a table of the first 20, McMahon's expansion
+above; Bogaert, SIAM J. Sci. Comput. 36:A1008, 2014). The guess is
+accurate to O(nu^-4) at every node, the ones next to x = +-1 included, so
+one recurrence pass confirms the whole rule from order about 2500 on and
+two suffice from order 23. The iteration runs on the nonnegative half of the
+nodes at once and mirrors the rest, so an order costs O(n^2)
+multiply-adds and O(n) transcendental calls. The weights
 2 / ((1 - x^2) P_n'(x)^2) take P_n' = n (x P_n - P_{n-1}) / (x^2 - 1) from
 each node's last Newton pass, carried to the updated node to first order
 by Legendre's equation, so no further recurrence pass is needed.
@@ -24,9 +30,29 @@ import numpy as np
 
 from .errors import QuadratureNotConverged, ValidationError
 
-# Newton passes allowed after Tricomi's guess; at most four reach the 1e-15
-# step at every order up to 16384 (three from order 46 on)
+# Newton passes allowed after the Bessel-zero guess; three reach the 1e-15
+# step at every order up to 22, two from 23 on and one from about 2500 on
 _NEWTON_PASSES = 8
+# the first 20 zeros j_{0,k} of the Bessel function J_0
+_J0_ZEROS = np.array([
+    2.4048255576957728, 5.5200781102863106, 8.6537279129110122, 11.791534439014281,
+    14.930917708487786, 18.071063967910923, 21.211636629879259, 24.352471530749303,
+    27.493479132040255, 30.634606468431975, 33.775820213573569, 36.917098353664044,
+    40.058425764628239, 43.199791713176730, 46.341188371661814, 49.482609897397817,
+    52.624051841114996, 55.765510755019979, 58.906983926080942, 62.048469190227170,
+])
+
+
+def _bessel_j0_zeros(m: int) -> np.ndarray:
+    """j_{0,1}, ..., j_{0,m}: the table, then McMahon's expansion in
+    b = (k - 1/4) pi, whose next term is below 1e-16 j from k = 21 on."""
+    b = (np.arange(1, m + 1) - 0.25) * np.pi
+    ib = 1.0 / b
+    j = b + ib * (1.0 / 8.0 + ib**2 * (-31.0 / 384.0 + ib**2 * (
+        3779.0 / 15360.0 - ib**2 * 6277237.0 / 3440640.0)))
+    top = min(m, _J0_ZEROS.size)
+    j[:top] = _J0_ZEROS[:top]
+    return j
 
 
 def _legendre_pair(n: int, x: np.ndarray):
@@ -52,16 +78,13 @@ def _legendre_cache(order: int):
         raise ValidationError(f"Gauss-Legendre order must be at least 1, got {n}")
     if n == 1:
         return np.zeros(1), np.full(1, 2.0)
-    # Tricomi's guess for the nonnegative nodes, largest first (k = 1)
-    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
-    x = (
-        1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)
-        - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
-    ) * np.cos(theta)
+    # the Bessel-zero guess for the nonnegative nodes, largest first (k = 1)
+    nu = n + 0.5
+    a = _bessel_j0_zeros((n + 1) // 2) / nu
+    x = np.cos(a + (1.0 / np.tan(a) - 1.0 / a) / (8.0 * nu**2))
     if n % 2:
-        x[-1] = 0.0  # P_n is odd; cos(theta) leaves ~1e-17 here
-    # each pass iterates only the nodes whose last step was above 1e-15:
-    # after the first, that is a handful next to x = 1
+        x[-1] = 0.0  # P_n is odd, so its middle root is exactly 0
+    # each pass iterates only the nodes whose last step was above 1e-15
     dp_node = np.empty_like(x)
     active = np.arange(x.size)
     for _ in range(_NEWTON_PASSES):

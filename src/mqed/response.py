@@ -15,11 +15,14 @@ representation `QuadRep` (nodes omega_n and coefficients
 w_n pref omega_n^2 f f^dag), which is kept with the kernel so the frequency
 spectrum and Laplace transform are taken exactly in t. Its coefficients are
 stored as a real column block, so each contraction (kernel values, the
-half-line transform, the Laplace transform, the KK reconstruction, the
-cosine kernel Q) is a real matrix product; on a uniform time grid the
-sin/cos tables of the kernel values and of Q are built by angle addition
-from O(sqrt(n_t)) phases per node. Within one run a `KernelStore`
-holds one representation per (medium, k): a consumer reuses it when it was
+half-line transform, the Laplace transform, the cosine kernel Q) is a real
+matrix product; on a uniform time grid the sin/cos tables of the kernel
+values and of Q are built by angle addition from O(sqrt(n_t)) phases per
+node. The half-line transform finds its few cancelling (omega, omega_n)
+pairs by bisection on the ascending nodes, and the Kramers-Kronig check
+sums its dispersion integral on a uniform grid as a Toeplitz plus a Hankel
+FFT convolution in O(n log n). Within one run a `KernelStore` holds one
+representation per (medium, k): a consumer reuses it when it was
 converged on a horizon at least as long as the consumer's own, and builds
 its own otherwise. Every representation is converged by one order-doubling
 loop (`_converged_rep`) on the functional its consumer reads: the kernel
@@ -364,6 +367,19 @@ def _seg(d, t_max):
     return t_max * np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
+def _near_pairs(w: np.ndarray, nodes: np.ndarray, near: float):
+    """(row, node) index pairs with |w - nodes| < near, rows ascending and
+    nodes ascending within a row (the order of `np.nonzero` on the full
+    table), for ascending nodes."""
+    lo = np.searchsorted(nodes, w - 2.0 * near, side="left")
+    count = np.searchsorted(nodes, w + 2.0 * near, side="right") - lo
+    rows = np.repeat(np.arange(w.size), count)
+    first = np.cumsum(count) - count  # each row's first pair
+    cols = np.arange(rows.size) + (lo - first)[rows]
+    keep = np.abs(w[rows] - nodes[cols]) < near
+    return rows[keep], cols[keep]
+
+
 def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) -> np.ndarray:
     """integral_0^T sin(omega_n t) e^{i omega t} dt summed over the representation.
 
@@ -375,11 +391,16 @@ def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) ->
     so all of the (omega, omega_n) dependence sits in one real matrix
     1 / (omega^2 - omega_n^2), contracted with three stacked column blocks.
     Where |omega - omega_n| T < _NEAR_PHASE that form cancels; those pairs are
-    dropped from the matrix and added in the sinc form of `_seg`. omega >= 0
-    (`chi_spectrum` checks it) and omega_n > 0, so omega + omega_n is never
-    the small factor.
+    dropped from the matrix and added in the sinc form of `_seg`. They are
+    found by bisection on the ascending nodes (a band of twice that width
+    per omega, then the strict test on the band alone), so only the
+    product, its reciprocal and the matrix product touch the whole table.
+    omega >= 0 (`chi_spectrum` checks it) and omega_n > 0, so
+    omega + omega_n is never the small factor.
     """
     nodes = rep.nodes
+    if np.any(np.diff(nodes) < 0.0):
+        raise ValidationError("the half-line transform needs ascending nodes")
     block = rep.block
     m = block.shape[1]
     phase_n = nodes * t_max
@@ -396,8 +417,8 @@ def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) ->
     rows = max(1, _TABLE_ELEMENTS // max(1, nodes.size))
     for start in range(0, omega.size, rows):
         w = omega[start : start + rows]
+        close_w, close_n = _near_pairs(w, nodes, near)
         inv = np.subtract.outer(w, nodes)
-        close_w, close_n = np.nonzero(np.abs(inv) < near)
         inv *= np.add.outer(w, nodes)
         with np.errstate(divide="ignore"):
             np.reciprocal(inv, out=inv)
@@ -468,6 +489,39 @@ class KKReport:
     grid_step: float
 
 
+def _kk_real_part(omega: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(2/pi) P int_0^inf w' Im(w') / (w'^2 - m_i^2) dw' at the midpoints
+    m_i of an ascending uniform grid w_j = w_0 + j h, for a real (n, c)
+    block of Im: (n - 1, c).
+
+    The kernel splits as
+
+        1 / (m_i^2 - w_j^2) = [1 / (m_i - w_j) + 1 / (m_i + w_j)] / (2 m_i),
+
+    a Toeplitz part (m_i - w_j = h (i - j + 1/2)) and a Hankel part
+    (m_i + w_j = 2 w_0 + h (i + j + 1/2)), so the sum is two real FFT
+    convolutions of length >= 2n - 1, which leaves the kept rows free of
+    wrap-around.
+    """
+    n = omega.size
+    h = float(omega[-1] - omega[0]) / (n - 1)
+    # the numerator -(2/pi) h w' goes into the block; row l of both kernels
+    # is at s_l = l + 1/2, l < 2n - 2
+    weighted = ((-2.0 / np.pi) * h * omega)[:, None] * im
+    size = _fft_size(2 * n - 1)
+    s_l = np.arange(2 * n - 2) + 0.5
+    toeplitz = np.fft.rfft(1.0 / (h * (s_l - (n - 1))), size)
+    hankel = np.fft.rfft(1.0 / (2.0 * omega[0] + h * s_l), size)
+    conv = np.fft.irfft(
+        np.fft.rfft(weighted, size, axis=0) * toeplitz[:, None]
+        + np.fft.rfft(weighted[::-1], size, axis=0) * hankel[:, None],
+        size,
+        axis=0,
+    )
+    mid = omega[0] + h * (np.arange(n - 1) + 0.5)
+    return conv[n - 1 : 2 * n - 2] / (2.0 * mid[:, None])
+
+
 def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     """Kramers-Kronig residual of a spectrum on a uniform omega grid.
 
@@ -477,9 +531,11 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
         Re chi(w) = (2/pi) P int_0^inf w' Im chi(w') / (w'^2 - w^2) dw',
 
     with the principal value handled by evaluating at midpoints so the
-    singular node is straddled symmetrically (O(h^2)). Reports the max
-    relative deviation from the directly computed real part; an acausal
-    spectrum shows up as an O(1) residual, not an exception.
+    singular node is straddled symmetrically (O(h^2)), and summed by FFT
+    (`_kk_real_part`). Reports the max relative deviation from the directly
+    computed real part; an acausal spectrum shows up as an O(1) residual,
+    not an exception. A descending grid is read from its low end, so both
+    orders give the same residual.
     """
     omega = spectrum.omega_grid
     if omega.size < KK_MIN_POINTS:
@@ -487,27 +543,16 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     h = np.diff(omega)
     if np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1e-30):
         raise GridTooCoarse("kk_check needs a uniform omega grid")
-    h = float(h[0])
     im = tensor_block(spectrum.imag_hermitian())
     re = spectrum.real_hermitian()
-    mid = 0.5 * (omega[:-1] + omega[1:])
+    if h[0] < 0.0:
+        omega, im, re = omega[::-1], im[::-1], re[::-1]
+    h = float(omega[-1] - omega[0]) / (omega.size - 1)
     re_direct = 0.5 * (re[:-1] + re[1:])
-    # the numerator -(2/pi) h w' goes into the block, 1/(w^2 - w'^2) stays
-    # a real matrix
-    weighted = ((-2.0 / np.pi) * h * omega)[:, None] * im
-    re_kk = np.empty((mid.size, im.shape[1]))
-    rows = max(1, _TABLE_ELEMENTS // omega.size)
-    for start in range(0, mid.size, rows):
-        m = mid[start : start + rows]
-        inv = np.subtract.outer(m, omega)
-        inv *= np.add.outer(m, omega)
-        np.reciprocal(inv, out=inv)
-        re_kk[start : start + rows] = inv @ weighted
-    re_kk = block_tensors(re_kk)
+    re_kk = block_tensors(_kk_real_part(omega, im))
     scale = float(np.max(np.linalg.norm(re_direct, axis=(1, 2))))
-    if scale == 0.0:
-        return KKReport(max_rel_residual=0.0, n_grid=int(omega.size), grid_step=h)
-    resid = float(np.max(np.linalg.norm(re_kk - re_direct, axis=(1, 2)))) / scale
+    worst = float(np.max(np.linalg.norm(re_kk - re_direct, axis=(1, 2))))
+    resid = worst / scale if scale > 0.0 else 0.0
     return KKReport(max_rel_residual=resid, n_grid=int(omega.size), grid_step=h)
 
 

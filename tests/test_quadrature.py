@@ -87,3 +87,45 @@ def test_package_imports_no_scipy():
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_large_rule_takes_one_newton_pass(monkeypatch, n):
+    import mqed.quadrature as quadrature
+
+    sizes = []
+    pair = quadrature._legendre_pair
+
+    def counted(order, x):
+        sizes.append(x.size)
+        return pair(order, x)
+
+    monkeypatch.setattr(quadrature, "_legendre_pair", counted)
+    quadrature._legendre_cache.__wrapped__(n)
+    assert sizes == [n // 2]
+
+
+def test_rule_8192_matches_40_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    n = 8192
+    x, w = _legendre_cache(n)
+    # the 8 nodes nearest 1 and 3 interior ones; the Newton stop is absolute
+    # (1e-15), so the nodes next to 0 are not held to a relative ulp
+    near_one = list(range(n - 8, n))
+    picks = near_one + [5 * n // 8, 3 * n // 4, 7 * n // 8]
+    with mpmath.workdps(40):
+        roots = [mpmath.mpf(x[i]) for i in picks]
+        for _ in range(2):  # Newton on the recurrence from the returned nodes
+            p_prev, p_cur = [mpmath.mpf(1)] * len(roots), list(roots)
+            for j in range(1, n):
+                a, b = mpmath.mpf(2 * j + 1) / (j + 1), mpmath.mpf(j) / (j + 1)
+                p_prev, p_cur = p_cur, [a * r * p1 - b * p0
+                                        for r, p0, p1 in zip(roots, p_prev, p_cur)]
+            dp = [n * (r * p1 - p0) / (r * r - 1) for r, p0, p1 in zip(roots, p_prev, p_cur)]
+            roots = [r - p1 / d for r, p1, d in zip(roots, p_cur, dp)]
+        for i, r, d in zip(picks, roots, dp):
+            assert float(abs(mpmath.mpf(x[i]) - r)) <= np.spacing(x[i]), i
+            ref = 2 / ((1 - r * r) * d * d)
+            # the weights next to x = 1 inherit the rounding of x there
+            tol = 2e-9 if i in near_one else 1e-13
+            assert float(abs(w[i] - ref) / ref) <= tol, i

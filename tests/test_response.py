@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,52 @@ def test_kk_grid_requirements(lorentz_kernel):
         kk_check(chi_spectrum(lorentz_kernel, geometric))
 
 
+def test_kk_descending_grid_reads_like_ascending(lorentz_kernel):
+    n = 4096
+    grid = (np.arange(n) + 0.5) * 50.0 / n
+    spectrum = chi_spectrum(lorentz_kernel, grid)
+    descending = replace(spectrum, omega_grid=grid[::-1], values=spectrum.values[::-1])
+    report = kk_check(spectrum)
+    assert report.max_rel_residual < 1e-3
+    assert kk_check(descending) == report
+    # the acausal flip still reads about 2 in either order
+    for causal in (spectrum, descending):
+        flipped = replace(causal, values=np.conj(causal.values))
+        assert kk_check(flipped).max_rel_residual == pytest.approx(2.0, abs=0.05)
+
+
+def _dense_kk_sum(omega, im):
+    """The (n - 1) x n midpoint dispersion sum, in row chunks."""
+    h = (omega[-1] - omega[0]) / (omega.size - 1)
+    mid = 0.5 * (omega[:-1] + omega[1:])
+    weighted = ((-2.0 / np.pi) * h * omega)[:, None] * im
+    out = np.empty((mid.size, im.shape[1]))
+    for lo in range(0, mid.size, 256):
+        m = mid[lo : lo + 256, None]
+        out[lo : lo + 256] = (1.0 / ((m - omega) * (m + omega))) @ weighted
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 9, 18])
+@pytest.mark.parametrize("n", [64, 65, 4096])
+@pytest.mark.parametrize("start", ["half_step", "zero", "offset"])
+def test_kk_fft_sum_matches_dense_sum(start, n, m):
+    from mqed.response import _kk_real_part
+
+    h = 50.0 / n
+    omega = {"half_step": 0.5 * h, "zero": 0.0, "offset": 0.1}[start] + h * np.arange(n)
+    rng = np.random.default_rng(n + m)
+    im = np.zeros((n, m))
+    for _ in range(3):  # damped-oscillator lines with random column weights
+        w0, g = rng.uniform(0.5, 5.0), rng.uniform(0.1, 1.0)
+        line = g * omega / ((w0**2 - omega**2) ** 2 + (g * omega) ** 2)
+        im += line[:, None] * rng.normal(size=m)
+    dense = _dense_kk_sum(omega, im)
+    fast = _kk_real_part(omega, im)
+    assert fast.shape == dense.shape == (n - 1, m)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_laplace_response_vacuum():
     resp = laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
     assert np.allclose(resp.eps(K, 1.0 + 0.5j), np.eye(3))
@@ -275,6 +323,73 @@ def test_factored_transform_matches_sinc_formula(form):
             ref = _sinc_transform(x, coeffs, t_max, omega)
             got = _half_line_transform_exact(rep, t_max, omega)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _full_mask_transform(rep, t_max, omega):
+    """The half-line transform with its near pairs found by a test on the
+    whole (omega, omega_n) table, chunked as the package chunks it."""
+    import mqed.response
+    from mqed.response import _NEAR_PHASE, _seg, block_tensors
+
+    nodes, block = rep.nodes, rep.block
+    m = block.shape[1]
+    phase_n = nodes * t_max
+    stacked = np.concatenate([nodes[:, None] * block, np.sin(phase_n)[:, None] * block,
+                              (nodes * np.cos(phase_n))[:, None] * block], axis=1)
+    near = _NEAR_PHASE / t_max
+    out = np.empty((omega.size, m), dtype=complex)
+    rows = max(1, mqed.response._TABLE_ELEMENTS // max(1, nodes.size))
+    for start in range(0, omega.size, rows):
+        w = omega[start : start + rows]
+        inv = np.subtract.outer(w, nodes)
+        close_w, close_n = np.nonzero(np.abs(inv) < near)
+        inv *= np.add.outer(w, nodes)
+        with np.errstate(divide="ignore"):
+            np.reciprocal(inv, out=inv)
+        inv[close_w, close_n] = 0.0
+        g = inv @ stacked
+        phase = np.exp(1j * w * t_max)[:, None]
+        chunk = phase * (g[:, 2 * m :] - 1j * w[:, None] * g[:, m : 2 * m]) - g[:, :m]
+        for lo in range(0, close_w.size, rows):
+            cw, cn = close_w[lo : lo + rows], close_n[lo : lo + rows]
+            it = (_seg(w[cw] + nodes[cn], t_max) - _seg(w[cw] - nodes[cn], t_max)) / 2.0j
+            np.add.at(chunk, cw, it[:, None] * block[cn])
+        out[start : start + rows] = chunk
+    return block_tensors(out)
+
+
+@pytest.mark.parametrize("m", [1, 9, 18])
+@pytest.mark.parametrize("table", ["default", "many_chunks"])
+def test_near_pairs_by_bisection_match_full_mask(monkeypatch, table, m):
+    import mqed.response
+    from mqed.quadrature import gauss_legendre
+    from mqed.response import _NEAR_PHASE, QuadRep, _half_line_transform_exact
+
+    x, w = gauss_legendre(384, 0.0, 50.0)
+    rng = np.random.default_rng(m)
+    rep = QuadRep(nodes=x, block=w[:, None] * rng.normal(size=(x.size, m)))
+    if table == "many_chunks":  # 7 omega rows per chunk
+        monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 7 * x.size + 5)
+    special = np.array([0.0, x[0], x[7], x[200], x[-1], x[-1] + 0.3, 60.0])
+    omega = np.concatenate([special, np.linspace(0.0, 60.0, 501)])
+    for t_max in (90.0, 7.5, 0.3):
+        if t_max == 0.3:  # dozens of near pairs per omega
+            count = np.sum(np.abs(np.subtract.outer(omega, x)) < _NEAR_PHASE / t_max, axis=1)
+            assert np.median(count[omega <= x[-1]]) >= 24
+        got = _half_line_transform_exact(rep, t_max, omega)
+        assert np.array_equal(got, _full_mask_transform(rep, t_max, omega))
+
+
+def test_half_line_transform_rejects_unsorted_nodes():
+    from mqed.errors import ValidationError
+    from mqed.quadrature import gauss_legendre
+    from mqed.response import QuadRep, _half_line_transform_exact
+
+    x, w = gauss_legendre(64, 0.0, 50.0)
+    order = np.random.default_rng(2).permutation(x.size)
+    rep = QuadRep(nodes=x[order], block=w[order, None])
+    with pytest.raises(ValidationError):
+        _half_line_transform_exact(rep, 90.0, np.linspace(0.0, 10.0, 11))
 
 
 def test_tensor_block_round_trip():
