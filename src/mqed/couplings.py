@@ -412,6 +412,9 @@ class CombinedElectric:
         cuts = [m.hard_cutoff for m in (self.bound, self.free) if m.hard_cutoff is not None]
         return min(cuts) if cuts else None
 
+    def suggested_t_max(self, tail: float = 1e-8) -> float:
+        return max(self.bound.suggested_t_max(tail), self.free.suggested_t_max(tail))
+
     def parameters(self) -> dict:
         return {"bound": self.bound.parameters(), "free": self.free.parameters()}
 

@@ -233,7 +233,8 @@ def pdot_continuity(
     # responses of the quadrature nodes to the probe on a uniform grid
     wide = np.linspace(0.0, 4.0 * tau, 801)
     h = wide[1] - wide[0]
-    p_wide = eps0 * block_tensors(_oscillator_responses(rep.nodes, probe(wide), wide, rep.block))
+    responses = _oscillator_responses(rep.nodes, probe(wide), wide, rep.block)
+    p_wide = eps0 * block_tensors(responses, rep.basis)
     rate = np.abs(np.diff(p_wide, axis=0)) / h
     peak = float(np.max(rate)) if rate.size else 0.0
     return ContinuityReport(dt=dt, jump=jump, peak_rate=peak)

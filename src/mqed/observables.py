@@ -361,7 +361,7 @@ def constitutive_roundtrip(
     # linear on each step (a different discretization from the kernel
     # convolution above, so agreement is a genuine cross-check)
     rep = kernel.rep
-    ladder = block_tensors(_oscillator_responses(rep.nodes, amp, t, rep.block))
+    ladder = block_tensors(_oscillator_responses(rep.nodes, amp, t, rep.block), rep.basis)
     p_b = eps0 * (ladder @ e_dir.astype(complex))
 
     scale = float(np.max(np.abs(p_a)))

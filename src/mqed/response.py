@@ -14,9 +14,13 @@ Every consumer reads chi through one object, the Gauss-Legendre
 representation `QuadRep` (nodes omega_n and coefficients
 w_n pref omega_n^2 f f^dag), which is kept with the kernel so the frequency
 spectrum and Laplace transform are taken exactly in t. Its coefficients are
-stored as a real column block, so each contraction (kernel values, the
-half-line transform, the Laplace transform, the cosine kernel Q) is a real
-matrix product; on a uniform time grid the sin/cos tables of the kernel
+stored as a real (n, r) block against an (r, 9) complex basis of tensors,
+with r the fewest columns the coefficients need (1 when every tensor is a
+multiple of one fixed tensor, as for an isotropic or a
+frequency-independent anisotropic medium), so each contraction (kernel
+values, the half-line transform, the Laplace transform, the cosine kernel
+Q) is a real product on r columns, mapped to tensors by one product with
+the basis at the end; on a uniform time grid the sin/cos tables of the kernel
 values and of Q are built by angle addition from O(sqrt(n_t)) phases per
 node. The half-line transform finds its few cancelling (omega, omega_n)
 pairs by bisection on the ascending nodes, and the Kramers-Kronig check
@@ -66,6 +70,14 @@ KK_MIN_POINTS = 64
 # |omega - omega_n| T below which the half-line transform of a mode is taken
 # in its cancellation-free sinc form
 _NEAR_PHASE = 1.0
+# a factored coefficient block reproduces each tensor to this fraction of its
+# largest entry (`tensor_block`)
+_BASIS_RTOL = 1e-14
+# bases of the real flat forms of tensors: the identity, 9 real entries, and
+# 9 real parts followed by 9 imaginary parts
+_FLAT_IDENTITY = IDENTITY3.reshape(1, 9).astype(complex)
+_UNIT_REAL = np.eye(9, dtype=complex)
+_UNIT_COMPLEX = np.concatenate([np.eye(9), 1j * np.eye(9)])
 
 
 def kernel_prefactor(which: str, constants: PhysicalConstants) -> float:
@@ -76,30 +88,54 @@ def kernel_prefactor(which: str, constants: PhysicalConstants) -> float:
     raise ValidationError(f"unknown sector '{which}'", key="which")
 
 
-def tensor_block(tensors) -> np.ndarray:
-    """(n, 3, 3) tensors as a real (n, m) column block: one column when every
-    tensor is a multiple of the identity, the 9 entries when all are real,
-    else the 9 real parts followed by the 9 imaginary parts."""
+def tensor_block(tensors):
+    """(n, 3, 3) tensors as a real (n, r) block and an (r, 9) complex basis,
+    tensors = (block @ basis).reshape(-1, 3, 3), on as few columns as hold
+    them.
+
+    When every tensor is a multiple of the identity (tested exactly) the
+    block is that one column and the basis is I. Otherwise the tensors are
+    taken in their real flat form F, the 9 real parts, followed by the 9
+    imaginary parts when any is nonzero, and projected on the fewest right
+    singular vectors of F that reproduce every row to `_BASIS_RTOL` of its
+    largest entry (so of its norm), or to the smallest normal double when
+    that is larger (such a row holds subnormal entries, which carry fewer
+    digits). Both the decomposition and the test take the rows scaled to a
+    largest entry of 1, so each row counts alike; a row below the smallest
+    normal double over `_BASIS_RTOL` is scaled by that instead. This gives
+    one column for s(omega) times a fixed tensor, at most 6 for real
+    symmetric and 9 for Hermitian tensors. When no smaller set does, the
+    block is F itself against the unit basis, which is exact.
+    """
     flat = np.asarray(tensors).reshape(-1, 9)
     if np.any(flat.imag):
-        return np.concatenate([flat.real, flat.imag], axis=1)
-    re = np.ascontiguousarray(flat.real)
-    diag = re[:, 0]
-    if not np.any(re[:, [1, 2, 3, 5, 6, 7]]) and np.array_equal(diag, re[:, 4]) \
-            and np.array_equal(diag, re[:, 8]):
-        return re[:, :1].copy()
-    return re
+        real, unit = np.concatenate([flat.real, flat.imag], axis=1), _UNIT_COMPLEX
+    else:
+        real, unit = np.ascontiguousarray(flat.real), _UNIT_REAL
+        diag = real[:, 0]
+        if not np.any(real[:, [1, 2, 3, 5, 6, 7]]) and np.array_equal(diag, real[:, 4]) \
+                and np.array_equal(diag, real[:, 8]):
+            return real[:, :1].copy(), _FLAT_IDENTITY
+    floor = np.finfo(float).tiny / _BASIS_RTOL
+    rows = real / np.maximum(np.max(np.abs(real), axis=1), floor)[:, None]
+    vt = np.linalg.svd(rows, full_matrices=False)[2]
+    for r in range(1, min(vt.shape[0] + 1, real.shape[1])):
+        v = vt[:r]
+        if np.all(np.linalg.norm(rows - (rows @ v.T) @ v, axis=1) <= _BASIS_RTOL):
+            return real @ v.T, v @ unit
+    return real, unit
 
 
-def block_tensors(block: np.ndarray) -> np.ndarray:
-    """Inverse of `tensor_block` (also for a product against a block):
-    (r, m) real or complex -> (r, 3, 3) complex."""
-    m = block.shape[1]
-    if m == 1:
-        return block[:, 0, None, None] * IDENTITY3[None, :, :].astype(complex)
-    if m == 9:
-        return block.reshape(-1, 3, 3).astype(complex)
-    return (block[:, :9] + 1j * block[:, 9:]).reshape(-1, 3, 3)
+def block_tensors(product: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Inverse of `tensor_block` (also for a product against a block): a
+    real or complex (p, r) product on the basis -> (p, 3, 3) complex.
+
+    Accumulated from the first term, not from zero as BLAS and `sum` do, so
+    the products x * 0 of a one-column block keep their sign."""
+    out = product[:, :1] * basis[0]
+    for j in range(1, basis.shape[0]):
+        out += product[:, j, None] * basis[j]
+    return out.reshape(-1, 3, 3)
 
 
 def _fft_size(n: int) -> int:
@@ -171,26 +207,34 @@ def _time_table_product(fn, t: np.ndarray, nodes: np.ndarray, block: np.ndarray)
 @dataclass(frozen=True)
 class QuadRep:
     """Frequency-quadrature representation sum_n c_n sin(omega_n t), with
-    c_n = weight * pref * omega_n^2 * f f^dag held as a real column block
-    (see `tensor_block`)."""
+    c_n = weight * pref * omega_n^2 * f f^dag held as a real (n, r) block
+    against an (r, 9) complex basis (see `tensor_block`): every contraction
+    works on the r block columns and maps to tensors through the basis."""
 
     nodes: np.ndarray  # (n,)
-    block: np.ndarray  # (n, m), m in (1, 9, 18)
+    block: np.ndarray  # (n, r) real
+    basis: np.ndarray  # (r, 9) complex
 
     @classmethod
     def from_coeffs(cls, nodes, coeffs) -> "QuadRep":
-        return cls(nodes=np.asarray(nodes, dtype=float), block=tensor_block(coeffs))
+        block, basis = tensor_block(coeffs)
+        return cls(nodes=np.asarray(nodes, dtype=float), block=block, basis=basis)
 
     def contract(self, mat) -> np.ndarray:
-        """sum_n mat[:, n] c_n for a real or complex (r, n) matrix: (r, 3, 3)."""
+        """sum_n mat[:, n] c_n for a real or complex (p, n) matrix: (p, 3, 3).
+        Each row is summed by itself, not by BLAS (whose one-row and many-row
+        kernels round apart), so a row's value does not depend on the rows
+        it is batched with."""
         mat = np.asarray(mat)
         if np.iscomplexobj(mat):
-            return block_tensors(mat.real @ self.block + 1j * (mat.imag @ self.block))
-        return block_tensors(mat @ self.block)
+            cols = [(mat.real * c).sum(1) + 1j * (mat.imag * c).sum(1) for c in self.block.T]
+        else:
+            cols = [(mat * c).sum(1) for c in self.block.T]
+        return block_tensors(np.stack(cols, axis=1), self.basis)
 
     def kernel_values(self, t_grid) -> np.ndarray:
         t = np.asarray(t_grid, dtype=float)
-        return block_tensors(_time_table_product(np.sin, t, self.nodes, self.block))
+        return block_tensors(_time_table_product(np.sin, t, self.nodes, self.block), self.basis)
 
 
 @dataclass(frozen=True)
@@ -431,7 +475,7 @@ def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) ->
             it = (_seg(w[cw] + nodes[cn], t_max) - _seg(w[cw] - nodes[cn], t_max)) / 2.0j
             np.add.at(chunk, cw, it[:, None] * block[cn])
         out[start : start + rows] = chunk
-    return block_tensors(out)
+    return block_tensors(out, rep.basis)
 
 
 def chi_spectrum(
@@ -541,15 +585,15 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     if omega.size < KK_MIN_POINTS:
         raise GridTooCoarse(f"kk_check needs at least {KK_MIN_POINTS} grid points")
     h = np.diff(omega)
-    if np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1e-30):
-        raise GridTooCoarse("kk_check needs a uniform omega grid")
-    im = tensor_block(spectrum.imag_hermitian())
+    if h[0] == 0.0 or np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
+        raise GridTooCoarse("kk_check needs a uniform omega grid with a nonzero step")
+    im, basis = tensor_block(spectrum.imag_hermitian())
     re = spectrum.real_hermitian()
     if h[0] < 0.0:
         omega, im, re = omega[::-1], im[::-1], re[::-1]
     h = float(omega[-1] - omega[0]) / (omega.size - 1)
     re_direct = 0.5 * (re[:-1] + re[1:])
-    re_kk = block_tensors(_kk_real_part(omega, im))
+    re_kk = block_tensors(_kk_real_part(omega, im), basis)
     scale = float(np.max(np.linalg.norm(re_direct, axis=(1, 2))))
     worst = float(np.max(np.linalg.norm(re_kk - re_direct, axis=(1, 2))))
     resid = worst / scale if scale > 0.0 else 0.0
@@ -645,11 +689,12 @@ class LaplaceResponse:
         else:
             rep = self.laplace_rep(model, k)
             out = np.empty((rho.size, 3, 3), dtype=complex)
-            # near-equal bounded chunks: no lone row (gemv rounds apart from gemm) unless n = 1
-            chunks = -(-rho.size // max(1, _TABLE_ELEMENTS // rep.nodes.size))
-            n2 = rep.nodes[None, :] ** 2
-            for r, o in zip(np.array_split(rho, chunks), np.array_split(out, chunks)):
-                o[...] = rep.contract(rep.nodes[None, :] / (r[:, None] ** 2 + n2))
+            rows = max(1, _TABLE_ELEMENTS // rep.nodes.size)
+            n2 = rep.nodes**2
+            for start in range(0, rho.size, rows):
+                mat = rho[start : start + rows, None] ** 2 + n2
+                np.divide(rep.nodes, mat, out=mat)
+                out[start : start + rows] = rep.contract(mat)
         return out[0] if scalar else out
 
     def chi_moments(self, model, k):
@@ -737,7 +782,7 @@ def conductor_Q(
 
     def q_on_t(rep):
         block = (pref_q * rep.nodes)[:, None] * rep.block
-        return block_tensors(_time_table_product(np.cos, t, rep.nodes, block))
+        return block_tensors(_time_table_product(np.cos, t, rep.nodes, block), rep.basis)
 
     # pref = 1: the one representation carries w omega^2 f f^dag, scaled per
     # consumer to Q and to chi

@@ -140,6 +140,9 @@ def test_kk_grid_requirements(lorentz_kernel):
     geometric = np.geomspace(0.1, 10.0, 128)
     with pytest.raises(GridTooCoarse):
         kk_check(chi_spectrum(lorentz_kernel, geometric))
+    # a zero step passes the uniformity test; it must not reach the sum
+    with pytest.raises(GridTooCoarse):
+        kk_check(chi_spectrum(lorentz_kernel, np.full(64, 1.0)))
 
 
 def test_kk_descending_grid_reads_like_ascending(lorentz_kernel):
@@ -316,7 +319,8 @@ def test_factored_transform_matches_sinc_formula(form):
     }[form]
     coeffs = (w * x**2)[:, None, None] * tensors
     rep = QuadRep.from_coeffs(x, coeffs)
-    assert rep.block.shape[1] == {"scalar": 1, "real": 9, "complex": 18}[form]
+    # the identity, the 6 real symmetric and the 9 Hermitian directions
+    assert rep.block.shape[1] == {"scalar": 1, "real": 6, "complex": 9}[form]
     special = np.array([0.0, x[7], x[200], x[200] + 1e-9, x[0], x[-1] - 1e-12])
     for t_max in (90.0, 7.5):
         for omega in (special, np.linspace(0.0, 60.0, 1001)):
@@ -355,7 +359,7 @@ def _full_mask_transform(rep, t_max, omega):
             it = (_seg(w[cw] + nodes[cn], t_max) - _seg(w[cw] - nodes[cn], t_max)) / 2.0j
             np.add.at(chunk, cw, it[:, None] * block[cn])
         out[start : start + rows] = chunk
-    return block_tensors(out)
+    return block_tensors(out, rep.basis)
 
 
 @pytest.mark.parametrize("m", [1, 9, 18])
@@ -367,7 +371,8 @@ def test_near_pairs_by_bisection_match_full_mask(monkeypatch, table, m):
 
     x, w = gauss_legendre(384, 0.0, 50.0)
     rng = np.random.default_rng(m)
-    rep = QuadRep(nodes=x, block=w[:, None] * rng.normal(size=(x.size, m)))
+    basis = rng.normal(size=(m, 9)) + 1j * rng.normal(size=(m, 9))
+    rep = QuadRep(nodes=x, block=w[:, None] * rng.normal(size=(x.size, m)), basis=basis)
     if table == "many_chunks":  # 7 omega rows per chunk
         monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 7 * x.size + 5)
     special = np.array([0.0, x[0], x[7], x[200], x[-1], x[-1] + 0.3, 60.0])
@@ -387,7 +392,7 @@ def test_half_line_transform_rejects_unsorted_nodes():
 
     x, w = gauss_legendre(64, 0.0, 50.0)
     order = np.random.default_rng(2).permutation(x.size)
-    rep = QuadRep(nodes=x[order], block=w[order, None])
+    rep = QuadRep.from_coeffs(x[order], w[order, None, None] * np.eye(3))
     with pytest.raises(ValidationError):
         _half_line_transform_exact(rep, 90.0, np.linspace(0.0, 10.0, 11))
 
@@ -395,16 +400,153 @@ def test_half_line_transform_rejects_unsorted_nodes():
 def test_tensor_block_round_trip():
     from mqed.response import block_tensors, tensor_block
 
+    # more rows than columns, so the general tensors span their whole space
+    # and keep the unit basis
     rng = np.random.default_rng(5)
     cases = [
-        (2.5 * np.eye(3)[None].repeat(4, axis=0).astype(complex), 1),
-        (rng.normal(size=(4, 3, 3)).astype(complex), 9),
-        (rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3)), 18),
+        (2.5 * np.eye(3)[None].repeat(40, axis=0).astype(complex), 1),
+        (rng.normal(size=(40, 3, 3)).astype(complex), 9),
+        (rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3)), 18),
     ]
     for tensors, m in cases:
-        block = tensor_block(tensors)
-        assert block.shape == (4, m) and block.dtype == float
-        assert np.array_equal(block_tensors(block), tensors)
+        block, basis = tensor_block(tensors)
+        assert block.shape == (40, m) and block.dtype == float and basis.shape == (m, 9)
+        assert np.array_equal(block_tensors(block, basis), tensors)
+
+
+def _row_norms(x):
+    """Frobenius norm of each (3, 3) tensor, free of underflow."""
+    flat = np.asarray(x).reshape(-1, 9)
+    flat = np.concatenate([flat.real, flat.imag], axis=1)
+    scale = np.max(np.abs(flat), axis=1, initial=0.0)
+    safe = np.where(scale > 0.0, scale, 1.0)
+    return np.linalg.norm(flat / safe[:, None], axis=1) * scale
+
+
+def _symmetric(rng, n):
+    a = rng.normal(size=(n, 3, 3))
+    return a + np.transpose(a, (0, 2, 1))
+
+
+def _hermitian(rng, n):
+    a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    return a + np.conj(np.transpose(a, (0, 2, 1)))
+
+
+_SPECTRAL = np.linspace(0.01, 6.0, 200)
+_AXES = np.diag([1.0, 0.49, 0.16])
+_FACTOR_CASES = {
+    # name: (tensors, columns, exact)
+    "identity": (lambda rng: np.exp(-_SPECTRAL)[:, None, None] * np.eye(3), 1, True),
+    "scalar_times_diag": (lambda rng: (_SPECTRAL**4 * np.exp(-_SPECTRAL**2))[:, None, None]
+                          * _AXES, 1, False),
+    "two_profiles": (lambda rng: np.sin(_SPECTRAL)[:, None, None] * _AXES
+                     + np.exp(-_SPECTRAL)[:, None, None] * np.eye(3), 2, False),
+    "real_symmetric": (lambda rng: _symmetric(rng, 200), 6, False),
+    "hermitian": (lambda rng: _hermitian(rng, 200), 9, False),
+    "real_general": (lambda rng: rng.normal(size=(200, 3, 3)), 9, True),
+    "complex_general": (lambda rng: rng.normal(size=(200, 3, 3))
+                        + 1j * rng.normal(size=(200, 3, 3)), 18, True),
+    "tiny_rows": (lambda rng: 1e-300 * _symmetric(rng, 200), 6, False),
+    "zero_rows": (lambda rng: np.concatenate([np.zeros((50, 3, 3)), _hermitian(rng, 150)]),
+                  9, False),
+    "mixed_scales": (lambda rng: np.geomspace(1.0, 1e-290, 200)[:, None, None]
+                     * _hermitian(rng, 200), 9, False),
+    "empty": (lambda rng: np.zeros((0, 3, 3)), 1, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
+def test_tensor_block_fewest_columns(case):
+    from mqed.response import block_tensors, tensor_block
+
+    make, columns, exact = _FACTOR_CASES[case]
+    tensors = np.asarray(make(np.random.default_rng(17)), dtype=complex)
+    block, basis = tensor_block(tensors)
+    assert block.shape == (tensors.shape[0], columns) and block.dtype == float
+    assert basis.shape == (columns, 9) and basis.dtype == complex
+    back = block_tensors(block, basis)
+    assert back.shape == tensors.shape
+    if exact:
+        assert np.array_equal(back, tensors)
+    assert np.all(_row_norms(back - tensors) <= 1e-14 * _row_norms(tensors))
+
+
+def test_tensor_block_keeps_one_column_through_an_underflowing_tail():
+    # s(omega)^2 diag(a^2) whose profile underflows to subnormal and zero
+    # rows: those carry fewer digits than 1e-14 of themselves, and are held
+    # to the smallest normal double instead
+    from mqed.response import block_tensors, tensor_block
+
+    omega = np.linspace(0.0, 50.0, 4000)
+    profile = (omega * np.exp(-(omega**2) / 2.0)) ** 2
+    assert np.any((profile > 0.0) & (profile < np.finfo(float).tiny))
+    tensors = (profile[:, None, None] * _AXES).astype(complex)
+    block, basis = tensor_block(tensors)
+    assert block.shape == (omega.size, 1)
+    error = _row_norms(block_tensors(block, basis) - tensors)
+    assert np.all(error <= np.maximum(1e-14 * _row_norms(tensors), np.finfo(float).tiny))
+
+
+def test_factored_and_unit_basis_reps_agree_in_every_consumer():
+    from mqed.noise import _oscillator_responses
+    from mqed.quadrature import gauss_legendre
+    from mqed.response import QuadRep, _half_line_transform_exact, block_tensors
+
+    x, w = gauss_legendre(384, 0.0, 40.0)
+    rng = np.random.default_rng(23)
+    fixed = _hermitian(rng, 1)[0]
+    coeffs = (w * x**2)[:, None, None] * (
+        np.exp(-x)[:, None, None] * _AXES + (x**2 * np.exp(-0.5 * x**2))[:, None, None] * fixed
+    )
+    factored = QuadRep.from_coeffs(x, coeffs)
+    assert factored.block.shape[1] == 2
+    flat = coeffs.reshape(-1, 9)
+    unit = QuadRep(nodes=x, block=np.concatenate([flat.real, flat.imag], axis=1),
+                   basis=np.concatenate([np.eye(9), 1j * np.eye(9)]))
+
+    def close(a, b):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    t = np.linspace(0.0, 12.0, 1201)
+    close(factored.kernel_values(t), unit.kernel_values(t))
+    omega = np.linspace(0.0, 30.0, 301)
+    close(_half_line_transform_exact(factored, 12.0, omega),
+          _half_line_transform_exact(unit, 12.0, omega))
+    drive = np.exp(-(((t - 3.0) / 0.5) ** 2))
+    close(*(block_tensors(_oscillator_responses(x, drive, t, rep.block), rep.basis)
+            for rep in (factored, unit)))
+    rho = rng.uniform(0.1, 3.0, 7) + 1j * rng.uniform(-5.0, 5.0, 7)
+    mat = x / (rho[:, None] ** 2 + x**2)
+    close(factored.contract(mat), unit.contract(mat))
+
+
+@pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor"])
+def test_bundled_media_hold_one_coefficient_column(name):
+    # every bundled medium's coefficients are s(omega) times one fixed
+    # tensor, so each representation of it, at every order its
+    # configuration allows, contracts a single column
+    from pathlib import Path
+
+    from mqed.couplings import combined_electric
+    from mqed.response import _converged_rep
+    from mqed.scenario import parse_scenario
+    from mqed.tensors import NATURAL
+
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    config = parse_scenario(path.read_text(encoding="utf-8"))
+    quad = config.quadrature()
+    bound = config.model("electric", NATURAL)
+    models = {bound, config.model("magnetic", NATURAL),
+              combined_electric(bound, config.model("conductor", NATURAL))}
+    models = [m for m in models if not m.is_zero]
+    assert len(models) == {"lorentz": 2, "gaussian": 1, "conductor": 2}[name]
+    for model in models:
+        for k in config.k_list():
+            for order in quad.orders():
+                rep, _, _ = _converged_rep(model, k, replace(quad, fixed_order=order), 1.0,
+                                           lambda rep: rep.nodes)
+                assert rep.block.shape == (order, 1), (model, order)
 
 
 def _row_loop_table_product(fn, t, nodes, block):
