@@ -23,7 +23,9 @@ vacuum-subtracted Bromwich line for continuum-absorption media whose
 imaginary-axis branch cut blocks contour deformation. The line also takes
 the |rho|^-3 and |rho|^-4 terms of the medium-vacuum difference in closed
 form, from the moments of chi_hat (`_line_tail`), and sums only the
-remainder. Their numerical controls are the module constants below.
+remainder. A medium has one line per k (`bromwich_line`), fixed by the
+horizon and top reservoir frequency of its response and shared by every
+request. Their numerical controls are the module constants below.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .tensors import (
 MARGINAL_POLE_TOL = 1e-12
 METHODS = ("auto", "rational_exact", "talbot", "bromwich_line")
 # the relative tolerance of pole finding; the contour's node-count range,
-# tolerance and t = 0 limit point; the line's abscissa (times 1 / t_max),
-# half-width and margin past the top reservoir node (times the largest
+# tolerance and t = 0 limit point; the line's abscissa (times 1 / horizon),
+# half-width and margin past the top reservoir frequency (times the largest
 # frequency scale), and the tolerance of its two error estimates
 _POLE_TOL = 1e-7
 _TALBOT_START_N = 24
@@ -491,6 +493,125 @@ def _phi(n: int, z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
+def _line_sums(t: np.ndarray, rho: np.ndarray):
+    """(rows, line_sum) pairs that cover t, with line_sum(cols) = exp(outer(
+    t[rows], rho)) @ cols: one `_chirp_z` for a uniform grid longer than one
+    chunk, else the phase table in row chunks of `_TABLE_ELEMENTS`."""
+    rows = max(1, _TABLE_ELEMENTS // rho.size)
+    h = uniform_step(t)
+    if h is not None and t.size > rows:
+        yield slice(None), _chirp_z(t, h, rho)
+        return
+    for start in range(0, t.size, rows):
+        table = np.multiply.outer(t[start : start + rows], rho)
+        np.exp(table, out=table)
+        yield slice(start, start + rows), partial(np.matmul, table)
+
+
+def _tail_transform(t, a, c3, c4):
+    """e^-at (C3 t^2 / 2 + C4' t^3 / 6), the transform of the subtracted tail."""
+    decay = np.exp(-a * t)
+    return (np.multiply.outer(decay * t**2 / 2.0, c3)
+            + np.multiply.outer(decay * t**3 / 6.0, c4))
+
+
+def _vacuum(response):
+    return laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
+                            constants=response.constants, quad=response.quad)
+
+
+@dataclass(frozen=True)
+class BromwichLine:
+    """The Bromwich line Re rho = a of one medium at one k: its points, the
+    medium-vacuum difference of Lambda^-1 less its closed-form tail on them,
+    and that tail. Every caller contracts the same stack with its own phases
+    exp(t rho_j) and reservoir factors."""
+
+    rho: np.ndarray  # (n_y,) a + i y_j
+    stack: np.ndarray  # (n_y, 36) the difference less the tail, times dy / 2 pi
+    c3: np.ndarray  # (6, 6) C3 and C4' of the tail C3 (rho + a)^-3 + C4' (rho + a)^-4
+    c4: np.ndarray
+    metadata: dict
+
+
+def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
+    """The line of the medium `response` at k, built on first use and kept
+    in `response.lines`.
+
+    Its geometry comes from the response's horizon T and top reservoir
+    frequency W alone, never from a request: abscissa a = 3 / T, step
+    dy = 0.5 / T and half-width Y = max(40 s, W + 20 s), s the largest
+    frequency scale of the medium and c |k|, so it runs past the top
+    reservoir node, where G / (rho + i w_q) peaks. All material evaluations
+    stay in Re rho > 0, so the imaginary-axis branch cut of the absorption
+    continuum is never crossed.
+
+    Two error estimates, gated by `_LINE_RTOL`, are taken once, by chirp-z
+    on a uniform grid over [0, T] whose step pi / (2 Y) resolves the fastest
+    phase of the sums: the grid-halving one (every other point) and the
+    truncation one (the points with |y| <= Y / 2), each relative to the
+    peak of the eh block of the medium-vacuum difference.
+    """
+    k = np.asarray(k, dtype=float)
+    line = response.lines.get(tuple(k))
+    if line is not None:
+        return line
+    horizon = response.horizon
+    a = _LINE_ABSCISSA_FACTOR / horizon
+    scales = [1.0, response.constants.c * float(np.linalg.norm(k))]
+    for m in (response.model_e, response.model_m):
+        if not m.is_zero:
+            scales.append(m.frequency_scale)
+    y_top = max(_LINE_HALFWIDTH_FACTOR * max(scales),
+                response.omega_top + _LINE_RESERVOIR_MARGIN * max(scales))
+    dy = 0.5 / horizon
+    n_y = int(2.0 * y_top / dy) + 1
+    y = np.linspace(-y_top, y_top, n_y)
+    rho = a + 1j * y
+
+    # unguarded: a guard would cost one SVD per line point, and the line
+    # stays a distance a off the imaginary-axis dispersion shell
+    inv_med = np.linalg.inv(assemble_lambda(response, k, rho, curl_sign=-1).value)
+    inv_vac = np.linalg.inv(assemble_lambda(_vacuum(response), k, rho, curl_sign=-1).value)
+    c3, c4 = _line_tail(response, k, a)
+    u = (1.0 / (rho + a))[:, None, None]
+    # the medium-vacuum difference less its tail, ~ |rho|^-5, with the line
+    # measure dy / 2 pi folded in; columns hold all four 3x3 blocks of the 6x6
+    dy = y[1] - y[0]
+    stack = (inv_med - inv_vac - u**3 * (c3 + u * c4)).reshape(n_y, 36) * (dy / (2.0 * np.pi))
+
+    # the estimates' sums: the eh block (for the scale), the sum less its
+    # every-other-point copy (the points with signs alternating from -) and
+    # less its |y| <= Y / 2 part (the points outside)
+    t_est = np.linspace(0.0, horizon, int(np.ceil(2.0 * y_top * horizon / np.pi)) + 1)
+    sign = np.where(np.arange(n_y) % 2, 1.0, -1.0)
+    outer = np.abs(y) > 0.5 * y_top
+    cols = np.concatenate([stack.reshape(n_y, 6, 6)[:, :3, 3:].reshape(n_y, 9),
+                           sign[:, None] * stack, outer[:, None] * stack], axis=1)
+    sums = _chirp_z(t_est, t_est[1], rho)(cols)
+    eh = sums[:, :9].reshape(-1, 3, 3) + _tail_transform(t_est, a, c3, c4)[:, :3, 3:]
+    scale = max(float(np.max(np.abs(eh))), 1e-30)
+    est = float(np.max(np.abs(sums[:, 9:45]))) / scale
+    trunc = float(np.max(np.abs(sums[:, 45:]))) / scale
+    for what, value in (("grid-halving", est), ("truncation", trunc)):
+        if value > _LINE_RTOL:
+            raise TalbotNotConverged(
+                f"bromwich line {what} estimate {value:g} above {_LINE_RTOL:g}"
+            )
+    line = response.lines[tuple(k)] = BromwichLine(rho=rho, stack=stack, c3=c3, c4=c4, metadata={
+        "method": "bromwich_line",
+        "line_points": int(n_y),
+        "line_halfwidth": float(y_top),
+        "line_abscissa": float(a),
+        "line_horizon": float(horizon),
+        "line_omega_top": float(response.omega_top),
+        "estimate_points": int(t_est.size),
+        "est_rel_error": est,
+        "est_truncation": trunc,
+    })
+    return line
+
+
 def _line_mode_path(response, blocks, k, t, omega_q):
     """Vacuum-subtracted Bromwich-line inversion for continuum-absorption
     media, with the line's slow tail taken in closed form.
@@ -504,59 +625,23 @@ def _line_mode_path(response, blocks, k, t, omega_q):
         L^-1[(rho + a)^-n] = e^-at t^(n-1) / (n-1)!,
         L^-1[(rho + a)^-n / (rho + i w_q)] = e^-at t^n phi_n((a - i w_q) t).
 
-    Only the |rho|^-5 remainder is summed numerically, so a line of half-width
-    max(40 s, max w_q + 20 s), s the largest frequency scale, reaches the
-    accuracy a plain sum needs a far longer line for; it still runs past the
-    top reservoir node, where G / (rho + i w_q) peaks. All material
-    evaluations stay in Re rho > 0, so the imaginary-axis branch cut of the
-    absorption continuum is never crossed.
-
-    Two error estimates from the same points are gated by `_LINE_RTOL`: the
-    grid-halving one (every other point) and the truncation one (the points
-    with |y| <= Y / 2), each relative to the peak of the eh block of the
-    medium-vacuum difference. The line sums take the phase table
-    exp(t rho_j) in row chunks of `_TABLE_ELEMENTS`, or `_chirp_z` on a
-    uniform grid longer than one chunk.
+    Only the |rho|^-5 remainder is summed numerically, on the response's
+    line at k (`bromwich_line`), which this call contracts with its phases
+    exp(t rho_j) (`_line_sums`) and its reservoir factors. t must lie in
+    [0, horizon] and omega_q in [0, omega_top] of the response.
     """
-    constants = response.constants
-    vac = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
-                           constants=constants, quad=response.quad)
-    base, res, _ = _rational_mode_path(vac, blocks, k, t, omega_q)
-    n_q = omega_q.size
-
-    t_max = float(np.max(t)) if np.max(t) > 0 else 1.0
-    a = _LINE_ABSCISSA_FACTOR / t_max
-    scales = [1.0, constants.c * float(np.linalg.norm(k))]
-    for m in (response.model_e, response.model_m):
-        if not m.is_zero:
-            scales.append(m.frequency_scale)
-    y_top = _LINE_HALFWIDTH_FACTOR * max(scales)
-    if blocks:
-        y_top = max(y_top, float(np.max(omega_q)) + _LINE_RESERVOIR_MARGIN * max(scales))
-    dy = min(0.5 / t_max, a / 6.0)
-    n_y = int(2.0 * y_top / dy) + 1
-    y = np.linspace(-y_top, y_top, n_y)
-    dy = y[1] - y[0]
-    rho = a + 1j * y
-
-    # unguarded: a guard would cost one SVD per line point, and the line
-    # stays a distance a off the imaginary-axis dispersion shell
-    inv_med = np.linalg.inv(assemble_lambda(response, k, rho, curl_sign=-1).value)
-    inv_vac = np.linalg.inv(assemble_lambda(vac, k, rho, curl_sign=-1).value)
-    c3, c4 = _line_tail(response, k, a)
-    u = (1.0 / (rho + a))[:, None, None]
-    # the medium-vacuum difference less its tail, ~ |rho|^-5, with the line
-    # measure dy / 2 pi folded in; columns hold all four 3x3 blocks of the 6x6
-    diff = (inv_med - inv_vac - u**3 * (c3 + u * c4)).reshape(n_y, 36) * (dy / (2.0 * np.pi))
-    # right-hand side of every line sum: the sum itself, then the same sum
-    # over every other line point (the grid-halving estimate) and over the
-    # points with |y| <= Y / 2 (the truncation estimate), zero elsewhere
-    rhs = np.zeros((n_y, 108), dtype=complex)
-    rhs[:, :36] = diff
-    rhs[::2, 36:72] = 2.0 * diff[::2]
-    inner = np.abs(y) <= 0.5 * y_top
-    rhs[inner, 72:] = diff[inner]
-    diff = diff.reshape(n_y, 6, 6)
+    if np.min(t) < 0.0 or np.max(t) > response.horizon:
+        raise ValidationError(f"bromwich line times must lie in [0, {response.horizon:g}] "
+                              "(the response's horizon)")
+    if omega_q.size and (np.min(omega_q) < 0.0 or np.max(omega_q) > response.omega_top):
+        raise ValidationError(f"bromwich line reservoir frequencies must lie in "
+                              f"[0, {response.omega_top:g}] (the response's omega_top)")
+    line = bromwich_line(response, k)
+    base, res, _ = _rational_mode_path(_vacuum(response), blocks, k, t, omega_q)
+    rho, n_q = line.rho, omega_q.size
+    a = float(rho[0].real)
+    n_y = rho.size
+    diff = line.stack.reshape(n_y, 6, 6)
 
     # reservoir sums conv[q] = sum_j phase_j block_j / (rho_j + i w_q), with
     # the factor folded into the block side in column chunks of bounded size
@@ -564,40 +649,19 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     conv = {n: np.empty((n_q, t.size, 3, 3), dtype=complex) for n in blocks}
     fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
     q_step = max(1, _TABLE_ELEMENTS // (9 * n_y))
-
-    sums = np.empty((t.size, 108), dtype=complex)
-
-    def line_sums(rows, line_sum):
-        sums[rows] = line_sum(rhs)
+    sums = np.empty((t.size, 36), dtype=complex)
+    for rows, line_sum in _line_sums(t, rho):
+        sums[rows] = line_sum(line.stack)
         for name in blocks:
             for q0 in range(0, n_q, q_step):
                 qs = slice(q0, q0 + q_step)
                 scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
                 part = line_sum(scaled.reshape(n_y, -1))
                 conv[name][qs, rows] = part.reshape(part.shape[0], -1, 3, 3).swapaxes(0, 1)
-
-    rows = max(1, _TABLE_ELEMENTS // n_y)
-    h = uniform_step(t)
-    if h is not None and t.size > rows:
-        line_sums(slice(None), _chirp_z(t, h, rho))
-    else:
-        for start in range(0, t.size, rows):
-            table = np.multiply.outer(t[start : start + rows], rho)
-            np.exp(table, out=table)
-            line_sums(slice(start, start + rows), partial(np.matmul, table))
     # the tail's transforms: e^-at (C3 t^2 / 2 + C4' t^3 / 6) on the base,
     # e^-at t^n phi_n((a - i w_q) t) for the reservoir sums
+    line_base = sums.reshape(t.size, 6, 6) + _tail_transform(t, a, line.c3, line.c4)
     decay = np.exp(-a * t)
-    tail = np.multiply.outer(decay * t**2 / 2.0, c3) + np.multiply.outer(decay * t**3 / 6.0, c4)
-    line_base = sums[:, :36].reshape(t.size, 6, 6) + tail
-    scale = max(float(np.max(np.abs(line_base[:, :3, 3:]))), 1e-30)
-    est = float(np.max(np.abs(sums[:, :36] - sums[:, 36:72]))) / scale
-    trunc = float(np.max(np.abs(sums[:, :36] - sums[:, 72:]))) / scale
-    for what, value in (("grid-halving", est), ("truncation", trunc)):
-        if value > _LINE_RTOL:
-            raise TalbotNotConverged(
-                f"bromwich line {what} estimate {value:g} above {_LINE_RTOL:g}"
-            )
     z = np.multiply.outer(a - 1j * omega_q, t)  # (q, t)
     g3 = (decay * t**3) * _phi(3, z)
     g4 = (decay * t**4) * _phi(4, z)
@@ -605,20 +669,13 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     iw = 1j * omega_q[:, None, None, None]
     for name in blocks:
         rows_b, cols_b = _BLOCKS[name]
-        conv[name] += np.multiply.outer(g3, c3[rows_b, cols_b])
-        conv[name] += np.multiply.outer(g4, c4[rows_b, cols_b])
+        conv[name] += np.multiply.outer(g3, line.c3[rows_b, cols_b])
+        conv[name] += np.multiply.outer(g4, line.c4[rows_b, cols_b])
         res[name] += line_base[None, :, rows_b, cols_b]
         conv[name] *= iw
         res[name] -= conv[name]
     base += line_base
-    return base, res, {
-        "method": "bromwich_line",
-        "line_points": int(n_y),
-        "line_halfwidth": float(y_top),
-        "line_abscissa": float(a),
-        "est_rel_error": est,
-        "est_truncation": trunc,
-    }
+    return base, res, dict(line.metadata)
 
 
 def resolve_method(response: LaplaceResponse, method: str) -> str:
@@ -659,8 +716,10 @@ def mode_coefficients(
     (rational) response; "bromwich_line" integrates along Re rho = const
     with the vacuum part split off exactly, and is the generic path for
     continuum-absorption media (whose branch cut blocks contour
-    deformation). "auto" picks rational_exact when possible, bromwich_line
-    otherwise. Every path returns the transforms of Lambda^-1 and of the
+    deformation); it sums on the response's line at k (`bromwich_line`), so
+    t must lie in [0, response.horizon] and omega_q in [0,
+    response.omega_top]. "auto" picks rational_exact when possible,
+    bromwich_line otherwise. Every path returns the transforms of Lambda^-1 and of the
     reservoir-weighted blocks the couplings read; `_families` maps them to
     the coefficient tensors. Internally the block system is oriented
     with flipped curl blocks (Lambda(-k, rho) for even media), the one

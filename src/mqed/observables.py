@@ -174,17 +174,18 @@ def _eh_coefficient(p: FieldOperatorRepresentation, m: FieldOperatorRepresentati
     return TWO_PI_CUBED * (ph + res)
 
 
-def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray) -> np.ndarray:
+def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray):
     """The i-normalized [E, H^dag] coefficients at the times t_set, which must
-    lie on the representation's t grid: +k is read from `rep`, -k is solved
-    at those times only."""
+    lie on the representation's t grid, and the metadata of the -k solve: +k
+    is read from `rep`, -k is solved at those times only."""
     idx = [int(np.argmin(np.abs(rep.t_grid - ti))) for ti in t_set]
     if any(abs(rep.t_grid[i] - ti) > 1e-9 * max(1.0, abs(ti)) for i, ti in zip(idx, t_set)):
         raise ValidationError("t_set must be drawn from the representation t_grid")
     minus = field_representation(rep.response, -rep.k, rep.t_grid[idx], rep.omega_q_grid,
                                  rep.omega_q_weights, method=rep.method)
     wq = rep.omega_q_weights * rep.radial_measure
-    return np.stack([_eh_coefficient(rep, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
+    coeffs = np.stack([_eh_coefficient(rep, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
+    return coeffs, minus.coeffs.metadata
 
 
 def vacuum_eh_coefficient(rep: FieldOperatorRepresentation) -> np.ndarray:
@@ -205,11 +206,12 @@ def equal_time_commutators(
     The -k channels are solved at the times t_set, which must lie on the t
     grid of `rep` and of the vacuum `baseline` (which may hold just t_set);
     without a baseline the target is the analytic i hbar c^2 x (curl matrix).
+    details["minus_k"] is the metadata of that -k solve.
     """
     t_set = np.atleast_1d(np.asarray(t_set, dtype=float))
-    lhs = _eh_coefficients(rep, t_set)
+    lhs, minus_k = _eh_coefficients(rep, t_set)
     if baseline is not None:
-        rhs = _eh_coefficients(baseline, t_set)
+        rhs = _eh_coefficients(baseline, t_set)[0]
     else:
         rhs = np.broadcast_to(vacuum_eh_coefficient(rep), lhs.shape).copy()
     return CommutatorReport(
@@ -219,7 +221,7 @@ def equal_time_commutators(
         lhs=lhs,
         rhs=rhs,
         max_rel_err=_relative_deviation(lhs, rhs),
-        details={"n_reservoir": int(rep.omega_q_grid.size)},
+        details={"n_reservoir": int(rep.omega_q_grid.size), "minus_k": dict(minus_k)},
     )
 
 

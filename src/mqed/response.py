@@ -626,19 +626,32 @@ class LaplaceResponse:
     everything else goes through the kernel quadrature representation, for
     which the transform of each sine mode is omega_n / (rho^2 + omega_n^2)
     exactly.
+
+    horizon and omega_top bound every time and reservoir frequency the mode
+    coefficients are asked for, and they alone fix the Bromwich line of a
+    continuum medium (`modes.bromwich_line`), one per k, kept in `lines`.
+    `run_scenario` derives them from its grids; the defaults are what a
+    default config derives: max(t_max, maxwell_t_max) and reservoir_cutoff.
     """
 
     model_e: object
     model_m: object
     constants: PhysicalConstants
     quad: QuadratureSpec
+    horizon: float = 10.0
+    omega_top: float = 50.0
     _rep_cache: dict = field(default_factory=dict, repr=False)
+    lines: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for model, name, which in ((self.model_e, "model_e", ELECTRIC),
                                    (self.model_m, "model_m", MAGNETIC)):
             if model.which != which:
                 raise ValidationError(f"{name} must be {which}")
+        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValidationError(f"horizon must be finite and > 0, got {self.horizon}")
+        if not (np.isfinite(self.omega_top) and self.omega_top >= 0.0):
+            raise ValidationError(f"omega_top must be finite and >= 0, got {self.omega_top}")
 
     @property
     def is_rational(self) -> bool:
@@ -724,8 +737,11 @@ def laplace_response(
     model_m,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
+    horizon: float = 10.0,
+    omega_top: float = 50.0,
 ) -> LaplaceResponse:
-    return LaplaceResponse(model_e=model_e, model_m=model_m, constants=constants, quad=quad)
+    return LaplaceResponse(model_e=model_e, model_m=model_m, constants=constants, quad=quad,
+                           horizon=float(horizon), omega_top=float(omega_top))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from .observables import (
     vacuum_spectrum,
 )
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import (KK_MIN_POINTS, KernelStore, chi_kernel, chi_spectrum, kk_check,
+from .response import (KK_MIN_POINTS, KernelStore, _cutoff, chi_kernel, chi_spectrum, kk_check,
                        laplace_response)
 from .tensors import NATURAL, PhysicalConstants
 
@@ -388,13 +388,21 @@ def run_scenario(
     grids = config.grids
     model_e = config.model("electric", constants)
     model_m = config.model("magnetic", constants)
+    free = config.model("conductor", constants)
+    # the scale of the Maxwell residual's reservoir sample
+    models = [m for m in (model_e, model_m, free) if not m.is_zero]
+    res_cut = 5.0 * max((m.frequency_scale for m in models), default=1.0)
+    # the latest time and the top reservoir frequency any stage asks the
+    # modes for: they fix the Bromwich line of a continuum medium
+    bounds = {"horizon": max(grids["t_max"], grids["maxwell_t_max"]),
+              "omega_top": max(grids["reservoir_cutoff"], res_cut)}
     # the medium of the conductor stage: the bound electric part and the free
     # carriers as one electric coupling, no magnetic part; None without free
     # carriers
-    free = config.model("conductor", constants)
     cond = None if free.is_zero else laplace_response(
-        combined_electric(model_e, free), zero_coupling(MAGNETIC), constants=constants, quad=quad)
-    response = laplace_response(model_e, model_m, constants=constants, quad=quad)
+        combined_electric(model_e, free), zero_coupling(MAGNETIC), constants=constants, quad=quad,
+        **bounds)
+    response = laplace_response(model_e, model_m, constants=constants, quad=quad, **bounds)
     try:
         method = resolve_method(response, num["laplace"])
     except ValidationError as exc:
@@ -409,9 +417,6 @@ def run_scenario(
     omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
     t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
     n_kk = int(grids["kk_n_omega"])
-    kk_grid = (np.arange(n_kk) + 0.5) * grids["kk_omega_max"] / n_kk
-    # the scale of the Maxwell residual's reservoir sample
-    models = [m for m in (model_e, model_m, free) if not m.is_zero]
     # the reservoir rule of the modes, commutators and conductor stages
     nodes, weights = gauss_legendre(int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"])
 
@@ -432,6 +437,10 @@ def run_scenario(
                         emit(f"spectrum_{name}_{tag}.csv", write_tensor_series_csv,
                              "omega", spectrum.omega_grid, spectrum.values)
                         if not model.is_zero:
+                            # inside the support of the kernel's rule: past its
+                            # cutoff Im chi_hat is only the truncation's ripple
+                            kk_top = min(grids["kk_omega_max"], _cutoff(model, quad))
+                            kk_grid = (np.arange(n_kk) + 0.5) * kk_top / n_kk
                             kk = kk_check(chi_spectrum(kernel, kk_grid, tail_rtol=num["tail_rtol"]))
                             manifest.add_check(f"kk_{name}_{tag}", kk.max_rel_residual,
                                                num["kk_tol"])
@@ -500,6 +509,7 @@ def run_scenario(
                     comm = equal_time_commutators(rep_field, t_set, baseline=baseline)
                     manifest.add_check(f"equal_time_commutator_{tag}", comm.max_rel_err,
                                        num["commutator_tol"])
+                    manifest.quadrature[f"modes_minus_{tag}"] = comm.details["minus_k"]
                     emit(f"commutator_equal_time_{tag}.csv", write_deviation_csv, "t",
                          comm.grid, _deviation_curve(comm), comm.lhs)
                     emit(f"commutator_equal_time_{tag}.json", _write_report, comm)
@@ -512,7 +522,6 @@ def run_scenario(
                     # reservoir sample at moderate frequencies: two nodes of a
                     # 16-node rule, the only ones the residual reads
                     t_res = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
-                    res_cut = 5.0 * max((m.frequency_scale for m in models), default=1.0)
                     nodes_r, weights_r = gauss_legendre(16, 0.0, res_cut)
                     picks = reservoir_picks(nodes_r.size, 2)
                     rep_res = field_representation(
@@ -537,6 +546,10 @@ def run_scenario(
                                        num["maxwell_tol"] * 10.0)
                     emit(f"conductor_gamma_{tag}.csv", write_tensor_series_csv, "t",
                          mc_c.t_grid, mc_c.gamma)
+            # no later k reads this k's lines
+            for medium in (response, cond):
+                if medium is not None:
+                    medium.lines.clear()
     return manifest
 
 

@@ -428,23 +428,26 @@ def test_line_transforms_match_a_wider_line(monkeypatch, medium):
     # reservoir nodes, on the modes grid and at the commutator times: the
     # same solve on a line at least 4x as wide moves no family by 1e-7 of
     # its peak, and the larger of the line's two estimates bounds the error
-    # of the base transforms
+    # of the base transforms. A response keeps its line, so the wider line
+    # is built on a fresh response
     from mqed.quadrature import gauss_legendre
 
     if medium == "gaussian":
-        resp = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8),
-                                zero_coupling("magnetic"))
+        models = (gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8), zero_coupling("magnetic"))
         k = np.array([0.4, -0.3, 1.1])
     else:
-        resp, k = lorentz_pair()[2], K
+        models, k = lorentz_pair()[:2], K
+    resp = laplace_response(*models, horizon=8.0)
+    halfwidth = modes.bromwich_line(resp, k).metadata["line_halfwidth"]
+    wide = laplace_response(*models, horizon=8.0)
+    with monkeypatch.context() as m:
+        # the frequency scale the factor multiplies is at least 1
+        m.setattr(modes, "_LINE_HALFWIDTH_FACTOR", 4.0 * halfwidth)
+        assert modes.bromwich_line(wide, k).metadata["line_halfwidth"] >= 4.0 * halfwidth
     wq, _ = gauss_legendre(96, 0.0, 50.0)
     for t in (np.linspace(0.0, 8.0, 81), np.array([0.0, 1.0, 5.0])):
         mc = mode_coefficients(resp, k, t, wq, method="bromwich_line")
-        with monkeypatch.context() as m:
-            # the frequency scale the factor multiplies is at least 1
-            m.setattr(modes, "_LINE_HALFWIDTH_FACTOR", 4.0 * mc.metadata["line_halfwidth"])
-            ref = mode_coefficients(resp, k, t, wq, method="bromwich_line")
-        assert ref.metadata["line_halfwidth"] >= 4.0 * mc.metadata["line_halfwidth"]
+        ref = mode_coefficients(wide, k, t, wq, method="bromwich_line")
         for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                      "zeta_tilde", "eta_tilde"):
             x, y = getattr(mc, name), getattr(ref, name)
@@ -454,6 +457,53 @@ def test_line_transforms_match_a_wider_line(monkeypatch, medium):
         err = max(np.max(np.abs(getattr(mc, n) - getattr(ref, n)))
                   for n in ("gamma", "xi", "gamma_tilde", "xi_tilde")) / scale
         assert err <= max(mc.metadata["est_rel_error"], mc.metadata["est_truncation"])
+
+
+def test_line_coefficients_do_not_depend_on_the_request():
+    # the gaussian config's medium, k, horizon and top reservoir frequency:
+    # gamma, xi, zeta and eta (and the tilde partners) at t = 1 and 5 and at
+    # three reservoir nodes where the coupling is not negligible (w_q = 0.1,
+    # 1.25 and 3.2) agree to 1e-12 of each family's peak between the modes
+    # grid with all 96 nodes, the commutator times with those three nodes
+    # alone, and a long uniform grid (chirp-z sums) with two of them
+    from mqed.quadrature import gauss_legendre
+
+    resp = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8),
+                            zero_coupling("magnetic"), horizon=8.0, omega_top=50.0)
+    k = np.array([0.4, -0.3, 1.1])
+    wq, _ = gauss_legendre(96, 0.0, 50.0)
+    full = mode_coefficients(resp, k, np.linspace(0.0, 8.0, 81), wq)
+    picks = [2, 9, 15]
+    requests = [
+        (full.t_grid[[0, 10, 50]], picks, [10, 50], [1, 2], [0, 1, 2]),
+        (np.linspace(0.0, 4.0, 4097), picks[1:], [10], [1024], [0, 1]),
+    ]
+    for t, q, at_full, at_other, q_other in requests:
+        other = mode_coefficients(resp, k, t, wq[q])
+        assert other.metadata == full.metadata
+        for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
+            want = getattr(full, name)
+            got = getattr(other, name)[at_other]
+            assert np.max(np.abs(got - want[at_full])) <= 1e-12 * np.max(np.abs(want)), name
+        for name in ("zeta", "eta", "zeta_tilde", "eta_tilde"):
+            want = getattr(full, name)
+            got = getattr(other, name)[q_other][:, at_other]
+            err = np.max(np.abs(got - want[q][:, at_full]))
+            assert err <= 1e-12 * max(np.max(np.abs(want)), 1e-300), name
+    # one line at k served all three requests
+    assert list(resp.lines) == [tuple(k)]
+
+
+def test_line_request_past_the_horizon_or_top_frequency_raises():
+    resp = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5),
+                            zero_coupling("magnetic"), horizon=4.0, omega_top=10.0)
+    with pytest.raises(ValidationError, match="horizon"):
+        mode_coefficients(resp, K, [0.0, 4.5], [1.0])
+    with pytest.raises(ValidationError, match="omega_top"):
+        mode_coefficients(resp, K, [0.0, 4.0], [1.0, 10.5])
+    assert not resp.lines  # a rejected request builds no line
+    mc = mode_coefficients(resp, K, [0.0, 4.0], [10.0])
+    assert mc.metadata["line_horizon"] == 4.0 and mc.metadata["line_omega_top"] == 10.0
 
 
 def test_gaussian_medium_line_path_initial_data():
@@ -480,7 +530,8 @@ def test_drude_poles_flagged_stable():
 def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     """The Bromwich-line inversion with the whole (n_t, n_y) phase table at
     once, Lambda assembled point by point, and the grid-halving and
-    truncation estimates from a strided and a cut copy of the table. The
+    truncation estimates from a strided and a cut copy of the table on the
+    line's own uniform grid over [0, horizon]. The
     closed-form tail C3 (rho + a)^-3 + C4' (rho + a)^-4 is subtracted on the
     line and its transforms added in their exponential form,
     L^-1[(rho + a)^-n / (rho + i w)] = (e^-iwt - e^-at sum_(j<n) (ct)^j / j!)
@@ -502,17 +553,27 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
     u = 1.0 / (rho + a)
     diff = (inverse(resp) - inverse(vac) - np.multiply.outer(u**3, c3)
             - np.multiply.outer(u**4, c4))
-    phases = (y[1] - y[0]) * np.exp(np.outer(t, rho)) / (2.0 * np.pi)
+
+    def phase_table(tt):
+        return (y[1] - y[0]) * np.exp(np.outer(tt, rho)) / (2.0 * np.pi)
+
+    def with_tail(tt, line):
+        decay = np.exp(-a * tt)
+        return line + np.multiply.outer(decay * tt**2 / 2.0, c3) + np.multiply.outer(
+            decay * tt**3 / 6.0, c4)
+
+    t_est = np.linspace(0.0, meta["line_horizon"], meta["estimate_points"])
+    phases = phase_table(t_est)
     line = np.einsum("tj,jab->tab", phases, diff)
     coarse = np.einsum("tj,jab->tab", 2.0 * phases[:, ::2], diff[::2])
     inner = np.abs(y) <= 0.5 * y_top
     cut = np.einsum("tj,jab->tab", phases[:, inner], diff[inner])
-    decay = np.exp(-a * t)
-    base = line + np.multiply.outer(decay * t**2 / 2.0, c3) + np.multiply.outer(
-        decay * t**3 / 6.0, c4)
-    scale = float(np.max(np.abs(base[:, :3, 3:])))
+    scale = float(np.max(np.abs(with_tail(t_est, line)[:, :3, 3:])))
     est = float(np.max(np.abs(line - coarse))) / scale
     trunc = float(np.max(np.abs(line - cut))) / scale
+    phases = phase_table(t)
+    decay = np.exp(-a * t)
+    base = with_tail(t, np.einsum("tj,jab->tab", phases, diff))
     fac = 1.0 / (rho[:, None] + 1j * wq[None, :])
     conv = np.einsum("tj,jq,jab->qtab", phases, fac, diff)
     c = (a - 1j * wq)[:, None]
@@ -542,18 +603,24 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
 
 def _check_line_chunks_against_dense(monkeypatch, t):
     # electric plus magnetic medium, so all four reservoir blocks are summed
-    me, mm, resp = lorentz_pair()
+    me, mm, _ = lorentz_pair()
     wq = np.array([0.6, 1.7, 2.3])
-    method = "bromwich_line"
-    n_y = mode_coefficients(resp, K, t, wq[:1], method=method).metadata["line_points"]
+
+    def response():
+        # the shortest line these t and wq allow
+        return laplace_response(me, mm, horizon=float(np.max(t)), omega_top=float(np.max(wq)))
+
+    n_y = modes.bromwich_line(response(), K).metadata["line_points"]
     # 18 t rows per table chunk (18, 18, 5) and 2 reservoir nodes per column
     # chunk (2, 1): both last chunks ragged. A uniform grid of 41 > 18 rows
     # goes through chirp-z instead, whose column blocks end ragged on the
-    # 108 base columns and on the 18 columns of two reservoir nodes
+    # 36 base columns and on the 18 columns of two reservoir nodes. A fresh
+    # response builds its line, and the line's estimates, under this budget
     monkeypatch.setattr(modes, "_TABLE_ELEMENTS", 18 * n_y + 3)
     step = modes._TABLE_ELEMENTS // modes._fft_size(t.size + n_y - 1)
-    assert 108 % step and 18 % step
-    mc = mode_coefficients(resp, K, t, wq, method=method)
+    assert 36 % step and 18 % step
+    resp = response()
+    mc = mode_coefficients(resp, K, t, wq, method="bromwich_line")
     assert mc.metadata["line_points"] == n_y
     ref, est, trunc = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
     for name, want in ref.items():
@@ -561,7 +628,8 @@ def _check_line_chunks_against_dense(monkeypatch, t):
         scale = float(np.max(np.abs(want)))
         assert scale > 0.0, name
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
-    # the estimates are already relative to the peak of the eh block
+    # the estimates are already relative to the peak of the eh block, over
+    # the line's grid on [0, horizon] whatever t the call asked for
     assert abs(mc.metadata["est_rel_error"] - est) <= 1e-12
     assert abs(mc.metadata["est_truncation"] - trunc) <= 1e-12
 

@@ -126,6 +126,5 @@ def test_rule_8192_matches_40_digit_reference():
         for i, r, d in zip(picks, roots, dp):
             assert float(abs(mpmath.mpf(x[i]) - r)) <= np.spacing(x[i]), i
             ref = 2 / ((1 - r * r) * d * d)
-            # the weights next to x = 1 inherit the rounding of x there
-            tol = 2e-9 if i in near_one else 1e-13
-            assert float(abs(w[i] - ref) / ref) <= tol, i
+            # next to x = 1 too: the weight takes 1 - x^2 at the unrounded node
+            assert float(abs(w[i] - ref) / ref) <= 1e-13, i

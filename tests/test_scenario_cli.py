@@ -403,6 +403,51 @@ def test_cli_modes_bundled_gaussian_line_budget(tmp_path, capsys):
     assert line["est_truncation"] <= 1e-7
 
 
+def test_cli_verify_gaussian_builds_one_line_per_sign_of_k(tmp_path, capsys, monkeypatch):
+    # chi_hat is evaluated on a Bromwich line once for +k (the modes grid and
+    # the Maxwell grid) and once for -k (the commutator times), and the
+    # manifest records the -k line beside the +k one
+    from mqed.response import LaplaceResponse
+
+    sizes = []
+    chi = LaplaceResponse.chi
+
+    def counted(self, model, k, rho, continued=False):
+        if not model.is_zero and np.size(rho) > 100:
+            sizes.append(np.size(rho))
+        return chi(self, model, k, rho, continued)
+
+    monkeypatch.setattr(LaplaceResponse, "chi", counted)
+    code = main(["verify", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
+    assert code == 0
+    quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
+    plus, minus = quadrature["modes_k0"], quadrature["modes_minus_k0"]
+    assert sizes == [plus["line_points"]] * 2
+    # the geometry comes from the run: horizon max(t_max, maxwell_t_max) and
+    # the top reservoir frequency reservoir_cutoff
+    for line in (plus, minus):
+        assert line["method"] == "bromwich_line"
+        assert (line["line_horizon"], line["line_omega_top"]) == (8.0, 50.0)
+        assert line["est_rel_error"] <= 1e-7 and line["est_truncation"] <= 1e-7
+    for key in ("line_points", "line_halfwidth", "line_abscissa", "estimate_points"):
+        assert minus[key] == plus[key], key
+
+
+def test_cli_verify_medium_below_unit_frequency_scale(tmp_path, capsys):
+    # a Lorentz medium at resonance 0.86: its kernel's rule stops at the
+    # cutoff 50 x 0.86 = 43, and its KK grid stops there too, not at
+    # kk_omega_max = 50, where Im chi_hat is only the truncated rule's ripple
+    # (an eigenvalue of -1.1e-6 there raised NotPSD before any check)
+    cfg = tmp_path / "lorentz086.cfg"
+    cfg.write_text("[medium]\nelectric.kind = lorentz_isotropic\nelectric.strength = 1.5\n"
+                   "electric.resonance = 0.86\nelectric.width = 0.5\n\n[grids]\nk = 0,0,1.3\n")
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("[PASS]") == 10
+    assert "[FAIL]" not in out
+
+
 def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
     code = main(["verify", "--config", str(CONFIGS / "lorentz.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
