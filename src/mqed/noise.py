@@ -22,7 +22,7 @@ import numpy as np
 from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import _TABLE_ELEMENTS, KernelStore, block_tensors, chi_spectrum
+from .response import _TABLE_ELEMENTS, KernelStore, _fft_size, block_tensors, chi_spectrum
 from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
 from .tensors import NATURAL, PhysicalConstants, triad
 
@@ -159,14 +159,21 @@ def _convolution_at(rep, probe, t: float, order: int = 24) -> np.ndarray:
 def _oscillator_responses(
     omega: np.ndarray, drive: np.ndarray, t: np.ndarray, block: np.ndarray
 ) -> np.ndarray:
-    """int_0^t sin(w (t - s)) drive(s) ds for every frequency, by the exact
-    one-step exponential propagator with the drive piecewise linear,
-    contracted against the (n_w, m) coefficient block: (n_t, m).
+    """int_0^t sin(w (t - s)) drive(s) ds for every frequency, contracted
+    against the (n_w, m) coefficient block: (n_t, m), on a uniform grid from
+    t[0], where every oscillator is at rest.
 
-    The responses of consecutive steps fill a (steps, n_w) table within
-    `_TABLE_ELEMENTS`, one contiguous row per step, and each full table is
-    contracted at once. The steps stay a loop: a cumulative-sum form of the
-    same recurrence over such tables moves far more memory per step."""
+    Each node takes the exact one-step propagator with the drive linear on
+    each step, s_{j+1} = phi s_j + alpha d_j + beta d_{j+1} with phi = e^{iwh}.
+    Unrolled and contracted, the responses are one causal convolution,
+
+        out[j] = sum_l K_alpha[j - 1 - l] d_l + K_beta[j - 1 - l] d_{l+1},
+        K_c[i] = Im sum_n block_n c_n phi_n^i,
+
+    whose impulse responses K come from one complex GEMM by angle addition,
+    phi^(s + J r) = phi^s phi^(J r) with r ~ sqrt(n_t) (the J groups stacked
+    in column chunks within `_TABLE_ELEMENTS`), and whose sum is one real FFT
+    product."""
     h = float(t[1] - t[0])
     wh = omega * h
     phi = np.exp(1j * wh)
@@ -179,17 +186,25 @@ def _oscillator_responses(
             h**2 * (0.5 + 1j * wh / 6.0 - wh**2 / 24.0),
             h * (phi - 1.0) / iw - (phi * (1.0 - 1j * wh) - 1.0) / omega**2,
         )
-    coeff_old = j0 - j1 / h  # weight of drive(t_m)
-    coeff_new = j1 / h  # weight of drive(t_{m+1})
-    rows = max(1, _TABLE_ELEMENTS // max(1, omega.size))
-    out = np.zeros((t.size, block.shape[1]))
-    state = np.zeros(omega.size, dtype=complex)
-    for start in range(1, t.size, rows):
-        table = np.empty((min(rows, t.size - start), omega.size))
-        for i, m in enumerate(range(start - 1, start - 1 + table.shape[0])):
-            state = phi * state + coeff_old * drive[m] + coeff_new * drive[m + 1]
-            table[i] = state.imag
-        out[start : start + table.shape[0]] = table @ block
+    m = block.shape[1]
+    # alpha, the weight of drive(t_l), then beta, the weight of drive(t_{l+1})
+    coeff = np.concatenate([block * (j0 - j1 / h)[:, None], block * (j1 / h)[:, None]], axis=1)
+    lags = t.size - 1
+    r = int(np.ceil(np.sqrt(lags)))
+    groups = -(-lags // r)
+    near = np.exp(1j * h * np.multiply.outer(np.arange(r), omega))  # phi^s, (r, n_w)
+    far = np.exp(1j * (r * h) * np.multiply.outer(omega, np.arange(groups)))  # phi^(J r)
+    kern = np.empty((groups, r, 2 * m))
+    step = max(1, _TABLE_ELEMENTS // max(1, omega.size * 2 * m))
+    for g0 in range(0, groups, step):
+        rhs = (far[:, g0 : g0 + step, None] * coeff[:, None, :]).reshape(omega.size, -1)
+        kern[g0 : g0 + step] = (near @ rhs).imag.reshape(r, -1, 2 * m).swapaxes(0, 1)
+    size = _fft_size(2 * lags - 1)  # no wrap-around into the first `lags` samples
+    spectra = np.fft.rfft(kern.reshape(-1, 2 * m)[:lags], size, axis=0)
+    product = spectra[:, :m] * np.fft.rfft(drive[:-1], size)[:, None]
+    product += spectra[:, m:] * np.fft.rfft(drive[1:], size)[:, None]
+    out = np.zeros((t.size, m))
+    out[1:] = np.fft.irfft(product, size, axis=0)[:lags]
     return out
 
 

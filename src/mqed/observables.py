@@ -31,10 +31,12 @@ from .rational import ilt_rational
 from .response import (
     KernelStore,
     LaplaceResponse,
+    _central_difference,
     _fft_size,
     block_tensors,
     chi_hat_rational,
-    finite_difference_time,
+    difference_step,
+    uniform_step,
 )
 from .tensors import (
     IDENTITY3,
@@ -228,17 +230,21 @@ def equal_time_commutators(
 def _convolver(chi_vals: np.ndarray, h: float):
     """Trapezoid convolution u -> (chi * u)(t) on a uniform grid, for (n_t, 3)
     fields u. The zero-padded kernel is transformed once; each field then
-    costs 3 forward and one batch of 9 inverse transforms, whose products are
-    summed over j in the time domain."""
+    costs one forward and one inverse transform of 3 columns, the sum over j
+    taken on the spectra. An identically zero kernel returns zeros without a
+    transform."""
     n = chi_vals.shape[0]
+    if not np.any(chi_vals):
+        return lambda u: np.zeros((n, 3), dtype=complex)
     size = _fft_size(2 * n - 1)  # no wrap-around into the first n samples
     chi_ft = np.fft.fft(chi_vals, size, axis=0)  # (size, 3, 3)
 
     def convolve(u: np.ndarray) -> np.ndarray:
         u_ft = np.fft.fft(u, size, axis=0)
-        terms = np.fft.ifft(chi_ft * u_ft[:, None, :], axis=0)[:n]  # (n, i, j)
-        out = terms[:, :, 0] + terms[:, :, 1]
-        out += terms[:, :, 2]
+        product = chi_ft[:, :, 0] * u_ft[:, 0, None]
+        product += chi_ft[:, :, 1] * u_ft[:, 1, None]
+        product += chi_ft[:, :, 2] * u_ft[:, 2, None]
+        out = np.fft.ifft(product, axis=0)[:n]
         out *= h
         out -= 0.5 * h * (np.einsum("ij,tj->ti", chi_vals[0], u)
                           + np.einsum("tij,j->ti", chi_vals, u[0]))
@@ -272,10 +278,7 @@ def maxwell_residual(
     dD/dt + O H, with D and B closed through the constitutive convolutions
     and the explicit noise channels.
     """
-    t = rep.t_grid
-    h = float(t[1] - t[0])
-    if np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
-        raise ValidationError("maxwell_residual needs a uniform t_grid")
+    h = difference_step(rep.t_grid)
     c = rep.constants
     o = curl_symbol(rep.k)
     conv_e = _convolver(rep.chi_e, h)
@@ -286,22 +289,23 @@ def maxwell_residual(
         p = c.eps0 * conv_e(e_ch)
         if p_noise is not None:
             p = p + p_noise
-        d_ch = c.eps0 * e_ch + p
+        d_rate = _central_difference(c.eps0 * e_ch + p, h)
         m = conv_m(h_ch)
         if m_noise is not None:
             m = m + m_noise
-        b_ch = c.mu0 * (h_ch + m)
-        faraday = e_ch @ o.T + finite_difference_time(b_ch, t)
-        ampere = finite_difference_time(d_ch, t) - h_ch @ o.T
+        b_rate = _central_difference(c.mu0 * (h_ch + m), h)
+        curl_e, curl_h = e_ch @ o.T, h_ch @ o.T
+        faraday = curl_e + b_rate
+        ampere = d_rate - curl_h
         scale = max(
-            float(np.max(np.abs(finite_difference_time(b_ch, t)))),
-            float(np.max(np.abs(finite_difference_time(d_ch, t)))),
-            float(np.max(np.abs(e_ch @ o.T))),
-            float(np.max(np.abs(h_ch @ o.T))),
+            float(np.max(np.abs(b_rate))),
+            float(np.max(np.abs(d_rate))),
+            float(np.max(np.abs(curl_e))),
+            float(np.max(np.abs(curl_h))),
             # longitudinal channels have vanishing curls and flux rates;
             # their natural scale is the displacement-rate of the field term
-            c.eps0 * float(np.max(np.abs(finite_difference_time(e_ch, t)))),
-            c.mu0 * float(np.max(np.abs(finite_difference_time(h_ch, t)))),
+            c.eps0 * float(np.max(np.abs(_central_difference(e_ch, h)))),
+            c.mu0 * float(np.max(np.abs(_central_difference(h_ch, h)))),
         )
         resid = max(float(np.max(np.abs(faraday))), float(np.max(np.abs(ampere))))
         channels[name] = resid / scale if scale > 0.0 else resid
@@ -343,10 +347,13 @@ def constitutive_roundtrip(
     route B drives each reservoir frequency as an independent oscillator
     (per-node sine convolution) and sums with the quadrature weights. The two
     routes share only the coupling evaluation. The probe is a Gaussian pulse
-    of width 2 / frequency_scale along (1, 1, 1).
+    of width 2 / frequency_scale along (1, 1, 1). Both routes step a uniform
+    t_grid from 0; any other grid raises ValidationError.
     """
     t = np.asarray(t_grid, dtype=float)
-    h = float(t[1] - t[0])
+    h = uniform_step(t)
+    if h is None or t[0] != 0.0:
+        raise ValidationError("constitutive_roundtrip needs a uniform t_grid from 0")
     k = np.asarray(k, dtype=float)
     e_dir = np.ones(3) / np.linalg.norm(np.ones(3))
     tau = 2.0 / model.frequency_scale

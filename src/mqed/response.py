@@ -763,13 +763,26 @@ class QKernelReport:
         return float(np.max(np.abs(self.implied_sigma))) / scale
 
 
-def finite_difference_time(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """d/dt on a uniform grid: central interior, one-sided second order at
-    the ends (the t = 0 end never reaches into t < 0)."""
+def difference_step(t_grid) -> float:
+    """The step h of a time grid that `finite_difference_time` accepts: at
+    least 3 points (the end stencils read three), evenly increasing."""
     t = np.asarray(t_grid, dtype=float)
+    if t.size < 3:
+        raise ValidationError("finite differences need at least 3 time points")
     h = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
-        raise ValidationError("finite differences need a uniform t_grid")
+    if not h > 0.0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
+        raise ValidationError("finite differences need an increasing uniform t_grid")
+    return float(h)
+
+
+def finite_difference_time(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """d/dt on a uniform grid of at least 3 points (`difference_step`)."""
+    return _central_difference(values, difference_step(t_grid))
+
+
+def _central_difference(values: np.ndarray, h: float) -> np.ndarray:
+    """d/dt at step h: central interior, one-sided second order at the ends
+    (the t = 0 end never reaches into t < 0)."""
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)

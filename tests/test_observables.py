@@ -9,6 +9,7 @@ from mqed.couplings import (
     random_orthogonal_gauge,
     zero_coupling,
 )
+from mqed.errors import ValidationError
 from mqed.observables import (
     constitutive_roundtrip,
     equal_time_commutators,
@@ -18,7 +19,7 @@ from mqed.observables import (
     vacuum_spectrum,
 )
 from mqed.quadrature import QuadratureSpec, gauss_legendre
-from mqed.response import chi_kernel, laplace_response
+from mqed.response import chi_kernel, finite_difference_time, laplace_response
 from mqed.tensors import NATURAL, transverse_projector
 
 K = np.array([0.4, -0.3, 1.1])
@@ -268,3 +269,108 @@ def test_fft_convolver_matches_direct_trapezoid_sum():
         want[m] = h * (terms.sum(axis=0) - 0.5 * (terms[0] + terms[-1]))
     got = observables._convolver(chi, h)(u)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _stepwise_responses(omega, drive, t, block):
+    """The oscillator responses by the exact one-step propagator, stepped."""
+    h = t[1] - t[0]
+    wh = omega * h
+    phi = np.exp(1j * wh)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j0 = np.where(wh < 1e-3, h * (1.0 + 0.5j * wh - wh**2 / 6.0), (phi - 1.0) / (1j * omega))
+        j1 = np.where(wh < 1e-3, h**2 * (0.5 + 1j * wh / 6.0 - wh**2 / 24.0),
+                      h * (phi - 1.0) / (1j * omega) - (phi * (1.0 - 1j * wh) - 1.0) / omega**2)
+    state = np.zeros(omega.size, dtype=complex)
+    want = np.zeros((t.size, block.shape[1]))
+    for m in range(t.size - 1):
+        state = phi * state + (j0 - j1 / h) * drive[m] + (j1 / h) * drive[m + 1]
+        want[m + 1] = state.imag @ block
+    return want
+
+
+@pytest.mark.parametrize("omega, t, columns, groups_per_table", [
+    (np.array([0.0, 0.7, 3.1]), np.array([0.0, 0.02]), 1, None),  # one step
+    (np.array([0.0, 1.3]), np.linspace(0.0, 12.0, 602), 1, None),  # a node at omega = 0
+    (np.array([1e-5, 2e-4, 0.04]), np.linspace(0.0, 12.0, 602), 1, None),  # omega h < 1e-3
+    # 601 lags in 25 groups of 25 rows, 3 groups per table: the last table
+    # holds one group, and that group 1 row
+    (np.array([0.2, 0.7, 3.1, 9.0]), np.linspace(0.0, 12.0, 602), 2, 3),
+], ids=["one_step", "zero_node", "series", "two_columns"])
+def test_oscillator_impulse_responses_match_stepwise_recurrence(
+        monkeypatch, omega, t, columns, groups_per_table):
+    drive = np.exp(-((t - 4.0) / 1.5) ** 2) + 0.3
+    block = np.random.default_rng(7).normal(size=(omega.size, columns))
+    if groups_per_table is not None:
+        monkeypatch.setattr(noise, "_TABLE_ELEMENTS", groups_per_table * omega.size * 2 * columns)
+    want = _stepwise_responses(omega, drive, t, block)
+    got = noise._oscillator_responses(omega, drive, t, block)
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fft_convolver_zero_kernel_returns_exact_zeros(monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a zero kernel needs no transform")
+
+    monkeypatch.setattr(observables.np.fft, "fft", no_transform)
+    monkeypatch.setattr(observables.np.fft, "ifft", no_transform)
+    u = np.random.default_rng(3).normal(size=(37, 3)) + 1j
+    got = observables._convolver(np.zeros((37, 3, 3), dtype=complex), 0.1)(u)
+    assert got.shape == (37, 3)
+    assert np.array_equal(got, np.zeros((37, 3)))
+
+
+def test_maxwell_residual_transforms_per_channel(monkeypatch):
+    # the gaussian medium has no magnetic part: chi_m is zero and never
+    # transformed; each channel's electric convolution is one forward
+    # transform of its field and one inverse transform of the j-summed product
+    me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
+    t = np.linspace(0.0, 4.0, 401)
+    rep = make_rep(me, zero_coupling("magnetic"), t, order=16)
+    assert not np.any(rep.chi_m) and np.any(rep.chi_e)
+    forward, inverse = [], []
+    fft, ifft = np.fft.fft, np.fft.ifft
+
+    def counted(log, transform):
+        def call(a, *args, **kwargs):
+            log.append(a)
+            return transform(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(observables.np.fft, "fft", counted(forward, fft))
+    monkeypatch.setattr(observables.np.fft, "ifft", counted(inverse, ifft))
+    report = maxwell_residual(rep, reservoir_samples=2)
+    n_channels = len(report.channels)
+    assert n_channels == 2 + 2 * 3 * 2
+    kernels = [a for a in forward if a.ndim == 3]
+    assert len(kernels) == 1 and kernels[0] is rep.chi_e
+    assert len(forward) == 1 + n_channels
+    assert len(inverse) == n_channels
+    assert all(a.shape[1:] == (3,) for a in inverse)
+
+
+def test_maxwell_residual_needs_three_time_points():
+    rep = make_rep(zero_coupling("electric"), zero_coupling("magnetic"), [0.0, 1.0], order=8)
+    with pytest.raises(ValidationError, match="3 time points"):
+        maxwell_residual(rep)
+
+
+@pytest.mark.parametrize("t, message", [
+    ([0.0, 1.0], "3 time points"),
+    ([1.0, 1.0, 1.0], "increasing uniform"),  # zero step
+    ([2.0, 1.0, 0.0], "increasing uniform"),
+    ([0.0, 1.0, 3.0], "increasing uniform"),
+], ids=["two_points", "zero_step", "descending", "nonuniform"])
+def test_finite_difference_time_rejects_grid(t, message):
+    with pytest.raises(ValidationError, match=message):
+        finite_difference_time(np.zeros((len(t), 3)), t)
+
+
+@pytest.mark.parametrize("t", [
+    20.0 * np.linspace(0.0, 1.0, 3001) ** 1.5,  # non-uniform
+    np.array([0.0]),  # one point
+    np.linspace(1.0, 21.0, 3001),  # uniform, but not from 0
+], ids=["nonuniform", "one_point", "offset"])
+def test_constitutive_roundtrip_rejects_grid(t):
+    with pytest.raises(ValidationError, match="uniform t_grid from 0"):
+        constitutive_roundtrip(lorentz_isotropic(1.0, 1.0, 0.4), np.array([0.0, 0.0, 1.3]), t)
