@@ -295,7 +295,8 @@ def tabulated(table: TabulatedTable, which: str = ELECTRIC) -> CouplingModel:
 
 def tabulated_from_csv(path, which: str = ELECTRIC) -> CouplingModel:
     """Load a tabulated model from CSV: header row, then columns
-    omega, |k|, and 18 Re/Im entries of the 3x3 tensor in row-major order."""
+    omega, |k|, and 18 Re/Im entries of the 3x3 tensor in row-major order,
+    one row for each (omega, |k|) pair of a full grid."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -307,6 +308,8 @@ def tabulated_from_csv(path, which: str = ELECTRIC) -> CouplingModel:
     if not rows:
         raise ValidationError("tabulated CSV has no data rows")
     data = np.asarray(rows)
+    if np.unique(data[:, :2], axis=0).shape[0] != data.shape[0]:
+        raise ValidationError("tabulated CSV repeats an (omega, |k|) pair")
     omegas = np.unique(data[:, 0])
     kmags = np.unique(data[:, 1])
     if omegas.size * kmags.size != data.shape[0]:

@@ -45,8 +45,8 @@ from .errors import (
     ValidationError,
 )
 from .rational import Rational, ilt_rational, partial_fractions
-from .response import (_TABLE_ELEMENTS, LaplaceResponse, _fft_size, chi_hat_rational,
-                       laplace_response, uniform_step)
+from .response import (LaplaceResponse, _chunks, _fft_size, chi_hat_rational, laplace_response,
+                       uniform_step)
 from .tensors import (
     curl_symbol,
     longitudinal_projector,
@@ -414,7 +414,7 @@ def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
         exp(t_m rho_j) = exp(t_m (a + i y_c)) w_m conj(w_(m - j)) w_j exp(i t_c j dy):
 
     one FFT convolution with conj(w) between a row and a column factor, on
-    column blocks of at most `_TABLE_ELEMENTS` entries."""
+    column blocks of one table each (`response._chunks`)."""
     n_t, n_y = t.size, rho.size
     dy = (rho[-1].imag - rho[0].imag) / (n_y - 1)
     theta = 0.5 * h * dy
@@ -428,14 +428,13 @@ def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
     col_fold = np.exp(1j * theta * (j * j) + (1j * t[m_c] * dy) * j)[:, None]
     m = np.arange(n_t) - m_c
     row_fold = np.exp(1j * theta * (m * m) + t * (rho[0].real + 1j * rho[j_c].imag))[:, None]
-    step = max(1, _TABLE_ELEMENTS // size)
 
     def line_sum(cols: np.ndarray) -> np.ndarray:
         out = np.empty((n_t, cols.shape[1]), dtype=complex)
-        for c0 in range(0, cols.shape[1], step):
-            spec = np.fft.fft(col_fold * cols[:, c0 : c0 + step], size, axis=0)
+        for c in _chunks(cols.shape[1], size):
+            spec = np.fft.fft(col_fold * cols[:, c], size, axis=0)
             spec *= kernel
-            out[:, c0 : c0 + step] = row_fold * np.fft.ifft(spec, axis=0)[n_y - 1 : n_y - 1 + n_t]
+            out[:, c] = row_fold * np.fft.ifft(spec, axis=0)[n_y - 1 : n_y - 1 + n_t]
         return out
 
     return line_sum
@@ -496,16 +495,16 @@ def _phi(n: int, z: np.ndarray) -> np.ndarray:
 def _line_sums(t: np.ndarray, rho: np.ndarray):
     """(rows, line_sum) pairs that cover t, with line_sum(cols) = exp(outer(
     t[rows], rho)) @ cols: one `_chirp_z` for a uniform grid longer than one
-    chunk, else the phase table in row chunks of `_TABLE_ELEMENTS`."""
-    rows = max(1, _TABLE_ELEMENTS // rho.size)
+    chunk, else the phase table in row chunks (`response._chunks`)."""
+    chunks = _chunks(t.size, rho.size)
     h = uniform_step(t)
-    if h is not None and t.size > rows:
+    if h is not None and len(chunks) > 1:
         yield slice(None), _chirp_z(t, h, rho)
         return
-    for start in range(0, t.size, rows):
-        table = np.multiply.outer(t[start : start + rows], rho)
+    for rows in chunks:
+        table = np.multiply.outer(t[rows], rho)
         np.exp(table, out=table)
-        yield slice(start, start + rows), partial(np.matmul, table)
+        yield rows, partial(np.matmul, table)
 
 
 def _tail_transform(t, a, c3, c4):
@@ -648,13 +647,11 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     res_blocks = {n: diff[:, _BLOCKS[n][0], _BLOCKS[n][1]].reshape(n_y, 9) for n in blocks}
     conv = {n: np.empty((n_q, t.size, 3, 3), dtype=complex) for n in blocks}
     fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
-    q_step = max(1, _TABLE_ELEMENTS // (9 * n_y))
     sums = np.empty((t.size, 36), dtype=complex)
     for rows, line_sum in _line_sums(t, rho):
         sums[rows] = line_sum(line.stack)
         for name in blocks:
-            for q0 in range(0, n_q, q_step):
-                qs = slice(q0, q0 + q_step)
+            for qs in _chunks(n_q, 9 * n_y):
                 scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
                 part = line_sum(scaled.reshape(n_y, -1))
                 conv[name][qs, rows] = part.reshape(part.shape[0], -1, 3, 3).swapaxes(0, 1)

@@ -22,7 +22,7 @@ import numpy as np
 from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import _TABLE_ELEMENTS, KernelStore, _fft_size, block_tensors, chi_spectrum
+from .response import KernelStore, _angle_table, _fft_size, block_tensors, chi_spectrum
 from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
 from .tensors import NATURAL, PhysicalConstants, triad
 
@@ -168,11 +168,11 @@ def _oscillator_responses(
     Unrolled and contracted, the responses are one causal convolution,
 
         out[j] = sum_l K_alpha[j - 1 - l] d_l + K_beta[j - 1 - l] d_{l+1},
-        K_c[i] = Im sum_n block_n c_n phi_n^i,
+        K_c[i] = Im sum_n block_n c_n phi_n^i
+               = sum_n sin(i h w_n) block_n Re c_n + cos(i h w_n) block_n Im c_n,
 
-    whose impulse responses K come from one complex GEMM by angle addition,
-    phi^(s + J r) = phi^s phi^(J r) with r ~ sqrt(n_t) (the J groups stacked
-    in column chunks within `_TABLE_ELEMENTS`), and whose sum is one real FFT
+    whose impulse responses K are one angle-addition table
+    (`response._angle_table`) on the lags i h, and whose sum is one real FFT
     product."""
     h = float(t[1] - t[0])
     wh = omega * h
@@ -190,17 +190,9 @@ def _oscillator_responses(
     # alpha, the weight of drive(t_l), then beta, the weight of drive(t_{l+1})
     coeff = np.concatenate([block * (j0 - j1 / h)[:, None], block * (j1 / h)[:, None]], axis=1)
     lags = t.size - 1
-    r = int(np.ceil(np.sqrt(lags)))
-    groups = -(-lags // r)
-    near = np.exp(1j * h * np.multiply.outer(np.arange(r), omega))  # phi^s, (r, n_w)
-    far = np.exp(1j * (r * h) * np.multiply.outer(omega, np.arange(groups)))  # phi^(J r)
-    kern = np.empty((groups, r, 2 * m))
-    step = max(1, _TABLE_ELEMENTS // max(1, omega.size * 2 * m))
-    for g0 in range(0, groups, step):
-        rhs = (far[:, g0 : g0 + step, None] * coeff[:, None, :]).reshape(omega.size, -1)
-        kern[g0 : g0 + step] = (near @ rhs).imag.reshape(r, -1, 2 * m).swapaxes(0, 1)
+    kern = _angle_table(h * np.arange(lags), omega, coeff.real, coeff.imag)  # (lags, 2m)
     size = _fft_size(2 * lags - 1)  # no wrap-around into the first `lags` samples
-    spectra = np.fft.rfft(kern.reshape(-1, 2 * m)[:lags], size, axis=0)
+    spectra = np.fft.rfft(kern, size, axis=0)
     product = spectra[:, :m] * np.fft.rfft(drive[:-1], size)[:, None]
     product += spectra[:, m:] * np.fft.rfft(drive[1:], size)[:, None]
     out = np.zeros((t.size, m))
@@ -216,13 +208,14 @@ def pdot_continuity(
     quad: QuadratureSpec = QuadratureSpec(),
     kernels: KernelStore | None = None,
 ) -> ContinuityReport:
-    """Jump of the one-sided limits of dP/dt at t = 0 under a smooth probe.
+    """dP/dt at t = 0+ under a smooth probe, against its peak over the pulse.
 
-    The polarization is driven through the two-branch constitutive form (the
-    |t| convolution over a Gaussian probe pulse of width 5 / frequency_scale,
-    with the negative-time branch reconstructed from the |t| symmetry). The
-    kernel vanishing at t = 0+ forces both one-sided limits to zero; the
-    estimator uses second-order one-sided stencils and must shrink as dt does.
+    The polarization is the convolution of the kernel with a Gaussian probe
+    pulse of width 5 / frequency_scale. The kernel vanishing at t = 0+
+    forces dP/dt(0+) to zero. The probe is even and P(0) = 0, so the
+    negative-time branch is the mirror image and the jump of the one-sided
+    limits is exactly twice the right-hand rate, which a second-order
+    one-sided stencil estimates; it must shrink as dt does.
     """
     k = np.asarray(k, dtype=float)
     dt = float(dt)
@@ -236,13 +229,8 @@ def pdot_continuity(
     def p_plus(t):
         return eps0 * _convolution_at(rep, probe, t)
 
-    def p_minus(t):  # P(-t) branch: probe sampled at negative times
-        return eps0 * _convolution_at(rep, lambda s: probe(-s), t)
-
-    p0 = p_plus(0.0)
-    right = (-3.0 * p0 + 4.0 * p_plus(dt) - p_plus(2.0 * dt)) / (2.0 * dt)
-    left = (3.0 * p0 - 4.0 * p_minus(dt) + p_minus(2.0 * dt)) / (2.0 * dt)
-    jump = float(np.max(np.abs(right - left)))
+    right = (-3.0 * p_plus(0.0) + 4.0 * p_plus(dt) - p_plus(2.0 * dt)) / (2.0 * dt)
+    jump = 2.0 * float(np.max(np.abs(right)))
 
     # peak |dP/dt| over the pulse for normalization, from the oscillator
     # responses of the quadrature nodes to the probe on a uniform grid

@@ -22,19 +22,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .couplings import CombinedElectric
 from .errors import ValidationError
 from .modes import ModeCoefficients, mode_coefficients
 from .noise import CommutatorReport, _oscillator_responses, _relative_deviation
 from .quadrature import QuadratureSpec
-from .rational import ilt_rational
+from .rational import Rational, ilt_rational
 from .response import (
     KernelStore,
     LaplaceResponse,
     _central_difference,
     _fft_size,
     block_tensors,
-    chi_hat_rational,
     difference_step,
     uniform_step,
 )
@@ -93,17 +91,17 @@ class FieldOperatorRepresentation:
 
 def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
     """The chi(t) of `model` on the representation's t grid whose transform
-    the mode solver inverted: closed form for rational media, else the
-    response's Laplace representation at k (a combined coupling sums its parts)."""
+    the mode solver inverted, summed over the response's `parts` at k: the
+    closed-form inverse of a rational part, the kernel values of a Laplace
+    representation."""
     t = rep.t_grid
-    if model.is_zero:
-        return np.zeros((t.size, 3, 3), dtype=complex)
-    if model.is_rational:
-        vals, _, _ = ilt_rational(chi_hat_rational(model), t)
-        return vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-    if isinstance(model, CombinedElectric):
-        return _memory_kernel(model.bound, rep) + _memory_kernel(model.free, rep)
-    return rep.response.laplace_rep(model, rep.k).kernel_values(t)
+    out = np.zeros((t.size, 3, 3), dtype=complex)
+    for part in rep.response.parts(model, rep.k):
+        if isinstance(part, Rational):
+            out += ilt_rational(part, t)[0][:, None, None] * IDENTITY3
+        else:
+            out += part.kernel_values(t)
+    return out
 
 
 def field_representation(

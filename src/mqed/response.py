@@ -11,34 +11,35 @@ with pref = 8 pi / (hbar c^3 eps0) for the electric sector and
 t <= 0.
 
 Every consumer reads chi through one object, the Gauss-Legendre
-representation `QuadRep` (nodes omega_n and coefficients
-w_n pref omega_n^2 f f^dag), which is kept with the kernel so the frequency
-spectrum and Laplace transform are taken exactly in t. Its coefficients are
-stored as a real (n, r) block against an (r, 9) complex basis of tensors,
-with r the fewest columns the coefficients need (1 when every tensor is a
-multiple of one fixed tensor, as for an isotropic or a
-frequency-independent anisotropic medium), so each contraction (kernel
-values, the half-line transform, the Laplace transform, the cosine kernel
-Q) is a real product on r columns, mapped to tensors by one product with
-the basis at the end; on a uniform time grid the sin/cos tables of the kernel
-values and of Q are built by angle addition from O(sqrt(n_t)) phases per
-node. The half-line transform finds its few cancelling (omega, omega_n)
-pairs by bisection on the ascending nodes, and the Kramers-Kronig check
-sums its dispersion integral on a uniform grid as a Toeplitz plus a Hankel
-FFT convolution in O(n log n). Within one run a `KernelStore` holds one
-representation per (medium, k): a consumer reuses it when it was
-converged on a horizon at least as long as the consumer's own, and builds
-its own otherwise. Every representation is converged by one order-doubling
-loop (`_converged_rep`) on the functional its consumer reads: the kernel
-values on t for `chi_kernel`, chi_hat at three probe values of rho for the
-Laplace-domain response of a continuum medium (a much smaller
-representation, because its cost is paid at every Bromwich-line point), and
-Q on t for `conductor_Q`. `LaplaceResponse` is the one carrier of the
-medium: its electric coupling (bound and free carriers alike, as one
-`CombinedElectric` when both are present) and its magnetic coupling fix
+representation `QuadRep` (nodes omega_n and coefficients w_n pref omega_n^2
+f f^dag), which is kept with the kernel so the frequency spectrum and
+Laplace transform are taken exactly in t. Its coefficients are stored as a
+real (n, r) block against an (r, 9) complex basis of tensors, with r the
+fewest columns the coefficients need (1 when every tensor is a multiple of
+one fixed tensor, as for an isotropic or a frequency-independent
+anisotropic medium), so each contraction (kernel values, the half-line
+transform, the Laplace transform, the cosine kernel Q) is a real product on
+r columns, mapped to tensors by one product with the basis at the end; on a
+uniform time grid (`uniform_step`) the sin/cos tables of the kernel values,
+of Q and of the oscillator ladder come from one angle-addition product
+(`_angle_table`) on O(sqrt(n_t)) phases per node. Chunked tables stay
+within one element budget (`_chunks`). The half-line transform finds its
+few cancelling (omega, omega_n) pairs by bisection on the ascending nodes,
+and the Kramers-Kronig check sums its dispersion integral on a uniform grid
+as a Toeplitz plus a Hankel FFT convolution in O(n log n). Within one run a
+`KernelStore` holds one representation per (medium, k): a consumer reuses
+it when it was converged on a horizon at least as long as the consumer's
+own, and builds its own otherwise. Every representation is converged by one
+order-doubling loop (`_converged_rep`) on the functional its consumer
+reads: the kernel values on t for `chi_kernel`, chi_hat at three probe
+values of rho for the Laplace-domain response of a continuum medium (a much
+smaller representation, because its cost is paid at every Bromwich-line
+point), and Q on t for `conductor_Q`. `LaplaceResponse` is the one carrier
+of the medium: its electric coupling (bound and free carriers alike, as one
+combined coupling when both are present) and its magnetic coupling fix
 eps_hat, mu_hat and the reservoir couplings. It evaluates the material
-tensors for a scalar rho or a whole 1-d stack at once; at Re rho <= 0
-(the contour nodes and the reservoir points rho = -i omega on the imaginary
+tensors for a scalar rho or a whole 1-d stack at once; at Re rho <= 0 (the
+contour nodes and the reservoir points rho = -i omega on the imaginary
 axis) only a rational model has values, by analytic continuation, which on
 the axis equal the boundary values of the physical spectrum.
 """
@@ -46,6 +47,7 @@ the axis equal the boundary values of the physical spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -153,7 +155,7 @@ def _fft_size(n: int) -> int:
 
 def uniform_step(t: np.ndarray):
     """h when t[j] = t[0] + j h to within a few ulp of max |t| for every j,
-    else None."""
+    else None: the one test of a uniform grid."""
     if t.size < 2:
         return None
     h = (t[-1] - t[0]) / (t.size - 1)
@@ -163,44 +165,56 @@ def uniform_step(t: np.ndarray):
     return float(h)
 
 
-def _time_table_product(fn, t: np.ndarray, nodes: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """fn(t omega_n) @ block for fn in (np.sin, np.cos).
+def _chunks(n: int, width: int) -> list:
+    """Slices that cover range(n) in runs of as many rows of `width`
+    elements as one table of `_TABLE_ELEMENTS` holds (at least one)."""
+    step = max(1, _TABLE_ELEMENTS // max(1, width))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _angle_table(t: np.ndarray, nodes: np.ndarray, sin_block, cos_block) -> np.ndarray:
+    """sin(t omega_n) @ sin_block + cos(t omega_n) @ cos_block for real
+    (n, m) blocks, either of which may be None: (n_t, m).
 
     On a uniform grid t_j = t_0 + j h, write j = J R + i with R ~ sqrt(n_t),
     so t_j = a_i + b_J with a_i = i h and b_J = t_0 + J R h. Angle addition,
 
-        fn(omega (a + b)) = fn(omega a) cos(omega b) + fn'(omega a) sin(omega b),
+        sin(w (a + b)) S + cos(w (a + b)) C
+            = sin(w a) [cos(w b) S - sin(w b) C] + cos(w a) [sin(w b) S + cos(w b) C],
 
-    turns the product into two real GEMMs of the (R, n) tables fn(omega a)
-    and fn'(omega a) against the J-stacked blocks cos(omega b_J) block and
-    sin(omega b_J) block, so 2 (R + n_t / R) n sines and cosines are
-    evaluated instead of n_t n. The J groups are stacked in column chunks of bounded
-    size. Any other grid builds fn(t omega_n) itself in row chunks.
+    turns the product into two real GEMMs of the (R, n) tables sin(omega a)
+    and cos(omega a) against the J-stacked blocks in brackets, so
+    2 (R + n_t / R) n sines and cosines are evaluated instead of one or two
+    per (t_j, omega_n). The J groups are stacked in column chunks. Any other
+    grid builds the tables of t omega_n itself in row chunks.
     """
-    m = block.shape[1]
+    pairs = [(fn, b) for fn, b in ((np.sin, sin_block), (np.cos, cos_block)) if b is not None]
+    m = pairs[0][1].shape[1]
     h = uniform_step(t)
     if h is None:
         out = np.empty((t.size, m))
-        rows = max(1, _TABLE_ELEMENTS // max(1, nodes.size))
-        for start in range(0, t.size, rows):
-            table = np.multiply.outer(t[start : start + rows], nodes)
-            fn(table, out=table)
-            out[start : start + rows] = table @ block
+        for rows in _chunks(t.size, nodes.size):
+            angles = np.multiply.outer(t[rows], nodes)
+            out[rows] = reduce(np.add, [fn(angles) @ b for fn, b in pairs])
         return out
+
+    def mix(x, p, y, q):  # x p + y q for (n, 1, g) factors, as (n, m g), g innermost
+        terms = [f * b[:, :, None] for f, b in ((x, p), (y, q)) if b is not None]
+        return reduce(np.add, terms).reshape(nodes.size, -1)
+
     r = int(np.ceil(np.sqrt(t.size)))
     groups = -(-t.size // r)
     offsets = np.multiply.outer(h * np.arange(r), nodes)
-    second = np.cos(offsets) if fn is np.sin else -np.sin(offsets)  # fn'
-    first = fn(offsets, out=offsets)
+    cos_a = np.cos(offsets)
+    sin_a = np.sin(offsets, out=offsets)
     shifts = np.multiply.outer(nodes, t[0] + (r * h) * np.arange(groups))  # (n, groups)
+    neg_cos = None if cos_block is None else -cos_block
     out = np.empty((groups, r, m))
-    step = max(1, _TABLE_ELEMENTS // max(1, nodes.size * m))
-    for g0 in range(0, groups, step):
-        b = shifts[:, g0 : g0 + step, None]
-        lhs = (np.cos(b) * block[:, None, :]).reshape(nodes.size, -1)
-        rhs = (np.sin(b) * block[:, None, :]).reshape(nodes.size, -1)
-        part = first @ lhs + second @ rhs  # (r, g m)
-        out[g0 : g0 + step] = part.reshape(r, -1, m).swapaxes(0, 1)
+    for g in _chunks(groups, nodes.size * m):
+        cos_b, sin_b = np.cos(shifts[:, None, g]), np.sin(shifts[:, None, g])
+        part = (sin_a @ mix(cos_b, sin_block, sin_b, neg_cos)
+                + cos_a @ mix(sin_b, sin_block, cos_b, cos_block))  # (r, m g)
+        out[g] = part.reshape(r, m, -1).transpose(2, 0, 1)
     return out.reshape(-1, m)[: t.size]
 
 
@@ -234,7 +248,7 @@ class QuadRep:
 
     def kernel_values(self, t_grid) -> np.ndarray:
         t = np.asarray(t_grid, dtype=float)
-        return block_tensors(_time_table_product(np.sin, t, self.nodes, self.block), self.basis)
+        return block_tensors(_angle_table(t, self.nodes, self.block, None), self.basis)
 
 
 @dataclass(frozen=True)
@@ -458,9 +472,8 @@ def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) ->
     )
     near = _NEAR_PHASE / t_max
     out = np.empty((omega.size, m), dtype=complex)
-    rows = max(1, _TABLE_ELEMENTS // max(1, nodes.size))
-    for start in range(0, omega.size, rows):
-        w = omega[start : start + rows]
+    for rows in _chunks(omega.size, nodes.size):
+        w = omega[rows]
         close_w, close_n = _near_pairs(w, nodes, near)
         inv = np.subtract.outer(w, nodes)
         inv *= np.add.outer(w, nodes)
@@ -470,11 +483,11 @@ def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) ->
         g = inv @ stacked
         phase = np.exp(1j * w * t_max)[:, None]
         chunk = phase * (g[:, 2 * m :] - 1j * w[:, None] * g[:, m : 2 * m]) - g[:, :m]
-        for lo in range(0, close_w.size, rows):  # a few pairs per row unless T is tiny
-            cw, cn = close_w[lo : lo + rows], close_n[lo : lo + rows]
+        for pairs in _chunks(close_w.size, nodes.size):  # a few per row unless T is tiny
+            cw, cn = close_w[pairs], close_n[pairs]
             it = (_seg(w[cw] + nodes[cn], t_max) - _seg(w[cw] - nodes[cn], t_max)) / 2.0j
             np.add.at(chunk, cw, it[:, None] * block[cn])
-        out[start : start + rows] = chunk
+        out[rows] = chunk
     return block_tensors(out, rep.basis)
 
 
@@ -578,20 +591,20 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     singular node is straddled symmetrically (O(h^2)), and summed by FFT
     (`_kk_real_part`). Reports the max relative deviation from the directly
     computed real part; an acausal spectrum shows up as an O(1) residual,
-    not an exception. A descending grid is read from its low end, so both
-    orders give the same residual.
+    not an exception. The grid must pass `uniform_step`; a descending grid
+    is read from its low end, so both orders give the same residual.
     """
     omega = spectrum.omega_grid
     if omega.size < KK_MIN_POINTS:
         raise GridTooCoarse(f"kk_check needs at least {KK_MIN_POINTS} grid points")
-    h = np.diff(omega)
-    if h[0] == 0.0 or np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
+    descending = omega[-1] < omega[0]
+    h = uniform_step(omega[::-1] if descending else omega)
+    if h is None:
         raise GridTooCoarse("kk_check needs a uniform omega grid with a nonzero step")
     im, basis = tensor_block(spectrum.imag_hermitian())
     re = spectrum.real_hermitian()
-    if h[0] < 0.0:
+    if descending:
         omega, im, re = omega[::-1], im[::-1], re[::-1]
-    h = float(omega[-1] - omega[0]) / (omega.size - 1)
     re_direct = 0.5 * (re[:-1] + re[1:])
     re_kk = block_tensors(_kk_real_part(omega, im), basis)
     scale = float(np.max(np.linalg.norm(re_direct, axis=(1, 2))))
@@ -622,7 +635,7 @@ class LaplaceResponse:
     mu_hat = mu0 (1 + chi_hat_m) from the magnetic one, model_m; the
     reservoir couples to the same two. Free carriers are part of model_e
     (`combined_electric(bound, free)`), whose chi_hat is the sum of its
-    parts. Values are for Re rho > 0. Rational models use the closed form;
+    `parts`. Values are for Re rho > 0. Rational models use the closed form;
     everything else goes through the kernel quadrature representation, for
     which the transform of each sine mode is omega_n / (rho^2 + omega_n^2)
     exactly.
@@ -676,54 +689,53 @@ class LaplaceResponse:
             self._rep_cache[key] = rep
         return rep
 
+    def parts(self, model, k):
+        """chi_hat of `model` at k as the sum of its nonzero parts (the bound
+        and free carriers of a combined coupling): each part's `Rational`
+        transform when it is rational, else its Laplace representation
+        (`laplace_rep`), whose sine modes transform as
+        omega_n / (rho^2 + omega_n^2)."""
+        for part in (model.bound, model.free) if isinstance(model, CombinedElectric) else (model,):
+            if not part.is_zero:
+                yield chi_hat_rational(part) if part.is_rational else self.laplace_rep(part, k)
+
     def chi(self, model, k, rho, continued=False) -> np.ndarray:
-        """chi_hat(k, rho), the sum of the parts for a combined coupling.
-        With continued=True a rational model is evaluated by analytic
-        continuation anywhere off its poles (contour methods need this);
-        continuum-absorption models have a branch cut on the imaginary axis
-        and refuse to continue."""
-        if isinstance(model, CombinedElectric):
-            return (self.chi(model.bound, k, rho, continued)
-                    + self.chi(model.free, k, rho, continued))
+        """chi_hat(k, rho), summed over `parts`. With continued=True a
+        rational part is evaluated by analytic continuation anywhere off its
+        poles (contour methods need this); continuum-absorption parts have a
+        branch cut on the imaginary axis and refuse to continue."""
         scalar = np.ndim(rho) == 0
         if not continued and np.any(np.real(rho) <= 0.0):
             raise LeftHalfPlane("material response requires Re rho > 0")
         rho = np.atleast_1d(np.asarray(rho, dtype=complex))
-        if model.is_zero:
-            out = np.zeros((rho.size, 3, 3), dtype=complex)
-        elif model.is_rational:
-            vals = chi_hat_rational(model)(rho)
-            out = vals[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-        elif continued:
-            raise ValidationError(
-                "continuum-absorption response cannot be continued across "
-                "its imaginary-axis branch cut"
-            )
-        else:
-            rep = self.laplace_rep(model, k)
-            out = np.empty((rho.size, 3, 3), dtype=complex)
-            rows = max(1, _TABLE_ELEMENTS // rep.nodes.size)
-            n2 = rep.nodes**2
-            for start in range(0, rho.size, rows):
-                mat = rho[start : start + rows, None] ** 2 + n2
-                np.divide(rep.nodes, mat, out=mat)
-                out[start : start + rows] = rep.contract(mat)
+        out = np.zeros((rho.size, 3, 3), dtype=complex)
+        for part in self.parts(model, k):
+            if isinstance(part, Rational):
+                out += part(rho)[:, None, None] * IDENTITY3
+            elif continued:
+                raise ValidationError(
+                    "continuum-absorption response cannot be continued across "
+                    "its imaginary-axis branch cut"
+                )
+            else:
+                for rows in _chunks(rho.size, part.nodes.size):
+                    mat = rho[rows, None] ** 2 + part.nodes**2
+                    np.divide(part.nodes, mat, out=mat)
+                    out[rows] += part.contract(mat)
         return out[0] if scalar else out
 
     def chi_moments(self, model, k):
         """(M1, M2) of chi_hat = M1 rho^-2 + M2 rho^-3 + O(rho^-4) at large
-        rho, as (3, 3) tensors: chi'(0+) and chi''(0+), summed over the parts
-        of a combined coupling. A continuum model's representation gives
-        M1 = sum_n c_n omega_n and M2 = 0; a rational model takes both from
-        the expansion of its transform."""
-        if isinstance(model, CombinedElectric):
-            return self.chi_moments(model.bound, k) + self.chi_moments(model.free, k)
-        if model.is_zero:
-            return np.zeros((2, 3, 3), dtype=complex)
-        if model.is_rational:
-            return chi_hat_rational(model).at_infinity(3)[2:, None, None] * IDENTITY3
-        rep = self.laplace_rep(model, k)
-        return np.stack([rep.contract(rep.nodes[None, :])[0], np.zeros((3, 3), dtype=complex)])
+        rho, as (3, 3) tensors: chi'(0+) and chi''(0+), summed over `parts`.
+        A Laplace representation gives M1 = sum_n c_n omega_n and M2 = 0; a
+        rational part takes both from the expansion of its transform."""
+        out = np.zeros((2, 3, 3), dtype=complex)
+        for part in self.parts(model, k):
+            if isinstance(part, Rational):
+                out += part.at_infinity(3)[2:, None, None] * IDENTITY3
+            else:
+                out[0] += part.contract(part.nodes[None, :])[0]
+        return out
 
     def eps(self, k, rho, continued=False) -> np.ndarray:
         return self.constants.eps0 * (IDENTITY3 + self.chi(self.model_e, k, rho, continued))
@@ -765,14 +777,15 @@ class QKernelReport:
 
 def difference_step(t_grid) -> float:
     """The step h of a time grid that `finite_difference_time` accepts: at
-    least 3 points (the end stencils read three), evenly increasing."""
+    least 3 points (the end stencils read three), increasing and uniform by
+    `uniform_step`."""
     t = np.asarray(t_grid, dtype=float)
     if t.size < 3:
         raise ValidationError("finite differences need at least 3 time points")
-    h = t[1] - t[0]
-    if not h > 0.0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * h:
+    h = uniform_step(t)
+    if h is None:
         raise ValidationError("finite differences need an increasing uniform t_grid")
-    return float(h)
+    return h
 
 
 def finite_difference_time(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -811,7 +824,7 @@ def conductor_Q(
 
     def q_on_t(rep):
         block = (pref_q * rep.nodes)[:, None] * rep.block
-        return block_tensors(_time_table_product(np.cos, t, rep.nodes, block), rep.basis)
+        return block_tensors(_angle_table(t, rep.nodes, None, block), rep.basis)
 
     # pref = 1: the one representation carries w omega^2 f f^dag, scaled per
     # consumer to Q and to chi

@@ -17,7 +17,7 @@ from mqed.couplings import (
     tabulated_from_csv,
     zero_coupling,
 )
-from mqed.errors import NotOrthogonal, NotPSD, OutOfTableRange, ZeroFrequency
+from mqed.errors import NotOrthogonal, NotPSD, OutOfTableRange, ValidationError, ZeroFrequency
 from mqed.quadrature import gauss_legendre
 
 K = np.array([0.3, -0.2, 0.9])
@@ -195,6 +195,17 @@ def test_tabulated_roundtrip(tmp_path):
     with pytest.raises(OutOfTableRange):
         eval_coupling(loaded, 1.0, [0.0, 0.0, 5.0])
 
+
+def test_tabulated_csv_rejects_a_repeated_pair(tmp_path):
+    # 4 rows for a 2 x 2 grid, but (1, 0.5) twice and no (1, 1.5): the row
+    # count alone would leave that entry unwritten
+    header = "omega,kmag," + ",".join(f"c{i}" for i in range(18))
+    cells = ",".join(["0.5"] * 18)
+    rows = [f"{w},{km},{cells}" for w, km in ((1, 0.5), (1, 0.5), (2, 0.5), (2, 1.5))]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValidationError, match="repeats"):
+        tabulated_from_csv(path)
 
 def test_tabulated_interpolates_between_nodes():
     omegas = np.array([1.0, 2.0])

@@ -602,6 +602,8 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
 
 
 def _check_line_chunks_against_dense(monkeypatch, t):
+    import mqed.response
+
     # electric plus magnetic medium, so all four reservoir blocks are summed
     me, mm, _ = lorentz_pair()
     wq = np.array([0.6, 1.7, 2.3])
@@ -616,8 +618,8 @@ def _check_line_chunks_against_dense(monkeypatch, t):
     # goes through chirp-z instead, whose column blocks end ragged on the
     # 36 base columns and on the 18 columns of two reservoir nodes. A fresh
     # response builds its line, and the line's estimates, under this budget
-    monkeypatch.setattr(modes, "_TABLE_ELEMENTS", 18 * n_y + 3)
-    step = modes._TABLE_ELEMENTS // modes._fft_size(t.size + n_y - 1)
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 18 * n_y + 3)
+    step = mqed.response._TABLE_ELEMENTS // modes._fft_size(t.size + n_y - 1)
     assert 36 % step and 18 % step
     resp = response()
     mc = mode_coefficients(resp, K, t, wq, method="bromwich_line")

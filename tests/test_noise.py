@@ -106,16 +106,18 @@ def _dense_peak_rate(rep, tau, eps0=1.0):
 
 
 def test_pdot_peak_rate_matches_dense_trapezoid(monkeypatch):
+    import mqed.response
+
     # anisotropic bound part plus free carriers, s1 diag(a) + s2 I (a
     # 2-column block, so the multi-column contraction is covered), 300
-    # nodes; the oscillator tables hold 7 of the 800 steps (114 full tables
-    # and a last one of 2). The exact propagator with a piecewise-linear
+    # nodes; each oscillator table chunk holds one of the 28 groups of 29
+    # lags (the last group 17). The exact propagator with a piecewise-linear
     # probe and the trapezoid of the reference are different O(h^2)
     # discretizations
     model = combined_electric(gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8), drude(1.1, 0.5))
     quad = QuadratureSpec(fixed_order=300)
     kernels = KernelStore()
-    monkeypatch.setattr(noise, "_TABLE_ELEMENTS", 7 * 300 + 5)
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 7 * 300 + 5)
     report = pdot_continuity(model, K, quad=quad, kernels=kernels)
     rep = kernels.kernel(model, K, noise._default_t_grid(model), quad=quad).rep
     assert rep.block.shape == (300, 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mqed.response
 from mqed import noise, observables
 from mqed.couplings import (
     apply_gauge,
@@ -252,8 +253,8 @@ def test_oscillator_tables_match_stepwise_recurrence(monkeypatch):
         state = phi * state + (j0 - j1 / h) * drive[m] + (j1 / h) * drive[m + 1]
         want[:, m + 1] = state.imag
     want = want.T @ block
-    # 7 steps per table: 601 steps end on a ragged table
-    monkeypatch.setattr(noise, "_TABLE_ELEMENTS", 7 * omega.size)
+    # one of the 25 groups of 25 lags per table chunk: the last group holds 1
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 7 * omega.size)
     got = noise._oscillator_responses(omega, drive, t, block)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -301,7 +302,8 @@ def test_oscillator_impulse_responses_match_stepwise_recurrence(
     drive = np.exp(-((t - 4.0) / 1.5) ** 2) + 0.3
     block = np.random.default_rng(7).normal(size=(omega.size, columns))
     if groups_per_table is not None:
-        monkeypatch.setattr(noise, "_TABLE_ELEMENTS", groups_per_table * omega.size * 2 * columns)
+        monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS",
+                            groups_per_table * omega.size * 2 * columns)
     want = _stepwise_responses(omega, drive, t, block)
     got = noise._oscillator_responses(omega, drive, t, block)
     assert np.max(np.abs(want)) > 0.0
@@ -372,5 +374,19 @@ def test_finite_difference_time_rejects_grid(t, message):
     np.linspace(1.0, 21.0, 3001),  # uniform, but not from 0
 ], ids=["nonuniform", "one_point", "offset"])
 def test_constitutive_roundtrip_rejects_grid(t):
+    with pytest.raises(ValidationError, match="uniform t_grid from 0"):
+        constitutive_roundtrip(lorentz_isotropic(1.0, 1.0, 0.4), np.array([0.0, 0.0, 1.3]), t)
+
+
+def test_grid_checks_share_one_uniform_rule():
+    # one point 1e-13 off a 3001-point grid: 28 ulp of its largest time, so
+    # no grid check accepts it as uniform
+    t = np.linspace(0.0, 20.0, 3001)
+    t[1234] += 1e-13
+    with pytest.raises(ValidationError, match="increasing uniform"):
+        finite_difference_time(np.zeros((t.size, 3)), t)
+    rep = make_rep(lorentz_isotropic(1.0, 1.0, 0.4), zero_coupling("magnetic"), t, order=8)
+    with pytest.raises(ValidationError, match="increasing uniform"):
+        maxwell_residual(rep)
     with pytest.raises(ValidationError, match="uniform t_grid from 0"):
         constitutive_roundtrip(lorentz_isotropic(1.0, 1.0, 0.4), np.array([0.0, 0.0, 1.3]), t)

@@ -549,22 +549,28 @@ def test_bundled_media_hold_one_coefficient_column(name):
                 assert rep.block.shape == (order, 1), (model, order)
 
 
-def _row_loop_table_product(fn, t, nodes, block):
-    """fn(t omega_n) @ block, one grid row at a time."""
-    return np.stack([fn(ti * nodes) @ block for ti in t])
+def _row_loop_table_product(t, nodes, sin_block, cos_block):
+    """sin(t omega_n) @ sin_block + cos(t omega_n) @ cos_block, one grid row
+    at a time, a None block dropped."""
+    pairs = [(fn, b) for fn, b in ((np.sin, sin_block), (np.cos, cos_block)) if b is not None]
+    return np.stack([sum(fn(ti * nodes) @ b for fn, b in pairs) for ti in t])
 
 
-@pytest.mark.parametrize("fn", [np.sin, np.cos])
+@pytest.mark.parametrize("fn", ["sin", "cos", "both"])
 @pytest.mark.parametrize("m", [1, 9, 18])
 @pytest.mark.parametrize("n_t", [2, 17, 81, 2200, 10001])
 def test_angle_addition_table_matches_row_loop(monkeypatch, fn, m, n_t):
+    # "sin" is the kernel values' form, "cos" that of Q, and "both" that of
+    # the oscillator ladder's impulse responses
     import mqed.response
     from mqed.quadrature import gauss_legendre
-    from mqed.response import _time_table_product, uniform_step
+    from mqed.response import _angle_table, uniform_step
 
     rng = np.random.default_rng(n_t + m)
     x, w = gauss_legendre(384, 0.0, 50.0)
     block = w[:, None] * rng.normal(size=(x.size, m))
+    other = w[:, None] * rng.normal(size=(x.size, m))
+    blocks = {"sin": (block, None), "cos": (None, block), "both": (block, other)}[fn]
     # R = ceil(sqrt(n_t)) rows per group: n_t 17, 2200 and 10001 leave a
     # short last group; 3 groups per column chunk leaves a short last chunk
     monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 3 * x.size * m + 1)
@@ -575,8 +581,8 @@ def test_angle_addition_table_matches_row_loop(monkeypatch, fn, m, n_t):
         grids.append(np.linspace(0.0, 9.5, n_t) ** 2)  # non-uniform: the row loop
         assert uniform_step(grids[-1]) is None
     for t in grids:
-        ref = _row_loop_table_product(fn, t, x, block)
-        got = _time_table_product(fn, t, x, block)
+        ref = _row_loop_table_product(t, x, *blocks)
+        got = _angle_table(t, x, *blocks)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
