@@ -248,24 +248,18 @@ def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray):
     weights depend on w_q, so the expansion vectorizes over the grid."""
     if rat.is_zero or omega_q.size == 0:
         return np.zeros((omega_q.size, t.size), dtype=complex)
-    poles, _ = partial_fractions(rat, _POLE_TOL)
-    num = rat.num
-    den = rat.den
-    from numpy.polynomial import polynomial as P
-
-    dden = P.polyder(den)
+    poles, residues = partial_fractions(rat, _POLE_TOL)
     extra = -1j * omega_q  # (n_q,)
     if poles.size:
         dist = np.abs(extra[:, None] - poles[None, :])
         if float(np.min(dist)) < _POLE_TOL * max(1.0, float(np.max(np.abs(poles)))):
             raise PoleFindingFailed("reservoir pole collides with a medium pole")
-        # residue of rho/(rho+iw) rat at base pole p: p num(p) / ((p+iw) den'(p))
-        pn = P.polyval(poles, num) * poles / P.polyval(poles, dden)  # (n_p,)
-        res_base = pn[None, :] / (poles[None, :] - extra[:, None])  # (n_q, n_p)
-    else:
-        res_base = np.zeros((omega_q.size, 0), dtype=complex)
+    # residue of rho/(rho+iw) rat at base pole p: p res_p / (p + iw), from
+    # the residues of the cancelled form (a removable root of rat.den, as at
+    # rho = 0 for a Drude part with a magnetic part, is 0/0 in num/den')
+    res_base = (poles * residues)[None, :] / (poles[None, :] - extra[:, None])  # (n_q, n_p)
     # residue at rho = -i w_q: (-i w) num(-i w) / den(-i w)
-    res_extra = extra * P.polyval(extra, num) / P.polyval(extra, den)  # (n_q,)
+    res_extra = extra * rat(extra)  # (n_q,)
     exp_base = np.exp(np.outer(poles, t))  # (n_p, n_t)
     exp_extra = np.exp(np.outer(extra, t))  # (n_q, n_t)
     out = res_base @ exp_base + res_extra[:, None] * exp_extra

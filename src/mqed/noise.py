@@ -21,8 +21,9 @@ import numpy as np
 
 from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
-from .quadrature import QuadratureSpec, gauss_legendre
-from .response import KernelStore, _angle_table, _fft_size, block_tensors, chi_spectrum
+from .quadrature import gauss_legendre
+from .response import (ResponseSpectrum, SusceptibilityKernel, _angle_table, _fft_size,
+                       block_tensors)
 from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
 from .tensors import NATURAL, PhysicalConstants, triad
 
@@ -52,11 +53,6 @@ def _relative_deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))) / scale
 
 
-def _default_t_grid(model) -> np.ndarray:
-    """The kernel grid of the noise checks: 1200 points to the 1e-9 tail."""
-    return np.linspace(0.0, model.suggested_t_max(1e-9), 1200)
-
-
 def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants):
     """Direct assembly of the noise commutator density from the coupling
     tensors and the polarization triad at k (no susceptibility involved)."""
@@ -74,24 +70,18 @@ def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants
 
 def noise_commutator(
     model,
-    k,
-    omega_grid,
+    spectrum: ResponseSpectrum,
     constants: PhysicalConstants = NATURAL,
-    quad: QuadratureSpec = QuadratureSpec(),
-    kernels: KernelStore | None = None,
 ) -> CommutatorReport:
-    """Fluctuation-dissipation check for the noise polarization densities.
+    """Fluctuation-dissipation check for the noise polarization densities,
+    on the wave vector and frequency grid of `spectrum`, the model's chi_hat.
 
     The model's sector selects the pairing: an electric model gives the P
     report against (hbar eps0 / pi) Im chi_hat_e, a magnetic one the M report
     against (hbar / (mu0 pi)) Im chi_hat_m.
     """
-    omega = np.asarray(omega_grid, dtype=float)
-    k = np.asarray(k, dtype=float)
+    omega, k = spectrum.omega_grid, spectrum.k
     lhs = noise_coefficient_density(model, k, omega, constants)
-    kernel = (kernels or KernelStore()).kernel(model, k, _default_t_grid(model),
-                                               constants=constants, quad=quad)
-    spectrum = chi_spectrum(kernel, omega)
     if model.which == ELECTRIC:
         factor = constants.hbar * constants.eps0 / np.pi
     else:
@@ -104,7 +94,6 @@ def noise_commutator(
         lhs=lhs,
         rhs=rhs,
         max_rel_err=_relative_deviation(lhs, rhs),
-        details={"quadrature": kernel.quad.metadata()},
     )
 
 
@@ -202,27 +191,23 @@ def _oscillator_responses(
 
 def pdot_continuity(
     model,
-    k,
+    kernel: SusceptibilityKernel,
     constants: PhysicalConstants = NATURAL,
     dt: float = 1e-3,
-    quad: QuadratureSpec = QuadratureSpec(),
-    kernels: KernelStore | None = None,
 ) -> ContinuityReport:
     """dP/dt at t = 0+ under a smooth probe, against its peak over the pulse.
 
-    The polarization is the convolution of the kernel with a Gaussian probe
-    pulse of width 5 / frequency_scale. The kernel vanishing at t = 0+
-    forces dP/dt(0+) to zero. The probe is even and P(0) = 0, so the
-    negative-time branch is the mirror image and the jump of the one-sided
-    limits is exactly twice the right-hand rate, which a second-order
-    one-sided stencil estimates; it must shrink as dt does.
+    The polarization is the convolution of the model's kernel (its
+    quadrature representation) with a Gaussian probe pulse of width
+    5 / frequency_scale. The kernel vanishing at t = 0+ forces dP/dt(0+) to
+    zero. The probe is even and P(0) = 0, so the negative-time branch is the
+    mirror image and the jump of the one-sided limits is exactly twice the
+    right-hand rate, which a second-order one-sided stencil estimates; it
+    must shrink as dt does.
     """
-    k = np.asarray(k, dtype=float)
     dt = float(dt)
     tau = 5.0 / model.frequency_scale
     probe = _gaussian_probe(tau)
-    kernel = (kernels or KernelStore()).kernel(model, k, _default_t_grid(model),
-                                               constants=constants, quad=quad)
     rep = kernel.rep
     eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
 

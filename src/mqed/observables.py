@@ -25,11 +25,10 @@ import numpy as np
 from .errors import ValidationError
 from .modes import ModeCoefficients, mode_coefficients
 from .noise import CommutatorReport, _oscillator_responses, _relative_deviation
-from .quadrature import QuadratureSpec
 from .rational import Rational, ilt_rational
 from .response import (
-    KernelStore,
     LaplaceResponse,
+    SusceptibilityKernel,
     _central_difference,
     _fft_size,
     block_tensors,
@@ -264,17 +263,16 @@ class MaxwellResidualReport:
     max_residual: float
 
 
-def maxwell_residual(
-    rep: FieldOperatorRepresentation,
-    reservoir_samples: int = 4,
-) -> MaxwellResidualReport:
+def maxwell_residual(rep: FieldOperatorRepresentation) -> MaxwellResidualReport:
     """Residuals of the transformed Maxwell system per coefficient channel.
 
-    Channels: each photon polarization, and the d/b reservoir channels at a
-    subsample of reservoir frequencies (each must satisfy the system
-    independently, by linearity). Faraday row: O E - dB/dt; Ampere row:
-    dD/dt + O H, with D and B closed through the constitutive convolutions
-    and the explicit noise channels.
+    Channels: each photon polarization, and the d/b reservoir channels at
+    every reservoir frequency of the representation (each must satisfy the
+    system independently, by linearity), so a caller builds the
+    representation on the nodes it wants checked. Faraday row: O E - dB/dt;
+    Ampere row: dD/dt + O H, with D and B closed through the constitutive
+    convolutions and the explicit noise channels. The worst channel is the
+    result, NaN when any channel is NaN.
     """
     h = difference_step(rep.t_grid)
     c = rep.constants
@@ -305,20 +303,18 @@ def maxwell_residual(
             c.eps0 * float(np.max(np.abs(_central_difference(e_ch, h)))),
             c.mu0 * float(np.max(np.abs(_central_difference(h_ch, h)))),
         )
-        resid = max(float(np.max(np.abs(faraday))), float(np.max(np.abs(ampere))))
+        resid = float(np.maximum(np.max(np.abs(faraday)), np.max(np.abs(ampere))))
         channels[name] = resid / scale if scale > 0.0 else resid
 
     for lam in (0, 1):
         record(f"photon_{lam + 1}", rep.photon_E[lam], rep.photon_H[lam])
-    n_q = rep.omega_q_grid.size
-    if n_q:
-        for nu in range(3):
-            for q in reservoir_picks(n_q, reservoir_samples):
-                record(f"d_nu{nu + 1}_q{q}", rep.res_E_d[nu, q], rep.res_H_d[nu, q],
-                       p_noise=rep.noise_P_d[nu, q])
-                record(f"b_nu{nu + 1}_q{q}", rep.res_E_b[nu, q], rep.res_H_b[nu, q],
-                       m_noise=rep.noise_M_b[nu, q])
-    worst = max(channels.values()) if channels else 0.0
+    for nu in range(3):
+        for q in range(rep.omega_q_grid.size):
+            record(f"d_nu{nu + 1}_q{q}", rep.res_E_d[nu, q], rep.res_H_d[nu, q],
+                   p_noise=rep.noise_P_d[nu, q])
+            record(f"b_nu{nu + 1}_q{q}", rep.res_E_b[nu, q], rep.res_H_b[nu, q],
+                   m_noise=rep.noise_M_b[nu, q])
+    worst = float(np.max(list(channels.values())))
     return MaxwellResidualReport(k=rep.k, channels=channels, max_residual=worst)
 
 
@@ -333,41 +329,39 @@ class ConstitutiveCheck:
 
 def constitutive_roundtrip(
     model,
-    k,
+    kernel: SusceptibilityKernel,
     t_grid,
     constants: PhysicalConstants = NATURAL,
-    quad: QuadratureSpec = QuadratureSpec(),
-    kernels: KernelStore | None = None,
 ) -> ConstitutiveCheck:
-    """Polarization under a c-number probe, two ways.
+    """Polarization under a c-number probe, two ways, from the model's
+    kernel (its quadrature representation).
 
-    Route A computes the memory kernel once and convolves it with the probe;
-    route B drives each reservoir frequency as an independent oscillator
-    (per-node sine convolution) and sums with the quadrature weights. The two
-    routes share only the coupling evaluation. The probe is a Gaussian pulse
-    of width 2 / frequency_scale along (1, 1, 1). Both routes step a uniform
-    t_grid from 0; any other grid raises ValidationError.
+    Route A evaluates the memory kernel on t_grid and convolves it with the
+    probe; route B drives each reservoir frequency as an independent
+    oscillator (per-node sine convolution) and sums with the quadrature
+    weights. The two routes share only the coupling evaluation. The probe is
+    a Gaussian pulse of width 2 / frequency_scale along (1, 1, 1). Both
+    routes step a uniform t_grid from 0; any other grid raises
+    ValidationError.
     """
     t = np.asarray(t_grid, dtype=float)
     h = uniform_step(t)
     if h is None or t[0] != 0.0:
         raise ValidationError("constitutive_roundtrip needs a uniform t_grid from 0")
-    k = np.asarray(k, dtype=float)
+    rep = kernel.rep
     e_dir = np.ones(3) / np.linalg.norm(np.ones(3))
     tau = 2.0 / model.frequency_scale
     t0 = 5.0 * tau
     amp = np.exp(-(((t - t0) / tau) ** 2))
     probe_field = amp[:, None] * e_dir[None, :]
 
-    kernel = (kernels or KernelStore()).kernel(model, k, t, constants=constants, quad=quad)
     eps0 = constants.eps0 if model.which == "electric" else 1.0
-    p_a = eps0 * _convolver(kernel.values, h)(probe_field.astype(complex))
+    p_a = eps0 * _convolver(rep.kernel_values(t), h)(probe_field.astype(complex))
 
     # ladder route: every reservoir frequency driven as an independent
     # oscillator, advanced by the exact one-step propagator with the probe
     # linear on each step (a different discretization from the kernel
     # convolution above, so agreement is a genuine cross-check)
-    rep = kernel.rep
     ladder = block_tensors(_oscillator_responses(rep.nodes, amp, t, rep.block), rep.basis)
     p_b = eps0 * (ladder @ e_dir.astype(complex))
 

@@ -26,18 +26,19 @@ of Q and of the oscillator ladder come from one angle-addition product
 within one element budget (`_chunks`). The half-line transform finds its
 few cancelling (omega, omega_n) pairs by bisection on the ascending nodes,
 and the Kramers-Kronig check sums its dispersion integral on a uniform grid
-as a Toeplitz plus a Hankel FFT convolution in O(n log n). Within one run a
-`KernelStore` holds one representation per (medium, k): a consumer reuses
-it when it was converged on a horizon at least as long as the consumer's
-own, and builds its own otherwise. Every representation is converged by one
-order-doubling loop (`_converged_rep`) on the functional its consumer
-reads: the kernel values on t for `chi_kernel`, chi_hat at three probe
-values of rho for the Laplace-domain response of a continuum medium (a much
-smaller representation, because its cost is paid at every Bromwich-line
-point), and Q on t for `conductor_Q`. `LaplaceResponse` is the one carrier
-of the medium: its electric coupling (bound and free carriers alike, as one
-combined coupling when both are present) and its magnetic coupling fix
-eps_hat, mu_hat and the reservoir couplings. It evaluates the material
+as a Toeplitz plus a Hankel FFT convolution in O(n log n). A run builds
+one kernel per medium part and k, on one horizon, and every check that
+reads chi (the spectrum, KK, the fluctuation-dissipation, continuity and
+constitutive checks) takes that kernel or its spectrum. Every
+representation is converged by one order-doubling loop (`_converged_rep`)
+on the functional its consumer reads: the kernel values on t for
+`chi_kernel`, chi_hat at three probe values of rho for the Laplace-domain
+response of a continuum medium (a much smaller representation, because its
+cost is paid at every Bromwich-line point), and Q on t for `conductor_Q`.
+`LaplaceResponse` is the one carrier of the medium: its electric coupling
+(bound and free carriers alike, as one combined coupling when both are
+present) and its magnetic coupling fix eps_hat, mu_hat and the reservoir
+couplings. It evaluates the material
 tensors for a scalar rho or a whole 1-d stack at once; at Re rho <= 0 (the
 contour nodes and the reservoir points rho = -i omega on the imaginary
 axis) only a rational model has values, by analytic continuation, which on
@@ -46,7 +47,7 @@ the axis equal the boundary values of the physical spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -336,8 +337,9 @@ def chi_kernel(
 
     The improper frequency integral is truncated at the configured cutoff and
     evaluated by Gauss-Legendre with order doubling until the kernel stops
-    moving on the whole grid. Every call builds a new representation; use a
-    `KernelStore` to share one between consumers.
+    moving on the whole grid. Every call builds a new representation; a run
+    builds one per medium part and k and hands it to every check that reads
+    the kernel.
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
@@ -352,44 +354,6 @@ def chi_kernel(
         rep=rep,
         model_parameters=model.parameters(),
     )
-
-
-class KernelStore:
-    """The susceptibility kernels of one run: one representation per
-    (medium, k, constants, quadrature spec), keyed by value.
-
-    A request is served from the stored representation when that was
-    converged on a horizon at least as long as the request's, by evaluating
-    it on the requested grid once and keeping that evaluation for repeat
-    requests; otherwise `chi_kernel` builds a new one, which replaces the
-    stored one (and drops its evaluations) when its horizon is longer.
-    """
-
-    def __init__(self):
-        self._kernels = {}  # key -> (converged kernel, {grid bytes: evaluation})
-
-    def kernel(
-        self,
-        model,
-        k,
-        t_grid,
-        constants: PhysicalConstants = NATURAL,
-        quad: QuadratureSpec = QuadratureSpec(),
-    ) -> SusceptibilityKernel:
-        t = _validate_t_grid(t_grid)
-        k = np.asarray(k, dtype=float)
-        key = (model, tuple(k), constants, quad)
-        have = self._kernels.get(key)
-        if have is None or have[0].t_grid[-1] < t[-1]:
-            built = chi_kernel(model, k, t, constants=constants, quad=quad)
-            have = self._kernels[key] = (built, {})
-        kernel, evaluated = have
-        if np.array_equal(kernel.t_grid, t):
-            return kernel
-        grid = t.tobytes()
-        if grid not in evaluated:
-            evaluated[grid] = replace(kernel, t_grid=t, values=kernel.rep.kernel_values(t))
-        return evaluated[grid]
 
 
 def _plateau(values: np.ndarray, t_grid: np.ndarray, tail_rtol: float):

@@ -48,8 +48,7 @@ from .observables import (
     vacuum_spectrum,
 )
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import (KK_MIN_POINTS, KernelStore, _cutoff, chi_kernel, chi_spectrum, kk_check,
-                       laplace_response)
+from .response import KK_MIN_POINTS, _cutoff, chi_kernel, chi_spectrum, kk_check, laplace_response
 from .tensors import NATURAL, PhysicalConstants
 
 
@@ -372,6 +371,16 @@ def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants)
     emit("manifest.json", write_json, manifest.payload())
 
 
+def part_kernel(model, k, t_grid=None, constants: PhysicalConstants = NATURAL,
+                quad: QuadratureSpec = QuadratureSpec()):
+    """The susceptibility kernel of one medium part at k, the one every check
+    of a run reads: on 2200 points out to where it has decayed to 1e-11 of
+    its peak, or on t_grid for a zero part, which has no such time."""
+    if not model.is_zero:
+        t_grid = np.linspace(0.0, model.suggested_t_max(1e-11), 2200)
+    return chi_kernel(model, k, t_grid, constants=constants, quad=quad)
+
+
 def run_scenario(
     config: ScenarioConfig,
     out_dir=None,
@@ -397,11 +406,10 @@ def run_scenario(
     bounds = {"horizon": max(grids["t_max"], grids["maxwell_t_max"]),
               "omega_top": max(grids["reservoir_cutoff"], res_cut)}
     # the medium of the conductor stage: the bound electric part and the free
-    # carriers as one electric coupling, no magnetic part; None without free
-    # carriers
+    # carriers as one electric coupling, with the magnetic part; None without
+    # free carriers
     cond = None if free.is_zero else laplace_response(
-        combined_electric(model_e, free), zero_coupling(MAGNETIC), constants=constants, quad=quad,
-        **bounds)
+        combined_electric(model_e, free), model_m, constants=constants, quad=quad, **bounds)
     response = laplace_response(model_e, model_m, constants=constants, quad=quad, **bounds)
     try:
         method = resolve_method(response, num["laplace"])
@@ -410,9 +418,6 @@ def run_scenario(
     vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
                               constants=constants, quad=quad)
     rng = np.random.default_rng(int(num["seed"]))
-    # one kernel representation per (medium, k), shared by the time-domain
-    # consumers of this run
-    kernels = KernelStore()
 
     omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
     t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
@@ -424,16 +429,17 @@ def run_scenario(
         for ik, k in enumerate(config.k_list()):
             tag = f"k{ik}"
 
-            if "chi" in stages:
+            # the noise checks read the kernels and spectra of the chi stage
+            if "chi" in stages or "noise" in stages:
                 with manifest.timed(f"chi_{tag}"):
+                    built = {}  # sector -> (kernel, spectrum)
                     for model, name in ((model_e, "electric"), (model_m, "magnetic")):
-                        t_ker = np.linspace(0.0, model.suggested_t_max(1e-11), 2200) \
-                            if not model.is_zero else t_grid
-                        kernel = kernels.kernel(model, k, t_ker, constants=constants, quad=quad)
+                        kernel = part_kernel(model, k, t_grid, constants=constants, quad=quad)
                         manifest.quadrature[f"chi_{name}_{tag}"] = kernel.metadata()
                         emit(f"chi_{name}_{tag}.csv", write_tensor_series_csv, "t",
                              kernel.t_grid, kernel.values)
                         spectrum = chi_spectrum(kernel, omega, tail_rtol=num["tail_rtol"])
+                        built[model.which] = (kernel, spectrum)
                         emit(f"spectrum_{name}_{tag}.csv", write_tensor_series_csv,
                              "omega", spectrum.omega_grid, spectrum.values)
                         if not model.is_zero:
@@ -453,8 +459,8 @@ def run_scenario(
                     for model, name in ((model_e, "P"), (model_m, "M")):
                         if model.is_zero:
                             continue
-                        rep = noise_commutator(model, k, omega, constants=constants,
-                                               quad=quad, kernels=kernels)
+                        kernel, spectrum = built[model.which]
+                        rep = noise_commutator(model, spectrum, constants=constants)
                         manifest.add_check(f"fdt_{name}_{tag}", rep.max_rel_err, num["fdt_tol"])
                         emit(f"noise_{name}_{tag}.csv", write_deviation_csv, "omega", rep.grid,
                              _deviation_curve(rep), rep.lhs)
@@ -463,15 +469,14 @@ def run_scenario(
                             continue
                         manifest.add_check(f"fdt_J_{tag}", noise_current_coefficient(rep).max_rel_err,
                                            num["fdt_tol"])
-                        cont = pdot_continuity(model_e, k, constants=constants,
-                                               dt=num["continuity_dt"], quad=quad,
-                                               kernels=kernels)
+                        cont = pdot_continuity(model_e, kernel, constants=constants,
+                                               dt=num["continuity_dt"])
                         manifest.add_check(f"pdot_continuity_{tag}", cont.relative_jump,
                                            num["continuity_tol"])
                         roundtrip = constitutive_roundtrip(
-                            model_e, k,
+                            model_e, kernel,
                             np.linspace(0.0, 20.0 / model_e.frequency_scale, 3001),
-                            constants=constants, quad=quad, kernels=kernels,
+                            constants=constants,
                         )
                         manifest.add_check(f"constitutive_roundtrip_{tag}",
                                            roundtrip.residual, num["constitutive_tol"])
@@ -520,7 +525,7 @@ def run_scenario(
                                        1e-10 * max(1.0, float(np.max(np.abs(eigs)))))
                     # Maxwell residual wants a finer uniform grid and a small
                     # reservoir sample at moderate frequencies: two nodes of a
-                    # 16-node rule, the only ones the residual reads
+                    # 16-node rule, the representation's only nodes
                     t_res = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
                     nodes_r, weights_r = gauss_legendre(16, 0.0, res_cut)
                     picks = reservoir_picks(nodes_r.size, 2)
@@ -528,7 +533,7 @@ def run_scenario(
                         response, k, t_res, nodes_r[picks], weights_r[picks],
                         method=method,
                     )
-                    res = maxwell_residual(rep_res, reservoir_samples=picks.size)
+                    res = maxwell_residual(rep_res)
                     manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,
                                        num["maxwell_tol"], details=res.channels)
 
@@ -612,8 +617,7 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
                     model = config.model("electric", constants)
                     if model.is_zero:
                         raise ValidationError("invert-chi needs an electric medium or target_table")
-                    t_ker = np.linspace(0.0, model.suggested_t_max(1e-9), 1400)
-                    kernel = chi_kernel(model, k, t_ker, constants=constants, quad=quad)
+                    kernel = part_kernel(model, k, constants=constants, quad=quad)
                     spectrum = chi_spectrum(kernel, omega, tail_rtol=num["tail_rtol"])
                     err = _roundtrip_error(model, spectrum, omega, k, constants)
                     manifest.add_check(f"roundtrip_{tag}", err, num["roundtrip_tol"])

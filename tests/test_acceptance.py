@@ -31,6 +31,7 @@ from mqed.quadrature import QuadratureSpec, gauss_legendre
 from mqed.response import chi_kernel, chi_spectrum, kk_check, laplace_response
 from mqed.response import ResponseSpectrum
 from mqed.couplings import coupling_from_target
+from mqed.scenario import part_kernel
 from mqed.tensors import curl_symbol, longitudinal_projector, transverse_projector
 
 K = np.array([0.4, -0.3, 1.1])
@@ -69,7 +70,7 @@ def test_criterion_1_fluctuation_dissipation():
         ("lorentz-magnetic", LORENTZ_M),
     ):
         start = time.perf_counter()
-        rep = noise_commutator(model, K, OMEGA_FDT)
+        rep = noise_commutator(model, chi_spectrum(part_kernel(model, K), OMEGA_FDT))
         elapsed = time.perf_counter() - start
         worst[name] = (rep.max_rel_err, elapsed)
         assert elapsed < 30.0, f"{name} took {elapsed:.1f}s"
@@ -176,7 +177,8 @@ def test_criterion_6_gauge_freedom():
     rep0 = field_representation(laplace_response(LORENTZ_E, LORENTZ_M), K, t, nodes, weights)
     comm0 = equal_time_commutators(rep0, [0.0, 4.0, 8.0])
     spec0 = vacuum_spectrum(rep0, (0.0, 0.0, 0.0), 4.0)
-    noise0 = noise_commutator(LORENTZ_E, K, OMEGA_FDT[::4])
+    omega_noise = OMEGA_FDT[::4]
+    noise0 = noise_commutator(LORENTZ_E, chi_spectrum(part_kernel(LORENTZ_E, K), omega_noise))
     kernel_t = np.linspace(0.0, 30.0, 301)
     chi0 = chi_kernel(LORENTZ_E, K, kernel_t).values
     chi0_m = chi_kernel(LORENTZ_M, K, kernel_t).values
@@ -192,7 +194,8 @@ def test_criterion_6_gauge_freedom():
         worst["chi_m"] = max(worst["chi_m"],
                              float(np.max(np.abs(chi_kernel(gm, K, kernel_t).values - chi0_m))))
         worst["noise"] = max(worst["noise"], float(np.max(np.abs(
-            noise_commutator(ge, K, OMEGA_FDT[::4]).lhs - noise0.lhs))))
+            noise_commutator(ge, chi_spectrum(part_kernel(ge, K), omega_noise)).lhs
+            - noise0.lhs))))
         rep_g = field_representation(laplace_response(ge, gm), K, t, nodes, weights)
         comm_g = equal_time_commutators(rep_g, [0.0, 4.0, 8.0])
         worst["commutator"] = max(worst["commutator"],
@@ -211,8 +214,10 @@ def test_criterion_7_maxwell_residuals():
     """Every coefficient channel satisfies the transformed Maxwell system."""
     t = np.linspace(0.0, 6.0, 8001)
     nodes, weights = gauss_legendre(16, 0.0, 7.0)
-    rep = field_representation(laplace_response(LORENTZ_E, LORENTZ_M), K, t, nodes, weights)
-    res = maxwell_residual(rep, reservoir_samples=3)
+    picks = [0, 7, 15]  # three of the 16 nodes, ends included
+    rep = field_representation(laplace_response(LORENTZ_E, LORENTZ_M), K, t, nodes[picks],
+                               weights[picks])
+    res = maxwell_residual(rep)
     rep_v = field_representation(laplace_response(ZERO_E, ZERO_M), KZ, t, nodes, weights)
     res_v = maxwell_residual(rep_v)
     ok = res.max_residual < 1e-5 and res_v.max_residual < 1e-5
@@ -240,8 +245,9 @@ def test_criterion_8_lambda_reality():
 def test_criterion_9_t0_continuity():
     """One-sided dP/dt limits agree at t = 0 and tighten as dt shrinks."""
     jumps = {}
+    kernel = part_kernel(LORENTZ_E, K)
     for dt in (1e-3, 5e-4):
-        rep = pdot_continuity(LORENTZ_E, K, dt=dt)
+        rep = pdot_continuity(LORENTZ_E, kernel, dt=dt)
         jumps[dt] = (rep.jump, rep.relative_jump)
     ok = jumps[1e-3][1] < 1e-5 and jumps[5e-4][0] <= jumps[1e-3][0] / 2.0
     detail = (f"rel jump(dt=1e-3)={jumps[1e-3][1]:.2e}; "

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import mqed.response
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer_targets() -> dict:
@@ -52,3 +53,16 @@ def test_tracer_installs_after_a_bare_import():
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) > 0
+
+
+def test_perfbench_install_check_passes():
+    # perfbench's own check that installing the tracer wraps every binding
+    # of a traced function (it pins, among others, `noise.chi_kernel`), run
+    # from perfbench/ in a fresh interpreter that writes no bytecode there
+    src = str(Path(mqed.response.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(PERFBENCH)]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", "import test_perfbench; test_perfbench._check_install()"],
+        cwd=PERFBENCH, capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr

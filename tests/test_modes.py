@@ -319,6 +319,34 @@ def test_initial_value_theorem_vs_small_time():
     assert np.max(np.abs(mc.xi[1] + limit[:3, :3])) < 2e-6
 
 
+def test_reservoir_transform_at_removable_repeated_root():
+    # rho / (rho^2 (rho + 1)) == 1 / (rho (rho + 1)): with the reservoir
+    # factor rho / (rho + i w) the transform is (e^{-i w t} - e^{-t}) / (1 - i w);
+    # the residues come from the cancelled form, not 0/0 at the doubled root
+    rat = Rational.make([0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+    t = np.linspace(0.0, 6.0, 7)
+    wq = np.array([0.6, 2.3, 20.0])
+    got = modes._ilt_with_reservoir(rat, wq, t)
+    ref = (np.exp(np.outer(-1j * wq, t)) - np.exp(-t)) / (1.0 - 1j * wq)[:, None]
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_drude_with_magnetic_part_rational_matches_talbot():
+    # with a Drude electric part and a magnetic part, the exact path's
+    # t_he = rho eps_hat / D_T has a removable double root at rho = 0
+    resp = laplace_response(drude(1.1, 0.5), lorentz_isotropic(0.6, 1.5, 0.3, which="magnetic"))
+    t = np.linspace(0.0, 6.0, 7)
+    wq = np.array([0.6, 2.3, 20.0])
+    a = mode_coefficients(resp, K, t, wq)
+    b = mode_coefficients(resp, K, t, wq, method="talbot")
+    assert a.metadata["method"] == "rational_exact"
+    for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
+                 "zeta_tilde", "eta_tilde"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.all(np.isfinite(x)), name
+        assert np.max(np.abs(x - y)) / float(np.max(np.abs(x))) < 1e-8, name
+
+
 def test_dual_method_agreement_lorentz():
     me, mm, resp = lorentz_pair()
     t = np.linspace(0.0, 6.0, 7)

@@ -9,35 +9,43 @@ from mqed.couplings import (
     random_orthogonal_gauge,
     zero_coupling,
 )
-from mqed import noise
 from mqed.noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from mqed.quadrature import QuadratureSpec
-from mqed.response import KernelStore
+from mqed.response import chi_kernel, chi_spectrum
+from mqed.scenario import part_kernel
 
 K = np.array([0.3, -0.2, 0.9])
 OMEGA = np.linspace(0.1, 5.0, 80)
+T_ZERO = np.linspace(0.0, 10.0, 101)  # the grid of a zero part's kernel
+
+
+def kernel(model):
+    """The kernel a run builds for the medium part at K."""
+    return part_kernel(model, K, T_ZERO)
+
+
+def fdt(model):
+    return noise_commutator(model, chi_spectrum(kernel(model), OMEGA))
 
 
 def test_zero_coupling_gives_zero_sides():
-    report = noise_commutator(zero_coupling(), K, OMEGA)
+    report = fdt(zero_coupling())
     assert np.allclose(report.lhs, 0.0)
     assert np.allclose(report.rhs, 0.0)
 
 
 def test_lorentz_fdt_electric():
-    report = noise_commutator(lorentz_isotropic(1.3, 1.0, 0.5), K, OMEGA)
+    report = fdt(lorentz_isotropic(1.3, 1.0, 0.5))
     assert report.max_rel_err < 1e-5
 
 
 def test_lorentz_fdt_magnetic():
-    report = noise_commutator(
-        lorentz_isotropic(0.8, 1.4, 0.6, which="magnetic"), K, OMEGA
-    )
+    report = fdt(lorentz_isotropic(0.8, 1.4, 0.6, which="magnetic"))
     assert report.max_rel_err < 1e-5
 
 
 def test_lhs_hermitian_psd():
-    report = noise_commutator(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5), K, OMEGA)
+    report = fdt(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5))
     herm = np.max(np.abs(report.lhs - np.conj(np.transpose(report.lhs, (0, 2, 1)))))
     assert herm < 1e-12
     assert float(np.min(np.linalg.eigvalsh(report.lhs))) >= -1e-12
@@ -45,16 +53,16 @@ def test_lhs_hermitian_psd():
 
 def test_gauge_invariance_of_commutator():
     model = lorentz_isotropic(1.3, 1.0, 0.5)
-    base = noise_commutator(model, K, OMEGA)
+    base = fdt(model)
     for seed in range(3):
         gauge = random_orthogonal_gauge(np.random.default_rng(seed))
-        gauged = noise_commutator(apply_gauge(model, gauge), K, OMEGA)
+        gauged = fdt(apply_gauge(model, gauge))
         assert np.max(np.abs(base.lhs - gauged.lhs)) < 1e-12
 
 
 def test_noise_current_ratio_is_omega_squared():
     model = drude(1.1, 0.5)
-    rep_p = noise_commutator(model, K, OMEGA)
+    rep_p = fdt(model)
     rep_j = noise_current_coefficient(rep_p)
     mask = np.abs(rep_p.lhs) > 1e-14 * np.max(np.abs(rep_p.lhs))
     ratio = rep_j.lhs[mask] / rep_p.lhs[mask]
@@ -63,24 +71,26 @@ def test_noise_current_ratio_is_omega_squared():
 
 
 def test_noise_current_fdt():
-    rep_p = noise_commutator(lorentz_isotropic(1.3, 1.0, 0.5), K, OMEGA)
+    rep_p = fdt(lorentz_isotropic(1.3, 1.0, 0.5))
     report = noise_current_coefficient(rep_p)
     assert report.max_rel_err < 1e-5
 
 
 def test_pdot_continuity_zero_coupling():
-    report = pdot_continuity(zero_coupling(), K, dt=1e-3)
+    report = pdot_continuity(zero_coupling(), kernel(zero_coupling()), dt=1e-3)
     assert report.jump == 0.0
 
 
 def test_pdot_continuity_lorentz():
-    report = pdot_continuity(lorentz_isotropic(1.3, 1.0, 0.5), K, dt=1e-3)
+    model = lorentz_isotropic(1.3, 1.0, 0.5)
+    report = pdot_continuity(model, kernel(model), dt=1e-3)
     assert report.relative_jump < 1e-5
 
 
 def test_pdot_continuity_shrinks_with_dt():
     model = lorentz_isotropic(1.3, 1.0, 0.5)
-    jumps = [pdot_continuity(model, K, dt=dt).jump for dt in (2e-3, 1e-3, 5e-4)]
+    chi = kernel(model)
+    jumps = [pdot_continuity(model, chi, dt=dt).jump for dt in (2e-3, 1e-3, 5e-4)]
     assert jumps[1] <= jumps[0] / 2.0
     assert jumps[2] <= jumps[1] / 2.0
 
@@ -115,11 +125,10 @@ def test_pdot_peak_rate_matches_dense_trapezoid(monkeypatch):
     # probe and the trapezoid of the reference are different O(h^2)
     # discretizations
     model = combined_electric(gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8), drude(1.1, 0.5))
-    quad = QuadratureSpec(fixed_order=300)
-    kernels = KernelStore()
+    chi = chi_kernel(model, K, np.linspace(0.0, 60.0, 1200), quad=QuadratureSpec(fixed_order=300))
     monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 7 * 300 + 5)
-    report = pdot_continuity(model, K, quad=quad, kernels=kernels)
-    rep = kernels.kernel(model, K, noise._default_t_grid(model), quad=quad).rep
+    report = pdot_continuity(model, chi)
+    rep = chi.rep
     assert rep.block.shape == (300, 2)
     ref = _dense_peak_rate(rep, 5.0 / model.frequency_scale)
     assert ref > 0.0

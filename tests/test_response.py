@@ -624,51 +624,6 @@ def test_chi_kernel_builds_on_every_call(monkeypatch):
     assert np.array_equal(a.values, b.values)
 
 
-def test_kernel_store_reuses_longer_horizons_only(monkeypatch):
-    from mqed.response import KernelStore
-
-    calls = _count_builds(monkeypatch)
-    store = KernelStore()
-    model = lorentz_isotropic(WP, W0, G)
-    long_t = np.linspace(0.0, 90.0, 1500)
-    first = store.kernel(model, K, long_t)
-    assert store.kernel(lorentz_isotropic(WP, W0, G), K, long_t) is first
-    short_t = np.linspace(0.0, 40.0, 700)
-    short = store.kernel(model, K, short_t)
-    assert len(calls) == 1
-    assert short.rep is first.rep and short.t_grid is not first.t_grid
-    direct = chi_kernel(model, K, short_t)
-    assert np.max(np.abs(short.values - direct.values)) <= 1e-6 * np.max(np.abs(direct.values))
-    # a longer horizon, another k or another quadrature spec builds anew
-    store.kernel(model, K, np.linspace(0.0, 120.0, 2000))
-    store.kernel(model, -K, short_t)
-    store.kernel(model, K, short_t, quad=QuadratureSpec(rtol=1e-9))
-    assert len(calls) == 5
-
-
-def test_kernel_store_evaluates_each_shorter_grid_once(monkeypatch):
-    from mqed.response import KernelStore, QuadRep
-
-    store = KernelStore()
-    model = lorentz_isotropic(WP, W0, G)
-    store.kernel(model, K, np.linspace(0.0, 90.0, 1500))
-    evaluations = []
-    original = QuadRep.kernel_values
-
-    def counting(rep, t_grid):
-        evaluations.append(len(t_grid))
-        return original(rep, t_grid)
-
-    monkeypatch.setattr(QuadRep, "kernel_values", counting)
-    short = store.kernel(model, K, np.linspace(0.0, 40.0, 700))
-    again = store.kernel(lorentz_isotropic(WP, W0, G), K, np.linspace(0.0, 40.0, 700))
-    assert evaluations == [700]
-    assert again is short
-    # another grid of the same horizon is evaluated anew
-    store.kernel(model, K, np.linspace(0.0, 40.0, 701))
-    assert evaluations == [700, 701]
-
-
 def test_laplace_cache_keyed_by_value():
     # one response asked about 20 models that are built and dropped in turn:
     # a cache keyed by object identity hands a dropped model's chi_hat to the

@@ -334,7 +334,7 @@ def test_cli_help_exit_code(capsys):
 
 def test_run_builds_one_kernel_per_medium_and_k(tmp_path, monkeypatch):
     # the chi stage converges one representation per nonzero (medium, k) on
-    # its long horizon; the noise consumers evaluate it on their own grids
+    # its long horizon, and the noise checks take that kernel and spectrum
     import mqed.response
 
     calls = []
@@ -448,13 +448,79 @@ def test_cli_verify_medium_below_unit_frequency_scale(tmp_path, capsys):
     assert "[FAIL]" not in out
 
 
-def test_cli_verify_bundled_lorentz_config(tmp_path, capsys):
+def _calls_by_binding(monkeypatch, name: str) -> list:
+    """Records every call of `mqed.response.<name>` as the name of the
+    module whose binding made it."""
+    import mqed.response
+
+    original = getattr(mqed.response, name)
+    calls = []
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "mqed"]:
+        if getattr(module, name, None) is original:
+            def counted(*args, _home=module.__name__, **kwargs):
+                calls.append(_home)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cli_verify_bundled_lorentz_config(tmp_path, capsys, monkeypatch):
+    kernels = _calls_by_binding(monkeypatch, "chi_kernel")
+    spectra = _calls_by_binding(monkeypatch, "chi_spectrum")
     code = main(["verify", "--config", str(CONFIGS / "lorentz.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 13
     assert "[FAIL]" not in out
     assert _bench_gate_problems("lorentz-verify", code, out, tmp_path) == []
+    # one kernel per (part, k); each part's spectrum and KK spectrum come
+    # from the chi stage, and the noise checks take what it built
+    assert kernels == ["mqed.scenario"] * 2
+    assert spectra == ["mqed.scenario"] * 4
+
+
+MAGNETIC_LORENTZ = ("magnetic.kind = lorentz_isotropic\nmagnetic.strength = 0.6\n"
+                    "magnetic.resonance = 1.5\nmagnetic.width = 0.3\n")
+
+
+def test_cli_verify_drude_with_magnetic_part_is_finite(tmp_path, capsys):
+    # the exact path's reservoir transforms met a removable double root at
+    # rho = 0 here and exported all-NaN modes_zeta_tilde, which made the
+    # commutator NaN
+    cfg = tmp_path / "drude_magnetic.cfg"
+    cfg.write_text("[medium]\nelectric.kind = drude\nelectric.strength = 1.1\n"
+                   f"electric.width = 0.5\n{MAGNETIC_LORENTZ}\n[grids]\nk = 0,0,1.3\n")
+    out_dir = tmp_path / "out"
+    main(["verify", "--config", str(cfg), "--out", str(out_dir)])
+    capsys.readouterr()
+    checks = json.loads((out_dir / "manifest.json").read_text())["checks"]
+    assert all(np.isfinite(c["max_error"]) for c in checks)
+    assert [c["passed"] for c in checks if c["name"] == "equal_time_commutator_k0"] == [True]
+    for path in out_dir.glob("*.csv"):
+        assert "nan" not in path.read_text().lower(), path.name
+
+
+def test_conductor_stage_keeps_the_magnetic_part(tmp_path, monkeypatch):
+    import mqed.scenario
+
+    media = []
+    original = mqed.scenario.conductor_modes
+
+    def recorded(response, *args, **kwargs):
+        media.append(response)
+        return original(response, *args, **kwargs)
+
+    monkeypatch.setattr(mqed.scenario, "conductor_modes", recorded)
+    text = (CONFIGS / "conductor.cfg").read_text().replace("[grids]",
+                                                          f"{MAGNETIC_LORENTZ}\n[grids]")
+    config = parse_scenario(text)
+    manifest = run_scenario(config, out_dir=str(tmp_path), stages=("conductor",))
+    assert manifest.all_passed
+    assert len(media) == 1
+    assert media[0].model_m == config.model("magnetic", NATURAL)
+    assert media[0].model_m.kind == "lorentz_isotropic"
+    assert "nan" not in (tmp_path / "conductor_gamma_k0.csv").read_text().lower()
 
 
 def test_cli_verify_bundled_conductor_config(tmp_path, capsys):
