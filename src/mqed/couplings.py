@@ -174,6 +174,11 @@ class CouplingModel:
         of its peak (the plateau subtracted for conductor-like media)."""
         lo = np.log(1.0 / tail)
         if self.kind == "lorentz_isotropic" and self.width > 0.0:
+            # the slower pole of rho^2 + width rho + resonance^2: Re = -width / 2
+            # when underdamped, -resonance^2 / (width / 2 + root) when overdamped
+            root = np.sqrt(max(0.25 * self.width**2 - self.resonance**2, 0.0))
+            if root > 0.0:
+                return lo * (0.5 * self.width + root) / self.resonance**2
             return 2.0 * lo / self.width
         if self.kind == "drude" and self.width > 0.0:
             return lo / self.width

@@ -4,13 +4,15 @@ mode-coefficient tensors of the field operators.
 Lambda(k, rho) stacks the curl symbol against the rho-weighted material
 tensors,
 
-    Lambda = [[O(k), -rho mu_hat], [rho eps_hat, O(k)]],
+    Lambda = [[-O(k), -rho mu_hat], [rho eps_hat, -O(k)]],
 
-and the field operators are read from two transforms of its inverse: the
-(n_t, 6, 6) base L^-1[Lambda^-1] and, for each 3x3 block a nonzero
-coupling reads, R[block] = L^-1[rho/(rho + i w_q) Lambda^-1 block]. One
-index map (`_families`) turns them into the coefficient tensors gamma, xi,
-zeta, eta (electric rows) and their tilde partners (magnetic rows):
+in one curl orientation (`_curl_block`), at any rho where the medium
+defines its tensors (`LaplaceResponse.chi`). The field operators are read
+from two transforms of its inverse: the (n_t, 6, 6) base L^-1[Lambda^-1]
+and, for each 3x3 block a nonzero coupling reads, R[block] =
+L^-1[rho/(rho + i w_q) Lambda^-1 block]. One index map (`_families`) turns
+them into the coefficient tensors gamma, xi, zeta, eta (electric rows) and
+their tilde partners (magnetic rows):
 
     gamma = [eh]   xi = -[ee]   zeta = mu0 R[ee] g   eta = -R[eh] f
     gamma~ = [hh]  xi~ = -[he]  zeta~ = mu0 R[he] g  eta~ = -R[hh] f
@@ -18,7 +20,8 @@ zeta, eta (electric rows) and their tilde partners (magnetic rows):
 with f, g the electric and magnetic couplings at the reservoir nodes.
 Three inverse-transform methods produce the transforms (`METHODS`, with
 "auto"): exact partial fractions for rational (isotropic damped-oscillator)
-media, a deformed cotangent contour that cross-checks them, and a
+media, a deformed cotangent contour that cross-checks them and takes t = 0
+from the closed-form initial data (`_initial_data`), and a
 vacuum-subtracted Bromwich line for continuum-absorption media whose
 imaginary-axis branch cut blocks contour deformation. The line also takes
 the |rho|^-3 and |rho|^-4 terms of the medium-vacuum difference in closed
@@ -37,34 +40,25 @@ from functools import partial
 import numpy as np
 
 from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch, zero_coupling
-from .errors import (
-    LeftHalfPlane,
-    PoleFindingFailed,
-    SingularLambda,
-    TalbotNotConverged,
-    ValidationError,
-)
-from .rational import Rational, ilt_rational, partial_fractions
+from .errors import PoleFindingFailed, SingularLambda, TalbotNotConverged, ValidationError
+from .rational import Rational, ilt_rational
 from .response import (LaplaceResponse, _chunks, _fft_size, chi_hat_rational, laplace_response,
                        uniform_step)
-from .tensors import (
-    curl_symbol,
-    longitudinal_projector,
-    reciprocal_condition,
-    transverse_projector,
-)
+from .tensors import (curl_symbol, longitudinal_projector, reciprocal_condition,
+                      transverse_projector)
 
 MARGINAL_POLE_TOL = 1e-12
 METHODS = ("auto", "rational_exact", "talbot", "bromwich_line")
-# the relative tolerance of pole finding; the contour's node-count range,
-# tolerance and t = 0 limit point; the line's abscissa (times 1 / horizon),
+# the reciprocal condition below which Lambda counts as singular; the
+# relative tolerance of pole finding; the contour's node-count range and
+# tolerance; the line's abscissa (times 1 / horizon),
 # half-width and margin past the top reservoir frequency (times the largest
 # frequency scale), and the tolerance of its two error estimates
+_RCOND_MIN = 1e-12
 _POLE_TOL = 1e-7
 _TALBOT_START_N = 24
 _TALBOT_MAX_N = 2048
 _TALBOT_RTOL = 1e-9
-_LIMIT_RHO = 1e8
 _LINE_ABSCISSA_FACTOR = 3.0
 _LINE_HALFWIDTH_FACTOR = 40.0
 _LINE_RESERVOIR_MARGIN = 20.0
@@ -78,60 +72,67 @@ class LambdaMatrix:
     value: np.ndarray  # (6, 6), or (n, 6, 6) for a 1-d rho
 
 
-def assemble_lambda(
-    response: LaplaceResponse,
-    k,
-    rho,
-    continued: bool = False,
-    curl_sign: int = +1,
-) -> LambdaMatrix:
+def _curl_block(k) -> np.ndarray:
+    """-O(k), the curl blocks of Lambda: the one orientation whose index map
+    reproduces the initial-data expansions with forward-evolving phases and
+    conserves the equal-time commutators (t = 0 alone does not fix it)."""
+    return -curl_symbol(k)
+
+
+def _ladder(upper, lower) -> np.ndarray:  # [[0, upper], [lower, 0]]
+    out = np.zeros((6, 6), dtype=complex)
+    out[:3, 3:], out[3:, :3] = upper, lower
+    return out
+
+
+def _initial_data(constants) -> np.ndarray:
+    """A^-1 = [[0, I / eps0], [-I / mu0, 0]] for Lambda = rho A + O(1): the
+    t = 0 value of L^-1[Lambda^-1] and of every reservoir-weighted block,
+    as rho Lambda^-1 and rho^2 Lambda^-1 / (rho + i w_q) tend to it."""
+    return _ladder(np.eye(3) / constants.eps0, -np.eye(3) / constants.mu0)
+
+
+def assemble_lambda(response: LaplaceResponse, k, rho) -> LambdaMatrix:
     """Build Lambda(k, rho). A scalar rho gives one (6, 6) matrix, a 1-d rho
     the (n, 6, 6) stack from one batched evaluation of each material tensor.
 
-    continued=True allows Re rho <= 0 through analytic continuation, which
-    only rational responses support (contour transforms use it internally).
-    curl_sign flips the curl blocks (Lambda(-k, rho) for even media): the
-    mode solver uses -1 internally, the one reading of the block system that
-    reproduces the initial-data expansions with forward-evolving phases and
-    conserves the equal-time commutators (see mode_coefficients).
+    The response decides where its tensors are defined
+    (`LaplaceResponse.chi`).
     """
     scalar = np.ndim(rho) == 0
     rho = np.asarray(rho, dtype=complex)
-    left = np.real(rho) <= 0.0
-    if not continued and np.any(left):
-        raise LeftHalfPlane(f"Lambda requires Re rho > 0, got {complex(rho[left][0])}")
     k = np.asarray(k, dtype=float)
     r = rho[..., None, None]
     value = np.empty(rho.shape + (6, 6), dtype=complex)
-    value[..., :3, :3] = value[..., 3:, 3:] = curl_sign * curl_symbol(k)
-    value[..., :3, 3:] = -r * response.mu(k, rho, continued=continued)
-    value[..., 3:, :3] = r * response.eps(k, rho, continued=continued)
+    value[..., :3, :3] = value[..., 3:, 3:] = _curl_block(k)
+    value[..., :3, 3:] = -r * response.mu(k, rho)
+    value[..., 3:, :3] = r * response.eps(k, rho)
     return LambdaMatrix(k=k, rho=complex(rho) if scalar else rho, value=value)
 
 
-def _checked_inverse(lam: LambdaMatrix, rcond_min: float = 1e-12):
+def _checked_inverse(lam: LambdaMatrix):
     """Lambda^-1 (of one matrix or of every member of a stack) and the
     reciprocal conditions that guarded it."""
     rc = np.atleast_1d(reciprocal_condition(lam.value))
     worst = int(np.argmin(rc))
-    if rc[worst] < rcond_min:
+    if rc[worst] < _RCOND_MIN:
         rho = complex(np.ravel(lam.rho)[worst])
         raise SingularLambda(
-            f"Lambda reciprocal condition {rc[worst]:.3e} below {rcond_min:g} at rho={rho}",
+            f"Lambda reciprocal condition {rc[worst]:.3e} below {_RCOND_MIN:g} at rho={rho}",
             k=lam.k,
             rho=rho,
         )
     return np.linalg.inv(lam.value), rc
 
 
-def invert_lambda(lam: LambdaMatrix, rcond_min: float = 1e-12) -> np.ndarray:
+def invert_lambda(lam: LambdaMatrix) -> np.ndarray:
     """Inverse of Lambda with a reciprocal-condition guard on every member
     of a stack; SingularLambda names the worst member's rho.
 
     Singular inversions happen on the imaginary-rho dispersion shell; callers
     must keep the contour off the imaginary axis.
     """
-    return _checked_inverse(lam, rcond_min)[0]
+    return _checked_inverse(lam)[0]
 
 
 # cotangent-contour parameters tuned for the midpoint rule; exp(rho t) stays
@@ -166,14 +167,6 @@ def _talbot_nodes(t: float, n: int):
     )
     weights = np.exp(rho * t) * drho / (1j * n)
     return rho, weights
-
-
-def _limit_value(evaluator):
-    """t -> 0+ value through the initial-value theorem: rho F(rho) at two
-    large real rho, Richardson-extrapolated against the 1/rho correction."""
-    g1 = _LIMIT_RHO * np.asarray(evaluator(_LIMIT_RHO + 0.0j))
-    g2 = 2.0 * _LIMIT_RHO * np.asarray(evaluator(2.0 * _LIMIT_RHO + 0.0j))
-    return 2.0 * g2 - g1
 
 
 @dataclass(frozen=True)
@@ -241,14 +234,12 @@ def _pole_flags(poles: np.ndarray) -> dict:
     }
 
 
-def _ilt_with_reservoir(rat: Rational, omega_q: np.ndarray, t: np.ndarray):
-    """L^-1[rho/(rho + i w_q) * rat] for every reservoir frequency at once.
+def _ilt_with_reservoir(rat: Rational, poles, residues, omega_q: np.ndarray, t: np.ndarray):
+    """L^-1[rho/(rho + i w_q) * rat] for every reservoir frequency at once,
+    from the simple-pole expansion (poles, residues) of rat.
 
     The base poles are shared; only the extra pole at -i w_q and the residue
     weights depend on w_q, so the expansion vectorizes over the grid."""
-    if rat.is_zero or omega_q.size == 0:
-        return np.zeros((omega_q.size, t.size), dtype=complex)
-    poles, residues = partial_fractions(rat, _POLE_TOL)
     extra = -1j * omega_q  # (n_q,)
     if poles.size:
         dist = np.abs(extra[:, None] - poles[None, :])
@@ -284,7 +275,7 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
                "t_he": a_rat / d_t, "l_h": one / (rho * mu_rat)}
     p_t = transverse_projector(k).astype(complex)
     p_l = longitudinal_projector(k).astype(complex)
-    o = -curl_symbol(k)  # the commutator-conserving curl-block orientation
+    o = _curl_block(k)
     terms = {
         "ee": (("t_ee", o),),
         "eh": (("t_eh", p_t), ("l_e", p_l)),
@@ -295,17 +286,18 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
     def block(values, name):
         return sum(values[scalar][..., None, None] * proj for scalar, proj in terms[name])
 
-    ilt, poles = {}, []
+    ilt, fractions = {}, {}  # each scalar's transform on t, and its [poles, residues]
     for name, rat in scalars.items():
-        ilt[name], p, _ = ilt_rational(rat, t, pole_tol=_POLE_TOL)
-        poles.append(p)
+        ilt[name], *fractions[name] = ilt_rational(rat, t, pole_tol=_POLE_TOL)
     base = np.empty((t.size, 6, 6), dtype=complex)
     for name, (rows, cols) in _BLOCKS.items():
         base[:, rows, cols] = block(ilt, name)
     needed = {scalar for name in blocks for scalar, _ in terms[name]}
-    weighted = {s: _ilt_with_reservoir(scalars[s], omega_q, t) for s in scalars if s in needed}
+    weighted = {s: _ilt_with_reservoir(scalars[s], *fractions[s], omega_q, t)
+                for s in scalars if s in needed}
     res = {name: block(weighted, name) for name in blocks}
-    return base, res, {"method": "rational_exact", **_pole_flags(np.concatenate(poles))}
+    poles = np.concatenate([p for p, _ in fractions.values()])
+    return base, res, {"method": "rational_exact", **_pole_flags(poles)}
 
 
 def _talbot_mode_path(response, blocks, k, t, omega_q):
@@ -319,36 +311,20 @@ def _talbot_mode_path(response, blocks, k, t, omega_q):
     with G_ax = G(-i w_q) removes that pole from the contour integrand (the
     subtracted numerator vanishes there), leaving only medium-scale poles.
     The response is rational on this path, so G_ax is its analytic
-    continuation to the axis, which is the boundary value there."""
+    continuation to the axis, which is the boundary value there. At t = 0
+    every transform is the closed-form initial data (`_initial_data`)."""
     n_q = omega_q.size
     base = np.empty((t.size, 6, 6), dtype=complex)
     res = {name: np.empty((n_q, t.size, 3, 3), dtype=complex) for name in blocks}
     rcond_worst = 1.0
-
-    def lam_inv(rho):
-        # one guarded inversion of a contour node set (or of a large real
-        # rho); its conditions feed the worst_rcond metadata
-        nonlocal rcond_worst
-        lam = assemble_lambda(response, k, rho, continued=True, curl_sign=-1)
-        inv, rc = _checked_inverse(lam)
-        rcond_worst = min(rcond_worst, float(np.min(rc)))
-        return inv
-
-    inv_ax = invert_lambda(assemble_lambda(
-        response, k, -1j * omega_q, continued=True, curl_sign=-1
-    )) if blocks else None
-
-    def limit_parts(rho):
-        # Lambda^-1, then each reservoir-weighted block, flattened
-        inv = lam_inv(rho)
-        fac = (rho / (rho + 1j * omega_q))[:, None, None]
-        return np.concatenate([inv.ravel()] + [
-            (fac * inv[_BLOCKS[name]]).ravel() for name in blocks
-        ])
+    inv_ax = invert_lambda(assemble_lambda(response, k, -1j * omega_q)) if blocks else None
+    start = _initial_data(response.constants)
 
     def eval_all(ti, n):
+        nonlocal rcond_worst  # the node set's conditions feed worst_rcond
         rho_nodes, w_nodes = _talbot_nodes(ti, n)
-        inv = lam_inv(rho_nodes)  # (n, 6, 6)
+        inv, rc = _checked_inverse(assemble_lambda(response, k, rho_nodes))  # (n, 6, 6)
+        rcond_worst = min(rcond_worst, float(np.min(rc)))
         parts = [np.einsum("n,nab->ab", w_nodes, inv)]
         if blocks:
             cw = w_nodes[None, :] / (rho_nodes[None, :] + 1j * omega_q[:, None])  # (q, n)
@@ -360,10 +336,9 @@ def _talbot_mode_path(response, blocks, k, t, omega_q):
 
     for it, ti in enumerate(t):
         if ti == 0.0:
-            lim = _limit_value(limit_parts)
-            base[it] = lim[:36].reshape(6, 6)
-            for name, part in zip(blocks, lim[36:].reshape(len(blocks), n_q, 3, 3)):
-                res[name][:, it] = part
+            base[it] = start
+            for name in blocks:
+                res[name][:, it] = start[_BLOCKS[name]]
             continue
 
         n = _TALBOT_START_N
@@ -436,8 +411,7 @@ def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
 
 def _line_tail(response, k, a):
     """C3 and C4' of the subtracted tail C3 (rho + a)^-3 + C4' (rho + a)^-4 of
-    Lambda_med^-1 - Lambda_vac^-1, with the curl blocks flipped as the mode
-    solver builds Lambda.
+    Lambda_med^-1 - Lambda_vac^-1.
 
     Write Lambda = rho A + B + rho^-1 E1 + rho^-2 E2 + O(rho^-3): A =
     [[0, -mu0], [eps0, 0]], B the curl blocks, and E1, E2 the same ladder
@@ -453,18 +427,13 @@ def _line_tail(response, k, a):
     m1e, m2e = response.chi_moments(response.model_e, k)
     m1m, m2m = response.chi_moments(response.model_m, k)
 
-    def ladder(upper, lower):
-        out = np.zeros((6, 6), dtype=complex)
-        out[:3, 3:], out[3:, :3] = upper, lower
-        return out
-
-    a_inv = ladder(np.eye(3) / c.eps0, -np.eye(3) / c.mu0)
+    a_inv = _initial_data(c)
     b = np.zeros((6, 6), dtype=complex)
-    b[:3, :3] = b[3:, 3:] = -curl_symbol(k)
+    b[:3, :3] = b[3:, 3:] = _curl_block(k)
     x = a_inv @ b
-    y = a_inv @ ladder(-c.mu0 * m1m, c.eps0 * m1e)
+    y = a_inv @ _ladder(-c.mu0 * m1m, c.eps0 * m1e)
     c3 = -y @ a_inv
-    c4 = (x @ y + y @ x - a_inv @ ladder(-c.mu0 * m2m, c.eps0 * m2e)) @ a_inv
+    c4 = (x @ y + y @ x - a_inv @ _ladder(-c.mu0 * m2m, c.eps0 * m2e)) @ a_inv
     return c3, c4 + 3.0 * a * c3
 
 
@@ -564,8 +533,8 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
 
     # unguarded: a guard would cost one SVD per line point, and the line
     # stays a distance a off the imaginary-axis dispersion shell
-    inv_med = np.linalg.inv(assemble_lambda(response, k, rho, curl_sign=-1).value)
-    inv_vac = np.linalg.inv(assemble_lambda(_vacuum(response), k, rho, curl_sign=-1).value)
+    inv_med = np.linalg.inv(assemble_lambda(response, k, rho).value)
+    inv_vac = np.linalg.inv(assemble_lambda(_vacuum(response), k, rho).value)
     c3, c4 = _line_tail(response, k, a)
     u = (1.0 / (rho + a))[:, None, None]
     # the medium-vacuum difference less its tail, ~ |rho|^-5, with the line
@@ -710,14 +679,10 @@ def mode_coefficients(
     deformation); it sums on the response's line at k (`bromwich_line`), so
     t must lie in [0, response.horizon] and omega_q in [0,
     response.omega_top]. "auto" picks rational_exact when possible,
-    bromwich_line otherwise. Every path returns the transforms of Lambda^-1 and of the
-    reservoir-weighted blocks the couplings read; `_families` maps them to
-    the coefficient tensors. Internally the block system is oriented
-    with flipped curl blocks (Lambda(-k, rho) for even media), the one
-    reading of the index map that reproduces the initial-data expansions at
-    t = 0 with forward-evolving phases and keeps the equal-time commutators
-    conserved; the t = 0 condition alone does not fix it because the zeta
-    and eta-tilde families vanish there.
+    bromwich_line otherwise. Every path inverts the one `assemble_lambda`
+    and returns the transforms of Lambda^-1 and of the reservoir-weighted
+    blocks the couplings read; `_families` maps them to the coefficient
+    tensors.
     """
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)

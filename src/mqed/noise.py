@@ -23,7 +23,7 @@ from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import gauss_legendre
 from .response import (ResponseSpectrum, SusceptibilityKernel, _angle_table, _fft_size,
-                       block_tensors)
+                       _relative_deviation, block_tensors)
 from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
 from .tensors import NATURAL, PhysicalConstants, triad
 
@@ -44,13 +44,6 @@ class CommutatorReport:
     rhs: np.ndarray
     max_rel_err: float
     details: dict = field(default_factory=dict)
-
-
-def _relative_deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = float(np.max(np.linalg.norm(rhs, axis=(1, 2))))
-    if scale == 0.0:
-        return float(np.max(np.linalg.norm(lhs, axis=(1, 2))))
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))) / scale
 
 
 def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants):

@@ -24,13 +24,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .modes import ModeCoefficients, mode_coefficients
-from .noise import CommutatorReport, _oscillator_responses, _relative_deviation
+from .noise import CommutatorReport, _oscillator_responses
 from .rational import Rational, ilt_rational
 from .response import (
     LaplaceResponse,
     SusceptibilityKernel,
     _central_difference,
     _fft_size,
+    _relative_deviation,
     block_tensors,
     difference_step,
     uniform_step,

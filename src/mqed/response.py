@@ -39,10 +39,12 @@ cost is paid at every Bromwich-line point), and Q on t for `conductor_Q`.
 (bound and free carriers alike, as one combined coupling when both are
 present) and its magnetic coupling fix eps_hat, mu_hat and the reservoir
 couplings. It evaluates the material
-tensors for a scalar rho or a whole 1-d stack at once; at Re rho <= 0 (the
-contour nodes and the reservoir points rho = -i omega on the imaginary
-axis) only a rational model has values, by analytic continuation, which on
-the axis equal the boundary values of the physical spectrum.
+tensors for a scalar rho or a whole 1-d stack at once, and it alone decides
+where they are defined: a rational part anywhere off its poles (at
+Re rho <= 0, such as the contour nodes and the reservoir points
+rho = -i omega, by analytic continuation, which on the imaginary axis
+equals the boundary value of the physical spectrum), a continuum part only
+at Re rho > 0, since its branch cut lies on the imaginary axis.
 """
 
 from __future__ import annotations
@@ -139,6 +141,16 @@ def block_tensors(product: np.ndarray, basis: np.ndarray) -> np.ndarray:
     for j in range(1, basis.shape[0]):
         out += product[:, j, None] * basis[j]
     return out.reshape(-1, 3, 3)
+
+
+def _relative_deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max |lhs_i - rhs_i| / max |rhs_i| over (n, 3, 3) stacks, the deviation
+    rule of every two-route check; max |lhs_i| when the reference's norm is
+    0 (or underflows), so a missing side cannot read 0."""
+    scale = float(np.max(np.linalg.norm(rhs, axis=(1, 2))))
+    if scale == 0.0:
+        return float(np.max(np.linalg.norm(lhs, axis=(1, 2))))
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))) / scale
 
 
 def _fft_size(n: int) -> int:
@@ -554,9 +566,10 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     with the principal value handled by evaluating at midpoints so the
     singular node is straddled symmetrically (O(h^2)), and summed by FFT
     (`_kk_real_part`). Reports the max relative deviation from the directly
-    computed real part; an acausal spectrum shows up as an O(1) residual,
-    not an exception. The grid must pass `uniform_step`; a descending grid
-    is read from its low end, so both orders give the same residual.
+    computed real part (`_relative_deviation`); an acausal spectrum shows up
+    as an O(1) residual, not an exception. The grid must pass
+    `uniform_step`; a descending grid is read from its low end, so both
+    orders give the same residual.
     """
     omega = spectrum.omega_grid
     if omega.size < KK_MIN_POINTS:
@@ -569,11 +582,8 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     re = spectrum.real_hermitian()
     if descending:
         omega, im, re = omega[::-1], im[::-1], re[::-1]
-    re_direct = 0.5 * (re[:-1] + re[1:])
-    re_kk = block_tensors(_kk_real_part(omega, im), basis)
-    scale = float(np.max(np.linalg.norm(re_direct, axis=(1, 2))))
-    worst = float(np.max(np.linalg.norm(re_kk - re_direct, axis=(1, 2))))
-    resid = worst / scale if scale > 0.0 else 0.0
+    resid = _relative_deviation(block_tensors(_kk_real_part(omega, im), basis),
+                                0.5 * (re[:-1] + re[1:]))
     return KKReport(max_rel_residual=resid, n_grid=int(omega.size), grid_step=h)
 
 
@@ -599,10 +609,10 @@ class LaplaceResponse:
     mu_hat = mu0 (1 + chi_hat_m) from the magnetic one, model_m; the
     reservoir couples to the same two. Free carriers are part of model_e
     (`combined_electric(bound, free)`), whose chi_hat is the sum of its
-    `parts`. Values are for Re rho > 0. Rational models use the closed form;
-    everything else goes through the kernel quadrature representation, for
-    which the transform of each sine mode is omega_n / (rho^2 + omega_n^2)
-    exactly.
+    `parts`. Rational models use the closed form, evaluated anywhere off its
+    poles; everything else goes through the kernel quadrature
+    representation, for which the transform of each sine mode is
+    omega_n / (rho^2 + omega_n^2) exactly, at Re rho > 0 only.
 
     horizon and omega_top bound every time and reservoir frequency the mode
     coefficients are asked for, and they alone fix the Bromwich line of a
@@ -663,24 +673,20 @@ class LaplaceResponse:
             if not part.is_zero:
                 yield chi_hat_rational(part) if part.is_rational else self.laplace_rep(part, k)
 
-    def chi(self, model, k, rho, continued=False) -> np.ndarray:
-        """chi_hat(k, rho), summed over `parts`. With continued=True a
-        rational part is evaluated by analytic continuation anywhere off its
-        poles (contour methods need this); continuum-absorption parts have a
-        branch cut on the imaginary axis and refuse to continue."""
+    def chi(self, model, k, rho) -> np.ndarray:
+        """chi_hat(k, rho), summed over `parts`: anywhere off the poles of a
+        rational medium; LeftHalfPlane names the first rho with Re rho <= 0
+        a continuum medium (branch cut on the imaginary axis) is asked for."""
         scalar = np.ndim(rho) == 0
-        if not continued and np.any(np.real(rho) <= 0.0):
-            raise LeftHalfPlane("material response requires Re rho > 0")
         rho = np.atleast_1d(np.asarray(rho, dtype=complex))
+        left = np.real(rho) <= 0.0
+        if not model.is_rational and np.any(left):
+            raise LeftHalfPlane(f"a continuum-absorption response requires Re rho > 0, "
+                                f"got {complex(rho[left][0])}")
         out = np.zeros((rho.size, 3, 3), dtype=complex)
         for part in self.parts(model, k):
             if isinstance(part, Rational):
                 out += part(rho)[:, None, None] * IDENTITY3
-            elif continued:
-                raise ValidationError(
-                    "continuum-absorption response cannot be continued across "
-                    "its imaginary-axis branch cut"
-                )
             else:
                 for rows in _chunks(rho.size, part.nodes.size):
                     mat = rho[rows, None] ** 2 + part.nodes**2
@@ -701,11 +707,11 @@ class LaplaceResponse:
                 out[0] += part.contract(part.nodes[None, :])[0]
         return out
 
-    def eps(self, k, rho, continued=False) -> np.ndarray:
-        return self.constants.eps0 * (IDENTITY3 + self.chi(self.model_e, k, rho, continued))
+    def eps(self, k, rho) -> np.ndarray:
+        return self.constants.eps0 * (IDENTITY3 + self.chi(self.model_e, k, rho))
 
-    def mu(self, k, rho, continued=False) -> np.ndarray:
-        return self.constants.mu0 * (IDENTITY3 + self.chi(self.model_m, k, rho, continued))
+    def mu(self, k, rho) -> np.ndarray:
+        return self.constants.mu0 * (IDENTITY3 + self.chi(self.model_m, k, rho))
 
 
 def laplace_response(

@@ -48,7 +48,8 @@ from .observables import (
     vacuum_spectrum,
 )
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import KK_MIN_POINTS, _cutoff, chi_kernel, chi_spectrum, kk_check, laplace_response
+from .response import (KK_MIN_POINTS, _cutoff, _relative_deviation, chi_kernel, chi_spectrum,
+                       kk_check, laplace_response)
 from .tensors import NATURAL, PhysicalConstants
 
 
@@ -582,9 +583,7 @@ def _roundtrip_error(model, spectrum, omega, k, constants) -> float:
         coupling_from_target(imh[i], w, k, which=model.which, constants=constants)
         for i, w in enumerate(omega)
     ])
-    recrec = rec @ np.conj(np.transpose(rec, (0, 2, 1)))
-    scale = float(np.max(np.linalg.norm(true, axis=(1, 2)))) or 1.0
-    return float(np.max(np.linalg.norm(recrec - true, axis=(1, 2)))) / scale
+    return _relative_deviation(rec @ np.conj(np.transpose(rec, (0, 2, 1))), true)
 
 
 def invert_chi(config: ScenarioConfig, out_dir=None,

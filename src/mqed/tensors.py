@@ -17,7 +17,6 @@ from .errors import NotHermitian, NotPSD, ZeroWaveVector
 
 IDENTITY3 = np.eye(3)
 
-_X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 

@@ -107,6 +107,20 @@ def test_convergence_integral_finite():
         assert np.max(np.abs(tail)) < 1e-4 * max(1.0, np.max(np.abs(moment)))
 
 
+@pytest.mark.parametrize("resonance, width", [(1.0, 0.5), (1.0, 2.0), (1.0, 2.5), (0.1, 3.0)])
+def test_lorentz_horizon_follows_the_slow_pole(resonance, width):
+    # underdamped, critical and overdamped: ln(1 / tail) / horizon is the
+    # decay rate of the slowest pole of chi_hat, -max Re p
+    from numpy.polynomial import polynomial as P
+
+    from mqed.response import chi_hat_rational
+
+    model = lorentz_isotropic(1.0, resonance, width)
+    rate = -float(np.max(P.polyroots(chi_hat_rational(model).den).real))
+    tail = 1e-11
+    assert abs(np.log(1.0 / tail) / model.suggested_t_max(tail) - rate) <= 1e-7 * rate
+
+
 def test_coupling_from_target_zero():
     assert np.allclose(coupling_from_target(np.zeros((3, 3)), 1.0, K), 0.0)
 

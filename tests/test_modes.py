@@ -106,17 +106,37 @@ def test_partial_fractions_rejects_true_double_pole():
 
 
 def test_assemble_lambda_vacuum_blocks():
+    # the curl blocks hold the commutator-conserving orientation -O(k)
     lam = assemble_lambda(vacuum_response(), K, 1.0)
     o = curl_symbol(K)
-    assert np.allclose(lam.value[:3, :3], o)
-    assert np.allclose(lam.value[3:, 3:], o)
+    assert np.allclose(lam.value[:3, :3], -o)
+    assert np.allclose(lam.value[3:, 3:], -o)
     assert np.allclose(lam.value[:3, 3:], -np.eye(3))
     assert np.allclose(lam.value[3:, :3], np.eye(3))
 
 
+def _lorentz_pair_lambda(rho):
+    """Lambda of `lorentz_pair` at a scalar rho in closed form."""
+    eps = 1.0 + 1.3**2 / (1.0 + 0.5 * rho + rho**2)
+    mu = 1.0 + 0.8**2 / (1.4**2 + 0.6 * rho + rho**2)
+    lam = np.zeros((6, 6), dtype=complex)
+    lam[:3, :3] = lam[3:, 3:] = -curl_symbol(K)
+    lam[:3, 3:], lam[3:, :3] = -rho * mu * np.eye(3), rho * eps * np.eye(3)
+    return lam
+
+
 def test_assemble_lambda_left_half_plane():
+    # a continuum medium has a branch cut on the imaginary axis and refuses
+    # Re rho <= 0; a rational one is continued there in closed form
+    with pytest.raises(LeftHalfPlane, match=r"-0\.5"):
+        assemble_lambda(_BATCH_RESPONSES["gaussian"](), K, -0.5)
     with pytest.raises(LeftHalfPlane):
-        assemble_lambda(vacuum_response(), K, -0.5)
+        assemble_lambda(_BATCH_RESPONSES["gaussian"](), K, 2.0j)
+    _, _, resp = lorentz_pair()
+    for rho in (-0.5, -0.3 + 2.0j, 1.7j):
+        want = _lorentz_pair_lambda(rho)
+        got = assemble_lambda(resp, K, rho).value
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_assemble_lambda_reality_identity():
@@ -175,21 +195,23 @@ def test_batched_lambda_equals_stacked_scalar_calls(medium):
     rng = np.random.default_rng(41)
     k = rng.standard_normal(3)
     rho = rng.uniform(0.1, 4.0, 9) + 1j * rng.uniform(-6.0, 6.0, 9)
-    for sign in (+1, -1):
-        lam = assemble_lambda(resp, k, rho, curl_sign=sign)
-        one = np.stack([assemble_lambda(resp, k, r, curl_sign=sign).value for r in rho])
-        assert lam.value.shape == (9, 6, 6)
-        assert np.array_equal(lam.rho, rho)
-        assert np.array_equal(lam.value, one)
+    lam = assemble_lambda(resp, k, rho)
+    one = np.stack([assemble_lambda(resp, k, r).value for r in rho])
+    assert lam.value.shape == (9, 6, 6)
+    assert np.array_equal(lam.rho, rho)
+    assert np.array_equal(lam.value, one)
 
 
 def test_batched_lambda_left_half_plane_member():
-    _, _, resp = lorentz_pair()
     rho = np.array([0.5, 1.0 + 2.0j, -0.2 + 1.0j, 3.0])
     with pytest.raises(LeftHalfPlane, match=r"-0\.2"):
-        assemble_lambda(resp, K, rho)
-    # the continued (contour) variant accepts the same stack
-    assert assemble_lambda(resp, K, rho, continued=True).value.shape == (4, 6, 6)
+        assemble_lambda(_BATCH_RESPONSES["gaussian"](), K, rho)
+    # a rational medium takes the same stack, each member in closed form
+    _, _, resp = lorentz_pair()
+    lam = assemble_lambda(resp, K, rho).value
+    for got, r in zip(lam, rho):
+        want = _lorentz_pair_lambda(r)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_invert_lambda_stack_names_singular_member():
@@ -307,16 +329,56 @@ def test_medium_initial_values():
 
 
 def test_initial_value_theorem_vs_small_time():
+    # rho Lambda^-1 -> A^-1 as rho -> inf, so the transforms start there
     me, mm, resp = lorentz_pair()
-    rho_big = 1e6
-    lam1 = np.linalg.inv(assemble_lambda(resp, K, rho_big, curl_sign=-1).value)
-    lam2 = np.linalg.inv(assemble_lambda(resp, K, 2.0 * rho_big, curl_sign=-1).value)
-    limit = 2.0 * (2.0 * rho_big * lam2) - rho_big * lam1
+    limit = modes._initial_data(NATURAL)
     t = np.array([0.0, 1e-6])
     mc = mode_coefficients(resp, K, t, [])
     assert np.max(np.abs(mc.gamma[1] - limit[:3, 3:])) < 1e-6
     # xi has a vanishing t -> 0 limit; the comparison floor is its O(t) slope
     assert np.max(np.abs(mc.xi[1] + limit[:3, :3])) < 2e-6
+
+
+_INITIAL_DATA_MEDIA = {
+    "lorentz": lambda: lorentz_pair()[:2],
+    # t_he has a removable double root at rho = 0 here
+    "drude": lambda: (drude(1.1, 0.5), lorentz_isotropic(0.6, 1.5, 0.3, which="magnetic")),
+    "gaussian": lambda: (gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5),
+                         zero_coupling("magnetic")),
+}
+
+
+@pytest.mark.parametrize("medium", sorted(_INITIAL_DATA_MEDIA))
+def test_every_method_starts_from_the_initial_data(medium):
+    # at t = 0 every transform is A^-1 = [[0, I / eps0], [-I / mu0, 0]]:
+    # gamma = I / eps0, xi~ = I / mu0, eta = -f_q / eps0, zeta~ = -g_q, and
+    # xi, gamma~, zeta and eta~ vanish. The contour takes A^-1 itself; the
+    # exact path and the line reach it from their own transforms. eps0 and
+    # mu0 differ, so a swapped block would show
+    from mqed.tensors import PhysicalConstants
+
+    constants = PhysicalConstants(eps0=2.0, mu0=0.5)
+    me, mm = _INITIAL_DATA_MEDIA[medium]()
+    resp = laplace_response(me, mm, constants=constants)
+    a_inv = modes._initial_data(constants)
+    eye = np.eye(3)
+    assert np.array_equal(a_inv[:3, 3:], eye / 2.0) and np.array_equal(a_inv[3:, :3], -eye / 0.5)
+    assert not np.any(a_inv[:3, :3]) and not np.any(a_inv[3:, 3:])
+    t = np.linspace(0.0, 6.0, 7)
+    wq = np.array([0.6, 2.3, 20.0])
+    f_q, g_q = eval_coupling_batch(me, wq, K), eval_coupling_batch(mm, wq, K)
+    zero = np.zeros((3, 3))
+    want = {"gamma": eye / 2.0, "xi": zero, "gamma_tilde": zero, "xi_tilde": eye / 0.5,
+            "eta": -f_q / 2.0, "zeta_tilde": -g_q, "zeta": zero, "eta_tilde": zero}
+    tolerances = {"rational_exact": 1e-13, "talbot": 0.0, "bromwich_line": 1e-9}
+    methods = ["bromwich_line"] if medium == "gaussian" else sorted(tolerances)
+    for method in methods:
+        mc = mode_coefficients(resp, K, t, wq, method=method)
+        assert mc.metadata["method"] == method
+        for name, value in want.items():
+            got = getattr(mc, name)
+            got = got[0] if got.ndim == 3 else got[:, 0]
+            assert np.max(np.abs(got - value)) <= tolerances[method], (method, name)
 
 
 def test_reservoir_transform_at_removable_repeated_root():
@@ -326,7 +388,7 @@ def test_reservoir_transform_at_removable_repeated_root():
     rat = Rational.make([0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
-    got = modes._ilt_with_reservoir(rat, wq, t)
+    got = modes._ilt_with_reservoir(rat, *partial_fractions(rat), wq, t)
     ref = (np.exp(np.outer(-1j * wq, t)) - np.exp(-t)) / (1.0 - 1j * wq)[:, None]
     assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -416,8 +478,8 @@ def test_line_tail_coefficients_match_the_large_rho_difference(medium):
     rel = []
     for y in (200.0, 400.0, 800.0):
         rho = 0.4 + 1j * y
-        diff = (np.linalg.inv(assemble_lambda(resp, K, rho, curl_sign=-1).value)
-                - np.linalg.inv(assemble_lambda(vac, K, rho, curl_sign=-1).value))
+        diff = (np.linalg.inv(assemble_lambda(resp, K, rho).value)
+                - np.linalg.inv(assemble_lambda(vac, K, rho).value))
         rel.append(np.max(np.abs(diff - c3 / rho**3 - c4 / rho**4)) / np.max(np.abs(diff)))
     assert rel[0] < 3e-4
     for coarse, fine in zip(rel, rel[1:]):
@@ -575,7 +637,7 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
 
     def inverse(r):
         return np.linalg.inv(np.stack(
-            [assemble_lambda(r, k, x, curl_sign=-1).value for x in rho]))
+            [assemble_lambda(r, k, x).value for x in rho]))
 
     c3, c4 = modes._line_tail(resp, k, a)
     u = 1.0 / (rho + a)

@@ -412,10 +412,10 @@ def test_cli_verify_gaussian_builds_one_line_per_sign_of_k(tmp_path, capsys, mon
     sizes = []
     chi = LaplaceResponse.chi
 
-    def counted(self, model, k, rho, continued=False):
+    def counted(self, model, k, rho):
         if not model.is_zero and np.size(rho) > 100:
             sizes.append(np.size(rho))
-        return chi(self, model, k, rho, continued)
+        return chi(self, model, k, rho)
 
     monkeypatch.setattr(LaplaceResponse, "chi", counted)
     code = main(["verify", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
@@ -446,6 +446,18 @@ def test_cli_verify_medium_below_unit_frequency_scale(tmp_path, capsys):
     assert code == 0
     assert out.count("[PASS]") == 10
     assert "[FAIL]" not in out
+
+
+def test_chi_stage_overdamped_lorentz_medium(tmp_path):
+    # width 2.5 > 2 x resonance: the slow pole decays at 0.5, not at
+    # width / 2 = 1.25, so a horizon from the width alone ends while the
+    # kernel still moves by 3e-5 of its peak (TailNotDecayed)
+    text = ("[medium]\nelectric.kind = lorentz_isotropic\nelectric.strength = 1\n"
+            "electric.resonance = 1\nelectric.width = 2.5\n\n[grids]\nk = 0,0,1.3\n"
+            "n_omega = 120\n")
+    manifest = run_scenario(parse_scenario(text), out_dir=str(tmp_path), stages=("chi",))
+    assert [c["name"] for c in manifest.checks] == ["kk_electric_k0", "roundtrip_electric_k0"]
+    assert manifest.all_passed
 
 
 def _calls_by_binding(monkeypatch, name: str) -> list:
