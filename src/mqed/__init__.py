@@ -18,7 +18,6 @@ from .couplings import (
     apply_gauge,
     coupling_from_target,
     drude,
-    eval_coupling,
     gaussian_anisotropic,
     lorentz_isotropic,
     rotation_gauge,
@@ -30,7 +29,6 @@ from .modes import (
     LambdaMatrix,
     ModeCoefficients,
     assemble_lambda,
-    invert_lambda,
     lambda_reality_scan,
     mode_coefficients,
 )

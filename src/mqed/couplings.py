@@ -369,11 +369,6 @@ def eval_coupling_batch(model, omegas, k) -> np.ndarray:
     return out
 
 
-def eval_coupling(model, omega: float, k) -> np.ndarray:
-    """Coupling tensor f(omega, k) (or g for magnetic models) as 3x3 complex."""
-    return eval_coupling_batch(model, [float(omega)], k)[0]
-
-
 def coupling_product(model, omegas, k) -> np.ndarray:
     """f f^dagger at each omega: (n, 3, 3) Hermitian PSD."""
     f = eval_coupling_batch(model, omegas, k)

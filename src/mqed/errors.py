@@ -74,16 +74,9 @@ class LeftHalfPlane(NumericalError):
     pass
 
 
-class SingularLambda(NumericalError):
-    def __init__(self, message, k=None, rho=None):
-        self.k = k
-        self.rho = rho
-        super().__init__(message)
-
-
 class PoleFindingFailed(NumericalError):
     pass
 
 
-class TalbotNotConverged(NumericalError):
+class LineNotConverged(NumericalError):
     pass

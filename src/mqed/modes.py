@@ -6,7 +6,7 @@ tensors,
 
     Lambda = [[-O(k), -rho mu_hat], [rho eps_hat, -O(k)]],
 
-in one curl orientation (`_curl_block`), at any rho where the medium
+in one curl orientation (`_curl_block`), at Re rho > 0, where every medium
 defines its tensors (`LaplaceResponse.chi`). The field operators are read
 from two transforms of its inverse: the (n_t, 6, 6) base L^-1[Lambda^-1]
 and, for each 3x3 block a nonzero coupling reads, R[block] =
@@ -18,12 +18,11 @@ their tilde partners (magnetic rows):
     gamma~ = [hh]  xi~ = -[he]  zeta~ = mu0 R[he] g  eta~ = -R[hh] f
 
 with f, g the electric and magnetic couplings at the reservoir nodes.
-Three inverse-transform methods produce the transforms (`METHODS`, with
+Two inverse-transform methods produce the transforms (`METHODS`, with
 "auto"): exact partial fractions for rational (isotropic damped-oscillator)
-media, a deformed cotangent contour that cross-checks them and takes t = 0
-from the closed-form initial data (`_initial_data`), and a
-vacuum-subtracted Bromwich line for continuum-absorption media whose
-imaginary-axis branch cut blocks contour deformation. The line also takes
+media, and a vacuum-subtracted Bromwich line Re rho = a > 0, which serves
+every medium and is the only one for continuum-absorption media, whose
+imaginary-axis branch cut bounds the domain of chi_hat. The line takes
 the |rho|^-3 and |rho|^-4 terms of the medium-vacuum difference in closed
 form, from the moments of chi_hat (`_line_tail`), and sums only the
 remainder. A medium has one line per k (`bromwich_line`), fixed by the
@@ -40,25 +39,19 @@ from functools import partial
 import numpy as np
 
 from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch, zero_coupling
-from .errors import PoleFindingFailed, SingularLambda, TalbotNotConverged, ValidationError
+from .errors import LineNotConverged, PoleFindingFailed, ValidationError
 from .rational import Rational, ilt_rational
 from .response import (LaplaceResponse, _chunks, _fft_size, chi_hat_rational, laplace_response,
                        uniform_step)
-from .tensors import (curl_symbol, longitudinal_projector, reciprocal_condition,
-                      transverse_projector)
+from .tensors import curl_symbol, longitudinal_projector, transverse_projector
 
 MARGINAL_POLE_TOL = 1e-12
-METHODS = ("auto", "rational_exact", "talbot", "bromwich_line")
-# the reciprocal condition below which Lambda counts as singular; the
-# relative tolerance of pole finding; the contour's node-count range and
-# tolerance; the line's abscissa (times 1 / horizon),
-# half-width and margin past the top reservoir frequency (times the largest
-# frequency scale), and the tolerance of its two error estimates
-_RCOND_MIN = 1e-12
+METHODS = ("auto", "rational_exact", "bromwich_line")
+# the relative tolerance of pole finding; the line's abscissa (times
+# 1 / horizon), half-width and margin past the top reservoir frequency
+# (times the largest frequency scale), and the tolerance of its two error
+# estimates
 _POLE_TOL = 1e-7
-_TALBOT_START_N = 24
-_TALBOT_MAX_N = 2048
-_TALBOT_RTOL = 1e-9
 _LINE_ABSCISSA_FACTOR = 3.0
 _LINE_HALFWIDTH_FACTOR = 40.0
 _LINE_RESERVOIR_MARGIN = 20.0
@@ -96,8 +89,7 @@ def assemble_lambda(response: LaplaceResponse, k, rho) -> LambdaMatrix:
     """Build Lambda(k, rho). A scalar rho gives one (6, 6) matrix, a 1-d rho
     the (n, 6, 6) stack from one batched evaluation of each material tensor.
 
-    The response decides where its tensors are defined
-    (`LaplaceResponse.chi`).
+    Its tensors are defined at Re rho > 0 only (`LaplaceResponse.chi`).
     """
     scalar = np.ndim(rho) == 0
     rho = np.asarray(rho, dtype=complex)
@@ -108,65 +100,6 @@ def assemble_lambda(response: LaplaceResponse, k, rho) -> LambdaMatrix:
     value[..., :3, 3:] = -r * response.mu(k, rho)
     value[..., 3:, :3] = r * response.eps(k, rho)
     return LambdaMatrix(k=k, rho=complex(rho) if scalar else rho, value=value)
-
-
-def _checked_inverse(lam: LambdaMatrix):
-    """Lambda^-1 (of one matrix or of every member of a stack) and the
-    reciprocal conditions that guarded it."""
-    rc = np.atleast_1d(reciprocal_condition(lam.value))
-    worst = int(np.argmin(rc))
-    if rc[worst] < _RCOND_MIN:
-        rho = complex(np.ravel(lam.rho)[worst])
-        raise SingularLambda(
-            f"Lambda reciprocal condition {rc[worst]:.3e} below {_RCOND_MIN:g} at rho={rho}",
-            k=lam.k,
-            rho=rho,
-        )
-    return np.linalg.inv(lam.value), rc
-
-
-def invert_lambda(lam: LambdaMatrix) -> np.ndarray:
-    """Inverse of Lambda with a reciprocal-condition guard on every member
-    of a stack; SingularLambda names the worst member's rho.
-
-    Singular inversions happen on the imaginary-rho dispersion shell; callers
-    must keep the contour off the imaginary axis.
-    """
-    return _checked_inverse(lam)[0]
-
-
-# cotangent-contour parameters tuned for the midpoint rule; exp(rho t) stays
-# bounded by exp(0.18 n) along the contour, so node doubling does not blow up
-# in double precision the way the classic r = 2n/(5t) scaling does
-_TALBOT_SIGMA = 0.6122
-_TALBOT_MU = 0.5017
-_TALBOT_ALPHA = 0.6407
-_TALBOT_NU = 0.2645
-
-
-def _talbot_nodes(t: float, n: int):
-    """Two-sided deformed-contour nodes and quadrature weights.
-
-    The midpoint discretization over theta in (-pi, pi) keeps both contour
-    halves without assuming the transform is real-valued (the reservoir
-    factors rho/(rho + i w_q) are not). Poles must lie left of the contour,
-    which crosses the imaginary axis near +-0.33 n / t."""
-    if n % 2:
-        n += 1
-    if 0.18 * n > 700.0:
-        raise TalbotNotConverged("node count beyond double-precision contour range")
-    theta = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-    s = n / t
-    at = _TALBOT_ALPHA * theta
-    cot = np.cos(at) / np.sin(at)
-    rho = s * (-_TALBOT_SIGMA + _TALBOT_MU * theta * cot + 1j * _TALBOT_NU * theta)
-    drho = s * (
-        _TALBOT_MU * cot
-        - _TALBOT_MU * _TALBOT_ALPHA * theta / np.sin(at) ** 2
-        + 1j * _TALBOT_NU
-    )
-    weights = np.exp(rho * t) * drho / (1j * n)
-    return rho, weights
 
 
 @dataclass(frozen=True)
@@ -298,79 +231,6 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
     res = {name: block(weighted, name) for name in blocks}
     poles = np.concatenate([p for p, _ in fractions.values()])
     return base, res, {"method": "rational_exact", **_pole_flags(poles)}
-
-
-def _talbot_mode_path(response, blocks, k, t, omega_q):
-    """Contour inversion with the reservoir oscillation split off exactly.
-
-    The factor rho/(rho + i w_q) carries a pole at -i w_q that can sit far
-    up the imaginary axis, where no contour reaches at large w_q t. Writing
-
-      L^-1[fac G] = g(t) - i w_q ( L^-1[(G - G_ax)/(rho + i w_q)] + G_ax e^{-i w_q t} )
-
-    with G_ax = G(-i w_q) removes that pole from the contour integrand (the
-    subtracted numerator vanishes there), leaving only medium-scale poles.
-    The response is rational on this path, so G_ax is its analytic
-    continuation to the axis, which is the boundary value there. At t = 0
-    every transform is the closed-form initial data (`_initial_data`)."""
-    n_q = omega_q.size
-    base = np.empty((t.size, 6, 6), dtype=complex)
-    res = {name: np.empty((n_q, t.size, 3, 3), dtype=complex) for name in blocks}
-    rcond_worst = 1.0
-    inv_ax = invert_lambda(assemble_lambda(response, k, -1j * omega_q)) if blocks else None
-    start = _initial_data(response.constants)
-
-    def eval_all(ti, n):
-        nonlocal rcond_worst  # the node set's conditions feed worst_rcond
-        rho_nodes, w_nodes = _talbot_nodes(ti, n)
-        inv, rc = _checked_inverse(assemble_lambda(response, k, rho_nodes))  # (n, 6, 6)
-        rcond_worst = min(rcond_worst, float(np.min(rc)))
-        parts = [np.einsum("n,nab->ab", w_nodes, inv)]
-        if blocks:
-            cw = w_nodes[None, :] / (rho_nodes[None, :] + 1j * omega_q[:, None])  # (q, n)
-            for name in blocks:
-                rows, cols = _BLOCKS[name]
-                parts.append(np.einsum("qn,nab->qab", cw, inv[:, rows, cols])
-                             - np.einsum("qn,qab->qab", cw, inv_ax[:, rows, cols]))
-        return parts
-
-    for it, ti in enumerate(t):
-        if ti == 0.0:
-            base[it] = start
-            for name in blocks:
-                res[name][:, it] = start[_BLOCKS[name]]
-            continue
-
-        n = _TALBOT_START_N
-        got = None
-        best = np.inf
-        while n <= _TALBOT_MAX_N:
-            # paired evaluation: n and n+16 sit at a similar round-off floor,
-            # so their difference is an honest error estimate even past the
-            # accuracy optimum (where plain doubling misleads)
-            flat_a = np.concatenate([np.ravel(x) for x in eval_all(ti, n)])
-            b = eval_all(ti, n + 16)
-            flat_b = np.concatenate([np.ravel(x) for x in b])
-            scale = float(np.max(np.abs(flat_b))) or 1.0
-            diff = float(np.max(np.abs(flat_a - flat_b)))
-            if diff <= _TALBOT_RTOL * scale:
-                got = b
-                break
-            if diff > 4.0 * best and best < 1e-3 * scale:
-                break  # round-off floor passed; more nodes only hurt
-            best = min(best, diff)
-            n = int(np.ceil(n * 1.4))
-        if got is None:
-            raise TalbotNotConverged(
-                f"talbot mode coefficients at t={ti:g} stalled at estimate {best:g}"
-            )
-        base[it] = got[0]
-        osc = np.exp(-1j * omega_q * ti)[:, None, None]
-        iw = 1j * omega_q[:, None, None]
-        for name, conv in zip(blocks, got[1:]):
-            rows, cols = _BLOCKS[name]
-            res[name][:, it] = got[0][None, rows, cols] - iw * (conv + osc * inv_ax[:, rows, cols])
-    return base, res, {"method": "talbot", "worst_rcond": rcond_worst}
 
 
 def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
@@ -531,8 +391,8 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     y = np.linspace(-y_top, y_top, n_y)
     rho = a + 1j * y
 
-    # unguarded: a guard would cost one SVD per line point, and the line
-    # stays a distance a off the imaginary-axis dispersion shell
+    # no conditioning guard: the line stays a distance a off the
+    # imaginary-axis dispersion shell, where Lambda is singular
     inv_med = np.linalg.inv(assemble_lambda(response, k, rho).value)
     inv_vac = np.linalg.inv(assemble_lambda(_vacuum(response), k, rho).value)
     c3, c4 = _line_tail(response, k, a)
@@ -557,7 +417,7 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     trunc = float(np.max(np.abs(sums[:, 45:]))) / scale
     for what, value in (("grid-halving", est), ("truncation", trunc)):
         if value > _LINE_RTOL:
-            raise TalbotNotConverged(
+            raise LineNotConverged(
                 f"bromwich line {what} estimate {value:g} above {_LINE_RTOL:g}"
             )
     line = response.lines[tuple(k)] = BromwichLine(rho=rho, stack=stack, c3=c3, c4=c4, metadata={
@@ -575,8 +435,8 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
 
 
 def _line_mode_path(response, blocks, k, t, omega_q):
-    """Vacuum-subtracted Bromwich-line inversion for continuum-absorption
-    media, with the line's slow tail taken in closed form.
+    """Vacuum-subtracted Bromwich-line inversion for any medium, with the
+    line's slow tail taken in closed form.
 
     The free-space part of Lambda^-1 is inverted exactly (rational path, with
     the reservoir factors included). Of the medium-vacuum difference, which
@@ -651,11 +511,6 @@ def resolve_method(response: LaplaceResponse, method: str) -> str:
         raise ValidationError(
             "rational_exact needs a rational material response; use bromwich_line"
         )
-    if method == "talbot" and not response.is_rational:
-        raise ValidationError(
-            "talbot deforms into the left half-plane, which a continuum-"
-            "absorption response cannot continue across; use bromwich_line"
-        )
     return method
 
 
@@ -670,19 +525,15 @@ def mode_coefficients(
     grids; the reservoir columns contract against its electric and magnetic
     couplings.
 
-    method is one of `METHODS`. "rational_exact" needs a rational transform
-    and is exact up to pole finding; "talbot" deforms the contour into the
-    left half-plane and therefore also needs an analytically continuable
-    (rational) response; "bromwich_line" integrates along Re rho = const
-    with the vacuum part split off exactly, and is the generic path for
-    continuum-absorption media (whose branch cut blocks contour
-    deformation); it sums on the response's line at k (`bromwich_line`), so
-    t must lie in [0, response.horizon] and omega_q in [0,
+    method is one of `METHODS`. "rational_exact" needs a rational response
+    and is exact up to pole finding; "bromwich_line" integrates along
+    Re rho = a > 0 with the vacuum part split off exactly and serves every
+    medium; it sums on the response's line at k (`bromwich_line`), so t
+    must lie in [0, response.horizon] and omega_q in [0,
     response.omega_top]. "auto" picks rational_exact when possible,
-    bromwich_line otherwise. Every path inverts the one `assemble_lambda`
-    and returns the transforms of Lambda^-1 and of the reservoir-weighted
-    blocks the couplings read; `_families` maps them to the coefficient
-    tensors.
+    bromwich_line otherwise. Both paths return the transforms of
+    Lambda^-1 and of the reservoir-weighted blocks the couplings read;
+    `_families` maps them to the coefficient tensors.
     """
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
@@ -699,8 +550,7 @@ def mode_coefficients(
     # zeta and zeta-tilde read the ee and he blocks, eta and eta-tilde eh and hh
     blocks = ((("ee", "he") if not model_g.is_zero else ())
               + (("eh", "hh") if not model_f.is_zero else ())) if omega_q.size else ()
-    path = {"rational_exact": _rational_mode_path, "talbot": _talbot_mode_path,
-            "bromwich_line": _line_mode_path}[method]
+    path = {"rational_exact": _rational_mode_path, "bromwich_line": _line_mode_path}[method]
     base, res, metadata = path(response, blocks, k, t, omega_q)
     return _families(k, t, omega_q, f_q, g_q, response.constants.mu0, base, res, metadata)
 

@@ -39,12 +39,9 @@ cost is paid at every Bromwich-line point), and Q on t for `conductor_Q`.
 (bound and free carriers alike, as one combined coupling when both are
 present) and its magnetic coupling fix eps_hat, mu_hat and the reservoir
 couplings. It evaluates the material
-tensors for a scalar rho or a whole 1-d stack at once, and it alone decides
-where they are defined: a rational part anywhere off its poles (at
-Re rho <= 0, such as the contour nodes and the reservoir points
-rho = -i omega, by analytic continuation, which on the imaginary axis
-equals the boundary value of the physical spectrum), a continuum part only
-at Re rho > 0, since its branch cut lies on the imaginary axis.
+tensors for a scalar rho or a whole 1-d stack at once, at Re rho > 0 only:
+a continuum part's branch cut lies on the imaginary axis, and no solver
+path asks for more of a rational one.
 """
 
 from __future__ import annotations
@@ -145,11 +142,12 @@ def block_tensors(product: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _relative_deviation(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """max |lhs_i - rhs_i| / max |rhs_i| over (n, 3, 3) stacks, the deviation
-    rule of every two-route check; max |lhs_i| when the reference's norm is
-    0 (or underflows), so a missing side cannot read 0."""
+    rule of every two-route check. A reference whose norm is 0 (or
+    underflows) gives 1.0 against a nonzero lhs, |lhs - 0| / |lhs| at any
+    scale, so a missing side cannot read small, and 0.0 when both are 0."""
     scale = float(np.max(np.linalg.norm(rhs, axis=(1, 2))))
     if scale == 0.0:
-        return float(np.max(np.linalg.norm(lhs, axis=(1, 2))))
+        return float(np.any(lhs))
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))) / scale
 
 
@@ -674,14 +672,13 @@ class LaplaceResponse:
                 yield chi_hat_rational(part) if part.is_rational else self.laplace_rep(part, k)
 
     def chi(self, model, k, rho) -> np.ndarray:
-        """chi_hat(k, rho), summed over `parts`: anywhere off the poles of a
-        rational medium; LeftHalfPlane names the first rho with Re rho <= 0
-        a continuum medium (branch cut on the imaginary axis) is asked for."""
+        """chi_hat(k, rho), summed over `parts`, at Re rho > 0; LeftHalfPlane
+        names the first rho with Re rho <= 0, for every medium."""
         scalar = np.ndim(rho) == 0
         rho = np.atleast_1d(np.asarray(rho, dtype=complex))
         left = np.real(rho) <= 0.0
-        if not model.is_rational and np.any(left):
-            raise LeftHalfPlane(f"a continuum-absorption response requires Re rho > 0, "
+        if np.any(left):
+            raise LeftHalfPlane(f"chi_hat is evaluated at Re rho > 0 only, "
                                 f"got {complex(rho[left][0])}")
         out = np.zeros((rho.size, 3, 3), dtype=complex)
         for part in self.parts(model, k):

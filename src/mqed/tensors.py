@@ -1,6 +1,5 @@
 """Core numeric vocabulary: 3-vectors, 3x3 complex tensors, polarization
-triads, transverse projectors, Hermitian PSD square roots and the
-reciprocal condition of a matrix (or of each member of a stack).
+triads, transverse projectors and Hermitian PSD square roots.
 
 Vectors are plain numpy arrays of shape (3,), tensors arrays of shape (3, 3).
 Everything here is pure and reentrant; values are never mutated after
@@ -162,11 +161,3 @@ def hermitian_sqrt(T, tol=1e-12) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
-
-def reciprocal_condition(M):
-    """Reciprocal 2-norm condition estimate (sigma_min / sigma_max): a float
-    for one matrix, an array with one value per member for a stack."""
-    s = np.linalg.svd(np.asarray(M), compute_uv=False)
-    top = s[..., 0]
-    rc = np.divide(s[..., -1], top, out=np.zeros_like(top), where=top != 0.0)
-    return float(rc) if rc.ndim == 0 else rc

@@ -8,7 +8,6 @@ from mqed.couplings import (
     coupling_from_target,
     coupling_product,
     drude,
-    eval_coupling,
     eval_coupling_batch,
     gaussian_anisotropic,
     lorentz_isotropic,
@@ -25,14 +24,14 @@ K = np.array([0.3, -0.2, 0.9])
 
 def test_zero_model_evaluates_to_zero():
     model = zero_coupling()
-    assert np.allclose(eval_coupling(model, 1.3, K), 0.0)
+    assert np.allclose(eval_coupling_batch(model, [1.3], K)[0], 0.0)
     assert lorentz_isotropic(0.0, 1.0, 0.5).is_zero
 
 
 def test_gaussian_local_limit_is_k_independent():
     model = gaussian_anisotropic((1.0, 0.5, 0.2), center=1.0, correlation_length=0.0)
-    a = eval_coupling(model, 0.7, K)
-    b = eval_coupling(model, 0.7, 10.0 * K)
+    a = eval_coupling_batch(model, [0.7], K)[0]
+    b = eval_coupling_batch(model, [0.7], 10.0 * K)[0]
     assert np.allclose(a, b)
 
 
@@ -67,8 +66,8 @@ def test_gaussian_spatial_profile_against_fft():
     expected = np.exp(-0.5 * ell**2 * (k_test @ k_test))
     assert abs(got - expected) < 1e-6
     # and the model uses exactly that factor
-    base = eval_coupling(model, 1.0, np.zeros(3) + 1e-12)[0, 0].real
-    assert eval_coupling(model, 1.0, k_test)[0, 0].real == pytest.approx(
+    base = eval_coupling_batch(model, [1.0], np.zeros(3) + 1e-12)[0][0, 0].real
+    assert eval_coupling_batch(model, [1.0], k_test)[0][0, 0].real == pytest.approx(
         base * expected, rel=1e-12
     )
 
@@ -130,7 +129,7 @@ def test_coupling_from_target_recovers_lorentz_profile():
     model = lorentz_isotropic(s, w0, g)
     im_chi = s**2 * g * w0 / ((w0**2 - w0**2) ** 2 + (g * w0) ** 2) * np.eye(3)
     rec = coupling_from_target(im_chi, w0, K)
-    direct = eval_coupling(model, w0, K)
+    direct = eval_coupling_batch(model, [w0], K)[0]
     assert np.max(np.abs(rec - direct)) < 1e-12
     assert np.min(np.diag(rec.real)) > 0.0
 
@@ -153,7 +152,7 @@ def test_coupling_from_target_errors():
 def test_apply_gauge_identity():
     model = lorentz_isotropic(1.3, 1.0, 0.5)
     gauged = apply_gauge(model, GaugeTransform(evaluator=lambda w: np.eye(3)))
-    assert np.allclose(eval_coupling(gauged, 1.1, K), eval_coupling(model, 1.1, K))
+    assert np.allclose(eval_coupling_batch(gauged, [1.1], K), eval_coupling_batch(model, [1.1], K))
 
 
 def test_apply_gauge_preserves_product():
@@ -167,7 +166,8 @@ def test_apply_gauge_preserves_product():
         p0 = coupling_product(model, [w], k)[0]
         p1 = coupling_product(gauged, [w], k)[0]
         assert np.max(np.abs(p0 - p1)) < 1e-13
-        assert not np.allclose(eval_coupling(gauged, w, k), eval_coupling(model, w, k))
+        assert not np.allclose(eval_coupling_batch(gauged, [w], k),
+                               eval_coupling_batch(model, [w], k))
 
 
 def test_gauge_rejects_nonorthogonal():
@@ -181,7 +181,7 @@ def test_tabulated_roundtrip(tmp_path):
     omegas = np.linspace(0.05, 10.0, 60)
     kmags = np.array([0.5, 1.0, 2.0])
     values = np.stack([
-        np.stack([eval_coupling(model, w, [0.0, 0.0, km]) for km in kmags])
+        np.stack([eval_coupling_batch(model, [w], [0.0, 0.0, km])[0] for km in kmags])
         for w in omegas
     ])
     table = TabulatedTable(omegas=omegas, kmags=kmags, values=values)
@@ -201,13 +201,13 @@ def test_tabulated_roundtrip(tmp_path):
             lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     loaded = tabulated_from_csv(path)
-    got = eval_coupling(loaded, omegas[7], [0.0, 0.0, 1.0])
+    got = eval_coupling_batch(loaded, [omegas[7]], [0.0, 0.0, 1.0])[0]
     assert np.max(np.abs(got - values[7, 1])) < 1e-12
 
     with pytest.raises(OutOfTableRange):
-        eval_coupling(loaded, 11.0, [0.0, 0.0, 1.0])
+        eval_coupling_batch(loaded, [11.0], [0.0, 0.0, 1.0])
     with pytest.raises(OutOfTableRange):
-        eval_coupling(loaded, 1.0, [0.0, 0.0, 5.0])
+        eval_coupling_batch(loaded, [1.0], [0.0, 0.0, 5.0])
 
 
 def test_tabulated_csv_rejects_a_repeated_pair(tmp_path):
@@ -230,7 +230,7 @@ def test_tabulated_interpolates_between_nodes():
     values[0, 1, 0, 0] = 5.0
     values[1, 1, 0, 0] = 7.0
     model = tabulated(TabulatedTable(omegas=omegas, kmags=kmags, values=values))
-    mid = eval_coupling(model, 1.5, [0.0, 0.0, 2.0])
+    mid = eval_coupling_batch(model, [1.5], [0.0, 0.0, 2.0])[0]
     assert mid[0, 0] == pytest.approx(4.0)
 
 

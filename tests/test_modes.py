@@ -11,16 +11,10 @@ from mqed.couplings import (
     tabulated,
     zero_coupling,
 )
-from mqed.errors import (
-    LeftHalfPlane,
-    PoleFindingFailed,
-    SingularLambda,
-    ValidationError,
-)
+from mqed.errors import LeftHalfPlane, PoleFindingFailed, ValidationError
 from mqed import modes
 from mqed.modes import (
     assemble_lambda,
-    invert_lambda,
     lambda_reality_scan,
     mode_coefficients,
 )
@@ -48,27 +42,14 @@ def lorentz_pair():
 
 
 def test_spec_validation():
-    me, mm, resp = lorentz_pair()
-    with pytest.raises(ValidationError):
-        mode_coefficients(resp, K, [0.0, 1.0], [], method="bogus")
-
-
-def _talbot_sum(transform, t, n):
-    """The contour rule of the mode solver at one t > 0 and n nodes."""
-    rho, weights = modes._talbot_nodes(t, n)
-    return np.sum(weights * transform(rho))
-
-
-def test_inverse_laplace_textbook_exponential():
-    got = _talbot_sum(lambda r: 1.0 / (r + 1.0), 1.0, 32)
-    assert abs(got - np.exp(-1.0)) < 1e-12
-
-
-def test_inverse_laplace_textbook_cosine():
-    # t * |Im pole| reaches 6, which takes about 50 nodes
-    t = np.linspace(0.0, 3.0, 13)[1:]
-    got = np.array([_talbot_sum(lambda r: r / (r**2 + 4.0), ti, 52) for ti in t])
-    assert np.max(np.abs(got - np.cos(2.0 * t))) < 1e-10
+    # the removed deformed-contour method is an unknown one on any medium
+    gaussian = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5),
+                                zero_coupling("magnetic"))
+    for resp in (lorentz_pair()[2], gaussian):
+        for method in ("bogus", "talbot"):
+            with pytest.raises(ValidationError, match=method):
+                mode_coefficients(resp, K, [0.0, 1.0], [], method=method)
+    assert modes.METHODS == ("auto", "rational_exact", "bromwich_line")
 
 
 def test_inverse_laplace_rational_exact():
@@ -126,14 +107,17 @@ def _lorentz_pair_lambda(rho):
 
 
 def test_assemble_lambda_left_half_plane():
-    # a continuum medium has a branch cut on the imaginary axis and refuses
-    # Re rho <= 0; a rational one is continued there in closed form
-    with pytest.raises(LeftHalfPlane, match=r"-0\.5"):
-        assemble_lambda(_BATCH_RESPONSES["gaussian"](), K, -0.5)
-    with pytest.raises(LeftHalfPlane):
-        assemble_lambda(_BATCH_RESPONSES["gaussian"](), K, 2.0j)
+    # every medium refuses Re rho <= 0, a rational one as well as a
+    # continuum one (branch cut on the imaginary axis); a rational Lambda at
+    # Re rho > 0 equals its closed form
     _, _, resp = lorentz_pair()
-    for rho in (-0.5, -0.3 + 2.0j, 1.7j):
+    for medium in (_BATCH_RESPONSES["gaussian"](), resp):
+        with pytest.raises(LeftHalfPlane, match=r"-0\.5"):
+            assemble_lambda(medium, K, -0.5)
+        for rho in (-0.3 + 2.0j, 1.7j):
+            with pytest.raises(LeftHalfPlane):
+                assemble_lambda(medium, K, rho)
+    for rho in (0.5, 0.3 + 2.0j, 1e-3 - 1.7j):
         want = _lorentz_pair_lambda(rho)
         got = assemble_lambda(resp, K, rho).value
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -150,30 +134,23 @@ def test_assemble_lambda_reality_identity():
         assert np.max(np.abs(b - np.conj(a))) < 1e-14
 
 
-def test_invert_lambda_vacuum_transverse_block():
+def test_lambda_inverse_vacuum_transverse_block():
     rho = 0.8
     lam = assemble_lambda(vacuum_response(), K, rho)
-    inv = invert_lambda(lam)
+    inv = np.linalg.inv(lam.value)
     p_t = transverse_projector(K)
     expected = rho / (rho**2 + WK**2) * p_t
     assert np.max(np.abs(inv[:3, 3:] @ p_t - expected)) < 1e-12
     assert np.max(np.abs(lam.value @ inv - np.eye(6))) < 1e-11
 
 
-def test_invert_lambda_multiply_back_random_medium():
+def test_lambda_inverse_multiply_back_random_medium():
     _, _, resp = lorentz_pair()
     rng = np.random.default_rng(23)
     for _ in range(10):
         lam = assemble_lambda(resp, rng.standard_normal(3), rng.uniform(0.2, 3.0))
-        inv = invert_lambda(lam)
+        inv = np.linalg.inv(lam.value)
         assert np.max(np.abs(lam.value @ inv - np.eye(6))) < 1e-11
-
-
-def test_invert_lambda_singular_on_dispersion_shell():
-    rho = 1e-14 + 1j * WK  # vacuum pole at rho = i c |k|
-    lam = assemble_lambda(vacuum_response(), K, rho)
-    with pytest.raises(SingularLambda):
-        invert_lambda(lam)
 
 
 def _conductor_response():
@@ -203,29 +180,18 @@ def test_batched_lambda_equals_stacked_scalar_calls(medium):
 
 
 def test_batched_lambda_left_half_plane_member():
+    # one left-half-plane member refuses the whole stack, on every medium
     rho = np.array([0.5, 1.0 + 2.0j, -0.2 + 1.0j, 3.0])
-    with pytest.raises(LeftHalfPlane, match=r"-0\.2"):
-        assemble_lambda(_BATCH_RESPONSES["gaussian"](), K, rho)
-    # a rational medium takes the same stack, each member in closed form
     _, _, resp = lorentz_pair()
-    lam = assemble_lambda(resp, K, rho).value
-    for got, r in zip(lam, rho):
+    for medium in (_BATCH_RESPONSES["gaussian"](), resp):
+        with pytest.raises(LeftHalfPlane, match=r"-0\.2"):
+            assemble_lambda(medium, K, rho)
+    # the right-half-plane members take one stack, each in closed form
+    keep = rho[np.real(rho) > 0.0]
+    lam = assemble_lambda(resp, K, keep).value
+    for got, r in zip(lam, keep):
         want = _lorentz_pair_lambda(r)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_invert_lambda_stack_names_singular_member():
-    shell = 1e-14 + 1j * WK  # vacuum pole at rho = i c |k|
-    rho = np.array([0.8, 0.3 + 2.0j, shell, 1.5 - 0.4j])
-    lam = assemble_lambda(vacuum_response(), K, rho)
-    with pytest.raises(SingularLambda) as err:
-        invert_lambda(lam)
-    assert err.value.rho == shell
-    # the regular members invert to the scalar inverses
-    keep = np.array([0, 1, 3])
-    inv = invert_lambda(assemble_lambda(vacuum_response(), K, rho[keep]))
-    for i, r in zip(range(3), rho[keep]):
-        assert np.array_equal(inv[i], invert_lambda(assemble_lambda(vacuum_response(), K, r)))
 
 
 def test_lambda_reality_scan_one_batched_call_per_k_sign(monkeypatch):
@@ -352,9 +318,9 @@ _INITIAL_DATA_MEDIA = {
 def test_every_method_starts_from_the_initial_data(medium):
     # at t = 0 every transform is A^-1 = [[0, I / eps0], [-I / mu0, 0]]:
     # gamma = I / eps0, xi~ = I / mu0, eta = -f_q / eps0, zeta~ = -g_q, and
-    # xi, gamma~, zeta and eta~ vanish. The contour takes A^-1 itself; the
-    # exact path and the line reach it from their own transforms. eps0 and
-    # mu0 differ, so a swapped block would show
+    # xi, gamma~, zeta and eta~ vanish. The exact path and the line reach it
+    # from their own transforms. eps0 and mu0 differ, so a swapped block
+    # would show
     from mqed.tensors import PhysicalConstants
 
     constants = PhysicalConstants(eps0=2.0, mu0=0.5)
@@ -370,7 +336,7 @@ def test_every_method_starts_from_the_initial_data(medium):
     zero = np.zeros((3, 3))
     want = {"gamma": eye / 2.0, "xi": zero, "gamma_tilde": zero, "xi_tilde": eye / 0.5,
             "eta": -f_q / 2.0, "zeta_tilde": -g_q, "zeta": zero, "eta_tilde": zero}
-    tolerances = {"rational_exact": 1e-13, "talbot": 0.0, "bromwich_line": 1e-9}
+    tolerances = {"rational_exact": 1e-13, "bromwich_line": 1e-9}
     methods = ["bromwich_line"] if medium == "gaussian" else sorted(tolerances)
     for method in methods:
         mc = mode_coefficients(resp, K, t, wq, method=method)
@@ -393,14 +359,14 @@ def test_reservoir_transform_at_removable_repeated_root():
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
-def test_drude_with_magnetic_part_rational_matches_talbot():
+def test_drude_with_magnetic_part_rational_matches_line():
     # with a Drude electric part and a magnetic part, the exact path's
     # t_he = rho eps_hat / D_T has a removable double root at rho = 0
     resp = laplace_response(drude(1.1, 0.5), lorentz_isotropic(0.6, 1.5, 0.3, which="magnetic"))
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = mode_coefficients(resp, K, t, wq)
-    b = mode_coefficients(resp, K, t, wq, method="talbot")
+    b = mode_coefficients(resp, K, t, wq, method="bromwich_line")
     assert a.metadata["method"] == "rational_exact"
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
@@ -414,7 +380,7 @@ def test_dual_method_agreement_lorentz():
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = mode_coefficients(resp, K, t, wq)
-    b = mode_coefficients(resp, K, t, wq, method="talbot")
+    b = mode_coefficients(resp, K, t, wq, method="bromwich_line")
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
@@ -422,17 +388,16 @@ def test_dual_method_agreement_lorentz():
         assert np.max(np.abs(x - y)) / scale < 1e-8, name
 
 
-def test_talbot_matches_rational_on_conductor():
+def test_line_matches_rational_on_conductor():
     from mqed.conductor import conductor_modes
 
     resp = _conductor_response()
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = conductor_modes(resp, K, t, wq)
-    b = conductor_modes(resp, K, t, wq, method="talbot")
-    c = conductor_modes(resp, K, t, wq, method="bromwich_line")
-    assert a.metadata["method"] == "rational_exact" and b.metadata["method"] == "talbot"
-    assert b.metadata["conductor"] and b.metadata["worst_rcond"] > 0.0
+    b = conductor_modes(resp, K, t, wq, method="bromwich_line")
+    assert a.metadata["method"] == "rational_exact" and b.metadata["method"] == "bromwich_line"
+    assert b.metadata["conductor"]
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "eta", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
         scale = float(np.max(np.abs(x)))
@@ -440,17 +405,9 @@ def test_talbot_matches_rational_on_conductor():
         assert np.max(np.abs(x - y)) / scale < 1e-8, name
     # no magnetic coupling: every path leaves the zeta families at zero
     for name in ("zeta", "zeta_tilde"):
-        for mc in (a, b, c):
+        for mc in (a, b):
             assert getattr(mc, name).shape == (3, 7, 3, 3), name
             assert not np.any(getattr(mc, name)), (name, mc.metadata["method"])
-
-
-def test_talbot_rejects_continuum_absorption():
-    mg = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
-    resp = laplace_response(mg, zero_coupling("magnetic"))
-    with pytest.raises(ValidationError):
-        mode_coefficients(resp, K,
-                          np.linspace(0.0, 2.0, 3), [], method="talbot")
 
 
 @pytest.mark.parametrize("medium", ["conductor", "lorentz"])

@@ -71,8 +71,7 @@ def test_parse_rejects_unknown_key():
     with pytest.raises(ValidationError) as err:
         parse_scenario("[grids]\nbogus_key = 3\n")
     assert "bogus_key" in str(err.value)
-    # condition_guard was never read (the Lambda guard is invert_lambda's
-    # rcond_min) and is now an unknown key
+    # condition_guard was never read and is now an unknown key
     with pytest.raises(ValidationError) as err:
         parse_scenario("[numerics]\ncondition_guard = 1e-12\n")
     assert "condition_guard" in str(err.value)
@@ -650,3 +649,28 @@ def test_cli_commutator_time_outside_grid_exits_before_any_stage(tmp_path, capsy
     assert main(["verify", "--config", str(cfg)]) == 1
     assert "config error: key 'commutator_t'" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_cli_verify_removed_laplace_method_is_a_config_error(tmp_path, capsys):
+    # the deformed-contour method is gone: naming it is a config error of the
+    # laplace key, raised before any stage writes output
+    text = (CONFIGS / "lorentz.cfg").read_text(encoding="utf-8")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n[numerics]\nlaplace = talbot\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: key 'laplace'" in err
+    assert "auto, rational_exact, bromwich_line" in err
+    assert not out_dir.exists()
+
+
+def test_cli_line_not_converged_exit_code(tmp_path, capsys, monkeypatch):
+    # a Bromwich line whose error estimate misses its tolerance is a
+    # numerical violation (exit 2) that names LineNotConverged
+    from mqed import modes
+
+    monkeypatch.setattr(modes, "_LINE_RTOL", 1e-12)
+    code = main(["modes", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
+    assert code == 2
+    assert "LineNotConverged: bromwich line grid-halving estimate" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from mqed.tensors import (
     curl_symbol,
     hermitian_sqrt,
     longitudinal_projector,
-    reciprocal_condition,
     transverse_projector,
     triad,
 )
@@ -148,14 +147,3 @@ def test_hermitian_sqrt_rejects_negative():
 def test_hermitian_sqrt_clips_tiny_negative():
     s = hermitian_sqrt(np.diag([1.0, -1e-14, 1.0]), tol=1e-12)
     assert np.min(np.linalg.eigvalsh(s)) >= 0.0
-
-
-def test_reciprocal_condition():
-    assert reciprocal_condition(np.eye(6)) == pytest.approx(1.0)
-    assert reciprocal_condition(np.diag([1.0] * 5 + [0.0])) == 0.0
-    stack = np.stack([np.eye(6), np.diag([1.0] * 5 + [0.0]), np.diag([4.0] * 5 + [1.0]),
-                      np.zeros((6, 6))])
-    rc = reciprocal_condition(stack)
-    assert rc.shape == (4,)
-    assert rc[0] == pytest.approx(1.0) and rc[1] == 0.0 and rc[2] == 0.25 and rc[3] == 0.0
-    assert rc[2] == reciprocal_condition(stack[2])
