@@ -42,14 +42,21 @@ def lorentz_pair():
 
 
 def test_spec_validation():
-    # the removed deformed-contour method is an unknown one on any medium
-    gaussian = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5),
-                                zero_coupling("magnetic"))
-    for resp in (lorentz_pair()[2], gaussian):
-        for method in ("bogus", "talbot"):
-            with pytest.raises(ValidationError, match=method):
-                mode_coefficients(resp, K, [0.0, 1.0], [], method=method)
+    resp = lorentz_pair()[2]
+    for method in ("bogus", "talbot"):
+        with pytest.raises(ValidationError, match=method):
+            mode_coefficients(resp, K, [0.0, 1.0], [], method=method)
     assert modes.METHODS == ("auto", "rational_exact", "bromwich_line")
+
+
+def test_talbot_rejects_continuum_absorption():
+    # the removed deformed-contour method is an unknown one on a medium with
+    # continuum absorption too, not a request the line silently serves
+    mg = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
+    resp = laplace_response(mg, zero_coupling("magnetic"))
+    with pytest.raises(ValidationError, match="talbot"):
+        mode_coefficients(resp, K, np.linspace(0.0, 2.0, 3), [],
+                          method="talbot")
 
 
 def test_inverse_laplace_rational_exact():
