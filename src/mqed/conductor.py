@@ -71,15 +71,18 @@ def q_kernel_consistency(
     """
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
-    q_total = conductor_Q(combined_electric(bound, free), k, t, constants=constants, quad=quad)
+    # the bound part first, of which only its residual and eps0 dchi/dt
+    # outlive its report, so that report is freed before the total is built
     if bound.is_zero:
         bound_resid = 0.0
-        dchi_bound = np.zeros((t.size, 3, 3), dtype=complex)
+        eps_dchi = np.zeros((t.size, 3, 3), dtype=complex)
     else:
         q_bound = conductor_Q(bound, k, t, constants=constants, quad=quad)
         bound_resid = q_bound.sigma_residual
-        dchi_bound = finite_difference_time(q_bound.chi_values, t)
-    implied = q_total.q_values - constants.eps0 * dchi_bound
+        eps_dchi = constants.eps0 * finite_difference_time(q_bound.chi_values, t)
+        del q_bound
+    q_total = conductor_Q(combined_electric(bound, free), k, t, constants=constants, quad=quad)
+    implied = q_total.q_values - eps_dchi
     sig0 = implied[0]
     eigs = np.linalg.eigvalsh(0.5 * (sig0 + sig0.conj().T))
     scale = float(np.max(np.abs(q_total.q_values))) or 1.0

@@ -477,6 +477,7 @@ def _line_mode_path(response, blocks, k, t, omega_q):
             for qs in _chunks(n_q, 9 * n_y):
                 scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
                 part = line_sum(scaled.reshape(n_y, -1))
+                del scaled  # freed before the next chunk's is built
                 conv[name][qs, rows] = part.reshape(part.shape[0], -1, 3, 3).swapaxes(0, 1)
     # the tail's transforms: e^-at (C3 t^2 / 2 + C4' t^3 / 6) on the base,
     # e^-at t^n phi_n((a - i w_q) t) for the reservoir sums

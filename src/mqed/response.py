@@ -64,9 +64,9 @@ from .quadrature import QuadratureResult, QuadratureSpec, adaptive_nodes
 from .rational import Rational
 from .tensors import IDENTITY3, NATURAL, PhysicalConstants
 
-# elements of one (rows x nodes) trigonometric table; bounds the memory of
-# every chunked contraction to ~16 MB per table
-_TABLE_ELEMENTS = 1 << 21
+# elements of one chunked table (`_chunks`), 8 MB of complex values, sized
+# for the cache
+_TABLE_ELEMENTS = 1 << 19
 # the fewest omega points kk_check accepts
 KK_MIN_POINTS = 64
 # |omega - omega_n| T below which the half-line transform of a mode is taken
@@ -689,6 +689,7 @@ class LaplaceResponse:
                     mat = rho[rows, None] ** 2 + part.nodes**2
                     np.divide(part.nodes, mat, out=mat)
                     out[rows] += part.contract(mat)
+                    del mat  # freed before the next chunk's is built
         return out[0] if scalar else out
 
     def chi_moments(self, model, k):

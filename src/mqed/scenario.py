@@ -14,6 +14,7 @@ lists every executed check exactly once.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from contextlib import contextmanager
 from collections import namedtuple
@@ -51,6 +52,11 @@ from .quadrature import QuadratureSpec, gauss_legendre
 from .response import (KK_MIN_POINTS, _cutoff, _relative_deviation, chi_kernel, chi_spectrum,
                        kk_check, laplace_response)
 from .tensors import NATURAL, PhysicalConstants
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def output_formats(value) -> list:
@@ -298,6 +304,7 @@ class RunManifest:
     checks: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    peak_rss_mb: dict = field(default_factory=dict)
     quadrature: dict = field(default_factory=dict)
     error: dict | None = None
 
@@ -315,12 +322,20 @@ class RunManifest:
 
     @contextmanager
     def timed(self, name):
-        """Records the wall time of the block as timings[name]."""
+        """Records the wall time of the block as timings[name], and the
+        process's peak RSS so far when it exits as peak_rss_mb[name] (a
+        high-water mark: the first stage that reaches the run's final value
+        set it)."""
         start = time.perf_counter()
         try:
             yield
         finally:
             self.timings[name] = round(time.perf_counter() - start, 6)
+            if resource is not None:
+                # ru_maxrss counts bytes on macOS and KiB elsewhere
+                peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                self.peak_rss_mb[name] = round(peak / (2**20 if sys.platform == "darwin"
+                                                       else 2**10), 3)
 
     @property
     def all_passed(self) -> bool:
@@ -335,6 +350,7 @@ class RunManifest:
             "checks": self.checks,
             "outputs": self.outputs,
             "timings": self.timings,
+            **({"peak_rss_mb": self.peak_rss_mb} if resource is not None else {}),
             "quadrature": self.quadrature,
             "error": self.error,
         }
@@ -425,133 +441,159 @@ def run_scenario(
     n_kk = int(grids["kk_n_omega"])
     # the reservoir rule of the modes, commutators and conductor stages
     nodes, weights = gauss_legendre(int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"])
+    t_modes = np.linspace(0.0, grids["t_max"], 81)
 
     with _recorded_run(config, out_dir, constants) as (manifest, emit):
+        # One function per stage: what a stage builds is freed when it
+        # returns, except what a later stage reads, which the k loop drops
+        # after its last reader. The working set is the largest stage's, not
+        # the sum of every stage and k so far.
+
+        def chi_stage(k, tag):
+            """sector -> (kernel, spectrum) at k, which the noise checks read."""
+            built = {}
+            for model, name in ((model_e, "electric"), (model_m, "magnetic")):
+                kernel = part_kernel(model, k, t_grid, constants=constants, quad=quad)
+                manifest.quadrature[f"chi_{name}_{tag}"] = kernel.metadata()
+                emit(f"chi_{name}_{tag}.csv", write_tensor_series_csv, "t",
+                     kernel.t_grid, kernel.values)
+                spectrum = chi_spectrum(kernel, omega, tail_rtol=num["tail_rtol"])
+                built[model.which] = (kernel, spectrum)
+                emit(f"spectrum_{name}_{tag}.csv", write_tensor_series_csv,
+                     "omega", spectrum.omega_grid, spectrum.values)
+                if not model.is_zero:
+                    # inside the support of the kernel's rule: past its
+                    # cutoff Im chi_hat is only the truncation's ripple
+                    kk_top = min(grids["kk_omega_max"], _cutoff(model, quad))
+                    kk_grid = (np.arange(n_kk) + 0.5) * kk_top / n_kk
+                    kk = kk_check(chi_spectrum(kernel, kk_grid, tail_rtol=num["tail_rtol"]))
+                    manifest.add_check(f"kk_{name}_{tag}", kk.max_rel_residual,
+                                       num["kk_tol"])
+                    rt = _roundtrip_error(model, spectrum, omega, k, constants)
+                    manifest.add_check(f"roundtrip_{name}_{tag}", rt,
+                                       num["roundtrip_tol"])
+            return built
+
+        def noise_stage(tag, built):
+            for model, name in ((model_e, "P"), (model_m, "M")):
+                if model.is_zero:
+                    continue
+                kernel, spectrum = built[model.which]
+                rep = noise_commutator(model, spectrum, constants=constants)
+                manifest.add_check(f"fdt_{name}_{tag}", rep.max_rel_err, num["fdt_tol"])
+                emit(f"noise_{name}_{tag}.csv", write_deviation_csv, "omega", rep.grid,
+                     _deviation_curve(rep), rep.lhs)
+                emit(f"noise_{name}_{tag}.json", _write_report, rep)
+                if name == "M":
+                    continue
+                manifest.add_check(f"fdt_J_{tag}", noise_current_coefficient(rep).max_rel_err,
+                                   num["fdt_tol"])
+                cont = pdot_continuity(model_e, kernel, constants=constants,
+                                       dt=num["continuity_dt"])
+                manifest.add_check(f"pdot_continuity_{tag}", cont.relative_jump,
+                                   num["continuity_tol"])
+                roundtrip = constitutive_roundtrip(
+                    model_e, kernel,
+                    np.linspace(0.0, 20.0 / model_e.frequency_scale, 3001),
+                    constants=constants,
+                )
+                manifest.add_check(f"constitutive_roundtrip_{tag}",
+                                   roundtrip.residual, num["constitutive_tol"])
+
+        def modes_stage(k, tag):
+            """The modes-grid representation at k, which the commutators read."""
+            scan = lambda_reality_scan(
+                response,
+                rng.normal(size=(10, 3)),
+                rng.uniform(0.1, 5.0, size=10),
+            )
+            manifest.add_check(f"lambda_reality_{tag}", scan.max_deviation,
+                               num["reality_tol"])
+            rep_field = field_representation(
+                response, k, t_modes, nodes, weights, method=method,
+            )
+            mc = rep_field.coeffs
+            manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
+            if "modes" in stages:
+                for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
+                    emit(f"modes_{name}_{tag}.csv", write_tensor_series_csv, "t",
+                         mc.t_grid, getattr(mc, name))
+                for name in ("zeta", "eta", "zeta_tilde", "eta_tilde"):
+                    if mc.omega_q_grid.size:
+                        emit(f"modes_{name}_{tag}.csv", write_tensor_grid_csv,
+                             ("omega_q", "t"), (mc.omega_q_grid, mc.t_grid),
+                             getattr(mc, name))
+            return rep_field
+
+        def equal_time_stage(k, tag, rep_field):
+            t_set = [t_modes[np.argmin(np.abs(t_modes - ti))]
+                     for ti in grids["commutator_t"]]
+            baseline = field_representation(vacuum, k, t_set, nodes, weights)
+            comm = equal_time_commutators(rep_field, t_set, baseline=baseline)
+            manifest.add_check(f"equal_time_commutator_{tag}", comm.max_rel_err,
+                               num["commutator_tol"])
+            manifest.quadrature[f"modes_minus_{tag}"] = comm.details["minus_k"]
+            emit(f"commutator_equal_time_{tag}.csv", write_deviation_csv, "t",
+                 comm.grid, _deviation_curve(comm), comm.lhs)
+            emit(f"commutator_equal_time_{tag}.json", _write_report, comm)
+            spec_v = vacuum_spectrum(rep_field, (0.0, 0.0, 0.0), 0.0)
+            eigs = np.linalg.eigvalsh(spec_v)
+            manifest.add_check(f"vacuum_spectrum_psd_{tag}",
+                               max(0.0, -float(np.min(eigs))),
+                               1e-10 * max(1.0, float(np.max(np.abs(eigs)))))
+
+        def maxwell_stage(k, tag):
+            # Maxwell residual wants a finer uniform grid and a small
+            # reservoir sample at moderate frequencies: two nodes of a
+            # 16-node rule, the representation's only nodes
+            t_res = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
+            nodes_r, weights_r = gauss_legendre(16, 0.0, res_cut)
+            picks = reservoir_picks(nodes_r.size, 2)
+            rep_res = field_representation(
+                response, k, t_res, nodes_r[picks], weights_r[picks],
+                method=method,
+            )
+            res = maxwell_residual(rep_res)
+            manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,
+                               num["maxwell_tol"], details=res.channels)
+
+        def conductor_stage(k, tag):
+            mc_c = conductor_modes(cond, k, t_grid[:: max(1, t_grid.size // 64)], nodes)
+            manifest.quadrature[f"conductor_{tag}"] = dict(mc_c.metadata)
+            manifest.add_check(
+                f"conductor_poles_{tag}",
+                float(mc_c.metadata.get("max_re_pole", 0.0)),
+                1e-10,
+            )
+            qrep = q_kernel_consistency(model_e, free, k, t_grid, constants, quad)
+            manifest.add_check(f"q_decomposition_{tag}", qrep.bound_sigma_residual,
+                               num["maxwell_tol"] * 10.0)
+            emit(f"conductor_gamma_{tag}.csv", write_tensor_series_csv, "t",
+                 mc_c.t_grid, mc_c.gamma)
+
         for ik, k in enumerate(config.k_list()):
             tag = f"k{ik}"
-
             # the noise checks read the kernels and spectra of the chi stage
             if "chi" in stages or "noise" in stages:
                 with manifest.timed(f"chi_{tag}"):
-                    built = {}  # sector -> (kernel, spectrum)
-                    for model, name in ((model_e, "electric"), (model_m, "magnetic")):
-                        kernel = part_kernel(model, k, t_grid, constants=constants, quad=quad)
-                        manifest.quadrature[f"chi_{name}_{tag}"] = kernel.metadata()
-                        emit(f"chi_{name}_{tag}.csv", write_tensor_series_csv, "t",
-                             kernel.t_grid, kernel.values)
-                        spectrum = chi_spectrum(kernel, omega, tail_rtol=num["tail_rtol"])
-                        built[model.which] = (kernel, spectrum)
-                        emit(f"spectrum_{name}_{tag}.csv", write_tensor_series_csv,
-                             "omega", spectrum.omega_grid, spectrum.values)
-                        if not model.is_zero:
-                            # inside the support of the kernel's rule: past its
-                            # cutoff Im chi_hat is only the truncation's ripple
-                            kk_top = min(grids["kk_omega_max"], _cutoff(model, quad))
-                            kk_grid = (np.arange(n_kk) + 0.5) * kk_top / n_kk
-                            kk = kk_check(chi_spectrum(kernel, kk_grid, tail_rtol=num["tail_rtol"]))
-                            manifest.add_check(f"kk_{name}_{tag}", kk.max_rel_residual,
-                                               num["kk_tol"])
-                            rt = _roundtrip_error(model, spectrum, omega, k, constants)
-                            manifest.add_check(f"roundtrip_{name}_{tag}", rt,
-                                               num["roundtrip_tol"])
-
-            if "noise" in stages:
-                with manifest.timed(f"noise_{tag}"):
-                    for model, name in ((model_e, "P"), (model_m, "M")):
-                        if model.is_zero:
-                            continue
-                        kernel, spectrum = built[model.which]
-                        rep = noise_commutator(model, spectrum, constants=constants)
-                        manifest.add_check(f"fdt_{name}_{tag}", rep.max_rel_err, num["fdt_tol"])
-                        emit(f"noise_{name}_{tag}.csv", write_deviation_csv, "omega", rep.grid,
-                             _deviation_curve(rep), rep.lhs)
-                        emit(f"noise_{name}_{tag}.json", _write_report, rep)
-                        if name == "M":
-                            continue
-                        manifest.add_check(f"fdt_J_{tag}", noise_current_coefficient(rep).max_rel_err,
-                                           num["fdt_tol"])
-                        cont = pdot_continuity(model_e, kernel, constants=constants,
-                                               dt=num["continuity_dt"])
-                        manifest.add_check(f"pdot_continuity_{tag}", cont.relative_jump,
-                                           num["continuity_tol"])
-                        roundtrip = constitutive_roundtrip(
-                            model_e, kernel,
-                            np.linspace(0.0, 20.0 / model_e.frequency_scale, 3001),
-                            constants=constants,
-                        )
-                        manifest.add_check(f"constitutive_roundtrip_{tag}",
-                                           roundtrip.residual, num["constitutive_tol"])
-
+                    built = chi_stage(k, tag)
+                if "noise" in stages:
+                    with manifest.timed(f"noise_{tag}"):
+                        noise_stage(tag, built)
+                del built
             if "modes" in stages or "commutators" in stages:
                 with manifest.timed(f"modes_{tag}"):
-                    scan = lambda_reality_scan(
-                        response,
-                        rng.normal(size=(10, 3)),
-                        rng.uniform(0.1, 5.0, size=10),
-                    )
-                    manifest.add_check(f"lambda_reality_{tag}", scan.max_deviation,
-                                       num["reality_tol"])
-                    t_modes = np.linspace(0.0, grids["t_max"], 81)
-                    rep_field = field_representation(
-                        response, k, t_modes, nodes, weights, method=method,
-                    )
-                    mc = rep_field.coeffs
-                    manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
-                    if "modes" in stages:
-                        for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
-                            emit(f"modes_{name}_{tag}.csv", write_tensor_series_csv, "t",
-                                 mc.t_grid, getattr(mc, name))
-                        for name in ("zeta", "eta", "zeta_tilde", "eta_tilde"):
-                            if mc.omega_q_grid.size:
-                                emit(f"modes_{name}_{tag}.csv", write_tensor_grid_csv,
-                                     ("omega_q", "t"), (mc.omega_q_grid, mc.t_grid),
-                                     getattr(mc, name))
-
-            if "commutators" in stages:
-                with manifest.timed(f"commutators_{tag}"):
-                    t_set = [t_modes[np.argmin(np.abs(t_modes - ti))]
-                             for ti in grids["commutator_t"]]
-                    baseline = field_representation(vacuum, k, t_set, nodes, weights)
-                    comm = equal_time_commutators(rep_field, t_set, baseline=baseline)
-                    manifest.add_check(f"equal_time_commutator_{tag}", comm.max_rel_err,
-                                       num["commutator_tol"])
-                    manifest.quadrature[f"modes_minus_{tag}"] = comm.details["minus_k"]
-                    emit(f"commutator_equal_time_{tag}.csv", write_deviation_csv, "t",
-                         comm.grid, _deviation_curve(comm), comm.lhs)
-                    emit(f"commutator_equal_time_{tag}.json", _write_report, comm)
-                    spec_v = vacuum_spectrum(rep_field, (0.0, 0.0, 0.0), 0.0)
-                    eigs = np.linalg.eigvalsh(spec_v)
-                    manifest.add_check(f"vacuum_spectrum_psd_{tag}",
-                                       max(0.0, -float(np.min(eigs))),
-                                       1e-10 * max(1.0, float(np.max(np.abs(eigs)))))
-                    # Maxwell residual wants a finer uniform grid and a small
-                    # reservoir sample at moderate frequencies: two nodes of a
-                    # 16-node rule, the representation's only nodes
-                    t_res = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
-                    nodes_r, weights_r = gauss_legendre(16, 0.0, res_cut)
-                    picks = reservoir_picks(nodes_r.size, 2)
-                    rep_res = field_representation(
-                        response, k, t_res, nodes_r[picks], weights_r[picks],
-                        method=method,
-                    )
-                    res = maxwell_residual(rep_res)
-                    manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,
-                                       num["maxwell_tol"], details=res.channels)
-
+                    rep_field = modes_stage(k, tag)
+                if "commutators" in stages:
+                    with manifest.timed(f"commutators_{tag}"):
+                        equal_time_stage(k, tag, rep_field)
+                        del rep_field  # the Maxwell representation is built without it
+                        maxwell_stage(k, tag)
+                else:
+                    del rep_field
             if "conductor" in stages and cond is not None:
                 with manifest.timed(f"conductor_{tag}"):
-                    mc_c = conductor_modes(cond, k, t_grid[:: max(1, t_grid.size // 64)], nodes)
-                    manifest.quadrature[f"conductor_{tag}"] = dict(mc_c.metadata)
-                    manifest.add_check(
-                        f"conductor_poles_{tag}",
-                        float(mc_c.metadata.get("max_re_pole", 0.0)),
-                        1e-10,
-                    )
-                    qrep = q_kernel_consistency(model_e, free, k, t_grid, constants, quad)
-                    manifest.add_check(f"q_decomposition_{tag}", qrep.bound_sigma_residual,
-                                       num["maxwell_tol"] * 10.0)
-                    emit(f"conductor_gamma_{tag}.csv", write_tensor_series_csv, "t",
-                         mc_c.t_grid, mc_c.gamma)
+                    conductor_stage(k, tag)
             # no later k reads this k's lines
             for medium in (response, cond):
                 if medium is not None:

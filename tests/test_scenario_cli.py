@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mqed import NATURAL
+from mqed import NATURAL, scenario
 from mqed.cli import build_parser, main
 from mqed.couplings import MAGNETIC, drude, gaussian_anisotropic, lorentz_isotropic
 from mqed.errors import ParseError, ValidationError
@@ -489,6 +489,15 @@ def test_cli_verify_bundled_lorentz_config(tmp_path, capsys, monkeypatch):
     # from the chi stage, and the noise checks take what it built
     assert kernels == ["mqed.scenario"] * 2
     assert spectra == ["mqed.scenario"] * 4
+    # the process's peak RSS as each stage ends, beside its wall time (the
+    # manifest leaves the key out where `resource` cannot be imported)
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(payload["timings"]) == ["chi_k0", "noise_k0", "modes_k0", "commutators_k0"]
+    if scenario.resource is not None:
+        peaks = payload["peak_rss_mb"]
+        assert list(peaks) == list(payload["timings"])
+        assert all(mb > 0.0 for mb in peaks.values())
+        assert list(peaks.values()) == sorted(peaks.values())
 
 
 MAGNETIC_LORENTZ = ("magnetic.kind = lorentz_isotropic\nmagnetic.strength = 0.6\n"
