@@ -71,18 +71,9 @@ def q_kernel_consistency(
     """
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
-    # the bound part first, of which only its residual and eps0 dchi/dt
-    # outlive its report, so that report is freed before the total is built
-    if bound.is_zero:
-        bound_resid = 0.0
-        eps_dchi = np.zeros((t.size, 3, 3), dtype=complex)
-    else:
-        q_bound = conductor_Q(bound, k, t, constants=constants, quad=quad)
-        bound_resid = q_bound.sigma_residual
-        eps_dchi = constants.eps0 * finite_difference_time(q_bound.chi_values, t)
-        del q_bound
+    q_bound = conductor_Q(bound, k, t, constants=constants, quad=quad)
     q_total = conductor_Q(combined_electric(bound, free), k, t, constants=constants, quad=quad)
-    implied = q_total.q_values - eps_dchi
+    implied = q_total.q_values - constants.eps0 * finite_difference_time(q_bound.chi_values, t)
     sig0 = implied[0]
     eigs = np.linalg.eigvalsh(0.5 * (sig0 + sig0.conj().T))
     scale = float(np.max(np.abs(q_total.q_values))) or 1.0
@@ -90,7 +81,7 @@ def q_kernel_consistency(
     return QConsistencyReport(
         k=k,
         q_report=q_total,
-        bound_sigma_residual=bound_resid,
+        bound_sigma_residual=q_bound.sigma_residual,
         implied_sigma=implied,
         sigma_initial_psd=psd0,
     )

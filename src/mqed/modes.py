@@ -133,24 +133,30 @@ _BLOCKS = {
 }
 
 
-def _families(k, t, omega_q, f_q, g_q, mu0, base, res, metadata) -> ModeCoefficients:
-    """The index map from the transforms to the field-operator families.
+def _families(k, t, omega_q, f_q, g_q, mu0, transforms) -> ModeCoefficients:
+    """The index map from a path's transforms (base, res, metadata) to the
+    field-operator families, which frees base once its blocks are copied
+    out and each reservoir block once its family is built.
 
     base is L^-1[Lambda^-1] on t, (n_t, 6, 6); res[block] is
     L^-1[rho/(rho + i w_q) Lambda^-1 block], (n_q, n_t, 3, 3), for the
     blocks a nonzero coupling reads (a missing block gives zero families)."""
+    base, res, metadata = transforms
+    del transforms  # the caller keeps none, so `del base` frees it
     e, h = slice(0, 3), slice(3, 6)
+    # copies, so that no family is a strided view that keeps base alive
+    gamma, xi = base[:, e, h].copy(), -base[:, e, e]
+    gamma_tilde, xi_tilde = base[:, h, h].copy(), -base[:, h, e]
+    del base
 
     def reservoir(name, factor, coupling):
         if name not in res:
             return np.zeros((omega_q.size, t.size, 3, 3), dtype=complex)
-        return factor * np.einsum("qtab,qbc->qtac", res[name], coupling)
+        return factor * np.einsum("qtab,qbc->qtac", res.pop(name), coupling)
 
     return ModeCoefficients(
         k=k, t_grid=t, omega_q_grid=omega_q,
-        # copies, so that no family is a strided view that keeps base alive
-        gamma=base[:, e, h].copy(), xi=-base[:, e, e],
-        gamma_tilde=base[:, h, h].copy(), xi_tilde=-base[:, h, e],
+        gamma=gamma, xi=xi, gamma_tilde=gamma_tilde, xi_tilde=xi_tilde,
         zeta=reservoir("ee", mu0, g_q), eta=reservoir("eh", -1.0, f_q),
         zeta_tilde=reservoir("he", mu0, g_q), eta_tilde=reservoir("hh", -1.0, f_q),
         f_q=f_q, g_q=g_q, metadata=metadata,
@@ -552,8 +558,8 @@ def mode_coefficients(
     blocks = ((("ee", "he") if not model_g.is_zero else ())
               + (("eh", "hh") if not model_f.is_zero else ())) if omega_q.size else ()
     path = {"rational_exact": _rational_mode_path, "bromwich_line": _line_mode_path}[method]
-    base, res, metadata = path(response, blocks, k, t, omega_q)
-    return _families(k, t, omega_q, f_q, g_q, response.constants.mu0, base, res, metadata)
+    return _families(k, t, omega_q, f_q, g_q, response.constants.mu0,
+                     path(response, blocks, k, t, omega_q))
 
 
 @dataclass(frozen=True)

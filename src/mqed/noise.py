@@ -52,7 +52,7 @@ def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants
     omega = np.asarray(omega_grid, dtype=float)
     tr = triad(k)
     f = eval_coupling_batch(model, omega, k)
-    vs = [tr.e(1), tr.e(2), tr.v3] if model.which == ELECTRIC else [tr.s(1), tr.s(2), tr.s3]
+    vs = [tr.e(nu) if model.which == ELECTRIC else tr.s(nu) for nu in (1, 2, 3)]
     acc = np.zeros((omega.size, 3, 3), dtype=complex)
     for v in vs:
         fv = f @ v.astype(complex)  # (n, 3)

@@ -11,8 +11,9 @@ and the equal-time commutators assembled from the channels must be
 medium-independent; both statements are checked numerically here. A
 representation reads the medium from one `LaplaceResponse`: its Lambda
 system, its reservoir couplings and its memory kernels. It holds the mode
-coefficients and channels at one wave vector; the commutators pair it with
-the representation at -k, built at their own times only.
+coefficients and the photon channels at one wave vector and forms each
+reservoir channel from them when read (`channel`); the commutators pair it
+with the representation at -k, built at their own times only.
 """
 
 from __future__ import annotations
@@ -45,13 +46,22 @@ from .tensors import (
 )
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
+# reservoir channel -> (its mode family, or for the noise channels P_d, M_b
+# the coupling that times exp(-i w_q t) is the channel; triad; weight)
+_CHANNELS = {
+    "E_d": ("eta", "e", TWO_PI_CUBED**-0.5), "H_d": ("eta_tilde", "e", TWO_PI_CUBED**-0.5),
+    "E_b": ("zeta", "s", 1j * TWO_PI_CUBED**-0.5),
+    "H_b": ("zeta_tilde", "s", 1j * TWO_PI_CUBED**-0.5),
+    "P_d": ("f_q", "e", TWO_PI_CUBED**-0.5), "M_b": ("g_q", "s", 1j * TWO_PI_CUBED**-0.5),
+}
 
 
 @dataclass(frozen=True)
 class FieldOperatorRepresentation:
-    """Coefficient channels of E and H at one wave vector on the whole t
-    grid, and the memory kernels (read only by the Maxwell residual) when
-    first read."""
+    """The mode coefficients and the photon channels of E and H at one wave
+    vector on the whole t grid. The reservoir channels are formed from the
+    coefficients on read (`channel`), and the memory kernels (read only by
+    the Maxwell residual) when first read."""
 
     k: np.ndarray
     t_grid: np.ndarray
@@ -62,12 +72,6 @@ class FieldOperatorRepresentation:
     coeffs: ModeCoefficients
     photon_E: np.ndarray  # (2, n_t, 3)
     photon_H: np.ndarray
-    res_E_d: np.ndarray  # (3, n_q, n_t, 3)
-    res_E_b: np.ndarray
-    res_H_d: np.ndarray
-    res_H_b: np.ndarray
-    noise_P_d: np.ndarray  # (3, n_q, n_t, 3) noise-polarization channel
-    noise_M_b: np.ndarray
 
     @property
     def constants(self) -> PhysicalConstants:
@@ -87,6 +91,35 @@ class FieldOperatorRepresentation:
     def radial_measure(self) -> np.ndarray:
         """Reservoir continuum measure 4 pi w_q^2 / c^3 at the nodes."""
         return 4.0 * np.pi * self.omega_q_grid**2 / self.constants.c**3
+
+    @cached_property
+    def _channel_parts(self) -> tuple:
+        """The triad vectors e_nu and s_nu at k, and the (3, n_q, 3) weighted
+        couplings f_q e_nu and g_q s_nu of the noise channels."""
+        tr = triad(self.k)
+        vectors = {"e": [tr.e(nu) for nu in (1, 2, 3)], "s": [tr.s(nu) for nu in (1, 2, 3)]}
+        noise = {name: np.stack([w * np.einsum("qij,j->qi", getattr(self.coeffs, c), v)
+                                 for v in vectors[side]])
+                 for name, (c, side, w) in _CHANNELS.items() if name in ("P_d", "M_b")}
+        return vectors, noise
+
+    def channel(self, name: str, nu_q: tuple | None = None, it: int | None = None) -> np.ndarray:
+        """The reservoir channel `name` of `_CHANNELS`: with nu_q = (nu, q),
+        its (n_t, 3) coefficient of the triad vector nu (from 0) at node q
+        over the t grid; with it, the (3, n_q, 3) coefficients of every
+        (nu, q) at time index it."""
+        vectors, noise = self._channel_parts
+        source, side, weight = _CHANNELS[name]
+        if name in noise:
+            if nu_q is None:
+                return noise[name] * np.exp(-1j * (self.omega_q_grid * self.t_grid[it]))[:, None]
+            phase = np.exp(-1j * (self.omega_q_grid[nu_q[1]] * self.t_grid))
+            return noise[name][nu_q][None, :] * phase[:, None]
+        coeff = getattr(self.coeffs, source)
+        if nu_q is None:
+            block = weight * coeff[:, it]
+            return np.stack([block @ v for v in vectors[side]])
+        return (weight * coeff[nu_q[1]]) @ vectors[side][nu_q[0]]
 
 
 def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
@@ -128,33 +161,12 @@ def field_representation(
     w_k = c.c * float(np.linalg.norm(k))
     w_e = np.sqrt(c.hbar * w_k * c.eps0 / (2.0 * TWO_PI_CUBED))
     w_m = np.sqrt(c.hbar * w_k * c.mu0 / (2.0 * TWO_PI_CUBED))
-    res_w = TWO_PI_CUBED**-0.5
-    e_pairs = (tr.e1, tr.e2)
-    s_pairs = (tr.s1, tr.s2)
-    vs = [tr.e(nu) for nu in (1, 2, 3)]
-    ss = [tr.s(nu) for nu in (1, 2, 3)]
-    phase = np.exp(-1j * np.outer(omega_q, t))  # (n_q, n_t)
+    pairs = tuple(zip((tr.e1, tr.e2), (tr.s1, tr.s2)))
     return FieldOperatorRepresentation(
         k, t, omega_q, weights, response, method, mc,
-        photon_E=np.stack([
-            1j * (w_e * mc.gamma @ e + w_m * mc.xi @ s) for e, s in zip(e_pairs, s_pairs)
-        ]),
-        photon_H=np.stack([
-            1j * (w_e * mc.gamma_tilde @ e + w_m * mc.xi_tilde @ s)
-            for e, s in zip(e_pairs, s_pairs)
-        ]),
-        res_E_d=np.stack([res_w * mc.eta @ v for v in vs]),
-        res_E_b=np.stack([1j * res_w * mc.zeta @ s for s in ss]),
-        res_H_d=np.stack([res_w * mc.eta_tilde @ v for v in vs]),
-        res_H_b=np.stack([1j * res_w * mc.zeta_tilde @ s for s in ss]),
-        noise_P_d=np.stack([
-            res_w * np.einsum("qij,j->qi", mc.f_q, v)[:, None, :] * phase[:, :, None]
-            for v in vs
-        ]),
-        noise_M_b=np.stack([
-            1j * res_w * np.einsum("qij,j->qi", mc.g_q, s)[:, None, :] * phase[:, :, None]
-            for s in ss
-        ]),
+        photon_E=np.stack([1j * (w_e * mc.gamma @ e + w_m * mc.xi @ s) for e, s in pairs]),
+        photon_H=np.stack([1j * (w_e * mc.gamma_tilde @ e + w_m * mc.xi_tilde @ s)
+                           for e, s in pairs]),
     )
 
 
@@ -167,10 +179,11 @@ def _eh_coefficient(p: FieldOperatorRepresentation, m: FieldOperatorRepresentati
         "la,lb->ab", np.conj(m.photon_E[:, im]), m.photon_H[:, im]
     )
     res = np.zeros((3, 3), dtype=complex)
-    for e, h in (("res_E_d", "res_H_d"), ("res_E_b", "res_H_b")):
-        ep, hp, em, hm = getattr(p, e), getattr(p, h), getattr(m, e), getattr(m, h)
-        res += np.einsum("nqa,q,nqb->ab", ep[:, :, ip], wq, np.conj(hp[:, :, ip]))
-        res -= np.einsum("nqa,q,nqb->ab", np.conj(em[:, :, im]), wq, hm[:, :, im])
+    for e, h in (("E_d", "H_d"), ("E_b", "H_b")):
+        res += np.einsum("nqa,q,nqb->ab", p.channel(e, it=ip), wq,
+                         np.conj(p.channel(h, it=ip)))
+        res -= np.einsum("nqa,q,nqb->ab", np.conj(m.channel(e, it=im)), wq,
+                         m.channel(h, it=im))
     return TWO_PI_CUBED * (ph + res)
 
 
@@ -311,10 +324,11 @@ def maxwell_residual(rep: FieldOperatorRepresentation) -> MaxwellResidualReport:
         record(f"photon_{lam + 1}", rep.photon_E[lam], rep.photon_H[lam])
     for nu in range(3):
         for q in range(rep.omega_q_grid.size):
-            record(f"d_nu{nu + 1}_q{q}", rep.res_E_d[nu, q], rep.res_H_d[nu, q],
-                   p_noise=rep.noise_P_d[nu, q])
-            record(f"b_nu{nu + 1}_q{q}", rep.res_E_b[nu, q], rep.res_H_b[nu, q],
-                   m_noise=rep.noise_M_b[nu, q])
+            at = (nu, q)
+            record(f"d_nu{nu + 1}_q{q}", rep.channel("E_d", at), rep.channel("H_d", at),
+                   p_noise=rep.channel("P_d", at))
+            record(f"b_nu{nu + 1}_q{q}", rep.channel("E_b", at), rep.channel("H_b", at),
+                   m_noise=rep.channel("M_b", at))
     worst = float(np.max(list(channels.values())))
     return MaxwellResidualReport(k=rep.k, channels=channels, max_residual=worst)
 
@@ -398,7 +412,7 @@ def vacuum_spectrum(
     phase = np.exp(1j * float(rep.k @ delta))
     e_ph = rep.photon_E[:, it]
     gram = np.einsum("la,lb->ab", e_ph, np.conj(e_ph))
-    for sector in (rep.res_E_d, rep.res_E_b):
-        e_res = sector[:, :, it]
+    for sector in ("E_d", "E_b"):
+        e_res = rep.channel(sector, it=it)
         gram += np.einsum("nqa,q,nqb->ab", e_res, wq, np.conj(e_res))
     return 0.5 * (phase * gram + np.conj(phase) * gram.conj().T)

@@ -55,7 +55,7 @@ class PolarizationTriad:
     """Orthonormal decomposition attached to a wave vector.
 
     e1, e2 are transverse unit polarizations, s_lam = unit x e_lam, and the
-    third (longitudinal) member is v3 = s3 = unit = k/|k|.
+    third (longitudinal) member of both sectors is unit = k/|k|.
     """
 
     unit: np.ndarray
@@ -63,14 +63,6 @@ class PolarizationTriad:
     e2: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
-
-    @property
-    def v3(self) -> np.ndarray:
-        return self.unit
-
-    @property
-    def s3(self) -> np.ndarray:
-        return self.unit
 
     def e(self, nu: int) -> np.ndarray:
         """Electric-sector contraction vector v_nu (e1, e2, k-hat)."""
@@ -140,11 +132,6 @@ def longitudinal_projector(k) -> np.ndarray:
     return np.outer(k, k) / kn2
 
 
-def hermiticity_defect(T) -> float:
-    T = np.asarray(T)
-    return float(np.max(np.abs(T - T.conj().T)))
-
-
 def hermitian_sqrt(T, tol=1e-12) -> np.ndarray:
     """Principal Hermitian PSD square root via eigendecomposition.
 
@@ -153,7 +140,7 @@ def hermitian_sqrt(T, tol=1e-12) -> np.ndarray:
     """
     T = np.asarray(T, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(T))))
-    if hermiticity_defect(T) > tol * scale:
+    if float(np.max(np.abs(T - T.conj().T))) > tol * scale:
         raise NotHermitian("matrix is not hermitian within tolerance")
     w, v = np.linalg.eigh(0.5 * (T + T.conj().T))
     if np.min(w) < -tol * scale:

@@ -1,23 +1,41 @@
 """The traced benchmark (`perfbench/tracer.py`) binds package functions by
-name; every name it wraps must still exist, or a traced run breaks."""
+name; every name it wraps must still exist, or a traced run breaks. Each
+benchmark workload passes the benchmark's correctness gate
+(`perfbench/gate.py`) against the committed reference."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import pytest
+
+import mqed.cli
 import mqed.response
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
+def _perfbench_module(name: str) -> types.ModuleType:
+    # executed from its source text, so nothing is written beside it; the
+    # module is registered while it runs, for its dataclasses
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
 def _tracer_targets() -> dict:
-    # executed from its source text, so nothing is written beside it
-    namespace = {"__name__": "perfbench_tracer"}
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), namespace)
-    return namespace["TARGETS"]
+    return _perfbench_module("tracer").TARGETS
 
 
 def test_every_tracer_target_resolves():
@@ -66,3 +84,22 @@ def test_perfbench_install_check_passes():
         [sys.executable, "-c", "import test_perfbench; test_perfbench._check_install()"],
         cwd=PERFBENCH, capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+WORKLOADS = _perfbench_module("workloads")
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS.WORKLOADS))
+def test_workload_passes_the_benchmark_gate(tmp_path, capsys, name):
+    # the seed-0 config of each workload, run as the benchmark runs it:
+    # exit code, check names and order, and the exported tensors' digests
+    # within quad_rtol of the committed reference
+    gate = _perfbench_module("gate")
+    reference = json.loads(gate.REFERENCE.read_text(encoding="utf-8"))[name]
+    workload = WORKLOADS.WORKLOADS[name]
+    config = tmp_path / "config.cfg"
+    config.write_text(WORKLOADS.config_text(workload, 0), encoding="utf-8")
+    out = tmp_path / "out"
+    code = mqed.cli.main([workload.command, "--config", str(config), "--out", str(out)])
+    problems, _ = gate.check_run(reference, code, capsys.readouterr().out, out)
+    assert problems == []

@@ -13,10 +13,11 @@ import pytest
 import mqed.scenario
 from mqed.cli import _STAGES
 from mqed.couplings import gaussian_anisotropic, zero_coupling
-from mqed.observables import field_representation
+from mqed.observables import field_representation, maxwell_residual, reservoir_picks
 from mqed.quadrature import gauss_legendre
 from mqed.response import laplace_response
 from mqed.scenario import parse_scenario, run_scenario
+from mqed.tensors import NATURAL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,14 +80,55 @@ def test_field_representation_on_the_gaussian_modes_grid_stays_bounded():
     assert peak <= 40.0
 
 
+def _lorentz_config():
+    """lorentz.cfg, its medium (rational, so the mode solver takes the exact
+    path) and its one k."""
+    config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
+    response = laplace_response(config.model("electric", NATURAL),
+                                config.model("magnetic", NATURAL), quad=config.quadrature())
+    return config, response, config.k_list()[0]
+
+
+def test_maxwell_representation_of_the_lorentz_config_stays_bounded():
+    # lorentz.cfg's Maxwell grid (8,001 points) on the two sampled reservoir
+    # nodes, as its commutators stage builds and checks it: 40.3 MB when the
+    # representation held six (3, n_q, n_t, 3) channel arrays beside the
+    # mode families they were formed from
+    config, response, k = _lorentz_config()
+    grids = config.grids
+    t = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
+    cutoff = 5.0 * max(response.model_e.frequency_scale, response.model_m.frequency_scale)
+    nodes, weights = gauss_legendre(16, 0.0, cutoff)
+    picks = reservoir_picks(nodes.size, 2)
+    reports = []
+    peak = _traced_peak_mb(lambda: reports.append(maxwell_residual(
+        field_representation(response, k, t, nodes[picks], weights[picks]))))
+    assert t.size == 8001 and reports[0].max_residual <= 1e-5
+    assert peak <= 32.0
+
+
+def test_modes_representation_of_the_lorentz_config_stays_bounded():
+    # lorentz.cfg's modes grid (81 times, 256 reservoir nodes): 33.3 MB when
+    # the whole transforms of the mode solver lived beside the families
+    # copied out of them, and the channels beside both
+    config, response, k = _lorentz_config()
+    nodes, weights = gauss_legendre(int(config.grids["reservoir_order"]), 0.0,
+                                    config.grids["reservoir_cutoff"])
+    t = np.linspace(0.0, config.grids["t_max"], 81)
+    peak = _traced_peak_mb(lambda: field_representation(response, k, t, nodes, weights))
+    assert nodes.size == 256
+    assert peak <= 20.0
+
+
 def test_verify_lorentz_config_stays_bounded(tmp_path):
-    # 75 MB when each stage's products lived into the next stage: the
-    # modes-grid representation beside the Maxwell one
+    # 75 MB when each stage's products lived into the next stage (the
+    # modes-grid representation beside the Maxwell one), 41.4 MB when a
+    # field representation held its reservoir channels beside its families
     config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
     manifests = []
     peak = _traced_peak_mb(lambda: manifests.append(run_scenario(config, out_dir=str(tmp_path))))
     assert manifests[0].all_passed
-    assert peak <= 50.0
+    assert peak <= 36.0
 
 
 @pytest.mark.parametrize("stages", [*_STAGES.values(), ("modes", "commutators")],

@@ -120,17 +120,20 @@ def test_maxwell_residual_medium_all_channels(lorentz_models):
 
 
 def test_maxwell_residual_reports_a_nan_channel(lorentz_models):
-    # one NaN in a reservoir channel's noise polarization: only that
-    # channel's Ampere row is NaN, after finite channels
+    # one NaN in a mode family: the channels it feeds are NaN, the photon
+    # channels, the other sector and the other node stay finite
     from dataclasses import replace
 
     t = np.linspace(0.0, 2.0, 2001)
     rep = make_rep(*lorentz_models, t, order=2)
-    noise_p = rep.noise_P_d.copy()
-    noise_p[1, 0, 700, 0] = np.nan
-    report = maxwell_residual(replace(rep, noise_P_d=noise_p))
-    assert np.isnan(report.channels["d_nu2_q0"])
-    assert np.isfinite(report.channels["photon_1"]) and np.isfinite(report.channels["d_nu1_q0"])
+    eta = rep.coeffs.eta.copy()
+    eta[0, 700, 0, 0] = np.nan
+    report = maxwell_residual(replace(rep, coeffs=replace(rep.coeffs, eta=eta)))
+    for nu in (1, 2, 3):
+        assert np.isnan(report.channels[f"d_nu{nu}_q0"])
+        assert np.isfinite(report.channels[f"b_nu{nu}_q0"])
+        assert np.isfinite(report.channels[f"d_nu{nu}_q1"])
+    assert np.isfinite(report.channels["photon_1"])
     assert np.isnan(report.max_residual)
     assert not report.max_residual <= 1e-5  # the manifest's pass test
 
@@ -195,8 +198,48 @@ def test_vacuum_spectrum_no_magnetic_reservoir_for_pure_dielectric():
     me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     t = np.linspace(0.0, 4.0, 9)
     rep = make_rep(me, zero_coupling("magnetic"), t, order=32)
-    assert np.max(np.abs(rep.res_E_b)) == 0.0
+    for it in range(t.size):
+        assert np.max(np.abs(rep.channel("E_b", it=it))) == 0.0
     assert np.max(np.abs(rep.coeffs.zeta)) == 0.0
+
+
+def test_channels_match_the_stacked_channel_formulas(lorentz_models):
+    # every channel in both shapes equals, to the bit, the (3, n_q, n_t, 3)
+    # stack a representation once held: the families and couplings
+    # contracted with the triad, the couplings times exp(-i w_q t); on a
+    # medium with bound and free electric parts and a magnetic part
+    from mqed.couplings import combined_electric, drude
+    from mqed.tensors import triad
+
+    t = np.linspace(0.0, 3.0, 7)
+    model_e = combined_electric(lorentz_models[0], drude(1.1, 0.5))
+    rep = make_rep(model_e, lorentz_models[1], t, order=4)
+    mc, tr = rep.coeffs, triad(K)
+    res_w = (2.0 * np.pi) ** -1.5
+    vs = [tr.e(nu) for nu in (1, 2, 3)]
+    ss = [tr.s(nu) for nu in (1, 2, 3)]
+    phase = np.exp(-1j * np.outer(rep.omega_q_grid, t))
+    stacked = {
+        "E_d": np.stack([res_w * mc.eta @ v for v in vs]),
+        "E_b": np.stack([1j * res_w * mc.zeta @ s for s in ss]),
+        "H_d": np.stack([res_w * mc.eta_tilde @ v for v in vs]),
+        "H_b": np.stack([1j * res_w * mc.zeta_tilde @ s for s in ss]),
+        "P_d": np.stack([
+            res_w * np.einsum("qij,j->qi", mc.f_q, v)[:, None, :] * phase[:, :, None]
+            for v in vs
+        ]),
+        "M_b": np.stack([
+            1j * res_w * np.einsum("qij,j->qi", mc.g_q, s)[:, None, :] * phase[:, :, None]
+            for s in ss
+        ]),
+    }
+    for name, want in stacked.items():
+        assert np.any(want), name
+        for nu in range(3):
+            for q in range(rep.omega_q_grid.size):
+                assert np.array_equal(rep.channel(name, (nu, q)), want[nu, q]), name
+        for it in range(t.size):
+            assert np.array_equal(rep.channel(name, it=it), want[:, :, it]), name
 
 
 def test_minus_side_solved_once_at_commutator_times(monkeypatch, lorentz_models):

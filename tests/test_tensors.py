@@ -38,7 +38,7 @@ def test_triad_axis_aligned():
     assert np.allclose(tr.e2, [0.0, 1.0, 0.0])
     assert np.allclose(tr.s1, [0.0, 1.0, 0.0])
     assert np.allclose(tr.s2, [-1.0, 0.0, 0.0])
-    assert np.allclose(tr.v3, [0.0, 0.0, 1.0])
+    assert np.allclose(tr.e(3), [0.0, 0.0, 1.0])
 
 
 def test_triad_zero_wavevector():
@@ -63,8 +63,8 @@ def test_triad_completeness_random_sweep():
     worst = 0.0
     for k in khat:
         tr = triad(k)
-        ee = np.outer(tr.e1, tr.e1) + np.outer(tr.e2, tr.e2) + np.outer(tr.v3, tr.v3)
-        ss = np.outer(tr.s1, tr.s1) + np.outer(tr.s2, tr.s2) + np.outer(tr.s3, tr.s3)
+        ee = np.outer(tr.e1, tr.e1) + np.outer(tr.e2, tr.e2) + np.outer(tr.e(3), tr.e(3))
+        ss = np.outer(tr.s1, tr.s1) + np.outer(tr.s2, tr.s2) + np.outer(tr.s(3), tr.s(3))
         worst = max(worst, np.max(np.abs(ee - np.eye(3))), np.max(np.abs(ss - np.eye(3))))
         worst = max(worst, abs(tr.e1 @ tr.e2), abs(tr.e1 @ k / np.linalg.norm(k)))
     assert worst < 1e-13
