@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -240,16 +239,17 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
 
 
 def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
-    """cols -> exp(outer(t, rho)) @ cols for a uniform t (step h) and line
-    rho_j = a + i y_j (step dy), by Bluestein's chirp-z transform in
-    O((n_t + n_y) log) per column. With m and j counted from the middles of
-    their grids (which keeps the chirp phases small where the line has its
-    weight, near y = 0) and the chirp w_n = exp(i h dy n^2 / 2),
+    """(cols, out) -> out = exp(outer(t, rho)) @ cols for a uniform t (step
+    h) and line rho_j = a + i y_j (step dy), by Bluestein's chirp-z
+    transform in O((n_t + n_y) log) per column. With m and j counted from
+    the middles of their grids (which keeps the chirp phases small where the
+    line has its weight, near y = 0) and the chirp w_n = exp(i h dy n^2 / 2),
 
         exp(t_m rho_j) = exp(t_m (a + i y_c)) w_m conj(w_(m - j)) w_j exp(i t_c j dy):
 
     one FFT convolution with conj(w) between a row and a column factor, on
-    column blocks of one table each (`response._chunks`)."""
+    column blocks of one table each (`response._chunks`), each padded and
+    transformed in one buffer and its rows written into the caller's out."""
     n_t, n_y = t.size, rho.size
     dy = (rho[-1].imag - rho[0].imag) / (n_y - 1)
     theta = 0.5 * h * dy
@@ -264,13 +264,14 @@ def _chirp_z(t: np.ndarray, h: float, rho: np.ndarray):
     m = np.arange(n_t) - m_c
     row_fold = np.exp(1j * theta * (m * m) + t * (rho[0].real + 1j * rho[j_c].imag))[:, None]
 
-    def line_sum(cols: np.ndarray) -> np.ndarray:
-        out = np.empty((n_t, cols.shape[1]), dtype=complex)
+    def line_sum(cols: np.ndarray, out: np.ndarray):
         for c in _chunks(cols.shape[1], size):
-            spec = np.fft.fft(col_fold * cols[:, c], size, axis=0)
-            spec *= kernel
-            out[:, c] = row_fold * np.fft.ifft(spec, axis=0)[n_y - 1 : n_y - 1 + n_t]
-        return out
+            buf = np.zeros((size, cols[:, c].shape[1]), dtype=complex)
+            np.multiply(col_fold, cols[:, c], out=buf[:n_y])
+            buf = np.fft.fft(buf, axis=0)
+            buf *= kernel
+            buf = np.fft.ifft(buf, axis=0)
+            np.multiply(row_fold, buf[n_y - 1 : n_y - 1 + n_t], out=out[:, c])
 
     return line_sum
 
@@ -322,9 +323,11 @@ def _phi(n: int, z: np.ndarray) -> np.ndarray:
 
 
 def _line_sums(t: np.ndarray, rho: np.ndarray):
-    """(rows, line_sum) pairs that cover t, with line_sum(cols) = exp(outer(
-    t[rows], rho)) @ cols: one `_chirp_z` for a uniform grid longer than one
-    chunk, else the phase table in row chunks (`response._chunks`)."""
+    """(rows, line_sum) pairs that cover t, with line_sum(cols, out) writing
+    exp(outer(t[rows], rho)) @ cols into out: one `_chirp_z` for a uniform
+    grid longer than one chunk, else the phase table in row chunks
+    (`response._chunks`), whose product is copied to out (numpy leaves BLAS,
+    and rounds apart, for a strided matmul out)."""
     chunks = _chunks(t.size, rho.size)
     h = uniform_step(t)
     if h is not None and len(chunks) > 1:
@@ -333,14 +336,15 @@ def _line_sums(t: np.ndarray, rho: np.ndarray):
     for rows in chunks:
         table = np.multiply.outer(t[rows], rho)
         np.exp(table, out=table)
-        yield rows, partial(np.matmul, table)
+        yield rows, lambda cols, out, table=table: np.copyto(out, table @ cols)
 
 
 def _tail_transform(t, a, c3, c4):
     """e^-at (C3 t^2 / 2 + C4' t^3 / 6), the transform of the subtracted tail."""
     decay = np.exp(-a * t)
-    return (np.multiply.outer(decay * t**2 / 2.0, c3)
-            + np.multiply.outer(decay * t**3 / 6.0, c4))
+    tail = np.multiply.outer(decay * t**2 / 2.0, c3)
+    tail += np.multiply.outer(decay * t**3 / 6.0, c4)
+    return tail
 
 
 def _vacuum(response):
@@ -399,14 +403,16 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
 
     # no conditioning guard: the line stays a distance a off the
     # imaginary-axis dispersion shell, where Lambda is singular
-    inv_med = np.linalg.inv(assemble_lambda(response, k, rho).value)
-    inv_vac = np.linalg.inv(assemble_lambda(_vacuum(response), k, rho).value)
     c3, c4 = _line_tail(response, k, a)
     u = (1.0 / (rho + a))[:, None, None]
     # the medium-vacuum difference less its tail, ~ |rho|^-5, with the line
-    # measure dy / 2 pi folded in; columns hold all four 3x3 blocks of the 6x6
-    dy = y[1] - y[0]
-    stack = (inv_med - inv_vac - u**3 * (c3 + u * c4)).reshape(n_y, 36) * (dy / (2.0 * np.pi))
+    # measure dy / 2 pi folded in; columns hold all four 3x3 blocks of the
+    # 6x6, formed in place
+    stack = np.linalg.inv(assemble_lambda(response, k, rho).value)
+    stack -= np.linalg.inv(assemble_lambda(_vacuum(response), k, rho).value)
+    stack -= u**3 * (c3 + u * c4)
+    stack = stack.reshape(n_y, 36)
+    stack *= (y[1] - y[0]) / (2.0 * np.pi)
 
     # the estimates' sums: the eh block (for the scale), the sum less its
     # every-other-point copy (the points with signs alternating from -) and
@@ -416,7 +422,8 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     outer = np.abs(y) > 0.5 * y_top
     cols = np.concatenate([stack.reshape(n_y, 6, 6)[:, :3, 3:].reshape(n_y, 9),
                            sign[:, None] * stack, outer[:, None] * stack], axis=1)
-    sums = _chirp_z(t_est, t_est[1], rho)(cols)
+    sums = np.empty((t_est.size, cols.shape[1]), dtype=complex)
+    _chirp_z(t_est, t_est[1], rho)(cols, sums)
     eh = sums[:, :9].reshape(-1, 3, 3) + _tail_transform(t_est, a, c3, c4)[:, :3, 3:]
     scale = max(float(np.max(np.abs(eh))), 1e-30)
     est = float(np.max(np.abs(sums[:, 9:45]))) / scale
@@ -465,43 +472,48 @@ def _line_mode_path(response, blocks, k, t, omega_q):
         raise ValidationError(f"bromwich line reservoir frequencies must lie in "
                               f"[0, {response.omega_top:g}] (the response's omega_top)")
     line = bromwich_line(response, k)
-    base, res, _ = _rational_mode_path(_vacuum(response), blocks, k, t, omega_q)
     rho, n_q = line.rho, omega_q.size
     a = float(rho[0].real)
     n_y = rho.size
     diff = line.stack.reshape(n_y, 6, 6)
-
-    # reservoir sums conv[q] = sum_j phase_j block_j / (rho_j + i w_q), with
-    # the factor folded into the block side in column chunks of bounded size
     res_blocks = {n: diff[:, _BLOCKS[n][0], _BLOCKS[n][1]].reshape(n_y, 9) for n in blocks}
-    conv = {n: np.empty((n_q, t.size, 3, 3), dtype=complex) for n in blocks}
     fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
-    sums = np.empty((t.size, 36), dtype=complex)
-    for rows, line_sum in _line_sums(t, rho):
-        sums[rows] = line_sum(line.stack)
-        for name in blocks:
-            for qs in _chunks(n_q, 9 * n_y):
-                scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
-                part = line_sum(scaled.reshape(n_y, -1))
-                del scaled  # freed before the next chunk's is built
-                conv[name][qs, rows] = part.reshape(part.shape[0], -1, 3, 3).swapaxes(0, 1)
-    # the tail's transforms: e^-at (C3 t^2 / 2 + C4' t^3 / 6) on the base,
-    # e^-at t^n phi_n((a - i w_q) t) for the reservoir sums
-    line_base = sums.reshape(t.size, 6, 6) + _tail_transform(t, a, line.c3, line.c4)
+    # the tail's transforms for the reservoir sums, e^-at t^n phi_n((a - i w_q) t)
     decay = np.exp(-a * t)
     z = np.multiply.outer(a - 1j * omega_q, t)  # (q, t)
     g3 = (decay * t**3) * _phi(3, z)
     g4 = (decay * t**4) * _phi(4, z)
-    # L^-1[fac G] = L^-1[G] - i w_q L^-1[G / (rho + i w_q)] for the difference
-    iw = 1j * omega_q[:, None, None, None]
-    for name in blocks:
-        rows_b, cols_b = _BLOCKS[name]
-        conv[name] += np.multiply.outer(g3, line.c3[rows_b, cols_b])
-        conv[name] += np.multiply.outer(g4, line.c4[rows_b, cols_b])
-        res[name] += line_base[None, :, rows_b, cols_b]
-        conv[name] *= iw
-        res[name] -= conv[name]
-    base += line_base
+    base = None
+    for rows, line_sum in _line_sums(t, rho):
+        # the line's part of the base: its sums plus the tail's transforms
+        # e^-at (C3 t^2 / 2 + C4' t^3 / 6)
+        line_base = np.empty((t[rows].size, 6, 6), dtype=complex)
+        line_sum(line.stack, line_base.reshape(-1, 36))
+        line_base += _tail_transform(t[rows], a, line.c3, line.c4)
+        if base is None:
+            # the exact vacuum part, built after the first chunk's sums: a long
+            # uniform grid is one chirp-z chunk, whose tables never meet it
+            base, res, _ = _rational_mode_path(_vacuum(response), blocks, k, t, omega_q)
+        base[rows] += line_base
+        for name in blocks:
+            res[name][:, rows] += line_base[None, :, _BLOCKS[name][0], _BLOCKS[name][1]]
+        del line_base
+        # one block at a time, the reservoir sums conv[t, q] = sum_j phase_j
+        # block_j / (rho_j + i w_q), with the factor folded into the block
+        # side in column chunks of bounded size; L^-1[fac G] = L^-1[G] - i w_q
+        # L^-1[G / (rho + i w_q)] for the difference
+        for name in blocks:
+            rows_b, cols_b = _BLOCKS[name]
+            conv = np.empty((t[rows].size, n_q * 9), dtype=complex)
+            for qs in _chunks(n_q, 9 * n_y):
+                scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
+                line_sum(scaled.reshape(n_y, -1), conv[:, 9 * qs.start : 9 * qs.stop])
+                del scaled  # freed before the next chunk's is built
+            conv = conv.reshape(t[rows].size, n_q, 3, 3)
+            conv += np.multiply.outer(g3[:, rows].T, line.c3[rows_b, cols_b])
+            conv += np.multiply.outer(g4[:, rows].T, line.c4[rows_b, cols_b])
+            conv *= 1j * omega_q[:, None, None]
+            res[name][:, rows] -= conv.swapaxes(0, 1)
     return base, res, dict(line.metadata)
 
 

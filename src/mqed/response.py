@@ -196,8 +196,11 @@ def _angle_table(t: np.ndarray, nodes: np.ndarray, sin_block, cos_block) -> np.n
     turns the product into two real GEMMs of the (R, n) tables sin(omega a)
     and cos(omega a) against the J-stacked blocks in brackets, so
     2 (R + n_t / R) n sines and cosines are evaluated instead of one or two
-    per (t_j, omega_n). The J groups are stacked in column chunks. Any other
-    grid builds the tables of t omega_n itself in row chunks.
+    per (t_j, omega_n). The nodes are taken in chunks of one (R, n) table
+    each and the J groups in column chunks (`_chunks`); each bracket is built
+    in one buffer, the second GEMM is added into the first one's output, and
+    the node chunks' partials are summed. Any other grid builds the tables
+    of t omega_n itself in row chunks.
     """
     pairs = [(fn, b) for fn, b in ((np.sin, sin_block), (np.cos, cos_block)) if b is not None]
     m = pairs[0][1].shape[1]
@@ -210,22 +213,31 @@ def _angle_table(t: np.ndarray, nodes: np.ndarray, sin_block, cos_block) -> np.n
         return out
 
     def mix(x, p, y, q):  # x p + y q for (n, 1, g) factors, as (n, m g), g innermost
-        terms = [f * b[:, :, None] for f, b in ((x, p), (y, q)) if b is not None]
-        return reduce(np.add, terms).reshape(nodes.size, -1)
+        (f, b), *rest = [(f, b) for f, b in ((x, p), (y, q)) if b is not None]
+        buf = f * b[:, :, None]
+        for f, b in rest:  # a column at a time, beside the one (n, m, g) table
+            for j in range(m):
+                buf[:, j] += f[:, 0] * b[:, j, None]
+        return buf.reshape(len(f), -1)
 
     r = int(np.ceil(np.sqrt(t.size)))
     groups = -(-t.size // r)
-    offsets = np.multiply.outer(h * np.arange(r), nodes)
-    cos_a = np.cos(offsets)
-    sin_a = np.sin(offsets, out=offsets)
-    shifts = np.multiply.outer(nodes, t[0] + (r * h) * np.arange(groups))  # (n, groups)
-    neg_cos = None if cos_block is None else -cos_block
+    starts = t[0] + (r * h) * np.arange(groups)
     out = np.empty((groups, r, m))
-    for g in _chunks(groups, nodes.size * m):
-        cos_b, sin_b = np.cos(shifts[:, None, g]), np.sin(shifts[:, None, g])
-        part = (sin_a @ mix(cos_b, sin_block, sin_b, neg_cos)
-                + cos_a @ mix(sin_b, sin_block, cos_b, cos_block))  # (r, m g)
-        out[g] = part.reshape(r, m, -1).transpose(2, 0, 1)
+    for i, ns in enumerate(_chunks(nodes.size, r)):
+        sin_n, cos_n = (None if b is None else b[ns] for b in (sin_block, cos_block))
+        neg_cos = None if cos_n is None else -cos_n
+        sin_a = np.multiply.outer(h * np.arange(r), nodes[ns])  # (r, n)
+        cos_a = np.cos(sin_a)
+        np.sin(sin_a, out=sin_a)
+        for g in _chunks(groups, sin_a.shape[1] * m):
+            sin_b = np.multiply.outer(nodes[ns], starts[g])[:, None]  # (n, 1, g)
+            cos_b = np.cos(sin_b)
+            np.sin(sin_b, out=sin_b)
+            part = sin_a @ mix(cos_b, sin_n, sin_b, neg_cos)
+            part += cos_a @ mix(sin_b, sin_n, cos_b, cos_n)  # (r, m g)
+            part = part.reshape(r, m, -1).transpose(2, 0, 1)
+            out[g] = out[g] + part if i else part
     return out.reshape(-1, m)[: t.size]
 
 

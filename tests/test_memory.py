@@ -1,8 +1,9 @@
-"""The working set of a run stays bounded: a chunk loop holds at most a few
-tables of the element budget (`response._TABLE_ELEMENTS`) at a time, and
-`run_scenario` frees each stage's products after the last check that reads
-them. The peaks are what numpy and Python allocate, traced by tracemalloc,
-so they depend neither on the allocator nor on the machine."""
+"""The working set of a run stays bounded: a kernel on a long grid holds at
+most two tables of the element budget (`response._TABLE_ELEMENTS` complex
+values) beside its outputs, and `run_scenario` frees each stage's products
+after the last check that reads them. The peaks are what numpy and Python
+allocate, traced by tracemalloc, so they depend neither on the allocator nor
+on the machine."""
 
 import tracemalloc
 from pathlib import Path
@@ -10,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mqed.response
 import mqed.scenario
 from mqed.cli import _STAGES
 from mqed.couplings import gaussian_anisotropic, zero_coupling
+from mqed.modes import _chirp_z, _line_mode_path, bromwich_line
 from mqed.observables import field_representation, maxwell_residual, reservoir_picks
 from mqed.quadrature import gauss_legendre
-from mqed.response import laplace_response
+from mqed.response import _angle_table, _fft_size, laplace_response
 from mqed.scenario import parse_scenario, run_scenario
 from mqed.tensors import NATURAL
 
@@ -63,6 +66,71 @@ def _traced_peak_mb(call) -> float:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def _nbytes(value) -> int:
+    """The bytes of the arrays in value (an array, or a tuple or dict of
+    them), each counted by the array that owns its memory."""
+    if isinstance(value, np.ndarray):
+        return (value if value.base is None else value.base).nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(_nbytes, value)) if isinstance(value, (tuple, list)) else 0
+
+
+def _tables_beside_outputs(call) -> float:
+    """The traced peak of call() less the arrays it returns, in tables of
+    `_TABLE_ELEMENTS` complex values."""
+    results = []
+    peak = _traced_peak_mb(lambda: results.append(call()))
+    return (peak * 1e6 - _nbytes(results[0])) / (16 * mqed.response._TABLE_ELEMENTS)
+
+
+def test_chirp_z_line_sum_holds_two_tables(monkeypatch):
+    # 36 columns in chunks of 8, each chunk's buffer 0.94 of a table: the
+    # padded columns and their transform, the one beside the other (2.8 when
+    # the transform, its inverse and the folded rows were held at once)
+    t = np.linspace(0.0, 4.0, 3001)
+    rho = 0.4 + 1j * np.linspace(-40.0, 40.0, 1201)
+    size = _fft_size(t.size + rho.size - 1)
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 8 * size + size // 2)
+    cols = np.exp(-np.abs(rho.imag))[:, None] * np.linspace(1.0, 2.0, 36)
+    out = np.empty((t.size, 36), dtype=complex)
+    line_sum = _chirp_z(t, t[1], rho)
+    assert _tables_beside_outputs(lambda: line_sum(cols, out)) <= 2.0
+
+
+def test_angle_table_holds_two_tables_beside_its_outputs(monkeypatch):
+    # the oscillator ladder's form (sine and cosine blocks) on the round
+    # trip's 3,001 points: two node chunks of 2,383, their (R, n) sine and
+    # cosine tables one table together, and one bracket of 0.49 of a table
+    # at a time (4.3 with the whole node axis in one chunk, all its angle
+    # shifts and both brackets beside each other)
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 1 << 17)
+    t = np.linspace(0.0, 20.0, 3001)
+    x, w = gauss_legendre(4096, 0.0, 30.0)
+    rng = np.random.default_rng(4)
+    sin_block, cos_block = (w[:, None] * rng.normal(size=(x.size, 6)) for _ in range(2))
+    assert _tables_beside_outputs(lambda: _angle_table(t, x, sin_block, cos_block)) <= 2.0
+
+
+def test_line_mode_path_holds_two_tables_beside_its_outputs(monkeypatch):
+    # a 1,501-point Maxwell-like grid of the gaussian medium on its line of
+    # 594 points, with the 36 line columns in one table: 5.1 tables when
+    # the line sums, the reservoir sums of every block and the vacuum
+    # transforms were held beside each other
+    model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8)
+    response = laplace_response(model, zero_coupling("magnetic"), horizon=2.0)
+    k = np.array([0.4, -0.3, 1.1])
+    t = np.linspace(0.0, 2.0, 1501)
+    n_y = bromwich_line(response, k).rho.size
+    size = _fft_size(t.size + n_y - 1)
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 36 * size + size // 2)
+    nodes, _ = gauss_legendre(16, 0.0, 5.0)
+    omega_q = nodes[reservoir_picks(nodes.size, 2)]
+    assert n_y == 594
+    assert _tables_beside_outputs(
+        lambda: _line_mode_path(response, ("eh", "hh"), k, t, omega_q)) <= 2.0
 
 
 def test_field_representation_on_the_gaussian_modes_grid_stays_bounded():
@@ -118,6 +186,50 @@ def test_modes_representation_of_the_lorentz_config_stays_bounded():
     peak = _traced_peak_mb(lambda: field_representation(response, k, t, nodes, weights))
     assert nodes.size == 256
     assert peak <= 20.0
+
+
+def _gaussian_config():
+    """gaussian.cfg, its medium bounded as `run_scenario` bounds it (the
+    horizon and top reservoir frequency of its grids fix the line) and its
+    one k."""
+    config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
+    grids = config.grids
+    model = config.model("electric", NATURAL)
+    response = laplace_response(model, config.model("magnetic", NATURAL),
+                                quad=config.quadrature(),
+                                horizon=max(grids["t_max"], grids["maxwell_t_max"]),
+                                omega_top=max(grids["reservoir_cutoff"],
+                                              5.0 * model.frequency_scale))
+    return config, response, config.k_list()[0]
+
+
+def test_maxwell_representation_of_the_gaussian_config_stays_bounded():
+    # gaussian.cfg's Maxwell grid (6,001 points) on the two sampled
+    # reservoir nodes, its line of 2,374 points built in the call: 33.0 MB
+    # when the line sums, the reservoir sums, the vacuum transforms and
+    # three FFT tables of the chirp-z sums were alive at once
+    config, response, k = _gaussian_config()
+    grids = config.grids
+    t = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
+    nodes, weights = gauss_legendre(16, 0.0, 5.0 * response.model_e.frequency_scale)
+    picks = reservoir_picks(nodes.size, 2)
+    reports = []
+    peak = _traced_peak_mb(lambda: reports.append(maxwell_residual(
+        field_representation(response, k, t, nodes[picks], weights[picks]))))
+    assert t.size == 6001 and reports[0].max_residual <= 1e-5
+    assert response.lines[tuple(k)].metadata["line_points"] == 2374
+    assert peak <= 24.0
+
+
+def test_verify_gaussian_config_stays_bounded(tmp_path):
+    # 35.0 MB when the Maxwell stage's line path held its line sums,
+    # reservoir sums and vacuum transforms at once, and the angle tables
+    # of the kernels and the round trip held every bracket and angle shift
+    config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
+    manifests = []
+    peak = _traced_peak_mb(lambda: manifests.append(run_scenario(config, out_dir=str(tmp_path))))
+    assert manifests[0].all_passed
+    assert peak <= 27.0
 
 
 def test_verify_lorentz_config_stays_bounded(tmp_path):

@@ -606,6 +606,26 @@ def test_angle_addition_table_matches_row_loop(monkeypatch, fn, m, n_t):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_angle_table_at_order_32768_matches_one_node_chunk(monkeypatch):
+    # the round trip's 3,001 points at the order a width-0.05 Lorentz line
+    # needs: its (R, n) tables are 1.8 M elements, four node chunks of the
+    # budget, whose GEMM partials are summed
+    import mqed.response
+    from mqed.quadrature import gauss_legendre
+    from mqed.response import _angle_table, _chunks
+
+    t = np.linspace(0.0, 20.0, 3001)
+    x, w = gauss_legendre(32768, 0.0, 30.0)
+    rng = np.random.default_rng(32768)
+    sin_block, cos_block = (w[:, None] * rng.normal(size=(x.size, 2)) for _ in range(2))
+    assert len(_chunks(x.size, 55)) == 4
+    got = _angle_table(t, x, sin_block, cos_block)
+    monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 1 << 21)
+    assert len(_chunks(x.size, 55)) == 1
+    ref = _angle_table(t, x, sin_block, cos_block)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_uniform_step_detection():
     from mqed.response import uniform_step
 
