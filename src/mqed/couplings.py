@@ -302,14 +302,12 @@ def tabulated_from_csv(path, which: str = ELECTRIC) -> CouplingModel:
     """Load a tabulated model from CSV: header row, then columns
     omega, |k|, and 18 Re/Im entries of the 3x3 tensor in row-major order,
     one row for each (omega, |k|) pair of a full grid."""
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) != 20:
             raise ValidationError("tabulated CSV needs a header row and 20 columns")
-        for row in reader:
-            rows.append([float(x) for x in row])
+        rows = [[float(x) for x in row] for row in reader]
     if not rows:
         raise ValidationError("tabulated CSV has no data rows")
     data = np.asarray(rows)

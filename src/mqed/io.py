@@ -33,11 +33,7 @@ import os
 import numpy as np
 
 # row-major tensor entries: re_11, im_11, re_12, im_12, ..., im_33
-TENSOR_COLUMNS = []
-for i in (1, 2, 3):
-    for j in (1, 2, 3):
-        TENSOR_COLUMNS.append(f"re_{i}{j}")
-        TENSOR_COLUMNS.append(f"im_{i}{j}")
+TENSOR_COLUMNS = [f"{p}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")]
 
 
 # values formatted per block, about 2 MB of temporaries; larger blocks gain

@@ -390,10 +390,8 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
         return line
     horizon = response.horizon
     a = _LINE_ABSCISSA_FACTOR / horizon
-    scales = [1.0, response.constants.c * float(np.linalg.norm(k))]
-    for m in (response.model_e, response.model_m):
-        if not m.is_zero:
-            scales.append(m.frequency_scale)
+    scales = [1.0, response.constants.c * float(np.linalg.norm(k)),
+              *(m.frequency_scale for m in (response.model_e, response.model_m) if not m.is_zero)]
     y_top = max(_LINE_HALFWIDTH_FACTOR * max(scales),
                 response.omega_top + _LINE_RESERVOIR_MARGIN * max(scales))
     dy = 0.5 / horizon

@@ -7,8 +7,8 @@ medium kinds each part (electric, magnetic, conductor) takes, each with its
 constructor and its required and optional parameters. README.md lists both
 in its "Scenario config keys" table. Every value is checked when the config
 is parsed, so a bad one is a config error naming its key before any stage
-runs. Running a scenario writes CSV/JSON artifacts plus a manifest that
-lists every executed check exactly once.
+runs. `_CHECKS` declares each check once, with the README claim it serves;
+a run writes CSV/JSON artifacts plus a manifest listing each check it ran.
 """
 
 from __future__ import annotations
@@ -18,36 +18,22 @@ import sys
 import time
 from contextlib import contextmanager
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .conductor import conductor_modes
-from .couplings import (
-    ELECTRIC,
-    MAGNETIC,
-    combined_electric,
-    coupling_from_target,
-    coupling_product,
-    drude,
-    gaussian_anisotropic,
-    lorentz_isotropic,
-    tabulated_from_csv,
-    zero_coupling,
-)
+from .couplings import (ELECTRIC, MAGNETIC, combined_electric, coupling_from_target,
+                        coupling_product, drude, gaussian_anisotropic, lorentz_isotropic,
+                        tabulated_from_csv, zero_coupling)
 from .errors import NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
 from .modes import METHODS, lambda_reality_scan, resolve_method
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
-from .observables import (
-    constitutive_roundtrip,
-    equal_time_commutators,
-    field_representation,
-    maxwell_residual,
-    reservoir_picks,
-    vacuum_spectrum,
-)
+from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
+                          maxwell_residual, reservoir_picks, vacuum_spectrum)
 from .quadrature import QuadratureSpec, gauss_legendre
 from .response import (KK_MIN_POINTS, _cutoff, _relative_deviation, chi_kernel, chi_spectrum,
                        conductor_Q, kk_check, laplace_response)
@@ -308,17 +294,13 @@ class RunManifest:
     quadrature: dict = field(default_factory=dict)
     error: dict | None = None
 
-    def add_check(self, name, value, tol, details=None):
-        entry = {
-            "name": name,
-            "passed": bool(value <= tol),
-            "max_error": float(value),
-            "tolerance": float(tol),
-        }
-        if details:
-            entry["details"] = details
-        self.checks.append(entry)
-        return entry["passed"]
+    def add_check(self, name, claim, value, tol, details=None):
+        """Lists a check, its README claim and its margin max_error / tolerance."""
+        self.checks.append({
+            "name": name, "passed": bool(value <= tol), "max_error": float(value),
+            "tolerance": float(tol), "claim": claim, "margin": float(value) / float(tol),
+            **({"details": details} if details else {}),
+        })
 
     @contextmanager
     def timed(self, name):
@@ -378,11 +360,8 @@ def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants)
     try:
         yield manifest, emit
     except NumericalError as exc:
-        manifest.error = {
-            "module": type(exc).__module__,
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
+        manifest.error = {"module": type(exc).__module__, "type": type(exc).__name__,
+                          "message": str(exc)}
         emit("manifest.json", write_json, manifest.payload())
         raise
     emit("manifest.json", write_json, manifest.payload())
@@ -398,6 +377,174 @@ def part_kernel(model, k, t_grid=None, constants: PhysicalConstants = NATURAL,
     return chi_kernel(model, k, t_grid, constants=constants, quad=quad)
 
 
+# At each k a stage's builder writes its outputs and returns its product for
+# one medium part (None for a zero part: nothing to check) from the product of
+# the stage it reads, and the stage's checks measure it in `_CHECKS` order.
+# Both reach the layer functions through this module's globals, so a rebinding
+# of them (a tracer) sees every call.
+
+def _chi_products(run, part, _):
+    """A part's kernel and spectrum, which its chi and noise checks read."""
+    model = run.models[part]
+    kernel = part_kernel(model, run.k, run.t_grid, run.constants, run.quad)
+    run.manifest.quadrature[f"chi_{part}_{run.tag}"] = kernel.metadata()
+    run.emit(f"chi_{part}_{run.tag}.csv", write_tensor_series_csv, "t", kernel.t_grid,
+             kernel.values)
+    spectrum = chi_spectrum(kernel, run.omega, tail_rtol=run.num["tail_rtol"])
+    run.emit(f"spectrum_{part}_{run.tag}.csv", write_tensor_series_csv, "omega",
+             spectrum.omega_grid, spectrum.values)
+    return None if model.is_zero else (kernel, spectrum)
+
+
+def _noise_products(run, part, chi):
+    """A part's kernel and noise commutator report."""
+    if chi is None:
+        return None
+    rep = noise_commutator(run.models[part], chi[1], constants=run.constants)
+    _emit_report(run, f"noise_{_POLARIZATION[part]}_{run.tag}", "omega", rep)
+    return chi[0], rep
+
+
+def _modes_products(run, part, _):
+    """The modes-grid field representation, which the commutators read."""
+    rep = field_representation(run.response, run.k, run.t_modes, run.nodes, run.weights,
+                               method=run.method)
+    mc = rep.coeffs
+    run.manifest.quadrature[f"modes_{run.tag}"] = dict(mc.metadata)
+    for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
+        run.emit(f"modes_{name}_{run.tag}.csv", write_tensor_series_csv, "t", mc.t_grid,
+                 getattr(mc, name))
+    for name in ("zeta", "eta", "zeta_tilde", "eta_tilde") if mc.omega_q_grid.size else ():
+        run.emit(f"modes_{name}_{run.tag}.csv", write_tensor_grid_csv, ("omega_q", "t"),
+                 (mc.omega_q_grid, mc.t_grid), getattr(mc, name))
+    return rep
+
+
+def _conductor_products(run, part, _):
+    """The mode coefficients of the bound and free carriers together."""
+    mc = conductor_modes(run.cond, run.k, run.t_grid[:: max(1, run.t_grid.size // 64)],
+                         run.nodes)
+    run.manifest.quadrature[f"conductor_{run.tag}"] = dict(mc.metadata)
+    run.emit(f"conductor_gamma_{run.tag}.csv", write_tensor_series_csv, "t", mc.t_grid,
+             mc.gamma)
+    return mc
+
+
+def _emit_report(run, name, label, report):
+    """A commutator report's deviation curve and lhs tensors as CSV, the report as JSON."""
+    scale = float(np.max(np.linalg.norm(report.rhs, axis=(1, 2)))) or 1.0
+    deviation = np.linalg.norm(report.lhs - report.rhs, axis=(1, 2)) / scale
+    run.emit(f"{name}.csv", write_deviation_csv, label, report.grid, deviation, report.lhs)
+    run.emit(f"{name}.json", lambda path: write_json(path, asdict(report)))
+
+
+def _kk(run, part, got):
+    # inside the support of the kernel's rule: past its cutoff Im chi_hat is
+    # only the truncation's ripple
+    n_kk = int(run.grids["kk_n_omega"])
+    top = min(run.grids["kk_omega_max"], _cutoff(run.models[part], run.quad))
+    spectrum = chi_spectrum(got[0], (np.arange(n_kk) + 0.5) * top / n_kk,
+                            tail_rtol=run.num["tail_rtol"])
+    return _Measure(kk_check(spectrum).max_rel_residual)
+
+
+def _equal_time(run, part, got):
+    baseline = field_representation(run.vacuum, run.k, run.t_set, run.nodes, run.weights)
+    comm = equal_time_commutators(got, run.t_set, baseline=baseline)
+    run.manifest.quadrature[f"modes_minus_{run.tag}"] = comm.details["minus_k"]
+    _emit_report(run, f"commutator_equal_time_{run.tag}", "t", comm)
+    return _Measure(comm.max_rel_err)
+
+
+def _vacuum_psd(run, part, got):
+    eigs = np.linalg.eigvalsh(vacuum_spectrum(got, (0.0, 0.0, 0.0), 0.0))
+    return _Measure(max(0.0, -float(np.min(eigs))), None, max(1.0, float(np.max(np.abs(eigs)))))
+
+
+def _maxwell(run, part, got):
+    # a finer uniform grid, on a small reservoir sample at moderate
+    # frequencies: two nodes of a 16-node rule. Built here, not before the
+    # stages: reservoir_picks' np.unique loads numpy.ma (1.7 MB) on first use.
+    nodes, weights = gauss_legendre(16, 0.0, run.res_cut)
+    picks = reservoir_picks(nodes.size, 2)
+    t = np.linspace(0.0, run.grids["maxwell_t_max"], int(run.grids["maxwell_n_t"]))
+    res = maxwell_residual(field_representation(run.response, run.k, t, nodes[picks],
+                                                weights[picks], method=run.method))
+    return _Measure(res.max_residual, res.channels)
+
+
+_BOTH, _MEDIUM = ("electric", "magnetic"), ("medium",)
+_POLARIZATION = {"electric": "P", "magnetic": "M"}
+# stage -> (the parts it builds a product for, its builder
+# (run, part, product of the stage it reads), that stage)
+_STAGES = {
+    "chi": (_BOTH, _chi_products, None),
+    "noise": (_BOTH, _noise_products, "chi"),
+    "modes": (_MEDIUM, _modes_products, None),
+    "commutators": (_MEDIUM, lambda run, part, modes: modes, "modes"),
+    "conductor": (_MEDIUM, _conductor_products, None),
+}
+
+# The tolerances no config key sets, each with one value in use. A stable
+# medium's mode poles lie at Re p <= 0; 1e-10 admits the pole search's rounding.
+_POLE_TOL = 1e-10
+# vacuum_spectrum is a positively weighted sum of v v^dag, so a negative
+# eigenvalue is rounding, relative to the largest one (taken as at least 1).
+_PSD_RTOL = 1e-10
+# q_decomposition takes dchi/dt by second-order differences on the kernel's
+# t grid, coarser than the Maxwell grid, so it gets ten times maxwell_tol.
+_Q_TOL_FACTOR = 10.0
+
+# a check's value, its details and the scale its tolerance is relative to
+_Measure = namedtuple("_Measure", "value details scale", defaults=(None, 1.0))
+# A manifest check: its name (formatted with the part, its polarization and
+# the k tag), stage, parts, README claim, tolerance ([numerics] key, None for
+# 1; times `factor` and the measured scale) and measure(run, part, got). With
+# reads=False it does not read its stage's product `got`, which is freed first.
+_Check = namedtuple("_Check", "name stage parts claim tol measure factor reads",
+                    defaults=(1.0, True))
+_HEISENBERG = "Maxwell and constitutive equations as Heisenberg equations"
+_CANONICAL = "medium independence of the canonical structure"
+_ROUNDTRIP = _Check(
+    "roundtrip_{part}_{tag}", "chi", _BOTH, "susceptibilities from the coupling tensors",
+    "roundtrip_tol", lambda run, part, got: _Measure(_roundtrip_error(
+        run.models[part], got[1], run.omega, run.k, run.constants)))
+_CHECKS = (
+    _Check("kk_{part}_{tag}", "chi", _BOTH, "causality", "kk_tol", _kk),
+    _ROUNDTRIP,
+    _Check("fdt_{pol}_{tag}", "noise", _BOTH, "fluctuation–dissipation", "fdt_tol",
+           lambda run, part, got: _Measure(got[1].max_rel_err)),
+    _Check("fdt_J_{tag}", "noise", ("electric",), "fluctuation–dissipation", "fdt_tol",
+           lambda run, part, got: _Measure(noise_current_coefficient(got[1]).max_rel_err)),
+    _Check("pdot_continuity_{tag}", "noise", ("electric",), _HEISENBERG, "continuity_tol",
+           lambda run, part, got: _Measure(pdot_continuity(
+               run.models[part], got[0], run.constants, run.num["continuity_dt"]).relative_jump)),
+    _Check("constitutive_roundtrip_{tag}", "noise", ("electric",), _HEISENBERG,
+           "constitutive_tol", lambda run, part, got: _Measure(constitutive_roundtrip(
+               run.models[part], got[0],
+               np.linspace(0.0, 20.0 / run.models[part].frequency_scale, 3001),
+               run.constants).residual)),
+    _Check("lambda_reality_{tag}", "modes", _MEDIUM, _HEISENBERG, "reality_tol",
+           lambda run, part, got: _Measure(lambda_reality_scan(
+               run.response, run.rng.normal(size=(10, 3)),
+               run.rng.uniform(0.1, 5.0, size=10)).max_deviation), reads=False),
+    _Check("equal_time_commutator_{tag}", "commutators", _MEDIUM, _CANONICAL,
+           "commutator_tol", _equal_time),
+    _Check("vacuum_spectrum_psd_{tag}", "commutators", _MEDIUM, _CANONICAL, None, _vacuum_psd,
+           _PSD_RTOL),
+    _Check("maxwell_residual_{tag}", "commutators", _MEDIUM, _HEISENBERG, "maxwell_tol",
+           _maxwell, reads=False),
+    _Check("conductor_poles_{tag}", "conductor", _MEDIUM, "conductor pathway", None,
+           lambda run, part, got: _Measure(float(got.metadata.get("max_re_pole", 0.0))),
+           _POLE_TOL),
+    # only the bound part: its Q must be eps0 dchi/dt (a zero part reads 0)
+    _Check("q_decomposition_{tag}", "conductor", _MEDIUM, "conductor pathway", "maxwell_tol",
+           lambda run, part, got: _Measure(conductor_Q(
+               run.models["electric"], run.k, run.t_grid, run.constants,
+               run.quad).sigma_residual), _Q_TOL_FACTOR, reads=False),
+)
+
+
 def run_scenario(
     config: ScenarioConfig,
     out_dir=None,
@@ -406,18 +553,21 @@ def run_scenario(
 ) -> RunManifest:
     """Execute the configured checks and write artifacts + manifest.
 
+    A stage runs with the stage it reads (noise reads chi, commutators read
+    modes); the conductor stage runs only with free carriers. Each product is
+    freed after its last reader, so the working set is the largest stage's.
+
     Deterministic for a fixed config and version: CSV bytes depend only on
     the numbers produced, and all random sampling is seeded from the config.
     """
-    quad = config.quadrature()
-    num = config.numerics
     grids = config.grids
-    model_e = config.model("electric", constants)
-    model_m = config.model("magnetic", constants)
+    run = SimpleNamespace(constants=constants, quad=config.quadrature(), grids=grids,
+                          num=config.numerics)
+    run.models = models = {part: config.model(part, constants) for part in _BOTH}
     free = config.model("conductor", constants)
     # the scale of the Maxwell residual's reservoir sample
-    models = [m for m in (model_e, model_m, free) if not m.is_zero]
-    res_cut = 5.0 * max((m.frequency_scale for m in models), default=1.0)
+    scales = [m.frequency_scale for m in (*models.values(), free) if not m.is_zero]
+    run.res_cut = res_cut = 5.0 * max(scales, default=1.0)
     # the latest time and the top reservoir frequency any stage asks the
     # modes for: they fix the Bromwich line of a continuum medium
     bounds = {"horizon": max(grids["t_max"], grids["maxwell_t_max"]),
@@ -425,208 +575,65 @@ def run_scenario(
     # the medium of the conductor stage: the bound electric part and the free
     # carriers as one electric coupling, with the magnetic part; None without
     # free carriers
-    cond = None if free.is_zero else laplace_response(
-        combined_electric(model_e, free), model_m, constants=constants, quad=quad, **bounds)
-    response = laplace_response(model_e, model_m, constants=constants, quad=quad, **bounds)
+    run.cond = None if free.is_zero else laplace_response(
+        combined_electric(models["electric"], free), models["magnetic"], constants, run.quad,
+        **bounds)
+    run.response = laplace_response(*models.values(), constants, run.quad, **bounds)
     try:
-        method = resolve_method(response, num["laplace"])
+        run.method = resolve_method(run.response, run.num["laplace"])
     except ValidationError as exc:
         raise ValidationError(str(exc), key="laplace") from None
-    vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
-                              constants=constants, quad=quad)
-    rng = np.random.default_rng(int(num["seed"]))
-
-    omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
-    t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
-    n_kk = int(grids["kk_n_omega"])
+    run.vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC), constants,
+                                  run.quad)
+    run.rng = np.random.default_rng(int(run.num["seed"]))
+    run.omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
+    run.t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
+    run.t_modes = t_modes = np.linspace(0.0, grids["t_max"], 81)
+    run.t_set = [t_modes[np.argmin(np.abs(t_modes - ti))] for ti in grids["commutator_t"]]
     # the reservoir rule of the modes, commutators and conductor stages
-    nodes, weights = gauss_legendre(int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"])
-    t_modes = np.linspace(0.0, grids["t_max"], 81)
-
-    with _recorded_run(config, out_dir, constants) as (manifest, emit):
-        # One function per stage: what a stage builds is freed when it
-        # returns, except what a later stage reads, which the k loop drops
-        # after its last reader. The working set is the largest stage's, not
-        # the sum of every stage and k so far.
-
-        def chi_stage(k, tag):
-            """sector -> (kernel, spectrum) at k, which the noise checks read."""
-            built = {}
-            for model, name in ((model_e, "electric"), (model_m, "magnetic")):
-                kernel = part_kernel(model, k, t_grid, constants=constants, quad=quad)
-                manifest.quadrature[f"chi_{name}_{tag}"] = kernel.metadata()
-                emit(f"chi_{name}_{tag}.csv", write_tensor_series_csv, "t",
-                     kernel.t_grid, kernel.values)
-                spectrum = chi_spectrum(kernel, omega, tail_rtol=num["tail_rtol"])
-                built[model.which] = (kernel, spectrum)
-                emit(f"spectrum_{name}_{tag}.csv", write_tensor_series_csv,
-                     "omega", spectrum.omega_grid, spectrum.values)
-                if not model.is_zero:
-                    # inside the support of the kernel's rule: past its
-                    # cutoff Im chi_hat is only the truncation's ripple
-                    kk_top = min(grids["kk_omega_max"], _cutoff(model, quad))
-                    kk_grid = (np.arange(n_kk) + 0.5) * kk_top / n_kk
-                    kk = kk_check(chi_spectrum(kernel, kk_grid, tail_rtol=num["tail_rtol"]))
-                    manifest.add_check(f"kk_{name}_{tag}", kk.max_rel_residual,
-                                       num["kk_tol"])
-                    rt = _roundtrip_error(model, spectrum, omega, k, constants)
-                    manifest.add_check(f"roundtrip_{name}_{tag}", rt,
-                                       num["roundtrip_tol"])
-            return built
-
-        def noise_stage(tag, built):
-            for model, name in ((model_e, "P"), (model_m, "M")):
-                if model.is_zero:
-                    continue
-                kernel, spectrum = built[model.which]
-                rep = noise_commutator(model, spectrum, constants=constants)
-                manifest.add_check(f"fdt_{name}_{tag}", rep.max_rel_err, num["fdt_tol"])
-                emit(f"noise_{name}_{tag}.csv", write_deviation_csv, "omega", rep.grid,
-                     _deviation_curve(rep), rep.lhs)
-                emit(f"noise_{name}_{tag}.json", _write_report, rep)
-                if name == "M":
-                    continue
-                manifest.add_check(f"fdt_J_{tag}", noise_current_coefficient(rep).max_rel_err,
-                                   num["fdt_tol"])
-                cont = pdot_continuity(model_e, kernel, constants=constants,
-                                       dt=num["continuity_dt"])
-                manifest.add_check(f"pdot_continuity_{tag}", cont.relative_jump,
-                                   num["continuity_tol"])
-                roundtrip = constitutive_roundtrip(
-                    model_e, kernel,
-                    np.linspace(0.0, 20.0 / model_e.frequency_scale, 3001),
-                    constants=constants,
-                )
-                manifest.add_check(f"constitutive_roundtrip_{tag}",
-                                   roundtrip.residual, num["constitutive_tol"])
-
-        def modes_stage(k, tag):
-            """The modes-grid representation at k, which the commutators read."""
-            scan = lambda_reality_scan(
-                response,
-                rng.normal(size=(10, 3)),
-                rng.uniform(0.1, 5.0, size=10),
-            )
-            manifest.add_check(f"lambda_reality_{tag}", scan.max_deviation,
-                               num["reality_tol"])
-            rep_field = field_representation(
-                response, k, t_modes, nodes, weights, method=method,
-            )
-            mc = rep_field.coeffs
-            manifest.quadrature[f"modes_{tag}"] = dict(mc.metadata)
-            if "modes" in stages:
-                for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
-                    emit(f"modes_{name}_{tag}.csv", write_tensor_series_csv, "t",
-                         mc.t_grid, getattr(mc, name))
-                for name in ("zeta", "eta", "zeta_tilde", "eta_tilde"):
-                    if mc.omega_q_grid.size:
-                        emit(f"modes_{name}_{tag}.csv", write_tensor_grid_csv,
-                             ("omega_q", "t"), (mc.omega_q_grid, mc.t_grid),
-                             getattr(mc, name))
-            return rep_field
-
-        def equal_time_stage(k, tag, rep_field):
-            t_set = [t_modes[np.argmin(np.abs(t_modes - ti))]
-                     for ti in grids["commutator_t"]]
-            baseline = field_representation(vacuum, k, t_set, nodes, weights)
-            comm = equal_time_commutators(rep_field, t_set, baseline=baseline)
-            manifest.add_check(f"equal_time_commutator_{tag}", comm.max_rel_err,
-                               num["commutator_tol"])
-            manifest.quadrature[f"modes_minus_{tag}"] = comm.details["minus_k"]
-            emit(f"commutator_equal_time_{tag}.csv", write_deviation_csv, "t",
-                 comm.grid, _deviation_curve(comm), comm.lhs)
-            emit(f"commutator_equal_time_{tag}.json", _write_report, comm)
-            spec_v = vacuum_spectrum(rep_field, (0.0, 0.0, 0.0), 0.0)
-            eigs = np.linalg.eigvalsh(spec_v)
-            manifest.add_check(f"vacuum_spectrum_psd_{tag}",
-                               max(0.0, -float(np.min(eigs))),
-                               1e-10 * max(1.0, float(np.max(np.abs(eigs)))))
-
-        def maxwell_stage(k, tag):
-            # Maxwell residual wants a finer uniform grid and a small
-            # reservoir sample at moderate frequencies: two nodes of a
-            # 16-node rule, the representation's only nodes
-            t_res = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
-            nodes_r, weights_r = gauss_legendre(16, 0.0, res_cut)
-            picks = reservoir_picks(nodes_r.size, 2)
-            rep_res = field_representation(
-                response, k, t_res, nodes_r[picks], weights_r[picks],
-                method=method,
-            )
-            res = maxwell_residual(rep_res)
-            manifest.add_check(f"maxwell_residual_{tag}", res.max_residual,
-                               num["maxwell_tol"], details=res.channels)
-
-        def conductor_stage(k, tag):
-            mc_c = conductor_modes(cond, k, t_grid[:: max(1, t_grid.size // 64)], nodes)
-            manifest.quadrature[f"conductor_{tag}"] = dict(mc_c.metadata)
-            manifest.add_check(
-                f"conductor_poles_{tag}",
-                float(mc_c.metadata.get("max_re_pole", 0.0)),
-                1e-10,
-            )
-            # only the bound part: its Q must be eps0 dchi/dt (a zero part reads 0)
-            q_bound = conductor_Q(model_e, k, t_grid, constants=constants, quad=quad)
-            manifest.add_check(f"q_decomposition_{tag}", q_bound.sigma_residual,
-                               num["maxwell_tol"] * 10.0)
-            emit(f"conductor_gamma_{tag}.csv", write_tensor_series_csv, "t",
-                 mc_c.t_grid, mc_c.gamma)
-
+    run.nodes, run.weights = gauss_legendre(int(grids["reservoir_order"]), 0.0,
+                                            grids["reservoir_cutoff"])
+    wanted = {*stages, *(_STAGES[name][2] for name in stages)}
+    ran = [name for name in _STAGES if name in wanted and (name != "conductor" or run.cond)]
+    kept = {_STAGES[name][2] for name in ran}
+    with _recorded_run(config, out_dir, constants) as (run.manifest, run.emit):
         for ik, k in enumerate(config.k_list()):
-            tag = f"k{ik}"
-            # the noise checks read the kernels and spectra of the chi stage
-            if "chi" in stages or "noise" in stages:
-                with manifest.timed(f"chi_{tag}"):
-                    built = chi_stage(k, tag)
-                if "noise" in stages:
-                    with manifest.timed(f"noise_{tag}"):
-                        noise_stage(tag, built)
-                del built
-            if "modes" in stages or "commutators" in stages:
-                with manifest.timed(f"modes_{tag}"):
-                    rep_field = modes_stage(k, tag)
-                if "commutators" in stages:
-                    with manifest.timed(f"commutators_{tag}"):
-                        equal_time_stage(k, tag, rep_field)
-                        del rep_field  # the Maxwell representation is built without it
-                        maxwell_stage(k, tag)
-                else:
-                    del rep_field
-            if "conductor" in stages and cond is not None:
-                with manifest.timed(f"conductor_{tag}"):
-                    conductor_stage(k, tag)
+            run.k, run.tag = k, f"k{ik}"
+            held = {}  # (stage, part) -> the product a later stage reads
+            for name in ran:
+                parts, build, reads = _STAGES[name]
+                with run.manifest.timed(f"{name}_{run.tag}"):
+                    for part in parts:
+                        got = build(run, part, held.pop((reads, part), None))
+                        if name in kept:
+                            held[name, part] = got
+                        names = {"part": part, "pol": _POLARIZATION.get(part), "tag": run.tag}
+                        for check in _CHECKS if got is not None else ():
+                            if check.stage != name or part not in check.parts:
+                                continue
+                            if not check.reads:
+                                got = None
+                            value, details, scale = check.measure(run, part, got)
+                            tol = (run.num[check.tol] if check.tol else 1.0) * check.factor
+                            run.manifest.add_check(check.name.format(**names), check.claim,
+                                                   value, tol * scale, details)
+                        del got
             # no later k reads this k's lines
-            for medium in (response, cond):
-                if medium is not None:
-                    medium.lines.clear()
-    return manifest
+            for medium in filter(None, (run.response, run.cond)):
+                medium.lines.clear()
+    return run.manifest
 
 
-def _write_report(path, report):
-    write_json(path, {
-        "kind": report.kind,
-        "k": [float(x) for x in report.k],
-        "grid": report.grid,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "max_rel_err": report.max_rel_err,
-        "details": report.details,
-    })
-
-
-def _deviation_curve(report) -> np.ndarray:
-    scale = float(np.max(np.linalg.norm(report.rhs, axis=(1, 2)))) or 1.0
-    return np.linalg.norm(report.lhs - report.rhs, axis=(1, 2)) / scale
+def _recovered(targets, omega, k, which, constants) -> np.ndarray:
+    """The couplings recovered from target Im chi_hat tensors, one per omega."""
+    return np.stack([coupling_from_target(targets[i], w, k, which=which, constants=constants)
+                     for i, w in enumerate(omega)])
 
 
 def _roundtrip_error(model, spectrum, omega, k, constants) -> float:
-    true = coupling_product(model, omega, k)
-    imh = spectrum.imag_hermitian()
-    rec = np.stack([
-        coupling_from_target(imh[i], w, k, which=model.which, constants=constants)
-        for i, w in enumerate(omega)
-    ])
-    return _relative_deviation(rec @ np.conj(np.transpose(rec, (0, 2, 1))), true)
+    rec = _recovered(spectrum.imag_hermitian(), omega, k, model.which, constants)
+    return _relative_deviation(rec @ np.conj(np.transpose(rec, (0, 2, 1))),
+                               coupling_product(model, omega, k))
 
 
 def invert_chi(config: ScenarioConfig, out_dir=None,
@@ -641,26 +648,27 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
     num = config.numerics
     omega = np.linspace(config.grids["omega_min"], config.grids["omega_max"],
                         int(config.grids["n_omega"]))
+    # read once: every k interpolates the same table or kernel model
+    target_path = config.medium.get("electric.target_table")
+    if target_path is not None:
+        table = tabulated_from_csv(target_path, which=ELECTRIC).table
+    else:
+        model = config.model("electric", constants)
+        if model.is_zero:
+            raise ValidationError("invert-chi needs an electric medium or target_table")
     with _recorded_run(config, out_dir, constants) as (manifest, emit):
-        target_path = config.medium.get("electric.target_table")
         for ik, k in enumerate(config.k_list()):
             tag = f"k{ik}"
             with manifest.timed(f"invert_{tag}"):
                 if target_path is not None:
-                    table_model = tabulated_from_csv(target_path, which=ELECTRIC)
-                    values = table_model.table.interpolate(omega, float(np.linalg.norm(k)))
-                    rec = np.stack([
-                        coupling_from_target(values[i], w, k, constants=constants)
-                        for i, w in enumerate(omega)
-                    ])
+                    rec = _recovered(table.interpolate(omega, float(np.linalg.norm(k))), omega,
+                                     k, ELECTRIC, constants)
                     emit(f"recovered_coupling_{tag}.csv", write_tensor_series_csv, "omega", omega,
                          rec)
                 else:
-                    model = config.model("electric", constants)
-                    if model.is_zero:
-                        raise ValidationError("invert-chi needs an electric medium or target_table")
                     kernel = part_kernel(model, k, constants=constants, quad=quad)
                     spectrum = chi_spectrum(kernel, omega, tail_rtol=num["tail_rtol"])
                     err = _roundtrip_error(model, spectrum, omega, k, constants)
-                    manifest.add_check(f"roundtrip_{tag}", err, num["roundtrip_tol"])
+                    manifest.add_check(f"roundtrip_{tag}", _ROUNDTRIP.claim, err,
+                                       num[_ROUNDTRIP.tol])
     return manifest

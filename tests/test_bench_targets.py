@@ -86,6 +86,33 @@ def test_perfbench_install_check_passes():
     assert result.returncode == 0, result.stderr
 
 
+def test_a_run_calls_each_traced_function_through_the_scenario_globals(tmp_path, monkeypatch):
+    # the tracer rebinds module globals such as
+    # `mqed.scenario.noise_current_coefficient`: a check table that held the
+    # function objects themselves would drop their counts without a sound
+    from test_memory import ALL_PARTS_CFG
+
+    import mqed.scenario as scenario
+
+    calls = {}
+    for layer, names in _tracer_targets().items():
+        home = importlib.import_module(f"mqed.{layer}")
+        for name in names:
+            original = getattr(home, name, None)  # a method's one binding is its class
+            if "." in name or getattr(scenario, name, None) is not original:
+                continue
+            calls[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scenario, name, counted)
+    assert {"noise_current_coefficient", "conductor_modes", "write_json"} <= set(calls)
+    scenario.run_scenario(scenario.parse_scenario(ALL_PARTS_CFG), out_dir=str(tmp_path))
+    assert [name for name, count in calls.items() if count == 0] == []
+
+
 WORKLOADS = _perfbench_module("workloads")
 
 

@@ -173,6 +173,26 @@ def test_readme_config_table_matches_schema():
                      for name, kind in _KINDS.items()}
 
 
+def test_check_table_tolerances_are_numerics_keys():
+    # each table entry's tolerance key is a [numerics] key, and each *_tol key
+    # there sets at least one check; the rest are constants beside the table
+    keys = {check.tol for check in scenario._CHECKS if check.tol is not None}
+    assert keys <= set(_SCHEMA["numerics"])
+    assert {key for key in _SCHEMA["numerics"] if key.endswith("_tol")} <= keys
+    assert all(check.factor > 0.0 for check in scenario._CHECKS)
+
+
+def test_readme_claims_match_the_check_table():
+    # README's bold claims are the north-star list; every check serves one,
+    # and every claim has a check except the two only acceptance criteria
+    # 6 and 4 test so far
+    claims = _readme_rows(r"^- \*\*(.+?)\*\*:")
+    served = {check.claim for check in scenario._CHECKS}
+    assert len(claims) == len(set(claims)) == 8
+    assert served <= set(claims)
+    assert set(claims) - served == {"gauge freedom", "free-space limit"}
+
+
 def test_model_builds_each_kind_from_its_parameters():
     config = parse_scenario(
         "[medium]\nelectric.kind = gaussian_anisotropic\nelectric.axis_strengths = 1,0.7,0.4\n"
@@ -255,14 +275,12 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "missing.cfg")]) == 3
 
 
-def test_cli_invert_chi_not_psd_exit_code(tmp_path):
-    # a PSD-violating dissipation target must exit 2 with provenance
-    rows = ["omega,kmag," + ",".join(
-        f"{p}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")
-    )]
+def _target_config(tmp_path, tensor, k="0,0,1", name="out"):
+    """An invert-chi config whose target table holds `tensor` at every
+    (omega, |k|) of a 3 x 2 grid, writing to tmp_path / name."""
+    rows = ["omega,kmag," + ",".join(TENSOR_HEADER)]
     for w in (0.5, 1.0, 2.0):
         for km in (0.5, 2.0):
-            tensor = -0.5 * np.eye(3)  # negative-definite target
             cells = [str(w), str(km)]
             for i in range(3):
                 for j in range(3):
@@ -270,15 +288,39 @@ def test_cli_invert_chi_not_psd_exit_code(tmp_path):
             rows.append(",".join(cells))
     table = tmp_path / "target.csv"
     table.write_text("\n".join(rows) + "\n")
-    cfg = tmp_path / "invert.cfg"
+    cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(
         f"[medium]\nelectric.target_table = {table}\n"
-        "[grids]\nk = 0,0,1\nomega_min = 0.6\nomega_max = 1.8\nn_omega = 5\n"
-        f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        f"[grids]\nk = {k}\nomega_min = 0.6\nomega_max = 1.8\nn_omega = 5\n"
+        f"[output]\ndirectory = {tmp_path / name}\n"
     )
-    assert main(["invert-chi", "--config", str(cfg)]) == 2
+    return str(cfg)
+
+
+def test_cli_invert_chi_not_psd_exit_code(tmp_path):
+    # a PSD-violating dissipation target must exit 2 with provenance
+    cfg = _target_config(tmp_path, -0.5 * np.eye(3))  # negative-definite target
+    assert main(["invert-chi", "--config", cfg]) == 2
     payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert payload["error"]["type"] == "NotPSD"
+
+
+def test_invert_chi_reads_the_target_table_once(tmp_path, monkeypatch):
+    # two k interpolate one loaded table, and each recovers what a run at
+    # that k alone recovers
+    loads = []
+    load = scenario.tabulated_from_csv
+    monkeypatch.setattr(scenario, "tabulated_from_csv",
+                        lambda *args, **kwargs: loads.append(args) or load(*args, **kwargs))
+    target = np.diag([0.5, 0.3, 0.2])
+    ks = ("0,0,1", "0,0.9,0.9")
+    assert main(["invert-chi", "--config", _target_config(tmp_path, target, "; ".join(ks))]) == 0
+    assert len(loads) == 1
+    for ik, k in enumerate(ks):
+        assert main(["invert-chi", "--config", _target_config(tmp_path, target, k, f"k{ik}")]) == 0
+        assert ((tmp_path / "out" / f"recovered_coupling_k{ik}.csv").read_bytes()
+                == (tmp_path / f"k{ik}" / "recovered_coupling_k0.csv").read_bytes())
+    assert len(loads) == 3
 
 
 def _invert_lorentz_config(tmp_path):
@@ -493,6 +535,10 @@ def test_cli_verify_bundled_lorentz_config(tmp_path, capsys, monkeypatch):
     # manifest leaves the key out where `resource` cannot be imported)
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert list(payload["timings"]) == ["chi_k0", "noise_k0", "modes_k0", "commutators_k0"]
+    # each check names the claim it serves, and its margin is error over tolerance
+    claims = {check.claim for check in scenario._CHECKS}
+    assert all(c["claim"] in claims and c["margin"] == c["max_error"] / c["tolerance"]
+               for c in payload["checks"])
     if scenario.resource is not None:
         peaks = payload["peak_rss_mb"]
         assert list(peaks) == list(payload["timings"])
