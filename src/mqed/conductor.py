@@ -32,12 +32,11 @@ def conductor_modes(
     k,
     t_grid,
     omega_q_grid,
-    method: str = "auto",
 ) -> ModeCoefficients:
     """Mode coefficients of a conducting medium, whose electric coupling
     holds the bound and free carriers together: `mode_coefficients` on the
     same response, with its channels marked as response functions."""
-    coeffs = mode_coefficients(response, k, t_grid, omega_q_grid, method=method)
+    coeffs = mode_coefficients(response, k, t_grid, omega_q_grid)
     return replace(coeffs, metadata={
         **coeffs.metadata,
         "conductor": True,

@@ -18,16 +18,17 @@ their tilde partners (magnetic rows):
     gamma~ = [hh]  xi~ = -[he]  zeta~ = mu0 R[he] g  eta~ = -R[hh] f
 
 with f, g the electric and magnetic couplings at the reservoir nodes.
-Two inverse-transform methods produce the transforms (`METHODS`, with
-"auto"): exact partial fractions for rational (isotropic damped-oscillator)
-media, and a vacuum-subtracted Bromwich line Re rho = a > 0, which serves
-every medium and is the only one for continuum-absorption media, whose
-imaginary-axis branch cut bounds the domain of chi_hat. The line takes
-the |rho|^-3 and |rho|^-4 terms of the medium-vacuum difference in closed
-form, from the moments of chi_hat (`_line_tail`), and sums only the
-remainder. A medium has one line per k (`bromwich_line`), fixed by the
-horizon and top reservoir frequency of its response and shared by every
-request. Their numerical controls are the module constants below.
+The medium picks the inverse transform that produces them: exact partial
+fractions for rational (isotropic damped-oscillator) media, and a
+vacuum-subtracted Bromwich line Re rho = a > 0 for continuum-absorption
+media, whose imaginary-axis branch cut bounds the domain of chi_hat. The
+line serves every medium; on a rational one it is the reference route
+(`line_mode_coefficients`). It takes the |rho|^-3 and |rho|^-4 terms of the
+medium-vacuum difference in closed form, from the moments of chi_hat
+(`_line_tail`), and sums only the remainder. A medium has one line per k
+(`bromwich_line`), fixed by the horizon and top reservoir frequency of its
+response and shared by every request. Their numerical controls are the
+module constants below.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .response import (LaplaceResponse, _chunks, _fft_size, chi_hat_rational, la
 from .tensors import curl_symbol, longitudinal_projector, transverse_projector
 
 MARGINAL_POLE_TOL = 1e-12
-METHODS = ("auto", "rational_exact", "bromwich_line")
 # the relative tolerance of pole finding; the line's abscissa (times
 # 1 / horizon), half-width and margin past the top reservoir frequency
 # (times the largest frequency scale), and the tolerance of its two error
@@ -515,49 +515,14 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     return base, res, dict(line.metadata)
 
 
-def resolve_method(response: LaplaceResponse, method: str) -> str:
-    """The inverse-Laplace path `method` (one of `METHODS`) takes for the
-    medium `response`: "auto" becomes rational_exact for a rational
-    response and bromwich_line otherwise. ValidationError when the medium
-    cannot use the method."""
-    if method not in METHODS:
-        raise ValidationError(f"unknown inverse-laplace method '{method}'")
-    if method == "auto":
-        return "rational_exact" if response.is_rational else "bromwich_line"
-    if method == "rational_exact" and not response.is_rational:
-        raise ValidationError(
-            "rational_exact needs a rational material response; use bromwich_line"
-        )
-    return method
-
-
-def mode_coefficients(
-    response: LaplaceResponse,
-    k,
-    t_grid,
-    omega_q_grid,
-    method: str = "auto",
-) -> ModeCoefficients:
-    """Mode-coefficient tensors of the medium `response` on the (t, omega_q)
-    grids; the reservoir columns contract against its electric and magnetic
-    couplings.
-
-    method is one of `METHODS`. "rational_exact" needs a rational response
-    and is exact up to pole finding; "bromwich_line" integrates along
-    Re rho = a > 0 with the vacuum part split off exactly and serves every
-    medium; it sums on the response's line at k (`bromwich_line`), so t
-    must lie in [0, response.horizon] and omega_q in [0,
-    response.omega_top]. "auto" picks rational_exact when possible,
-    bromwich_line otherwise. Both paths return the transforms of
-    Lambda^-1 and of the reservoir-weighted blocks the couplings read;
-    `_families` maps them to the coefficient tensors.
-    """
+def _solve(response: LaplaceResponse, k, t_grid, omega_q_grid, path) -> ModeCoefficients:
+    """The coefficient tensors from the transforms `path` returns for the
+    blocks the nonzero couplings read."""
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     omega_q = np.asarray(omega_q_grid, dtype=float)
     if t.size == 0:
         raise ValidationError("t_grid must be nonempty")
-    method = resolve_method(response, method)
     model_f, model_g = response.model_e, response.model_m
     if omega_q.size:
         f_q = eval_coupling_batch(model_f, omega_q, k)
@@ -567,9 +532,36 @@ def mode_coefficients(
     # zeta and zeta-tilde read the ee and he blocks, eta and eta-tilde eh and hh
     blocks = ((("ee", "he") if not model_g.is_zero else ())
               + (("eh", "hh") if not model_f.is_zero else ())) if omega_q.size else ()
-    path = {"rational_exact": _rational_mode_path, "bromwich_line": _line_mode_path}[method]
     return _families(k, t, omega_q, f_q, g_q, response.constants.mu0,
                      path(response, blocks, k, t, omega_q))
+
+
+def mode_coefficients(
+    response: LaplaceResponse,
+    k,
+    t_grid,
+    omega_q_grid,
+) -> ModeCoefficients:
+    """Mode-coefficient tensors of the medium `response` on the (t, omega_q)
+    grids; the reservoir columns contract against its electric and magnetic
+    couplings.
+
+    The medium picks the inverse transform: exact partial fractions for a
+    rational response, exact up to pole finding; otherwise the Bromwich line
+    (`line_mode_coefficients`), as the branch cut of continuum absorption
+    requires.
+    """
+    path = _rational_mode_path if response.is_rational else _line_mode_path
+    return _solve(response, k, t_grid, omega_q_grid, path)
+
+
+def line_mode_coefficients(response: LaplaceResponse, k, t_grid, omega_q_grid) -> ModeCoefficients:
+    """`mode_coefficients` through the Bromwich line on any medium: it
+    integrates along Re rho = a > 0 with the vacuum part split off exactly,
+    on the response's line at k (`bromwich_line`), so t must lie in [0,
+    response.horizon] and omega_q in [0, response.omega_top]. On a rational
+    medium it is the reference route that cross-checks the exact one."""
+    return _solve(response, k, t_grid, omega_q_grid, _line_mode_path)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ class FieldOperatorRepresentation:
     omega_q_grid: np.ndarray
     omega_q_weights: np.ndarray
     response: LaplaceResponse
-    method: str
     coeffs: ModeCoefficients
     photon_E: np.ndarray  # (2, n_t, 3)
     photon_H: np.ndarray
@@ -143,7 +142,6 @@ def field_representation(
     t_grid,
     omega_q_grid,
     omega_q_weights,
-    method: str = "auto",
 ) -> FieldOperatorRepresentation:
     """The coefficient representation of E and H in the medium `response` at
     one k on the (t, omega_q) grids; the memory kernels are built when first
@@ -155,7 +153,7 @@ def field_representation(
     weights = np.asarray(omega_q_weights, dtype=float)
     if omega_q.shape != weights.shape:
         raise ValidationError("omega_q grid and weights must align")
-    mc = mode_coefficients(response, k, t, omega_q, method=method)
+    mc = mode_coefficients(response, k, t, omega_q)
     tr = triad(k)
     c = response.constants
     w_k = c.c * float(np.linalg.norm(k))
@@ -163,7 +161,7 @@ def field_representation(
     w_m = np.sqrt(c.hbar * w_k * c.mu0 / (2.0 * TWO_PI_CUBED))
     pairs = tuple(zip((tr.e1, tr.e2), (tr.s1, tr.s2)))
     return FieldOperatorRepresentation(
-        k, t, omega_q, weights, response, method, mc,
+        k, t, omega_q, weights, response, mc,
         photon_E=np.stack([1j * (w_e * mc.gamma @ e + w_m * mc.xi @ s) for e, s in pairs]),
         photon_H=np.stack([1j * (w_e * mc.gamma_tilde @ e + w_m * mc.xi_tilde @ s)
                            for e, s in pairs]),
@@ -195,7 +193,7 @@ def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray):
     if any(abs(rep.t_grid[i] - ti) > 1e-9 * max(1.0, abs(ti)) for i, ti in zip(idx, t_set)):
         raise ValidationError("t_set must be drawn from the representation t_grid")
     minus = field_representation(rep.response, -rep.k, rep.t_grid[idx], rep.omega_q_grid,
-                                 rep.omega_q_weights, method=rep.method)
+                                 rep.omega_q_weights)
     wq = rep.omega_q_weights * rep.radial_measure
     coeffs = np.stack([_eh_coefficient(rep, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
     return coeffs, minus.coeffs.metadata
@@ -267,7 +265,8 @@ def _convolver(chi_vals: np.ndarray, h: float):
 def reservoir_picks(n_q: int, samples: int) -> np.ndarray:
     """Indices of the reservoir nodes the Maxwell residual samples: `samples`
     nodes spread evenly over the grid, ends included."""
-    return np.unique(np.linspace(0, n_q - 1, min(samples, n_q)).astype(int))
+    picks = np.linspace(0, n_q - 1, min(samples, n_q)).astype(int)
+    return picks[np.diff(picks, prepend=-1) > 0]
 
 
 @dataclass(frozen=True)

@@ -135,30 +135,17 @@ def gauss_legendre(order: int, a: float, b: float):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls the frequency quadrature on [0, cutoff].
-
-    cutoff is either explicit or derived as cutoff_factor times the model's
-    frequency scale. fixed_order pins the order (no adaptivity); otherwise
-    the order doubles from start_order to max_order until converged.
+    """Controls the frequency quadrature on [0, cutoff], the cut being
+    cutoff_factor times the model's frequency scale: the order doubles from
+    start_order to max_order until converged.
     """
 
     rtol: float = 1e-7
     start_order: int = 256
     max_order: int = 8192
-    cutoff: float | None = None
     cutoff_factor: float = 50.0
-    fixed_order: int | None = None
-
-    def resolve_cutoff(self, frequency_scale: float) -> float:
-        if self.cutoff is not None:
-            return float(self.cutoff)
-        if frequency_scale <= 0.0:
-            return float(self.cutoff_factor)
-        return float(self.cutoff_factor * frequency_scale)
 
     def orders(self):
-        if self.fixed_order is not None:
-            return [int(self.fixed_order)]
         out = []
         n = self.start_order
         while n <= self.max_order:
@@ -173,7 +160,6 @@ class QuadratureResult:
     cutoff: float
     rtol: float
     est_rel_error: float
-    converged: bool
 
     def metadata(self) -> dict:
         return {
@@ -181,7 +167,6 @@ class QuadratureResult:
             "cutoff": self.cutoff,
             "rtol": self.rtol,
             "est_rel_error": self.est_rel_error,
-            "converged": self.converged,
         }
 
 
@@ -193,7 +178,6 @@ def adaptive_nodes(spec: QuadratureSpec, cutoff: float, evaluate):
     """
     orders = spec.orders()
     prev = None
-    value = None
     rel = np.inf
     for order in orders:
         x, w = gauss_legendre(order, 0.0, cutoff)
@@ -203,11 +187,8 @@ def adaptive_nodes(spec: QuadratureSpec, cutoff: float, evaluate):
             diff = float(np.max(np.abs(value - prev)))
             rel = diff / scale if scale > 0.0 else 0.0
             if rel <= spec.rtol:
-                return value, QuadratureResult(order, cutoff, spec.rtol, rel, True)
+                return value, QuadratureResult(order, cutoff, spec.rtol, rel)
         prev = value
-    if spec.fixed_order is not None:
-        return value, QuadratureResult(orders[-1], cutoff, spec.rtol, rel, True)
     raise QuadratureNotConverged(
         f"order {orders[-1]} still changing by {rel:g} (> rtol {spec.rtol:g})"
     )
-

@@ -325,7 +325,9 @@ def _validate_t_grid(t_grid) -> np.ndarray:
 
 
 def _cutoff(model, quad: QuadratureSpec) -> float:
-    cutoff = quad.resolve_cutoff(model.frequency_scale)
+    """The top of the frequency rule: cutoff_factor times the model's
+    frequency scale, or its hard cutoff when lower."""
+    cutoff = float(quad.cutoff_factor * model.frequency_scale)
     if model.hard_cutoff is not None:
         cutoff = min(cutoff, model.hard_cutoff)
     return cutoff

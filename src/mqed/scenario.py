@@ -30,7 +30,7 @@ from .couplings import (ELECTRIC, MAGNETIC, combined_electric, coupling_from_tar
                         tabulated_from_csv, zero_coupling)
 from .errors import NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
-from .modes import METHODS, lambda_reality_scan, resolve_method
+from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
                           maxwell_residual, reservoir_picks, vacuum_spectrum)
@@ -102,7 +102,6 @@ _SCHEMA = {
         "k": _Key("0,0,1", _wave_vectors, _Rule("nonzero", lambda ks: all(any(k) for k in ks))),
     },
     "numerics": {
-        "laplace": _Key("auto", str, _Rule(f"one of {', '.join(METHODS)}", METHODS.__contains__)),
         "quad_rtol": _Key("1e-7", _finite, _POSITIVE),
         "quad_max_order": _Key("8192", int, _Rule(f">= the quadrature start order {_START_ORDER}",
                                                   lambda n: n >= _START_ORDER)),
@@ -407,8 +406,7 @@ def _noise_products(run, part, chi):
 
 def _modes_products(run, part, _):
     """The modes-grid field representation, which the commutators read."""
-    rep = field_representation(run.response, run.k, run.t_modes, run.nodes, run.weights,
-                               method=run.method)
+    rep = field_representation(run.response, run.k, run.t_modes, run.nodes, run.weights)
     mc = rep.coeffs
     run.manifest.quadrature[f"modes_{run.tag}"] = dict(mc.metadata)
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
@@ -462,14 +460,9 @@ def _vacuum_psd(run, part, got):
 
 
 def _maxwell(run, part, got):
-    # a finer uniform grid, on a small reservoir sample at moderate
-    # frequencies: two nodes of a 16-node rule. Built here, not before the
-    # stages: reservoir_picks' np.unique loads numpy.ma (1.7 MB) on first use.
-    nodes, weights = gauss_legendre(16, 0.0, run.res_cut)
-    picks = reservoir_picks(nodes.size, 2)
+    # a finer uniform grid, on the run's small reservoir sample
     t = np.linspace(0.0, run.grids["maxwell_t_max"], int(run.grids["maxwell_n_t"]))
-    res = maxwell_residual(field_representation(run.response, run.k, t, nodes[picks],
-                                                weights[picks], method=run.method))
+    res = maxwell_residual(field_representation(run.response, run.k, t, *run.maxwell_sample))
     return _Measure(res.max_residual, res.channels)
 
 
@@ -485,9 +478,7 @@ _STAGES = {
     "conductor": (_MEDIUM, _conductor_products, None),
 }
 
-# The tolerances no config key sets, each with one value in use. A stable
-# medium's mode poles lie at Re p <= 0; 1e-10 admits the pole search's rounding.
-_POLE_TOL = 1e-10
+# The tolerances no config key sets, each with one value in use.
 # vacuum_spectrum is a positively weighted sum of v v^dag, so a negative
 # eigenvalue is rounding, relative to the largest one (taken as at least 1).
 _PSD_RTOL = 1e-10
@@ -534,9 +525,11 @@ _CHECKS = (
            _PSD_RTOL),
     _Check("maxwell_residual_{tag}", "commutators", _MEDIUM, _HEISENBERG, "maxwell_tol",
            _maxwell, reads=False),
+    # a stable medium's mode poles lie at Re p <= 0: past the margin the
+    # modes metadata counts unstable poles by, a pole fails the check too
     _Check("conductor_poles_{tag}", "conductor", _MEDIUM, "conductor pathway", None,
            lambda run, part, got: _Measure(float(got.metadata.get("max_re_pole", 0.0))),
-           _POLE_TOL),
+           MARGINAL_POLE_TOL),
     # only the bound part: its Q must be eps0 dchi/dt (a zero part reads 0)
     _Check("q_decomposition_{tag}", "conductor", _MEDIUM, "conductor pathway", "maxwell_tol",
            lambda run, part, got: _Measure(conductor_Q(
@@ -567,7 +560,7 @@ def run_scenario(
     free = config.model("conductor", constants)
     # the scale of the Maxwell residual's reservoir sample
     scales = [m.frequency_scale for m in (*models.values(), free) if not m.is_zero]
-    run.res_cut = res_cut = 5.0 * max(scales, default=1.0)
+    res_cut = 5.0 * max(scales, default=1.0)
     # the latest time and the top reservoir frequency any stage asks the
     # modes for: they fix the Bromwich line of a continuum medium
     bounds = {"horizon": max(grids["t_max"], grids["maxwell_t_max"]),
@@ -579,10 +572,6 @@ def run_scenario(
         combined_electric(models["electric"], free), models["magnetic"], constants, run.quad,
         **bounds)
     run.response = laplace_response(*models.values(), constants, run.quad, **bounds)
-    try:
-        run.method = resolve_method(run.response, run.num["laplace"])
-    except ValidationError as exc:
-        raise ValidationError(str(exc), key="laplace") from None
     run.vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC), constants,
                                   run.quad)
     run.rng = np.random.default_rng(int(run.num["seed"]))
@@ -593,6 +582,11 @@ def run_scenario(
     # the reservoir rule of the modes, commutators and conductor stages
     run.nodes, run.weights = gauss_legendre(int(grids["reservoir_order"]), 0.0,
                                             grids["reservoir_cutoff"])
+    # the Maxwell residual's reservoir sample at moderate frequencies: two
+    # nodes of a 16-node rule
+    nodes, weights = gauss_legendre(16, 0.0, res_cut)
+    picks = reservoir_picks(nodes.size, 2)
+    run.maxwell_sample = nodes[picks], weights[picks]
     wanted = {*stages, *(_STAGES[name][2] for name in stages)}
     ran = [name for name in _STAGES if name in wanted and (name != "conductor" or run.cond)]
     kept = {_STAGES[name][2] for name in ran}

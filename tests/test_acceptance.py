@@ -19,7 +19,7 @@ from mqed.couplings import (
     random_orthogonal_gauge,
     zero_coupling,
 )
-from mqed.modes import lambda_reality_scan, mode_coefficients
+from mqed.modes import lambda_reality_scan, line_mode_coefficients, mode_coefficients
 from mqed.noise import noise_commutator, pdot_continuity
 from mqed.observables import (
     equal_time_commutators,
@@ -287,7 +287,7 @@ def test_criterion_11_dual_method_inverse_laplace():
     for name, me, mm in (("lorentz", LORENTZ_E, LORENTZ_M), ("drude", DRUDE_E, ZERO_M)):
         resp = laplace_response(me, mm)
         a = mode_coefficients(resp, KZ, t, wq)
-        b = mode_coefficients(resp, KZ, t, wq, method="bromwich_line")
+        b = line_mode_coefficients(resp, KZ, t, wq)
         dev = 0.0
         for field in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                       "zeta_tilde", "eta_tilde"):

@@ -234,22 +234,24 @@ def test_tabulated_interpolates_between_nodes():
     assert mid[0, 0] == pytest.approx(4.0)
 
 
-def test_inversion_idempotent_on_tabulated_spectrum():
+def test_inversion_idempotent_on_tabulated_spectrum(pin_order):
     """coupling_from_target composed with the kernel/spectrum pipeline is
     idempotent at the documented quadrature resolution (table placed on the
     exact quadrature nodes, so interpolation is exact there)."""
-    from mqed.quadrature import QuadratureSpec
     from mqed.response import chi_kernel, chi_spectrum
 
     base = lorentz_isotropic(1.3, 1.0, 0.5)
-    order, cutoff = 2048, 50.0
-    nodes, _ = gauss_legendre(order, 0.0, cutoff)
+    # every kernel on the order-2048 rule: the base's up to its cutoff 50,
+    # the tabulated copy's up to its table's top node
+    order = 2048
+    pin_order(order)
+    nodes, _ = gauss_legendre(order, 0.0, 50.0)
     k = np.array([0.0, 0.0, 1.0])
     omega_probe = np.linspace(0.2, 4.0, 24)
 
     t_grid = np.linspace(0.0, 90.0, 1500)
     spectrum0 = chi_spectrum(
-        chi_kernel(base, k, t_grid, quad=QuadratureSpec(fixed_order=order, cutoff=cutoff)),
+        chi_kernel(base, k, t_grid),
         nodes,
     )
     rec = np.stack([
@@ -262,11 +264,11 @@ def test_inversion_idempotent_on_tabulated_spectrum():
     )
     model_rec = tabulated(table)
     spectrum1 = chi_spectrum(
-        chi_kernel(model_rec, k, t_grid, quad=QuadratureSpec(fixed_order=order, cutoff=cutoff)),
+        chi_kernel(model_rec, k, t_grid),
         omega_probe,
     )
     spectrum_ref = chi_spectrum(
-        chi_kernel(base, k, t_grid, quad=QuadratureSpec(fixed_order=order, cutoff=cutoff)),
+        chi_kernel(base, k, t_grid),
         omega_probe,
     )
     a = spectrum1.imag_hermitian()

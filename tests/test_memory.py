@@ -5,6 +5,9 @@ after the last check that reads them. The peaks are what numpy and Python
 allocate, traced by tracemalloc, so they depend neither on the allocator nor
 on the machine."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -252,3 +255,19 @@ def test_every_stage_subset_runs_each_k(tmp_path, stages):
     assert list(manifest.timings) == [f"{s}_k{ik}" for ik in range(2) for s in ran]
     if mqed.scenario.resource is not None:
         assert list(manifest.peak_rss_mb) == list(manifest.timings)
+
+
+@pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor"])
+def test_verify_never_loads_numpy_ma(tmp_path, name):
+    # numpy.ma (1.7 MB, imported by the first np.unique call) would sit under
+    # every later peak of the run; a fresh interpreter shows whether a
+    # bundled verify loads it
+    code = ("import sys\nfrom mqed.cli import main\n"
+            f"main(['verify', '--config', {str(CONFIGS / f'{name}.cfg')!r}, "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(mqed.response.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.stdout.splitlines()[-1] == "False", result.stderr

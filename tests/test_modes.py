@@ -16,6 +16,7 @@ from mqed import modes
 from mqed.modes import (
     assemble_lambda,
     lambda_reality_scan,
+    line_mode_coefficients,
     mode_coefficients,
 )
 from mqed.rational import Rational, ilt_rational, partial_fractions
@@ -42,21 +43,13 @@ def lorentz_pair():
 
 
 def test_spec_validation():
+    # the medium picks the inverse transform: no method is passed or named
     resp = lorentz_pair()[2]
-    for method in ("bogus", "talbot"):
-        with pytest.raises(ValidationError, match=method):
-            mode_coefficients(resp, K, [0.0, 1.0], [], method=method)
-    assert modes.METHODS == ("auto", "rational_exact", "bromwich_line")
-
-
-def test_talbot_rejects_continuum_absorption():
-    # the removed deformed-contour method is an unknown one on a medium with
-    # continuum absorption too, not a request the line silently serves
-    mg = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
-    resp = laplace_response(mg, zero_coupling("magnetic"))
-    with pytest.raises(ValidationError, match="talbot"):
-        mode_coefficients(resp, K, np.linspace(0.0, 2.0, 3), [],
-                          method="talbot")
+    with pytest.raises(ValidationError, match="t_grid"):
+        mode_coefficients(resp, K, [], [])
+    with pytest.raises(TypeError):
+        mode_coefficients(resp, K, [0.0, 1.0], [], method="bromwich_line")
+    assert not hasattr(modes, "METHODS") and not hasattr(modes, "resolve_method")
 
 
 def test_inverse_laplace_rational_exact():
@@ -344,9 +337,11 @@ def test_every_method_starts_from_the_initial_data(medium):
     want = {"gamma": eye / 2.0, "xi": zero, "gamma_tilde": zero, "xi_tilde": eye / 0.5,
             "eta": -f_q / 2.0, "zeta_tilde": -g_q, "zeta": zero, "eta_tilde": zero}
     tolerances = {"rational_exact": 1e-13, "bromwich_line": 1e-9}
-    methods = ["bromwich_line"] if medium == "gaussian" else sorted(tolerances)
-    for method in methods:
-        mc = mode_coefficients(resp, K, t, wq, method=method)
+    solvers = {"bromwich_line": line_mode_coefficients}
+    if medium != "gaussian":
+        solvers["rational_exact"] = mode_coefficients
+    for method, solve in solvers.items():
+        mc = solve(resp, K, t, wq)
         assert mc.metadata["method"] == method
         for name, value in want.items():
             got = getattr(mc, name)
@@ -373,7 +368,7 @@ def test_drude_with_magnetic_part_rational_matches_line():
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = mode_coefficients(resp, K, t, wq)
-    b = mode_coefficients(resp, K, t, wq, method="bromwich_line")
+    b = line_mode_coefficients(resp, K, t, wq)
     assert a.metadata["method"] == "rational_exact"
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
@@ -387,7 +382,7 @@ def test_dual_method_agreement_lorentz():
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = mode_coefficients(resp, K, t, wq)
-    b = mode_coefficients(resp, K, t, wq, method="bromwich_line")
+    b = line_mode_coefficients(resp, K, t, wq)
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
@@ -402,9 +397,9 @@ def test_line_matches_rational_on_conductor():
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     a = conductor_modes(resp, K, t, wq)
-    b = conductor_modes(resp, K, t, wq, method="bromwich_line")
+    b = line_mode_coefficients(resp, K, t, wq)
     assert a.metadata["method"] == "rational_exact" and b.metadata["method"] == "bromwich_line"
-    assert b.metadata["conductor"]
+    assert a.metadata["conductor"]
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "eta", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
         scale = float(np.max(np.abs(x)))
@@ -423,7 +418,7 @@ def test_line_method_matches_rational_on_rational_medium(medium):
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3])
     a = mode_coefficients(resp, K, t, wq)
-    b = mode_coefficients(resp, K, t, wq, method="bromwich_line")
+    b = line_mode_coefficients(resp, K, t, wq)
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                  "zeta_tilde", "eta_tilde"):
         x, y = getattr(a, name), getattr(b, name)
@@ -500,8 +495,8 @@ def test_line_transforms_match_a_wider_line(monkeypatch, medium):
         assert modes.bromwich_line(wide, k).metadata["line_halfwidth"] >= 4.0 * halfwidth
     wq, _ = gauss_legendre(96, 0.0, 50.0)
     for t in (np.linspace(0.0, 8.0, 81), np.array([0.0, 1.0, 5.0])):
-        mc = mode_coefficients(resp, k, t, wq, method="bromwich_line")
-        ref = mode_coefficients(wide, k, t, wq, method="bromwich_line")
+        mc = line_mode_coefficients(resp, k, t, wq)
+        ref = line_mode_coefficients(wide, k, t, wq)
         for name in ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta",
                      "zeta_tilde", "eta_tilde"):
             x, y = getattr(mc, name), getattr(ref, name)
@@ -676,7 +671,7 @@ def _check_line_chunks_against_dense(monkeypatch, t):
     step = mqed.response._TABLE_ELEMENTS // modes._fft_size(t.size + n_y - 1)
     assert 36 % step and 18 % step
     resp = response()
-    mc = mode_coefficients(resp, K, t, wq, method="bromwich_line")
+    mc = line_mode_coefficients(resp, K, t, wq)
     assert mc.metadata["line_points"] == n_y
     ref, est, trunc = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
     for name, want in ref.items():

@@ -10,7 +10,6 @@ from mqed.couplings import (
     zero_coupling,
 )
 from mqed.noise import noise_commutator, noise_current_coefficient, pdot_continuity
-from mqed.quadrature import QuadratureSpec
 from mqed.response import chi_kernel, chi_spectrum
 from mqed.scenario import part_kernel
 
@@ -115,7 +114,7 @@ def _dense_peak_rate(rep, tau, eps0=1.0):
     return float(np.max(np.abs(np.diff(p_wide, axis=0)))) / h
 
 
-def test_pdot_peak_rate_matches_dense_trapezoid(monkeypatch):
+def test_pdot_peak_rate_matches_dense_trapezoid(monkeypatch, pin_order):
     import mqed.response
 
     # anisotropic bound part plus free carriers, s1 diag(a) + s2 I (a
@@ -125,7 +124,8 @@ def test_pdot_peak_rate_matches_dense_trapezoid(monkeypatch):
     # probe and the trapezoid of the reference are different O(h^2)
     # discretizations
     model = combined_electric(gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8), drude(1.1, 0.5))
-    chi = chi_kernel(model, K, np.linspace(0.0, 60.0, 1200), quad=QuadratureSpec(fixed_order=300))
+    pin_order(300)
+    chi = chi_kernel(model, K, np.linspace(0.0, 60.0, 1200))
     monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 7 * 300 + 5)
     report = pdot_continuity(model, chi)
     rep = chi.rep

@@ -270,7 +270,7 @@ def test_commutators_equal_full_grid_minus_side(lorentz_rep):
     rep = lorentz_rep
     t_set = rep.t_grid[[0, 4, 20, 80]]
     minus = field_representation(rep.response, -rep.k, rep.t_grid, rep.omega_q_grid,
-                                 rep.omega_q_weights, method=rep.method)
+                                 rep.omega_q_weights)
     wq = rep.omega_q_weights * rep.radial_measure
     want = np.stack([observables._eh_coefficient(rep, minus, i, i, wq) / 1j
                      for i in (0, 4, 20, 80)])
@@ -283,7 +283,7 @@ def test_memory_kernel_is_the_mode_solvers_laplace_kernel():
     quad = QuadratureSpec()
     response = laplace_response(model, zero_coupling("magnetic"), quad=quad)
     t = np.linspace(0.0, 4.0, 801)
-    rep = field_representation(response, K, t, [1.0], [0.5], method="bromwich_line")
+    rep = field_representation(response, K, t, [1.0], [0.5])
     got = rep.chi_e
     # the representation the mode solve converged for chi_hat at +k
     assert np.array_equal(got, response.laplace_rep(model, K).kernel_values(t))

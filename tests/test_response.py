@@ -46,7 +46,7 @@ def test_kernel_matches_damped_sinusoid():
     t = np.linspace(0.0, 40.0, 900)
     kernel = chi_kernel(
         lorentz_isotropic(WP, W0, G), K, t,
-        quad=QuadratureSpec(rtol=1e-10, cutoff=200.0, start_order=1024, max_order=16384),
+        quad=QuadratureSpec(rtol=1e-10, cutoff_factor=200.0, start_order=1024, max_order=16384),
     )
     exact = lorentz_kernel_exact(t)
     err = np.max(np.abs(kernel.values[:, 0, 0].real - exact)) / np.max(np.abs(exact))
@@ -57,7 +57,7 @@ def test_kernel_matches_damped_sinusoid():
 def test_drude_kernel_closed_form():
     s, g = 1.1, 0.5
     t = np.linspace(0.0, 40.0, 800)
-    kernel = chi_kernel(drude(s, g), K, t, quad=QuadratureSpec(rtol=1e-9, cutoff=200.0))
+    kernel = chi_kernel(drude(s, g), K, t, quad=QuadratureSpec(rtol=1e-9, cutoff_factor=400.0))
     exact = (s**2 / g) * (1.0 - np.exp(-g * t))
     assert np.max(np.abs(kernel.values[:, 0, 0].real - exact)) / np.max(exact) < 1e-5
 
@@ -238,8 +238,8 @@ def test_laplace_response_numeric_matches_rational():
         values=np.repeat(vals[:, None], 2, axis=1),
     )
     model_tab = tabulated(table)
-    resp = laplace_response(model_tab, zero_coupling("magnetic"),
-                            quad=QuadratureSpec(rtol=1e-8, cutoff=120.0))
+    # the rule stops at the table's top frequency, 120
+    resp = laplace_response(model_tab, zero_coupling("magnetic"), quad=QuadratureSpec(rtol=1e-8))
     for rho in (0.7, 1.3 + 0.9j):
         exact = 1.0 + WP**2 / (W0**2 + rho**2 + G * rho)
         got = resp.eps(K, rho)[0, 0]
@@ -269,7 +269,8 @@ def test_conductor_q_lorentz_derivative_identity():
 
 def test_conductor_q_drude_positive_at_zero():
     t = np.linspace(0.0, 10.0, 2001)
-    report = conductor_Q(drude(1.1, 0.5), K, t, quad=QuadratureSpec(rtol=1e-9, cutoff=400.0))
+    report = conductor_Q(drude(1.1, 0.5), K, t,
+                         quad=QuadratureSpec(rtol=1e-9, cutoff_factor=800.0))
     q0 = report.q_values[0].real
     assert np.min(np.linalg.eigvalsh(q0)) > 0.0
     # Q(0) = (8 pi / hbar c^3) int w^3 f f^dag dw = eps0 * strength^2 here
@@ -541,7 +542,7 @@ def test_factored_and_unit_basis_reps_agree_in_every_consumer():
 
 
 @pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor"])
-def test_bundled_media_hold_one_coefficient_column(name):
+def test_bundled_media_hold_one_coefficient_column(pin_order, name):
     # every bundled medium's coefficients are s(omega) times one fixed
     # tensor, so each representation of it, at every order its
     # configuration allows, contracts a single column
@@ -563,8 +564,8 @@ def test_bundled_media_hold_one_coefficient_column(name):
     for model in models:
         for k in config.k_list():
             for order in quad.orders():
-                rep, _, _ = _converged_rep(model, k, replace(quad, fixed_order=order), 1.0,
-                                           lambda rep: rep.nodes)
+                pin_order(order)
+                rep, _, _ = _converged_rep(model, k, quad, 1.0, lambda rep: rep.nodes)
                 assert rep.block.shape == (order, 1), (model, order)
 
 
@@ -691,8 +692,7 @@ def test_laplace_cache_distinguishes_table_contents():
         values = np.repeat(scale * vals[:, None], 2, axis=1)
         return tabulated(TabulatedTable(omegas=omegas.copy(), kmags=kmags.copy(), values=values))
 
-    resp = laplace_response(zero_coupling("electric"), zero_coupling("magnetic"),
-                            quad=QuadratureSpec(cutoff=20.0))
+    resp = laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
     one = resp.chi(model(1.0), K, 0.8)
     two = resp.chi(model(2.0), K, 0.8)
     assert two[0, 0].real == pytest.approx(4.0 * one[0, 0].real, rel=1e-9)

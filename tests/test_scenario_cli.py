@@ -57,7 +57,7 @@ directory = PLACEHOLDER
 def test_parse_minimal_vacuum_defaults():
     config = parse_scenario("")
     assert config.grids["k"] == [(0.0, 0.0, 1.0)]
-    assert config.numerics["laplace"] == "auto"
+    assert "laplace" not in config.numerics
     assert config.model("electric", __import__("mqed").NATURAL).is_zero
 
 
@@ -657,9 +657,6 @@ def _append(section, line):
                  id="kk_n_omega = 32"),
     pytest.param("electric.table", [(LORENTZ_ELECTRIC, "electric.kind = tabulated\n")],
                  id="tabulated without table"),
-    pytest.param("laplace", [(LORENTZ_ELECTRIC, GAUSSIAN_ELECTRIC)]
-                 + _append("numerics", "laplace = rational_exact"),
-                 id="rational_exact on gaussian"),
 ])
 def test_cli_bad_config_value_exits_before_any_stage(tmp_path, capsys, key, edits):
     # each edit replaces a line of the config, or appends one (old is None)
@@ -707,17 +704,53 @@ def test_cli_commutator_time_outside_grid_exits_before_any_stage(tmp_path, capsy
 
 
 def test_cli_verify_removed_laplace_method_is_a_config_error(tmp_path, capsys):
-    # the deformed-contour method is gone: naming it is a config error of the
-    # laplace key, raised before any stage writes output
+    # the medium picks its inverse-Laplace route: naming the laplace key, with
+    # any value, is a config error of that key, raised before any stage
+    # writes output
     text = (CONFIGS / "lorentz.cfg").read_text(encoding="utf-8")
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text + "\n[numerics]\nlaplace = talbot\n", encoding="utf-8")
     out_dir = tmp_path / "out"
-    assert main(["verify", "--config", str(cfg), "--out", str(out_dir)]) == 1
-    err = capsys.readouterr().err
-    assert "config error: key 'laplace'" in err
-    assert "auto, rational_exact, bromwich_line" in err
-    assert not out_dir.exists()
+    for value in ("auto", "bromwich_line", "talbot"):
+        cfg.write_text(text + f"\n[numerics]\nlaplace = {value}\n", encoding="utf-8")
+        assert main(["verify", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        assert "config error: key 'laplace'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bound, method", [(LORENTZ_ELECTRIC, "rational_exact"),
+                                           (GAUSSIAN_ELECTRIC, "bromwich_line")])
+def test_each_mode_solve_of_a_run_follows_its_medium(tmp_path, bound, method):
+    # with free carriers: the +k and -k solves of the bound medium and the
+    # conductor stage's solve of bound and free carriers together take the
+    # one route their medium allows
+    text = (CONFIGS / "conductor.cfg").read_text(encoding="utf-8")
+    text = re.sub(r"electric\.kind = [^\n]*\n(electric\.[^\n]*\n)*", bound, text)
+    config = parse_scenario(text)
+    assert config.model("electric", NATURAL).is_rational == (method == "rational_exact")
+    manifest = run_scenario(config, out_dir=str(tmp_path), stages=("commutators", "conductor"))
+    solves = ("modes_k0", "modes_minus_k0", "conductor_k0")
+    assert [manifest.quadrature[name]["method"] for name in solves] == [method] * 3
+
+
+def test_conductor_poles_fail_past_the_unstable_pole_margin(tmp_path, monkeypatch):
+    # a pole at Re p = 5e-11 counts as unstable in the modes metadata (past
+    # MARGINAL_POLE_TOL = 1e-12), so the check on max Re p fails it too
+    from dataclasses import replace
+
+    from mqed.modes import MARGINAL_POLE_TOL
+
+    original = scenario.conductor_modes
+
+    def shifted(*args):
+        mc = original(*args)
+        return replace(mc, metadata={**mc.metadata, "max_re_pole": 5e-11})
+
+    monkeypatch.setattr(scenario, "conductor_modes", shifted)
+    config = parse_scenario((CONFIGS / "conductor.cfg").read_text(encoding="utf-8"))
+    manifest = run_scenario(config, out_dir=str(tmp_path), stages=("conductor",))
+    check = next(c for c in manifest.checks if c["name"] == "conductor_poles_k0")
+    assert check["max_error"] == 5e-11 > MARGINAL_POLE_TOL == check["tolerance"]
+    assert not check["passed"]
 
 
 def test_cli_line_not_converged_exit_code(tmp_path, capsys, monkeypatch):
