@@ -154,6 +154,11 @@ class CouplingModel:
         return self.kind in ("zero", "lorentz_isotropic", "drude") and self.omega_max is None
 
     @property
+    def even_entire_density(self) -> bool:
+        """True when omega^2 f f^dag is even and entire in omega (gaussian)."""
+        return self.kind == "gaussian_anisotropic"
+
+    @property
     def frequency_scale(self) -> float:
         if self.kind in ("lorentz_isotropic", "drude"):
             return max(self.resonance, self.width, 1e-30)

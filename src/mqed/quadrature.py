@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature helpers shared by the kernel, spectrum and
+"""Gauss-Legendre and trapezoid rules shared by the kernel, spectrum and
 reservoir integrals.
 
 The nodes of order n are the roots of the Legendre polynomial P_n, found by
@@ -160,14 +160,11 @@ class QuadratureResult:
     cutoff: float
     rtol: float
     est_rel_error: float
+    rule: str = "gauss_legendre"
+    alias_time: float | None = None
 
     def metadata(self) -> dict:
-        return {
-            "order": self.order,
-            "cutoff": self.cutoff,
-            "rtol": self.rtol,
-            "est_rel_error": self.est_rel_error,
-        }
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def adaptive_nodes(spec: QuadratureSpec, cutoff: float, evaluate):
@@ -192,3 +189,27 @@ def adaptive_nodes(spec: QuadratureSpec, cutoff: float, evaluate):
     raise QuadratureNotConverged(
         f"order {orders[-1]} still changing by {rel:g} (> rtol {spec.rtol:g})"
     )
+
+
+def trapezoid_nodes(spec: QuadratureSpec, cutoff: float, evaluate, alias_time: float):
+    """Run `evaluate(nodes, weights) -> ndarray` on the midpoint rule M, then
+    the trapezoid rule T (nodes n h, n = 1..N; the sine vanishes at 0) of
+    N = ceil(alias_time cutoff / 2 pi) steps h on [0, cutoff], and return
+    T's value and record. On the sine transform of an even entire function T
+    adds its images at t + j 2 pi / h, j != 0 (Poisson summation; Trefethen &
+    Weideman, SIAM Rev. 56:385, 2014), and M the same with odd j negated:
+    est_rel_error = max |T - M| / (2 max |T|). Raises QuadratureNotConverged
+    above rtol, or before any evaluation when 2N is over sum(spec.orders()),
+    the most the order-doubling loop takes."""
+    n, budget = int(np.ceil(alias_time * cutoff / (2.0 * np.pi))), sum(spec.orders())
+    if 2 * n > budget:
+        raise QuadratureNotConverged(f"trapezoid rule of N = {n} nodes: 2N > budget {budget}")
+    h = cutoff / n
+    steps = np.arange(1, n + 1)
+    twin = evaluate((steps - 0.5) * h, np.full(n, h))
+    value = evaluate(steps * h, np.append(np.full(n - 1, h), 0.5 * h))
+    scale = float(np.max(np.abs(value)))
+    est = float(np.max(np.abs(value - twin))) / (2.0 * scale) if scale > 0.0 else 0.0
+    if est > spec.rtol:
+        raise QuadratureNotConverged(f"trapezoid rule of N = {n} off by {est:g} > rtol")
+    return value, QuadratureResult(n, cutoff, spec.rtol, est, "trapezoid", 2.0 * np.pi / h)

@@ -10,7 +10,7 @@ with pref = 8 pi / (hbar c^3 eps0) for the electric sector and
 8 pi mu0 / (hbar c^3) for the magnetic one; chi vanishes identically for
 t <= 0.
 
-Every consumer reads chi through one object, the Gauss-Legendre
+Every consumer reads chi through one object, the frequency-quadrature
 representation `QuadRep` (nodes omega_n and coefficients w_n pref omega_n^2
 f f^dag), which is kept with the kernel so the frequency spectrum and
 Laplace transform are taken exactly in t. Its coefficients are stored as a
@@ -29,12 +29,14 @@ and the Kramers-Kronig check sums its dispersion integral on a uniform grid
 as a Toeplitz plus a Hankel FFT convolution in O(n log n). A run builds
 one kernel per medium part and k, on one horizon, and every check that
 reads chi (the spectrum, KK, the fluctuation-dissipation, continuity and
-constitutive checks) takes that kernel or its spectrum. Every
-representation is converged by one order-doubling loop (`_converged_rep`)
-on the functional its consumer reads: the kernel values on t for
-`chi_kernel`, chi_hat at three probe values of rho for the Laplace-domain
-response of a continuum medium (a much smaller representation, because its
-cost is paid at every Bromwich-line point), and Q on t for `conductor_Q`.
+constitutive checks) takes that kernel or its spectrum. A kernel whose
+omega^2 f f^dag is even and entire is one trapezoid rule (`chi_kernel`);
+every other representation is converged by one order-doubling loop
+(`_converged_rep`) on the functional its consumer reads: the kernel values
+on t for `chi_kernel`, chi_hat at three probe values of rho for the
+Laplace-domain response of a continuum medium (a much smaller
+representation, because its cost is paid at every Bromwich-line point),
+and Q on t for `conductor_Q`.
 `LaplaceResponse` is the one carrier of the medium: its electric coupling
 (bound and free carriers alike, as one combined coupling when both are
 present) and its magnetic coupling fix eps_hat, mu_hat and the reservoir
@@ -47,11 +49,11 @@ path asks for more of a rational one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
-from .couplings import ELECTRIC, MAGNETIC, CombinedElectric, coupling_product
+from .couplings import ELECTRIC, MAGNETIC, CombinedElectric, CouplingModel, coupling_product
 from .errors import (
     GridTooCoarse,
     LeftHalfPlane,
@@ -60,13 +62,16 @@ from .errors import (
     ValidationError,
     ZeroFrequency,
 )
-from .quadrature import QuadratureResult, QuadratureSpec, adaptive_nodes
+from .quadrature import QuadratureResult, QuadratureSpec, adaptive_nodes, trapezoid_nodes
 from .rational import Rational
 from .tensors import IDENTITY3, NATURAL, PhysicalConstants
 
 # elements of one chunked table (`_chunks`), 8 MB of complex values, sized
 # for the cache
 _TABLE_ELEMENTS = 1 << 19
+# the kernel's decay at a run's horizon (`scenario.part_kernel`), and at the
+# alias time of a trapezoid rule less t_max (`chi_kernel`)
+_KERNEL_TAIL = 1e-11
 # the fewest omega points kk_check accepts
 KK_MIN_POINTS = 64
 # |omega - omega_n| T below which the half-line transform of a mode is taken
@@ -198,9 +203,9 @@ def _angle_table(t: np.ndarray, nodes: np.ndarray, sin_block, cos_block) -> np.n
     2 (R + n_t / R) n sines and cosines are evaluated instead of one or two
     per (t_j, omega_n). The nodes are taken in chunks of one (R, n) table
     each and the J groups in column chunks (`_chunks`); each bracket is built
-    in one buffer, the second GEMM is added into the first one's output, and
-    the node chunks' partials are summed. Any other grid builds the tables
-    of t omega_n itself in row chunks.
+    in one buffer (with one block, its one shift, made for it alone), the
+    second GEMM is added into the first one's output, and the node chunks'
+    partials are summed. Other grids build t omega_n in row chunks.
     """
     pairs = [(fn, b) for fn, b in ((np.sin, sin_block), (np.cos, cos_block)) if b is not None]
     m = pairs[0][1].shape[1]
@@ -212,13 +217,12 @@ def _angle_table(t: np.ndarray, nodes: np.ndarray, sin_block, cos_block) -> np.n
             out[rows] = reduce(np.add, [fn(angles) @ b for fn, b in pairs])
         return out
 
-    def mix(x, p, y, q):  # x p + y q for (n, 1, g) factors, as (n, m g), g innermost
-        (f, b), *rest = [(f, b) for f, b in ((x, p), (y, q)) if b is not None]
-        buf = f * b[:, :, None]
-        for f, b in rest:  # a column at a time, beside the one (n, m, g) table
+    def mix(x, p, y=None, q=None):  # x p + y q for (n, 1, g) factors, as (n, m g), g innermost
+        buf = np.multiply(x, p[:, :, None], out=x if m == 1 and y is None else None)
+        if y is not None:  # a column at a time, beside the one (n, m, g) table
             for j in range(m):
-                buf[:, j] += f[:, 0] * b[:, j, None]
-        return buf.reshape(len(f), -1)
+                buf[:, j] += y[:, 0] * q[:, j, None]
+        return buf.reshape(len(x), -1)
 
     r = int(np.ceil(np.sqrt(t.size)))
     groups = -(-t.size // r)
@@ -226,16 +230,22 @@ def _angle_table(t: np.ndarray, nodes: np.ndarray, sin_block, cos_block) -> np.n
     out = np.empty((groups, r, m))
     for i, ns in enumerate(_chunks(nodes.size, r)):
         sin_n, cos_n = (None if b is None else b[ns] for b in (sin_block, cos_block))
-        neg_cos = None if cos_n is None else -cos_n
         sin_a = np.multiply.outer(h * np.arange(r), nodes[ns])  # (r, n)
         cos_a = np.cos(sin_a)
         np.sin(sin_a, out=sin_a)
         for g in _chunks(groups, sin_a.shape[1] * m):
-            sin_b = np.multiply.outer(nodes[ns], starts[g])[:, None]  # (n, 1, g)
-            cos_b = np.cos(sin_b)
-            np.sin(sin_b, out=sin_b)
-            part = sin_a @ mix(cos_b, sin_n, sin_b, neg_cos)
-            part += cos_a @ mix(sin_b, sin_n, cos_b, cos_n)  # (r, m g)
+            def shift(fn):  # fn(omega_n b_J) as (n, 1, g)
+                return fn(a := np.multiply.outer(nodes[ns], starts[g])[:, None], out=a)
+            if cos_n is None:
+                part = sin_a @ mix(shift(np.cos), sin_n)
+                part += cos_a @ mix(shift(np.sin), sin_n)
+            elif sin_n is None:
+                part = sin_a @ mix(shift(np.sin), -cos_n)
+                part += cos_a @ mix(shift(np.cos), cos_n)
+            else:
+                sin_b, cos_b = shift(np.sin), shift(np.cos)
+                part = sin_a @ mix(cos_b, sin_n, sin_b, -cos_n)
+                part += cos_a @ mix(sin_b, sin_n, cos_b, cos_n)  # (r, m g)
             part = part.reshape(r, m, -1).transpose(2, 0, 1)
             out[g] = out[g] + part if i else part
     return out.reshape(-1, m)[: t.size]
@@ -333,12 +343,12 @@ def _cutoff(model, quad: QuadratureSpec) -> float:
     return cutoff
 
 
-def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional):
-    """The Gauss-Legendre representation of `model` at k, with coefficients
-    w_n pref omega_n^2 f f^dag, whose order is doubled until
-    functional(rep) stops moving. Returns the representation, the converged
-    functional and the quadrature record."""
-    stash = {}
+def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional, alias_time=None):
+    """The representation of `model` at k, coefficients w_n pref omega_n^2
+    f f^dag: the trapezoid rule of `alias_time` if given, else Gauss-Legendre
+    doubled until functional(rep) stops moving. Returns the representation,
+    the converged functional and the quadrature record."""
+    stash = {}  # the last rule evaluated, the one kept
 
     def evaluate(x, w):
         stash["rep"] = QuadRep.from_coeffs(
@@ -346,7 +356,8 @@ def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional):
         )
         return functional(stash["rep"])
 
-    values, result = adaptive_nodes(quad, _cutoff(model, quad), evaluate)
+    rule = adaptive_nodes if alias_time is None else partial(trapezoid_nodes, alias_time=alias_time)
+    values, result = rule(quad, _cutoff(model, quad), evaluate)
     return stash["rep"], values, result
 
 
@@ -359,16 +370,19 @@ def chi_kernel(
 ) -> SusceptibilityKernel:
     """Time-domain susceptibility kernel chi(k, t) on t_grid (t >= 0).
 
-    The improper frequency integral is truncated at the configured cutoff and
-    evaluated by Gauss-Legendre with order doubling until the kernel stops
-    moving on the whole grid. Every call builds a new representation; a run
-    builds one per medium part and k and hands it to every check that reads
-    the kernel.
+    The improper frequency integral is truncated at the configured cutoff. A
+    coupling model whose omega^2 f f^dag is even and entire takes one
+    trapezoid rule, its alias time the horizon of `_KERNEL_TAIL` beyond
+    t_max; any other Gauss-Legendre with order doubling until the kernel
+    stops moving on the whole grid. Every call builds a new representation;
+    a run builds one per medium part and k for every check that reads it.
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
     pref = kernel_prefactor(model.which, constants)
-    rep, values, result = _converged_rep(model, k, quad, pref, lambda rep: rep.kernel_values(t))
+    smooth = isinstance(model, CouplingModel) and model.even_entire_density
+    alias = t[-1] + model.suggested_t_max(_KERNEL_TAIL) if smooth else None
+    rep, values, result = _converged_rep(model, k, quad, pref, lambda r: r.kernel_values(t), alias)
     return SusceptibilityKernel(
         which=model.which,
         k=k,

@@ -35,8 +35,8 @@ from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
                           maxwell_residual, reservoir_picks, vacuum_spectrum)
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import (KK_MIN_POINTS, _cutoff, _relative_deviation, chi_kernel, chi_spectrum,
-                       conductor_Q, kk_check, laplace_response)
+from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, chi_kernel,
+                       chi_spectrum, conductor_Q, kk_check, laplace_response)
 from .tensors import NATURAL, PhysicalConstants
 
 try:
@@ -369,10 +369,10 @@ def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants)
 def part_kernel(model, k, t_grid=None, constants: PhysicalConstants = NATURAL,
                 quad: QuadratureSpec = QuadratureSpec()):
     """The susceptibility kernel of one medium part at k, the one every check
-    of a run reads: on 2200 points out to where it has decayed to 1e-11 of
-    its peak, or on t_grid for a zero part, which has no such time."""
+    of a run reads: on 2200 points to where it has decayed to `_KERNEL_TAIL`
+    of its peak, or on t_grid for a zero part, which has no such time."""
     if not model.is_zero:
-        t_grid = np.linspace(0.0, model.suggested_t_max(1e-11), 2200)
+        t_grid = np.linspace(0.0, model.suggested_t_max(_KERNEL_TAIL), 2200)
     return chi_kernel(model, k, t_grid, constants=constants, quad=quad)
 
 

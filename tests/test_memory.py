@@ -117,6 +117,22 @@ def test_angle_table_holds_two_tables_beside_its_outputs(monkeypatch):
     assert _tables_beside_outputs(lambda: _angle_table(t, x, sin_block, cos_block)) <= 2.0
 
 
+@pytest.mark.parametrize("form", ["sin", "cos"])
+@pytest.mark.parametrize("budget, order", [(None, 8192), (1 << 16, 2048)])
+def test_one_column_angle_table_holds_two_tables(monkeypatch, form, budget, order):
+    # an isotropic kernel's (or Q's) one-column block on 3,001 points, its
+    # node chunk and group chunk each filling a table: each bracket's angle
+    # shift is built for it alone, and in place into it (2.16 and 2.59 tables
+    # with both shifts beside each bracket)
+    if budget is not None:
+        monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", budget)
+    t = np.linspace(0.0, 20.0, 3001)
+    x, w = gauss_legendre(order, 0.0, 30.0)
+    block = (w * x**2 * np.exp(-(x**2)))[:, None]
+    blocks = (block, None) if form == "sin" else (None, block)
+    assert _tables_beside_outputs(lambda: _angle_table(t, x, *blocks)) <= 2.0
+
+
 def test_line_mode_path_holds_two_tables_beside_its_outputs(monkeypatch):
     # a 1,501-point Maxwell-like grid of the gaussian medium on its line of
     # 594 points, with the 36 line columns in one table: 5.1 tables when

@@ -3,8 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mqed.couplings import drude, gaussian_anisotropic, lorentz_isotropic, zero_coupling
-from mqed.errors import GridTooCoarse, LeftHalfPlane, TailNotDecayed
+from mqed.couplings import (
+    CouplingModel,
+    coupling_product,
+    drude,
+    gaussian_anisotropic,
+    lorentz_isotropic,
+    zero_coupling,
+)
+from mqed.errors import GridTooCoarse, LeftHalfPlane, QuadratureNotConverged, TailNotDecayed
 from mqed.quadrature import QuadratureSpec
 from mqed.response import (
     ResponseSpectrum,
@@ -14,6 +21,7 @@ from mqed.response import (
     kk_check,
     laplace_response,
 )
+from mqed.tensors import NATURAL
 
 K = np.array([0.3, -0.2, 0.9])
 WP, W0, G = 1.3, 1.0, 0.5
@@ -541,20 +549,24 @@ def test_factored_and_unit_basis_reps_agree_in_every_consumer():
     close(factored.contract(mat), unit.contract(mat))
 
 
+def _bundled(name):
+    from pathlib import Path
+
+    from mqed.scenario import parse_scenario
+
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    return parse_scenario(path.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor"])
 def test_bundled_media_hold_one_coefficient_column(pin_order, name):
     # every bundled medium's coefficients are s(omega) times one fixed
     # tensor, so each representation of it, at every order its
     # configuration allows, contracts a single column
-    from pathlib import Path
-
     from mqed.couplings import combined_electric
     from mqed.response import _converged_rep
-    from mqed.scenario import parse_scenario
-    from mqed.tensors import NATURAL
 
-    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
-    config = parse_scenario(path.read_text(encoding="utf-8"))
+    config = _bundled(name)
     quad = config.quadrature()
     bound = config.model("electric", NATURAL)
     models = {bound, config.model("magnetic", NATURAL),
@@ -567,6 +579,65 @@ def test_bundled_media_hold_one_coefficient_column(pin_order, name):
                 pin_order(order)
                 rep, _, _ = _converged_rep(model, k, quad, 1.0, lambda rep: rep.nodes)
                 assert rep.block.shape == (order, 1), (model, order)
+            if isinstance(model, CouplingModel) and model.even_entire_density:
+                # and so does its kernel's trapezoid rule
+                kernel = chi_kernel(model, k, np.linspace(0.0, 8.0, 81), quad=quad)
+                assert kernel.quad.rule == "trapezoid"
+                assert kernel.rep.block.shape == (kernel.quad.order, 1), model
+
+
+@pytest.mark.parametrize("grid", ["horizon", "config"])
+def test_gaussian_trapezoid_kernel_matches_order_8192(pin_order, grid):
+    # gaussian.cfg's kernel on the run's 2,200-point horizon grid and on the
+    # config's own t_max = 8 grid: the trapezoid rule of alias time t_max
+    # plus the horizon agrees with the order-8192 Gauss-Legendre kernel to
+    # 1e-10 of its peak, and its midpoint estimate reads that difference
+    from mqed.response import _KERNEL_TAIL, _converged_rep, kernel_prefactor
+
+    config = _bundled("gaussian")
+    model, k, quad = config.model("electric", NATURAL), config.k_list()[0], config.quadrature()
+    horizon = model.suggested_t_max(_KERNEL_TAIL)
+    if grid == "horizon":
+        t = np.linspace(0.0, horizon, 2200)
+    else:
+        t = np.linspace(0.0, config.grids["t_max"], int(config.grids["n_t"]))
+    kernel = chi_kernel(model, k, t, quad=quad)
+    assert kernel.quad.rule == "trapezoid"
+    assert kernel.quad.order == int(np.ceil((t[-1] + horizon) * 50.0 / (2.0 * np.pi)))
+    assert kernel.quad.alias_time >= t[-1] + horizon
+    pin_order(8192)
+    pref = kernel_prefactor(model.which, NATURAL)
+    _, ref, _ = _converged_rep(model, k, quad, pref, lambda rep: rep.kernel_values(t))
+    diff = np.max(np.abs(kernel.values - ref)) / np.max(np.abs(ref))
+    assert diff <= 1e-10
+    assert 0.5 * diff <= kernel.quad.est_rel_error <= 2.0 * diff
+
+
+def test_gaussian_trapezoid_rule_with_a_short_margin_raises(monkeypatch):
+    # an alias time only the horizon of 1e-2 beyond t_max leaves aliases on
+    # the grid far above rtol (the midpoint estimate reads 6.9e-4)
+    import mqed.response
+
+    model = gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8)
+    t = np.linspace(0.0, model.suggested_t_max(1e-11), 2200)
+    monkeypatch.setattr(mqed.response, "_KERNEL_TAIL", 1e-2)
+    with pytest.raises(QuadratureNotConverged, match="N = 2517 off by"):
+        chi_kernel(model, K, t)
+
+
+def test_gaussian_trapezoid_rule_over_budget_raises_before_evaluating(monkeypatch):
+    # quad_max_order = 256 leaves the doubling loop 256 nodes, fewer than the
+    # two rules' 2 x 4880: the rule is refused before any coupling is read
+    import mqed.response
+
+    calls = []
+    monkeypatch.setattr(mqed.response, "coupling_product",
+                        lambda *args: calls.append(args) or coupling_product(*args))
+    model = gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8)
+    t = np.linspace(0.0, model.suggested_t_max(1e-11), 2200)
+    with pytest.raises(QuadratureNotConverged, match="N = 4880"):
+        chi_kernel(model, K, t, quad=QuadratureSpec(max_order=256))
+    assert calls == []
 
 
 def _row_loop_table_product(t, nodes, sin_block, cos_block):

@@ -432,6 +432,30 @@ def test_cli_verify_bundled_gaussian_config(tmp_path, capsys):
     assert _bench_gate_problems("gaussian-verify", code, out, tmp_path) == []
 
 
+def test_gaussian_run_builds_no_legendre_rule_above_512(tmp_path, monkeypatch):
+    # the gaussian kernel takes one trapezoid rule of N = 4880 nodes; every
+    # Gauss-Legendre rule the run still asks for (the Laplace
+    # representation, the reservoir, the noise convolutions) stays small,
+    # where the kernel's order doubling used to reach 8192
+    import mqed.quadrature
+
+    orders = []
+    build = mqed.quadrature._legendre_cache
+
+    def recorded(order):
+        orders.append(order)
+        return build(order)
+
+    monkeypatch.setattr(mqed.quadrature, "_legendre_cache", recorded)
+    config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
+    manifest = run_scenario(config, out_dir=str(tmp_path))
+    assert orders and max(orders) <= 512, sorted(set(orders))
+    rule = manifest.quadrature["chi_electric_k0"]["quadrature"]
+    assert (rule["rule"], rule["order"]) == ("trapezoid", 4880)
+    assert rule["alias_time"] >= 2.0 * manifest.quadrature["chi_electric_k0"]["t_max"]
+    assert rule["est_rel_error"] <= 1e-10
+
+
 def test_cli_modes_bundled_gaussian_line_budget(tmp_path, capsys):
     # with its tail taken in closed form, the gaussian config's Bromwich line
     # stays short and both of its error estimates stay small
