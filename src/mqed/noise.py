@@ -10,7 +10,10 @@ measure 4 pi, radial Jacobian omega^2 / c^3), to
 which the fluctuation-dissipation relation equates to (hbar eps0 / pi)
 Im chi_hat_e (magnetic analog with hbar / (mu0 pi)). The two sides are
 computed by disjoint numerical routes: direct coefficient assembly on the
-left, the kernel-quadrature + half-line transform pipeline on the right.
+left, the part's spectrum on the right, which is the closed form chi_hat of
+a rational part (so the check compares the coupling formula with it point
+by point) and the kernel-quadrature + half-line transform pipeline of any
+other.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import gauss_legendre
 from .response import (ResponseSpectrum, SusceptibilityKernel, _angle_table, _fft_size,
-                       _relative_deviation, block_tensors)
+                       _relative_deviation, block_tensors, check_grid)
 from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
 from .tensors import NATURAL, PhysicalConstants, triad
 
@@ -192,14 +195,16 @@ def pdot_continuity(
 
     The polarization is the convolution of the model's kernel (its
     quadrature representation) with a Gaussian probe pulse of width
-    5 / frequency_scale. The kernel vanishing at t = 0+ forces dP/dt(0+) to
-    zero. The probe is even and P(0) = 0, so the negative-time branch is the
-    mirror image and the jump of the one-sided limits is exactly twice the
-    right-hand rate, which a second-order one-sided stencil estimates; it
-    must shrink as dt does.
+    5 / frequency_scale, a quarter of the checks' horizon (`check_grid`)
+    over which its peak rate is taken. The kernel vanishing at t = 0+ forces
+    dP/dt(0+) to zero. The probe is even and P(0) = 0, so the negative-time
+    branch is the mirror image and the jump of the one-sided limits is
+    exactly twice the right-hand rate, which a second-order one-sided stencil
+    estimates; it must shrink as dt does.
     """
     dt = float(dt)
-    tau = 5.0 / model.frequency_scale
+    wide = check_grid(model, 801)
+    tau = wide[-1] / 4.0
     probe = _gaussian_probe(tau)
     rep = kernel.rep
     eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
@@ -212,7 +217,6 @@ def pdot_continuity(
 
     # peak |dP/dt| over the pulse for normalization, from the oscillator
     # responses of the quadrature nodes to the probe on a uniform grid
-    wide = np.linspace(0.0, 4.0 * tau, 801)
     h = wide[1] - wide[0]
     responses = _oscillator_responses(rep.nodes, probe(wide), wide, rep.block)
     p_wide = eps0 * block_tensors(responses, rep.basis)

@@ -10,10 +10,16 @@ with pref = 8 pi / (hbar c^3 eps0) for the electric sector and
 8 pi mu0 / (hbar c^3) for the magnetic one; chi vanishes identically for
 t <= 0.
 
-Every consumer reads chi through one object, the frequency-quadrature
-representation `QuadRep` (nodes omega_n and coefficients w_n pref omega_n^2
-f f^dag), which is kept with the kernel so the frequency spectrum and
-Laplace transform are taken exactly in t. Its coefficients are stored as a
+A rational part (a Lorentz or Drude coupling, `CouplingModel.is_rational`)
+has this integral in closed form, chi_hat(rho) = s^2 / (rho^2 + gamma rho
++ omega_0^2) (`chi_hat_rational`), so its kernel values and its spectrum
+come from that form, with no cut and no horizon. Every other part is read
+through the frequency-quadrature representation `QuadRep` (nodes omega_n
+and coefficients w_n pref omega_n^2 f f^dag), which is kept with the kernel
+so the frequency spectrum and Laplace transform are taken exactly in t. A
+rational part keeps one too, converged on the horizon of the two checks
+that integrate it in time (`check_grid`): there it is the paper's coupling
+integral beside the closed form. Its coefficients are stored as a
 real (n, r) block against an (r, 9) complex basis of tensors, with r the
 fewest columns the coefficients need (1 when every tensor is a multiple of
 one fixed tensor, as for an isotropic or a frequency-independent
@@ -33,7 +39,8 @@ constitutive checks) takes that kernel or its spectrum. A kernel whose
 omega^2 f f^dag is even and entire is one trapezoid rule (`chi_kernel`);
 every other representation is converged by one order-doubling loop
 (`_converged_rep`) on the functional its consumer reads: the kernel values
-on t for `chi_kernel`, chi_hat at three probe values of rho for the
+on t for `chi_kernel` (on `check_grid` for a rational part), chi_hat at
+three probe values of rho for the
 Laplace-domain response of a continuum medium (a much smaller
 representation, because its cost is paid at every Bromwich-line point),
 and Q on t for `conductor_Q`.
@@ -72,6 +79,11 @@ _TABLE_ELEMENTS = 1 << 19
 # the kernel's decay at a run's horizon (`scenario.part_kernel`), and at the
 # alias time of a trapezoid rule less t_max (`chi_kernel`)
 _KERNEL_TAIL = 1e-11
+# the horizon, in units of 1 / frequency_scale, of the checks that integrate
+# a kernel's quadrature representation in time: `noise.pdot_continuity`'s
+# probe (four widths of 5 / frequency_scale) and
+# `observables.constitutive_roundtrip`'s grid (`check_grid`)
+_CHECK_HORIZON = 20.0
 # the fewest omega points kk_check accepts
 KK_MIN_POINTS = 64
 # |omega - omega_n| T below which the half-line transform of a mode is taken
@@ -286,13 +298,22 @@ class QuadRep:
 
 @dataclass(frozen=True)
 class SusceptibilityKernel:
+    """A part's kernel values on t_grid and its quadrature representation,
+    converged on [0, rep_horizon]. A rational part's values come from its
+    closed form chi_hat (`closed_form`), and couplings_gap is how far the
+    representation's kernel lies from them on that horizon, relative to
+    their peak."""
+
     which: str
     k: np.ndarray
     t_grid: np.ndarray
     values: np.ndarray  # (n_t, 3, 3)
     quad: QuadratureResult
     rep: QuadRep
+    rep_horizon: float
     model_parameters: dict = field(default_factory=dict)
+    closed_form: Rational | None = None
+    couplings_gap: float | None = None
 
     def metadata(self) -> dict:
         return {
@@ -302,6 +323,8 @@ class SusceptibilityKernel:
             "n_t": int(self.t_grid.size),
             "quadrature": self.quad.metadata(),
             "model": self.model_parameters,
+            **({} if self.closed_form is None else
+               {"kernel": "closed_form", "couplings_gap": self.couplings_gap}),
         }
 
 
@@ -361,6 +384,31 @@ def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional, alia
     return stash["rep"], values, result
 
 
+def check_grid(model, n: int = 3001) -> np.ndarray:
+    """n uniform times on the horizon of the checks that integrate a kernel's
+    representation in time, `_CHECK_HORIZON` / frequency_scale: the
+    constitutive round trip's grid (3001 points) and the continuity probe's
+    pulse; a rational part's representation is converged on it."""
+    return np.linspace(0.0, _CHECK_HORIZON / model.frequency_scale, n)
+
+
+def _damped_oscillator(model, t: np.ndarray) -> np.ndarray:
+    """The inverse transform of s^2 / (rho^2 + gamma rho + omega_0^2) on t,
+    chi(t) = s^2 t e^{-gamma t / 2} sinc(Omega t / pi) with Omega =
+    sqrt(omega_0^2 - gamma^2 / 4) taken complex: one form for the damped,
+    the critically damped and the overdamped oscillator, Drude (omega_0 = 0)
+    included. For Omega = i kappa it is evaluated as s^2 t e^{-a t}
+    (1 - e^{-2 kappa t}) / (2 kappa t), a = omega_0^2 / (gamma / 2 + kappa)
+    = gamma / 2 - kappa, which neither overflows nor cancels."""
+    s2, w0, g = model.strength**2, model.resonance, model.width
+    omega = np.sqrt(complex(w0**2 - 0.25 * g**2))
+    if omega.imag == 0.0:
+        return s2 * t * np.exp(-0.5 * g * t) * np.sinc(omega.real * t / np.pi)
+    x = 2.0 * omega.imag * t
+    ratio = np.where(x > 0.0, -np.expm1(-x) / np.where(x > 0.0, x, 1.0), 1.0)
+    return s2 * t * np.exp(-(w0**2 / (0.5 * g + omega.imag)) * t) * ratio
+
+
 def chi_kernel(
     model,
     k,
@@ -370,19 +418,33 @@ def chi_kernel(
 ) -> SusceptibilityKernel:
     """Time-domain susceptibility kernel chi(k, t) on t_grid (t >= 0).
 
-    The improper frequency integral is truncated at the configured cutoff. A
-    coupling model whose omega^2 f f^dag is even and entire takes one
-    trapezoid rule, its alias time the horizon of `_KERNEL_TAIL` beyond
-    t_max; any other Gauss-Legendre with order doubling until the kernel
-    stops moving on the whole grid. Every call builds a new representation;
-    a run builds one per medium part and k for every check that reads it.
+    A nonzero rational part takes its values from the closed form
+    (`_damped_oscillator`); its representation is converged on `check_grid`
+    alone, where its gap to the closed form is measured. Any other part is
+    its representation on t_grid, the improper frequency integral truncated
+    at the configured cutoff: a coupling model whose omega^2 f f^dag is even
+    and entire takes one trapezoid rule, its alias time the horizon of
+    `_KERNEL_TAIL` beyond t_max; any other Gauss-Legendre with order
+    doubling until the kernel stops moving on the whole grid. Every call
+    builds a new representation; a run builds one per medium part and k for
+    every check that reads it.
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
     pref = kernel_prefactor(model.which, constants)
-    smooth = isinstance(model, CouplingModel) and model.even_entire_density
-    alias = t[-1] + model.suggested_t_max(_KERNEL_TAIL) if smooth else None
-    rep, values, result = _converged_rep(model, k, quad, pref, lambda r: r.kernel_values(t), alias)
+    if isinstance(model, CouplingModel) and model.is_rational and not model.is_zero:
+        closed, t_rep = chi_hat_rational(model), check_grid(model)
+        rep, on_rep, result = _converged_rep(model, k, quad, pref,
+                                             lambda r: r.kernel_values(t_rep))
+        exact = partial(_damped_oscillator, model)
+        gap = _relative_deviation(on_rep, block_tensors(exact(t_rep)[:, None], _FLAT_IDENTITY))
+        values = block_tensors(exact(t)[:, None], _FLAT_IDENTITY)
+    else:
+        closed, gap, t_rep = None, None, t
+        smooth = isinstance(model, CouplingModel) and model.even_entire_density
+        alias = t[-1] + model.suggested_t_max(_KERNEL_TAIL) if smooth else None
+        rep, values, result = _converged_rep(model, k, quad, pref,
+                                             lambda r: r.kernel_values(t), alias)
     return SusceptibilityKernel(
         which=model.which,
         k=k,
@@ -390,7 +452,10 @@ def chi_kernel(
         values=values,
         quad=result,
         rep=rep,
+        rep_horizon=float(t_rep[-1]),
         model_parameters=model.parameters(),
+        closed_form=closed,
+        couplings_gap=gap,
     )
 
 
@@ -500,25 +565,38 @@ def chi_spectrum(
 ) -> ResponseSpectrum:
     """Half-line frequency transform chi_hat(k, omega) = int_0^inf chi e^{i omega t} dt.
 
+    A rational part's spectrum is its closed form at rho = -i omega; its
+    plateau chi(inf) = s^2 / gamma is that of a pole at rho = 0 (Drude).
+    Any other kernel's is the half-line transform of its representation to
+    t_max, whose tail must have settled within tail_rtol of its peak.
     Conductor-like kernels settle on a nonzero plateau chi(inf); the tail
     integral of the plateau is added analytically (i chi_inf e^{i omega T} /
-    omega), which is what makes the free-carrier spectrum converge. The
-    dissipative (hermitian-imaginary) part must come out PSD for omega > 0.
+    omega), which is what makes the free-carrier spectrum converge. Either
+    way a plateau kernel has no spectrum at omega = 0, and the dissipative
+    (hermitian-imaginary) part must come out PSD for omega > 0.
     """
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or np.any(omega < 0.0):
         raise ValidationError("omega_grid must be 1-d and nonnegative")
-    t = kernel.t_grid
-    t_max = float(t[-1])
-    plateau, wobble = _plateau(kernel.values, t, tail_rtol)
-    has_plateau = bool(np.any(plateau != 0.0))
-    if has_plateau and np.any(omega == 0.0):
+    closed = kernel.closed_form
+    if closed is not None:
+        # den[0] = omega_0^2 = 0: a pole at rho = 0, whose residue is chi(inf)
+        plateau = (closed.num[0] / closed.den[1]) * IDENTITY3 if closed.den[0] == 0 else None
+        wobble = 0.0
+    else:
+        plateau, wobble = _plateau(kernel.values, kernel.t_grid, tail_rtol)
+        plateau = plateau if np.any(plateau != 0.0) else None
+    if plateau is not None and np.any(omega == 0.0):
         raise ZeroFrequency("spectrum of a plateau kernel diverges at omega = 0")
 
-    values = _half_line_transform_exact(kernel.rep, t_max, omega)
-    if has_plateau:
-        fac = 1j * np.exp(1j * omega * t_max) / omega
-        values = values + fac[:, None, None] * plateau[None, :, :]
+    if closed is not None:
+        values = block_tensors(closed(-1j * omega)[:, None], _FLAT_IDENTITY)
+    else:
+        t_max = float(kernel.t_grid[-1])
+        values = _half_line_transform_exact(kernel.rep, t_max, omega)
+        if plateau is not None:
+            fac = 1j * np.exp(1j * omega * t_max) / omega
+            values = values + fac[:, None, None] * plateau[None, :, :]
 
     imh = (values - np.conj(np.transpose(values, (0, 2, 1)))) / 2.0j
     positive = omega > 0.0
@@ -537,7 +615,7 @@ def chi_spectrum(
         values=values,
         imag_min_eig=min_eig,
         tail_fraction=wobble,
-        plateau=plateau if has_plateau else None,
+        plateau=plateau,
     )
 
 

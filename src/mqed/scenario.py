@@ -35,8 +35,8 @@ from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
                           maxwell_residual, reservoir_picks, vacuum_spectrum)
 from .quadrature import QuadratureSpec, gauss_legendre
-from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, chi_kernel,
-                       chi_spectrum, conductor_Q, kk_check, laplace_response)
+from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, check_grid,
+                       chi_kernel, chi_spectrum, conductor_Q, kk_check, laplace_response)
 from .tensors import NATURAL, PhysicalConstants
 
 try:
@@ -438,7 +438,8 @@ def _emit_report(run, name, label, report):
 
 def _kk(run, part, got):
     # inside the support of the kernel's rule: past its cutoff Im chi_hat is
-    # only the truncation's ripple
+    # only the truncation's ripple (a closed form has none, and takes the
+    # same grid)
     n_kk = int(run.grids["kk_n_omega"])
     top = min(run.grids["kk_omega_max"], _cutoff(run.models[part], run.quad))
     spectrum = chi_spectrum(got[0], (np.arange(n_kk) + 0.5) * top / n_kk,
@@ -512,9 +513,7 @@ _CHECKS = (
                run.models[part], got[0], run.constants, run.num["continuity_dt"]).relative_jump)),
     _Check("constitutive_roundtrip_{tag}", "noise", ("electric",), _HEISENBERG,
            "constitutive_tol", lambda run, part, got: _Measure(constitutive_roundtrip(
-               run.models[part], got[0],
-               np.linspace(0.0, 20.0 / run.models[part].frequency_scale, 3001),
-               run.constants).residual)),
+               run.models[part], got[0], check_grid(run.models[part]), run.constants).residual)),
     _Check("lambda_reality_{tag}", "modes", _MEDIUM, _HEISENBERG, "reality_tol",
            lambda run, part, got: _Measure(lambda_reality_scan(
                run.response, run.rng.normal(size=(10, 3)),

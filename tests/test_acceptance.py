@@ -17,6 +17,7 @@ from mqed.couplings import (
     gaussian_anisotropic,
     lorentz_isotropic,
     random_orthogonal_gauge,
+    rotation_gauge,
     zero_coupling,
 )
 from mqed.modes import lambda_reality_scan, line_mode_coefficients, mode_coefficients
@@ -180,8 +181,11 @@ def test_criterion_6_gauge_freedom():
     omega_noise = OMEGA_FDT[::4]
     noise0 = noise_commutator(LORENTZ_E, chi_spectrum(part_kernel(LORENTZ_E, K), omega_noise))
     kernel_t = np.linspace(0.0, 30.0, 301)
-    chi0 = chi_kernel(LORENTZ_E, K, kernel_t).values
-    chi0_m = chi_kernel(LORENTZ_M, K, kernel_t).values
+    # a gauged kernel is the coupling integral, so its reference is too: the
+    # model under the identity gauge, not the closed form of the bare model
+    identity = rotation_gauge((0.0, 0.0, 1.0), lambda w: 0.0)
+    chi0 = chi_kernel(apply_gauge(LORENTZ_E, identity), K, kernel_t).values
+    chi0_m = chi_kernel(apply_gauge(LORENTZ_M, identity), K, kernel_t).values
     rng = np.random.default_rng(101)
     worst = {"chi_e": 0.0, "chi_m": 0.0, "noise": 0.0, "commutator": 0.0,
              "spectrum": 0.0}

@@ -15,9 +15,11 @@ from mqed.errors import GridTooCoarse, LeftHalfPlane, QuadratureNotConverged, Ta
 from mqed.quadrature import QuadratureSpec
 from mqed.response import (
     ResponseSpectrum,
+    _converged_rep,
     chi_kernel,
     chi_spectrum,
     conductor_Q,
+    kernel_prefactor,
     kk_check,
     laplace_response,
 )
@@ -30,6 +32,22 @@ WP, W0, G = 1.3, 1.0, 0.5
 def lorentz_kernel_exact(t):
     wt = np.sqrt(W0**2 - G**2 / 4.0)
     return WP**2 * np.exp(-G * t / 2.0) * np.sin(wt * t) / wt
+
+
+def coupling_kernel(model, t, quad=QuadratureSpec(), k=K):
+    """chi of `model` on t from the paper's coupling integral alone: its
+    quadrature representation converged on t (`_converged_rep`), and no
+    closed form, so `chi_spectrum` takes the representation's half-line
+    transform (`_half_line_transform_exact`). A rational part's own kernel
+    reads its closed form instead, which a test against that form would
+    compare with itself."""
+    kernel = chi_kernel(model, k, t, quad=quad)
+    if kernel.closed_form is None:
+        return kernel
+    pref = kernel_prefactor(model.which, NATURAL)
+    rep, values, result = _converged_rep(model, k, quad, pref, lambda r: r.kernel_values(t))
+    return replace(kernel, values=values, quad=result, rep=rep, rep_horizon=float(t[-1]),
+                   closed_form=None, couplings_gap=None)
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +67,11 @@ def test_kernel_vanishes_at_t0(lorentz_kernel):
 
 
 def test_kernel_matches_damped_sinusoid():
-    # closed-form oracle; the frequency cutoff is pushed high enough that
-    # truncation sits below the 1e-6 target
+    # the coupling integral against the closed-form oracle; the frequency
+    # cutoff is pushed high enough that truncation sits below the 1e-6 target
     t = np.linspace(0.0, 40.0, 900)
-    kernel = chi_kernel(
-        lorentz_isotropic(WP, W0, G), K, t,
+    kernel = coupling_kernel(
+        lorentz_isotropic(WP, W0, G), t,
         quad=QuadratureSpec(rtol=1e-10, cutoff_factor=200.0, start_order=1024, max_order=16384),
     )
     exact = lorentz_kernel_exact(t)
@@ -65,9 +83,75 @@ def test_kernel_matches_damped_sinusoid():
 def test_drude_kernel_closed_form():
     s, g = 1.1, 0.5
     t = np.linspace(0.0, 40.0, 800)
-    kernel = chi_kernel(drude(s, g), K, t, quad=QuadratureSpec(rtol=1e-9, cutoff_factor=400.0))
+    kernel = coupling_kernel(drude(s, g), t, quad=QuadratureSpec(rtol=1e-9, cutoff_factor=400.0))
     exact = (s**2 / g) * (1.0 - np.exp(-g * t))
     assert np.max(np.abs(kernel.values[:, 0, 0].real - exact)) / np.max(exact) < 1e-5
+
+
+def test_rational_kernel_is_its_closed_form():
+    # underdamped, overdamped, critically damped (resonance = width / 2,
+    # where the partial fractions meet a double pole) and Drude: each part's
+    # kernel is its inverse transform, to rounding
+    from mqed.errors import PoleFindingFailed
+    from mqed.rational import ilt_rational
+    from mqed.response import chi_hat_rational
+
+    t = np.linspace(0.0, 60.0, 2001)
+    s, g = 1.1, 0.5
+    by_poles = [lorentz_isotropic(WP, W0, G), lorentz_isotropic(1.0, 1.0, 2.5),
+                lorentz_isotropic(0.8, 1.4, 0.6, which="magnetic")]
+    cases = [(m, ilt_rational(chi_hat_rational(m), t)[0].real, 2e-15) for m in by_poles]
+    critical = lorentz_isotropic(s, g / 2.0, g)
+    cases += [(critical, s**2 * t * np.exp(-g * t / 2.0), 1e-13),
+              (drude(s, g), (s**2 / g) * -np.expm1(-g * t), 1e-13)]
+    for model, exact, tol in cases:
+        kernel = chi_kernel(model, K, t)
+        assert kernel.closed_form is not None
+        err = np.max(np.abs(kernel.values - exact[:, None, None] * np.eye(3)))
+        assert err <= tol * np.max(np.abs(exact)), (model, err)
+    with pytest.raises(PoleFindingFailed):
+        ilt_rational(chi_hat_rational(critical), t)
+
+
+def test_rational_kernel_keeps_its_coupling_quadrature_on_the_checks_horizon():
+    # the representation is the paper's integral on [0, 20 / frequency
+    # scale], converged there; its gap to the closed form is the cut at
+    # 50 x frequency scale, largest near t = 1 / cutoff
+    from mqed.response import check_grid
+
+    model = lorentz_isotropic(1.3, 1.0, 0.5)
+    kernel = chi_kernel(model, K, np.linspace(0.0, 5.0, 11))
+    assert kernel.rep_horizon == check_grid(model)[-1] == 20.0
+    assert (kernel.quad.order, kernel.quad.rule) == (1024, "gauss_legendre")
+    record = kernel.metadata()
+    assert record["kernel"] == "closed_form"
+    assert 1e-5 < record["couplings_gap"] == kernel.couplings_gap < 1e-4
+    t = check_grid(model)
+    exact = chi_kernel(model, K, t).values
+    gap = np.max(np.abs(kernel.rep.kernel_values(t) - exact)) / np.max(np.abs(exact))
+    assert gap == pytest.approx(kernel.couplings_gap, rel=1e-9)
+    # a continuum part has no closed form: its record names no gap
+    gaussian = chi_kernel(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.6), K, t)
+    assert gaussian.closed_form is None and "couplings_gap" not in gaussian.metadata()
+
+
+def test_drude_closed_form_spectrum_keeps_its_plateau():
+    # the closed form needs no horizon, so a short grid serves; the pole at
+    # rho = 0 gives the plateau s^2 / width, and no spectrum at omega = 0
+    from mqed.errors import ZeroFrequency
+
+    s, g = 1.1, 0.5
+    kernel = chi_kernel(drude(s, g), K, np.linspace(0.0, 5.0, 50))
+    omega = np.linspace(0.1, 5.0, 50)
+    spectrum = chi_spectrum(kernel, omega)
+    assert np.allclose(spectrum.plateau, (s**2 / g) * np.eye(3), rtol=1e-15, atol=0.0)
+    exact = s**2 / (-(omega**2) - 1j * g * omega)
+    assert np.max(np.abs(spectrum.values[:, 0, 0] - exact)) <= 1e-15 * np.max(np.abs(exact))
+    with pytest.raises(ZeroFrequency):
+        chi_spectrum(kernel, np.array([0.0, 1.0]))
+    lorentz = chi_spectrum(chi_kernel(lorentz_isotropic(WP, W0, G), K, kernel.t_grid),
+                           np.array([0.0, 1.0]))
+    assert lorentz.plateau is None and lorentz.values[0, 0, 0] == WP**2 / W0**2
 
 
 def test_spectrum_zero_kernel():
@@ -78,7 +162,8 @@ def test_spectrum_zero_kernel():
 
 def test_spectrum_matches_lorentzian(lorentz_kernel):
     omega = np.linspace(0.05, 5.0, 180)
-    spectrum = chi_spectrum(lorentz_kernel, omega)
+    spectrum = chi_spectrum(coupling_kernel(lorentz_isotropic(WP, W0, G), lorentz_kernel.t_grid,
+                                            QuadratureSpec(rtol=1e-9)), omega)
     exact = WP**2 / (W0**2 - omega**2 - 1j * G * omega)
     err = np.max(np.abs(spectrum.values[:, 0, 0] - exact)) / np.max(np.abs(exact))
     assert err < 1e-5
@@ -87,7 +172,7 @@ def test_spectrum_matches_lorentzian(lorentz_kernel):
 def test_spectrum_drude_plateau_counterterm():
     s, g = 1.1, 0.5
     t = np.linspace(0.0, 45.0, 900)
-    kernel = chi_kernel(drude(s, g), K, t, quad=QuadratureSpec(rtol=1e-9))
+    kernel = coupling_kernel(drude(s, g), t, quad=QuadratureSpec(rtol=1e-9))
     omega = np.linspace(0.1, 5.0, 120)
     spectrum = chi_spectrum(kernel, omega)
     assert spectrum.plateau is not None
@@ -104,8 +189,10 @@ def test_spectrum_imag_psd(lorentz_kernel):
 
 
 def test_spectrum_tail_not_decayed():
-    t = np.linspace(0.0, 3.0, 80)  # far too short for gamma = 0.5
-    kernel = chi_kernel(lorentz_isotropic(WP, W0, G), K, t)
+    # a continuum kernel's spectrum is its transform to t_max, so t_max must
+    # reach its decay; a rational part's closed form needs no horizon
+    t = np.linspace(0.0, 3.0, 80)  # far too short for a gaussian line at 1
+    kernel = chi_kernel(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.6), K, t)
     with pytest.raises(TailNotDecayed):
         chi_spectrum(kernel, np.linspace(0.1, 2.0, 10))
 
@@ -301,7 +388,7 @@ def test_structural_fdt_identity():
         gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.6),
     ):
         t = np.linspace(0.0, model.suggested_t_max(1e-9), 1500)
-        spectrum = chi_spectrum(chi_kernel(model, K, t, quad=QuadratureSpec(rtol=1e-9)), omega)
+        spectrum = chi_spectrum(coupling_kernel(model, t, QuadratureSpec(rtol=1e-9)), omega)
         lhs = spectrum.imag_hermitian()
         rhs = 4.0 * np.pi**2 * (omega**2)[:, None, None] * coupling_product(model, omega, K)
         err = np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))) / np.max(
@@ -314,7 +401,7 @@ def test_magnetic_sector_prefactor():
     model = lorentz_isotropic(0.8, 1.4, 0.6, which="magnetic")
     t = np.linspace(0.0, model.suggested_t_max(1e-9), 1200)
     omega = np.linspace(0.2, 4.0, 30)
-    spectrum = chi_spectrum(chi_kernel(model, K, t, quad=QuadratureSpec(rtol=1e-9)), omega)
+    spectrum = chi_spectrum(coupling_kernel(model, t, QuadratureSpec(rtol=1e-9)), omega)
     exact = 0.8**2 / (1.4**2 - omega**2 - 1j * 0.6 * omega)
     err = np.max(np.abs(spectrum.values[:, 0, 0] - exact)) / np.max(np.abs(exact))
     assert err < 1e-5

@@ -456,6 +456,78 @@ def test_gaussian_run_builds_no_legendre_rule_above_512(tmp_path, monkeypatch):
     assert rule["est_rel_error"] <= 1e-10
 
 
+def test_lorentz_run_builds_no_legendre_rule_above_1024(tmp_path, monkeypatch):
+    # a rational part's kernel and spectrum come from its closed form, and
+    # its coupling quadrature is converged on the checks' horizon alone, at
+    # order 1024, where the kernel's 1e-11 horizon took the doubling to 4096
+    import mqed.quadrature
+
+    orders = []
+    build = mqed.quadrature._legendre_cache
+
+    def recorded(order):
+        orders.append(order)
+        return build(order)
+
+    monkeypatch.setattr(mqed.quadrature, "_legendre_cache", recorded)
+    config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
+    manifest = run_scenario(config, out_dir=str(tmp_path))
+    assert orders and max(orders) <= 1024, sorted(set(orders))
+    for part in ("electric", "magnetic"):
+        record = manifest.quadrature[f"chi_{part}_k0"]
+        assert record["kernel"] == "closed_form"
+        assert record["quadrature"]["order"] == 1024
+        assert 1e-5 < record["couplings_gap"] < 1e-4
+
+
+def test_rational_representation_reaches_both_checks_grids(tmp_path, monkeypatch):
+    # the continuity probe and the constitutive round trip integrate the
+    # kernel's coupling quadrature in time, each to the checks' horizon,
+    # where a rational part's representation was converged
+    import mqed.noise
+    import mqed.observables
+
+    kernels, ends = [], []
+    build = scenario.part_kernel
+    monkeypatch.setattr(scenario, "part_kernel",
+                        lambda *args: kernels.append(build(*args)) or kernels[-1])
+    responses = mqed.noise._oscillator_responses
+
+    def recorded(omega, drive, t, block):
+        ends.append(float(t[-1]))
+        return responses(omega, drive, t, block)
+
+    for module in (mqed.noise, mqed.observables):
+        monkeypatch.setattr(module, "_oscillator_responses", recorded)
+    config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
+    run_scenario(config, out_dir=str(tmp_path), stages=("noise",))
+    electric = kernels[0]
+    assert electric.closed_form is not None
+    assert ends == [electric.rep_horizon] * 2
+
+
+def test_narrow_lorentz_lines_in_the_chi_and_noise_stages(tmp_path):
+    # width 0.1 at resonance 1: the coupling quadrature converges on the
+    # checks' horizon at order 4096, where the kernel's 1e-11 horizon was
+    # still moving at 8192; KK fails on the default grid, whose step is too
+    # coarse for the line. Width 0.05 at resonance 2.5 still needs more than
+    # 8192 nodes on the checks' horizon.
+    from mqed.errors import QuadratureNotConverged
+
+    def config(width, resonance):
+        return parse_scenario(
+            "[medium]\nelectric.kind = lorentz_isotropic\nelectric.strength = 1\n"
+            f"electric.resonance = {resonance}\nelectric.width = {width}\n\n"
+            "[grids]\nk = 0,0,1.3\n")
+
+    manifest = run_scenario(config(0.1, 1.0), out_dir=str(tmp_path), stages=("noise",))
+    assert manifest.quadrature["chi_electric_k0"]["quadrature"]["order"] == 4096
+    failed = [c["name"] for c in manifest.checks if not c["passed"]]
+    assert failed == ["kk_electric_k0"]
+    with pytest.raises(QuadratureNotConverged, match="order 8192"):
+        run_scenario(config(0.05, 2.5), out_dir=str(tmp_path), stages=("chi",))
+
+
 def test_cli_modes_bundled_gaussian_line_budget(tmp_path, capsys):
     # with its tail taken in closed form, the gaussian config's Bromwich line
     # stays short and both of its error estimates stay small
