@@ -26,7 +26,7 @@ from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import gauss_legendre
 from .response import (ResponseSpectrum, SusceptibilityKernel, _angle_table, _fft_size,
-                       _relative_deviation, block_tensors, check_grid)
+                       _CHECK_HORIZON, _relative_deviation, block_tensors)
 from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
 from .tensors import NATURAL, PhysicalConstants, triad
 
@@ -195,7 +195,7 @@ def pdot_continuity(
 
     The polarization is the convolution of the model's kernel (its
     quadrature representation) with a Gaussian probe pulse of width
-    5 / frequency_scale, a quarter of the checks' horizon (`check_grid`)
+    5 / frequency_scale, a quarter of the checks' horizon (`_CHECK_HORIZON`)
     over which its peak rate is taken. The kernel vanishing at t = 0+ forces
     dP/dt(0+) to zero. The probe is even and P(0) = 0, so the negative-time
     branch is the mirror image and the jump of the one-sided limits is
@@ -203,10 +203,10 @@ def pdot_continuity(
     estimates; it must shrink as dt does.
     """
     dt = float(dt)
-    wide = check_grid(model, 801)
-    tau = wide[-1] / 4.0
+    tau = _CHECK_HORIZON / (4.0 * model.frequency_scale)
+    wide = np.linspace(0.0, 4.0 * tau, 801)
     probe = _gaussian_probe(tau)
-    rep = kernel.rep
+    rep = kernel.rep_to(wide[-1], "pdot_continuity")
     eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
 
     def p_plus(t):

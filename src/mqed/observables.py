@@ -355,14 +355,14 @@ def constitutive_roundtrip(
     oscillator (per-node sine convolution) and sums with the quadrature
     weights. The two routes share only the coupling evaluation. The probe is
     a Gaussian pulse of width 2 / frequency_scale along (1, 1, 1). Both
-    routes step a uniform t_grid from 0; any other grid raises
-    ValidationError.
+    routes step a uniform t_grid from 0 that ends within the horizon the
+    representation was converged on; any other grid raises ValidationError.
     """
     t = np.asarray(t_grid, dtype=float)
     h = uniform_step(t)
     if h is None or t[0] != 0.0:
         raise ValidationError("constitutive_roundtrip needs a uniform t_grid from 0")
-    rep = kernel.rep
+    rep = kernel.rep_to(t[-1], "constitutive_roundtrip")
     e_dir = np.ones(3) / np.linalg.norm(np.ones(3))
     tau = 2.0 / model.frequency_scale
     t0 = 5.0 * tau

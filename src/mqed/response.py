@@ -10,10 +10,10 @@ with pref = 8 pi / (hbar c^3 eps0) for the electric sector and
 8 pi mu0 / (hbar c^3) for the magnetic one; chi vanishes identically for
 t <= 0.
 
-A rational part (a Lorentz or Drude coupling, `CouplingModel.is_rational`)
-has this integral in closed form, chi_hat(rho) = s^2 / (rho^2 + gamma rho
-+ omega_0^2) (`chi_hat_rational`), so its kernel values and its spectrum
-come from that form, with no cut and no horizon. Every other part is read
+A rational part (a Lorentz or Drude coupling, `CouplingModel.is_rational`,
+gauged or not) has this integral in closed form, chi_hat(rho) = s^2 /
+(rho^2 + gamma rho + omega_0^2) (`chi_hat_rational`), so its kernel values
+and its spectrum come from that form, with no cut and no horizon. Every other part is read
 through the frequency-quadrature representation `QuadRep` (nodes omega_n
 and coefficients w_n pref omega_n^2 f f^dag), which is kept with the kernel
 so the frequency spectrum and Laplace transform are taken exactly in t. A
@@ -81,8 +81,8 @@ _TABLE_ELEMENTS = 1 << 19
 _KERNEL_TAIL = 1e-11
 # the horizon, in units of 1 / frequency_scale, of the checks that integrate
 # a kernel's quadrature representation in time: `noise.pdot_continuity`'s
-# probe (four widths of 5 / frequency_scale) and
-# `observables.constitutive_roundtrip`'s grid (`check_grid`)
+# probe (four of its widths) and `observables.constitutive_roundtrip`'s grid
+# (`check_grid`)
 _CHECK_HORIZON = 20.0
 # the fewest omega points kk_check accepts
 KK_MIN_POINTS = 64
@@ -299,10 +299,10 @@ class QuadRep:
 @dataclass(frozen=True)
 class SusceptibilityKernel:
     """A part's kernel values on t_grid and its quadrature representation,
-    converged on [0, rep_horizon]. A rational part's values come from its
-    closed form chi_hat (`closed_form`), and couplings_gap is how far the
-    representation's kernel lies from them on that horizon, relative to
-    their peak."""
+    converged on [0, rep_horizon] (every t for a zero part). A rational
+    part's values come from its closed form chi_hat (`closed_form`), and
+    couplings_gap is how far the representation's kernel lies from them on
+    that horizon, relative to their peak."""
 
     which: str
     k: np.ndarray
@@ -326,6 +326,16 @@ class SusceptibilityKernel:
             **({} if self.closed_form is None else
                {"kernel": "closed_form", "couplings_gap": self.couplings_gap}),
         }
+
+    def rep_to(self, t_end: float, consumer: str) -> QuadRep:
+        """The representation, for a consumer that integrates it in time to
+        t_end; past rep_horizon it was never converged, so that raises
+        ValidationError."""
+        if t_end > self.rep_horizon:
+            raise ValidationError(
+                f"{consumer} integrates the kernel to t = {t_end:g}, past the horizon "
+                f"{self.rep_horizon:g} its representation was converged on")
+        return self.rep
 
 
 @dataclass(frozen=True)
@@ -384,12 +394,12 @@ def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional, alia
     return stash["rep"], values, result
 
 
-def check_grid(model, n: int = 3001) -> np.ndarray:
-    """n uniform times on the horizon of the checks that integrate a kernel's
-    representation in time, `_CHECK_HORIZON` / frequency_scale: the
-    constitutive round trip's grid (3001 points) and the continuity probe's
-    pulse; a rational part's representation is converged on it."""
-    return np.linspace(0.0, _CHECK_HORIZON / model.frequency_scale, n)
+def check_grid(model) -> np.ndarray:
+    """The constitutive round trip's grid: 3001 uniform times on the horizon
+    of the checks that integrate a kernel's representation in time,
+    `_CHECK_HORIZON` / frequency_scale. A rational part's representation is
+    converged on it."""
+    return np.linspace(0.0, _CHECK_HORIZON / model.frequency_scale, 3001)
 
 
 def _damped_oscillator(model, t: np.ndarray) -> np.ndarray:
@@ -418,7 +428,8 @@ def chi_kernel(
 ) -> SusceptibilityKernel:
     """Time-domain susceptibility kernel chi(k, t) on t_grid (t >= 0).
 
-    A nonzero rational part takes its values from the closed form
+    A nonzero rational part, gauged or not (an orthogonal gauge leaves
+    f f^dag as it is), takes its values from the closed form
     (`_damped_oscillator`); its representation is converged on `check_grid`
     alone, where its gap to the closed form is measured. Any other part is
     its representation on t_grid, the improper frequency integral truncated
@@ -432,7 +443,8 @@ def chi_kernel(
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
     pref = kernel_prefactor(model.which, constants)
-    if isinstance(model, CouplingModel) and model.is_rational and not model.is_zero:
+    rational = isinstance(getattr(model, "base", model), CouplingModel) and model.is_rational
+    if rational and not model.is_zero:
         closed, t_rep = chi_hat_rational(model), check_grid(model)
         rep, on_rep, result = _converged_rep(model, k, quad, pref,
                                              lambda r: r.kernel_values(t_rep))
@@ -452,7 +464,7 @@ def chi_kernel(
         values=values,
         quad=result,
         rep=rep,
-        rep_horizon=float(t_rep[-1]),
+        rep_horizon=np.inf if model.is_zero else float(t_rep[-1]),
         model_parameters=model.parameters(),
         closed_form=closed,
         couplings_gap=gap,

@@ -20,7 +20,7 @@ from mqed.observables import (
     vacuum_spectrum,
 )
 from mqed.quadrature import QuadratureSpec, gauss_legendre
-from mqed.response import chi_kernel, finite_difference_time, laplace_response
+from mqed.response import check_grid, chi_kernel, finite_difference_time, laplace_response
 from mqed.tensors import NATURAL, transverse_projector
 
 K = np.array([0.4, -0.3, 1.1])
@@ -149,12 +149,36 @@ def test_maxwell_residual_zero_channel_is_zero():
 
 
 def test_constitutive_roundtrip_lorentz():
+    # a rational part's representation is converged on the checks' horizon
+    # (20 here), so the round trip runs on that grid
     model = lorentz_isotropic(1.3, 1.0, 0.5)
-    t = np.linspace(0.0, 30.0, 3001)
-    kernel = chi_kernel(model, K, t, quad=QuadratureSpec(rtol=1e-9))
+    t = check_grid(model)
+    assert t[-1] == 20.0
+    kernel = chi_kernel(model, K, np.linspace(0.0, 30.0, 3001), quad=QuadratureSpec(rtol=1e-9))
     check = constitutive_roundtrip(model, kernel, t)
     assert check.residual < 1e-5
     assert np.max(np.abs(check.p_convolution)) > 0.0
+
+
+@pytest.mark.parametrize("model", [
+    lorentz_isotropic(1.3, 1.0, 0.5),  # closed form: converged on [0, 20]
+    gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.6),  # converged on its own t_grid
+], ids=["rational", "gaussian"])
+def test_checks_reject_times_past_the_representations_horizon(model):
+    # past its horizon the representation was never converged (the Lorentz
+    # part's is off by 2.7e-4 of its peak at t = 90), so neither check
+    # that integrates it in time reads it there
+    kernel = chi_kernel(model, K, np.linspace(0.0, 10.0, 101))
+    horizon = 20.0 if kernel.closed_form is not None else 10.0
+    assert kernel.rep_horizon == horizon
+    with pytest.raises(ValidationError, match="past the horizon"):
+        constitutive_roundtrip(model, kernel, np.linspace(0.0, 30.0, 3001))
+    constitutive_roundtrip(model, kernel, np.linspace(0.0, horizon, 1001))
+    if kernel.closed_form is None:  # the continuity probe reaches 20
+        with pytest.raises(ValidationError, match="pdot_continuity"):
+            noise.pdot_continuity(model, kernel)
+    else:
+        noise.pdot_continuity(model, kernel)
 
 
 def test_constitutive_roundtrip_zero_cases():

@@ -135,6 +135,41 @@ def test_rational_kernel_keeps_its_coupling_quadrature_on_the_checks_horizon():
     assert gaussian.closed_form is None and "couplings_gap" not in gaussian.metadata()
 
 
+def test_gauged_rational_kernel_is_the_bare_closed_form():
+    # an orthogonal gauge leaves f f^dag as it is, so a gauged Lorentz part
+    # takes the bare part's closed form; its representation is still the
+    # coupling integral of the gauged model, which agrees to rounding
+    from mqed.couplings import apply_gauge, random_orthogonal_gauge
+    from mqed.response import check_grid
+
+    model = lorentz_isotropic(1.3, 1.0, 0.5)
+    gauged = apply_gauge(model, random_orthogonal_gauge(np.random.default_rng(5)))
+    t = np.linspace(0.0, 30.0, 301)
+    bare, kernel = chi_kernel(model, K, t), chi_kernel(gauged, K, t)
+    assert kernel.closed_form is not None and kernel.rep_horizon == bare.rep_horizon
+    assert np.array_equal(kernel.values, bare.values)
+    t_rep = check_grid(model)
+    ref = bare.rep.kernel_values(t_rep)
+    assert np.max(np.abs(kernel.rep.kernel_values(t_rep) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert kernel.couplings_gap == pytest.approx(bare.couplings_gap, rel=1e-8)
+
+
+@pytest.mark.parametrize("name, parts", [("lorentz", ("electric", "magnetic")),
+                                         ("conductor", ("electric",))])
+def test_bundled_rational_parts_keep_their_coupling_integral_near_the_closed_form(name, parts):
+    # the one number that still compares the paper's coupling integral with
+    # the closed form on a run: the cut at 50 x frequency scale leaves 5e-5
+    # to 7e-5 of the peak near t = 1 / cutoff, and a broken coupling
+    # integral would leave O(1)
+    config = _bundled(name)
+    for part in parts:
+        model = config.model(part, NATURAL)
+        for k in config.k_list():
+            kernel = chi_kernel(model, k, np.linspace(0.0, 5.0, 11), quad=config.quadrature())
+            assert kernel.closed_form is not None
+            assert 1e-5 < kernel.couplings_gap < 1e-4, (name, part, kernel.couplings_gap)
+
+
 def test_drude_closed_form_spectrum_keeps_its_plateau():
     # the closed form needs no horizon, so a short grid serves; the pole at
     # rho = 0 gives the plateau s^2 / width, and no spectrum at omega = 0
