@@ -27,8 +27,11 @@ line serves every medium; on a rational one it is the reference route
 medium-vacuum difference in closed form, from the moments of chi_hat
 (`_line_tail`), and sums only the remainder. A medium has one line per k
 (`bromwich_line`), fixed by the horizon and top reservoir frequency of its
-response and shared by every request. Their numerical controls are the
-module constants below.
+response and shared by every request. The request's grid picks how the
+line's reservoir sums are formed: one line sum per reservoir node, or on a
+uniform t from 0 one per node of a Gauss-Legendre rule over each step
+(`_panel_sums`) when that rule has fewer nodes. Their numerical controls
+are the module constants below.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 
 from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch, zero_coupling
 from .errors import LineNotConverged, PoleFindingFailed, ValidationError
+from .quadrature import gauss_legendre
 from .rational import Rational, ilt_rational
 from .response import (LaplaceResponse, _chunks, _fft_size, chi_hat_rational, laplace_response,
                        uniform_step)
@@ -55,6 +59,8 @@ _LINE_ABSCISSA_FACTOR = 3.0
 _LINE_HALFWIDTH_FACTOR = 40.0
 _LINE_RESERVOIR_MARGIN = 20.0
 _LINE_RTOL = 1e-4
+# the bound on the panel rule's error per step (`_panel_order`)
+_PANEL_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -445,6 +451,79 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     return line
 
 
+def _panel_order(t: np.ndarray, rho: np.ndarray, omega_q: np.ndarray):
+    """The order p of the panel rule (`_panel_sums`) on a uniform t from 0
+    with step h, else None: the fewest Gauss-Legendre nodes per step with
+    (kappa h / 2)^(2p) / (2p)! <= `_PANEL_TOL`, kappa = max |rho_j| + max
+    w_q bounding the frequencies of the exponentials it integrates."""
+    h = uniform_step(t)
+    if h is None or t[0] != 0.0 or not omega_q.size:
+        return None
+    x = 0.5 * h * (float(np.max(np.abs(rho))) + float(np.max(omega_q)))
+    p = 1
+    while 2 * p * math.log(x) - math.lgamma(2 * p + 1) > math.log(_PANEL_TOL):
+        p += 1
+    return p
+
+
+def _direct_sums(line_sum, n_t, rho, cols, omega_q):
+    """Per block of 9 line columns D_j, the (n_q, n_t, 9) reservoir sums
+    conv[q, t] = sum_j exp(t rho_j) D_j / (rho_j + i w_q), one line sum per
+    reservoir node, the factor folded into the block side in column chunks
+    of one table, each freed before the next is built."""
+    n_y, n_q = rho.size, omega_q.size
+    fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
+    for c in range(0, cols.shape[1], 9):
+        conv = np.empty((n_t, n_q * 9), dtype=complex)
+        for qs in _chunks(n_q, 9 * n_y):
+            scaled = fac_d[:, qs, None] * cols[:, None, c : c + 9]  # (j, q, 9)
+            line_sum(scaled.reshape(n_y, -1), conv[:, 9 * qs.start : 9 * qs.stop])
+            del scaled
+        yield conv.reshape(n_t, n_q, 9).swapaxes(0, 1)
+
+
+def _panel_sums(line_sum, t, p, rho, cols, omega_q):
+    """The sums of `_direct_sums` on a uniform t from 0 (step h) from the
+    exact identity, with g(s) = sum_j exp(s rho_j) D_j,
+
+        conv(t) = e^(-i w_q t) [conv(0) + int_0^t e^(i w_q s) g(s) ds],
+
+    the integral taken over each step by a p-point Gauss-Legendre rule
+    (`_panel_order`) and summed over the steps. The rule's nodes o_k lie in
+    [-h, 0], so that g at t_i + o_k, one line sum on t over the columns
+    exp(o_k rho_j) D_j, holds the step that ends at t_i (row 0's, before
+    t = 0, goes unused). One block at a time, its columns built by node
+    groups of one table: p columns per block entry where the direct sums
+    take one per reservoir node."""
+    n_t, (n_y, m), n_q = t.size, cols.shape, omega_q.size
+    start = np.empty((n_q, m), dtype=complex)  # conv(0)
+    for qs in _chunks(n_q, n_y):
+        fac = rho[None, :] + 1j * omega_q[qs, None]
+        start[qs] = np.divide(1.0, fac, out=fac) @ cols
+    del fac
+    o, w = gauss_legendre(p, -float(t[1]), 0.0)
+    shift = np.exp(np.multiply.outer(rho, o))  # (j, k)
+    weights = w * np.exp(1j * np.multiply.outer(omega_q, o))  # (q, k)
+    turn = np.exp(1j * np.multiply.outer(omega_q, t))[:, :, None]  # e^(i w_q t)
+    for c in range(0, m, 9):
+        g = np.empty((n_t, p * 9), dtype=complex)
+        for ks in _chunks(p, 9 * n_y):
+            panel = shift[:, ks, None] * cols[:, None, c : c + 9]  # (j, k, 9)
+            line_sum(panel.reshape(n_y, -1), g[:, 9 * ks.start : 9 * ks.stop])
+            del panel
+        # the integral over the step that ends at each t, conv(0) in place
+        # of row 0's, summed up to each t
+        steps = weights @ g.reshape(n_t, p, 9).swapaxes(0, 1).reshape(p, -1)
+        del g
+        steps = steps.reshape(n_q, n_t, 9)
+        steps *= turn
+        steps[:, 0] = start[:, c : c + 9]
+        np.cumsum(steps, axis=1, out=steps)
+        steps *= turn.conj()
+        yield steps
+        del steps  # freed once the caller drops it, before the next block's columns
+
+
 def _line_mode_path(response, blocks, k, t, omega_q):
     """Vacuum-subtracted Bromwich-line inversion for any medium, with the
     line's slow tail taken in closed form.
@@ -460,7 +539,12 @@ def _line_mode_path(response, blocks, k, t, omega_q):
 
     Only the |rho|^-5 remainder is summed numerically, on the response's
     line at k (`bromwich_line`), which this call contracts with its phases
-    exp(t rho_j) (`_line_sums`) and its reservoir factors. t must lie in
+    exp(t rho_j) (`_line_sums`) and its reservoir factors. The grid picks
+    how the reservoir sums are formed: by panels (`_panel_sums`) on a
+    uniform t from 0 whose panel order is below the number of reservoir
+    nodes, else directly, one line sum per node (`_direct_sums`); the
+    metadata names the route (`reservoir_sums`) and the order
+    (`panel_order`, None off a uniform grid from 0). t must lie in
     [0, horizon] and omega_q in [0, omega_top] of the response.
     """
     if np.min(t) < 0.0 or np.max(t) > response.horizon:
@@ -470,12 +554,16 @@ def _line_mode_path(response, blocks, k, t, omega_q):
         raise ValidationError(f"bromwich line reservoir frequencies must lie in "
                               f"[0, {response.omega_top:g}] (the response's omega_top)")
     line = bromwich_line(response, k)
-    rho, n_q = line.rho, omega_q.size
+    rho = line.rho
     a = float(rho[0].real)
     n_y = rho.size
     diff = line.stack.reshape(n_y, 6, 6)
-    res_blocks = {n: diff[:, _BLOCKS[n][0], _BLOCKS[n][1]].reshape(n_y, 9) for n in blocks}
-    fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
+    # the line columns D_j of the blocks, 9 per block
+    cols = np.empty((n_y, 9 * len(blocks)), dtype=complex)
+    for b, name in enumerate(blocks):
+        cols[:, 9 * b : 9 * b + 9] = diff[:, _BLOCKS[name][0], _BLOCKS[name][1]].reshape(n_y, 9)
+    order = _panel_order(t, rho, omega_q)
+    panels = order is not None and order < omega_q.size
     # the tail's transforms for the reservoir sums, e^-at t^n phi_n((a - i w_q) t)
     decay = np.exp(-a * t)
     z = np.multiply.outer(a - 1j * omega_q, t)  # (q, t)
@@ -496,23 +584,22 @@ def _line_mode_path(response, blocks, k, t, omega_q):
         for name in blocks:
             res[name][:, rows] += line_base[None, :, _BLOCKS[name][0], _BLOCKS[name][1]]
         del line_base
-        # one block at a time, the reservoir sums conv[t, q] = sum_j phase_j
-        # block_j / (rho_j + i w_q), with the factor folded into the block
-        # side in column chunks of bounded size; L^-1[fac G] = L^-1[G] - i w_q
-        # L^-1[G / (rho + i w_q)] for the difference
-        for name in blocks:
+        # one block at a time, the reservoir sums conv[q, t] = sum_j phase_j
+        # D_j / (rho_j + i w_q) and their tail; L^-1[fac G] = L^-1[G] - i w_q
+        # L^-1[G / (rho + i w_q)] for the difference. A uniform grid is one
+        # pair of `_line_sums`, so the panels' rows are all of t
+        sums = (_panel_sums(line_sum, t, order, rho, cols, omega_q) if panels
+                else _direct_sums(line_sum, t[rows].size, rho, cols, omega_q))
+        for name in blocks:  # not zip, whose result tuple would hold the last block
             rows_b, cols_b = _BLOCKS[name]
-            conv = np.empty((t[rows].size, n_q * 9), dtype=complex)
-            for qs in _chunks(n_q, 9 * n_y):
-                scaled = fac_d[:, qs, None] * res_blocks[name][:, None, :]  # (j, q, 9)
-                line_sum(scaled.reshape(n_y, -1), conv[:, 9 * qs.start : 9 * qs.stop])
-                del scaled  # freed before the next chunk's is built
-            conv = conv.reshape(t[rows].size, n_q, 3, 3)
-            conv += np.multiply.outer(g3[:, rows].T, line.c3[rows_b, cols_b])
-            conv += np.multiply.outer(g4[:, rows].T, line.c4[rows_b, cols_b])
-            conv *= 1j * omega_q[:, None, None]
-            res[name][:, rows] -= conv.swapaxes(0, 1)
-    return base, res, dict(line.metadata)
+            conv = next(sums).reshape(omega_q.size, -1, 3, 3)
+            conv += np.multiply.outer(g3[:, rows], line.c3[rows_b, cols_b])
+            conv += np.multiply.outer(g4[:, rows], line.c4[rows_b, cols_b])
+            conv *= 1j * omega_q[:, None, None, None]
+            res[name][:, rows] -= conv
+            del conv  # freed before the next block's sums are formed
+    return base, res, {**line.metadata, "reservoir_sums": "panels" if panels else "direct",
+                       "panel_order": order}
 
 
 def _solve(response: LaplaceResponse, k, t_grid, omega_q_grid, path) -> ModeCoefficients:

@@ -118,7 +118,8 @@ class FieldOperatorRepresentation:
         if nu_q is None:
             block = weight * coeff[:, it]
             return np.stack([block @ v for v in vectors[side]])
-        return (weight * coeff[nu_q[1]]) @ vectors[side][nu_q[0]]
+        # one product over the (n_t * 3, 3) rows, not one per 3x3 matrix
+        return ((weight * coeff[nu_q[1]]).reshape(-1, 3) @ vectors[side][nu_q[0]]).reshape(-1, 3)
 
 
 def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
@@ -255,8 +256,7 @@ def _convolver(chi_vals: np.ndarray, h: float):
         product += chi_ft[:, :, 2] * u_ft[:, 2, None]
         out = np.fft.ifft(product, axis=0)[:n]
         out *= h
-        out -= 0.5 * h * (np.einsum("ij,tj->ti", chi_vals[0], u)
-                          + np.einsum("tij,j->ti", chi_vals, u[0]))
+        out -= 0.5 * h * (u @ chi_vals[0].T + (chi_vals.reshape(-1, 3) @ u[0]).reshape(n, 3))
         return out
 
     return convolve

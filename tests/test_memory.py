@@ -152,6 +152,23 @@ def test_line_mode_path_holds_two_tables_beside_its_outputs(monkeypatch):
         lambda: _line_mode_path(response, ("eh", "hh"), k, t, omega_q)) <= 2.0
 
 
+def test_panel_reservoir_sums_hold_two_tables_beside_their_outputs():
+    # gaussian.cfg's medium and k on its modes grid (81 times, 96 reservoir
+    # nodes, panels of order 21) on its line of 2,374 points, at the default
+    # budget: the panel columns of the eh and hh blocks (2,374 x 378, 1.7
+    # tables together) are built one block at a time, in node groups of one
+    # table, beside the 81-row phase table
+    model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8)
+    response = laplace_response(model, zero_coupling("magnetic"), horizon=8.0, omega_top=50.0)
+    k = np.array([0.4, -0.3, 1.1])
+    t = np.linspace(0.0, 8.0, 81)
+    assert bromwich_line(response, k).rho.size == 2374
+    nodes, _ = gauss_legendre(96, 0.0, 50.0)
+    assert _line_mode_path(response, ("eh", "hh"), k, t, nodes)[2]["reservoir_sums"] == "panels"
+    assert _tables_beside_outputs(
+        lambda: _line_mode_path(response, ("eh", "hh"), k, t, nodes)) <= 2.0
+
+
 def test_field_representation_on_the_gaussian_modes_grid_stays_bounded():
     # gaussian.cfg's medium and k on its modes grid (81 times, 96 reservoir
     # nodes), its Bromwich line of 2,374 points built in the call: 80 MB

@@ -529,7 +529,9 @@ def test_line_coefficients_do_not_depend_on_the_request():
     ]
     for t, q, at_full, at_other, q_other in requests:
         other = mode_coefficients(resp, k, t, wq[q])
-        assert other.metadata == full.metadata
+        # the line's own keys; the route of the reservoir sums is the request's
+        line_keys = modes.bromwich_line(resp, k).metadata
+        assert {key: other.metadata[key] for key in line_keys} == line_keys
         for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
             want = getattr(full, name)
             got = getattr(other, name)[at_other]
@@ -541,6 +543,57 @@ def test_line_coefficients_do_not_depend_on_the_request():
             assert err <= 1e-12 * max(np.max(np.abs(want)), 1e-300), name
     # one line at k served all three requests
     assert list(resp.lines) == [tuple(k)]
+
+
+def test_reservoir_sums_route_follows_the_grid():
+    # the gaussian config's medium: the modes grid (81 uniform times from 0)
+    # with all 96 reservoir nodes takes panels of order 21; with 3 nodes
+    # (order 17) and on a 4,097-point grid with 2 (order 5) the order is not
+    # below the node count, and the commutator times are not uniform
+    from mqed.quadrature import gauss_legendre
+
+    resp = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8),
+                            zero_coupling("magnetic"), horizon=8.0, omega_top=50.0)
+    k = np.array([0.4, -0.3, 1.1])
+    wq, _ = gauss_legendre(96, 0.0, 50.0)
+    modes_grid = np.linspace(0.0, 8.0, 81)
+    requests = [
+        (modes_grid, wq, "panels", 21),
+        (modes_grid, wq[[2, 9, 15]], "direct", 17),
+        (modes_grid[[0, 10, 50]], wq, "direct", None),
+        (np.linspace(0.0, 4.0, 4097), wq[[9, 15]], "direct", 5),
+    ]
+    for t, nodes, route, order in requests:
+        meta = mode_coefficients(resp, k, t, nodes).metadata
+        assert (meta["reservoir_sums"], meta["panel_order"]) == (route, order), (t.size, nodes.size)
+
+
+def test_panel_sums_match_dense_reference(monkeypatch):
+    # electric plus magnetic medium (all four blocks), 41 uniform times from
+    # 0 and 24 reservoir nodes, so the reservoir sums take panels of order
+    # 18. Three budgets: the default (one phase table, one node group per
+    # block), a block's columns of 7 nodes per group (7, 7, 4), and 40 rows
+    # per table, which sends the 41 rows through chirp-z in groups of 4
+    import mqed.response
+    from mqed.quadrature import gauss_legendre
+
+    me, mm, _ = lorentz_pair()
+    t = np.linspace(0.0, 6.0, 41)
+    wq, _ = gauss_legendre(24, 0.0, 2.4)
+    resp = laplace_response(me, mm, horizon=6.0, omega_top=2.4)
+    n_y = modes.bromwich_line(resp, K).metadata["line_points"]
+    ref = None
+    for budget in (mqed.response._TABLE_ELEMENTS, 7 * 9 * n_y + 3, 40 * n_y):
+        with monkeypatch.context() as m:
+            m.setattr(mqed.response, "_TABLE_ELEMENTS", budget)
+            mc = line_mode_coefficients(resp, K, t, wq)
+        assert (mc.metadata["reservoir_sums"], mc.metadata["panel_order"]) == ("panels", 18)
+        if ref is None:
+            ref, _, _ = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
+        for name, want in ref.items():
+            scale = float(np.max(np.abs(want)))
+            assert scale > 0.0, name
+            assert np.max(np.abs(getattr(mc, name) - want)) <= 1e-12 * scale, (budget, name)
 
 
 def test_line_request_past_the_horizon_or_top_frequency_raises():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mqed import NATURAL, scenario
-from mqed.cli import build_parser, main
+from mqed.cli import _STAGES, build_parser, main
 from mqed.couplings import MAGNETIC, drude, gaussian_anisotropic, lorentz_isotropic
 from mqed.errors import ParseError, ValidationError
 from mqed.scenario import _KINDS, _SCHEMA, parse_scenario, run_scenario, serialize_scenario
@@ -454,6 +454,17 @@ def test_gaussian_run_builds_no_legendre_rule_above_512(tmp_path, monkeypatch):
     assert (rule["rule"], rule["order"]) == ("trapezoid", 4880)
     assert rule["alias_time"] >= 2.0 * manifest.quadrature["chi_electric_k0"]["t_max"]
     assert rule["est_rel_error"] <= 1e-10
+
+
+def test_gaussian_modes_run_sums_the_reservoir_by_panels(tmp_path):
+    # `mqed modes` on the gaussian config, the benchmark sweep's seed-0 config
+    # at its first k: the 81 modes times are uniform from 0, so the line's
+    # reservoir sums take panels, of an order well below the 96 nodes
+    config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
+    manifest = run_scenario(config, out_dir=str(tmp_path), stages=_STAGES["modes"])
+    record = manifest.quadrature["modes_k0"]
+    assert record["reservoir_sums"] == "panels"
+    assert record["panel_order"] <= 24
 
 
 def test_lorentz_run_builds_no_legendre_rule_above_1024(tmp_path, monkeypatch):
