@@ -451,17 +451,35 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     return line
 
 
-def _panel_order(t: np.ndarray, rho: np.ndarray, omega_q: np.ndarray):
+def _panel_order(t: np.ndarray, rho: np.ndarray, omega_q: np.ndarray, cols: np.ndarray):
     """The order p of the panel rule (`_panel_sums`) on a uniform t from 0
-    with step h, else None: the fewest Gauss-Legendre nodes per step with
-    (kappa h / 2)^(2p) / (2p)! <= `_PANEL_TOL`, kappa = max |rho_j| + max
-    w_q bounding the frequencies of the exponentials it integrates."""
+    with step h, else None: the fewest Gauss-Legendre nodes per step whose
+    remainder on every line column, weighted by the column's share of its
+    block's peak, stays within `_PANEL_TOL`,
+
+        (|D_j| / max |D|) (p!)^4 2^(2p+1) / ((2p+1) ((2p)!)^3)
+            (|rho_j + i w_q| h / 2)^(2p) <= _PANEL_TOL
+
+    for every point j and reservoir node q (the exact Gauss-Legendre
+    remainder for the exponential e^((rho_j + i w_q) s) of one step).
+    |D_j| is the largest entry of the point's 9 columns of a block, and
+    |rho_j + i w_q| is largest at the lowest or the top w_q."""
     h = uniform_step(t)
     if h is None or t[0] != 0.0 or not omega_q.size:
         return None
-    x = 0.5 * h * (float(np.max(np.abs(rho))) + float(np.max(omega_q)))
+    peak = np.abs(cols).reshape(rho.size, -1, 9).max(axis=2)  # (j, block)
+    scale = peak.max(axis=0)
+    with np.errstate(divide="ignore"):  # a point of zero weight gives -inf
+        log_weight = np.log(np.max(peak / np.where(scale > 0.0, scale, 1.0), axis=1))
+    log_x = np.log(0.5 * h * np.maximum(np.abs(rho + 1j * omega_q.min()),
+                                        np.abs(rho + 1j * omega_q.max())))
+
+    def log_remainder(p):  # of the largest weighted remainder
+        return (4.0 * math.lgamma(p + 1) + (2 * p + 1) * math.log(2.0) - math.log(2 * p + 1)
+                - 3.0 * math.lgamma(2 * p + 1) + float(np.max(log_weight + 2 * p * log_x)))
+
     p = 1
-    while 2 * p * math.log(x) - math.lgamma(2 * p + 1) > math.log(_PANEL_TOL):
+    while log_remainder(p) > math.log(_PANEL_TOL):
         p += 1
     return p
 
@@ -542,9 +560,12 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     exp(t rho_j) (`_line_sums`) and its reservoir factors. The grid picks
     how the reservoir sums are formed: by panels (`_panel_sums`) on a
     uniform t from 0 whose panel order is below the number of reservoir
-    nodes, else directly, one line sum per node (`_direct_sums`); the
-    metadata names the route (`reservoir_sums`) and the order
-    (`panel_order`, None off a uniform grid from 0). t must lie in
+    nodes, else directly, one line sum per node (`_direct_sums`). The
+    order bounds the panel rule's remainder on each line column weighted by
+    its share of its block's peak (`_panel_order`), so the fast, far-out
+    points of the line, where the columns have fallen like |rho|^-5, do not
+    set it alone. The metadata names the route (`reservoir_sums`) and the
+    order (`panel_order`, None off a uniform grid from 0). t must lie in
     [0, horizon] and omega_q in [0, omega_top] of the response.
     """
     if np.min(t) < 0.0 or np.max(t) > response.horizon:
@@ -562,7 +583,7 @@ def _line_mode_path(response, blocks, k, t, omega_q):
     cols = np.empty((n_y, 9 * len(blocks)), dtype=complex)
     for b, name in enumerate(blocks):
         cols[:, 9 * b : 9 * b + 9] = diff[:, _BLOCKS[name][0], _BLOCKS[name][1]].reshape(n_y, 9)
-    order = _panel_order(t, rho, omega_q)
+    order = _panel_order(t, rho, omega_q, cols)
     panels = order is not None and order < omega_q.size
     # the tail's transforms for the reservoir sums, e^-at t^n phi_n((a - i w_q) t)
     decay = np.exp(-a * t)

@@ -162,6 +162,7 @@ class QuadratureResult:
     est_rel_error: float
     rule: str = "gauss_legendre"
     alias_time: float | None = None
+    kept: int | None = None  # of the order's nodes, those the representation keeps
 
     def metadata(self) -> dict:
         return {key: value for key, value in vars(self).items() if value is not None}

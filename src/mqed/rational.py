@@ -71,14 +71,6 @@ class Rational:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Rational":
-        return Rational.make(-self.num, self.den)
-
-    def __sub__(self, other) -> "Rational":
-        if not isinstance(other, Rational):
-            other = Rational.constant(other)
-        return self + (-other)
-
     @property
     def is_zero(self) -> bool:
         return self.num.size == 1 and self.num[0] == 0

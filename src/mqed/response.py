@@ -16,7 +16,9 @@ gauged or not) has this integral in closed form, chi_hat(rho) = s^2 /
 and its spectrum come from that form, with no cut and no horizon. Every other part is read
 through the frequency-quadrature representation `QuadRep` (nodes omega_n
 and coefficients w_n pref omega_n^2 f f^dag), which is kept with the kernel
-so the frequency spectrum and Laplace transform are taken exactly in t. A
+so the frequency spectrum and Laplace transform are taken exactly in t.
+Each representation keeps only the nodes of its rule that carry weight
+(`_weighted_nodes`), so every consumer sums only those. A
 rational part keeps one too, converged on the horizon of the two checks
 that integrate it in time (`check_grid`): there it is the paper's coupling
 integral beside the closed form. Its coefficients are stored as a
@@ -55,7 +57,7 @@ path asks for more of a rational one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -89,6 +91,9 @@ KK_MIN_POINTS = 64
 # |omega - omega_n| T below which the half-line transform of a mode is taken
 # in its cancellation-free sinc form
 _NEAR_PHASE = 1.0
+# the share of sum_n |c_n| a representation drops, smallest |c_n| first
+# (`_weighted_nodes`): it bounds the move of every value read from it
+_PRUNE_RTOL = 1e-16
 # a factored coefficient block reproduces each tensor to this fraction of its
 # largest entry (`tensor_block`)
 _BASIS_RTOL = 1e-14
@@ -376,22 +381,42 @@ def _cutoff(model, quad: QuadratureSpec) -> float:
     return cutoff
 
 
+def _weighted_nodes(nodes: np.ndarray, coeffs: np.ndarray):
+    """The nodes whose coefficients carry weight, ascending, with those
+    coefficients: the smallest Frobenius norms |c_n| are dropped as long as
+    their sum stays within `_PRUNE_RTOL` of sum_n |c_n|. Every node is kept
+    when that sum is 0 (a zero part keeps its rule)."""
+    norms = np.linalg.norm(coeffs.reshape(nodes.size, -1), axis=1)
+    total = float(norms.sum())
+    ranked = np.argsort(norms, kind="stable")
+    dropped = int(np.searchsorted(np.cumsum(norms[ranked]), _PRUNE_RTOL * total, side="right"))
+    if total == 0.0 or dropped == 0:
+        return nodes, coeffs
+    keep = np.sort(ranked[dropped:])
+    return nodes[keep], coeffs[keep]
+
+
 def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional, alias_time=None):
     """The representation of `model` at k, coefficients w_n pref omega_n^2
     f f^dag: the trapezoid rule of `alias_time` if given, else Gauss-Legendre
-    doubled until functional(rep) stops moving. Returns the representation,
-    the converged functional and the quadrature record."""
+    doubled until functional(rep) stops moving. Each rule keeps only the
+    nodes that carry weight (`_weighted_nodes`); the dropped coefficients sum
+    to at most `_PRUNE_RTOL` of sum_n |c_n|, which bounds the move of the
+    kernel, |delta chi(t)| <= sum_dropped |c_n|, and of every other value
+    read from it by the same sum times the largest factor its consumer puts
+    on a node. The choice reads |c_n| alone, so k and -k keep the same
+    nodes. Returns the representation, the converged functional and the
+    quadrature record, whose `kept` counts the nodes kept of its `order`."""
     stash = {}  # the last rule evaluated, the one kept
 
     def evaluate(x, w):
-        stash["rep"] = QuadRep.from_coeffs(
-            x, (w * pref * x**2)[:, None, None] * coupling_product(model, x, k)
-        )
+        stash["rep"] = QuadRep.from_coeffs(*_weighted_nodes(
+            x, (w * pref * x**2)[:, None, None] * coupling_product(model, x, k)))
         return functional(stash["rep"])
 
     rule = adaptive_nodes if alias_time is None else partial(trapezoid_nodes, alias_time=alias_time)
     values, result = rule(quad, _cutoff(model, quad), evaluate)
-    return stash["rep"], values, result
+    return stash["rep"], values, replace(result, kept=int(stash["rep"].nodes.size))
 
 
 def check_grid(model) -> np.ndarray:

@@ -19,10 +19,11 @@ import mqed.scenario
 from mqed.cli import _STAGES
 from mqed.couplings import gaussian_anisotropic, zero_coupling
 from mqed.modes import _chirp_z, _line_mode_path, bromwich_line
-from mqed.observables import field_representation, maxwell_residual, reservoir_picks
+from mqed.observables import (constitutive_roundtrip, field_representation, maxwell_residual,
+                              reservoir_picks)
 from mqed.quadrature import gauss_legendre
-from mqed.response import _angle_table, _fft_size, laplace_response
-from mqed.scenario import parse_scenario, run_scenario
+from mqed.response import _angle_table, _fft_size, check_grid, laplace_response
+from mqed.scenario import parse_scenario, part_kernel, run_scenario
 from mqed.tensors import NATURAL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -154,9 +155,9 @@ def test_line_mode_path_holds_two_tables_beside_its_outputs(monkeypatch):
 
 def test_panel_reservoir_sums_hold_two_tables_beside_their_outputs():
     # gaussian.cfg's medium and k on its modes grid (81 times, 96 reservoir
-    # nodes, panels of order 21) on its line of 2,374 points, at the default
-    # budget: the panel columns of the eh and hh blocks (2,374 x 378, 1.7
-    # tables together) are built one block at a time, in node groups of one
+    # nodes, panels of order 11) on its line of 2,374 points, at the default
+    # budget: the panel columns of the eh and hh blocks (2,374 x 198, 0.9 of
+    # a table together) are built one block at a time, in node groups of one
     # table, beside the 81-row phase table
     model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8)
     response = laplace_response(model, zero_coupling("magnetic"), horizon=8.0, omega_top=50.0)
@@ -173,7 +174,9 @@ def test_field_representation_on_the_gaussian_modes_grid_stays_bounded():
     # gaussian.cfg's medium and k on its modes grid (81 times, 96 reservoir
     # nodes), its Bromwich line of 2,374 points built in the call: 80 MB
     # when each reservoir chunk of the line sums was a 32 MB table built
-    # beside the last one
+    # beside the last one, 16.7 MB when the Laplace representation kept all
+    # 512 nodes and the panel order took the top frequency on every line
+    # column (21 where the weighted columns need 11)
     model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8)
     response = laplace_response(model, zero_coupling("magnetic"), horizon=8.0)
     nodes, weights = gauss_legendre(96, 0.0, 50.0)
@@ -181,7 +184,7 @@ def test_field_representation_on_the_gaussian_modes_grid_stays_bounded():
     peak = _traced_peak_mb(lambda: field_representation(
         response, np.array([0.4, -0.3, 1.1]), t, nodes, weights))
     assert response.lines[(0.4, -0.3, 1.1)].metadata["line_points"] == 2374
-    assert peak <= 40.0
+    assert peak <= 14.5
 
 
 def _lorentz_config():
@@ -255,6 +258,19 @@ def test_maxwell_representation_of_the_gaussian_config_stays_bounded():
     assert t.size == 6001 and reports[0].max_residual <= 1e-5
     assert response.lines[tuple(k)].metadata["line_points"] == 2374
     assert peak <= 24.0
+
+
+def test_constitutive_roundtrip_of_the_gaussian_config_stays_bounded():
+    # gaussian.cfg's kernel on its run's horizon and the round trip on the
+    # checks' grid (3,001 points): 15.8 MB when the representation kept all
+    # 4,880 trapezoid nodes, 4,246 of which carry no weight, each driven as
+    # an oscillator on the whole grid
+    config, _, k = _gaussian_config()
+    model = config.model("electric", NATURAL)
+    kernel = part_kernel(model, k, None, NATURAL, config.quadrature())
+    assert (kernel.quad.order, kernel.quad.kept) == (4880, kernel.rep.nodes.size)
+    peak = _traced_peak_mb(lambda: constitutive_roundtrip(model, kernel, check_grid(model)))
+    assert peak <= 6.0
 
 
 def test_verify_gaussian_config_stays_bounded(tmp_path):

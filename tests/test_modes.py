@@ -547,8 +547,8 @@ def test_line_coefficients_do_not_depend_on_the_request():
 
 def test_reservoir_sums_route_follows_the_grid():
     # the gaussian config's medium: the modes grid (81 uniform times from 0)
-    # with all 96 reservoir nodes takes panels of order 21; with 3 nodes
-    # (order 17) and on a 4,097-point grid with 2 (order 5) the order is not
+    # with all 96 reservoir nodes takes panels of order 11; with 3 nodes
+    # (order 8) and on a 4,097-point grid with 2 (order 3) the order is not
     # below the node count, and the commutator times are not uniform
     from mqed.quadrature import gauss_legendre
 
@@ -558,10 +558,10 @@ def test_reservoir_sums_route_follows_the_grid():
     wq, _ = gauss_legendre(96, 0.0, 50.0)
     modes_grid = np.linspace(0.0, 8.0, 81)
     requests = [
-        (modes_grid, wq, "panels", 21),
-        (modes_grid, wq[[2, 9, 15]], "direct", 17),
+        (modes_grid, wq, "panels", 11),
+        (modes_grid, wq[[2, 9, 15]], "direct", 8),
         (modes_grid[[0, 10, 50]], wq, "direct", None),
-        (np.linspace(0.0, 4.0, 4097), wq[[9, 15]], "direct", 5),
+        (np.linspace(0.0, 4.0, 4097), wq[[9, 15]], "direct", 3),
     ]
     for t, nodes, route, order in requests:
         meta = mode_coefficients(resp, k, t, nodes).metadata
@@ -571,8 +571,8 @@ def test_reservoir_sums_route_follows_the_grid():
 def test_panel_sums_match_dense_reference(monkeypatch):
     # electric plus magnetic medium (all four blocks), 41 uniform times from
     # 0 and 24 reservoir nodes, so the reservoir sums take panels of order
-    # 18. Three budgets: the default (one phase table, one node group per
-    # block), a block's columns of 7 nodes per group (7, 7, 4), and 40 rows
+    # 9. Three budgets: the default (one phase table, one node group per
+    # block), a block's columns of 7 nodes per group (7, 2), and 40 rows
     # per table, which sends the 41 rows through chirp-z in groups of 4
     import mqed.response
     from mqed.quadrature import gauss_legendre
@@ -587,13 +587,39 @@ def test_panel_sums_match_dense_reference(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(mqed.response, "_TABLE_ELEMENTS", budget)
             mc = line_mode_coefficients(resp, K, t, wq)
-        assert (mc.metadata["reservoir_sums"], mc.metadata["panel_order"]) == ("panels", 18)
+        assert (mc.metadata["reservoir_sums"], mc.metadata["panel_order"]) == ("panels", 9)
         if ref is None:
             ref, _, _ = _dense_line_reference(resp, me, mm, K, t, wq, mc.metadata)
         for name, want in ref.items():
             scale = float(np.max(np.abs(want)))
             assert scale > 0.0, name
             assert np.max(np.abs(getattr(mc, name) - want)) <= 1e-12 * scale, (budget, name)
+
+
+def test_panel_order_follows_the_weighted_line_columns(monkeypatch):
+    # gaussian.cfg's medium on its modes grid (81 times, 96 reservoir
+    # nodes): the line's columns fall like |rho|^-5, so weighting each by its
+    # share of its block's peak takes order 11 where the top frequency on
+    # every column took 21, and the panels still give the direct sums to
+    # 1e-14 of each family's peak
+    from mqed.quadrature import gauss_legendre
+
+    resp = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8),
+                            zero_coupling("magnetic"), horizon=8.0, omega_top=50.0)
+    k = np.array([0.4, -0.3, 1.1])
+    wq, _ = gauss_legendre(96, 0.0, 50.0)
+    t = np.linspace(0.0, 8.0, 81)
+    panels = mode_coefficients(resp, k, t, wq)
+    assert panels.metadata["reservoir_sums"] == "panels"
+    assert panels.metadata["panel_order"] <= 11
+    monkeypatch.setattr(modes, "_panel_order", lambda *args: None)
+    direct = mode_coefficients(resp, k, t, wq)
+    assert direct.metadata["reservoir_sums"] == "direct"
+    for name in ("eta", "eta_tilde"):  # the families the reservoir sums form
+        want = getattr(direct, name)
+        scale = float(np.max(np.abs(want)))
+        assert scale > 0.0, name
+        assert np.max(np.abs(getattr(panels, name) - want)) <= 1e-14 * scale, name
 
 
 def test_line_request_past_the_horizon_or_top_frequency_raises():

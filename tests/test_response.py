@@ -699,13 +699,90 @@ def test_bundled_media_hold_one_coefficient_column(pin_order, name):
         for k in config.k_list():
             for order in quad.orders():
                 pin_order(order)
-                rep, _, _ = _converged_rep(model, k, quad, 1.0, lambda rep: rep.nodes)
-                assert rep.block.shape == (order, 1), (model, order)
+                rep, _, result = _converged_rep(model, k, quad, 1.0, lambda rep: rep.nodes)
+                assert rep.block.shape == (result.kept, 1), (model, order)
             if isinstance(model, CouplingModel) and model.even_entire_density:
                 # and so does its kernel's trapezoid rule
                 kernel = chi_kernel(model, k, np.linspace(0.0, 8.0, 81), quad=quad)
                 assert kernel.quad.rule == "trapezoid"
-                assert kernel.rep.block.shape == (kernel.quad.order, 1), model
+                assert kernel.rep.block.shape == (kernel.quad.kept, 1), model
+
+
+def test_gaussian_representations_keep_only_the_nodes_that_carry_weight():
+    # gaussian.cfg's omega^2 f f^dag underflows to 0 past omega ~ 27 and
+    # falls below 1e-16 of its weight by omega ~ 6.5, so its kernel keeps
+    # 634 of the trapezoid rule's 4,880 nodes on [0, 50] and its Laplace
+    # representation 120 of 512; the dropped norms bound the kernel's move
+    from mqed.quadrature import gauss_legendre
+    from mqed.response import _KERNEL_TAIL, _PRUNE_RTOL, QuadRep
+
+    config = _bundled("gaussian")
+    model, k, quad = config.model("electric", NATURAL), config.k_list()[0], config.quadrature()
+    t = np.linspace(0.0, model.suggested_t_max(_KERNEL_TAIL), 2200)
+    kernel = chi_kernel(model, k, t, quad=quad)
+    assert (kernel.quad.rule, kernel.quad.order) == ("trapezoid", 4880)
+    assert kernel.quad.kept == kernel.rep.nodes.size <= 700
+    assert np.all(np.diff(kernel.rep.nodes) > 0.0)
+    # the whole rule, nodes n h and trapezoid weights
+    n = kernel.quad.order
+    h = kernel.quad.cutoff / n
+    x = np.arange(1, n + 1) * h
+    w = np.append(np.full(n - 1, h), 0.5 * h)
+    coeffs = (w * kernel_prefactor(model.which, NATURAL) * x**2)[:, None, None] * \
+        coupling_product(model, x, k)
+    kept = np.isin(x, kernel.rep.nodes)
+    assert kept.sum() == kernel.quad.kept
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    assert norms[~kept].sum() <= _PRUNE_RTOL * norms.sum()
+    # dropping moves the kernel by at most the dropped norms, 1.3e-16 of its
+    # peak here; the rest is the sums' rounding, which moves the whole rule
+    # by 2.0e-15 of its peak when its nodes are summed in reverse order
+    full = QuadRep.from_coeffs(x, coeffs).kernel_values(t)
+    peak = np.max(np.abs(full))
+    assert norms[~kept].sum() <= 2e-16 * peak
+    assert np.max(np.abs(kernel.values - full)) <= 2e-15 * peak
+
+    response = laplace_response(model, config.model("magnetic", NATURAL), quad=quad)
+    rep = response.laplace_rep(model, k)
+    assert rep.nodes.size <= 130
+    assert np.all(np.isin(rep.nodes, gauss_legendre(512, 0.0, kernel.quad.cutoff)[0]))
+    # the choice reads |c_n| alone, so -k keeps the same nodes
+    assert np.array_equal(response.laplace_rep(model, -k).nodes, rep.nodes)
+
+
+@pytest.mark.parametrize("name", ["lorentz", "conductor"])
+def test_rational_representations_keep_every_node(name):
+    # a Lorentz or Drude density falls only algebraically, so no node of
+    # its rule is below 1e-16 of the rule's weight: nothing is dropped
+    from mqed.couplings import combined_electric
+
+    config = _bundled(name)
+    quad = config.quadrature()
+    bound, free = config.model("electric", NATURAL), config.model("conductor", NATURAL)
+    models = [m for m in dict.fromkeys((bound, config.model("magnetic", NATURAL), free,
+                                        combined_electric(bound, free))) if not m.is_zero]
+    assert len(models) == {"lorentz": 2, "conductor": 3}[name]
+    t = np.linspace(0.0, 8.0, 81)
+    for model in models:
+        for k in config.k_list():
+            kernel = chi_kernel(model, k, t, quad=quad)
+            assert kernel.quad.kept == kernel.quad.order == kernel.rep.nodes.size, model
+    if not free.is_zero:
+        q = conductor_Q(combined_electric(bound, free), config.k_list()[0], t, quad=quad).quad
+        assert q.kept == q.order
+
+
+def test_zero_part_keeps_its_rule():
+    # every c_n of a zero part is 0: dropping "the smallest" would drop them
+    # all and leave no nodes to evaluate, so the whole rule is kept and the
+    # kernel is exactly zero
+    config = _bundled("gaussian")
+    model = config.model("magnetic", NATURAL)
+    assert model.is_zero
+    kernel = chi_kernel(model, config.k_list()[0], np.linspace(0.0, 8.0, 1601),
+                        quad=config.quadrature())
+    assert kernel.quad.kept == kernel.quad.order == kernel.rep.nodes.size == 512
+    assert not np.any(kernel.values)
 
 
 @pytest.mark.parametrize("grid", ["horizon", "config"])

@@ -423,13 +423,23 @@ def _bench_gate_problems(workload: str, code: int, out: str, out_dir) -> list:
 
 
 def test_cli_verify_bundled_gaussian_config(tmp_path, capsys):
-    # the Bromwich-line path end to end (continuum-absorption medium)
+    # the Bromwich-line path end to end (continuum-absorption medium). The
+    # electric kernel keeps the nodes that carry weight; the zero magnetic
+    # part keeps its whole rule, where an empty one would leave its kernel an
+    # uninitialised table (`_angle_table` has no empty case)
     code = main(["verify", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 10
     assert "[FAIL]" not in out
     assert _bench_gate_problems("gaussian-verify", code, out, tmp_path) == []
+    records = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["quadrature"]
+    electric, magnetic = (records[f"chi_{part}_k0"]["quadrature"]
+                          for part in ("electric", "magnetic"))
+    assert electric["order"] == 4880 and electric["kept"] <= 700
+    assert magnetic["order"] == magnetic["kept"] == 512
+    chi_m = np.loadtxt(tmp_path / "chi_magnetic_k0.csv", delimiter=",", skiprows=1)
+    assert not np.any(chi_m[:, 1:])
 
 
 def test_gaussian_run_builds_no_legendre_rule_above_512(tmp_path, monkeypatch):
