@@ -1,14 +1,14 @@
 """Conducting-medium pathway: free carriers are one more oscillator family of
-the electric polarization, so a conductor is the medium whose electric
-coupling is `combined_electric(bound, free)`. Their spectral densities add,
-chi_hat is the sum of the parts, and the mode solver runs on that medium
-unchanged.
+the electric polarization, so a conductor is the medium that holds them as
+one more electric part, `laplace_response(bound, free, magnetic)`. Their
+spectral densities add, chi_hat is the sum of the parts, and the mode solver
+runs on that medium unchanged.
 
 The conductivity appears only in the kernel decomposition
 Q = eps0 d(chi)/dt + sigma, which `q_kernel_consistency` checks on the
-coupling data: the Q of the combined coupling less the bound part's
-eps0 d(chi)/dt leaves sigma = eps0 d(chi_free)/dt, whose transform is
-sigma_hat = eps0 rho chi_hat_free.
+coupling data: the medium's Q, linear in f f^dag and so Q_bound + Q_free,
+less the bound part's eps0 d(chi)/dt leaves sigma = eps0 d(chi_free)/dt,
+whose transform is sigma_hat = eps0 rho chi_hat_free.
 The outputs of this path are response-function channels; for a conductor
 the polarization and displacement no longer carry their dielectric
 interpretation.
@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .couplings import combined_electric
 from .modes import ModeCoefficients, mode_coefficients
 from .quadrature import QuadratureSpec
-from .response import LaplaceResponse, QKernelReport, conductor_Q, finite_difference_time
+from .response import LaplaceResponse, conductor_Q, finite_difference_time
 from .tensors import NATURAL, PhysicalConstants
 
 
@@ -33,8 +32,8 @@ def conductor_modes(
     t_grid,
     omega_q_grid,
 ) -> ModeCoefficients:
-    """Mode coefficients of a conducting medium, whose electric coupling
-    holds the bound and free carriers together: `mode_coefficients` on the
+    """Mode coefficients of a conducting medium, whose electric sector holds
+    the bound and free carriers as two parts: `mode_coefficients` on the
     same response, with its channels marked as response functions."""
     coeffs = mode_coefficients(response, k, t_grid, omega_q_grid)
     return replace(coeffs, metadata={
@@ -47,9 +46,9 @@ def conductor_modes(
 @dataclass(frozen=True)
 class QConsistencyReport:
     k: np.ndarray
-    q_report: QKernelReport
+    q_values: np.ndarray  # (n_t, 3, 3) the medium's Q, Q_bound + Q_free
     bound_sigma_residual: float  # Q_bound - eps0 dchi_bound/dt, relative
-    implied_sigma: np.ndarray  # (n_t, 3, 3) Q_total - eps0 dchi_bound/dt
+    implied_sigma: np.ndarray  # (n_t, 3, 3) q_values - eps0 dchi_bound/dt
     sigma_initial_psd: bool
 
 
@@ -71,15 +70,15 @@ def q_kernel_consistency(
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     q_bound = conductor_Q(bound, k, t, constants=constants, quad=quad)
-    q_total = conductor_Q(combined_electric(bound, free), k, t, constants=constants, quad=quad)
-    implied = q_total.q_values - constants.eps0 * finite_difference_time(q_bound.chi_values, t)
+    q_values = q_bound.q_values + conductor_Q(free, k, t, constants=constants, quad=quad).q_values
+    implied = q_values - constants.eps0 * finite_difference_time(q_bound.chi_values, t)
     sig0 = implied[0]
     eigs = np.linalg.eigvalsh(0.5 * (sig0 + sig0.conj().T))
-    scale = float(np.max(np.abs(q_total.q_values))) or 1.0
+    scale = float(np.max(np.abs(q_values))) or 1.0
     psd0 = bool(np.min(eigs) >= -1e-8 * scale)
     return QConsistencyReport(
         k=k,
-        q_report=q_total,
+        q_values=q_values,
         bound_sigma_residual=q_bound.sigma_residual,
         implied_sigma=implied,
         sigma_initial_psd=psd0,

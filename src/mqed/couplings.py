@@ -12,14 +12,18 @@ has a simple closed form:
   correlation length ell (k-space factor exp(-ell^2 |k|^2 / 2))
 * tabulated: bilinear interpolation of sampled tensors over (omega, |k|)
 
+A medium is a tuple of parts, each in the sector its `which` names; a
+sector's parts add their f f^dag (`sector_coupling`). A part's orthogonal
+gauge f -> f A^T(omega) (`apply_gauge`) leaves f f^dag unchanged.
+
 All models are immutable; evaluators are pure.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -31,6 +35,7 @@ from .errors import (
     ValidationError,
     ZeroFrequency,
 )
+from .rational import Rational
 from .tensors import IDENTITY3, NATURAL, PhysicalConstants, hermitian_sqrt
 
 ELECTRIC = "electric"
@@ -131,6 +136,7 @@ class CouplingModel:
     omega_max: float | None = None  # optional Gaussian envelope exp(-w^2/omega_max^2)
     amplitude: float = 0.0  # sector scale, fixed at construction
     table: TabulatedTable | None = None
+    gauge: GaugeTransform | None = None  # f -> f A^T(omega) (`apply_gauge`)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -149,9 +155,19 @@ class CouplingModel:
         return False
 
     @property
+    def closed_form(self) -> Rational | None:
+        """chi_hat(rho) = s^2 / (rho^2 + gamma rho + omega_0^2) of the
+        damped-oscillator kinds (0 for a zero part); None when not rational."""
+        if self.kind not in ("zero", "lorentz_isotropic", "drude") or self.omega_max is not None:
+            return None
+        if self.is_zero:
+            return Rational.constant(0.0)
+        return Rational.make([self.strength**2], [self.resonance**2, self.width, 1.0])
+
+    @property
     def is_rational(self) -> bool:
         """True when chi_hat(rho) is a rational function of rho."""
-        return self.kind in ("zero", "lorentz_isotropic", "drude") and self.omega_max is None
+        return self.closed_form is not None
 
     @property
     def even_entire_density(self) -> bool:
@@ -212,17 +228,6 @@ class CouplingModel:
         if self.omega_max is not None:
             out["omega_max"] = self.omega_max
         return out
-
-
-@dataclass(frozen=True)
-class GaugedCouplingModel:
-    """A coupling model right-multiplied by an orthogonal gauge tensor."""
-
-    base: CouplingModel
-    gauge: "GaugeTransform"
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
 
 
 def zero_coupling(which: str = ELECTRIC) -> CouplingModel:
@@ -340,21 +345,16 @@ def _scalar_profile(model: CouplingModel, omegas: np.ndarray) -> np.ndarray:
     return np.where(w > 0.0, prof, 0.0)
 
 
-def eval_coupling_batch(model, omegas, k) -> np.ndarray:
-    """Vectorized coupling evaluation: returns (n_omega, 3, 3) complex."""
-    if hasattr(model, "eval_batch"):
-        return model.eval_batch(omegas, k)
-    if isinstance(model, GaugedCouplingModel):
-        base = eval_coupling_batch(model.base, omegas, k)
-        a = np.stack([model.gauge(w) for w in np.atleast_1d(omegas)])
-        return base @ np.transpose(a, (0, 2, 1))
+def eval_coupling_batch(model: CouplingModel, omegas, k) -> np.ndarray:
+    """Vectorized coupling evaluation, the part's gauge applied last:
+    returns (n_omega, 3, 3) complex."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(omegas < 0.0):
         raise ValidationError("coupling evaluation requires omega >= 0")
     k = np.asarray(k, dtype=float)
     if model.kind == "zero":
-        return np.zeros((omegas.size, 3, 3), dtype=complex)
-    if model.kind in ("lorentz_isotropic", "drude"):
+        out = np.zeros((omegas.size, 3, 3), dtype=complex)
+    elif model.kind in ("lorentz_isotropic", "drude"):
         prof = _scalar_profile(model, omegas)
         out = prof[:, None, None] * IDENTITY3[None, :, :].astype(complex)
     elif model.kind == "gaussian_anisotropic":
@@ -369,70 +369,31 @@ def eval_coupling_batch(model, omegas, k) -> np.ndarray:
         raise ValidationError(f"unknown coupling kind '{model.kind}'")
     if model.omega_max is not None:
         out = out * np.exp(-(omegas**2) / model.omega_max**2)[:, None, None]
+    if model.gauge is not None and omegas.size:
+        a = np.stack([model.gauge(w) for w in omegas])
+        out = out @ np.transpose(a, (0, 2, 1))
     return out
 
 
-def coupling_product(model, omegas, k) -> np.ndarray:
+def coupling_product(model: CouplingModel, omegas, k) -> np.ndarray:
     """f f^dagger at each omega: (n, 3, 3) Hermitian PSD."""
     f = eval_coupling_batch(model, omegas, k)
     return f @ np.conj(np.transpose(f, (0, 2, 1)))
 
 
-@dataclass(frozen=True)
-class CombinedElectric:
-    """Bound + free electric coupling acting as one model.
-
-    The two parts live on disjoint oscillator families, so their spectral
-    densities f f^dag add; the single-tensor representative is the principal
-    PSD square root of the sum, equivalent to any two-family representation
-    by the gauge freedom of the couplings."""
-
-    bound: CouplingModel
-    free: CouplingModel
-
-    @property
-    def which(self) -> str:
-        return ELECTRIC
-
-    def eval_batch(self, omegas, k) -> np.ndarray:
-        total = coupling_product(self.bound, omegas, k) + coupling_product(self.free, omegas, k)
-        diag_defect = float(np.max(np.abs(total - total * np.eye(3)))) if total.size else 0.0
-        if diag_defect == 0.0:
-            return np.sqrt(total.real).astype(complex)
-        return np.stack([hermitian_sqrt(m, tol=1e-10) for m in total])
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bound.is_zero and self.free.is_zero
-
-    @property
-    def is_rational(self) -> bool:
-        return self.bound.is_rational and self.free.is_rational
-
-    @property
-    def frequency_scale(self) -> float:
-        return max(self.bound.frequency_scale, self.free.frequency_scale)
-
-    @property
-    def hard_cutoff(self):
-        cuts = [m.hard_cutoff for m in (self.bound, self.free) if m.hard_cutoff is not None]
-        return min(cuts) if cuts else None
-
-    def suggested_t_max(self, tail: float = 1e-8) -> float:
-        return max(self.bound.suggested_t_max(tail), self.free.suggested_t_max(tail))
-
-    def parameters(self) -> dict:
-        return {"bound": self.bound.parameters(), "free": self.free.parameters()}
-
-
-def combined_electric(bound, free=None):
-    """The electric coupling of bound plus free carriers: either part alone
-    when the other is absent or zero."""
-    if free is None or free.is_zero:
-        return bound
-    if bound.is_zero:
-        return free
-    return CombinedElectric(bound=bound, free=free)
+def sector_coupling(parts, omegas, k) -> np.ndarray:
+    """One coupling tensor for the independent parts of a sector: a lone
+    part's own f, zero for no part, and otherwise the principal PSD square
+    root of the summed f f^dag, which stands for the parts' joint couplings
+    by the gauge freedom: (n_omega, 3, 3) complex."""
+    if len(parts) == 1:
+        return eval_coupling_batch(parts[0], omegas, k)
+    if not parts:
+        return np.zeros((np.size(omegas), 3, 3), dtype=complex)
+    total = reduce(np.add, [coupling_product(part, omegas, k) for part in parts])
+    if not np.any(total - total * np.eye(3)):
+        return np.sqrt(total.real).astype(complex)
+    return np.stack([hermitian_sqrt(m, tol=1e-10) for m in total])
 
 
 def coupling_from_target(
@@ -480,9 +441,13 @@ class GaugeTransform:
         return a
 
 
-def apply_gauge(model: CouplingModel, gauge: GaugeTransform) -> GaugedCouplingModel:
-    """Return the gauge-transformed model omega, k -> f(omega, k) A^T(omega)."""
-    return GaugedCouplingModel(base=model, gauge=gauge)
+def apply_gauge(model: CouplingModel, gauge: GaugeTransform) -> CouplingModel:
+    """Return the gauge-transformed model omega, k -> f(omega, k) A^T(omega),
+    after any gauge the model already carries."""
+    if model.gauge is not None:
+        inner, outer = model.gauge, gauge
+        gauge = GaugeTransform(lambda w: outer(w) @ inner(w), max(inner.tol, outer.tol))
+    return replace(model, gauge=gauge)
 
 
 def rotation_gauge(axis, angle_fn: Callable[[float], float]) -> GaugeTransform:

@@ -17,7 +17,9 @@ their tilde partners (magnetic rows):
     gamma = [eh]   xi = -[ee]   zeta = mu0 R[ee] g   eta = -R[eh] f
     gamma~ = [hh]  xi~ = -[he]  zeta~ = mu0 R[he] g  eta~ = -R[hh] f
 
-with f, g the electric and magnetic couplings at the reservoir nodes.
+with f, g the electric and magnetic sector couplings at the reservoir
+nodes: a lone part's own coupling, or the PSD square root of the summed
+f f^dag of a sector's parts (`couplings.sector_coupling`).
 The medium picks the inverse transform that produces them: exact partial
 fractions for rational (isotropic damped-oscillator) media, and a
 vacuum-subtracted Bromwich line Re rho = a > 0 for continuum-absorption
@@ -41,12 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couplings import ELECTRIC, MAGNETIC, eval_coupling_batch, zero_coupling
+from .couplings import ELECTRIC, MAGNETIC, sector_coupling
 from .errors import LineNotConverged, PoleFindingFailed, ValidationError
 from .quadrature import gauss_legendre
 from .rational import Rational, ilt_rational
-from .response import (LaplaceResponse, _chunks, _fft_size, chi_hat_rational, laplace_response,
-                       uniform_step)
+from .response import LaplaceResponse, _chunks, _fft_size, laplace_response, uniform_step
 from .tensors import curl_symbol, longitudinal_projector, transverse_projector
 
 MARGINAL_POLE_TOL = 1e-12
@@ -211,8 +212,8 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
     and l_h = 1 / (rho mu_hat)."""
     c = response.constants
     rho = Rational.variable()
-    a_rat = rho * ((chi_hat_rational(response.model_e) + 1.0) * c.eps0)
-    mu_rat = (chi_hat_rational(response.model_m) + 1.0) * c.mu0
+    a_rat = rho * ((response.closed_form(ELECTRIC) + 1.0) * c.eps0)
+    mu_rat = (response.closed_form(MAGNETIC) + 1.0) * c.mu0
     d_t = (rho * mu_rat) * a_rat + float(k @ k)
     one = Rational.constant(1.0)
     scalars = {"t_eh": (rho * mu_rat) / d_t, "t_ee": one / d_t, "l_e": one / a_rat,
@@ -297,8 +298,8 @@ def _line_tail(response, k, a):
     Shifting the pole to rho = -a (C4' = C4 + 3 a C3) keeps the same two
     leading terms and makes the tail's transforms decay like e^-at."""
     c = response.constants
-    m1e, m2e = response.chi_moments(response.model_e, k)
-    m1m, m2m = response.chi_moments(response.model_m, k)
+    m1e, m2e = response.chi_moments(ELECTRIC, k)
+    m1m, m2m = response.chi_moments(MAGNETIC, k)
 
     a_inv = _initial_data(c)
     b = np.zeros((6, 6), dtype=complex)
@@ -354,8 +355,7 @@ def _tail_transform(t, a, c3, c4):
 
 
 def _vacuum(response):
-    return laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC),
-                            constants=response.constants, quad=response.quad)
+    return laplace_response(constants=response.constants)
 
 
 @dataclass(frozen=True)
@@ -397,7 +397,7 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     horizon = response.horizon
     a = _LINE_ABSCISSA_FACTOR / horizon
     scales = [1.0, response.constants.c * float(np.linalg.norm(k)),
-              *(m.frequency_scale for m in (response.model_e, response.model_m) if not m.is_zero)]
+              *(m.frequency_scale for m in response.medium if not m.is_zero)]
     y_top = max(_LINE_HALFWIDTH_FACTOR * max(scales),
                 response.omega_top + _LINE_RESERVOIR_MARGIN * max(scales))
     dy = 0.5 / horizon
@@ -625,21 +625,17 @@ def _line_mode_path(response, blocks, k, t, omega_q):
 
 def _solve(response: LaplaceResponse, k, t_grid, omega_q_grid, path) -> ModeCoefficients:
     """The coefficient tensors from the transforms `path` returns for the
-    blocks the nonzero couplings read."""
+    blocks the nonzero sectors' couplings read."""
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     omega_q = np.asarray(omega_q_grid, dtype=float)
     if t.size == 0:
         raise ValidationError("t_grid must be nonempty")
-    model_f, model_g = response.model_e, response.model_m
-    if omega_q.size:
-        f_q = eval_coupling_batch(model_f, omega_q, k)
-        g_q = eval_coupling_batch(model_g, omega_q, k)
-    else:
-        f_q = g_q = np.zeros((0, 3, 3), dtype=complex)
+    parts_f, parts_g = response.sector(ELECTRIC), response.sector(MAGNETIC)
+    f_q, g_q = sector_coupling(parts_f, omega_q, k), sector_coupling(parts_g, omega_q, k)
     # zeta and zeta-tilde read the ee and he blocks, eta and eta-tilde eh and hh
-    blocks = ((("ee", "he") if not model_g.is_zero else ())
-              + (("eh", "hh") if not model_f.is_zero else ())) if omega_q.size else ()
+    blocks = ((("ee", "he") if parts_g else ())
+              + (("eh", "hh") if parts_f else ())) if omega_q.size else ()
     return _families(k, t, omega_q, f_q, g_q, response.constants.mu0,
                      path(response, blocks, k, t, omega_q))
 

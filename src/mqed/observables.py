@@ -23,10 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .couplings import ELECTRIC, MAGNETIC
 from .errors import ValidationError
 from .modes import ModeCoefficients, mode_coefficients
 from .noise import CommutatorReport, _oscillator_responses
-from .rational import Rational, ilt_rational
+from .rational import ilt_rational
 from .response import (
     LaplaceResponse,
     SusceptibilityKernel,
@@ -79,12 +80,12 @@ class FieldOperatorRepresentation:
     @cached_property
     def chi_e(self) -> np.ndarray:
         """(n_t, 3, 3) electric (bound plus free) memory kernel at k."""
-        return _memory_kernel(self.response.model_e, self)
+        return _memory_kernel(ELECTRIC, self)
 
     @cached_property
     def chi_m(self) -> np.ndarray:
         """(n_t, 3, 3) magnetic memory kernel at k."""
-        return _memory_kernel(self.response.model_m, self)
+        return _memory_kernel(MAGNETIC, self)
 
     @property
     def radial_measure(self) -> np.ndarray:
@@ -122,18 +123,18 @@ class FieldOperatorRepresentation:
         return ((weight * coeff[nu_q[1]]).reshape(-1, 3) @ vectors[side][nu_q[0]]).reshape(-1, 3)
 
 
-def _memory_kernel(model, rep: FieldOperatorRepresentation) -> np.ndarray:
-    """The chi(t) of `model` on the representation's t grid whose transform
-    the mode solver inverted, summed over the response's `parts` at k: the
-    closed-form inverse of a rational part, the kernel values of a Laplace
-    representation."""
+def _memory_kernel(which: str, rep: FieldOperatorRepresentation) -> np.ndarray:
+    """The chi(t) of sector `which` on the representation's t grid whose
+    transform the mode solver inverted, summed over the sector's parts at k:
+    the closed-form inverse of a rational part, the kernel values of its
+    Laplace representation for any other."""
     t = rep.t_grid
     out = np.zeros((t.size, 3, 3), dtype=complex)
-    for part in rep.response.parts(model, rep.k):
-        if isinstance(part, Rational):
-            out += ilt_rational(part, t)[0][:, None, None] * IDENTITY3
+    for part in rep.response.sector(which):
+        if (form := part.closed_form) is not None:
+            out += ilt_rational(form, t)[0][:, None, None] * IDENTITY3
         else:
-            out += part.kernel_values(t)
+            out += rep.response.laplace_rep(part, rep.k).kernel_values(t)
     return out
 
 
@@ -369,7 +370,7 @@ def constitutive_roundtrip(
     amp = np.exp(-(((t - t0) / tau) ** 2))
     probe_field = amp[:, None] * e_dir[None, :]
 
-    eps0 = constants.eps0 if model.which == "electric" else 1.0
+    eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
     p_a = eps0 * _convolver(rep.kernel_values(t), h)(probe_field.astype(complex))
 
     # ladder route: every reservoir frequency driven as an independent

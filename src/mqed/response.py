@@ -10,13 +10,14 @@ with pref = 8 pi / (hbar c^3 eps0) for the electric sector and
 8 pi mu0 / (hbar c^3) for the magnetic one; chi vanishes identically for
 t <= 0.
 
-A rational part (a Lorentz or Drude coupling, `CouplingModel.is_rational`,
-gauged or not) has this integral in closed form, chi_hat(rho) = s^2 /
-(rho^2 + gamma rho + omega_0^2) (`chi_hat_rational`), so its kernel values
-and its spectrum come from that form, with no cut and no horizon. Every other part is read
-through the frequency-quadrature representation `QuadRep` (nodes omega_n
-and coefficients w_n pref omega_n^2 f f^dag), which is kept with the kernel
-so the frequency spectrum and Laplace transform are taken exactly in t.
+A rational part (a Lorentz or Drude coupling, gauged or not) has this
+integral in closed form, chi_hat(rho) = s^2 / (rho^2 + gamma rho +
+omega_0^2) (`CouplingModel.closed_form`), so its kernel values and its
+spectrum come from that form, with no cut and no horizon. Every other
+part is read through the frequency-quadrature representation `QuadRep`
+(nodes omega_n and coefficients w_n pref omega_n^2 f f^dag), which is kept
+with the kernel so the frequency spectrum and Laplace transform are taken
+exactly in t.
 Each representation keeps only the nodes of its rule that carry weight
 (`_weighted_nodes`), so every consumer sums only those. A
 rational part keeps one too, converged on the horizon of the two checks
@@ -46,10 +47,10 @@ three probe values of rho for the
 Laplace-domain response of a continuum medium (a much smaller
 representation, because its cost is paid at every Bromwich-line point),
 and Q on t for `conductor_Q`.
-`LaplaceResponse` is the one carrier of the medium: its electric coupling
-(bound and free carriers alike, as one combined coupling when both are
-present) and its magnetic coupling fix eps_hat, mu_hat and the reservoir
-couplings. It evaluates the material
+`LaplaceResponse` is the one carrier of the medium, a tuple of coupling
+parts: the parts of each sector (bound and free carriers alike in the
+electric one) fix eps_hat, mu_hat and the reservoir couplings, each part
+through its closed form or its own representation. It evaluates the material
 tensors for a scalar rho or a whole 1-d stack at once, at Re rho > 0 only:
 a continuum part's branch cut lies on the imaginary axis, and no solver
 path asks for more of a rational one.
@@ -62,7 +63,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .couplings import ELECTRIC, MAGNETIC, CombinedElectric, CouplingModel, coupling_product
+from .couplings import ELECTRIC, MAGNETIC, coupling_product
 from .errors import (
     GridTooCoarse,
     LeftHalfPlane,
@@ -226,6 +227,8 @@ def _angle_table(t: np.ndarray, nodes: np.ndarray, sin_block, cos_block) -> np.n
     """
     pairs = [(fn, b) for fn, b in ((np.sin, sin_block), (np.cos, cos_block)) if b is not None]
     m = pairs[0][1].shape[1]
+    if not nodes.size:  # no node chunk would fill the output
+        return np.zeros((t.size, m))
     h = uniform_step(t)
     if h is None:
         out = np.empty((t.size, m))
@@ -468,18 +471,17 @@ def chi_kernel(
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
     pref = kernel_prefactor(model.which, constants)
-    rational = isinstance(getattr(model, "base", model), CouplingModel) and model.is_rational
-    if rational and not model.is_zero:
-        closed, t_rep = chi_hat_rational(model), check_grid(model)
+    closed = None if model.is_zero else model.closed_form
+    if closed is not None:
+        t_rep = check_grid(model)
         rep, on_rep, result = _converged_rep(model, k, quad, pref,
                                              lambda r: r.kernel_values(t_rep))
         exact = partial(_damped_oscillator, model)
         gap = _relative_deviation(on_rep, block_tensors(exact(t_rep)[:, None], _FLAT_IDENTITY))
         values = block_tensors(exact(t)[:, None], _FLAT_IDENTITY)
     else:
-        closed, gap, t_rep = None, None, t
-        smooth = isinstance(model, CouplingModel) and model.even_entire_density
-        alias = t[-1] + model.suggested_t_max(_KERNEL_TAIL) if smooth else None
+        gap, t_rep = None, t
+        alias = t[-1] + model.suggested_t_max(_KERNEL_TAIL) if model.even_entire_density else None
         rep, values, result = _converged_rep(model, k, quad, pref,
                                              lambda r: r.kernel_values(t), alias)
     return SusceptibilityKernel(
@@ -728,32 +730,19 @@ def kk_check(spectrum: ResponseSpectrum) -> KKReport:
     return KKReport(max_rel_residual=resid, n_grid=int(omega.size), grid_step=h)
 
 
-def chi_hat_rational(model) -> Rational:
-    """chi_hat(rho) for the rational (damped-oscillator family) kinds."""
-    if isinstance(model, CombinedElectric):
-        return chi_hat_rational(model.bound) + chi_hat_rational(model.free)
-    base = getattr(model, "base", model)
-    if not base.is_rational:
-        raise ValidationError(f"model kind '{base.kind}' has no rational transform")
-    if base.is_zero:
-        return Rational.constant(0.0)
-    return Rational.make(
-        [base.strength**2], [base.resonance**2, base.width, 1.0]
-    )
-
-
 @dataclass(frozen=True)
 class LaplaceResponse:
     """The medium in the Laplace domain: eps_hat and mu_hat.
 
-    eps_hat = eps0 (1 + chi_hat_e) from the electric coupling model_e and
-    mu_hat = mu0 (1 + chi_hat_m) from the magnetic one, model_m; the
-    reservoir couples to the same two. Free carriers are part of model_e
-    (`combined_electric(bound, free)`), whose chi_hat is the sum of its
-    `parts`. Rational models use the closed form, evaluated anywhere off its
-    poles; everything else goes through the kernel quadrature
-    representation, for which the transform of each sine mode is
-    omega_n / (rho^2 + omega_n^2) exactly, at Re rho > 0 only.
+    The medium is a tuple of coupling parts, each an independent oscillator
+    family in the sector its `which` names; free carriers are one more
+    electric part. eps_hat = eps0 (1 + chi_hat_e) and mu_hat = mu0 (1 +
+    chi_hat_m), each chi_hat the sum over the nonzero parts of its sector
+    (`sector`), and the reservoir couples to the same parts. A rational part
+    contributes its closed form, evaluated anywhere off its poles; any other
+    goes through its kernel quadrature representation (`laplace_rep`), for
+    which the transform of each sine mode is omega_n / (rho^2 + omega_n^2)
+    exactly, at Re rho > 0 only.
 
     horizon and omega_top bound every time and reservoir frequency the mode
     coefficients are asked for, and they alone fix the Bromwich line of a
@@ -762,8 +751,7 @@ class LaplaceResponse:
     default config derives: max(t_max, maxwell_t_max) and reservoir_cutoff.
     """
 
-    model_e: object
-    model_m: object
+    medium: tuple
     constants: PhysicalConstants
     quad: QuadratureSpec
     horizon: float = 10.0
@@ -772,10 +760,6 @@ class LaplaceResponse:
     lines: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for model, name, which in ((self.model_e, "model_e", ELECTRIC),
-                                   (self.model_m, "model_m", MAGNETIC)):
-            if model.which != which:
-                raise ValidationError(f"{name} must be {which}")
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValidationError(f"horizon must be finite and > 0, got {self.horizon}")
         if not (np.isfinite(self.omega_top) and self.omega_top >= 0.0):
@@ -783,7 +767,17 @@ class LaplaceResponse:
 
     @property
     def is_rational(self) -> bool:
-        return self.model_e.is_rational and self.model_m.is_rational
+        return all(part.is_rational for part in self.medium if not part.is_zero)
+
+    def sector(self, which: str) -> tuple:
+        """The nonzero parts of the medium in sector `which`, in order."""
+        return tuple(p for p in self.medium if p.which == which and not p.is_zero)
+
+    def closed_form(self, which: str) -> Rational:
+        """chi_hat of sector `which` of a rational medium: the sum of its
+        parts' closed forms (0 for no part)."""
+        forms = [part.closed_form for part in self.sector(which)]
+        return sum(forms[1:], forms[0]) if forms else Rational.constant(0.0)
 
     def laplace_rep(self, model, k) -> QuadRep:
         """The representation chi_hat of the continuum `model` at k is
@@ -804,19 +798,10 @@ class LaplaceResponse:
             self._rep_cache[key] = rep
         return rep
 
-    def parts(self, model, k):
-        """chi_hat of `model` at k as the sum of its nonzero parts (the bound
-        and free carriers of a combined coupling): each part's `Rational`
-        transform when it is rational, else its Laplace representation
-        (`laplace_rep`), whose sine modes transform as
-        omega_n / (rho^2 + omega_n^2)."""
-        for part in (model.bound, model.free) if isinstance(model, CombinedElectric) else (model,):
-            if not part.is_zero:
-                yield chi_hat_rational(part) if part.is_rational else self.laplace_rep(part, k)
-
-    def chi(self, model, k, rho) -> np.ndarray:
-        """chi_hat(k, rho), summed over `parts`, at Re rho > 0; LeftHalfPlane
-        names the first rho with Re rho <= 0, for every medium."""
+    def chi(self, which: str, k, rho) -> np.ndarray:
+        """chi_hat(k, rho) of sector `which`, summed over its parts, at Re
+        rho > 0; LeftHalfPlane names the first rho with Re rho <= 0, for
+        every medium."""
         scalar = np.ndim(rho) == 0
         rho = np.atleast_1d(np.asarray(rho, dtype=complex))
         left = np.real(rho) <= 0.0
@@ -824,46 +809,49 @@ class LaplaceResponse:
             raise LeftHalfPlane(f"chi_hat is evaluated at Re rho > 0 only, "
                                 f"got {complex(rho[left][0])}")
         out = np.zeros((rho.size, 3, 3), dtype=complex)
-        for part in self.parts(model, k):
-            if isinstance(part, Rational):
-                out += part(rho)[:, None, None] * IDENTITY3
+        for part in self.sector(which):
+            if (form := part.closed_form) is not None:
+                out += form(rho)[:, None, None] * IDENTITY3
             else:
-                for rows in _chunks(rho.size, part.nodes.size):
-                    mat = rho[rows, None] ** 2 + part.nodes**2
-                    np.divide(part.nodes, mat, out=mat)
-                    out[rows] += part.contract(mat)
+                rep = self.laplace_rep(part, k)
+                for rows in _chunks(rho.size, rep.nodes.size):
+                    mat = rho[rows, None] ** 2 + rep.nodes**2
+                    np.divide(rep.nodes, mat, out=mat)
+                    out[rows] += rep.contract(mat)
                     del mat  # freed before the next chunk's is built
         return out[0] if scalar else out
 
-    def chi_moments(self, model, k):
+    def chi_moments(self, which: str, k):
         """(M1, M2) of chi_hat = M1 rho^-2 + M2 rho^-3 + O(rho^-4) at large
-        rho, as (3, 3) tensors: chi'(0+) and chi''(0+), summed over `parts`.
-        A Laplace representation gives M1 = sum_n c_n omega_n and M2 = 0; a
-        rational part takes both from the expansion of its transform."""
+        rho, as (3, 3) tensors: chi'(0+) and chi''(0+) of sector `which`,
+        summed over its parts. A rational part takes both from the expansion
+        of its closed form; a Laplace representation gives M1 = sum_n c_n
+        omega_n and M2 = 0."""
         out = np.zeros((2, 3, 3), dtype=complex)
-        for part in self.parts(model, k):
-            if isinstance(part, Rational):
-                out += part.at_infinity(3)[2:, None, None] * IDENTITY3
+        for part in self.sector(which):
+            if (form := part.closed_form) is not None:
+                out += form.at_infinity(3)[2:, None, None] * IDENTITY3
             else:
-                out[0] += part.contract(part.nodes[None, :])[0]
+                rep = self.laplace_rep(part, k)
+                out[0] += rep.contract(rep.nodes[None, :])[0]
         return out
 
     def eps(self, k, rho) -> np.ndarray:
-        return self.constants.eps0 * (IDENTITY3 + self.chi(self.model_e, k, rho))
+        return self.constants.eps0 * (IDENTITY3 + self.chi(ELECTRIC, k, rho))
 
     def mu(self, k, rho) -> np.ndarray:
-        return self.constants.mu0 * (IDENTITY3 + self.chi(self.model_m, k, rho))
+        return self.constants.mu0 * (IDENTITY3 + self.chi(MAGNETIC, k, rho))
 
 
 def laplace_response(
-    model_e,
-    model_m,
+    *parts,
     constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
     horizon: float = 10.0,
     omega_top: float = 50.0,
 ) -> LaplaceResponse:
-    return LaplaceResponse(model_e=model_e, model_m=model_m, constants=constants, quad=quad,
+    """The medium of the coupling `parts` (none for the vacuum)."""
+    return LaplaceResponse(medium=parts, constants=constants, quad=quad,
                            horizon=float(horizon), omega_top=float(omega_top))
 
 

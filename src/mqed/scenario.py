@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .conductor import conductor_modes
-from .couplings import (ELECTRIC, MAGNETIC, combined_electric, coupling_from_target,
-                        coupling_product, drude, gaussian_anisotropic, lorentz_isotropic,
-                        tabulated_from_csv, zero_coupling)
+from .couplings import (ELECTRIC, MAGNETIC, coupling_from_target, coupling_product, drude,
+                        gaussian_anisotropic, lorentz_isotropic, tabulated_from_csv,
+                        zero_coupling)
 from .errors import NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
@@ -564,15 +564,14 @@ def run_scenario(
     # modes for: they fix the Bromwich line of a continuum medium
     bounds = {"horizon": max(grids["t_max"], grids["maxwell_t_max"]),
               "omega_top": max(grids["reservoir_cutoff"], res_cut)}
-    # the medium of the conductor stage: the bound electric part and the free
-    # carriers as one electric coupling, with the magnetic part; None without
-    # free carriers
+    # the medium of the conductor stage: the free carriers as one more
+    # electric part; None without free carriers
     run.cond = None if free.is_zero else laplace_response(
-        combined_electric(models["electric"], free), models["magnetic"], constants, run.quad,
+        models["electric"], free, models["magnetic"], constants=constants, quad=run.quad,
         **bounds)
-    run.response = laplace_response(*models.values(), constants, run.quad, **bounds)
-    run.vacuum = laplace_response(zero_coupling(ELECTRIC), zero_coupling(MAGNETIC), constants,
-                                  run.quad)
+    run.response = laplace_response(*models.values(), constants=constants, quad=run.quad,
+                                    **bounds)
+    run.vacuum = laplace_response(constants=constants, quad=run.quad)
     run.rng = np.random.default_rng(int(run.num["seed"]))
     run.omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
     run.t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))

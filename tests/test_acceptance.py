@@ -11,7 +11,6 @@ import numpy as np
 from mqed.conductor import conductor_modes, q_kernel_consistency
 from mqed.couplings import (
     apply_gauge,
-    combined_electric,
     coupling_product,
     drude,
     gaussian_anisotropic,
@@ -266,7 +265,7 @@ def test_criterion_10_conductor_pathway():
     """No free carriers reduces exactly; Drude poles stable; Q decomposition holds."""
     t = np.linspace(0.0, 6.0, 13)
     wq = np.array([0.7, 2.1])
-    dielectric = laplace_response(combined_electric(LORENTZ_E, ZERO_E), LORENTZ_M)
+    dielectric = laplace_response(LORENTZ_E, ZERO_E, LORENTZ_M)
     mc_c = conductor_modes(dielectric, K, t, wq)
     mc_d = mode_coefficients(laplace_response(LORENTZ_E, LORENTZ_M), K, t, wq)
     reduction = max(
@@ -274,8 +273,7 @@ def test_criterion_10_conductor_pathway():
         for n in ("gamma", "xi", "zeta", "eta", "gamma_tilde", "xi_tilde",
                   "zeta_tilde", "eta_tilde")
     )
-    mc_drude = conductor_modes(laplace_response(combined_electric(ZERO_E, DRUDE_E), ZERO_M),
-                               K, t, wq)
+    mc_drude = conductor_modes(laplace_response(ZERO_E, DRUDE_E, ZERO_M), K, t, wq)
     poles_ok = (mc_drude.metadata["unstable_poles"] == 0
                 and mc_drude.metadata["max_re_pole"] <= 1e-10)
     q_bound = q_kernel_consistency(LORENTZ_E, ZERO_E, K, np.linspace(0.0, 10.0, 10001))

@@ -11,7 +11,9 @@ from mqed.couplings import (
     eval_coupling_batch,
     gaussian_anisotropic,
     lorentz_isotropic,
+    random_orthogonal_gauge,
     rotation_gauge,
+    sector_coupling,
     tabulated,
     tabulated_from_csv,
     zero_coupling,
@@ -112,10 +114,8 @@ def test_lorentz_horizon_follows_the_slow_pole(resonance, width):
     # decay rate of the slowest pole of chi_hat, -max Re p
     from numpy.polynomial import polynomial as P
 
-    from mqed.response import chi_hat_rational
-
     model = lorentz_isotropic(1.0, resonance, width)
-    rate = -float(np.max(P.polyroots(chi_hat_rational(model).den).real))
+    rate = -float(np.max(P.polyroots(model.closed_form.den).real))
     tail = 1e-11
     assert abs(np.log(1.0 / tail) / model.suggested_t_max(tail) - rate) <= 1e-7 * rate
 
@@ -174,6 +174,100 @@ def test_gauge_rejects_nonorthogonal():
     bad = GaugeTransform(evaluator=lambda w: 2.0 * np.eye(3))
     with pytest.raises(NotOrthogonal):
         bad(1.0)
+
+
+def test_gauged_part_keeps_the_bare_parts_properties():
+    # a gauge is a field of the part: everything but the coupling itself is
+    # the bare part's, the closed form included
+    gauge = random_orthogonal_gauge(np.random.default_rng(3))
+    for model in (lorentz_isotropic(1.3, 1.0, 0.5), drude(1.1, 0.5, which="magnetic"),
+                  gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)):
+        gauged = apply_gauge(model, gauge)
+        assert gauged.gauge is gauge and gauged != model
+        assert gauged.is_rational == model.is_rational
+        assert gauged.frequency_scale == model.frequency_scale
+        assert gauged.suggested_t_max(1e-11) == model.suggested_t_max(1e-11)
+        assert gauged.parameters() == model.parameters()
+        form, bare = gauged.closed_form, model.closed_form
+        assert (form is None) == (bare is None)
+        if bare is not None:
+            assert np.array_equal(form.num, bare.num) and np.array_equal(form.den, bare.den)
+
+
+def test_apply_gauge_composes_with_the_gauge_a_part_carries():
+    model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
+    first = rotation_gauge([0.0, 0.0, 1.0], lambda w: 0.3 * w)
+    second = rotation_gauge([1.0, 0.0, 0.0], lambda w: 0.7)
+    twice = apply_gauge(apply_gauge(model, first), second)
+    w = np.array([0.4, 1.3])
+    want = eval_coupling_batch(model, w, K) @ np.transpose(
+        np.stack([second(x) @ first(x) for x in w]), (0, 2, 1))
+    assert np.max(np.abs(eval_coupling_batch(twice, w, K) - want)) <= 1e-15
+
+
+def test_equal_gauged_parts_share_one_laplace_representation():
+    from mqed.response import laplace_response
+
+    model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
+    gauge = random_orthogonal_gauge(np.random.default_rng(7))
+    one, two = apply_gauge(model, gauge), apply_gauge(model, gauge)
+    assert one is not two and one == two and hash(one) == hash(two)
+    resp = laplace_response(one, zero_coupling("magnetic"))
+    assert resp.laplace_rep(one, K) is resp.laplace_rep(two, K)
+    assert len(resp._rep_cache) == 1
+
+
+@pytest.mark.parametrize("model", [
+    zero_coupling(), lorentz_isotropic(1.3, 1.0, 0.5), drude(1.1, 0.5, which="magnetic"),
+    gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8),
+    apply_gauge(lorentz_isotropic(1.3, 1.0, 0.5), rotation_gauge([0.0, 1.0, 1.0], np.tanh)),
+], ids=["zero", "lorentz", "drude", "gaussian", "gauged"])
+def test_lone_part_sector_coupling_is_the_parts_own(model):
+    w = np.linspace(0.0, 6.0, 41)
+    assert np.array_equal(sector_coupling((model,), w, K), eval_coupling_batch(model, w, K))
+
+
+def test_empty_sector_coupling_is_zero():
+    got = sector_coupling((), np.array([0.5, 1.5]), K)
+    assert got.shape == (2, 3, 3) and got.dtype == complex and not np.any(got)
+
+
+def test_sector_coupling_at_no_frequency_is_empty():
+    # the mode solver asks for the couplings at an empty reservoir grid too
+    gauge = random_orthogonal_gauge(np.random.default_rng(2))
+    lorentz = lorentz_isotropic(1.3, 1.0, 0.5)
+    for parts in ((), (apply_gauge(lorentz, gauge),), (lorentz, drude(1.1, 0.5))):
+        got = sector_coupling(parts, np.array([]), K)
+        assert got.shape == (0, 3, 3) and got.dtype == complex
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["conductor.cfg", "rotated"])
+def test_sector_coupling_carries_the_summed_density(rotated):
+    # conductor.cfg's bound and free electric parts, and a bound part whose
+    # f f^dag is not diagonal (a tabulated s(omega) R diag(a) R^T, so the
+    # Hermitian square root) with the same free carriers: f f^dag of the one
+    # sector coupling is the sum of the parts' products
+    from pathlib import Path
+
+    from mqed.scenario import parse_scenario
+    from mqed.tensors import NATURAL
+
+    path = Path(__file__).resolve().parent.parent / "configs" / "conductor.cfg"
+    config = parse_scenario(path.read_text(encoding="utf-8"))
+    free, bound = config.model("conductor", NATURAL), config.model("electric", NATURAL)
+    w = np.linspace(0.0, 20.0, 401)
+    k = config.k_list()[0]
+    if rotated:
+        r = rotation_gauge([1.0, 1.0, 0.0], lambda x: 0.4)(0.0)
+        tensor = r @ np.diag([1.0, 0.7, 0.4]) @ r.T
+        values = (w * np.exp(-0.5 * w**2))[:, None, None, None] * tensor
+        bound = tabulated(TabulatedTable(omegas=w, kmags=np.array([0.0, 2.0]),
+                                         values=np.repeat(values, 2, axis=1) + 0j))
+    f = sector_coupling((bound, free), w, k)
+    got = f @ np.conj(np.transpose(f, (0, 2, 1)))
+    want = coupling_product(bound, w, k) + coupling_product(free, w, k)
+    assert np.any(want[:, 0, 1]) == rotated
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_tabulated_roundtrip(tmp_path):

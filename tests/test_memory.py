@@ -204,7 +204,7 @@ def test_maxwell_representation_of_the_lorentz_config_stays_bounded():
     config, response, k = _lorentz_config()
     grids = config.grids
     t = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
-    cutoff = 5.0 * max(response.model_e.frequency_scale, response.model_m.frequency_scale)
+    cutoff = 5.0 * max(part.frequency_scale for part in response.medium)
     nodes, weights = gauss_legendre(16, 0.0, cutoff)
     picks = reservoir_picks(nodes.size, 2)
     reports = []
@@ -250,7 +250,7 @@ def test_maxwell_representation_of_the_gaussian_config_stays_bounded():
     config, response, k = _gaussian_config()
     grids = config.grids
     t = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
-    nodes, weights = gauss_legendre(16, 0.0, 5.0 * response.model_e.frequency_scale)
+    nodes, weights = gauss_legendre(16, 0.0, 5.0 * response.medium[0].frequency_scale)
     picks = reservoir_picks(nodes.size, 2)
     reports = []
     peak = _traced_peak_mb(lambda: reports.append(maxwell_residual(

@@ -3,7 +3,6 @@ import pytest
 
 from mqed.couplings import (
     TabulatedTable,
-    combined_electric,
     drude,
     eval_coupling_batch,
     gaussian_anisotropic,
@@ -154,7 +153,7 @@ def test_lambda_inverse_multiply_back_random_medium():
 
 
 def _conductor_response():
-    return laplace_response(combined_electric(lorentz_isotropic(1.0, 1.0, 0.4), drude(1.1, 0.5)),
+    return laplace_response(lorentz_isotropic(1.0, 1.0, 0.4), drude(1.1, 0.5),
                             zero_coupling("magnetic"))
 
 
@@ -217,7 +216,7 @@ def test_conductor_block_substitution():
     bound = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     strength, width = 1.1, 0.5
     mm = zero_coupling("magnetic")
-    cond = laplace_response(combined_electric(bound, drude(strength, width)), mm)
+    cond = laplace_response(bound, drude(strength, width), mm)
     for rho in (0.9, np.array([0.9, 1.5 + 2.0j])):
         lam_b = assemble_lambda(laplace_response(bound, mm), k, rho).value
         lam_c = assemble_lambda(cond, k, rho).value

@@ -1,12 +1,13 @@
 import numpy as np
 
 from mqed.couplings import (
+    TabulatedTable,
     apply_gauge,
-    combined_electric,
     drude,
     gaussian_anisotropic,
     lorentz_isotropic,
     random_orthogonal_gauge,
+    tabulated,
     zero_coupling,
 )
 from mqed.noise import noise_commutator, noise_current_coefficient, pdot_continuity
@@ -117,13 +118,17 @@ def _dense_peak_rate(rep, tau, eps0=1.0):
 def test_pdot_peak_rate_matches_dense_trapezoid(monkeypatch, pin_order):
     import mqed.response
 
-    # anisotropic bound part plus free carriers, s1 diag(a) + s2 I (a
-    # 2-column block, so the multi-column contraction is covered), 300
-    # nodes; each oscillator table chunk holds one of the 28 groups of 29
-    # lags (the last group 17). The exact propagator with a piecewise-linear
-    # probe and the trapezoid of the reference are different O(h^2)
-    # discretizations
-    model = combined_electric(gaussian_anisotropic([1.0, 0.7, 0.4], 1.0, 0.8), drude(1.1, 0.5))
+    # an anisotropic part s1 diag(a) + s2 I with a = (1, 0.7, 0.7), whose
+    # f f^dag is diagonal with two equal entries (a 2-column block, so the
+    # multi-column contraction is covered), 300 nodes; each oscillator table
+    # chunk holds one of the 28 groups of 29 lags (the last group 17). The
+    # exact propagator with a piecewise-linear probe and the trapezoid of the
+    # reference are different O(h^2) discretizations
+    w = np.linspace(0.0, 4.0, 401)
+    s1, s2 = w * np.exp(-0.5 * w**2), 0.5 / (1.0 + w**2)
+    values = s1[:, None, None] * np.diag([1.0, 0.7, 0.7]) + s2[:, None, None] * np.eye(3)
+    model = tabulated(TabulatedTable(omegas=w, kmags=np.array([0.0, 2.0]),
+                                     values=np.repeat(values[:, None], 2, axis=1) + 0j))
     pin_order(300)
     chi = chi_kernel(model, K, np.linspace(0.0, 60.0, 1200))
     monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 7 * 300 + 5)

@@ -232,12 +232,13 @@ def test_channels_match_the_stacked_channel_formulas(lorentz_models):
     # stack a representation once held: the families and couplings
     # contracted with the triad, the couplings times exp(-i w_q t); on a
     # medium with bound and free electric parts and a magnetic part
-    from mqed.couplings import combined_electric, drude
+    from mqed.couplings import drude
     from mqed.tensors import triad
 
     t = np.linspace(0.0, 3.0, 7)
-    model_e = combined_electric(lorentz_models[0], drude(1.1, 0.5))
-    rep = make_rep(model_e, lorentz_models[1], t, order=4)
+    nodes, weights = gauss_legendre(4, 0.0, 50.0)
+    medium = laplace_response(lorentz_models[0], drude(1.1, 0.5), lorentz_models[1])
+    rep = field_representation(medium, K, t, nodes, weights)
     mc, tr = rep.coeffs, triad(K)
     res_w = (2.0 * np.pi) ** -1.5
     vs = [tr.e(nu) for nu in (1, 2, 3)]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mqed.couplings import (
-    CouplingModel,
     coupling_product,
     drude,
     gaussian_anisotropic,
@@ -94,13 +93,12 @@ def test_rational_kernel_is_its_closed_form():
     # kernel is its inverse transform, to rounding
     from mqed.errors import PoleFindingFailed
     from mqed.rational import ilt_rational
-    from mqed.response import chi_hat_rational
 
     t = np.linspace(0.0, 60.0, 2001)
     s, g = 1.1, 0.5
     by_poles = [lorentz_isotropic(WP, W0, G), lorentz_isotropic(1.0, 1.0, 2.5),
                 lorentz_isotropic(0.8, 1.4, 0.6, which="magnetic")]
-    cases = [(m, ilt_rational(chi_hat_rational(m), t)[0].real, 2e-15) for m in by_poles]
+    cases = [(m, ilt_rational(m.closed_form, t)[0].real, 2e-15) for m in by_poles]
     critical = lorentz_isotropic(s, g / 2.0, g)
     cases += [(critical, s**2 * t * np.exp(-g * t / 2.0), 1e-13),
               (drude(s, g), (s**2 / g) * -np.expm1(-g * t), 1e-13)]
@@ -110,7 +108,7 @@ def test_rational_kernel_is_its_closed_form():
         err = np.max(np.abs(kernel.values - exact[:, None, None] * np.eye(3)))
         assert err <= tol * np.max(np.abs(exact)), (model, err)
     with pytest.raises(PoleFindingFailed):
-        ilt_rational(chi_hat_rational(critical), t)
+        ilt_rational(critical.closed_form, t)
 
 
 def test_rational_kernel_keeps_its_coupling_quadrature_on_the_checks_horizon():
@@ -682,18 +680,15 @@ def _bundled(name):
 
 @pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor"])
 def test_bundled_media_hold_one_coefficient_column(pin_order, name):
-    # every bundled medium's coefficients are s(omega) times one fixed
-    # tensor, so each representation of it, at every order its
+    # every part of a bundled medium has coefficients s(omega) times one
+    # fixed tensor, so each representation of it, at every order its
     # configuration allows, contracts a single column
-    from mqed.couplings import combined_electric
     from mqed.response import _converged_rep
 
     config = _bundled(name)
     quad = config.quadrature()
-    bound = config.model("electric", NATURAL)
-    models = {bound, config.model("magnetic", NATURAL),
-              combined_electric(bound, config.model("conductor", NATURAL))}
-    models = [m for m in models if not m.is_zero]
+    models = [m for m in (config.model(part, NATURAL) for part in
+                          ("electric", "magnetic", "conductor")) if not m.is_zero]
     assert len(models) == {"lorentz": 2, "gaussian": 1, "conductor": 2}[name]
     for model in models:
         for k in config.k_list():
@@ -701,7 +696,7 @@ def test_bundled_media_hold_one_coefficient_column(pin_order, name):
                 pin_order(order)
                 rep, _, result = _converged_rep(model, k, quad, 1.0, lambda rep: rep.nodes)
                 assert rep.block.shape == (result.kept, 1), (model, order)
-            if isinstance(model, CouplingModel) and model.even_entire_density:
+            if model.even_entire_density:
                 # and so does its kernel's trapezoid rule
                 kernel = chi_kernel(model, k, np.linspace(0.0, 8.0, 81), quad=quad)
                 assert kernel.quad.rule == "trapezoid"
@@ -754,22 +749,39 @@ def test_gaussian_representations_keep_only_the_nodes_that_carry_weight():
 def test_rational_representations_keep_every_node(name):
     # a Lorentz or Drude density falls only algebraically, so no node of
     # its rule is below 1e-16 of the rule's weight: nothing is dropped
-    from mqed.couplings import combined_electric
-
     config = _bundled(name)
     quad = config.quadrature()
     bound, free = config.model("electric", NATURAL), config.model("conductor", NATURAL)
-    models = [m for m in dict.fromkeys((bound, config.model("magnetic", NATURAL), free,
-                                        combined_electric(bound, free))) if not m.is_zero]
-    assert len(models) == {"lorentz": 2, "conductor": 3}[name]
+    models = [m for m in (bound, config.model("magnetic", NATURAL), free) if not m.is_zero]
+    assert len(models) == 2
     t = np.linspace(0.0, 8.0, 81)
     for model in models:
         for k in config.k_list():
             kernel = chi_kernel(model, k, t, quad=quad)
             assert kernel.quad.kept == kernel.quad.order == kernel.rep.nodes.size, model
-    if not free.is_zero:
-        q = conductor_Q(combined_electric(bound, free), config.k_list()[0], t, quad=quad).quad
+    for model in (bound, free) if not free.is_zero else ():
+        q = conductor_Q(model, config.k_list()[0], t, quad=quad).quad
         assert q.kept == q.order
+
+
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+def test_representation_without_nodes_reads_exact_zeros(grid):
+    # a representation may hold no node; its kernel values are then exact
+    # zeros on either kind of grid, never the contents of an unfilled buffer
+    # (a freed table of 8.0 is left on the heap first, where such a buffer
+    # would be allocated)
+    from mqed.response import QuadRep
+
+    rep = QuadRep.from_coeffs(np.empty(0), np.empty((0, 3, 3)))
+    t = np.linspace(0.0, 8.0, 1601)
+    if grid == "nonuniform":
+        t = 8.0 * (t / 8.0) ** 2
+    for _ in range(3):
+        stale = np.full((t.size, 3, 3), 8.0 + 8.0j)
+        del stale
+        values = rep.kernel_values(t)
+        assert values.shape == (t.size, 3, 3)
+        assert not np.any(values)
 
 
 def test_zero_part_keeps_its_rule():
@@ -934,18 +946,24 @@ def test_chi_kernel_builds_on_every_call(monkeypatch):
     assert np.array_equal(a.values, b.values)
 
 
+def _laplace_chi_hat(rep, rho=0.8):
+    """chi_hat at rho from a Laplace representation."""
+    return rep.contract((rep.nodes / (rho**2 + rep.nodes**2))[None, :])[0]
+
+
 def test_laplace_cache_keyed_by_value():
     # one response asked about 20 models that are built and dropped in turn:
     # a cache keyed by object identity hands a dropped model's chi_hat to the
     # next model allocated at its address
     strengths = [(1.0 + 0.05 * i, 0.7, 0.4) for i in range(20)]
     expected = [
-        laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
-        .chi(gaussian_anisotropic(s, 1.0), K, 0.8)
+        _laplace_chi_hat(laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
+                         .laplace_rep(gaussian_anisotropic(s, 1.0), K))
         for s in strengths
     ]
     resp = laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
-    got = [resp.chi(gaussian_anisotropic(s, 1.0), K, 0.8) for s in strengths]
+    got = [_laplace_chi_hat(resp.laplace_rep(gaussian_anisotropic(s, 1.0), K))
+           for s in strengths]
     stale = [i for i, (a, b) in enumerate(zip(got, expected)) if not np.array_equal(a, b)]
     assert not stale
     assert len(resp._rep_cache) == len(strengths)
@@ -963,8 +981,8 @@ def test_laplace_cache_distinguishes_table_contents():
         return tabulated(TabulatedTable(omegas=omegas.copy(), kmags=kmags.copy(), values=values))
 
     resp = laplace_response(zero_coupling("electric"), zero_coupling("magnetic"))
-    one = resp.chi(model(1.0), K, 0.8)
-    two = resp.chi(model(2.0), K, 0.8)
+    one = _laplace_chi_hat(resp.laplace_rep(model(1.0), K))
+    two = _laplace_chi_hat(resp.laplace_rep(model(2.0), K))
     assert two[0, 0].real == pytest.approx(4.0 * one[0, 0].real, rel=1e-9)
-    assert np.array_equal(resp.chi(model(1.0), K, 0.8), one)
+    assert np.array_equal(_laplace_chi_hat(resp.laplace_rep(model(1.0), K)), one)
     assert len(resp._rep_cache) == 2

@@ -570,10 +570,10 @@ def test_cli_verify_gaussian_builds_one_line_per_sign_of_k(tmp_path, capsys, mon
     sizes = []
     chi = LaplaceResponse.chi
 
-    def counted(self, model, k, rho):
-        if not model.is_zero and np.size(rho) > 100:
+    def counted(self, which, k, rho):
+        if self.sector(which) and np.size(rho) > 100:
             sizes.append(np.size(rho))
-        return chi(self, model, k, rho)
+        return chi(self, which, k, rho)
 
     monkeypatch.setattr(LaplaceResponse, "chi", counted)
     code = main(["verify", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
@@ -701,8 +701,8 @@ def test_conductor_stage_keeps_the_magnetic_part(tmp_path, monkeypatch):
     manifest = run_scenario(config, out_dir=str(tmp_path), stages=("conductor",))
     assert manifest.all_passed
     assert len(media) == 1
-    assert media[0].model_m == config.model("magnetic", NATURAL)
-    assert media[0].model_m.kind == "lorentz_isotropic"
+    assert media[0].sector("magnetic") == (config.model("magnetic", NATURAL),)
+    assert media[0].sector("magnetic")[0].kind == "lorentz_isotropic"
     assert "nan" not in (tmp_path / "conductor_gamma_k0.csv").read_text().lower()
 
 
