@@ -12,6 +12,11 @@ has a simple closed form:
   correlation length ell (k-space factor exp(-ell^2 |k|^2 / 2))
 * tabulated: bilinear interpolation of sampled tensors over (omega, |k|)
 
+Each kind is declared once, as a row of `_KINDS`: its config parameters and
+constructor, its profile f, frequency scale, hard cutoff, horizon, closed
+form, nonzero test and manifest record. `CouplingModel`'s properties and
+`eval_coupling_batch` read the part's row, and no module branches on a kind.
+
 A medium is a tuple of parts, each in the sector its `which` names; a
 sector's parts add their f f^dag (`sector_coupling`). A part's orthogonal
 gauge f -> f A^T(omega) (`apply_gauge`) leaves f f^dag unchanged.
@@ -22,6 +27,7 @@ All models are immutable; evaluators are pure.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Callable
@@ -40,8 +46,6 @@ from .tensors import IDENTITY3, NATURAL, PhysicalConstants, hermitian_sqrt
 
 ELECTRIC = "electric"
 MAGNETIC = "magnetic"
-
-_KINDS = ("zero", "lorentz_isotropic", "drude", "gaussian_anisotropic", "tabulated")
 
 
 def _sector_scale(which: str, constants: PhysicalConstants) -> float:
@@ -71,10 +75,12 @@ class TabulatedTable:
     values: np.ndarray  # (n_omega, n_k, 3, 3) complex
 
     def __post_init__(self):
-        if self.omegas.ndim != 1 or np.any(np.diff(self.omegas) <= 0):
-            raise ValidationError("table omega grid must be strictly increasing")
-        if self.kmags.ndim != 1 or np.any(np.diff(self.kmags) <= 0):
-            raise ValidationError("table |k| grid must be strictly increasing")
+        for axis, grid in (("omega", self.omegas), ("|k|", self.kmags)):
+            if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+                raise ValidationError(f"table {axis} grid must be strictly increasing")
+            if grid.size < 2:
+                # bilinear interpolation needs two points on each axis
+                raise ValidationError(f"table {axis} grid needs at least two points")
         if self.values.shape != (self.omegas.size, self.kmags.size, 3, 3):
             raise ValidationError("table values must have shape (n_omega, n_k, 3, 3)")
 
@@ -123,7 +129,8 @@ class TabulatedTable:
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """Immutable description of one coupling-tensor family member."""
+    """Immutable description of one coupling-tensor family member; what its
+    kind means is the kind's row of `_KINDS`."""
 
     kind: str
     which: str
@@ -145,24 +152,18 @@ class CouplingModel:
             raise ValidationError(f"unknown sector '{self.which}'", key="which")
 
     @property
+    def _row(self) -> _Kind:
+        return _KINDS[self.kind]
+
+    @property
     def is_zero(self) -> bool:
-        if self.kind == "zero":
-            return True
-        if self.kind in ("lorentz_isotropic", "drude"):
-            return self.strength == 0.0
-        if self.kind == "gaussian_anisotropic":
-            return all(s == 0.0 for s in self.axis_strengths)
-        return False
+        return not self._row.nonzero(self)
 
     @property
     def closed_form(self) -> Rational | None:
         """chi_hat(rho) = s^2 / (rho^2 + gamma rho + omega_0^2) of the
         damped-oscillator kinds (0 for a zero part); None when not rational."""
-        if self.kind not in ("zero", "lorentz_isotropic", "drude") or self.omega_max is not None:
-            return None
-        if self.is_zero:
-            return Rational.constant(0.0)
-        return Rational.make([self.strength**2], [self.resonance**2, self.width, 1.0])
+        return None if self.omega_max is not None else self._row.closed(self)
 
     @property
     def is_rational(self) -> bool:
@@ -172,59 +173,23 @@ class CouplingModel:
     @property
     def even_entire_density(self) -> bool:
         """True when omega^2 f f^dag is even and entire in omega (gaussian)."""
-        return self.kind == "gaussian_anisotropic"
+        return self._row.even_entire
 
     @property
     def frequency_scale(self) -> float:
-        if self.kind in ("lorentz_isotropic", "drude"):
-            return max(self.resonance, self.width, 1e-30)
-        if self.kind == "gaussian_anisotropic":
-            return max(self.center, 1e-30)
-        if self.kind == "tabulated":
-            return float(self.table.omegas[-1])
-        return 1.0
+        return self._row.scale(self)
 
     @property
     def hard_cutoff(self) -> float | None:
-        if self.kind == "tabulated":
-            return float(self.table.omegas[-1])
-        return None
+        return self._row.cutoff(self)
 
     def suggested_t_max(self, tail: float = 1e-8) -> float:
         """Time horizon after which the memory kernel has decayed to `tail`
         of its peak (the plateau subtracted for conductor-like media)."""
-        lo = np.log(1.0 / tail)
-        if self.kind == "lorentz_isotropic" and self.width > 0.0:
-            # the slower pole of rho^2 + width rho + resonance^2: Re = -width / 2
-            # when underdamped, -resonance^2 / (width / 2 + root) when overdamped
-            root = np.sqrt(max(0.25 * self.width**2 - self.resonance**2, 0.0))
-            if root > 0.0:
-                return lo * (0.5 * self.width + root) / self.resonance**2
-            return 2.0 * lo / self.width
-        if self.kind == "drude" and self.width > 0.0:
-            return lo / self.width
-        if self.kind == "gaussian_anisotropic":
-            # the sine transform of the omega^4-vanishing profile decays only
-            # algebraically (~t^-6 from the omega = 0 endpoint)
-            return 4.5 * tail ** (-1.0 / 6.0) / self.frequency_scale
-        return 50.0 / self.frequency_scale
+        return self._row.horizon(self, tail)
 
     def parameters(self) -> dict:
-        out = {"kind": self.kind, "which": self.which}
-        if self.kind in ("lorentz_isotropic", "drude"):
-            out.update(strength=self.strength, resonance=self.resonance, width=self.width)
-        elif self.kind == "gaussian_anisotropic":
-            out.update(
-                axis_strengths=list(self.axis_strengths),
-                center=self.center,
-                correlation_length=self.correlation_length,
-            )
-        elif self.kind == "tabulated":
-            out.update(
-                n_omega=int(self.table.omegas.size),
-                n_k=int(self.table.kmags.size),
-                omega_range=[float(self.table.omegas[0]), float(self.table.omegas[-1])],
-            )
+        out = {"kind": self.kind, "which": self.which, **self._row.record(self)}
         if self.omega_max is not None:
             out["omega_max"] = self.omega_max
         return out
@@ -234,58 +199,31 @@ def zero_coupling(which: str = ELECTRIC) -> CouplingModel:
     return CouplingModel(kind="zero", which=which)
 
 
-def lorentz_isotropic(
-    strength: float,
-    resonance: float,
-    width: float,
-    which: str = ELECTRIC,
-    omega_max: float | None = None,
-    constants: PhysicalConstants = NATURAL,
-) -> CouplingModel:
+def lorentz_isotropic(strength: float, resonance: float, width: float, which: str = ELECTRIC,
+                      omega_max: float | None = None,
+                      constants: PhysicalConstants = NATURAL) -> CouplingModel:
     """Coupling whose susceptibility is the damped-oscillator form
     strength^2 / (resonance^2 - omega^2 - i width omega)."""
     if resonance <= 0.0 or width <= 0.0:
         raise ValidationError("lorentz_isotropic requires resonance > 0 and width > 0")
-    return CouplingModel(
-        kind="lorentz_isotropic",
-        which=which,
-        strength=float(strength),
-        resonance=float(resonance),
-        width=float(width),
-        omega_max=omega_max,
-        amplitude=_sector_scale(which, constants),
-    )
+    return CouplingModel(kind="lorentz_isotropic", which=which, strength=float(strength),
+                         resonance=float(resonance), width=float(width), omega_max=omega_max,
+                         amplitude=_sector_scale(which, constants))
 
 
-def drude(
-    strength: float,
-    width: float,
-    which: str = ELECTRIC,
-    omega_max: float | None = None,
-    constants: PhysicalConstants = NATURAL,
-) -> CouplingModel:
+def drude(strength: float, width: float, which: str = ELECTRIC, omega_max: float | None = None,
+          constants: PhysicalConstants = NATURAL) -> CouplingModel:
     """Zero-resonance (free-carrier) limit: chi_hat = strength^2/(rho^2 + width rho)."""
     if width <= 0.0:
         raise ValidationError("drude requires width > 0")
-    return CouplingModel(
-        kind="drude",
-        which=which,
-        strength=float(strength),
-        resonance=0.0,
-        width=float(width),
-        omega_max=omega_max,
-        amplitude=_sector_scale(which, constants),
-    )
+    return CouplingModel(kind="drude", which=which, strength=float(strength), resonance=0.0,
+                         width=float(width), omega_max=omega_max,
+                         amplitude=_sector_scale(which, constants))
 
 
-def gaussian_anisotropic(
-    axis_strengths,
-    center: float,
-    correlation_length: float = 0.0,
-    which: str = ELECTRIC,
-    omega_max: float | None = None,
-    constants: PhysicalConstants = NATURAL,
-) -> CouplingModel:
+def gaussian_anisotropic(axis_strengths, center: float, correlation_length: float = 0.0,
+                         which: str = ELECTRIC, omega_max: float | None = None,
+                         constants: PhysicalConstants = NATURAL) -> CouplingModel:
     """Diagonal anisotropic family with a Gaussian frequency profile and an
     optional Gaussian spatial correlation (ell = 0 is spatially local)."""
     if center <= 0.0:
@@ -293,15 +231,9 @@ def gaussian_anisotropic(
     ax = tuple(float(s) for s in axis_strengths)
     if len(ax) != 3:
         raise ValidationError("axis_strengths must have three entries")
-    return CouplingModel(
-        kind="gaussian_anisotropic",
-        which=which,
-        axis_strengths=ax,
-        center=float(center),
-        correlation_length=float(correlation_length),
-        omega_max=omega_max,
-        amplitude=_sector_scale(which, constants),
-    )
+    return CouplingModel(kind="gaussian_anisotropic", which=which, axis_strengths=ax,
+                         center=float(center), correlation_length=float(correlation_length),
+                         omega_max=omega_max, amplitude=_sector_scale(which, constants))
 
 
 def tabulated(table: TabulatedTable, which: str = ELECTRIC) -> CouplingModel:
@@ -335,14 +267,101 @@ def tabulated_from_csv(path, which: str = ELECTRIC) -> CouplingModel:
     return tabulated(TabulatedTable(omegas=omegas, kmags=kmags, values=values), which=which)
 
 
-def _scalar_profile(model: CouplingModel, omegas: np.ndarray) -> np.ndarray:
-    """Isotropic frequency profile F(omega) for the lorentz/drude kinds."""
-    w = np.asarray(omegas, dtype=float)
+def _oscillator_profile(model: CouplingModel, w: np.ndarray, k) -> np.ndarray:
+    """Isotropic profile F(omega) I of the damped-oscillator kinds."""
     d = (model.resonance**2 - w**2) ** 2 + (model.width * w) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         f2 = model.width / (w * d)
     prof = model.strength * model.amplitude * np.sqrt(np.where(w > 0.0, f2, 0.0))
-    return np.where(w > 0.0, prof, 0.0)
+    prof = np.where(w > 0.0, prof, 0.0)
+    return prof[:, None, None] * IDENTITY3[None, :, :].astype(complex)
+
+
+def _oscillator_closed(model: CouplingModel) -> Rational:
+    if model.strength == 0.0:
+        return Rational.constant(0.0)
+    return Rational.make([model.strength**2], [model.resonance**2, model.width, 1.0])
+
+
+def _lorentz_horizon(model: CouplingModel, tail: float) -> float:
+    # the slower pole of rho^2 + width rho + resonance^2: Re = -width / 2
+    # when underdamped, -resonance^2 / (width / 2 + root) when overdamped
+    lo = np.log(1.0 / tail)
+    root = np.sqrt(max(0.25 * model.width**2 - model.resonance**2, 0.0))
+    if root > 0.0:
+        return lo * (0.5 * model.width + root) / model.resonance**2
+    return 2.0 * lo / model.width
+
+
+def _gaussian_profile(model: CouplingModel, omegas: np.ndarray, k) -> np.ndarray:
+    c = model.center
+    prof = (omegas / c**2) * np.exp(-(omegas**2) / (2.0 * c**2))
+    spatial = np.exp(-0.5 * model.correlation_length**2 * float(k @ k))
+    diag = np.diag(model.axis_strengths).astype(complex)
+    return (model.amplitude * spatial * prof)[:, None, None] * diag[None, :, :]
+
+
+def _table_top(model: CouplingModel) -> float:
+    return float(model.table.omegas[-1])
+
+
+# A coupling kind, declared once. `build` is its constructor, called with
+# which=, constants= and the config parameters named in `required` and
+# `optional`. The rest are functions of a model of the kind:
+# - profile(model, omegas, k): f, (n_omega, 3, 3) complex, before the
+#   omega_max envelope and the gauge;
+# - nonzero(model): whether it couples at all;
+# - scale(model): its frequency scale; cutoff(model): the top of its
+#   support, None when unbounded;
+# - horizon(model, tail): the time after which its kernel has decayed to
+#   `tail` of its peak (the plateau subtracted for conductor-like media);
+# - closed(model): chi_hat(rho) when rational without an envelope, else None;
+# - record(model): its parameters in the run manifest.
+# even_entire: omega^2 f f^dag is even and entire in omega.
+_Kind = namedtuple("_Kind", "build profile nonzero scale record required optional horizon "
+                            "closed cutoff even_entire",
+                   defaults=((), (), lambda model, tail: 50.0 / model.frequency_scale,
+                             lambda model: None, lambda model: None, False))
+# the damped-oscillator kinds: lorentz_isotropic and its resonance -> 0 limit
+_OSCILLATOR = dict(
+    profile=_oscillator_profile, nonzero=lambda model: model.strength != 0.0,
+    scale=lambda model: max(model.resonance, model.width, 1e-30),
+    record=lambda model: {"strength": model.strength, "resonance": model.resonance,
+                          "width": model.width},
+    optional=("omega_max",), closed=_oscillator_closed)
+_KINDS = {
+    "zero": _Kind(
+        lambda which, constants: zero_coupling(which),
+        lambda model, omegas, k: np.zeros((omegas.size, 3, 3), dtype=complex),
+        nonzero=lambda model: False, scale=lambda model: 1.0, record=lambda model: {},
+        closed=lambda model: Rational.constant(0.0)),
+    "lorentz_isotropic": _Kind(
+        lorentz_isotropic, required=("strength", "resonance", "width"),
+        horizon=_lorentz_horizon, **_OSCILLATOR),
+    "drude": _Kind(
+        drude, required=("strength", "width"),
+        horizon=lambda model, tail: np.log(1.0 / tail) / model.width, **_OSCILLATOR),
+    "gaussian_anisotropic": _Kind(
+        gaussian_anisotropic, _gaussian_profile,
+        nonzero=lambda model: any(s != 0.0 for s in model.axis_strengths),
+        scale=lambda model: max(model.center, 1e-30),
+        record=lambda model: {"axis_strengths": list(model.axis_strengths),
+                              "center": model.center,
+                              "correlation_length": model.correlation_length},
+        required=("axis_strengths", "center"), optional=("correlation_length", "omega_max"),
+        # the sine transform of the omega^4-vanishing profile decays only
+        # algebraically (~t^-6 from the omega = 0 endpoint)
+        horizon=lambda model, tail: 4.5 * tail ** (-1.0 / 6.0) / model.frequency_scale,
+        even_entire=True),
+    "tabulated": _Kind(
+        lambda which, constants, table: tabulated_from_csv(table, which=which),
+        lambda model, omegas, k: model.table.interpolate(omegas, float(np.linalg.norm(k))),
+        nonzero=lambda model: True, scale=_table_top,
+        record=lambda model: {"n_omega": int(model.table.omegas.size),
+                              "n_k": int(model.table.kmags.size),
+                              "omega_range": [float(model.table.omegas[0]), _table_top(model)]},
+        required=("table",), cutoff=_table_top),
+}
 
 
 def eval_coupling_batch(model: CouplingModel, omegas, k) -> np.ndarray:
@@ -351,22 +370,7 @@ def eval_coupling_batch(model: CouplingModel, omegas, k) -> np.ndarray:
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(omegas < 0.0):
         raise ValidationError("coupling evaluation requires omega >= 0")
-    k = np.asarray(k, dtype=float)
-    if model.kind == "zero":
-        out = np.zeros((omegas.size, 3, 3), dtype=complex)
-    elif model.kind in ("lorentz_isotropic", "drude"):
-        prof = _scalar_profile(model, omegas)
-        out = prof[:, None, None] * IDENTITY3[None, :, :].astype(complex)
-    elif model.kind == "gaussian_anisotropic":
-        c = model.center
-        prof = (omegas / c**2) * np.exp(-(omegas**2) / (2.0 * c**2))
-        spatial = np.exp(-0.5 * model.correlation_length**2 * float(k @ k))
-        diag = np.diag(model.axis_strengths).astype(complex)
-        out = (model.amplitude * spatial * prof)[:, None, None] * diag[None, :, :]
-    elif model.kind == "tabulated":
-        out = model.table.interpolate(omegas, float(np.linalg.norm(k)))
-    else:  # pragma: no cover - guarded by __post_init__
-        raise ValidationError(f"unknown coupling kind '{model.kind}'")
+    out = model._row.profile(model, omegas, np.asarray(k, dtype=float))
     if model.omega_max is not None:
         out = out * np.exp(-(omegas**2) / model.omega_max**2)[:, None, None]
     if model.gauge is not None and omegas.size:
@@ -393,32 +397,37 @@ def sector_coupling(parts, omegas, k) -> np.ndarray:
     total = reduce(np.add, [coupling_product(part, omegas, k) for part in parts])
     if not np.any(total - total * np.eye(3)):
         return np.sqrt(total.real).astype(complex)
-    return np.stack([hermitian_sqrt(m, tol=1e-10) for m in total])
+    return hermitian_sqrt(total, tol=1e-10)
 
 
 def coupling_from_target(
     im_chi,
-    omega: float,
+    omega,
     k,
     which: str = ELECTRIC,
     constants: PhysicalConstants = NATURAL,
     tol: float = 1e-12,
 ) -> np.ndarray:
-    """Recover the coupling tensor from a target Im chi_hat at one (omega, k).
+    """Recover the coupling tensor from a target Im chi_hat at one (omega, k),
+    or the tensors of a stack (n, 3, 3) at their n frequencies.
 
     Inverts the structural identity Im chi_hat = (4 pi^2 omega^2 / hbar c^3
     eps0) f f^dag (mu0 variant for the magnetic sector) through the principal
     Hermitian PSD square root. Feeding the result back through the kernel and
     spectrum pipeline reproduces Im chi_hat.
     """
-    if omega <= 0.0:
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0.0):
         raise ZeroFrequency("target inversion requires omega > 0")
-    scale = _sector_scale(which, constants) ** 2 / omega**2
-    target = scale * np.asarray(im_chi, dtype=complex)
+    # libm's pow, as a lone omega**2 takes it: a stack recovers each tensor bit for bit
+    scale = _sector_scale(which, constants) ** 2 / np.float_power(omega, 2)
+    target = scale[..., None, None] * np.asarray(im_chi, dtype=complex)
     try:
         return hermitian_sqrt(target, tol=tol)
     except NotPSD as exc:
-        raise NotPSD(f"Im chi target at omega={omega:g} is not PSD: {exc}") from exc
+        first = np.broadcast_to(omega, target.shape[:-2])[exc.index]
+        raise NotPSD(f"Im chi target at omega={first:g} is not PSD: {exc}",
+                     index=exc.index) from exc
 
 
 @dataclass(frozen=True)

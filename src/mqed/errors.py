@@ -47,7 +47,9 @@ class NotHermitian(NumericalError):
 
 
 class NotPSD(NumericalError):
-    pass
+    def __init__(self, message, index=()):
+        self.index = index  # the failing matrix's index in its stack
+        super().__init__(message)
 
 
 class NotOrthogonal(NumericalError):

@@ -430,21 +430,21 @@ def check_grid(model) -> np.ndarray:
     return np.linspace(0.0, _CHECK_HORIZON / model.frequency_scale, 3001)
 
 
-def _damped_oscillator(model, t: np.ndarray) -> np.ndarray:
-    """The inverse transform of s^2 / (rho^2 + gamma rho + omega_0^2) on t,
-    chi(t) = s^2 t e^{-gamma t / 2} sinc(Omega t / pi) with Omega =
-    sqrt(omega_0^2 - gamma^2 / 4) taken complex: one form for the damped,
+def _damped_oscillator(form: Rational, t: np.ndarray) -> np.ndarray:
+    """The inverse transform of a part's closed form s^2 / (rho^2 + gamma
+    rho + omega_0^2) on t, chi(t) = s^2 t e^{-gamma t / 2} sinc(Omega t / pi)
+    with Omega = sqrt(omega_0^2 - gamma^2 / 4) taken complex: one form for the damped,
     the critically damped and the overdamped oscillator, Drude (omega_0 = 0)
     included. For Omega = i kappa it is evaluated as s^2 t e^{-a t}
     (1 - e^{-2 kappa t}) / (2 kappa t), a = omega_0^2 / (gamma / 2 + kappa)
     = gamma / 2 - kappa, which neither overflows nor cancels."""
-    s2, w0, g = model.strength**2, model.resonance, model.width
-    omega = np.sqrt(complex(w0**2 - 0.25 * g**2))
+    s2, w02, g = form.num[0].real, form.den[0].real, form.den[1].real
+    omega = np.sqrt(complex(w02 - 0.25 * g**2))
     if omega.imag == 0.0:
         return s2 * t * np.exp(-0.5 * g * t) * np.sinc(omega.real * t / np.pi)
     x = 2.0 * omega.imag * t
     ratio = np.where(x > 0.0, -np.expm1(-x) / np.where(x > 0.0, x, 1.0), 1.0)
-    return s2 * t * np.exp(-(w0**2 / (0.5 * g + omega.imag)) * t) * ratio
+    return s2 * t * np.exp(-(w02 / (0.5 * g + omega.imag)) * t) * ratio
 
 
 def chi_kernel(
@@ -476,7 +476,7 @@ def chi_kernel(
         t_rep = check_grid(model)
         rep, on_rep, result = _converged_rep(model, k, quad, pref,
                                              lambda r: r.kernel_values(t_rep))
-        exact = partial(_damped_oscillator, model)
+        exact = partial(_damped_oscillator, closed)
         gap = _relative_deviation(on_rep, block_tensors(exact(t_rep)[:, None], _FLAT_IDENTITY))
         values = block_tensors(exact(t)[:, None], _FLAT_IDENTITY)
     else:

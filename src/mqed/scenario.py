@@ -3,11 +3,11 @@
 A config is `key = value` lines in four sections: [medium], [grids],
 [numerics] and [output]. `_SCHEMA` declares each [grids], [numerics] and
 [output] key with its default, parser and range rule; `_PARTS` declares the
-medium kinds each part (electric, magnetic, conductor) takes, each with its
-constructor and its required and optional parameters. README.md lists both
-in its "Scenario config keys" table. Every value is checked when the config
-is parsed, so a bad one is a config error naming its key before any stage
-runs. `_CHECKS` declares each check once, with the README claim it serves;
+medium kinds each part (electric, magnetic, conductor) takes, and a kind's
+constructor and its required and optional parameters are its row of
+`couplings._KINDS`. README.md lists both in its "Scenario config keys"
+tables. Every value is checked when the config is parsed, so a bad one is a
+config error naming its key before any stage runs. `_CHECKS` declares each check once, with the README claim it serves;
 a run writes CSV/JSON artifacts plus a manifest listing each check it ran.
 """
 
@@ -25,9 +25,8 @@ import numpy as np
 
 from . import __version__
 from .conductor import conductor_modes
-from .couplings import (ELECTRIC, MAGNETIC, coupling_from_target, coupling_product, drude,
-                        gaussian_anisotropic, lorentz_isotropic, tabulated_from_csv,
-                        zero_coupling)
+from .couplings import (_KINDS, ELECTRIC, MAGNETIC, coupling_from_target, coupling_product,
+                        tabulated_from_csv)
 from .errors import NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
@@ -122,28 +121,15 @@ _SCHEMA = {
 }
 _SECTIONS = ("medium", *_SCHEMA)
 
-# a medium kind: its constructor, called with which=, constants= and the
-# parameters the config gives, and its required and optional parameters
-_Kind = namedtuple("_Kind", "build required optional", defaults=((), ()))
-_KINDS = {
-    "zero": _Kind(lambda which, constants: zero_coupling(which)),
-    "lorentz_isotropic": _Kind(lorentz_isotropic, ("strength", "resonance", "width"),
-                               ("omega_max",)),
-    "drude": _Kind(drude, ("strength", "width"), ("omega_max",)),
-    "gaussian_anisotropic": _Kind(gaussian_anisotropic, ("axis_strengths", "center"),
-                                  ("correlation_length", "omega_max")),
-    "tabulated": _Kind(lambda which, constants, table: tabulated_from_csv(table, which=which),
-                       ("table",)),
-}
-# part -> (sector, the kinds it takes, its parameters outside any kind): the
-# conductor part is the free carriers, a plain Drude form that joins the
-# electric part in the conductor stage; electric.target_table is invert-chi's
-# target spectrum
+# part -> (sector, the kinds it takes, its parameters outside any kind); a
+# kind is its row of `couplings._KINDS`. The conductor part is the free
+# carriers, a plain Drude form (no omega_max) that joins the electric part in
+# the conductor stage; electric.target_table is invert-chi's target spectrum
 _PARTS = {
     "electric": (ELECTRIC, _KINDS, ("target_table",)),
     "magnetic": (MAGNETIC, _KINDS, ()),
-    "conductor": (ELECTRIC, {"zero": _KINDS["zero"], "drude": _Kind(drude, ("strength", "width"))},
-                  ()),
+    "conductor": (ELECTRIC,
+                  {name: _KINDS[name]._replace(optional=()) for name in ("zero", "drude")}, ()),
 }
 _PARAMETERS = {
     "kind": _Key(None, str),
@@ -616,14 +602,9 @@ def run_scenario(
     return run.manifest
 
 
-def _recovered(targets, omega, k, which, constants) -> np.ndarray:
-    """The couplings recovered from target Im chi_hat tensors, one per omega."""
-    return np.stack([coupling_from_target(targets[i], w, k, which=which, constants=constants)
-                     for i, w in enumerate(omega)])
-
-
 def _roundtrip_error(model, spectrum, omega, k, constants) -> float:
-    rec = _recovered(spectrum.imag_hermitian(), omega, k, model.which, constants)
+    rec = coupling_from_target(spectrum.imag_hermitian(), omega, k, which=model.which,
+                               constants=constants)
     return _relative_deviation(rec @ np.conj(np.transpose(rec, (0, 2, 1))),
                                coupling_product(model, omega, k))
 
@@ -653,8 +634,8 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
             tag = f"k{ik}"
             with manifest.timed(f"invert_{tag}"):
                 if target_path is not None:
-                    rec = _recovered(table.interpolate(omega, float(np.linalg.norm(k))), omega,
-                                     k, ELECTRIC, constants)
+                    rec = coupling_from_target(table.interpolate(omega, float(np.linalg.norm(k))),
+                                               omega, k, which=ELECTRIC, constants=constants)
                     emit(f"recovered_coupling_{tag}.csv", write_tensor_series_csv, "omega", omega,
                          rec)
                 else:

@@ -133,18 +133,23 @@ def longitudinal_projector(k) -> np.ndarray:
 
 
 def hermitian_sqrt(T, tol=1e-12) -> np.ndarray:
-    """Principal Hermitian PSD square root via eigendecomposition.
+    """Principal Hermitian PSD square root via eigendecomposition, of one
+    matrix or of each matrix of a stack (..., 3, 3).
 
     Eigenvalues in [-tol, 0) are clipped to zero; anything below -tol raises
-    NotPSD. The input must be Hermitian to tol (relative to its magnitude).
+    NotPSD, whose `index` is the first such matrix's. The input must be
+    Hermitian to tol. Both tests are relative to each matrix's magnitude.
     """
     T = np.asarray(T, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(T))))
-    if float(np.max(np.abs(T - T.conj().T))) > tol * scale:
+    scale = np.maximum(1.0, np.max(np.abs(T), axis=(-2, -1)))
+    adjoint = np.swapaxes(T.conj(), -2, -1)
+    if np.any(np.max(np.abs(T - adjoint), axis=(-2, -1)) > tol * scale):
         raise NotHermitian("matrix is not hermitian within tolerance")
-    w, v = np.linalg.eigh(0.5 * (T + T.conj().T))
-    if np.min(w) < -tol * scale:
-        raise NotPSD(f"negative eigenvalue {np.min(w):g} below -tol")
+    w, v = np.linalg.eigh(0.5 * (T + adjoint))
+    low = np.min(w, axis=-1)
+    failing = low < -tol * scale
+    if np.any(failing):
+        index = np.unravel_index(np.argmax(failing), failing.shape)
+        raise NotPSD(f"negative eigenvalue {low[index]:g} below -tol", index=index)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -2, -1)

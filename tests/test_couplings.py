@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from mqed.couplings import (
+    ELECTRIC,
     GaugeTransform,
     TabulatedTable,
     apply_gauge,
@@ -16,10 +19,12 @@ from mqed.couplings import (
     sector_coupling,
     tabulated,
     tabulated_from_csv,
+    _sector_scale,
     zero_coupling,
 )
 from mqed.errors import NotOrthogonal, NotPSD, OutOfTableRange, ValidationError, ZeroFrequency
 from mqed.quadrature import gauss_legendre
+from mqed.tensors import NATURAL, hermitian_sqrt
 
 K = np.array([0.3, -0.2, 0.9])
 
@@ -147,6 +152,27 @@ def test_coupling_from_target_errors():
         coupling_from_target(np.diag([1.0, -1.0, 0.0]), 1.0, K)
     with pytest.raises(ZeroFrequency):
         coupling_from_target(np.eye(3), 0.0, K)
+
+
+def test_coupling_from_target_on_a_stack_is_the_per_omega_recovery():
+    # one call on 240 targets, each at its own omega, gives bit for bit the
+    # root of each target scaled as a lone float omega scales it (this grid
+    # has an omega whose square a vectorized omega**2 rounds otherwise)
+    omega = np.linspace(0.1, 8.0, 240)
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((240, 3, 3)) + 1j * rng.standard_normal((240, 3, 3))
+    targets = m @ np.conj(np.transpose(m, (0, 2, 1)))
+    got = coupling_from_target(targets, omega, K)
+    scale = _sector_scale(ELECTRIC, NATURAL) ** 2
+    assert np.array_equal(got, np.stack([hermitian_sqrt(scale / float(w)**2 * t, tol=1e-12)
+                                         for t, w in zip(targets, omega)]))
+    assert np.array_equal(got[17], coupling_from_target(targets[17], float(omega[17]), K))
+    # the error names the first omega whose target is not PSD
+    targets[[5, 9]] = np.diag([1.0, -1.0, 0.0])
+    with pytest.raises(NotPSD, match=f"omega={omega[5]:g} is not PSD"):
+        coupling_from_target(targets, omega, K)
+    with pytest.raises(ZeroFrequency):
+        coupling_from_target(targets, np.linspace(0.0, 8.0, 240), K)
 
 
 def test_apply_gauge_identity():
@@ -314,6 +340,19 @@ def test_tabulated_csv_rejects_a_repeated_pair(tmp_path):
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(ValidationError, match="repeats"):
         tabulated_from_csv(path)
+
+@pytest.mark.parametrize("axis, pairs", [("omega", ((1.0, 0.5), (1.0, 1.5))),
+                                         ("|k|", ((1.0, 0.5), (2.0, 0.5)))])
+def test_tabulated_csv_rejects_a_single_point_axis(tmp_path, axis, pairs):
+    # bilinear interpolation needs two points on each axis: a single |k|
+    # raised IndexError on evaluation, and a single omega gave NaN
+    header = "omega,kmag," + ",".join(f"c{i}" for i in range(18))
+    cells = ",".join(["0.5"] * 18)
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, *(f"{w},{km},{cells}" for w, km in pairs)]) + "\n")
+    with pytest.raises(ValidationError, match=f"table {re.escape(axis)} grid needs at least two"):
+        tabulated_from_csv(path)
+
 
 def test_tabulated_interpolates_between_nodes():
     omegas = np.array([1.0, 2.0])

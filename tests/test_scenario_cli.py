@@ -10,9 +10,9 @@ import pytest
 
 from mqed import NATURAL, scenario
 from mqed.cli import _STAGES, build_parser, main
-from mqed.couplings import MAGNETIC, drude, gaussian_anisotropic, lorentz_isotropic
+from mqed.couplings import _KINDS, MAGNETIC, drude, gaussian_anisotropic, lorentz_isotropic
 from mqed.errors import ParseError, ValidationError
-from mqed.scenario import _KINDS, _SCHEMA, parse_scenario, run_scenario, serialize_scenario
+from mqed.scenario import _SCHEMA, parse_scenario, run_scenario, serialize_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -295,6 +295,25 @@ def _target_config(tmp_path, tensor, k="0,0,1", name="out"):
         f"[output]\ndirectory = {tmp_path / name}\n"
     )
     return str(cfg)
+
+
+@pytest.mark.parametrize("axis, pairs", [("omega", ((0.0, 0.5), (0.0, 1.5))),
+                                         ("|k|", ((0.0, 1.0), (10.0, 1.0)))])
+def test_cli_verify_single_point_table_axis_is_a_config_error(tmp_path, capsys, axis, pairs):
+    # a tabulated part needs two points on each axis: with one (the run's
+    # |k|, or omega = 0) verify died with an IndexError or a
+    # ZeroDivisionError and wrote no manifest
+    cells = ",".join(["0.5", "0.0"] * 9)
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(["omega,kmag," + ",".join(TENSOR_HEADER),
+                                *(f"{w},{km},{cells}" for w, km in pairs)]) + "\n")
+    cfg = tmp_path / "tabulated.cfg"
+    cfg.write_text(f"[medium]\nelectric.kind = tabulated\nelectric.table = {table}\n"
+                   f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: table {axis} grid needs at least two points" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_invert_chi_not_psd_exit_code(tmp_path):

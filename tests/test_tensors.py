@@ -147,3 +147,32 @@ def test_hermitian_sqrt_rejects_negative():
 def test_hermitian_sqrt_clips_tiny_negative():
     s = hermitian_sqrt(np.diag([1.0, -1e-14, 1.0]), tol=1e-12)
     assert np.min(np.linalg.eigvalsh(s)) >= 0.0
+
+
+def _psd_stack(n, seed=7):
+    """n random Hermitian PSD matrices whose magnitudes span 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    return (m @ np.conj(np.transpose(m, (0, 2, 1)))) * np.logspace(-6, 6, n)[:, None, None]
+
+
+def test_stacked_hermitian_sqrt_is_the_per_matrix_root_bit_for_bit():
+    stack = _psd_stack(240)
+    assert np.array_equal(hermitian_sqrt(stack), np.stack([hermitian_sqrt(m) for m in stack]))
+    assert hermitian_sqrt(stack[:0]).shape == (0, 3, 3)
+
+
+def test_stacked_hermitian_sqrt_tests_each_matrix_on_its_own_scale():
+    # beside a matrix of magnitude 1e6 the unit matrix's eigenvalue -1e-9 is
+    # below -tol of its own magnitude, and its 1e-9 asymmetry past tol
+    big, small = 1e6 * np.eye(3), np.diag([1.0, -1e-9, 1.0])
+    with pytest.raises(NotPSD) as err:
+        hermitian_sqrt(np.stack([big, big, small, small]))
+    assert err.value.index == (2,)
+    skew = np.eye(3) + 1e-9 * np.triu(np.ones((3, 3)), 1)
+    with pytest.raises(NotHermitian):
+        hermitian_sqrt(np.stack([big, skew]))
+    assert hermitian_sqrt(np.diag([1.0, -0.5, 1.0]), tol=1.0).shape == (3, 3)
+    with pytest.raises(NotPSD) as err:
+        hermitian_sqrt(np.diag([1.0, -0.5, 1.0]))
+    assert err.value.index == ()
