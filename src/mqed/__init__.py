@@ -20,7 +20,6 @@ from .couplings import (
     drude,
     gaussian_anisotropic,
     lorentz_isotropic,
-    rotation_gauge,
     tabulated,
     tabulated_from_csv,
     zero_coupling,

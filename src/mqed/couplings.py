@@ -10,7 +10,8 @@ has a simple closed form:
 * gaussian_anisotropic: per-axis strengths, Im chi_hat_ii proportional to
   omega^4 exp(-omega^2/center^2), spatially nonlocal through a Gaussian of
   correlation length ell (k-space factor exp(-ell^2 |k|^2 / 2))
-* tabulated: bilinear interpolation of sampled tensors over (omega, |k|)
+* tabulated: bilinear interpolation of sampled tensors over (omega, |k|),
+  zero above the table's top omega
 
 Each kind is declared once, as a row of `_KINDS`: its config parameters and
 constructor, its profile f, frequency scale, hard cutoff, horizon, closed
@@ -365,12 +366,20 @@ _KINDS = {
 
 
 def eval_coupling_batch(model: CouplingModel, omegas, k) -> np.ndarray:
-    """Vectorized coupling evaluation, the part's gauge applied last:
-    returns (n_omega, 3, 3) complex."""
+    """Vectorized coupling evaluation, the part's gauge applied last, and 0
+    above its hard cutoff, where its support ends: returns (n_omega, 3, 3)
+    complex."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(omegas < 0.0):
         raise ValidationError("coupling evaluation requires omega >= 0")
-    out = model._row.profile(model, omegas, np.asarray(k, dtype=float))
+    k = np.asarray(k, dtype=float)
+    top = model.hard_cutoff
+    if top is None:
+        out = model._row.profile(model, omegas, k)
+    else:
+        inside = omegas <= top
+        out = np.zeros((omegas.size, 3, 3), dtype=complex)
+        out[inside] = model._row.profile(model, omegas[inside], k)
     if model.omega_max is not None:
         out = out * np.exp(-(omegas**2) / model.omega_max**2)[:, None, None]
     if model.gauge is not None and omegas.size:
@@ -406,7 +415,6 @@ def coupling_from_target(
     k,
     which: str = ELECTRIC,
     constants: PhysicalConstants = NATURAL,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Recover the coupling tensor from a target Im chi_hat at one (omega, k),
     or the tensors of a stack (n, 3, 3) at their n frequencies.
@@ -423,7 +431,7 @@ def coupling_from_target(
     scale = _sector_scale(which, constants) ** 2 / np.float_power(omega, 2)
     target = scale[..., None, None] * np.asarray(im_chi, dtype=complex)
     try:
-        return hermitian_sqrt(target, tol=tol)
+        return hermitian_sqrt(target)
     except NotPSD as exc:
         first = np.broadcast_to(omega, target.shape[:-2])[exc.index]
         raise NotPSD(f"Im chi target at omega={first:g} is not PSD: {exc}",
@@ -435,17 +443,17 @@ class GaugeTransform:
     """Frequency-dependent real orthogonal tensor A(omega).
 
     Right-multiplying a coupling by A^T(omega) leaves f f^dag, hence the
-    susceptibilities and every commutator coefficient, unchanged.
+    susceptibilities and every commutator coefficient, unchanged. A A^T
+    must lie within 1e-12 of the identity.
     """
 
     evaluator: Callable[[float], np.ndarray]
-    tol: float = 1e-12
 
     def __call__(self, omega: float) -> np.ndarray:
         a = np.asarray(self.evaluator(float(omega)), dtype=float)
         if a.shape != (3, 3):
             raise NotOrthogonal("gauge tensor must be 3x3")
-        if np.max(np.abs(a @ a.T - IDENTITY3)) > self.tol:
+        if np.max(np.abs(a @ a.T - IDENTITY3)) > 1e-12:
             raise NotOrthogonal(f"gauge tensor at omega={omega:g} is not orthogonal")
         return a
 
@@ -455,31 +463,5 @@ def apply_gauge(model: CouplingModel, gauge: GaugeTransform) -> CouplingModel:
     after any gauge the model already carries."""
     if model.gauge is not None:
         inner, outer = model.gauge, gauge
-        gauge = GaugeTransform(lambda w: outer(w) @ inner(w), max(inner.tol, outer.tol))
+        gauge = GaugeTransform(lambda w: outer(w) @ inner(w))
     return replace(model, gauge=gauge)
-
-
-def rotation_gauge(axis, angle_fn: Callable[[float], float]) -> GaugeTransform:
-    """Gauge built from rotations about a fixed axis by an angle angle_fn(omega)."""
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    kx = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-
-    def evaluator(omega: float) -> np.ndarray:
-        th = float(angle_fn(omega))
-        return IDENTITY3 + np.sin(th) * kx + (1.0 - np.cos(th)) * (kx @ kx)
-
-    return GaugeTransform(evaluator=evaluator)
-
-
-def random_orthogonal_gauge(rng: np.random.Generator) -> GaugeTransform:
-    """Reproducible frequency-dependent orthogonal gauge for invariance tests."""
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    axis = rng.standard_normal(3)
-    th0, th1 = rng.uniform(0.0, np.pi, size=2)
-    base = rotation_gauge(axis, lambda w: th0 + th1 * np.tanh(w))
-
-    def evaluator(omega: float) -> np.ndarray:
-        return q @ base.evaluator(omega)
-
-    return GaugeTransform(evaluator=evaluator)

@@ -46,16 +46,14 @@ import numpy as np
 from .couplings import ELECTRIC, MAGNETIC, sector_coupling
 from .errors import LineNotConverged, PoleFindingFailed, ValidationError
 from .quadrature import gauss_legendre
-from .rational import Rational, ilt_rational
+from .rational import POLE_TOL, Rational, ilt_rational
 from .response import LaplaceResponse, _chunks, _fft_size, laplace_response, uniform_step
 from .tensors import curl_symbol, longitudinal_projector, transverse_projector
 
 MARGINAL_POLE_TOL = 1e-12
-# the relative tolerance of pole finding; the line's abscissa (times
-# 1 / horizon), half-width and margin past the top reservoir frequency
-# (times the largest frequency scale), and the tolerance of its two error
-# estimates
-_POLE_TOL = 1e-7
+# the line's abscissa (times 1 / horizon), half-width and margin past the
+# top reservoir frequency (times the largest frequency scale), and the
+# tolerance of its two error estimates
 _LINE_ABSCISSA_FACTOR = 3.0
 _LINE_HALFWIDTH_FACTOR = 40.0
 _LINE_RESERVOIR_MARGIN = 20.0
@@ -188,7 +186,7 @@ def _ilt_with_reservoir(rat: Rational, poles, residues, omega_q: np.ndarray, t: 
     extra = -1j * omega_q  # (n_q,)
     if poles.size:
         dist = np.abs(extra[:, None] - poles[None, :])
-        if float(np.min(dist)) < _POLE_TOL * max(1.0, float(np.max(np.abs(poles)))):
+        if float(np.min(dist)) < POLE_TOL * max(1.0, float(np.max(np.abs(poles)))):
             raise PoleFindingFailed("reservoir pole collides with a medium pole")
     # residue of rho/(rho+iw) rat at base pole p: p res_p / (p + iw), from
     # the residues of the cancelled form (a removable root of rat.den, as at
@@ -233,7 +231,7 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
 
     ilt, fractions = {}, {}  # each scalar's transform on t, and its [poles, residues]
     for name, rat in scalars.items():
-        ilt[name], *fractions[name] = ilt_rational(rat, t, pole_tol=_POLE_TOL)
+        ilt[name], *fractions[name] = ilt_rational(rat, t)
     base = np.empty((t.size, 6, 6), dtype=complex)
     for name, (rows, cols) in _BLOCKS.items():
         base[:, rows, cols] = block(ilt, name)

@@ -27,11 +27,11 @@ from .couplings import ELECTRIC, MAGNETIC
 from .errors import ValidationError
 from .modes import ModeCoefficients, mode_coefficients
 from .noise import CommutatorReport, _oscillator_responses
-from .rational import ilt_rational
 from .response import (
     LaplaceResponse,
     SusceptibilityKernel,
     _central_difference,
+    _damped_oscillator,
     _fft_size,
     _relative_deviation,
     block_tensors,
@@ -126,13 +126,13 @@ class FieldOperatorRepresentation:
 def _memory_kernel(which: str, rep: FieldOperatorRepresentation) -> np.ndarray:
     """The chi(t) of sector `which` on the representation's t grid whose
     transform the mode solver inverted, summed over the sector's parts at k:
-    the closed-form inverse of a rational part, the kernel values of its
-    Laplace representation for any other."""
+    a rational part's closed form (`_damped_oscillator`, as its chi kernel),
+    the kernel values of its Laplace representation for any other."""
     t = rep.t_grid
     out = np.zeros((t.size, 3, 3), dtype=complex)
     for part in rep.response.sector(which):
         if (form := part.closed_form) is not None:
-            out += ilt_rational(form, t)[0][:, None, None] * IDENTITY3
+            out += _damped_oscillator(form, t)[:, None, None] * IDENTITY3
         else:
             out += rep.response.laplace_rep(part, rep.k).kernel_values(t)
     return out

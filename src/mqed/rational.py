@@ -16,6 +16,10 @@ from numpy.polynomial import polynomial as P
 
 from .errors import PoleFindingFailed
 
+# the relative distance within which two poles count as one: a root the
+# numerator shares is cancelled, any other is a repeated pole
+POLE_TOL = 1e-7
+
 
 def _trim(c: np.ndarray) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c, dtype=complex))
@@ -79,22 +83,6 @@ class Rational:
     def strictly_proper(self) -> bool:
         return self.num.size < self.den.size or self.is_zero
 
-    def at_infinity(self, n: int) -> np.ndarray:
-        """c_0 .. c_n of the expansion sum_j c_j rho^-j at rho = infinity,
-        by power-series division in u = 1/rho (reversed coefficients)."""
-        if self.num.size > self.den.size:
-            raise ValueError("an improper rational function has no expansion at infinity")
-        num, den = self.num[::-1], self.den[::-1]
-        shift = self.den.size - self.num.size
-        out = np.zeros(n + 1, dtype=complex)
-        for j in range(shift, n + 1):
-            i = j - shift
-            acc = num[i] if i < num.size else 0.0
-            for m in range(1, min(i, den.size - 1) + 1):
-                acc -= den[m] * out[j - m]
-            out[j] = acc / den[0]
-        return out
-
 
 def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
     """Synthetic division of a (low-to-high) polynomial by (x - root)."""
@@ -107,7 +95,7 @@ def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
     return out
 
 
-def _cancel_removable(num, den, pole_tol):
+def _cancel_removable(num, den):
     """Deflate common (removable) roots so repeated denominator roots that
     the numerator shares do not masquerade as genuine multiple poles.
 
@@ -120,7 +108,7 @@ def _cancel_removable(num, den, pole_tol):
         scale = max(1.0, float(np.max(np.abs(roots))))
         diff = np.abs(roots[:, None] - roots[None, :])
         np.fill_diagonal(diff, np.inf)
-        pairs = np.argwhere(diff < pole_tol * scale)
+        pairs = np.argwhere(diff < POLE_TOL * scale)
         if pairs.size == 0:
             return num, den, roots
         p = roots[pairs[0][0]]
@@ -134,7 +122,7 @@ def _cancel_removable(num, den, pole_tol):
     return num, den, P.polyroots(den)
 
 
-def partial_fractions(rat: Rational, pole_tol: float = 1e-7):
+def partial_fractions(rat: Rational):
     """Simple-pole expansion: returns (poles, residues).
 
     Removable common factors are cancelled first; genuinely repeated poles
@@ -144,19 +132,19 @@ def partial_fractions(rat: Rational, pole_tol: float = 1e-7):
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
     if not rat.strictly_proper:
         raise PoleFindingFailed("inverse transform needs a strictly proper rational function")
-    num, den, poles = _cancel_removable(rat.num, rat.den, pole_tol)
+    num, den, poles = _cancel_removable(rat.num, rat.den)
     dden = P.polyder(den)
     residues = P.polyval(poles, num) / P.polyval(poles, dden)
     return poles, residues
 
 
-def ilt_rational(rat: Rational, t_grid, pole_tol: float = 1e-7):
+def ilt_rational(rat: Rational, t_grid):
     """Inverse Laplace transform of a rational function on a time grid.
 
     Returns (values, poles, residues); values[t] = sum_p res_p exp(p t).
     """
     t = np.asarray(t_grid, dtype=float)
-    poles, residues = partial_fractions(rat, pole_tol)
+    poles, residues = partial_fractions(rat)
     if poles.size == 0:
         return np.zeros(t.shape, dtype=complex), poles, residues
     values = np.exp(np.outer(t, poles)) @ residues

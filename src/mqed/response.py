@@ -430,6 +430,12 @@ def check_grid(model) -> np.ndarray:
     return np.linspace(0.0, _CHECK_HORIZON / model.frequency_scale, 3001)
 
 
+def _oscillator_coefficients(form: Rational) -> tuple:
+    """(s^2, omega_0^2, gamma) of a nonzero part's closed form s^2 / (rho^2
+    + gamma rho + omega_0^2): the one reader of its coefficients."""
+    return form.num[0].real, form.den[0].real, form.den[1].real
+
+
 def _damped_oscillator(form: Rational, t: np.ndarray) -> np.ndarray:
     """The inverse transform of a part's closed form s^2 / (rho^2 + gamma
     rho + omega_0^2) on t, chi(t) = s^2 t e^{-gamma t / 2} sinc(Omega t / pi)
@@ -438,7 +444,7 @@ def _damped_oscillator(form: Rational, t: np.ndarray) -> np.ndarray:
     included. For Omega = i kappa it is evaluated as s^2 t e^{-a t}
     (1 - e^{-2 kappa t}) / (2 kappa t), a = omega_0^2 / (gamma / 2 + kappa)
     = gamma / 2 - kappa, which neither overflows nor cancels."""
-    s2, w02, g = form.num[0].real, form.den[0].real, form.den[1].real
+    s2, w02, g = _oscillator_coefficients(form)
     omega = np.sqrt(complex(w02 - 0.25 * g**2))
     if omega.imag == 0.0:
         return s2 * t * np.exp(-0.5 * g * t) * np.sinc(omega.real * t / np.pi)
@@ -619,8 +625,9 @@ def chi_spectrum(
         raise ValidationError("omega_grid must be 1-d and nonnegative")
     closed = kernel.closed_form
     if closed is not None:
-        # den[0] = omega_0^2 = 0: a pole at rho = 0, whose residue is chi(inf)
-        plateau = (closed.num[0] / closed.den[1]) * IDENTITY3 if closed.den[0] == 0 else None
+        # omega_0^2 = 0: a pole at rho = 0, whose residue is chi(inf)
+        s2, w02, g = _oscillator_coefficients(closed)
+        plateau = (s2 / g) * IDENTITY3 if w02 == 0.0 else None
         wobble = 0.0
     else:
         plateau, wobble = _plateau(kernel.values, kernel.t_grid, tail_rtol)
@@ -824,13 +831,14 @@ class LaplaceResponse:
     def chi_moments(self, which: str, k):
         """(M1, M2) of chi_hat = M1 rho^-2 + M2 rho^-3 + O(rho^-4) at large
         rho, as (3, 3) tensors: chi'(0+) and chi''(0+) of sector `which`,
-        summed over its parts. A rational part takes both from the expansion
-        of its closed form; a Laplace representation gives M1 = sum_n c_n
-        omega_n and M2 = 0."""
+        summed over its parts. A rational part's closed form s^2 / (rho^2 +
+        gamma rho + omega_0^2) gives (s^2, -s^2 gamma); a Laplace
+        representation gives M1 = sum_n c_n omega_n and M2 = 0."""
         out = np.zeros((2, 3, 3), dtype=complex)
         for part in self.sector(which):
             if (form := part.closed_form) is not None:
-                out += form.at_infinity(3)[2:, None, None] * IDENTITY3
+                s2, _, g = _oscillator_coefficients(form)
+                out += np.array([s2, -s2 * g])[:, None, None] * IDENTITY3
             else:
                 rep = self.laplace_rep(part, k)
                 out[0] += rep.contract(rep.nodes[None, :])[0]

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from helpers import random_orthogonal_gauge
 from mqed.conductor import conductor_modes, q_kernel_consistency
 from mqed.couplings import (
     apply_gauge,
@@ -15,7 +16,6 @@ from mqed.couplings import (
     drude,
     gaussian_anisotropic,
     lorentz_isotropic,
-    random_orthogonal_gauge,
     zero_coupling,
 )
 from mqed.modes import lambda_reality_scan, line_mode_coefficients, mode_coefficients

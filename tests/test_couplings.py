@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import random_orthogonal_gauge, rotation_gauge, write_table_csv
 from mqed.couplings import (
     ELECTRIC,
     GaugeTransform,
@@ -14,8 +15,6 @@ from mqed.couplings import (
     eval_coupling_batch,
     gaussian_anisotropic,
     lorentz_isotropic,
-    random_orthogonal_gauge,
-    rotation_gauge,
     sector_coupling,
     tabulated,
     tabulated_from_csv,
@@ -304,28 +303,16 @@ def test_tabulated_roundtrip(tmp_path):
         np.stack([eval_coupling_batch(model, [w], [0.0, 0.0, km])[0] for km in kmags])
         for w in omegas
     ])
-    table = TabulatedTable(omegas=omegas, kmags=kmags, values=values)
-    path = tmp_path / "table.csv"
-    lines = ["omega,kmag," + ",".join(
-        f"{p}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")
-    )]
-    for iw, w in enumerate(omegas):
-        for ik, km in enumerate(kmags):
-            cells = [format(w, ".17g"), format(km, ".17g")]
-            for i in range(3):
-                for j in range(3):
-                    cells += [
-                        format(values[iw, ik, i, j].real, ".17g"),
-                        format(values[iw, ik, i, j].imag, ".17g"),
-                    ]
-            lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-    loaded = tabulated_from_csv(path)
+    loaded = tabulated_from_csv(write_table_csv(tmp_path / "table.csv", omegas, kmags, values))
     got = eval_coupling_batch(loaded, [omegas[7]], [0.0, 0.0, 1.0])[0]
     assert np.max(np.abs(got - values[7, 1])) < 1e-12
 
+    # the part's support ends at its table's top: above it the coupling is
+    # 0; below the table's first omega, or off its |k| axis, it is unknown
+    above = eval_coupling_batch(loaded, [omegas[-1], 11.0], [0.0, 0.0, 1.0])
+    assert np.array_equal(above[1], np.zeros((3, 3))) and np.any(above[0])
     with pytest.raises(OutOfTableRange):
-        eval_coupling_batch(loaded, [11.0], [0.0, 0.0, 1.0])
+        eval_coupling_batch(loaded, [0.01], [0.0, 0.0, 1.0])
     with pytest.raises(OutOfTableRange):
         eval_coupling_batch(loaded, [1.0], [0.0, 0.0, 5.0])
 

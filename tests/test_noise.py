@@ -1,12 +1,12 @@
 import numpy as np
 
+from helpers import random_orthogonal_gauge
 from mqed.couplings import (
     TabulatedTable,
     apply_gauge,
     drude,
     gaussian_anisotropic,
     lorentz_isotropic,
-    random_orthogonal_gauge,
     tabulated,
     zero_coupling,
 )

@@ -3,11 +3,12 @@ import pytest
 
 import mqed.response
 from mqed import noise, observables
+from helpers import random_orthogonal_gauge
 from mqed.couplings import (
     apply_gauge,
+    drude,
     gaussian_anisotropic,
     lorentz_isotropic,
-    random_orthogonal_gauge,
     zero_coupling,
 )
 from mqed.errors import ValidationError
@@ -20,7 +21,8 @@ from mqed.observables import (
     vacuum_spectrum,
 )
 from mqed.quadrature import QuadratureSpec, gauss_legendre
-from mqed.response import check_grid, chi_kernel, finite_difference_time, laplace_response
+from mqed.response import (_damped_oscillator, check_grid, chi_kernel, finite_difference_time,
+                           laplace_response)
 from mqed.tensors import NATURAL, transverse_projector
 
 K = np.array([0.4, -0.3, 1.1])
@@ -317,6 +319,19 @@ def test_memory_kernel_is_the_mode_solvers_laplace_kernel():
     t_long = np.linspace(0.0, model.suggested_t_max(1e-11), 2200)
     want = chi_kernel(model, K, t_long, quad=quad).rep.kernel_values(t)
     assert np.max(np.abs(got - want)) <= quad.rtol * np.max(np.abs(want))
+
+
+def test_rational_memory_kernel_is_the_chi_stages_closed_form():
+    # the Maxwell residual reads a rational part's chi(t) from the evaluator
+    # the chi stage reads, bit for bit: under-, critically (a double pole,
+    # which partial fractions refuse) and overdamped, and Drude
+    t = np.linspace(0.0, 4.0, 801)
+    for model in (lorentz_isotropic(1.3, 1.0, 0.5), lorentz_isotropic(1.3, 1.0, 2.0),
+                  lorentz_isotropic(0.8, 1.4, 3.0), drude(1.1, 0.5)):
+        rep = field_representation(laplace_response(model), K, t, [1.0], [0.5])
+        want = _damped_oscillator(model.closed_form, t)[:, None, None] * np.eye(3)
+        assert np.array_equal(rep.chi_e, want)
+        assert np.array_equal(rep.chi_e, chi_kernel(model, K, t).values)
 
 
 def test_oscillator_tables_match_stepwise_recurrence(monkeypatch):

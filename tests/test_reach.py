@@ -1,12 +1,16 @@
-"""Every function in `src/mqed` is reached by a CLI run on a bundled config,
-or is on `_UNREACHED` with the reason no run reaches it.
+"""Every function in `src/mqed` is reached by a CLI run, or is on
+`_UNREACHED` with the reason no run reaches it and the ROADMAP item that
+retires it.
 
-The runs are every subcommand on every bundled config, and one more with the
-flags those leave out. They run in one fresh interpreter under
-`sys.setprofile`, which records the code objects called. The functions are
-the package's module-level functions and methods: a nested function counts
-with its owner, and a lambda is not counted. Calls made when the package is
-imported are not seen.
+The runs are every subcommand on every bundled config, one more with the
+flags those leave out, and runs on files the test writes: configs a user can
+write that no bundled config is (a tabulated medium, a target table), and
+configs and arguments that fail. Each run states the exit codes it may end
+with. They run in one fresh interpreter under `sys.setprofile`, which
+records the code objects called. The functions are the package's
+module-level functions and methods: a nested function counts with its owner,
+and a lambda is not counted. Calls made when the package is imported are not
+seen.
 """
 
 import ast
@@ -16,40 +20,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+from helpers import write_table_csv
 from mqed.cli import _STAGES
+from mqed.couplings import eval_coupling_batch, gaussian_anisotropic
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mqed"
 CONFIGS = ROOT / "configs"
 # the flags the subcommand runs leave out: SI constants and one output format
-_FLAG_RUN = ("invert-chi", str(CONFIGS / "lorentz.cfg"), "--si", "--format", "json")
+_FLAG_RUN = ("invert-chi", "--config", str(CONFIGS / "lorentz.cfg"), "--si", "--format", "json")
 
-_GAUGE = "a gauge helper: only tests apply a gauge until a manifest check does (ROADMAP item 4)"
-_TABULATED = "the tabulated kind: no bundled config has a tabulated part (ROADMAP item 3)"
-_ERROR = "an error path: no bundled config fails there"
+_GAUGE = "the gauge API: only tests apply a gauge until the gauge check does (ROADMAP item 4)"
 _UNREACHED = {
-    "cli._Parser.error": "a usage error: every run's arguments are valid",
     "conductor.q_kernel_consistency": "tests only; the benchmark traces it (ROADMAP item 5)",
     "couplings.GaugeTransform.__call__": _GAUGE,
     "couplings.apply_gauge": _GAUGE,
-    "couplings.random_orthogonal_gauge": _GAUGE,
-    "couplings.rotation_gauge": _GAUGE,
-    "couplings.TabulatedTable.__post_init__": _TABULATED,
-    "couplings.TabulatedTable._contents": _TABULATED,
-    "couplings.TabulatedTable.__eq__": _TABULATED,
-    "couplings.TabulatedTable._hash": _TABULATED,
-    "couplings.TabulatedTable.__hash__": _TABULATED,
-    "couplings.TabulatedTable.interpolate": _TABULATED,
-    "couplings.tabulated": _TABULATED,
-    "couplings.tabulated_from_csv": _TABULATED,
-    "couplings._table_top": _TABULATED,
-    "errors.ParseError.__init__": _ERROR,
-    "errors.ValidationError.__init__": _ERROR,
-    "errors.NotPSD.__init__": _ERROR,
+    # a dict lookup matches a key by identity before it compares by value
+    "couplings.TabulatedTable.__eq__": "a run holds each table once, so no lookup compares "
+                                       "two by value (ROADMAP item 9)",
     "modes.line_mode_coefficients": "tests only: the Bromwich line's reference route on a "
                                     "rational medium (ROADMAP item 10)",
     "observables.vacuum_eh_coefficient": "tests only, until a free-space check (ROADMAP item 4)",
-    "rational.Rational.at_infinity": "tests only (ROADMAP item 9)",
 }
 
 
@@ -79,23 +71,57 @@ codes = set()
 def record(frame, event, arg):
     if event == "call":
         codes.add(frame.f_code)
-for i, (command, config, *flags) in enumerate(json.loads(sys.argv[1])):
+for argv, expected in json.loads(sys.argv[1]):
     sys.setprofile(record)
-    code = main([command, "--config", config, "--out", f"{sys.argv[2]}/{i}", *flags])
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error: the parser exits
+        code = exc.code
     sys.setprofile(None)
-    assert code in (0, 2), (command, config, flags)
+    assert code in expected, (argv, code, expected)
 print(json.dumps(sorted({(Path(c.co_filename).name, c.co_firstlineno) for c in codes
-                         if Path(c.co_filename).parent == Path(sys.argv[3])})))
+                         if Path(c.co_filename).parent == Path(sys.argv[2])})))
 """
+
+
+def _written_runs(tmp: Path) -> list:
+    """(command, config text, the exit codes it may end with) of the runs on
+    configs the test writes under tmp: a tabulated medium whose table stops
+    at omega = 6, below the reservoir rule's top (its chi stage may stop at
+    a numerical check), invert-chi on a target table and on a non-PSD one,
+    and two config errors."""
+    omegas = np.linspace(0.0, 6.0, 61)
+    f = eval_coupling_batch(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0), omegas, (0.0, 0.0, 1.0))
+    table = write_table_csv(tmp / "table.csv", omegas, (0.0, 10.0), f[:, None])
+    tabulated = f"[medium]\nelectric.kind = tabulated\nelectric.table = {table}\n" \
+                "[grids]\nk = 0,0,1.3\nt_max = 2\ncommutator_t = 0,1\nreservoir_order = 16\n" \
+                "[numerics]\nquad_rtol = 1e-5\n"
+    target = "[medium]\nelectric.target_table = {}\n[grids]\nn_omega = 5\n"
+    psd, not_psd = (write_table_csv(tmp / f"{name}.csv", (0.0, 1.0, 2.0, 6.0), (0.0, 2.0),
+                                    value * np.eye(3))
+                    for name, value in (("psd", 0.5), ("not_psd", -0.5)))
+    return [("chi", tabulated, (0, 2)), ("modes", tabulated, (0, 2)),
+            ("invert-chi", target.format(psd), (0,)),
+            ("invert-chi", target.format(not_psd), (2,)),
+            ("verify", "[grids\n", (1,)), ("verify", "[grids]\nn_t = 1\n", (1,))]
 
 
 def _reached(out: Path) -> set:
     """(file name, first line) of every package function the runs call."""
-    runs = [(command, str(config)) for config in sorted(CONFIGS.glob("*.cfg"))
-            for command in (*_STAGES, "invert-chi")] + [_FLAG_RUN]
+    runs = [([command, "--config", str(config)], (0, 2))
+            for config in sorted(CONFIGS.glob("*.cfg")) for command in (*_STAGES, "invert-chi")]
+    runs.append((list(_FLAG_RUN), (0,)))
+    for i, (command, text, expected) in enumerate(_written_runs(out)):
+        config = out / f"written_{i}.cfg"
+        config.write_text(text)
+        runs.append(([command, "--config", str(config)], expected))
+    runs = [([*argv, "--out", str(out / str(i))], expected)
+            for i, (argv, expected) in enumerate(runs)]
+    runs.append((["verify"], (1,)))  # a usage error: no --config
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(runs), str(out), str(SRC)],
-                          env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(runs), str(SRC)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
     return {tuple(key) for key in json.loads(done.stdout.splitlines()[-1])}
 
 
@@ -105,3 +131,4 @@ def test_every_function_is_reached_by_a_cli_run_or_listed(tmp_path):
     assert sorted(unreached - set(_UNREACHED)) == []
     # an entry a run reaches, or that names no function, is stale
     assert sorted(set(_UNREACHED) - unreached) == []
+    assert all("ROADMAP item" in reason for reason in _UNREACHED.values())

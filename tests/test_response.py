@@ -137,7 +137,8 @@ def test_gauged_rational_kernel_is_the_bare_closed_form():
     # an orthogonal gauge leaves f f^dag as it is, so a gauged Lorentz part
     # takes the bare part's closed form; its representation is still the
     # coupling integral of the gauged model, which agrees to rounding
-    from mqed.couplings import apply_gauge, random_orthogonal_gauge
+    from helpers import random_orthogonal_gauge
+    from mqed.couplings import apply_gauge
     from mqed.response import check_grid
 
     model = lorentz_isotropic(1.3, 1.0, 0.5)

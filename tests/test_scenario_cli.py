@@ -8,16 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import TENSOR_HEADER, write_table_csv
 from mqed import NATURAL, scenario
 from mqed.cli import _STAGES, build_parser, main
-from mqed.couplings import _KINDS, MAGNETIC, drude, gaussian_anisotropic, lorentz_isotropic
+from mqed.couplings import (_KINDS, MAGNETIC, drude, eval_coupling_batch, gaussian_anisotropic,
+                            lorentz_isotropic)
 from mqed.errors import ParseError, ValidationError
 from mqed.scenario import _SCHEMA, parse_scenario, run_scenario, serialize_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-TENSOR_HEADER = [f"{p}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")]
 
 VACUUM_CFG = """
 [grids]
@@ -265,6 +266,19 @@ def test_cli_verify_lorentz(tmp_path, capsys):
     assert kk["max_error"] < 1e-3
 
 
+def test_cli_verify_at_critical_damping(tmp_path):
+    # resonance = width / 2: chi_hat has a double pole, which the partial
+    # fractions refuse; the Maxwell residual reads the closed form's chi(t)
+    # as the chi stage does, so every check runs
+    cfg = tmp_path / "critical.cfg"
+    cfg.write_text(LORENTZ_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
+                   .replace("electric.width = 0.5", "electric.width = 2.0"))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    checks = json.loads((tmp_path / "out" / "manifest.json").read_text())["checks"]
+    assert "maxwell_residual_k0" in [c["name"] for c in checks]
+    assert all(c["passed"] for c in checks)
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[numerics]\nquad_rtol = -1\n")
@@ -278,16 +292,7 @@ def test_cli_missing_config_exit_code(tmp_path):
 def _target_config(tmp_path, tensor, k="0,0,1", name="out"):
     """An invert-chi config whose target table holds `tensor` at every
     (omega, |k|) of a 3 x 2 grid, writing to tmp_path / name."""
-    rows = ["omega,kmag," + ",".join(TENSOR_HEADER)]
-    for w in (0.5, 1.0, 2.0):
-        for km in (0.5, 2.0):
-            cells = [str(w), str(km)]
-            for i in range(3):
-                for j in range(3):
-                    cells += [str(float(tensor[i, j])), "0.0"]
-            rows.append(",".join(cells))
-    table = tmp_path / "target.csv"
-    table.write_text("\n".join(rows) + "\n")
+    table = write_table_csv(tmp_path / "target.csv", (0.5, 1.0, 2.0), (0.5, 2.0), tensor)
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(
         f"[medium]\nelectric.target_table = {table}\n"
@@ -314,6 +319,22 @@ def test_cli_verify_single_point_table_axis_is_a_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"config error: table {axis} grid needs at least two points" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_modes_on_a_table_that_stops_below_the_reservoir_cutoff(tmp_path):
+    # the part couples nothing above its table's top (omega = 6), where the
+    # reservoir rule (to reservoir_cutoff = 50) still has nodes: the table
+    # is not read there, and the mode CSVs are written
+    omegas = np.linspace(0.0, 6.0, 61)
+    f = eval_coupling_batch(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0), omegas, (0.0, 0.0, 1.0))
+    table = write_table_csv(tmp_path / "table.csv", omegas, (0.0, 10.0), f[:, None])
+    cfg = tmp_path / "tabulated.cfg"
+    cfg.write_text(f"[medium]\nelectric.kind = tabulated\nelectric.table = {table}\n"
+                   "[grids]\nk = 0,0,1.3\nt_max = 2\ncommutator_t = 0,1\nreservoir_order = 16\n"
+                   f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["modes", "--config", str(cfg)]) == 0
+    for name in ("gamma", "xi", "zeta", "eta"):
+        assert (tmp_path / "out" / f"modes_{name}_k0.csv").exists()
 
 
 def test_cli_invert_chi_not_psd_exit_code(tmp_path):
