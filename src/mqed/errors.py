@@ -72,6 +72,10 @@ class GridTooCoarse(NumericalError):
     pass
 
 
+class BudgetExceeded(NumericalError):
+    pass
+
+
 class LeftHalfPlane(NumericalError):
     pass
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .couplings import ELECTRIC, MAGNETIC, sector_coupling
-from .errors import LineNotConverged, PoleFindingFailed, ValidationError
+from .errors import BudgetExceeded, LineNotConverged, PoleFindingFailed, ValidationError
 from .quadrature import gauss_legendre
 from .rational import POLE_TOL, Rational, ilt_rational
 from .response import LaplaceResponse, _chunks, _fft_size, laplace_response, uniform_step
@@ -58,6 +58,8 @@ _LINE_ABSCISSA_FACTOR = 3.0
 _LINE_HALFWIDTH_FACTOR = 40.0
 _LINE_RESERVOIR_MARGIN = 20.0
 _LINE_RTOL = 1e-4
+# the most points a line may take, so its (n_y, 36) sums stay within tens of MB
+_LINE_POINTS = 1 << 15
 # the bound on the panel rule's error per step (`_panel_order`)
 _PANEL_TOL = 1e-17
 
@@ -400,6 +402,9 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
                 response.omega_top + _LINE_RESERVOIR_MARGIN * max(scales))
     dy = 0.5 / horizon
     n_y = int(2.0 * y_top / dy) + 1
+    if n_y > _LINE_POINTS:
+        raise BudgetExceeded(f"the bromwich line needs {n_y:.4g} points, above its budget "
+                             f"_LINE_POINTS = {_LINE_POINTS}")
     y = np.linspace(-y_top, y_top, n_y)
     rho = a + 1j * y
 
@@ -612,8 +617,9 @@ def _line_mode_path(response, blocks, k, t, omega_q):
         for name in blocks:  # not zip, whose result tuple would hold the last block
             rows_b, cols_b = _BLOCKS[name]
             conv = next(sums).reshape(omega_q.size, -1, 3, 3)
-            conv += np.multiply.outer(g3[:, rows], line.c3[rows_b, cols_b])
-            conv += np.multiply.outer(g4[:, rows], line.c4[rows_b, cols_b])
+            for i, j in np.ndindex(3, 3):  # in place: no (n_q, n_t, 3, 3) temporary
+                conv[..., i, j] += g3[:, rows] * line.c3[rows_b, cols_b][i, j]
+                conv[..., i, j] += g4[:, rows] * line.c4[rows_b, cols_b][i, j]
             conv *= 1j * omega_q[:, None, None, None]
             res[name][:, rows] -= conv
             del conv  # freed before the next block's sums are formed

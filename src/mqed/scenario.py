@@ -27,7 +27,7 @@ from . import __version__
 from .conductor import conductor_modes
 from .couplings import (_KINDS, ELECTRIC, MAGNETIC, coupling_from_target, coupling_product,
                         tabulated_from_csv)
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import BudgetExceeded, NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
@@ -81,7 +81,6 @@ _Rule = namedtuple("_Rule", "text holds")
 _Key = namedtuple("_Key", "default parse rule", defaults=(None,))
 _POSITIVE = _Rule("> 0", lambda x: x > 0.0)
 _SIZE = _Rule("> 1", lambda n: n > 1)
-_TIME_SIZE = _Rule(">= 3", lambda n: n >= 3)  # finite_difference_time reads three points
 _START_ORDER = QuadratureSpec().start_order
 
 _SCHEMA = {
@@ -90,14 +89,10 @@ _SCHEMA = {
         "omega_max": _Key("5.0", _finite, _POSITIVE),
         "n_omega": _Key("200", int, _SIZE),
         "t_max": _Key("10.0", _finite, _POSITIVE),
-        "n_t": _Key("2001", int, _TIME_SIZE),
+        "n_t": _Key("2001", int, _Rule(">= 3", lambda n: n >= 3)),  # differences read three
         "reservoir_order": _Key("384", int, _SIZE),
         "reservoir_cutoff": _Key("50.0", _finite, _POSITIVE),
         "commutator_t": _Key("0,1,5", _finite_list),  # in [0, t_max]: _validate
-        "kk_omega_max": _Key("50.0", _finite, _POSITIVE),
-        "kk_n_omega": _Key("4096", int, _Rule(f">= {KK_MIN_POINTS}", lambda n: n >= KK_MIN_POINTS)),
-        "maxwell_t_max": _Key("6.0", _finite, _POSITIVE),
-        "maxwell_n_t": _Key("8001", int, _TIME_SIZE),
         "k": _Key("0,0,1", _wave_vectors, _Rule("nonzero", lambda ks: all(any(k) for k in ks))),
     },
     "numerics": {
@@ -106,9 +101,8 @@ _SCHEMA = {
                                                   lambda n: n >= _START_ORDER)),
         "cutoff_factor": _Key("50.0", _finite, _POSITIVE),
         "tail_rtol": _Key("1e-6", _finite, _POSITIVE),
-        "continuity_dt": _Key("1e-3", _finite, _POSITIVE),
         "fdt_tol": _Key("1e-5", _finite, _POSITIVE),
-        "kk_tol": _Key("1e-3", _finite, _POSITIVE),
+        "kk_tol": _Key("1e-4", _finite, _POSITIVE),
         "commutator_tol": _Key("1e-4", _finite, _POSITIVE),
         "maxwell_tol": _Key("1e-5", _finite, _POSITIVE),
         "roundtrip_tol": _Key("1e-6", _finite, _POSITIVE),
@@ -422,15 +416,25 @@ def _emit_report(run, name, label, report):
     run.emit(f"{name}.json", lambda path: write_json(path, asdict(report)))
 
 
+def _steps(grid: str, span: float, step: float) -> int:
+    """The fewest steps of at most `step` over `span`, even (the Maxwell residual reads
+    every other point too); BudgetExceeded naming the grid past `_CHECK_POINTS`."""
+    n = 2 * int(np.ceil(0.5 * span / step))
+    if n >= _CHECK_POINTS:
+        raise BudgetExceeded(f"the {grid} grid needs {n:.4g} steps, above its budget "
+                             f"_CHECK_POINTS = {_CHECK_POINTS}")
+    return n
+
+
 def _kk(run, part, got):
-    # inside the support of the kernel's rule: past its cutoff Im chi_hat is
-    # only the truncation's ripple (a closed form has none, and takes the
-    # same grid)
-    n_kk = int(run.grids["kk_n_omega"])
-    top = min(run.grids["kk_omega_max"], _cutoff(run.models[part], run.quad))
-    spectrum = chi_spectrum(got[0], (np.arange(n_kk) + 0.5) * top / n_kk,
-                            tail_rtol=run.num["tail_rtol"])
-    return _Measure(kk_check(spectrum).max_rel_residual)
+    # to the top of the kernel's rule, past which Im chi_hat is the truncation's
+    # ripple (a closed form takes the same grid), at a step pi / (its horizon)
+    top = _cutoff(run.models[part], run.quad)
+    n = max(KK_MIN_POINTS, _steps("Kramers-Kronig", top, np.pi / got[0].t_grid[-1]))
+    report = kk_check(chi_spectrum(got[0], (np.arange(n) + 0.5) * top / n,
+                                   tail_rtol=run.num["tail_rtol"]))
+    return _Measure(report.max_rel_residual, {"n_omega": n, "omega_max": top,
+                                              "step": report.grid_step})
 
 
 def _equal_time(run, part, got):
@@ -447,10 +451,15 @@ def _vacuum_psd(run, part, got):
 
 
 def _maxwell(run, part, got):
-    # a finer uniform grid, on the run's small reservoir sample
-    t = np.linspace(0.0, run.grids["maxwell_t_max"], int(run.grids["maxwell_n_t"]))
-    res = maxwell_residual(field_representation(run.response, run.k, t, *run.maxwell_sample))
-    return _Measure(res.max_residual, res.channels)
+    # on [0, t_max] at a step of _MAXWELL_KAPPA over the fastest rate of the
+    # channels, c |k| plus the top node of the run's small reservoir sample
+    nodes, weights = run.maxwell_sample
+    t_max = run.grids["t_max"]
+    rate = run.constants.c * float(np.linalg.norm(run.k)) + float(np.max(nodes))
+    t = np.linspace(0.0, t_max, _steps("Maxwell", t_max, _MAXWELL_KAPPA / rate) + 1)
+    res = maxwell_residual(field_representation(run.response, run.k, t, nodes, weights))
+    return _Measure(res.max_residual, {"plain": res.plain, "h_estimate": res.h_estimate,
+                                       "n_t": t.size, "t_max": t_max, "channels": res.channels})
 
 
 _BOTH, _MEDIUM = ("electric", "magnetic"), ("medium",)
@@ -464,6 +473,11 @@ _STAGES = {
     "commutators": (_MEDIUM, lambda run, part, modes: modes, "modes"),
     "conductor": (_MEDIUM, _conductor_products, None),
 }
+
+# the Maxwell step times its channels' fastest rate; the bundled media then read < 1e-6
+_MAXWELL_KAPPA = 0.019
+# the most points the Maxwell and Kramers-Kronig grids may take
+_CHECK_POINTS = 1 << 15
 
 # The tolerances no config key sets, each with one value in use.
 # vacuum_spectrum is a positively weighted sum of v v^dag, so a negative
@@ -496,7 +510,7 @@ _CHECKS = (
            lambda run, part, got: _Measure(noise_current_coefficient(got[1]).max_rel_err)),
     _Check("pdot_continuity_{tag}", "noise", ("electric",), _HEISENBERG, "continuity_tol",
            lambda run, part, got: _Measure(pdot_continuity(
-               run.models[part], got[0], run.constants, run.num["continuity_dt"]).relative_jump)),
+               run.models[part], got[0], run.constants).relative_jump)),
     _Check("constitutive_roundtrip_{tag}", "noise", ("electric",), _HEISENBERG,
            "constitutive_tol", lambda run, part, got: _Measure(constitutive_roundtrip(
                run.models[part], got[0], check_grid(run.models[part]), run.constants).residual)),
@@ -548,7 +562,7 @@ def run_scenario(
     res_cut = 5.0 * max(scales, default=1.0)
     # the latest time and the top reservoir frequency any stage asks the
     # modes for: they fix the Bromwich line of a continuum medium
-    bounds = {"horizon": max(grids["t_max"], grids["maxwell_t_max"]),
+    bounds = {"horizon": grids["t_max"],
               "omega_top": max(grids["reservoir_cutoff"], res_cut)}
     # the medium of the conductor stage: the free carriers as one more
     # electric part; None without free carriers

@@ -23,7 +23,7 @@ from mqed.observables import (constitutive_roundtrip, field_representation, maxw
                               reservoir_picks)
 from mqed.quadrature import gauss_legendre
 from mqed.response import _angle_table, _fft_size, check_grid, laplace_response
-from mqed.scenario import parse_scenario, part_kernel, run_scenario
+from mqed.scenario import _MAXWELL_KAPPA, _steps, parse_scenario, part_kernel, run_scenario
 from mqed.tensors import NATURAL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -49,10 +49,7 @@ n_omega = 40
 n_t = 401
 t_max = 4.0
 commutator_t = 0,1,4
-maxwell_n_t = 801
-maxwell_t_max = 2.0
 reservoir_order = 16
-kk_n_omega = 128
 """
 
 
@@ -138,7 +135,10 @@ def test_line_mode_path_holds_two_tables_beside_its_outputs(monkeypatch):
     # a 1,501-point Maxwell-like grid of the gaussian medium on its line of
     # 594 points, with the 36 line columns in one table: 5.1 tables when
     # the line sums, the reservoir sums of every block and the vacuum
-    # transforms were held beside each other
+    # transforms were held beside each other. Beside them a block's
+    # (n_q, n_t, 9) sums stay: on 96 nodes at the default budget that is 3.9
+    # tables, 6.1 when the tail was added through an outer-product temporary
+    # of the same size
     model = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8)
     response = laplace_response(model, zero_coupling("magnetic"), horizon=2.0)
     k = np.array([0.4, -0.3, 1.1])
@@ -151,6 +151,10 @@ def test_line_mode_path_holds_two_tables_beside_its_outputs(monkeypatch):
     assert n_y == 594
     assert _tables_beside_outputs(
         lambda: _line_mode_path(response, ("eh", "hh"), k, t, omega_q)) <= 2.0
+    monkeypatch.undo()
+    nodes, _ = gauss_legendre(96, 0.0, 5.0)
+    assert _tables_beside_outputs(
+        lambda: _line_mode_path(response, ("eh", "hh"), k, t, nodes)) <= 4.0
 
 
 def test_panel_reservoir_sums_hold_two_tables_beside_their_outputs():
@@ -196,22 +200,28 @@ def _lorentz_config():
     return config, response, config.k_list()[0]
 
 
+def _maxwell_grid(config, k, nodes) -> np.ndarray:
+    """The Maxwell grid `run_scenario` sizes for k and the sampled nodes."""
+    t_max = config.grids["t_max"]
+    rate = float(np.linalg.norm(k)) + float(np.max(nodes))
+    return np.linspace(0.0, t_max, _steps("Maxwell", t_max, _MAXWELL_KAPPA / rate) + 1)
+
+
 def test_maxwell_representation_of_the_lorentz_config_stays_bounded():
-    # lorentz.cfg's Maxwell grid (8,001 points) on the two sampled reservoir
-    # nodes, as its commutators stage builds and checks it: 40.3 MB when the
-    # representation held six (3, n_q, n_t, 3) channel arrays beside the
-    # mode families they were formed from
+    # lorentz.cfg's Maxwell grid (4,351 points) on the two sampled reservoir
+    # nodes, as its commutators stage builds and checks it: 40.3 MB on the
+    # 8,001 points it had when the representation held six (3, n_q, n_t, 3)
+    # channel arrays beside the mode families they were formed from
     config, response, k = _lorentz_config()
-    grids = config.grids
-    t = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
     cutoff = 5.0 * max(part.frequency_scale for part in response.medium)
     nodes, weights = gauss_legendre(16, 0.0, cutoff)
     picks = reservoir_picks(nodes.size, 2)
+    t = _maxwell_grid(config, k, nodes[picks])
     reports = []
     peak = _traced_peak_mb(lambda: reports.append(maxwell_residual(
         field_representation(response, k, t, nodes[picks], weights[picks]))))
-    assert t.size == 8001 and reports[0].max_residual <= 1e-5
-    assert peak <= 32.0
+    assert t.size == 4351 and reports[0].max_residual <= 1e-6
+    assert peak <= 20.0
 
 
 def test_modes_representation_of_the_lorentz_config_stays_bounded():
@@ -236,28 +246,28 @@ def _gaussian_config():
     model = config.model("electric", NATURAL)
     response = laplace_response(model, config.model("magnetic", NATURAL),
                                 quad=config.quadrature(),
-                                horizon=max(grids["t_max"], grids["maxwell_t_max"]),
+                                horizon=grids["t_max"],
                                 omega_top=max(grids["reservoir_cutoff"],
                                               5.0 * model.frequency_scale))
     return config, response, config.k_list()[0]
 
 
 def test_maxwell_representation_of_the_gaussian_config_stays_bounded():
-    # gaussian.cfg's Maxwell grid (6,001 points) on the two sampled
+    # gaussian.cfg's Maxwell grid (2,605 points) on the two sampled
     # reservoir nodes, its line of 2,374 points built in the call: 33.0 MB
-    # when the line sums, the reservoir sums, the vacuum transforms and
-    # three FFT tables of the chirp-z sums were alive at once
+    # on the 6,001 points it had when the line sums, the reservoir sums, the
+    # vacuum transforms and three FFT tables of the chirp-z sums were alive
+    # at once
     config, response, k = _gaussian_config()
-    grids = config.grids
-    t = np.linspace(0.0, grids["maxwell_t_max"], int(grids["maxwell_n_t"]))
     nodes, weights = gauss_legendre(16, 0.0, 5.0 * response.medium[0].frequency_scale)
     picks = reservoir_picks(nodes.size, 2)
+    t = _maxwell_grid(config, k, nodes[picks])
     reports = []
     peak = _traced_peak_mb(lambda: reports.append(maxwell_residual(
         field_representation(response, k, t, nodes[picks], weights[picks]))))
-    assert t.size == 6001 and reports[0].max_residual <= 1e-5
+    assert t.size == 2605 and reports[0].max_residual <= 1e-6
     assert response.lines[tuple(k)].metadata["line_points"] == 2374
-    assert peak <= 24.0
+    assert peak <= 16.0
 
 
 def test_constitutive_roundtrip_of_the_gaussian_config_stays_bounded():
@@ -287,12 +297,13 @@ def test_verify_gaussian_config_stays_bounded(tmp_path):
 def test_verify_lorentz_config_stays_bounded(tmp_path):
     # 75 MB when each stage's products lived into the next stage (the
     # modes-grid representation beside the Maxwell one), 41.4 MB when a
-    # field representation held its reservoir channels beside its families
+    # field representation held its reservoir channels beside its families,
+    # 28.8 MB on a fixed 8,001-point Maxwell grid (21.0 on its sized one)
     config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
     manifests = []
     peak = _traced_peak_mb(lambda: manifests.append(run_scenario(config, out_dir=str(tmp_path))))
     assert manifests[0].all_passed
-    assert peak <= 36.0
+    assert peak <= 26.0
 
 
 @pytest.mark.parametrize("stages", [*_STAGES.values(), ("modes", "commutators")],

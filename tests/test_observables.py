@@ -121,6 +121,20 @@ def test_maxwell_residual_medium_all_channels(lorentz_models):
     assert len(report.channels) == 2 + 2 * 3 * 3
 
 
+def test_maxwell_residual_extrapolates_its_grid_error(lorentz_models):
+    # lorentz.cfg's medium on a deliberately coarse grid (1,001 points over
+    # [0, 6]) and the two reservoir nodes a run samples: the plain residual
+    # is its O(h^2) estimate, and the extrapolated value lies far below both
+    nodes, weights = gauss_legendre(16, 0.0, 7.0)
+    picks = observables.reservoir_picks(16, 2)
+    rep = field_representation(laplace_response(*lorentz_models), np.array([0.0, 0.0, 1.3]),
+                               np.linspace(0.0, 6.0, 1001), nodes[picks], weights[picks])
+    report = maxwell_residual(rep)
+    assert report.plain == pytest.approx(report.h_estimate, rel=0.05)
+    assert report.max_residual <= 0.1 * report.plain
+    assert report.max_residual == max(report.channels.values())
+
+
 def test_maxwell_residual_reports_a_nan_channel(lorentz_models):
     # one NaN in a mode family: the channels it feeds are NaN, the photon
     # channels, the other sector and the other node stay finite
@@ -426,8 +440,9 @@ def test_fft_convolver_zero_kernel_returns_exact_zeros(monkeypatch):
 
 def test_maxwell_residual_transforms_per_channel(monkeypatch):
     # the gaussian medium has no magnetic part: chi_m is zero and never
-    # transformed; each channel's electric convolution is one forward
-    # transform of its field and one inverse transform of the j-summed product
+    # transformed; on the grid and on its every-other-point subsample, each
+    # channel's electric convolution is one forward transform of its field
+    # and one inverse transform of the j-summed product
     me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     t = np.linspace(0.0, 4.0, 401)
     rep = make_rep(me, zero_coupling("magnetic"), t, order=2)
@@ -447,16 +462,20 @@ def test_maxwell_residual_transforms_per_channel(monkeypatch):
     n_channels = len(report.channels)
     assert n_channels == 2 + 2 * 3 * 2
     kernels = [a for a in forward if a.ndim == 3]
-    assert len(kernels) == 1 and kernels[0] is rep.chi_e
-    assert len(forward) == 1 + n_channels
-    assert len(inverse) == n_channels
+    assert [a.shape[0] for a in kernels] == [401, 201]
+    assert all(np.shares_memory(a, rep.chi_e) for a in kernels)
+    assert len(forward) == 2 + 2 * n_channels
+    assert len(inverse) == 2 * n_channels
     assert all(a.shape[1:] == (3,) for a in inverse)
 
 
 def test_maxwell_residual_needs_three_time_points():
-    rep = make_rep(zero_coupling("electric"), zero_coupling("magnetic"), [0.0, 1.0], order=8)
-    with pytest.raises(ValidationError, match="3 time points"):
-        maxwell_residual(rep)
+    # on the grid and on its every-other-point subsample, so four points are
+    # too few as well
+    for t in ([0.0, 1.0], [0.0, 1.0, 2.0, 3.0]):
+        rep = make_rep(zero_coupling("electric"), zero_coupling("magnetic"), t, order=8)
+        with pytest.raises(ValidationError, match="3 time points"):
+            maxwell_residual(rep)
 
 
 @pytest.mark.parametrize("t, message", [

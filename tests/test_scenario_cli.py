@@ -27,10 +27,7 @@ n_omega = 40
 n_t = 801
 t_max = 4.0
 commutator_t = 0,1,4
-maxwell_n_t = 2001
-maxwell_t_max = 2.0
 reservoir_order = 16
-kk_n_omega = 128
 """
 
 LORENTZ_CFG = """
@@ -45,10 +42,7 @@ k = 0,0,1.3
 n_omega = 60
 n_t = 1201
 t_max = 6.0
-maxwell_n_t = 6001
-maxwell_t_max = 4.0
 reservoir_order = 160
-kk_n_omega = 4096
 
 [output]
 directory = PLACEHOLDER
@@ -570,9 +564,9 @@ def test_rational_representation_reaches_both_checks_grids(tmp_path, monkeypatch
 def test_narrow_lorentz_lines_in_the_chi_and_noise_stages(tmp_path):
     # width 0.1 at resonance 1: the coupling quadrature converges on the
     # checks' horizon at order 4096, where the kernel's 1e-11 horizon was
-    # still moving at 8192; KK fails on the default grid, whose step is too
-    # coarse for the line. Width 0.05 at resonance 2.5 still needs more than
-    # 8192 nodes on the checks' horizon.
+    # still moving at 8192; KK passes on a grid whose step follows the line
+    # (a fixed 4,096-point grid on [0, 50] read 2.06e-2). Width 0.05 at
+    # resonance 2.5 still needs more than 8192 nodes on the checks' horizon.
     from mqed.errors import QuadratureNotConverged
 
     def config(width, resonance):
@@ -583,8 +577,9 @@ def test_narrow_lorentz_lines_in_the_chi_and_noise_stages(tmp_path):
 
     manifest = run_scenario(config(0.1, 1.0), out_dir=str(tmp_path), stages=("noise",))
     assert manifest.quadrature["chi_electric_k0"]["quadrature"]["order"] == 4096
-    failed = [c["name"] for c in manifest.checks if not c["passed"]]
-    assert failed == ["kk_electric_k0"]
+    assert manifest.all_passed
+    kk = next(c for c in manifest.checks if c["name"] == "kk_electric_k0")
+    assert kk["max_error"] <= 1e-6 and kk["details"]["n_omega"] == 8064
     with pytest.raises(QuadratureNotConverged, match="order 8192"):
         run_scenario(config(0.05, 2.5), out_dir=str(tmp_path), stages=("chi",))
 
@@ -621,7 +616,7 @@ def test_cli_verify_gaussian_builds_one_line_per_sign_of_k(tmp_path, capsys, mon
     quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
     plus, minus = quadrature["modes_k0"], quadrature["modes_minus_k0"]
     assert sizes == [plus["line_points"]] * 2
-    # the geometry comes from the run: horizon max(t_max, maxwell_t_max) and
+    # the geometry comes from the run: horizon t_max and
     # the top reservoir frequency reservoir_cutoff
     for line in (plus, minus):
         assert line["method"] == "bromwich_line"
@@ -633,9 +628,9 @@ def test_cli_verify_gaussian_builds_one_line_per_sign_of_k(tmp_path, capsys, mon
 
 def test_cli_verify_medium_below_unit_frequency_scale(tmp_path, capsys):
     # a Lorentz medium at resonance 0.86: its kernel's rule stops at the
-    # cutoff 50 x 0.86 = 43, and its KK grid stops there too, not at
-    # kk_omega_max = 50, where Im chi_hat is only the truncated rule's ripple
-    # (an eigenvalue of -1.1e-6 there raised NotPSD before any check)
+    # cutoff 50 x 0.86 = 43, and its KK grid stops there too, not at 50,
+    # where Im chi_hat is only the truncated rule's ripple (an eigenvalue of
+    # -1.1e-6 there raised NotPSD before any check)
     cfg = tmp_path / "lorentz086.cfg"
     cfg.write_text("[medium]\nelectric.kind = lorentz_isotropic\nelectric.strength = 1.5\n"
                    "electric.resonance = 0.86\nelectric.width = 0.5\n\n[grids]\nk = 0,0,1.3\n")
@@ -747,14 +742,14 @@ def test_conductor_stage_keeps_the_magnetic_part(tmp_path, monkeypatch):
 
 
 def test_cli_verify_bundled_conductor_config(tmp_path, capsys):
-    # exit 2 with the two known failures: the KK residual measures its
-    # reference's interpolation, and the reservoir sum is under-resolved
+    # exit 2 with the one known failure: the reservoir sum is under-resolved
+    # (KK passes since it is summed at the grid points by Maclaurin's rule;
+    # the midpoint rule's interpolation read 1.110e-3 against its kk_tol of 1e-3)
     code = main(["verify", "--config", str(CONFIGS / "conductor.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 2
-    assert re.findall(r"^\[FAIL\] (\S+):", out, re.MULTILINE) == [
-        "kk_electric_k0", "equal_time_commutator_k0"]
-    assert out.count("[PASS]") == 10
+    assert re.findall(r"^\[FAIL\] (\S+):", out, re.MULTILINE) == ["equal_time_commutator_k0"]
+    assert out.count("[PASS]") == 11
     assert _bench_gate_problems("conductor-verify", code, out, tmp_path) == []
 
 
@@ -803,15 +798,11 @@ def _append(section, line):
     # set a second time
     pytest.param("n_t", _append("grids", "n_t = 11"), id="grids-n_t = 11"),
     pytest.param("n_t", [("n_t = 1201", "n_t = 2")], id="n_t = 2"),
-    pytest.param("maxwell_n_t", [("maxwell_n_t = 6001", "maxwell_n_t = 2")],
-                 id="maxwell_n_t = 2"),
     pytest.param("omega_max", _append("grids", "omega_max = inf"), id="omega_max = inf"),
     # the spectrum grid runs from omega_min up to omega_max
     pytest.param("omega_min", _append("grids", "omega_min = 6"), id="omega_min = 6"),
     pytest.param("omega_min", _append("grids", "omega_min = 5.0"), id="omega_min = omega_max"),
     pytest.param("k", [("k = 0,0,1.3", "k = 0,0,0")], id="k = 0,0,0"),
-    pytest.param("kk_n_omega", [("kk_n_omega = 4096", "kk_n_omega = 32")],
-                 id="kk_n_omega = 32"),
     pytest.param("electric.table", [(LORENTZ_ELECTRIC, "electric.kind = tabulated\n")],
                  id="tabulated without table"),
 ])
@@ -919,3 +910,105 @@ def test_cli_line_not_converged_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["modes", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
     assert code == 2
     assert "LineNotConverged: bromwich line grid-halving estimate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["kk_omega_max", "kk_n_omega", "maxwell_t_max", "maxwell_n_t",
+                                 "continuity_dt"])
+def test_cli_removed_grid_key_exits_before_any_stage(tmp_path, capsys, key):
+    # the engine sizes the Maxwell and Kramers-Kronig grids and the
+    # continuity probe's step, so a config that still sets one of their keys
+    # is a config error naming it
+    section = "numerics" if key == "continuity_dt" else "grids"
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(LORENTZ_CFG.replace("PLACEHOLDER", str(out_dir)) + f"\n[{section}]\n{key} = 1\n")
+    assert key not in _SCHEMA[section]
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert f"config error: key '{key}': unknown key in [{section}]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor"])
+def test_check_grids_follow_the_medium(tmp_path, capsys, name):
+    # every KK and Maxwell check of a bundled config measures the physics,
+    # not its grid, and reports the grid the engine sized: KK up to the
+    # part's rule cutoff at a step of at most pi / T (T the kernel's
+    # horizon), Maxwell on [0, t_max] at an even number of steps
+    main(["verify", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    checks = {c["name"]: c for c in manifest["checks"]}
+    kks = [c for n, c in checks.items() if n.startswith("kk_")]
+    assert kks and all(c["passed"] and c["max_error"] <= 2e-5 for c in kks)
+    for c in kks:
+        part = c["name"].split("_")[1]
+        horizon = manifest["quadrature"][f"chi_{part}_k0"]["t_max"]
+        details = c["details"]
+        assert details["step"] <= np.pi / horizon
+        assert details["n_omega"] * details["step"] == pytest.approx(details["omega_max"])
+    maxwell = checks["maxwell_residual_k0"]
+    details = maxwell["details"]
+    assert maxwell["passed"] and maxwell["max_error"] <= 1e-6
+    assert details["n_t"] == {"lorentz": 4351, "gaussian": 2605, "conductor": 3303}[name]
+    assert details["t_max"] == parse_scenario(manifest["config"]).grids["t_max"]
+    # the plain residual is its own O(h^2) grid error
+    assert details["plain"] == pytest.approx(details["h_estimate"], rel=0.05)
+    assert maxwell["max_error"] <= 0.1 * details["plain"]
+
+
+def test_found_medium_passes_kk_on_the_parts_grids(tmp_path):
+    # a Drude electric part with a Lorentz magnetic part of width 0.3: the
+    # magnetic residual read 2.18e-3 on the fixed 4,096-point grid over
+    # [0, 50], all of it the midpoint interpolation of its reference; the
+    # Drude part's pole at omega = 0 drops out of the sum's w' Im(w')
+    text = ("[medium]\nelectric.kind = drude\nelectric.strength = 1.1\nelectric.width = 0.5\n"
+            "magnetic.kind = lorentz_isotropic\nmagnetic.strength = 0.6\n"
+            "magnetic.resonance = 1.5\nmagnetic.width = 0.3\n")
+    manifest = run_scenario(parse_scenario(text), out_dir=str(tmp_path), stages=("chi",))
+    kk = {c["name"]: c for c in manifest.checks if c["name"].startswith("kk_")}
+    assert sorted(kk) == ["kk_electric_k0", "kk_magnetic_k0"]
+    assert all(c["passed"] and c["max_error"] <= 2e-5 for c in kk.values())
+
+
+def test_lorentz_medium_passes_maxwell_at_large_k(tmp_path):
+    # the Maxwell step follows c |k|: at k = 0,0,8 a fixed 8,001-point grid
+    # over [0, 6] read 1.22e-5 and failed
+    text = (CONFIGS / "lorentz.cfg").read_text().replace("k = 0,0,1.3", "k = 0,0,8; 0.3,0.4,12")
+    manifest = run_scenario(parse_scenario(text), out_dir=str(tmp_path), stages=("commutators",))
+    maxwell = [c for c in manifest.checks if c["name"].startswith("maxwell_residual")]
+    assert [c["name"] for c in maxwell] == ["maxwell_residual_k0", "maxwell_residual_k1"]
+    assert all(c["passed"] and c["max_error"] <= 1e-6 for c in maxwell)
+
+
+def test_maxwell_residual_fails_a_scaled_memory_kernel(tmp_path, monkeypatch):
+    # the extrapolation removes grid error, not a defect: a memory kernel
+    # off by 1e-4 of itself fails the check on the engine's grid
+    import mqed.observables
+
+    kernel = mqed.observables._memory_kernel
+    monkeypatch.setattr(mqed.observables, "_memory_kernel",
+                        lambda which, rep: (1.0 + 1e-4) * kernel(which, rep))
+    config = parse_scenario((CONFIGS / "lorentz.cfg").read_text())
+    manifest = run_scenario(config, out_dir=str(tmp_path), stages=("commutators",))
+    maxwell = next(c for c in manifest.checks if c["name"] == "maxwell_residual_k0")
+    assert not maxwell["passed"]
+
+
+def test_cli_verify_si_gaussian_exits_2_on_the_line_budget(tmp_path, capsys):
+    # in SI units c |k| is 3.6e8 rad/s, so gaussian.cfg's Bromwich line would
+    # take 4.6e11 points (3.37 TiB); the line's point budget stops the run
+    # with a numerical error the manifest records, not a MemoryError
+    code = main(["verify", "--si", "--config", str(CONFIGS / "gaussian.cfg"),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "BudgetExceeded" in capsys.readouterr().err
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error["type"] == "BudgetExceeded" and "_LINE_POINTS" in error["message"]
+
+
+def test_check_grid_budget_names_its_grid():
+    with pytest.raises(scenario.BudgetExceeded,
+                       match="the Maxwell grid needs .* steps, .*_CHECK_POINTS"):
+        scenario._steps("Maxwell", 1.0, 1.0 / scenario._CHECK_POINTS)
+    assert scenario._steps("Maxwell", 1.0, 1.0 / (scenario._CHECK_POINTS - 2)) \
+        == scenario._CHECK_POINTS - 2
