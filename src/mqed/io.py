@@ -186,21 +186,24 @@ def _create(path):
 
 
 def _tensor_columns(tensors: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) complex -> the (n, 18) Re/Im columns of TENSOR_COLUMNS."""
-    flat = np.asarray(tensors, dtype=complex).reshape(-1, 9)
-    return np.stack([flat.real, flat.imag], axis=-1).reshape(-1, 18)
+    """(n, 3, 3) complex -> the (n, 18) Re/Im columns of TENSOR_COLUMNS, a
+    float view of the contiguous complex values (a copy only when the
+    tensors are not already contiguous complex)."""
+    return np.ascontiguousarray(tensors, dtype=complex).reshape(-1, 9).view(float)
 
 
 def _write_table(path, header: list, columns: list):
     """Header line, then one '%.17g' row per row of the float matrix made
     of `columns` (1-d grid columns and 2-d column blocks), formatted in
-    blocks of about _BLOCK_VALUES values."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    rows = max(1, _BLOCK_VALUES // table.shape[1])
+    blocks of about _BLOCK_VALUES values; each block's matrix is built only
+    when it is formatted, so no copy of the whole table is made."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    rows = max(1, _BLOCK_VALUES // width)
     with _create(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, table.shape[0], rows):
-            fh.write(_format_rows(table[start:start + rows]))
+        for start in range(0, columns[0].shape[0], rows):
+            fh.write(_format_rows(np.column_stack([c[start:start + rows] for c in columns])))
 
 
 def write_tensor_series_csv(path, label: str, grid: np.ndarray, tensors: np.ndarray):

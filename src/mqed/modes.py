@@ -388,7 +388,9 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     on a uniform grid over [0, T] whose step pi / (2 Y) resolves the fastest
     phase of the sums: the grid-halving one (every other point) and the
     truncation one (the points with |y| <= Y / 2), each relative to the
-    peak of the eh block of the medium-vacuum difference.
+    peak of the eh block of the medium-vacuum difference. Their sums are
+    formed one column group at a time (the eh block's 9 columns, then the
+    36 of each estimate), and only each group's peak is kept.
     """
     k = np.asarray(k, dtype=float)
     line = response.lines.get(tuple(k))
@@ -421,20 +423,20 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     stack = stack.reshape(n_y, 36)
     stack *= (y[1] - y[0]) / (2.0 * np.pi)
 
-    # the estimates' sums: the eh block (for the scale), the sum less its
-    # every-other-point copy (the points with signs alternating from -) and
-    # less its |y| <= Y / 2 part (the points outside)
+    # the estimates' sums, one column group at a time into one buffer: the
+    # eh block (for the scale), the sum less its every-other-point copy (the
+    # points with signs alternating from -) and less its |y| <= Y / 2 part
+    # (the points outside)
     t_est = np.linspace(0.0, horizon, int(np.ceil(2.0 * y_top * horizon / np.pi)) + 1)
-    sign = np.where(np.arange(n_y) % 2, 1.0, -1.0)
-    outer = np.abs(y) > 0.5 * y_top
-    cols = np.concatenate([stack.reshape(n_y, 6, 6)[:, :3, 3:].reshape(n_y, 9),
-                           sign[:, None] * stack, outer[:, None] * stack], axis=1)
-    sums = np.empty((t_est.size, cols.shape[1]), dtype=complex)
-    _chirp_z(t_est, t_est[1], rho)(cols, sums)
+    line_sum = _chirp_z(t_est, t_est[1], rho)
+    sums = np.empty((t_est.size, 36), dtype=complex)
+    line_sum(stack.reshape(n_y, 6, 6)[:, :3, 3:].reshape(n_y, 9), sums[:, :9])
     eh = sums[:, :9].reshape(-1, 3, 3) + _tail_transform(t_est, a, c3, c4)[:, :3, 3:]
     scale = max(float(np.max(np.abs(eh))), 1e-30)
-    est = float(np.max(np.abs(sums[:, 9:45]))) / scale
-    trunc = float(np.max(np.abs(sums[:, 45:]))) / scale
+    line_sum(np.where(np.arange(n_y) % 2, 1.0, -1.0)[:, None] * stack, sums)
+    est = float(np.max(np.abs(sums))) / scale
+    line_sum((np.abs(y) > 0.5 * y_top)[:, None] * stack, sums)
+    trunc = float(np.max(np.abs(sums))) / scale
     for what, value in (("grid-halving", est), ("truncation", trunc)):
         if value > _LINE_RTOL:
             raise LineNotConverged(
@@ -490,16 +492,21 @@ def _panel_order(t: np.ndarray, rho: np.ndarray, omega_q: np.ndarray, cols: np.n
 def _direct_sums(line_sum, n_t, rho, cols, omega_q):
     """Per block of 9 line columns D_j, the (n_q, n_t, 9) reservoir sums
     conv[q, t] = sum_j exp(t rho_j) D_j / (rho_j + i w_q), one line sum per
-    reservoir node, the factor folded into the block side in column chunks
-    of one table, each freed before the next is built."""
+    reservoir node. The factors and the scaled columns are formed one node
+    group at a time, each freed before the next is built: a group holds no
+    more values than the block's sums (n_t n_q / n_y nodes, at least one)
+    and fits in one table (`response._chunks`)."""
     n_y, n_q = rho.size, omega_q.size
-    fac_d = 1.0 / (rho[:, None] + 1j * omega_q[None, :])  # (j, q)
+    group = max(1, n_t * n_q // n_y)
     for c in range(0, cols.shape[1], 9):
         conv = np.empty((n_t, n_q * 9), dtype=complex)
-        for qs in _chunks(n_q, 9 * n_y):
-            scaled = fac_d[:, qs, None] * cols[:, None, c : c + 9]  # (j, q, 9)
-            line_sum(scaled.reshape(n_y, -1), conv[:, 9 * qs.start : 9 * qs.stop])
-            del scaled
+        for chunk in _chunks(n_q, 9 * n_y):
+            for start in range(chunk.start, min(chunk.stop, n_q), group):
+                qs = slice(start, min(start + group, chunk.stop))
+                fac = 1.0 / (rho[:, None] + 1j * omega_q[qs])  # (j, q)
+                scaled = fac[:, :, None] * cols[:, None, c : c + 9]  # (j, q, 9)
+                line_sum(scaled.reshape(n_y, -1), conv[:, 9 * qs.start : 9 * qs.stop])
+                del fac, scaled
         yield conv.reshape(n_t, n_q, 9).swapaxes(0, 1)
 
 

@@ -344,9 +344,11 @@ def maxwell_residual(rep: FieldOperatorRepresentation) -> MaxwellResidualReport:
 @dataclass(frozen=True)
 class ConstitutiveCheck:
     t_grid: np.ndarray
-    p_convolution: np.ndarray  # (n_t, 3) kernel-then-convolve route
-    p_ladder: np.ndarray  # (n_t, 3) per-frequency oscillator route
-    residual: float
+    p_convolution: np.ndarray  # (n_t, 3) kernel-then-convolve route, at step h
+    p_ladder: np.ndarray  # (n_t, 3) per-frequency oscillator route, at step h
+    residual: float  # Richardson value of the routes' difference (4 r_h - r_2h) / 3
+    plain: float  # the worst r_h
+    h_estimate: float  # the worst |r_h - r_2h| / 3
     probe: dict
 
 
@@ -364,37 +366,47 @@ def constitutive_roundtrip(
     oscillator (per-node sine convolution) and sums with the quadrature
     weights. The two routes share only the coupling evaluation. The probe is
     a Gaussian pulse of width 2 / frequency_scale along (1, 1, 1). Both
-    routes step a uniform t_grid from 0 that ends within the horizon the
-    representation was converged on; any other grid raises ValidationError.
+    routes, O(h^2) each, are taken again at step 2h on every other point,
+    and each is extrapolated as (4 p_h - p_2h) / 3. Both step a uniform
+    t_grid from 0 whose every-other-point subsample ends at t_grid[-1],
+    within the horizon the representation was converged on; any other grid
+    raises ValidationError.
     """
     t = np.asarray(t_grid, dtype=float)
     h = uniform_step(t)
-    if h is None or t[0] != 0.0:
-        raise ValidationError("constitutive_roundtrip needs a uniform t_grid from 0")
+    if h is None or t[0] != 0.0 or t.size % 2 == 0:
+        raise ValidationError("constitutive_roundtrip needs a uniform t_grid from 0 on an odd "
+                              "number of points, so that every other point ends at t_grid[-1]")
     rep = kernel.rep_to(t[-1], "constitutive_roundtrip")
     e_dir = np.ones(3) / np.linalg.norm(np.ones(3))
     tau = 2.0 / model.frequency_scale
     t0 = 5.0 * tau
     amp = np.exp(-(((t - t0) / tau) ** 2))
-    probe_field = amp[:, None] * e_dir[None, :]
-
+    probe_field = (amp[:, None] * e_dir[None, :]).astype(complex)
     eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
-    p_a = eps0 * _convolver(rep.kernel_values(t), h)(probe_field.astype(complex))
+    chi_vals = rep.kernel_values(t)
 
-    # ladder route: every reservoir frequency driven as an independent
-    # oscillator, advanced by the exact one-step propagator with the probe
-    # linear on each step (a different discretization from the kernel
-    # convolution above, so agreement is a genuine cross-check)
-    ladder = block_tensors(_oscillator_responses(rep.nodes, amp, t, rep.block), rep.basis)
-    p_b = eps0 * (ladder @ e_dir.astype(complex))
+    def routes(s):
+        # on every s-th point: route A, the kernel's convolution, and route
+        # B, every reservoir frequency driven as an independent oscillator by
+        # the exact one-step propagator with the probe linear on each step (a
+        # different discretization, so agreement is a genuine cross-check)
+        p_a = eps0 * _convolver(chi_vals[::s], s * h)(probe_field[::s])
+        ladder = block_tensors(_oscillator_responses(rep.nodes, amp[::s], t[::s], rep.block),
+                               rep.basis)
+        return p_a, eps0 * (ladder @ e_dir.astype(complex))
 
+    (p_a, p_b), (p_a2, p_b2) = routes(1), routes(2)
+    r_h, r_2h = p_a - p_b, p_a2 - p_b2
     scale = float(np.max(np.abs(p_a)))
-    residual = float(np.max(np.abs(p_a - p_b))) / scale if scale > 0.0 else float(np.max(np.abs(p_b)))
+    scale = scale if scale > 0.0 else 1.0
     return ConstitutiveCheck(
         t_grid=t,
         p_convolution=p_a,
         p_ladder=p_b,
-        residual=residual,
+        residual=float(np.max(np.abs(4.0 * r_h[::2] - r_2h))) / (3.0 * scale),
+        plain=float(np.max(np.abs(r_h))) / scale,
+        h_estimate=float(np.max(np.abs(r_h[::2] - r_2h))) / (3.0 * scale),
         probe={"tau": tau, "center": t0, "direction": [float(x) for x in e_dir]},
     )
 

@@ -107,7 +107,7 @@ _SCHEMA = {
         "maxwell_tol": _Key("1e-5", _finite, _POSITIVE),
         "roundtrip_tol": _Key("1e-6", _finite, _POSITIVE),
         "continuity_tol": _Key("1e-5", _finite, _POSITIVE),
-        "constitutive_tol": _Key("1e-5", _finite, _POSITIVE),
+        "constitutive_tol": _Key("1e-8", _finite, _POSITIVE),
         "reality_tol": _Key("1e-13", _finite, _POSITIVE),
         "seed": _Key("20260808", int, _Rule(">= 0", lambda n: n >= 0)),
     },
@@ -462,6 +462,12 @@ def _maxwell(run, part, got):
                                        "n_t": t.size, "t_max": t_max, "channels": res.channels})
 
 
+def _constitutive(run, part, got):
+    res = constitutive_roundtrip(run.models[part], got[0], check_grid(run.models[part]),
+                                 run.constants)
+    return _Measure(res.residual, {"plain": res.plain, "h_estimate": res.h_estimate})
+
+
 _BOTH, _MEDIUM = ("electric", "magnetic"), ("medium",)
 _POLARIZATION = {"electric": "P", "magnetic": "M"}
 # stage -> (the parts it builds a product for, its builder
@@ -512,8 +518,7 @@ _CHECKS = (
            lambda run, part, got: _Measure(pdot_continuity(
                run.models[part], got[0], run.constants).relative_jump)),
     _Check("constitutive_roundtrip_{tag}", "noise", ("electric",), _HEISENBERG,
-           "constitutive_tol", lambda run, part, got: _Measure(constitutive_roundtrip(
-               run.models[part], got[0], check_grid(run.models[part]), run.constants).residual)),
+           "constitutive_tol", _constitutive),
     _Check("lambda_reality_{tag}", "modes", _MEDIUM, _HEISENBERG, "reality_tol",
            lambda run, part, got: _Measure(lambda_reality_scan(
                run.response, run.rng.normal(size=(10, 3)),

@@ -101,3 +101,30 @@ def test_tiny_values_take_the_vectorised_path():
     assert good.all()
     _, good = io._nonzero_cells(np.array([np.inf, -np.nan, 1e300, 1.00000762939453125]))
     assert not good.any()
+
+
+def test_streamed_tensor_rows_match_the_percent_g_join(tmp_path):
+    # a 30 x 31 grid of tensors (930 rows: two blocks of 409 rows and a
+    # short one) holding signed zeros, subnormals and the values that take
+    # the fallback; the grid writer gets the tensors as a strided view, the
+    # deviation writer as contiguous complex values
+    rng = np.random.default_rng(8)
+    a, b = np.linspace(0.0, 3.0, 30), np.linspace(-1.0, 1.0, 31)
+    values = rng.normal(size=(930, 3, 3, 2)) * 10.0 ** rng.integers(-300, 300, size=(930, 3, 3, 2))
+    flat = values.reshape(-1)
+    flat[:8] = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e300]
+    rng.shuffle(flat)
+    tensors = values.view(complex)[..., 0]
+    rows = io._BLOCK_VALUES // 20
+    assert 930 % rows and 930 > 2 * rows
+    strided = np.zeros((930, 3, 3, 2), dtype=complex)
+    strided[..., 1] = tensors
+    path = tmp_path / "grid.csv"
+    io.write_tensor_grid_csv(path, ("q", "t"), (a, b), strided[..., 1])
+    header = ["q", "t"] + io.TENSOR_COLUMNS
+    table = np.column_stack([np.repeat(a, b.size), np.tile(b, a.size), values.reshape(930, 18)])
+    assert path.read_bytes() == _reference(header, table)
+    dev = rng.normal(size=930)
+    io.write_deviation_csv(path, "t", table[:, 0], dev, tensors)
+    want = np.column_stack([table[:, 0], dev, values.reshape(930, 18)])
+    assert path.read_bytes() == _reference(["t", "deviation"] + io.TENSOR_COLUMNS, want)

@@ -18,6 +18,7 @@ import mqed.response
 import mqed.scenario
 from mqed.cli import _STAGES
 from mqed.couplings import gaussian_anisotropic, zero_coupling
+from mqed.io import write_tensor_grid_csv
 from mqed.modes import _chirp_z, _line_mode_path, bromwich_line
 from mqed.observables import (constitutive_roundtrip, field_representation, maxwell_residual,
                               reservoir_picks)
@@ -283,27 +284,74 @@ def test_constitutive_roundtrip_of_the_gaussian_config_stays_bounded():
     assert peak <= 6.0
 
 
+def test_line_build_of_the_gaussian_config_holds_one_table_beside_its_outputs():
+    # gaussian.cfg's line at -k (2,374 points, 379 estimate times), as the
+    # commutators stage builds it: 1.32 tables when the two estimates'
+    # 81 chirp-z columns were summed at once, beside their two transforms;
+    # each column group of one estimate (36 columns) now leaves its peak
+    # alone. The stack itself is an output
+    _, response, k = _gaussian_config()
+    assert _tables_beside_outputs(
+        lambda: (lambda line: (line.rho, line.stack))(bromwich_line(response, -k))) <= 1.2
+    assert response.lines[tuple(-k)].metadata["line_points"] == 2374
+
+
+def test_minus_k_solve_at_the_commutator_times_holds_a_fraction_of_a_table():
+    # the -k solve of gaussian.cfg's equal-time commutator (3 times, 96
+    # reservoir nodes, direct sums on its built line): 1.55 tables when the
+    # (n_y, 96) factor table and 24-node scaled columns of 8.2 MB were built
+    # for 41 KB of sums per block; a node group now holds no more values
+    # than those sums
+    config, response, k = _gaussian_config()
+    grids = config.grids
+    nodes, _ = gauss_legendre(int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"])
+    t_modes = np.linspace(0.0, grids["t_max"], 81)
+    t_set = np.array([t_modes[np.argmin(np.abs(t_modes - ti))] for ti in grids["commutator_t"]])
+    bromwich_line(response, -k)
+    assert t_set.size == 3 and nodes.size == 96
+    assert _tables_beside_outputs(
+        lambda: _line_mode_path(response, ("eh", "hh"), -k, t_set, nodes)) <= 0.25
+
+
+def test_grid_csv_writer_formats_block_by_block(tmp_path):
+    # a 144 x 144 grid of tensors (20,736 rows, 3 MB of complex values): 9.0
+    # MB when the 18 tensor columns were copied twice, into a Re/Im stack
+    # and into one float table of every column, before the first row was
+    # formatted
+    n = 144
+    rng = np.random.default_rng(5)
+    tensors = rng.normal(size=(n * n, 3, 3)) + 1j * rng.normal(size=(n * n, 3, 3))
+    grid = np.linspace(0.0, 1.0, n)
+    path = tmp_path / "grid.csv"
+    peak = _traced_peak_mb(lambda: write_tensor_grid_csv(path, ("q", "t"), (grid, grid), tensors))
+    assert path.read_bytes().count(b"\n") == n * n + 1
+    assert peak <= 4.0
+
+
 def test_verify_gaussian_config_stays_bounded(tmp_path):
     # 35.0 MB when the Maxwell stage's line path held its line sums,
     # reservoir sums and vacuum transforms at once, and the angle tables
-    # of the kernels and the round trip held every bracket and angle shift
+    # of the kernels and the round trip held every bracket and angle shift,
+    # 20.8 MB when the -k line build and solve held their 81-column
+    # estimates and their factor and scaled tables
     config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
     manifests = []
     peak = _traced_peak_mb(lambda: manifests.append(run_scenario(config, out_dir=str(tmp_path))))
     assert manifests[0].all_passed
-    assert peak <= 27.0
+    assert peak <= 18.0
 
 
 def test_verify_lorentz_config_stays_bounded(tmp_path):
     # 75 MB when each stage's products lived into the next stage (the
     # modes-grid representation beside the Maxwell one), 41.4 MB when a
     # field representation held its reservoir channels beside its families,
-    # 28.8 MB on a fixed 8,001-point Maxwell grid (21.0 on its sized one)
+    # 28.8 MB on a fixed 8,001-point Maxwell grid (21.0 on its sized one),
+    # 20.1 MB when the CSV writer copied each tensor array twice
     config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
     manifests = []
     peak = _traced_peak_mb(lambda: manifests.append(run_scenario(config, out_dir=str(tmp_path))))
     assert manifests[0].all_passed
-    assert peak <= 26.0
+    assert peak <= 18.5
 
 
 @pytest.mark.parametrize("stages", [*_STAGES.values(), ("modes", "commutators")],

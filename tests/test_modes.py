@@ -777,3 +777,69 @@ def test_line_path_chunks_match_dense_reference_other_grids(monkeypatch, t):
     # a uniform grid that starts at t > 0 (chirp-z with the t_0 fold), and
     # a non-uniform one (a phase table per chunk)
     _check_line_chunks_against_dense(monkeypatch, t)
+
+
+@pytest.mark.parametrize("line_sum_kind", ["phase_table", "chirp_z"])
+@pytest.mark.parametrize("n_t, n_q, nodes_per_table", [(5, 17, None), (101, 7, 3)],
+                         ids=["times_below_line", "times_above_line"])
+def test_direct_sums_by_node_group_match_one_table(monkeypatch, line_sum_kind, n_t, n_q,
+                                                   nodes_per_table):
+    # 5 times below the line's 40 points: groups of 2 of the 17 nodes, the
+    # last one alone. 101 times above it: a group would take every node,
+    # and the table of 3 nodes per chunk cuts it (3, 3, 1). Against every
+    # node's factors and scaled columns formed in one table and summed by
+    # the same line sums
+    import mqed.response
+
+    n_y = 40
+    if nodes_per_table is not None:
+        monkeypatch.setattr(mqed.response, "_TABLE_ELEMENTS", 9 * n_y * nodes_per_table)
+    rng = np.random.default_rng(12)
+    rho = 0.3 + 1j * np.linspace(-20.0, 20.0, n_y)
+    cols = rng.normal(size=(n_y, 18)) + 1j * rng.normal(size=(n_y, 18))
+    omega_q = np.linspace(0.1, 10.0, n_q)
+    t = np.linspace(0.0, 2.0, n_t)
+    group = min(max(1, n_t * n_q // n_y), nodes_per_table or n_q)
+    assert n_q % group
+    if line_sum_kind == "chirp_z":
+        line_sum = modes._chirp_z(t, t[1], rho)
+    else:
+        def line_sum(c, out):
+            np.copyto(out, np.exp(np.multiply.outer(t, rho)) @ c)
+    fac = 1.0 / (rho[:, None] + 1j * omega_q[None, :])
+    got = list(modes._direct_sums(line_sum, n_t, rho, cols, omega_q))
+    assert len(got) == 2
+    for b, block in enumerate(got):
+        want = np.empty((n_t, n_q * 9), dtype=complex)
+        line_sum((fac[:, :, None] * cols[:, None, 9 * b : 9 * b + 9]).reshape(n_y, -1), want)
+        want = want.reshape(n_t, n_q, 9).swapaxes(0, 1)
+        assert block.shape == (n_q, n_t, 9)
+        assert np.max(np.abs(block - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("medium", ["gaussian", "lorentz"])
+def test_line_estimates_match_one_pass_over_all_columns(medium):
+    # the two estimates, summed one column group at a time, against all 81
+    # columns (the eh block, the alternating-sign and the outer-point
+    # copies of the 36) in one chirp-z call: each column is summed on its
+    # own, so the two agree bit for bit
+    if medium == "gaussian":
+        resp = laplace_response(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8),
+                                zero_coupling("magnetic"), horizon=2.0)
+        k = np.array([0.4, -0.3, 1.1])
+    else:
+        me, mm, _ = lorentz_pair()
+        resp, k = laplace_response(me, mm, horizon=6.0, omega_top=2.4), K
+    line = modes.bromwich_line(resp, k)
+    meta, rho, n_y = line.metadata, line.rho, line.rho.size
+    t_est = np.linspace(0.0, meta["line_horizon"], meta["estimate_points"])
+    sign = np.where(np.arange(n_y) % 2, 1.0, -1.0)
+    outer = np.abs(rho.imag) > 0.5 * meta["line_halfwidth"]
+    cols = np.concatenate([line.stack.reshape(n_y, 6, 6)[:, :3, 3:].reshape(n_y, 9),
+                           sign[:, None] * line.stack, outer[:, None] * line.stack], axis=1)
+    sums = np.empty((t_est.size, 81), dtype=complex)
+    modes._chirp_z(t_est, t_est[1], rho)(cols, sums)
+    tail = modes._tail_transform(t_est, float(rho[0].real), line.c3, line.c4)
+    scale = max(float(np.max(np.abs(sums[:, :9].reshape(-1, 3, 3) + tail[:, :3, 3:]))), 1e-30)
+    assert meta["est_rel_error"] == float(np.max(np.abs(sums[:, 9:45]))) / scale
+    assert meta["est_truncation"] == float(np.max(np.abs(sums[:, 45:]))) / scale

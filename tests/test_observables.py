@@ -172,8 +172,37 @@ def test_constitutive_roundtrip_lorentz():
     assert t[-1] == 20.0
     kernel = chi_kernel(model, K, np.linspace(0.0, 30.0, 3001), quad=QuadratureSpec(rtol=1e-9))
     check = constitutive_roundtrip(model, kernel, t)
-    assert check.residual < 1e-5
+    assert check.residual < 1e-9
     assert np.max(np.abs(check.p_convolution)) > 0.0
+    # each route's O(h^2) error is the whole plain residual, which the
+    # extrapolation removes
+    assert 1e-6 < check.plain < 1e-5
+    assert abs(check.h_estimate - check.plain) <= 1e-3 * check.plain
+
+
+def test_constitutive_roundtrip_needs_a_subsample_ending_at_the_last_time(lorentz_kernel):
+    with pytest.raises(ValidationError, match="odd number of points"):
+        constitutive_roundtrip(*lorentz_kernel, np.linspace(0.0, 20.0, 3000))
+
+
+def test_constitutive_roundtrip_fails_a_ladder_defect_of_one_part_per_million(monkeypatch):
+    # route B scaled by 1 + 1e-6: the plain residual (3.2e-6 on its own)
+    # stays below the 1e-5 tolerance the check had, and the extrapolated
+    # one reads the defect and fails the tightened default
+    from mqed import observables
+    from mqed.scenario import _SCHEMA
+
+    model = lorentz_isotropic(1.3, 1.0, 0.5)
+    t = check_grid(model)
+    kernel = chi_kernel(model, K, np.linspace(0.0, 30.0, 3001), quad=QuadratureSpec(rtol=1e-9))
+    tol = float(_SCHEMA["numerics"]["constitutive_tol"].default)
+    assert constitutive_roundtrip(model, kernel, t).residual <= tol
+    responses = observables._oscillator_responses
+    monkeypatch.setattr(observables, "_oscillator_responses",
+                        lambda *args: (1.0 + 1e-6) * responses(*args))
+    check = constitutive_roundtrip(model, kernel, t)
+    assert check.plain < 1e-5
+    assert check.residual > 10.0 * tol
 
 
 @pytest.mark.parametrize("model", [

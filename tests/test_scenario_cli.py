@@ -536,9 +536,9 @@ def test_lorentz_run_builds_no_legendre_rule_above_1024(tmp_path, monkeypatch):
 
 
 def test_rational_representation_reaches_both_checks_grids(tmp_path, monkeypatch):
-    # the continuity probe and the constitutive round trip integrate the
-    # kernel's coupling quadrature in time, each to the checks' horizon,
-    # where a rational part's representation was converged
+    # the continuity probe and the constitutive round trip (at steps h and
+    # 2h) integrate the kernel's coupling quadrature in time, each to the
+    # checks' horizon, where a rational part's representation was converged
     import mqed.noise
     import mqed.observables
 
@@ -558,7 +558,7 @@ def test_rational_representation_reaches_both_checks_grids(tmp_path, monkeypatch
     run_scenario(config, out_dir=str(tmp_path), stages=("noise",))
     electric = kernels[0]
     assert electric.closed_form is not None
-    assert ends == [electric.rep_horizon] * 2
+    assert ends == [electric.rep_horizon] * 3
 
 
 def test_narrow_lorentz_lines_in_the_chi_and_noise_stages(tmp_path):
