@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -62,13 +62,14 @@ def _sector_scale(which: str, constants: PhysicalConstants) -> float:
     raise ValidationError(f"unknown sector '{which}'", key="which")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedTable:
     """Sampled coupling tensors on an (omega, |k|) grid.
 
     Entries are interpolated bilinearly and independently; evaluation outside
     the grid raises OutOfTableRange (never extrapolates). Tables compare and
-    hash by their contents, so models holding them can key caches by value.
+    hash by identity: a run builds each table once, so a model holding one
+    keys a cache by that table.
     """
 
     omegas: np.ndarray
@@ -84,23 +85,6 @@ class TabulatedTable:
                 raise ValidationError(f"table {axis} grid needs at least two points")
         if self.values.shape != (self.omegas.size, self.kmags.size, 3, 3):
             raise ValidationError("table values must have shape (n_omega, n_k, 3, 3)")
-
-    def _contents(self):
-        return tuple(
-            (a.dtype.str, a.shape, a.tobytes()) for a in (self.omegas, self.kmags, self.values)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TabulatedTable):
-            return NotImplemented
-        return self is other or self._contents() == other._contents()
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._contents())
-
-    def __hash__(self):
-        return self._hash
 
     def interpolate(self, omegas, kmag: float) -> np.ndarray:
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))

@@ -7,13 +7,14 @@ coefficient functions over the initial photon operators a(0) (weights
 sqrt(hbar w_k eps0 / 2 (2pi)^3) and the mu0 twin) and the initial reservoir
 operators d(0), b(0) (weights (2pi)^{-3/2} with triad contractions). Each
 coefficient channel must satisfy the transformed Maxwell system on its own,
-and the equal-time commutators assembled from the channels must be
-medium-independent; both statements are checked numerically here. A
-representation reads the medium from one `LaplaceResponse`: its Lambda
-system, its reservoir couplings and its memory kernels. It holds the mode
-coefficients and the photon channels at one wave vector and forms each
-reservoir channel from them when read (`channel`); the commutators pair it
-with the representation at -k, built at their own times only.
+and the equal-time commutators assembled from the channels must keep their
+free-space value hbar c^2 O(k) in any medium; both statements are checked
+numerically here. A representation reads the medium from one
+`LaplaceResponse`: its Lambda system, its reservoir couplings and its memory
+kernels. It holds the mode coefficients and the photon channels at one wave
+vector and forms each reservoir channel from them when read (`channel`); the
+commutators pair it with the representation at -k, built at their own times
+only.
 """
 
 from __future__ import annotations
@@ -209,24 +210,18 @@ def vacuum_eh_coefficient(rep: FieldOperatorRepresentation) -> np.ndarray:
     return c.hbar * c.c**2 * curl_symbol(rep.k)
 
 
-def equal_time_commutators(
-    rep: FieldOperatorRepresentation,
-    t_set,
-    baseline: FieldOperatorRepresentation | None = None,
-) -> CommutatorReport:
-    """Equal-time [E, H^dag] coefficients against the vacuum baseline.
+def equal_time_commutators(rep: FieldOperatorRepresentation, t_set) -> CommutatorReport:
+    """Equal-time [E, H^dag] coefficients against their free-space value.
 
-    The -k channels are solved at the times t_set, which must lie on the t
-    grid of `rep` and of the vacuum `baseline` (which may hold just t_set);
-    without a baseline the target is the analytic i hbar c^2 x (curl matrix).
-    details["minus_k"] is the metadata of that -k solve.
+    The i-normalized coefficients of the medium `rep` at the times t_set,
+    which must lie on its t grid, are compared with the closed form hbar c^2
+    O(k) (`vacuum_eh_coefficient`), a route that shares no factor with the
+    medium's assembly. The -k channels are solved at the times t_set only;
+    details["minus_k"] is the metadata of that solve.
     """
     t_set = np.atleast_1d(np.asarray(t_set, dtype=float))
     lhs, minus_k = _eh_coefficients(rep, t_set)
-    if baseline is not None:
-        rhs = _eh_coefficients(baseline, t_set)[0]
-    else:
-        rhs = np.broadcast_to(vacuum_eh_coefficient(rep), lhs.shape).copy()
+    rhs = np.broadcast_to(vacuum_eh_coefficient(rep), lhs.shape).copy()
     return CommutatorReport(
         kind="field_equal_time",
         k=rep.k,
@@ -268,6 +263,17 @@ def reservoir_picks(n_q: int, samples: int) -> np.ndarray:
     nodes spread evenly over the grid, ends included."""
     picks = np.linspace(0, n_q - 1, min(samples, n_q)).astype(int)
     return picks[np.diff(picks, prepend=-1) > 0]
+
+
+def _richardson(fine: np.ndarray, coarse: np.ndarray, scale: float) -> tuple:
+    """Of an O(h^2) error sampled at step h (`fine`) and again at 2h on every
+    other point (`coarse`), relative to `scale` (1 when it is 0): the worst
+    Richardson value (4 r_h - r_2h) / 3, the worst r_h and the worst
+    |r_h - r_2h| / 3, its h^2 estimate."""
+    scale = scale if scale > 0.0 else 1.0
+    return (float(np.max(np.abs(4.0 * fine[::2] - coarse))) / (3.0 * scale),
+            float(np.max(np.abs(fine))) / scale,
+            float(np.max(np.abs(fine[::2] - coarse))) / (3.0 * scale))
 
 
 @dataclass(frozen=True)
@@ -322,10 +328,7 @@ def maxwell_residual(rep: FieldOperatorRepresentation) -> MaxwellResidualReport:
 
     def record(name, *fields, **noise):
         (fine, scale), (coarse, _) = rows(1, *fields, **noise), rows(2, *fields, **noise)
-        scale = scale if scale > 0.0 else 1.0
-        channels[name] = float(np.max(np.abs(4.0 * fine[::2] - coarse))) / (3.0 * scale)
-        plain[name] = float(np.max(np.abs(fine))) / scale
-        estimate[name] = float(np.max(np.abs(fine[::2] - coarse))) / (3.0 * scale)
+        channels[name], plain[name], estimate[name] = _richardson(fine, coarse, scale)
 
     for lam in (0, 1):
         record(f"photon_{lam + 1}", rep.photon_E[lam], rep.photon_H[lam])
@@ -397,16 +400,14 @@ def constitutive_roundtrip(
         return p_a, eps0 * (ladder @ e_dir.astype(complex))
 
     (p_a, p_b), (p_a2, p_b2) = routes(1), routes(2)
-    r_h, r_2h = p_a - p_b, p_a2 - p_b2
-    scale = float(np.max(np.abs(p_a)))
-    scale = scale if scale > 0.0 else 1.0
+    residual, plain, h_estimate = _richardson(p_a - p_b, p_a2 - p_b2, float(np.max(np.abs(p_a))))
     return ConstitutiveCheck(
         t_grid=t,
         p_convolution=p_a,
         p_ladder=p_b,
-        residual=float(np.max(np.abs(4.0 * r_h[::2] - r_2h))) / (3.0 * scale),
-        plain=float(np.max(np.abs(r_h))) / scale,
-        h_estimate=float(np.max(np.abs(r_h[::2] - r_2h))) / (3.0 * scale),
+        residual=residual,
+        plain=plain,
+        h_estimate=h_estimate,
         probe={"tau": tau, "center": t0, "direction": [float(x) for x in e_dir]},
     )
 

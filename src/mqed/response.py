@@ -87,6 +87,9 @@ _KERNEL_TAIL = 1e-11
 # probe (four of its widths) and `observables.constitutive_roundtrip`'s grid
 # (`check_grid`)
 _CHECK_HORIZON = 20.0
+# the share of its peak a kernel's tail may still move by over its last 5%
+# of samples (`chi_spectrum`), and the plateau it reads as zero below
+_TAIL_RTOL = 1e-6
 # the fewest omega points kk_check accepts
 KK_MIN_POINTS = 64
 # |omega - omega_n| T below which the half-line transform of a mode is taken
@@ -504,7 +507,7 @@ def chi_kernel(
     )
 
 
-def _plateau(values: np.ndarray, t_grid: np.ndarray, tail_rtol: float):
+def _plateau(values: np.ndarray):
     """Estimate the long-time limit from the final 5% of samples and verify
     the kernel has actually settled there.
 
@@ -519,13 +522,12 @@ def _plateau(values: np.ndarray, t_grid: np.ndarray, tail_rtol: float):
     if scale == 0.0:
         return np.zeros((3, 3), dtype=complex), 0.0
     wobble = float(np.max(np.abs(tail - plateau))) / scale
-    if wobble > tail_rtol:
+    if wobble > _TAIL_RTOL:
         raise TailNotDecayed(
-            f"kernel tail still moving by {wobble:g} of peak (> {tail_rtol:g}); "
-            "extend t_grid or raise tail_rtol"
+            f"kernel tail still moving by {wobble:g} of peak (> {_TAIL_RTOL:g}); extend t_grid"
         )
     top = float(np.max(np.abs(plateau)))
-    if top <= tail_rtol * scale or top <= 50.0 * wobble * scale:
+    if top <= _TAIL_RTOL * scale or top <= 50.0 * wobble * scale:
         plateau = np.zeros((3, 3), dtype=complex)
     return plateau, wobble
 
@@ -603,17 +605,13 @@ def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) ->
     return block_tensors(out, rep.basis)
 
 
-def chi_spectrum(
-    kernel: SusceptibilityKernel,
-    omega_grid,
-    tail_rtol: float = 1e-6,
-) -> ResponseSpectrum:
+def chi_spectrum(kernel: SusceptibilityKernel, omega_grid) -> ResponseSpectrum:
     """Half-line frequency transform chi_hat(k, omega) = int_0^inf chi e^{i omega t} dt.
 
     A rational part's spectrum is its closed form at rho = -i omega; its
     plateau chi(inf) = s^2 / gamma is that of a pole at rho = 0 (Drude).
     Any other kernel's is the half-line transform of its representation to
-    t_max, whose tail must have settled within tail_rtol of its peak.
+    t_max, whose tail must have settled within _TAIL_RTOL of its peak.
     Conductor-like kernels settle on a nonzero plateau chi(inf); the tail
     integral of the plateau is added analytically (i chi_inf e^{i omega T} /
     omega), which is what makes the free-carrier spectrum converge. Either
@@ -630,7 +628,7 @@ def chi_spectrum(
         plateau = (s2 / g) * IDENTITY3 if w02 == 0.0 else None
         wobble = 0.0
     else:
-        plateau, wobble = _plateau(kernel.values, kernel.t_grid, tail_rtol)
+        plateau, wobble = _plateau(kernel.values)
         plateau = plateau if np.any(plateau != 0.0) else None
     if plateau is not None and np.any(omega == 0.0):
         raise ZeroFrequency("spectrum of a plateau kernel diverges at omega = 0")

@@ -151,7 +151,7 @@ def test_criterion_4_vacuum_limit():
 
 
 def test_criterion_5_medium_independent_commutators():
-    """Lorentz-medium equal-time commutators stay at the vacuum values."""
+    """Lorentz-medium equal-time commutators stay at the free-space value."""
     start = time.perf_counter()
     t = np.linspace(0.0, 20.0, 81)
     t_set = [0.0, 1.0, 5.0, 20.0]
@@ -159,8 +159,7 @@ def test_criterion_5_medium_independent_commutators():
     for order in (128, 512, 2048):
         nodes, weights = gauss_legendre(order, 0.0, 50.0)
         rep = field_representation(laplace_response(LORENTZ_E, LORENTZ_M), K, t, nodes, weights)
-        vac = field_representation(laplace_response(ZERO_E, ZERO_M), K, t, nodes, weights)
-        devs[order] = equal_time_commutators(rep, t_set, baseline=vac).max_rel_err
+        devs[order] = equal_time_commutators(rep, t_set).max_rel_err
     elapsed = time.perf_counter() - start
     converged = devs[512] <= devs[128] and devs[2048] <= 1.05 * devs[512]
     ok = devs[2048] < 1e-4 and converged and elapsed < 300.0

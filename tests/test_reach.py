@@ -36,12 +36,8 @@ _UNREACHED = {
     "conductor.q_kernel_consistency": "tests only; the benchmark traces it (ROADMAP item 5)",
     "couplings.GaugeTransform.__call__": _GAUGE,
     "couplings.apply_gauge": _GAUGE,
-    # a dict lookup matches a key by identity before it compares by value
-    "couplings.TabulatedTable.__eq__": "a run holds each table once, so no lookup compares "
-                                       "two by value (ROADMAP item 9)",
     "modes.line_mode_coefficients": "tests only: the Bromwich line's reference route on a "
                                     "rational medium (ROADMAP item 10)",
-    "observables.vacuum_eh_coefficient": "tests only, until a free-space check (ROADMAP item 4)",
 }
 
 

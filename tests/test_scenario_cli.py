@@ -1012,3 +1012,21 @@ def test_check_grid_budget_names_its_grid():
         scenario._steps("Maxwell", 1.0, 1.0 / scenario._CHECK_POINTS)
     assert scenario._steps("Maxwell", 1.0, 1.0 / (scenario._CHECK_POINTS - 2)) \
         == scenario._CHECK_POINTS - 2
+
+
+@pytest.mark.parametrize("name", ["gaussian.cfg", "lorentz.cfg"])
+def test_equal_time_commutator_fails_an_assembly_defect_of_one_part_per_thousand(
+        tmp_path, monkeypatch, name):
+    # the medium's [E, H^dag] assembly scaled by 1 + 1e-3: its free-space
+    # value hbar c^2 O(k) shares no factor with that assembly, so the check
+    # reads the defect
+    from mqed import observables
+
+    original = observables._eh_coefficient
+    monkeypatch.setattr(observables, "_eh_coefficient",
+                        lambda *args: (1.0 + 1e-3) * original(*args))
+    config = parse_scenario((CONFIGS / name).read_text(encoding="utf-8"))
+    manifest = run_scenario(config, out_dir=str(tmp_path), stages=("commutators",))
+    check = next(c for c in manifest.checks if c["name"] == "equal_time_commutator_k0")
+    assert check["max_error"] == pytest.approx(1e-3, rel=0.01)
+    assert not check["passed"]
