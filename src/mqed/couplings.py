@@ -252,7 +252,7 @@ def tabulated_from_csv(path, which: str = ELECTRIC) -> CouplingModel:
     return tabulated(TabulatedTable(omegas=omegas, kmags=kmags, values=values), which=which)
 
 
-def _oscillator_profile(model: CouplingModel, w: np.ndarray, k) -> np.ndarray:
+def _oscillator_profile(model: CouplingModel, w: np.ndarray, kk: float) -> np.ndarray:
     """Isotropic profile F(omega) I of the damped-oscillator kinds."""
     d = (model.resonance**2 - w**2) ** 2 + (model.width * w) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -278,10 +278,10 @@ def _lorentz_horizon(model: CouplingModel, tail: float) -> float:
     return 2.0 * lo / model.width
 
 
-def _gaussian_profile(model: CouplingModel, omegas: np.ndarray, k) -> np.ndarray:
+def _gaussian_profile(model: CouplingModel, omegas: np.ndarray, kk: float) -> np.ndarray:
     c = model.center
     prof = (omegas / c**2) * np.exp(-(omegas**2) / (2.0 * c**2))
-    spatial = np.exp(-0.5 * model.correlation_length**2 * float(k @ k))
+    spatial = np.exp(-0.5 * model.correlation_length**2 * kk)
     diag = np.diag(model.axis_strengths).astype(complex)
     return (model.amplitude * spatial * prof)[:, None, None] * diag[None, :, :]
 
@@ -293,8 +293,8 @@ def _table_top(model: CouplingModel) -> float:
 # A coupling kind, declared once. `build` is its constructor, called with
 # which=, constants= and the config parameters named in `required` and
 # `optional`. The rest are functions of a model of the kind:
-# - profile(model, omegas, k): f, (n_omega, 3, 3) complex, before the
-#   omega_max envelope and the gauge;
+# - profile(model, omegas, kk): f, (n_omega, 3, 3) complex, before the
+#   omega_max envelope and the gauge; it reads k only through kk = k . k;
 # - nonzero(model): whether it couples at all;
 # - scale(model): its frequency scale; cutoff(model): the top of its
 #   support, None when unbounded;
@@ -317,7 +317,7 @@ _OSCILLATOR = dict(
 _KINDS = {
     "zero": _Kind(
         lambda which, constants: zero_coupling(which),
-        lambda model, omegas, k: np.zeros((omegas.size, 3, 3), dtype=complex),
+        lambda model, omegas, kk: np.zeros((omegas.size, 3, 3), dtype=complex),
         nonzero=lambda model: False, scale=lambda model: 1.0, record=lambda model: {},
         closed=lambda model: Rational.constant(0.0)),
     "lorentz_isotropic": _Kind(
@@ -340,7 +340,7 @@ _KINDS = {
         even_entire=True),
     "tabulated": _Kind(
         lambda which, constants, table: tabulated_from_csv(table, which=which),
-        lambda model, omegas, k: model.table.interpolate(omegas, float(np.linalg.norm(k))),
+        lambda model, omegas, kk: model.table.interpolate(omegas, np.sqrt(kk)),
         nonzero=lambda model: True, scale=_table_top,
         record=lambda model: {"n_omega": int(model.table.omegas.size),
                               "n_k": int(model.table.kmags.size),
@@ -356,14 +356,14 @@ def eval_coupling_batch(model: CouplingModel, omegas, k) -> np.ndarray:
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(omegas < 0.0):
         raise ValidationError("coupling evaluation requires omega >= 0")
-    k = np.asarray(k, dtype=float)
+    kk = float(np.dot(k, k))
     top = model.hard_cutoff
     if top is None:
-        out = model._row.profile(model, omegas, k)
+        out = model._row.profile(model, omegas, kk)
     else:
         inside = omegas <= top
         out = np.zeros((omegas.size, 3, 3), dtype=complex)
-        out[inside] = model._row.profile(model, omegas[inside], k)
+        out[inside] = model._row.profile(model, omegas[inside], kk)
     if model.omega_max is not None:
         out = out * np.exp(-(omegas**2) / model.omega_max**2)[:, None, None]
     if model.gauge is not None and omegas.size:

@@ -13,13 +13,13 @@ numerically here. A representation reads the medium from one
 `LaplaceResponse`: its Lambda system, its reservoir couplings and its memory
 kernels. It holds the mode coefficients and the photon channels at one wave
 vector and forms each reservoir channel from them when read (`channel`); the
-commutators pair it with the representation at -k, built at their own times
-only.
+commutators pair it with its parity partner at -k, mapped from the same
+coefficients at their own times only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -150,25 +150,41 @@ def field_representation(
     one k on the (t, omega_q) grids; the memory kernels are built when first
     read. The run's `response` shares its Laplace-domain chi_hat between
     calls."""
-    k = np.asarray(k, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    omega_q = np.asarray(omega_q_grid, dtype=float)
     weights = np.asarray(omega_q_weights, dtype=float)
-    if omega_q.shape != weights.shape:
+    if np.shape(omega_q_grid) != weights.shape:
         raise ValidationError("omega_q grid and weights must align")
-    mc = mode_coefficients(response, k, t, omega_q)
-    tr = triad(k)
+    return _with_photons(response, mode_coefficients(response, k, t_grid, omega_q_grid), weights)
+
+
+def _with_photons(response: LaplaceResponse, mc: ModeCoefficients, weights: np.ndarray):
+    """The representation of `mc`, its photon channels over the triad of mc.k."""
+    tr = triad(mc.k)
     c = response.constants
-    w_k = c.c * float(np.linalg.norm(k))
+    w_k = c.c * float(np.linalg.norm(mc.k))
     w_e = np.sqrt(c.hbar * w_k * c.eps0 / (2.0 * TWO_PI_CUBED))
     w_m = np.sqrt(c.hbar * w_k * c.mu0 / (2.0 * TWO_PI_CUBED))
     pairs = tuple(zip((tr.e1, tr.e2), (tr.s1, tr.s2)))
     return FieldOperatorRepresentation(
-        k, t, omega_q, weights, response, mc,
+        mc.k, mc.t_grid, mc.omega_q_grid, weights, response, mc,
         photon_E=np.stack([1j * (w_e * mc.gamma @ e + w_m * mc.xi @ s) for e, s in pairs]),
         photon_H=np.stack([1j * (w_e * mc.gamma_tilde @ e + w_m * mc.xi_tilde @ s)
                            for e, s in pairs]),
     )
+
+
+# each family's sign from k to -k: + on the eh and he blocks, - on ee and hh
+_PARITY = {"gamma": 1, "xi_tilde": 1, "eta": 1, "zeta_tilde": 1,
+           "xi": -1, "gamma_tilde": -1, "zeta": -1, "eta_tilde": -1}
+
+
+def _parity_partner(rep: FieldOperatorRepresentation, idx: list) -> FieldOperatorRepresentation:
+    """The representation at -k at rep's time indices idx, from rep's mode
+    coefficients. A coupling reads k only through |k|, so f_q and g_q are
+    kept and Lambda(-k)^-1 = -S Lambda(k)^-1 S with S = diag(I3, -I3)."""
+    families = {name: sign * getattr(rep.coeffs, name)[..., idx, :, :]
+                for name, sign in _PARITY.items()}
+    return _with_photons(rep.response, replace(rep.coeffs, k=-rep.k, t_grid=rep.t_grid[idx],
+                                               metadata={}, **families), rep.omega_q_weights)
 
 
 def _eh_coefficient(p: FieldOperatorRepresentation, m: FieldOperatorRepresentation,
@@ -188,18 +204,16 @@ def _eh_coefficient(p: FieldOperatorRepresentation, m: FieldOperatorRepresentati
     return TWO_PI_CUBED * (ph + res)
 
 
-def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray):
+def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray) -> np.ndarray:
     """The i-normalized [E, H^dag] coefficients at the times t_set, which must
-    lie on the representation's t grid, and the metadata of the -k solve: +k
-    is read from `rep`, -k is solved at those times only."""
+    lie on the representation's t grid: +k is read from `rep`, -k from its
+    parity partner at those times (`_parity_partner`), with no second solve."""
     idx = [int(np.argmin(np.abs(rep.t_grid - ti))) for ti in t_set]
     if any(abs(rep.t_grid[i] - ti) > 1e-9 * max(1.0, abs(ti)) for i, ti in zip(idx, t_set)):
         raise ValidationError("t_set must be drawn from the representation t_grid")
-    minus = field_representation(rep.response, -rep.k, rep.t_grid[idx], rep.omega_q_grid,
-                                 rep.omega_q_weights)
+    minus = _parity_partner(rep, idx)
     wq = rep.omega_q_weights * rep.radial_measure
-    coeffs = np.stack([_eh_coefficient(rep, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
-    return coeffs, minus.coeffs.metadata
+    return np.stack([_eh_coefficient(rep, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
 
 
 def vacuum_eh_coefficient(rep: FieldOperatorRepresentation) -> np.ndarray:
@@ -216,11 +230,11 @@ def equal_time_commutators(rep: FieldOperatorRepresentation, t_set) -> Commutato
     The i-normalized coefficients of the medium `rep` at the times t_set,
     which must lie on its t grid, are compared with the closed form hbar c^2
     O(k) (`vacuum_eh_coefficient`), a route that shares no factor with the
-    medium's assembly. The -k channels are solved at the times t_set only;
-    details["minus_k"] is the metadata of that solve.
+    medium's assembly. The -k channels are the +k ones mapped by parity
+    (details["minus_k"] names that route), so no -k mode solve runs.
     """
     t_set = np.atleast_1d(np.asarray(t_set, dtype=float))
-    lhs, minus_k = _eh_coefficients(rep, t_set)
+    lhs = _eh_coefficients(rep, t_set)
     rhs = np.broadcast_to(vacuum_eh_coefficient(rep), lhs.shape).copy()
     return CommutatorReport(
         kind="field_equal_time",
@@ -229,7 +243,7 @@ def equal_time_commutators(rep: FieldOperatorRepresentation, t_set) -> Commutato
         lhs=lhs,
         rhs=rhs,
         max_rel_err=_relative_deviation(lhs, rhs),
-        details={"n_reservoir": int(rep.omega_q_grid.size), "minus_k": dict(minus_k)},
+        details={"n_reservoir": int(rep.omega_q_grid.size), "minus_k": "parity"},
     )
 
 

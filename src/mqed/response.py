@@ -410,8 +410,7 @@ def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional, alia
     to at most `_PRUNE_RTOL` of sum_n |c_n|, which bounds the move of the
     kernel, |delta chi(t)| <= sum_dropped |c_n|, and of every other value
     read from it by the same sum times the largest factor its consumer puts
-    on a node. The choice reads |c_n| alone, so k and -k keep the same
-    nodes. Returns the representation, the converged functional and the
+    on a node. Returns the representation, the converged functional and the
     quadrature record, whose `kept` counts the nodes kept of its `order`."""
     stash = {}  # the last rule evaluated, the one kept
 
@@ -741,9 +740,9 @@ class LaplaceResponse:
     chi_hat_m), each chi_hat the sum over the nonzero parts of its sector
     (`sector`), and the reservoir couples to the same parts. A rational part
     contributes its closed form, evaluated anywhere off its poles; any other
-    goes through its kernel quadrature representation (`laplace_rep`), for
-    which the transform of each sine mode is omega_n / (rho^2 + omega_n^2)
-    exactly, at Re rho > 0 only.
+    goes through its kernel quadrature representation (`laplace_rep`, one
+    per |k|), for which the transform of each sine mode is omega_n / (rho^2
+    + omega_n^2) exactly, at Re rho > 0 only.
 
     horizon and omega_top bound every time and reservoir frequency the mode
     coefficients are asked for, and they alone fix the Bromwich line of a
@@ -782,10 +781,10 @@ class LaplaceResponse:
 
     def laplace_rep(self, model, k) -> QuadRep:
         """The representation chi_hat of the continuum `model` at k is
-        evaluated from, built on first use. Its kernel values are the chi(t)
-        whose transform the mode solver inverts."""
+        evaluated from, one per |k|, built on first use. Its kernel values are
+        the chi(t) whose transform the mode solver inverts."""
         k = np.asarray(k, dtype=float)
-        key = (model, tuple(k))
+        key = (model, float(k @ k))
         rep = self._rep_cache.get(key)
         if rep is None:
             # converged on probe values of rho, not on a time horizon: this

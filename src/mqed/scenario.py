@@ -437,9 +437,8 @@ def _kk(run, part, got):
 
 def _equal_time(run, part, got):
     comm = equal_time_commutators(got, run.t_set)
-    run.manifest.quadrature[f"modes_minus_{run.tag}"] = comm.details["minus_k"]
     _emit_report(run, f"commutator_equal_time_{run.tag}", "t", comm)
-    return _Measure(comm.max_rel_err)
+    return _Measure(comm.max_rel_err, {"minus_k": comm.details["minus_k"]})
 
 
 def _vacuum_psd(run, part, got):

@@ -1,5 +1,6 @@
 """Test fixtures built on the package's API: frequency-dependent orthogonal
-gauges for the gauge-invariance tests, and the CSV of a tabulated coupling.
+gauges for the gauge-invariance tests, the CSV of a tabulated coupling, and
+gaussian.cfg's continuum part in either sector.
 
 `mqed.couplings` holds the gauge API (`GaugeTransform`, `apply_gauge`);
 these build particular gauges from it.
@@ -9,7 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from mqed.couplings import GaugeTransform
+from mqed.couplings import GaugeTransform, gaussian_anisotropic, zero_coupling
+from mqed.response import laplace_response
 from mqed.tensors import IDENTITY3
 
 TENSOR_HEADER = [f"{p}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")]
@@ -54,3 +56,11 @@ def write_table_csv(path, omegas, kmags, values):
             rows.append(",".join(repr(c) for c in cells))
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def gaussian_response(which: str):
+    """gaussian.cfg's part in the sector `which`, the other sector empty,
+    bounded as gaussian.cfg's run bounds it."""
+    part = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8, which=which)
+    other = zero_coupling("magnetic" if which == "electric" else "electric")
+    return laplace_response(part, other, horizon=8.0, omega_top=50.0)

@@ -7,14 +7,15 @@ the swapped medium,
 over the photon, d and b channels, equals the gram of H in the original
 one, and G_HH of the swapped medium equals G_EE of the original. Both mode
 solvers are checked: the exact rational route, and the Bromwich line with a
-continuum part in the magnetic sector, the only run of the line's magnetic
+continuum part in the magnetic sector, which runs the line's magnetic
 blocks (ee and he). A control compares G_EE with G_HH of the same medium,
 which the duality does not relate."""
 
 import numpy as np
 import pytest
 
-from mqed.couplings import gaussian_anisotropic, lorentz_isotropic, zero_coupling
+from helpers import gaussian_response
+from mqed.couplings import lorentz_isotropic
 from mqed.observables import field_representation
 from mqed.quadrature import gauss_legendre
 from mqed.response import laplace_response
@@ -45,14 +46,6 @@ def _lorentz_pair(swapped: bool):
     return lorentz_isotropic(**one), lorentz_isotropic(**two, which="magnetic")
 
 
-def _gaussian_part(which: str):
-    """gaussian.cfg's part in the sector `which`, the other sector empty,
-    bounded as gaussian.cfg's run bounds it."""
-    part = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.8, which=which)
-    other = zero_coupling("magnetic" if which == "electric" else "electric")
-    return laplace_response(part, other, horizon=8.0, omega_top=50.0)
-
-
 def test_duality_on_the_rational_route():
     # lorentz.cfg's k, modes grid and 256 reservoir nodes
     k = np.array([0.0, 0.0, 1.3])
@@ -77,7 +70,7 @@ def test_duality_on_the_bromwich_line(times):
     if times == "commutator_times":
         t = t[[0, 10, 50]]
     nodes, weights = gauss_legendre(96, 0.0, 50.0)
-    magnetic, electric = _gaussian_part("magnetic"), _gaussian_part("electric")
+    magnetic, electric = gaussian_response("magnetic"), gaussian_response("electric")
     rep, dual = (field_representation(r, k, t, nodes, weights) for r in (magnetic, electric))
     route = "panels" if times == "modes_grid" else "direct"
     for r in (rep, dual):

@@ -285,8 +285,8 @@ def test_constitutive_roundtrip_of_the_gaussian_config_stays_bounded():
 
 
 def test_line_build_of_the_gaussian_config_holds_one_table_beside_its_outputs():
-    # gaussian.cfg's line at -k (2,374 points, 379 estimate times), as the
-    # commutators stage builds it: 1.32 tables when the two estimates'
+    # gaussian.cfg's line at -k (2,374 points, 379 estimate times), built
+    # as the line of any k is: 1.32 tables when the two estimates'
     # 81 chirp-z columns were summed at once, beside their two transforms;
     # each column group of one estimate (36 columns) now leaves its peak
     # alone. The stack itself is an output
@@ -297,11 +297,12 @@ def test_line_build_of_the_gaussian_config_holds_one_table_beside_its_outputs():
 
 
 def test_minus_k_solve_at_the_commutator_times_holds_a_fraction_of_a_table():
-    # the -k solve of gaussian.cfg's equal-time commutator (3 times, 96
-    # reservoir nodes, direct sums on its built line): 1.55 tables when the
-    # (n_y, 96) factor table and 24-node scaled columns of 8.2 MB were built
-    # for 41 KB of sums per block; a node group now holds no more values
-    # than those sums
+    # a solve at gaussian.cfg's three commutator times on its line at -k
+    # (96 reservoir nodes, direct sums on the built line), the solve the
+    # commutators made before they took -k from +k by parity: 1.55 tables
+    # when the (n_y, 96) factor table and 24-node scaled columns of 8.2 MB
+    # were built for 41 KB of sums per block; a node group now holds no
+    # more values than those sums
     config, response, k = _gaussian_config()
     grids = config.grids
     nodes, _ = gauss_legendre(int(grids["reservoir_order"]), 0.0, grids["reservoir_cutoff"])
@@ -333,12 +334,13 @@ def test_verify_gaussian_config_stays_bounded(tmp_path):
     # reservoir sums and vacuum transforms at once, and the angle tables
     # of the kernels and the round trip held every bracket and angle shift,
     # 20.8 MB when the -k line build and solve held their 81-column
-    # estimates and their factor and scaled tables
+    # estimates and their factor and scaled tables, 15.8 MB while the
+    # commutators still solved -k on a second line
     config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
     manifests = []
     peak = _traced_peak_mb(lambda: manifests.append(run_scenario(config, out_dir=str(tmp_path))))
     assert manifests[0].all_passed
-    assert peak <= 18.0
+    assert peak <= 15.0
 
 
 def test_verify_lorentz_config_stays_bounded(tmp_path):

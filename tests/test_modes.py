@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import gaussian_response
 from mqed.couplings import (
     TabulatedTable,
     drude,
@@ -843,3 +844,28 @@ def test_line_estimates_match_one_pass_over_all_columns(medium):
     scale = max(float(np.max(np.abs(sums[:, :9].reshape(-1, 3, 3) + tail[:, :3, 3:]))), 1e-30)
     assert meta["est_rel_error"] == float(np.max(np.abs(sums[:, 9:45]))) / scale
     assert meta["est_truncation"] == float(np.max(np.abs(sums[:, 45:]))) / scale
+
+
+_FAMILIES = ("gamma", "xi", "gamma_tilde", "xi_tilde", "zeta", "eta", "zeta_tilde", "eta_tilde")
+
+
+@pytest.mark.parametrize("medium", ["lorentz", "gaussian_electric", "gaussian_magnetic"])
+def test_mode_families_are_covariant_under_a_symmetry_rotation(medium):
+    # R = diag(-1, -1, 1) is a proper rotation in both kinds' symmetry
+    # groups (any rotation for the isotropic kinds, the sign flips for
+    # gaussian_anisotropic), so X(Rk) = R X(k) R^T for every family X: on
+    # the rational route (lorentz.cfg's parts) and the line (gaussian.cfg's
+    # part in either sector)
+    rot = np.diag([-1.0, -1.0, 1.0])
+    if medium == "lorentz":
+        response, k = lorentz_pair()[2], np.array([0.3, 0.4, 1.2])
+    else:
+        response, k = gaussian_response(medium.split("_")[1]), np.array([0.4, -0.3, 1.1])
+    t = np.linspace(0.0, 8.0, 81)
+    nodes = np.linspace(0.5, 40.0, 6)
+    at_k, at_rk = (mode_coefficients(response, kk, t, nodes) for kk in (k, rot @ k))
+    assert at_rk.metadata["method"] == ("rational_exact" if medium == "lorentz"
+                                        else "bromwich_line")
+    for name in _FAMILIES:
+        want = rot @ getattr(at_k, name) @ rot.T
+        assert np.max(np.abs(getattr(at_rk, name) - want)) <= 1e-14 * np.max(np.abs(want)), name

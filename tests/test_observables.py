@@ -5,7 +5,7 @@ import pytest
 
 import mqed.response
 from mqed import noise, observables
-from helpers import random_orthogonal_gauge
+from helpers import gaussian_response, random_orthogonal_gauge
 from mqed.couplings import (
     apply_gauge,
     drude,
@@ -25,7 +25,7 @@ from mqed.observables import (
 from mqed.quadrature import QuadratureSpec, gauss_legendre
 from mqed.response import (_damped_oscillator, check_grid, chi_kernel, finite_difference_time,
                            laplace_response)
-from mqed.scenario import parse_scenario
+from mqed.scenario import parse_scenario, run_scenario
 from mqed.tensors import NATURAL, transverse_projector
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -80,7 +80,7 @@ def test_closed_form_vacuum_commutator_matches_the_numeric_vacuum_route(name):
                                     grids["reservoir_cutoff"])
     for k in config.k_list():
         vacuum = field_representation(laplace_response(), k, t_set, nodes, weights)
-        numeric = observables._eh_coefficients(vacuum, t_set)[0]
+        numeric = observables._eh_coefficients(vacuum, t_set)
         closed = vacuum_eh_coefficient(vacuum)
         assert np.max(np.abs(numeric - closed)) <= 1e-14 * np.max(np.abs(closed))
 
@@ -332,12 +332,14 @@ def test_channels_match_the_stacked_channel_formulas(lorentz_models):
             assert np.array_equal(rep.channel(name, it=it), want[:, :, it]), name
 
 
-def test_minus_side_solved_once_at_commutator_times(monkeypatch, lorentz_models):
+def test_commutators_solve_no_minus_side(monkeypatch, lorentz_models):
+    # the -k channels are the +k ones mapped by parity: the commutators call
+    # the mode solver no more times
     calls = []
     build = observables.mode_coefficients
 
     def counted(*args, **kwargs):
-        calls.append((args[1], args[2]))
+        calls.append(args[1])
         return build(*args, **kwargs)
 
     monkeypatch.setattr(observables, "mode_coefficients", counted)
@@ -346,12 +348,67 @@ def test_minus_side_solved_once_at_commutator_times(monkeypatch, lorentz_models)
     assert rep.coeffs.gamma.shape == (201, 3, 3)
     assert len(calls) == 1
     maxwell_residual(rep)
+    report = equal_time_commutators(rep, [0.0, 1.0, 2.0])
     assert len(calls) == 1
-    equal_time_commutators(rep, [0.0, 1.0, 2.0])
-    assert len(calls) == 2
-    k_minus, t_minus = calls[1]
-    assert np.array_equal(k_minus, -calls[0][0])
-    assert np.array_equal(t_minus, t[[0, 100, 200]])
+    assert report.details["minus_k"] == "parity"
+
+
+def _run_partners(monkeypatch, tmp_path, name: str) -> list:
+    """(+k representation, time indices, parity partner) of each k of a run
+    of `name`'s modes and commutators stages."""
+    partners = []
+    partner = observables._parity_partner
+
+    def recorded(rep, idx):
+        partners.append((rep, idx, partner(rep, idx)))
+        return partners[-1][2]
+
+    monkeypatch.setattr(observables, "_parity_partner", recorded)
+    config = parse_scenario((CONFIGS / name).read_text(encoding="utf-8"))
+    run_scenario(config, out_dir=str(tmp_path), stages=("commutators",))
+    assert len(partners) == len(config.k_list())
+    return partners
+
+
+def _assert_is_the_minus_k_solve(rep, idx, partner):
+    # the numeric -k solve at the same times, the reference of the map
+    want = field_representation(rep.response, -rep.k, rep.t_grid[idx], rep.omega_q_grid,
+                                rep.omega_q_weights)
+    assert np.array_equal(partner.k, want.k) and np.array_equal(partner.t_grid, want.t_grid)
+    for name in (*observables._PARITY, "f_q", "g_q", "photon_E", "photon_H"):
+        got = getattr(partner if name.startswith("photon") else partner.coeffs, name)
+        ref = getattr(want if name.startswith("photon") else want.coeffs, name)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("name", ["lorentz.cfg", "gaussian.cfg", "conductor.cfg"])
+def test_parity_partner_is_the_minus_k_solve(monkeypatch, tmp_path, name):
+    # at a run's commutator times, on the rational route and the line
+    for rep, idx, partner in _run_partners(monkeypatch, tmp_path, name):
+        _assert_is_the_minus_k_solve(rep, idx, partner)
+
+
+def test_parity_partner_is_the_minus_k_solve_of_a_magnetic_continuum():
+    # gaussian.cfg's zeta and zeta_tilde are zero; its part in the magnetic
+    # sector makes them, and so the signs of the ee and he blocks, nonzero
+    response = gaussian_response("magnetic")
+    nodes, weights = gauss_legendre(96, 0.0, 50.0)
+    rep = field_representation(response, K, np.linspace(0.0, 8.0, 81), nodes, weights)
+    assert np.any(rep.coeffs.zeta) and np.any(rep.coeffs.zeta_tilde)
+    idx = [0, 10, 50]
+    _assert_is_the_minus_k_solve(rep, idx, observables._parity_partner(rep, idx))
+
+
+@pytest.mark.parametrize("family", list(observables._PARITY))
+def test_equal_time_commutator_fails_a_wrong_parity_sign(monkeypatch, tmp_path, family):
+    # lorentz.cfg has every family nonzero: one family's sign flipped breaks
+    # the commutator's free-space value
+    parity = observables._PARITY
+    monkeypatch.setattr(observables, "_PARITY", {**parity, family: -parity[family]})
+    config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
+    manifest = run_scenario(config, out_dir=str(tmp_path), stages=("commutators",))
+    check = next(c for c in manifest.checks if c["name"] == "equal_time_commutator_k0")
+    assert not check["passed"], check["max_error"]
 
 
 def test_commutators_equal_full_grid_minus_side(lorentz_rep):

@@ -755,8 +755,9 @@ def test_gaussian_representations_keep_only_the_nodes_that_carry_weight():
     rep = response.laplace_rep(model, k)
     assert rep.nodes.size <= 130
     assert np.all(np.isin(rep.nodes, gauss_legendre(512, 0.0, kernel.quad.cutoff)[0]))
-    # the choice reads |c_n| alone, so -k keeps the same nodes
-    assert np.array_equal(response.laplace_rep(model, -k).nodes, rep.nodes)
+    # one build per |k|: -k and Rk, R = diag(-1, -1, 1), read the same one
+    for other in (-k, np.diag([-1.0, -1.0, 1.0]) @ k):
+        assert response.laplace_rep(model, other) is rep
 
 
 @pytest.mark.parametrize("name", ["lorentz", "conductor"])

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -596,10 +597,26 @@ def test_cli_modes_bundled_gaussian_line_budget(tmp_path, capsys):
     assert line["est_truncation"] <= 1e-7
 
 
-def test_cli_verify_gaussian_builds_one_line_per_sign_of_k(tmp_path, capsys, monkeypatch):
-    # chi_hat is evaluated on a Bromwich line once for +k (the modes grid and
-    # the Maxwell grid) and once for -k (the commutator times), and the
-    # manifest records the -k line beside the +k one
+def test_python_dash_m_mqed_runs_the_cli(tmp_path):
+    # the package runs as a module: a subcommand exits 0 and writes its
+    # outputs, and a usage error exits 1
+    env = {**os.environ, "PYTHONPATH": str(Path(scenario.__file__).resolve().parent.parent)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "mqed", *args], capture_output=True,
+                              text=True, env=env, timeout=300)
+
+    done = run("chi", "--config", str(CONFIGS / "lorentz.cfg"), "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "chi_electric_k0.csv").is_file()
+    done = run("chi")
+    assert done.returncode == 1 and "usage: mqed chi" in done.stderr
+
+
+def test_cli_verify_gaussian_builds_one_line_per_k(tmp_path, capsys, monkeypatch):
+    # chi_hat is evaluated on a Bromwich line once, for +k (the modes grid
+    # and the Maxwell grid); the commutators map the -k channels from +k by
+    # parity, so no -k line is built or recorded
     from mqed.response import LaplaceResponse
 
     sizes = []
@@ -613,17 +630,17 @@ def test_cli_verify_gaussian_builds_one_line_per_sign_of_k(tmp_path, capsys, mon
     monkeypatch.setattr(LaplaceResponse, "chi", counted)
     code = main(["verify", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
     assert code == 0
-    quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
-    plus, minus = quadrature["modes_k0"], quadrature["modes_minus_k0"]
-    assert sizes == [plus["line_points"]] * 2
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    line = manifest["quadrature"]["modes_k0"]
+    assert sizes == [line["line_points"]]
+    assert not [name for name in manifest["quadrature"] if name.startswith("modes_minus")]
+    check = next(c for c in manifest["checks"] if c["name"] == "equal_time_commutator_k0")
+    assert check["details"] == {"minus_k": "parity"}
     # the geometry comes from the run: horizon t_max and
     # the top reservoir frequency reservoir_cutoff
-    for line in (plus, minus):
-        assert line["method"] == "bromwich_line"
-        assert (line["line_horizon"], line["line_omega_top"]) == (8.0, 50.0)
-        assert line["est_rel_error"] <= 1e-7 and line["est_truncation"] <= 1e-7
-    for key in ("line_points", "line_halfwidth", "line_abscissa", "estimate_points"):
-        assert minus[key] == plus[key], key
+    assert line["method"] == "bromwich_line"
+    assert (line["line_horizon"], line["line_omega_top"]) == (8.0, 50.0)
+    assert line["est_rel_error"] <= 1e-7 and line["est_truncation"] <= 1e-7
 
 
 def test_cli_verify_medium_below_unit_frequency_scale(tmp_path, capsys):
@@ -868,16 +885,16 @@ def test_cli_verify_removed_laplace_method_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("bound, method", [(LORENTZ_ELECTRIC, "rational_exact"),
                                            (GAUSSIAN_ELECTRIC, "bromwich_line")])
 def test_each_mode_solve_of_a_run_follows_its_medium(tmp_path, bound, method):
-    # with free carriers: the +k and -k solves of the bound medium and the
-    # conductor stage's solve of bound and free carriers together take the
-    # one route their medium allows
+    # with free carriers: the +k solve of the bound medium and the conductor
+    # stage's solve of bound and free carriers together take the one route
+    # their medium allows
     text = (CONFIGS / "conductor.cfg").read_text(encoding="utf-8")
     text = re.sub(r"electric\.kind = [^\n]*\n(electric\.[^\n]*\n)*", bound, text)
     config = parse_scenario(text)
     assert config.model("electric", NATURAL).is_rational == (method == "rational_exact")
     manifest = run_scenario(config, out_dir=str(tmp_path), stages=("commutators", "conductor"))
-    solves = ("modes_k0", "modes_minus_k0", "conductor_k0")
-    assert [manifest.quadrature[name]["method"] for name in solves] == [method] * 3
+    solves = ("modes_k0", "conductor_k0")
+    assert [manifest.quadrature[name]["method"] for name in solves] == [method] * 2
 
 
 def test_conductor_poles_fail_past_the_unstable_pole_margin(tmp_path, monkeypatch):
