@@ -16,8 +16,12 @@ kernel instead, one block of rows at a time, in three steps:
 2. Layout. Each value fills a zero-padded byte cell: sign, the "0." and
    zeros of the fixed notation below 1, the 17 digits with a slot for the
    dot, the exponent ("e+XX", at least two digits) and the separator.
-   Trailing fractional zeros and a bare dot are left as zero bytes, and all
-   zero bytes are dropped when the cells are joined.
+   Trailing fractional zeros and a bare dot are left as zero bytes. A column
+   whose values in the block are all +0 or -0 takes 3-byte cells (sign, "0",
+   separator) and is not formatted, and a grid column of the grid writer is
+   formatted once, each block gathering its cells. The block's cells are
+   joined in one concatenation, and its zero bytes dropped in one
+   `bytes.translate`.
 3. Fallback. Three kinds of value go to Python's own '%.17g': non-finite
    values, values whose scaled fraction lies within 1e-9 of one half (a
    tie, or too close to one to decide), and values beyond the power table
@@ -158,25 +162,40 @@ def _nonzero_cells(x: np.ndarray):
     return cells, good
 
 
-def _format_rows(block: np.ndarray) -> np.ndarray:
-    """The '%.17g' CSV rows of a 2-d float block, as uint8 bytes."""
-    nrows, ncols = block.shape
-    x = block.ravel()
+def _cells(x: np.ndarray) -> np.ndarray:
+    """The '%.17g' cells of 1-d values x, as (x.size, _CELL) uint8 rows
+    padded with zero bytes, each ending in a comma."""
     out = np.zeros((x.size, _CELL), dtype=np.uint8)
     out[:, _SIGN] = 45 * np.signbit(x)
     out[:, _BODY] = 48  # zeros stay "0" / "-0"
-    sep = np.full(ncols, ord(","), dtype=np.uint8)
-    sep[-1] = ord("\n")
-    out.reshape(nrows, ncols, _CELL)[:, :, _SEP] = sep
+    out[:, _SEP] = ord(",")
     nonzero = np.flatnonzero(x)
+    if not nonzero.size:
+        return out
     cells, good = _nonzero_cells(x[nonzero])
     out[nonzero, _LEAD:_SEP] = cells.T
     for k in nonzero[~good]:
         text = b"%.17g" % x[k]
         out[k, :_SEP] = 0
         out[k, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    out = out.ravel()
-    return np.compress(out != 0, out)
+    return out
+
+
+def _format_rows(block: np.ndarray, lead: list) -> bytes:
+    """The '%.17g' CSV rows of the (nrows, _CELL) cells `lead` of leading
+    columns, then of a 2-d float block: a column of the block whose values
+    are all +0 or -0 takes 3-byte cells, the others are formatted in one
+    call."""
+    nrows = block.shape[0]
+    live = (block != 0.0).any(axis=0)  # nan is nonzero
+    dense = _cells(block[:, live].ravel()).reshape(nrows, -1, _CELL)
+    zero = np.empty((nrows, live.size - dense.shape[1], 3), dtype=np.uint8)
+    zero[:, :, 0] = 45 * np.signbit(block[:, ~live])
+    zero[:, :, 1:] = (48, ord(","))
+    cells = iter(zero.swapaxes(0, 1)), iter(dense.swapaxes(0, 1))
+    rows = np.concatenate([*lead, *(next(cells[on]) for on in live.tolist())], axis=1)
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _create(path):
@@ -192,18 +211,23 @@ def _tensor_columns(tensors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tensors, dtype=complex).reshape(-1, 9).view(float)
 
 
-def _write_table(path, header: list, columns: list):
+def _write_table(path, header: list, columns: list, grids=()):
     """Header line, then one '%.17g' row per row of the float matrix made
-    of `columns` (1-d grid columns and 2-d column blocks), formatted in
-    blocks of about _BLOCK_VALUES values; each block's matrix is built only
-    when it is formatted, so no copy of the whole table is made."""
+    of the `grids` columns, then of `columns` (1-d columns and 2-d column
+    blocks), formatted in blocks of about _BLOCK_VALUES values; each
+    block's matrix is built only when it is formatted, so no copy of the
+    whole table is made. A grid column, given as (values, index), is
+    values[index], and each of its values is formatted once."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    grids = [(_cells(np.asarray(values, dtype=float)), index) for values, index in grids]
+    width = len(grids) + sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
     rows = max(1, _BLOCK_VALUES // width)
     with _create(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, columns[0].shape[0], rows):
-            fh.write(_format_rows(np.column_stack([c[start:start + rows] for c in columns])))
+            stop = start + rows
+            fh.write(_format_rows(np.column_stack([c[start:stop] for c in columns]),
+                                  [cells[index[start:stop]] for cells, index in grids]))
 
 
 def write_tensor_series_csv(path, label: str, grid: np.ndarray, tensors: np.ndarray):
@@ -215,8 +239,9 @@ def write_tensor_grid_csv(path, labels: tuple, grids: tuple, tensors: np.ndarray
     """Two index columns (e.g. omega_q, t) then 18 Re/Im entries; the first
     grid varies slowest."""
     a, b = (np.asarray(g, dtype=float) for g in grids)
-    _write_table(path, list(labels) + TENSOR_COLUMNS,
-                 [np.repeat(a, b.size), np.tile(b, a.size), _tensor_columns(tensors)])
+    ia, ib = np.divmod(np.arange(a.size * b.size), b.size)
+    _write_table(path, list(labels) + TENSOR_COLUMNS, [_tensor_columns(tensors)],
+                 [(a, ia), (b, ib)])
 
 
 def write_deviation_csv(path, label: str, grid: np.ndarray, deviation: np.ndarray, tensors=None):

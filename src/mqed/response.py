@@ -391,7 +391,7 @@ def _weighted_nodes(nodes: np.ndarray, coeffs: np.ndarray):
     """The nodes whose coefficients carry weight, ascending, with those
     coefficients: the smallest Frobenius norms |c_n| are dropped as long as
     their sum stays within `_PRUNE_RTOL` of sum_n |c_n|. Every node is kept
-    when that sum is 0 (a zero part keeps its rule)."""
+    when that sum is 0."""
     norms = np.linalg.norm(coeffs.reshape(nodes.size, -1), axis=1)
     total = float(norms.sum())
     ranked = np.argsort(norms, kind="stable")
@@ -472,15 +472,21 @@ def chi_kernel(
     at the configured cutoff: a coupling model whose omega^2 f f^dag is even
     and entire takes one trapezoid rule, its alias time the horizon of
     `_KERNEL_TAIL` beyond t_max; any other Gauss-Legendre with order
-    doubling until the kernel stops moving on the whole grid. Every call
-    builds a new representation; a run builds one per medium part and k for
-    every check that reads it.
+    doubling until the kernel stops moving on the whole grid. A zero part
+    builds no rule: its representation has no nodes and its quadrature
+    record order 0. Every call builds a new representation; a run builds one
+    per medium part and k for every check that reads it.
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
     pref = kernel_prefactor(model.which, constants)
     closed = None if model.is_zero else model.closed_form
-    if closed is not None:
+    if model.is_zero:  # no rule: an empty representation, +0 at every t
+        gap = None
+        rep = QuadRep.from_coeffs(np.empty(0), np.empty((0, 3, 3)))
+        values = rep.kernel_values(t)
+        result = QuadratureResult(0, _cutoff(model, quad), quad.rtol, 0.0, rule=None, kept=0)
+    elif closed is not None:
         t_rep = check_grid(model)
         rep, on_rep, result = _converged_rep(model, k, quad, pref,
                                              lambda r: r.kernel_values(t_rep))
@@ -574,6 +580,8 @@ def _half_line_transform_exact(rep: QuadRep, t_max: float, omega: np.ndarray) ->
         raise ValidationError("the half-line transform needs ascending nodes")
     block = rep.block
     m = block.shape[1]
+    if not nodes.size:  # +0, where the phase products below give -0
+        return np.zeros((omega.size, 3, 3), dtype=complex)
     phase_n = nodes * t_max
     stacked = np.concatenate(
         [

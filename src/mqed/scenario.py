@@ -515,9 +515,11 @@ _CHECKS = (
                run.models[part], got[0], run.constants).relative_jump)),
     _Check("constitutive_roundtrip_{tag}", "noise", ("electric",), _HEISENBERG,
            "constitutive_tol", _constitutive),
+    # ten random sign flips of k: each draw has k's own k . k, so it reads
+    # the representation built for k, inside any table that covers k
     _Check("lambda_reality_{tag}", "modes", _MEDIUM, _HEISENBERG, "reality_tol",
            lambda run, part, got: _Measure(lambda_reality_scan(
-               run.response, run.rng.normal(size=(10, 3)),
+               run.response, run.rng.choice((-1.0, 1.0), size=(10, 3)) * run.k,
                run.rng.uniform(0.1, 5.0, size=10)).max_deviation), reads=False),
     _Check("equal_time_commutator_{tag}", "commutators", _MEDIUM, _CANONICAL,
            "commutator_tol", _equal_time),

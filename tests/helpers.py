@@ -1,6 +1,7 @@
 """Test fixtures built on the package's API: frequency-dependent orthogonal
-gauges for the gauge-invariance tests, the CSV of a tabulated coupling, and
-gaussian.cfg's continuum part in either sector.
+gauges for the gauge-invariance tests, the CSV of a tabulated coupling, the
+'%.17g' join the CSV writer must match, and gaussian.cfg's continuum part in
+either sector.
 
 `mqed.couplings` holds the gauge API (`GaugeTransform`, `apply_gauge`);
 these build particular gauges from it.
@@ -56,6 +57,14 @@ def write_table_csv(path, omegas, kmags, values):
             rows.append(",".join(repr(c) for c in cells))
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def percent_g_csv(header, table) -> bytes:
+    """A float table's CSV as Python's own '%.17g' join writes it: the header
+    line, then one row per row of the 2-d table."""
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows = "".join(template % tuple(row) for row in table.tolist())
+    return (",".join(header) + "\n" + rows).encode()
 
 
 def gaussian_response(which: str):

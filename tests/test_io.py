@@ -1,16 +1,16 @@
 """The vectorised CSV writer against Python's own '%.17g' rows, byte for
 byte."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from helpers import percent_g_csv
 from mqed import io
+from mqed.cli import main
 
-
-def _reference(header, table) -> bytes:
-    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    rows = "".join(template % tuple(row) for row in table.tolist())
-    return (",".join(header) + "\n" + rows).encode()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _assert_same_bytes(tmp_path, table):
@@ -18,7 +18,7 @@ def _assert_same_bytes(tmp_path, table):
     header = [f"c{j}" for j in range(table.shape[1])]
     path = tmp_path / "table.csv"
     io._write_table(path, header, [table])
-    got, want = path.read_bytes(), _reference(header, table)
+    got, want = path.read_bytes(), percent_g_csv(header, table)
     if got != want:
         bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
         pytest.fail(f"{len(bad)} rows differ, first: {bad[:1]}")
@@ -123,8 +123,99 @@ def test_streamed_tensor_rows_match_the_percent_g_join(tmp_path):
     io.write_tensor_grid_csv(path, ("q", "t"), (a, b), strided[..., 1])
     header = ["q", "t"] + io.TENSOR_COLUMNS
     table = np.column_stack([np.repeat(a, b.size), np.tile(b, a.size), values.reshape(930, 18)])
-    assert path.read_bytes() == _reference(header, table)
+    assert path.read_bytes() == percent_g_csv(header, table)
     dev = rng.normal(size=930)
     io.write_deviation_csv(path, "t", table[:, 0], dev, tensors)
     want = np.column_stack([table[:, 0], dev, values.reshape(930, 18)])
-    assert path.read_bytes() == _reference(["t", "deviation"] + io.TENSOR_COLUMNS, want)
+    assert path.read_bytes() == percent_g_csv(["t", "deviation"] + io.TENSOR_COLUMNS, want)
+
+
+def test_column_of_mixed_signed_zeros(tmp_path):
+    # a column of +0 and -0 only takes 3-byte cells, each with its own sign
+    rng = np.random.default_rng(12)
+    table = rng.normal(size=(50, 3))
+    table[:, 1] = np.where(rng.random(50) < 0.5, -0.0, 0.0)
+    _assert_same_bytes(tmp_path, table)
+
+
+def test_column_zero_in_one_block_only(tmp_path, monkeypatch):
+    # blocks of 4 rows: each column is all zero in one block and not in
+    # the others, so each block formats a different set of columns
+    monkeypatch.setattr(io, "_BLOCK_VALUES", 12)
+    table = np.random.default_rng(13).normal(size=(12, 3))
+    table[:4, 0] = -0.0
+    table[4:8, 2] = 0.0
+    table[8:, 1] = [0.0, -0.0, 0.0, -0.0]
+    _assert_same_bytes(tmp_path, table)
+
+
+def test_fallback_values_beside_zero_columns(tmp_path):
+    # nan, inf, |x| >= 1e300 and a tie in a full column between zero ones
+    table = np.zeros((30, 6))
+    table[:, 3] = -0.0
+    table[:, 2] = np.random.default_rng(14).normal(size=30)
+    table[[0, 7, 11, 20, 29], 2] = [np.nan, np.inf, -1e300, 1.00000762939453125, -np.nan]
+    _assert_same_bytes(tmp_path, table)
+
+
+def _grid_table(rng):
+    """Grids with repeated, signed-zero, subnormal, negative and fallback
+    values, and tensors with all-zero (one of them -0) and full columns."""
+    a = np.array([-2.5, -2.5, 5e-324, -0.0, 1e300, -1.5e-310, 3.0])
+    b = np.array([0.0, -1e-320, -7.25, -7.25, np.nan, 2.0])
+    values = rng.normal(size=(a.size * b.size, 9, 2))
+    values[:, [1, 2, 3, 5, 6, 7]] = 0.0
+    values[:, 4, 1] = -0.0
+    tensors = values.view(complex)[..., 0].reshape(-1, 3, 3)
+    return a, b, tensors, values.reshape(-1, 18)
+
+
+def test_grid_columns_with_repeated_subnormal_and_negative_values(tmp_path):
+    a, b, tensors, columns = _grid_table(np.random.default_rng(15))
+    path = tmp_path / "grid.csv"
+    io.write_tensor_grid_csv(path, ("q", "t"), (a, b), tensors)
+    table = np.column_stack([np.repeat(a, b.size), np.tile(b, a.size), columns])
+    assert path.read_bytes() == percent_g_csv(["q", "t"] + io.TENSOR_COLUMNS, table)
+
+
+def test_grid_writer_formats_no_zero_column_and_each_grid_value_once(tmp_path, monkeypatch):
+    # in blocks of 5 rows: the values formatted are each grid value once,
+    # then the full tensor columns of every block, never an all-zero one
+    monkeypatch.setattr(io, "_BLOCK_VALUES", 100)
+    a, b, tensors, columns = _grid_table(np.random.default_rng(16))
+    formatted, digits = [], []
+    cells, nonzero_cells = io._cells, io._nonzero_cells
+    monkeypatch.setattr(io, "_cells", lambda x: formatted.append(x.copy()) or cells(x))
+    monkeypatch.setattr(io, "_nonzero_cells", lambda x: digits.append(x.copy()) or nonzero_cells(x))
+    io.write_tensor_grid_csv(tmp_path / "grid.csv", ("q", "t"), (a, b), tensors)
+    live = columns[:, np.any(columns, axis=0)]
+    assert live.shape[1] == 5
+    np.testing.assert_array_equal(formatted[0], a)
+    np.testing.assert_array_equal(formatted[1], b)
+    np.testing.assert_array_equal(np.concatenate(formatted[2:]), live.ravel())
+    assert len(formatted) == 2 + -(-a.size * b.size // 5)
+    seen = np.concatenate(digits)
+    want = np.concatenate([x[x != 0.0] for x in (a, b, live.ravel())])
+    np.testing.assert_array_equal(seen, want)
+
+
+def test_conductor_verify_writes_the_percent_g_join(tmp_path, monkeypatch):
+    # every CSV of a conductor.cfg run (the most all-zero columns of the
+    # bundled runs, a zero magnetic part and -0 cells) against the '%.17g'
+    # join of the very table the writer was handed
+    joined = {}
+    write = io._write_table
+
+    def write_and_join(path, header, columns, grids=()):
+        write(path, header, columns, grids)
+        table = np.column_stack([np.asarray(values, dtype=float)[index] for values, index in grids]
+                                + [np.asarray(c, dtype=float) for c in columns])
+        joined[Path(path).name] = percent_g_csv(header, table)
+
+    monkeypatch.setattr(io, "_write_table", write_and_join)
+    assert main(["verify", "--config", str(CONFIGS / "conductor.cfg"), "--out", str(tmp_path)]) == 2
+    written = {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")}
+    assert set(written) == set(joined) and len(written) == 15
+    assert any(b",-0," in text for text in written.values())
+    for name, text in written.items():
+        assert text == joined[name], name

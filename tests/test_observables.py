@@ -184,6 +184,45 @@ def test_maxwell_residual_zero_channel_is_zero():
             assert value == 0.0
 
 
+
+class _EveryArrayNonzero:
+    """numpy for `observables`, save that no array reads as all zero: every
+    Maxwell channel's rows are formed and every kernel is transformed."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def any(*args, **kwargs):
+        return True
+
+
+def test_gaussian_maxwell_residual_transforms_only_its_live_channels(tmp_path, monkeypatch):
+    # gaussian.cfg has no magnetic part: the E, H and noise of its six b_
+    # channels are exactly 0, so only the 2 photon and 6 d_ channels are
+    # transformed (one inverse FFT each at step h and at 2h), and every
+    # channel reads what its formed rows give
+    from mqed import scenario
+
+    reps = []
+    residual = scenario.maxwell_residual
+    monkeypatch.setattr(scenario, "maxwell_residual", lambda rep: reps.append(rep) or residual(rep))
+    config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
+    run_scenario(config, out_dir=str(tmp_path), stages=("commutators",))
+    inverse = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: inverse.append(1) or ifft(*a, **kw))
+    report = maxwell_residual(reps[0])
+    assert len(inverse) == 2 * 8
+    assert len(report.channels) == 14
+    assert [name for name, value in report.channels.items() if value == 0.0] == \
+        [name for name in report.channels if name.startswith("b_")]
+    monkeypatch.setattr(observables, "np", _EveryArrayNonzero())
+    full = maxwell_residual(reps[0])
+    assert report.channels == full.channels
+    assert (report.max_residual, report.plain, report.h_estimate) == \
+        (full.max_residual, full.plain, full.h_estimate)
+
 def test_constitutive_roundtrip_lorentz():
     # a rational part's representation is converged on the checks' horizon
     # (20 here), so the round trip runs on that grid
@@ -547,8 +586,10 @@ def test_fft_convolver_zero_kernel_returns_exact_zeros(monkeypatch):
 def test_maxwell_residual_transforms_per_channel(monkeypatch):
     # the gaussian medium has no magnetic part: chi_m is zero and never
     # transformed; on the grid and on its every-other-point subsample, each
-    # channel's electric convolution is one forward transform of its field
-    # and one inverse transform of the j-summed product
+    # live channel's electric convolution is one forward transform of its
+    # field and one inverse transform of the j-summed product. The b_
+    # channels and the d_ channels at the top node (39.4, where the coupling
+    # underflows to 0) have zero fields and noise, and are not transformed
     me = gaussian_anisotropic((1.0, 0.7, 0.4), 1.0, 0.5)
     t = np.linspace(0.0, 4.0, 401)
     rep = make_rep(me, zero_coupling("magnetic"), t, order=2)
@@ -570,8 +611,10 @@ def test_maxwell_residual_transforms_per_channel(monkeypatch):
     kernels = [a for a in forward if a.ndim == 3]
     assert [a.shape[0] for a in kernels] == [401, 201]
     assert all(np.shares_memory(a, rep.chi_e) for a in kernels)
-    assert len(forward) == 2 + 2 * n_channels
-    assert len(inverse) == 2 * n_channels
+    live = ["photon_1", "photon_2", "d_nu1_q0", "d_nu2_q0", "d_nu3_q0"]
+    assert [name for name, value in report.channels.items() if value != 0.0] == live
+    assert len(forward) == 2 + 2 * len(live)
+    assert len(inverse) == 2 * len(live)
     assert all(a.shape[1:] == (3,) for a in inverse)
 
 

@@ -799,17 +799,30 @@ def test_representation_without_nodes_reads_exact_zeros(grid):
         assert not np.any(values)
 
 
-def test_zero_part_keeps_its_rule():
-    # every c_n of a zero part is 0: dropping "the smallest" would drop them
-    # all and leave no nodes to evaluate, so the whole rule is kept and the
-    # kernel is exactly zero
+def test_zero_part_builds_no_rule(monkeypatch):
+    # every c_n of a zero part is 0: it builds no Gauss-Legendre rule, its
+    # representation has no nodes, its record names no rule, and its kernel
+    # and spectrum are +0 in every real and imaginary part
+    import mqed.quadrature
+
+    orders = []
+    build = mqed.quadrature._legendre_cache
+    monkeypatch.setattr(mqed.quadrature, "_legendre_cache",
+                        lambda order: orders.append(order) or build(order))
     config = _bundled("gaussian")
     model = config.model("magnetic", NATURAL)
     assert model.is_zero
     kernel = chi_kernel(model, config.k_list()[0], np.linspace(0.0, 8.0, 1601),
                         quad=config.quadrature())
-    assert kernel.quad.kept == kernel.quad.order == kernel.rep.nodes.size == 512
-    assert not np.any(kernel.values)
+    spectrum = chi_spectrum(kernel, np.linspace(0.0, 6.0, 201))
+    assert orders == []
+    assert kernel.rep.nodes.size == 0
+    record = kernel.quad.metadata()
+    assert record["order"] == record["kept"] == 0 and "rule" not in record
+    for values in (kernel.values, spectrum.values):
+        parts = values.view(float)
+        assert values.shape[1:] == (3, 3) and not np.any(parts) and not np.any(np.signbit(parts))
+    assert kernel.values.shape[0] == 1601 and spectrum.values.shape[0] == 201
 
 
 @pytest.mark.parametrize("grid", ["horizon", "config"])

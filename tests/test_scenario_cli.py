@@ -332,6 +332,22 @@ def test_cli_modes_on_a_table_that_stops_below_the_reservoir_cutoff(tmp_path):
         assert (tmp_path / "out" / f"modes_{name}_k0.csv").exists()
 
 
+
+def test_cli_modes_on_a_table_whose_k_axis_ends_near_k(tmp_path, capsys):
+    # a table over |k| in [0, 2] at |k| = 1.3: lambda_reality's draws are
+    # sign flips of k, all inside the table (draws from N(0, 1)^3 reached
+    # |k| = 3.3 and raised OutOfTableRange)
+    omegas, kmags = np.linspace(0.0, 6.0, 61), np.linspace(0.0, 2.0, 5)
+    f = np.stack([eval_coupling_batch(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0), omegas,
+                                      (0.0, 0.0, km)) for km in kmags], axis=1)
+    table = write_table_csv(tmp_path / "table.csv", omegas, kmags, f)
+    cfg = tmp_path / "tabulated.cfg"
+    cfg.write_text(f"[medium]\nelectric.kind = tabulated\nelectric.table = {table}\n"
+                   "[grids]\nk = 0,0,1.3\nt_max = 2\ncommutator_t = 0,1\nreservoir_order = 16\n"
+                   f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["modes", "--config", str(cfg)]) == 0
+    assert "[PASS] lambda_reality_k0: 0.000e+00" in capsys.readouterr().out
+
 def test_cli_invert_chi_not_psd_exit_code(tmp_path):
     # a PSD-violating dissipation target must exit 2 with provenance
     cfg = _target_config(tmp_path, -0.5 * np.eye(3))  # negative-definite target
@@ -460,8 +476,7 @@ def _bench_gate_problems(workload: str, code: int, out: str, out_dir) -> list:
 def test_cli_verify_bundled_gaussian_config(tmp_path, capsys):
     # the Bromwich-line path end to end (continuum-absorption medium). The
     # electric kernel keeps the nodes that carry weight; the zero magnetic
-    # part keeps its whole rule, where an empty one would leave its kernel an
-    # uninitialised table (`_angle_table` has no empty case)
+    # part builds no rule, and its kernel is +0
     code = main(["verify", "--config", str(CONFIGS / "gaussian.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
@@ -472,9 +487,9 @@ def test_cli_verify_bundled_gaussian_config(tmp_path, capsys):
     electric, magnetic = (records[f"chi_{part}_k0"]["quadrature"]
                           for part in ("electric", "magnetic"))
     assert electric["order"] == 4880 and electric["kept"] <= 700
-    assert magnetic["order"] == magnetic["kept"] == 512
+    assert magnetic["order"] == magnetic["kept"] == 0 and "rule" not in magnetic
     chi_m = np.loadtxt(tmp_path / "chi_magnetic_k0.csv", delimiter=",", skiprows=1)
-    assert not np.any(chi_m[:, 1:])
+    assert not np.any(chi_m[:, 1:]) and not np.any(np.signbit(chi_m[:, 1:]))
 
 
 def test_gaussian_run_builds_no_legendre_rule_above_512(tmp_path, monkeypatch):
@@ -770,9 +785,20 @@ def test_cli_verify_bundled_conductor_config(tmp_path, capsys):
     assert _bench_gate_problems("conductor-verify", code, out, tmp_path) == []
 
 
-def test_cli_modes_bench_sweep_config(tmp_path, capsys):
+def test_cli_modes_bench_sweep_config(tmp_path, capsys, monkeypatch):
     # the benchmark's four-k modes sweep at seed 0, its config generated by
-    # perfbench's own workload code
+    # perfbench's own workload code. Its k are sign flips of one k, and so
+    # are the ten k of each lambda_reality draw: every k . k is the
+    # configured one bit for bit, so the run builds one Laplace
+    # representation, for its one |k|
+    from mqed import response
+
+    builds, draws = [], []
+    build, scan = response._converged_rep, scenario.lambda_reality_scan
+    monkeypatch.setattr(response, "_converged_rep",
+                        lambda *args, **kw: builds.append(1) or build(*args, **kw))
+    monkeypatch.setattr(scenario, "lambda_reality_scan",
+                        lambda resp, ks, rhos: draws.append(ks) or scan(resp, ks, rhos))
     workloads = _perfbench_module("workloads")
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(workloads["config_text"](workloads["WORKLOADS"]["gaussian-modes-sweep"], 0))
@@ -782,6 +808,12 @@ def test_cli_modes_bench_sweep_config(tmp_path, capsys):
     assert code == 0
     assert len(list(out_dir.glob("modes_*_k3.csv"))) == 8
     assert _bench_gate_problems("gaussian-modes-sweep", code, out, out_dir) == []
+    ks = parse_scenario(cfg.read_text(encoding="utf-8")).k_list()
+    assert len(ks) == len(draws) == 4
+    for k, drawn in zip(ks, draws):
+        assert drawn.shape == (10, 3) and np.all(np.abs(drawn) == np.abs(k))
+        assert all(q @ q == k @ k for q in drawn)
+    assert len({float(k @ k) for k in ks}) == len(builds) == 1
 
 
 def test_cli_conductor_bundled_config(tmp_path, capsys):
