@@ -50,10 +50,8 @@ from .response import (
     laplace_response,
 )
 # scenario, and io through it, so that `import mqed` loads every pipeline layer
-from .scenario import invert_chi, parse_scenario, run_scenario
+from .scenario import NATURAL, PhysicalConstants, invert_chi, parse_scenario, run_scenario
 from .tensors import (
-    NATURAL,
-    PhysicalConstants,
     PolarizationTriad,
     curl_symbol,
     hermitian_sqrt,

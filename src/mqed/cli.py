@@ -20,8 +20,8 @@ import dataclasses
 import sys
 
 from .errors import ConfigError, NumericalError
-from .scenario import invert_chi, output_formats, parse_scenario, run_scenario
-from .tensors import NATURAL, PhysicalConstants
+from .scenario import (NATURAL, PhysicalConstants, invert_chi, output_formats, parse_scenario,
+                       run_scenario)
 
 _STAGES = {
     "chi": ("chi",),
@@ -55,7 +55,8 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="output formats, a comma list of csv and json "
                              "(overrides the config)")
     parser.add_argument("--si", action="store_true",
-                        help="use SI constants instead of natural units")
+                        help="read the config and write the outputs in SI units "
+                             "(the engine runs in natural units)")
 
 
 def build_parser() -> argparse.ArgumentParser:

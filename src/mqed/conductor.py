@@ -5,10 +5,10 @@ spectral densities add, chi_hat is the sum of the parts, and the mode solver
 runs on that medium unchanged.
 
 The conductivity appears only in the kernel decomposition
-Q = eps0 d(chi)/dt + sigma, which `q_kernel_consistency` checks on the
-coupling data: the medium's Q, linear in f f^dag and so Q_bound + Q_free,
-less the bound part's eps0 d(chi)/dt leaves sigma = eps0 d(chi_free)/dt,
-whose transform is sigma_hat = eps0 rho chi_hat_free.
+Q = d(chi)/dt + sigma (natural units), which `q_kernel_consistency` checks
+on the coupling data: the medium's Q, linear in f f^dag and so Q_bound +
+Q_free, less the bound part's d(chi)/dt leaves sigma = d(chi_free)/dt,
+whose transform is sigma_hat = rho chi_hat_free.
 The outputs of this path are response-function channels; for a conductor
 the polarization and displacement no longer carry their dielectric
 interpretation.
@@ -23,7 +23,6 @@ import numpy as np
 from .modes import ModeCoefficients, mode_coefficients
 from .quadrature import QuadratureSpec
 from .response import LaplaceResponse, conductor_Q, finite_difference_time
-from .tensors import NATURAL, PhysicalConstants
 
 
 def conductor_modes(
@@ -47,8 +46,8 @@ def conductor_modes(
 class QConsistencyReport:
     k: np.ndarray
     q_values: np.ndarray  # (n_t, 3, 3) the medium's Q, Q_bound + Q_free
-    bound_sigma_residual: float  # Q_bound - eps0 dchi_bound/dt, relative
-    implied_sigma: np.ndarray  # (n_t, 3, 3) q_values - eps0 dchi_bound/dt
+    bound_sigma_residual: float  # Q_bound - dchi_bound/dt, relative
+    implied_sigma: np.ndarray  # (n_t, 3, 3) q_values - dchi_bound/dt
     sigma_initial_psd: bool
 
 
@@ -57,21 +56,20 @@ def q_kernel_consistency(
     free,
     k,
     t_grid,
-    constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> QConsistencyReport:
-    """Verify the Q = eps0 d(chi)/dt + sigma decomposition for the bound and
-    free electric couplings.
+    """Verify the Q = d(chi)/dt + sigma decomposition for the bound and free
+    electric couplings.
 
     For the bound part alone the implied sigma must vanish to finite
     difference accuracy; with a free-carrier part present the implied sigma
-    kernel is eps0 d(chi_free)/dt, positive at t -> 0+.
+    kernel is d(chi_free)/dt, positive at t -> 0+.
     """
     k = np.asarray(k, dtype=float)
     t = np.asarray(t_grid, dtype=float)
-    q_bound = conductor_Q(bound, k, t, constants=constants, quad=quad)
-    q_values = q_bound.q_values + conductor_Q(free, k, t, constants=constants, quad=quad).q_values
-    implied = q_values - constants.eps0 * finite_difference_time(q_bound.chi_values, t)
+    q_bound = conductor_Q(bound, k, t, quad=quad)
+    q_values = q_bound.q_values + conductor_Q(free, k, t, quad=quad).q_values
+    implied = q_values - finite_difference_time(q_bound.chi_values, t)
     sig0 = implied[0]
     eigs = np.linalg.eigvalsh(0.5 * (sig0 + sig0.conj().T))
     scale = float(np.max(np.abs(q_values))) or 1.0

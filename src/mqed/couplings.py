@@ -43,23 +43,15 @@ from .errors import (
     ZeroFrequency,
 )
 from .rational import Rational
-from .tensors import IDENTITY3, NATURAL, PhysicalConstants, hermitian_sqrt
+from .tensors import IDENTITY3, hermitian_sqrt
 
 ELECTRIC = "electric"
 MAGNETIC = "magnetic"
 
-
-def _sector_scale(which: str, constants: PhysicalConstants) -> float:
-    """Amplitude that maps coupling strength to unit-normalized chi.
-
-    Chosen so that Im chi_hat = (4 pi^2 omega^2 / (hbar c^3 eps0)) f f^dag
-    (electric; mu0 variant magnetic) comes out with the closed forms above.
-    """
-    if which == ELECTRIC:
-        return float(np.sqrt(constants.hbar * constants.c**3 * constants.eps0 / (4.0 * np.pi**2)))
-    if which == MAGNETIC:
-        return float(np.sqrt(constants.hbar * constants.c**3 / (4.0 * np.pi**2 * constants.mu0)))
-    raise ValidationError(f"unknown sector '{which}'", key="which")
+# The amplitude that maps a coupling strength to a unit-normalized chi: with
+# it Im chi_hat = 4 pi^2 omega^2 f f^dag (natural units, either sector) comes
+# out with the closed forms above.
+_SECTOR_SCALE = float(np.sqrt(1.0 / (4.0 * np.pi**2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +80,8 @@ class TabulatedTable:
 
     def interpolate(self, omegas, kmag: float) -> np.ndarray:
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        slack_w = 1e-12 * max(1.0, abs(self.omegas[-1]))
-        slack_k = 1e-12 * max(1.0, abs(self.kmags[-1]))
+        slack_w = 1e-12 * max(abs(self.omegas[0]), abs(self.omegas[-1]))
+        slack_k = 1e-12 * max(abs(self.kmags[0]), abs(self.kmags[-1]))
         if np.any(omegas < self.omegas[0] - slack_w) or np.any(omegas > self.omegas[-1] + slack_w):
             raise OutOfTableRange(
                 f"omega outside table range [{self.omegas[0]:g}, {self.omegas[-1]:g}]"
@@ -126,7 +118,6 @@ class CouplingModel:
     axis_strengths: tuple = (0.0, 0.0, 0.0)
     correlation_length: float = 0.0
     omega_max: float | None = None  # optional Gaussian envelope exp(-w^2/omega_max^2)
-    amplitude: float = 0.0  # sector scale, fixed at construction
     table: TabulatedTable | None = None
     gauge: GaugeTransform | None = None  # f -> f A^T(omega) (`apply_gauge`)
 
@@ -185,30 +176,26 @@ def zero_coupling(which: str = ELECTRIC) -> CouplingModel:
 
 
 def lorentz_isotropic(strength: float, resonance: float, width: float, which: str = ELECTRIC,
-                      omega_max: float | None = None,
-                      constants: PhysicalConstants = NATURAL) -> CouplingModel:
+                      omega_max: float | None = None) -> CouplingModel:
     """Coupling whose susceptibility is the damped-oscillator form
     strength^2 / (resonance^2 - omega^2 - i width omega)."""
     if resonance <= 0.0 or width <= 0.0:
         raise ValidationError("lorentz_isotropic requires resonance > 0 and width > 0")
     return CouplingModel(kind="lorentz_isotropic", which=which, strength=float(strength),
-                         resonance=float(resonance), width=float(width), omega_max=omega_max,
-                         amplitude=_sector_scale(which, constants))
+                         resonance=float(resonance), width=float(width), omega_max=omega_max)
 
 
-def drude(strength: float, width: float, which: str = ELECTRIC, omega_max: float | None = None,
-          constants: PhysicalConstants = NATURAL) -> CouplingModel:
+def drude(strength: float, width: float, which: str = ELECTRIC,
+          omega_max: float | None = None) -> CouplingModel:
     """Zero-resonance (free-carrier) limit: chi_hat = strength^2/(rho^2 + width rho)."""
     if width <= 0.0:
         raise ValidationError("drude requires width > 0")
     return CouplingModel(kind="drude", which=which, strength=float(strength), resonance=0.0,
-                         width=float(width), omega_max=omega_max,
-                         amplitude=_sector_scale(which, constants))
+                         width=float(width), omega_max=omega_max)
 
 
 def gaussian_anisotropic(axis_strengths, center: float, correlation_length: float = 0.0,
-                         which: str = ELECTRIC, omega_max: float | None = None,
-                         constants: PhysicalConstants = NATURAL) -> CouplingModel:
+                         which: str = ELECTRIC, omega_max: float | None = None) -> CouplingModel:
     """Diagonal anisotropic family with a Gaussian frequency profile and an
     optional Gaussian spatial correlation (ell = 0 is spatially local)."""
     if center <= 0.0:
@@ -218,7 +205,7 @@ def gaussian_anisotropic(axis_strengths, center: float, correlation_length: floa
         raise ValidationError("axis_strengths must have three entries")
     return CouplingModel(kind="gaussian_anisotropic", which=which, axis_strengths=ax,
                          center=float(center), correlation_length=float(correlation_length),
-                         omega_max=omega_max, amplitude=_sector_scale(which, constants))
+                         omega_max=omega_max)
 
 
 def tabulated(table: TabulatedTable, which: str = ELECTRIC) -> CouplingModel:
@@ -257,7 +244,7 @@ def _oscillator_profile(model: CouplingModel, w: np.ndarray, kk: float) -> np.nd
     d = (model.resonance**2 - w**2) ** 2 + (model.width * w) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         f2 = model.width / (w * d)
-    prof = model.strength * model.amplitude * np.sqrt(np.where(w > 0.0, f2, 0.0))
+    prof = model.strength * _SECTOR_SCALE * np.sqrt(np.where(w > 0.0, f2, 0.0))
     prof = np.where(w > 0.0, prof, 0.0)
     return prof[:, None, None] * IDENTITY3[None, :, :].astype(complex)
 
@@ -283,7 +270,7 @@ def _gaussian_profile(model: CouplingModel, omegas: np.ndarray, kk: float) -> np
     prof = (omegas / c**2) * np.exp(-(omegas**2) / (2.0 * c**2))
     spatial = np.exp(-0.5 * model.correlation_length**2 * kk)
     diag = np.diag(model.axis_strengths).astype(complex)
-    return (model.amplitude * spatial * prof)[:, None, None] * diag[None, :, :]
+    return (_SECTOR_SCALE * spatial * prof)[:, None, None] * diag[None, :, :]
 
 
 def _table_top(model: CouplingModel) -> float:
@@ -291,7 +278,7 @@ def _table_top(model: CouplingModel) -> float:
 
 
 # A coupling kind, declared once. `build` is its constructor, called with
-# which=, constants= and the config parameters named in `required` and
+# which= and the config parameters named in `required` and
 # `optional`. The rest are functions of a model of the kind:
 # - profile(model, omegas, kk): f, (n_omega, 3, 3) complex, before the
 #   omega_max envelope and the gauge; it reads k only through kk = k . k;
@@ -316,7 +303,7 @@ _OSCILLATOR = dict(
     optional=("omega_max",), closed=_oscillator_closed)
 _KINDS = {
     "zero": _Kind(
-        lambda which, constants: zero_coupling(which),
+        zero_coupling,
         lambda model, omegas, kk: np.zeros((omegas.size, 3, 3), dtype=complex),
         nonzero=lambda model: False, scale=lambda model: 1.0, record=lambda model: {},
         closed=lambda model: Rational.constant(0.0)),
@@ -339,7 +326,7 @@ _KINDS = {
         horizon=lambda model, tail: 4.5 * tail ** (-1.0 / 6.0) / model.frequency_scale,
         even_entire=True),
     "tabulated": _Kind(
-        lambda which, constants, table: tabulated_from_csv(table, which=which),
+        lambda which, table: tabulated_from_csv(table, which=which),
         lambda model, omegas, kk: model.table.interpolate(omegas, np.sqrt(kk)),
         nonzero=lambda model: True, scale=_table_top,
         record=lambda model: {"n_omega": int(model.table.omegas.size),
@@ -393,26 +380,20 @@ def sector_coupling(parts, omegas, k) -> np.ndarray:
     return hermitian_sqrt(total, tol=1e-10)
 
 
-def coupling_from_target(
-    im_chi,
-    omega,
-    k,
-    which: str = ELECTRIC,
-    constants: PhysicalConstants = NATURAL,
-) -> np.ndarray:
+def coupling_from_target(im_chi, omega, k) -> np.ndarray:
     """Recover the coupling tensor from a target Im chi_hat at one (omega, k),
-    or the tensors of a stack (n, 3, 3) at their n frequencies.
+    or the tensors of a stack (n, 3, 3) at their n frequencies, in either
+    sector.
 
-    Inverts the structural identity Im chi_hat = (4 pi^2 omega^2 / hbar c^3
-    eps0) f f^dag (mu0 variant for the magnetic sector) through the principal
-    Hermitian PSD square root. Feeding the result back through the kernel and
-    spectrum pipeline reproduces Im chi_hat.
+    Inverts the structural identity Im chi_hat = 4 pi^2 omega^2 f f^dag
+    through the principal Hermitian PSD square root. Feeding the result back
+    through the kernel and spectrum pipeline reproduces Im chi_hat.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
         raise ZeroFrequency("target inversion requires omega > 0")
     # libm's pow, as a lone omega**2 takes it: a stack recovers each tensor bit for bit
-    scale = _sector_scale(which, constants) ** 2 / np.float_power(omega, 2)
+    scale = _SECTOR_SCALE ** 2 / np.float_power(omega, 2)
     target = scale[..., None, None] * np.asarray(im_chi, dtype=complex)
     try:
         return hermitian_sqrt(target)

@@ -14,8 +14,8 @@ L^-1[rho/(rho + i w_q) Lambda^-1 block]. One index map (`_families`) turns
 them into the coefficient tensors gamma, xi, zeta, eta (electric rows) and
 their tilde partners (magnetic rows):
 
-    gamma = [eh]   xi = -[ee]   zeta = mu0 R[ee] g   eta = -R[eh] f
-    gamma~ = [hh]  xi~ = -[he]  zeta~ = mu0 R[he] g  eta~ = -R[hh] f
+    gamma = [eh]   xi = -[ee]   zeta = R[ee] g   eta = -R[eh] f
+    gamma~ = [hh]  xi~ = -[he]  zeta~ = R[he] g  eta~ = -R[hh] f
 
 with f, g the electric and magnetic sector couplings at the reservoir
 nodes: a lone part's own coupling, or the PSD square root of the summed
@@ -84,11 +84,10 @@ def _ladder(upper, lower) -> np.ndarray:  # [[0, upper], [lower, 0]]
     return out
 
 
-def _initial_data(constants) -> np.ndarray:
-    """A^-1 = [[0, I / eps0], [-I / mu0, 0]] for Lambda = rho A + O(1): the
-    t = 0 value of L^-1[Lambda^-1] and of every reservoir-weighted block,
-    as rho Lambda^-1 and rho^2 Lambda^-1 / (rho + i w_q) tend to it."""
-    return _ladder(np.eye(3) / constants.eps0, -np.eye(3) / constants.mu0)
+# A^-1 = [[0, I], [-I, 0]] for Lambda = rho A + O(1): the t = 0 value of
+# L^-1[Lambda^-1] and of every reservoir-weighted block, as rho Lambda^-1 and
+# rho^2 Lambda^-1 / (rho + i w_q) tend to it
+_INITIAL_DATA = _ladder(np.eye(3), -np.eye(3))
 
 
 def assemble_lambda(response: LaplaceResponse, k, rho) -> LambdaMatrix:
@@ -139,7 +138,7 @@ _BLOCKS = {
 }
 
 
-def _families(k, t, omega_q, f_q, g_q, mu0, transforms) -> ModeCoefficients:
+def _families(k, t, omega_q, f_q, g_q, transforms) -> ModeCoefficients:
     """The index map from a path's transforms (base, res, metadata) to the
     field-operator families, which frees base once its blocks are copied
     out and each reservoir block once its family is built.
@@ -155,16 +154,16 @@ def _families(k, t, omega_q, f_q, g_q, mu0, transforms) -> ModeCoefficients:
     gamma_tilde, xi_tilde = base[:, h, h].copy(), -base[:, h, e]
     del base
 
-    def reservoir(name, factor, coupling):
+    def reservoir(name, coupling, sign=1.0):
         if name not in res:
             return np.zeros((omega_q.size, t.size, 3, 3), dtype=complex)
-        return factor * np.einsum("qtab,qbc->qtac", res.pop(name), coupling)
+        return sign * np.einsum("qtab,qbc->qtac", res.pop(name), coupling)
 
     return ModeCoefficients(
         k=k, t_grid=t, omega_q_grid=omega_q,
         gamma=gamma, xi=xi, gamma_tilde=gamma_tilde, xi_tilde=xi_tilde,
-        zeta=reservoir("ee", mu0, g_q), eta=reservoir("eh", -1.0, f_q),
-        zeta_tilde=reservoir("he", mu0, g_q), eta_tilde=reservoir("hh", -1.0, f_q),
+        zeta=reservoir("ee", g_q), eta=reservoir("eh", f_q, -1.0),
+        zeta_tilde=reservoir("he", g_q), eta_tilde=reservoir("hh", f_q, -1.0),
         f_q=f_q, g_q=g_q, metadata=metadata,
     )
 
@@ -188,7 +187,8 @@ def _ilt_with_reservoir(rat: Rational, poles, residues, omega_q: np.ndarray, t: 
     extra = -1j * omega_q  # (n_q,)
     if poles.size:
         dist = np.abs(extra[:, None] - poles[None, :])
-        if float(np.min(dist)) < POLE_TOL * max(1.0, float(np.max(np.abs(poles)))):
+        # each pair against POLE_TOL times the larger of the two
+        if np.any(dist <= POLE_TOL * np.maximum(np.abs(extra)[:, None], np.abs(poles))):
             raise PoleFindingFailed("reservoir pole collides with a medium pole")
     # residue of rho/(rho+iw) rat at base pole p: p res_p / (p + iw), from
     # the residues of the cancelled form (a removable root of rat.den, as at
@@ -210,10 +210,9 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
     With D_T = k^2 + rho^2 mu_hat eps_hat, the scalars are t_eh = rho mu_hat
     / D_T, t_ee = 1 / D_T, l_e = 1 / (rho eps_hat), t_he = rho eps_hat / D_T
     and l_h = 1 / (rho mu_hat)."""
-    c = response.constants
     rho = Rational.variable()
-    a_rat = rho * ((response.closed_form(ELECTRIC) + 1.0) * c.eps0)
-    mu_rat = (response.closed_form(MAGNETIC) + 1.0) * c.mu0
+    a_rat = rho * (response.closed_form(ELECTRIC) + 1.0)
+    mu_rat = response.closed_form(MAGNETIC) + 1.0
     d_t = (rho * mu_rat) * a_rat + float(k @ k)
     one = Rational.constant(1.0)
     scalars = {"t_eh": (rho * mu_rat) / d_t, "t_ee": one / d_t, "l_e": one / a_rat,
@@ -288,7 +287,7 @@ def _line_tail(response, k, a):
     Lambda_med^-1 - Lambda_vac^-1.
 
     Write Lambda = rho A + B + rho^-1 E1 + rho^-2 E2 + O(rho^-3): A =
-    [[0, -mu0], [eps0, 0]], B the curl blocks, and E1, E2 the same ladder
+    [[0, -I], [I, 0]], B the curl blocks, and E1, E2 the same ladder
     shape holding the moments M1, M2 of chi_hat = M1 rho^-2 + M2 rho^-3 + ...
     The difference is then C3 rho^-3 + C4 rho^-4 + O(rho^-5) with
 
@@ -297,17 +296,16 @@ def _line_tail(response, k, a):
 
     Shifting the pole to rho = -a (C4' = C4 + 3 a C3) keeps the same two
     leading terms and makes the tail's transforms decay like e^-at."""
-    c = response.constants
     m1e, m2e = response.chi_moments(ELECTRIC, k)
     m1m, m2m = response.chi_moments(MAGNETIC, k)
 
-    a_inv = _initial_data(c)
+    a_inv = _INITIAL_DATA
     b = np.zeros((6, 6), dtype=complex)
     b[:3, :3] = b[3:, 3:] = _curl_block(k)
     x = a_inv @ b
-    y = a_inv @ _ladder(-c.mu0 * m1m, c.eps0 * m1e)
+    y = a_inv @ _ladder(-m1m, m1e)
     c3 = -y @ a_inv
-    c4 = (x @ y + y @ x - a_inv @ _ladder(-c.mu0 * m2m, c.eps0 * m2e)) @ a_inv
+    c4 = (x @ y + y @ x - a_inv @ _ladder(-m2m, m2e)) @ a_inv
     return c3, c4 + 3.0 * a * c3
 
 
@@ -354,10 +352,6 @@ def _tail_transform(t, a, c3, c4):
     return tail
 
 
-def _vacuum(response):
-    return laplace_response(constants=response.constants)
-
-
 @dataclass(frozen=True)
 class BromwichLine:
     """The Bromwich line Re rho = a of one medium at one k: its points, the
@@ -379,7 +373,7 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     Its geometry comes from the response's horizon T and top reservoir
     frequency W alone, never from a request: abscissa a = 3 / T, step
     dy = 0.5 / T and half-width Y = max(40 s, W + 20 s), s the largest
-    frequency scale of the medium and c |k|, so it runs past the top
+    frequency scale of the medium and |k|, so it runs past the top
     reservoir node, where G / (rho + i w_q) peaks. All material evaluations
     stay in Re rho > 0, so the imaginary-axis branch cut of the absorption
     continuum is never crossed.
@@ -398,7 +392,7 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
         return line
     horizon = response.horizon
     a = _LINE_ABSCISSA_FACTOR / horizon
-    scales = [1.0, response.constants.c * float(np.linalg.norm(k)),
+    scales = [float(np.linalg.norm(k)),
               *(m.frequency_scale for m in response.medium if not m.is_zero)]
     y_top = max(_LINE_HALFWIDTH_FACTOR * max(scales),
                 response.omega_top + _LINE_RESERVOIR_MARGIN * max(scales))
@@ -418,7 +412,7 @@ def bromwich_line(response: LaplaceResponse, k) -> BromwichLine:
     # measure dy / 2 pi folded in; columns hold all four 3x3 blocks of the
     # 6x6, formed in place
     stack = np.linalg.inv(assemble_lambda(response, k, rho).value)
-    stack -= np.linalg.inv(assemble_lambda(_vacuum(response), k, rho).value)
+    stack -= np.linalg.inv(assemble_lambda(laplace_response(), k, rho).value)
     stack -= u**3 * (c3 + u * c4)
     stack = stack.reshape(n_y, 36)
     stack *= (y[1] - y[0]) / (2.0 * np.pi)
@@ -610,7 +604,7 @@ def _line_mode_path(response, blocks, k, t, omega_q):
         if base is None:
             # the exact vacuum part, built after the first chunk's sums: a long
             # uniform grid is one chirp-z chunk, whose tables never meet it
-            base, res, _ = _rational_mode_path(_vacuum(response), blocks, k, t, omega_q)
+            base, res, _ = _rational_mode_path(laplace_response(), blocks, k, t, omega_q)
         base[rows] += line_base
         for name in blocks:
             res[name][:, rows] += line_base[None, :, _BLOCKS[name][0], _BLOCKS[name][1]]
@@ -647,8 +641,7 @@ def _solve(response: LaplaceResponse, k, t_grid, omega_q_grid, path) -> ModeCoef
     # zeta and zeta-tilde read the ee and he blocks, eta and eta-tilde eh and hh
     blocks = ((("ee", "he") if parts_g else ())
               + (("eh", "hh") if parts_f else ())) if omega_q.size else ()
-    return _families(k, t, omega_q, f_q, g_q, response.constants.mu0,
-                     path(response, blocks, k, t, omega_q))
+    return _families(k, t, omega_q, f_q, g_q, path(response, blocks, k, t, omega_q))
 
 
 def mode_coefficients(

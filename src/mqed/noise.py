@@ -3,12 +3,13 @@ densities and the noise current, plus the t = 0 continuity probe.
 
 The equal-frequency commutator of the noise polarization reduces, after the
 reservoir continuum is collapsed onto its radial frequency label (angular
-measure 4 pi, radial Jacobian omega^2 / c^3), to
+measure 4 pi, radial Jacobian omega^2), to
 
-    lhs(omega, k) = (4 pi omega^2 / c^3) sum_nu (f v_nu)(f v_nu)^dag,
+    lhs(omega, k) = 4 pi omega^2 sum_nu (f v_nu)(f v_nu)^dag,
 
-which the fluctuation-dissipation relation equates to (hbar eps0 / pi)
-Im chi_hat_e (magnetic analog with hbar / (mu0 pi)). The two sides are
+which the fluctuation-dissipation relation equates to Im chi_hat / pi of
+the coupling's sector (natural units, as in every numerical module). The
+two sides are
 computed by disjoint numerical routes: direct coefficient assembly on the
 left, the part's spectrum on the right, which is the closed form chi_hat of
 a rational part (so the check compares the coupling formula with it point
@@ -26,9 +27,12 @@ from .couplings import ELECTRIC, eval_coupling_batch
 from .errors import ValidationError
 from .quadrature import gauss_legendre
 from .response import (ResponseSpectrum, SusceptibilityKernel, _angle_table, _fft_size,
-                       _CHECK_HORIZON, _relative_deviation, block_tensors)
+                       _CHECK_HORIZON, _relative_deviation, _richardson, block_tensors)
 from .response import chi_kernel  # noqa: F401  (perfbench's tracer test reads noise.chi_kernel)
-from .tensors import NATURAL, PhysicalConstants, triad
+from .tensors import triad
+
+# the stencil step of `pdot_continuity`, in units of its probe's width
+_CONTINUITY_STEP = 2e-4
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class CommutatorReport:
     details: dict = field(default_factory=dict)
 
 
-def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants):
+def noise_coefficient_density(model, k, omega_grid):
     """Direct assembly of the noise commutator density from the coupling
     tensors and the polarization triad at k (no susceptibility involved)."""
     omega = np.asarray(omega_grid, dtype=float)
@@ -60,29 +64,20 @@ def noise_coefficient_density(model, k, omega_grid, constants: PhysicalConstants
     for v in vs:
         fv = f @ v.astype(complex)  # (n, 3)
         acc += fv[:, :, None] * np.conj(fv)[:, None, :]
-    radial = 4.0 * np.pi * omega**2 / constants.c**3
-    return radial[:, None, None] * acc
+    return (4.0 * np.pi * omega**2)[:, None, None] * acc
 
 
-def noise_commutator(
-    model,
-    spectrum: ResponseSpectrum,
-    constants: PhysicalConstants = NATURAL,
-) -> CommutatorReport:
+def noise_commutator(model, spectrum: ResponseSpectrum) -> CommutatorReport:
     """Fluctuation-dissipation check for the noise polarization densities,
     on the wave vector and frequency grid of `spectrum`, the model's chi_hat.
 
     The model's sector selects the pairing: an electric model gives the P
-    report against (hbar eps0 / pi) Im chi_hat_e, a magnetic one the M report
-    against (hbar / (mu0 pi)) Im chi_hat_m.
+    report against Im chi_hat_e / pi, a magnetic one the M report against
+    Im chi_hat_m / pi.
     """
     omega, k = spectrum.omega_grid, spectrum.k
-    lhs = noise_coefficient_density(model, k, omega, constants)
-    if model.which == ELECTRIC:
-        factor = constants.hbar * constants.eps0 / np.pi
-    else:
-        factor = constants.hbar / (constants.mu0 * np.pi)
-    rhs = factor * spectrum.imag_hermitian()
+    lhs = noise_coefficient_density(model, k, omega)
+    rhs = (1.0 / np.pi) * spectrum.imag_hermitian()
     return CommutatorReport(
         kind="noise_P" if model.which == ELECTRIC else "noise_M",
         k=k,
@@ -99,7 +94,7 @@ def noise_current_coefficient(report: CommutatorReport) -> CommutatorReport:
 
     The current picks up one power of the reservoir frequency relative to the
     noise polarization, so both sides are omega^2 times the polarization
-    ones: the coefficient density against (hbar eps0 / pi) omega^2 Im chi_hat_e.
+    ones: the coefficient density against omega^2 Im chi_hat_e / pi.
     """
     if report.kind != "noise_P":
         raise ValidationError("the noise current pairs with an electric (noise_P) report")
@@ -118,13 +113,15 @@ def noise_current_coefficient(report: CommutatorReport) -> CommutatorReport:
 
 @dataclass(frozen=True)
 class ContinuityReport:
+    """The jump of the one-sided dP/dt at t = 0 at step dt, and over the peak
+    rate its Richardson value (4 r_h - r_2h) / 3 from the steps dt and 2 dt
+    (`relative_jump`) and |r_h - r_2h| / 3 (`h_estimate`)."""
+
     dt: float
     jump: float
     peak_rate: float
-
-    @property
-    def relative_jump(self) -> float:
-        return self.jump / self.peak_rate if self.peak_rate > 0.0 else self.jump
+    relative_jump: float
+    h_estimate: float
 
 
 def _gaussian_probe(tau: float):
@@ -185,41 +182,38 @@ def _oscillator_responses(
     return out
 
 
-def pdot_continuity(
-    model,
-    kernel: SusceptibilityKernel,
-    constants: PhysicalConstants = NATURAL,
-    dt: float = 1e-3,
-) -> ContinuityReport:
+def pdot_continuity(model, kernel: SusceptibilityKernel, dt: float | None = None
+                    ) -> ContinuityReport:
     """dP/dt at t = 0+ under a smooth probe, against its peak over the pulse.
 
     The polarization is the convolution of the model's kernel (its
     quadrature representation) with a Gaussian probe pulse of width
-    5 / frequency_scale, a quarter of the checks' horizon (`_CHECK_HORIZON`)
-    over which its peak rate is taken. The kernel vanishing at t = 0+ forces
-    dP/dt(0+) to zero. The probe is even and P(0) = 0, so the negative-time
-    branch is the mirror image and the jump of the one-sided limits is
-    exactly twice the right-hand rate, which a second-order one-sided stencil
-    estimates; it must shrink as dt does.
+    tau = 5 / frequency_scale, a quarter of the checks' horizon
+    (`_CHECK_HORIZON`) over which its peak rate is taken. The kernel
+    vanishing at t = 0+ forces dP/dt(0+) to zero. The probe is even and
+    P(0) = 0, so the negative-time branch is the mirror image and the jump of
+    the one-sided limits is exactly twice the right-hand rate, which a
+    second-order one-sided stencil estimates at step dt (by default
+    `_CONTINUITY_STEP` tau) and again at 2 dt; it must shrink as dt does.
     """
-    dt = float(dt)
     tau = _CHECK_HORIZON / (4.0 * model.frequency_scale)
+    dt = _CONTINUITY_STEP * tau if dt is None else float(dt)
     wide = np.linspace(0.0, 4.0 * tau, 801)
     probe = _gaussian_probe(tau)
     rep = kernel.rep_to(wide[-1], "pdot_continuity")
-    eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
 
-    def p_plus(t):
-        return eps0 * _convolution_at(rep, probe, t)
-
-    right = (-3.0 * p_plus(0.0) + 4.0 * p_plus(dt) - p_plus(2.0 * dt)) / (2.0 * dt)
-    jump = 2.0 * float(np.max(np.abs(right)))
+    # twice the right-hand rate (-3 P(0) + 4 P(h) - P(2h)) / 2h, P(0) = 0,
+    # at h = dt and at 2 dt
+    p = {n: _convolution_at(rep, probe, n * dt) for n in (1, 2, 4)}
+    fine = (4.0 * p[1] - p[2]) / dt
+    coarse = (4.0 * p[2] - p[4]) / (2.0 * dt)
 
     # peak |dP/dt| over the pulse for normalization, from the oscillator
     # responses of the quadrature nodes to the probe on a uniform grid
     h = wide[1] - wide[0]
     responses = _oscillator_responses(rep.nodes, probe(wide), wide, rep.block)
-    p_wide = eps0 * block_tensors(responses, rep.basis)
-    rate = np.abs(np.diff(p_wide, axis=0)) / h
+    rate = np.abs(np.diff(block_tensors(responses, rep.basis), axis=0)) / h
     peak = float(np.max(rate)) if rate.size else 0.0
-    return ContinuityReport(dt=dt, jump=jump, peak_rate=peak)
+    relative, _, estimate = _richardson(fine[None], coarse[None], peak)
+    return ContinuityReport(dt=dt, jump=float(np.max(np.abs(fine))), peak_rate=peak,
+                            relative_jump=relative, h_estimate=estimate)

@@ -4,11 +4,11 @@ constitutive-equation round trip and vacuum fluctuation spectra.
 
 The electric and magnetic field operators are represented by their
 coefficient functions over the initial photon operators a(0) (weights
-sqrt(hbar w_k eps0 / 2 (2pi)^3) and the mu0 twin) and the initial reservoir
+sqrt(w_k / 2 (2pi)^3), natural units) and the initial reservoir
 operators d(0), b(0) (weights (2pi)^{-3/2} with triad contractions). Each
 coefficient channel must satisfy the transformed Maxwell system on its own,
 and the equal-time commutators assembled from the channels must keep their
-free-space value hbar c^2 O(k) in any medium; both statements are checked
+free-space value O(k) in any medium; both statements are checked
 numerically here. A representation reads the medium from one
 `LaplaceResponse`: its Lambda system, its reservoir couplings and its memory
 kernels. It holds the mode coefficients and the photon channels at one wave
@@ -35,17 +35,12 @@ from .response import (
     _damped_oscillator,
     _fft_size,
     _relative_deviation,
+    _richardson,
     block_tensors,
     difference_step,
     uniform_step,
 )
-from .tensors import (
-    IDENTITY3,
-    NATURAL,
-    PhysicalConstants,
-    curl_symbol,
-    triad,
-)
+from .tensors import IDENTITY3, curl_symbol, triad
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 # reservoir channel -> (its mode family, or for the noise channels P_d, M_b
@@ -74,10 +69,6 @@ class FieldOperatorRepresentation:
     photon_E: np.ndarray  # (2, n_t, 3)
     photon_H: np.ndarray
 
-    @property
-    def constants(self) -> PhysicalConstants:
-        return self.response.constants
-
     @cached_property
     def chi_e(self) -> np.ndarray:
         """(n_t, 3, 3) electric (bound plus free) memory kernel at k."""
@@ -90,8 +81,8 @@ class FieldOperatorRepresentation:
 
     @property
     def radial_measure(self) -> np.ndarray:
-        """Reservoir continuum measure 4 pi w_q^2 / c^3 at the nodes."""
-        return 4.0 * np.pi * self.omega_q_grid**2 / self.constants.c**3
+        """Reservoir continuum measure 4 pi w_q^2 at the nodes."""
+        return 4.0 * np.pi * self.omega_q_grid**2
 
     @cached_property
     def _channel_parts(self) -> tuple:
@@ -159,15 +150,12 @@ def field_representation(
 def _with_photons(response: LaplaceResponse, mc: ModeCoefficients, weights: np.ndarray):
     """The representation of `mc`, its photon channels over the triad of mc.k."""
     tr = triad(mc.k)
-    c = response.constants
-    w_k = c.c * float(np.linalg.norm(mc.k))
-    w_e = np.sqrt(c.hbar * w_k * c.eps0 / (2.0 * TWO_PI_CUBED))
-    w_m = np.sqrt(c.hbar * w_k * c.mu0 / (2.0 * TWO_PI_CUBED))
+    w = np.sqrt(float(np.linalg.norm(mc.k)) / (2.0 * TWO_PI_CUBED))  # w_k = |k|
     pairs = tuple(zip((tr.e1, tr.e2), (tr.s1, tr.s2)))
     return FieldOperatorRepresentation(
         mc.k, mc.t_grid, mc.omega_q_grid, weights, response, mc,
-        photon_E=np.stack([1j * (w_e * mc.gamma @ e + w_m * mc.xi @ s) for e, s in pairs]),
-        photon_H=np.stack([1j * (w_e * mc.gamma_tilde @ e + w_m * mc.xi_tilde @ s)
+        photon_E=np.stack([1j * (w * mc.gamma @ e + w * mc.xi @ s) for e, s in pairs]),
+        photon_H=np.stack([1j * (w * mc.gamma_tilde @ e + w * mc.xi_tilde @ s)
                            for e, s in pairs]),
     )
 
@@ -204,13 +192,20 @@ def _eh_coefficient(p: FieldOperatorRepresentation, m: FieldOperatorRepresentati
     return TWO_PI_CUBED * (ph + res)
 
 
+def _on_grid(t_grid: np.ndarray, t: float, what: str) -> int:
+    """The index of t on t_grid, within 1e-9 of its smallest step (of |t| alone)."""
+    it = int(np.argmin(np.abs(t_grid - t)))
+    step = float(np.min(np.diff(t_grid))) if t_grid.size > 1 else abs(t)
+    if abs(t_grid[it] - t) > 1e-9 * step:
+        raise ValidationError(f"{what} must be drawn from the representation t_grid")
+    return it
+
+
 def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray) -> np.ndarray:
     """The i-normalized [E, H^dag] coefficients at the times t_set, which must
     lie on the representation's t grid: +k is read from `rep`, -k from its
     parity partner at those times (`_parity_partner`), with no second solve."""
-    idx = [int(np.argmin(np.abs(rep.t_grid - ti))) for ti in t_set]
-    if any(abs(rep.t_grid[i] - ti) > 1e-9 * max(1.0, abs(ti)) for i, ti in zip(idx, t_set)):
-        raise ValidationError("t_set must be drawn from the representation t_grid")
+    idx = [_on_grid(rep.t_grid, ti, "t_set") for ti in t_set]
     minus = _parity_partner(rep, idx)
     wq = rep.omega_q_weights * rep.radial_measure
     return np.stack([_eh_coefficient(rep, minus, i, j, wq) / 1j for j, i in enumerate(idx)])
@@ -218,18 +213,17 @@ def _eh_coefficients(rep: FieldOperatorRepresentation, t_set: np.ndarray) -> np.
 
 def vacuum_eh_coefficient(rep: FieldOperatorRepresentation) -> np.ndarray:
     """Closed-form free-space value of the i-normalized [E, H^dag]
-    coefficient, hbar c^2 O(k): Hermitian, time-independent (the cos/sin
-    pairs combine to unity), and medium-independent by the scheme's claim."""
-    c = rep.constants
-    return c.hbar * c.c**2 * curl_symbol(rep.k)
+    coefficient, O(k): Hermitian, time-independent (the cos/sin pairs
+    combine to unity), and medium-independent by the scheme's claim."""
+    return curl_symbol(rep.k)
 
 
 def equal_time_commutators(rep: FieldOperatorRepresentation, t_set) -> CommutatorReport:
     """Equal-time [E, H^dag] coefficients against their free-space value.
 
     The i-normalized coefficients of the medium `rep` at the times t_set,
-    which must lie on its t grid, are compared with the closed form hbar c^2
-    O(k) (`vacuum_eh_coefficient`), a route that shares no factor with the
+    which must lie on its t grid, are compared with the closed form O(k)
+    (`vacuum_eh_coefficient`), a route that shares no factor with the
     medium's assembly. The -k channels are the +k ones mapped by parity
     (details["minus_k"] names that route), so no -k mode solve runs.
     """
@@ -279,17 +273,6 @@ def reservoir_picks(n_q: int, samples: int) -> np.ndarray:
     return picks[np.diff(picks, prepend=-1) > 0]
 
 
-def _richardson(fine: np.ndarray, coarse: np.ndarray, scale: float) -> tuple:
-    """Of an O(h^2) error sampled at step h (`fine`) and again at 2h on every
-    other point (`coarse`), relative to `scale` (1 when it is 0): the worst
-    Richardson value (4 r_h - r_2h) / 3, the worst r_h and the worst
-    |r_h - r_2h| / 3, its h^2 estimate."""
-    scale = scale if scale > 0.0 else 1.0
-    return (float(np.max(np.abs(4.0 * fine[::2] - coarse))) / (3.0 * scale),
-            float(np.max(np.abs(fine))) / scale,
-            float(np.max(np.abs(fine[::2] - coarse))) / (3.0 * scale))
-
-
 @dataclass(frozen=True)
 class MaxwellResidualReport:
     """Each channel's Richardson value (4 r_h - r_2h) / 3 on the points its
@@ -319,7 +302,6 @@ def maxwell_residual(rep: FieldOperatorRepresentation) -> MaxwellResidualReport:
     """
     h = difference_step(rep.t_grid)
     difference_step(rep.t_grid[::2])  # the subsample is differenced too
-    c = rep.constants
     o = curl_symbol(rep.k)
     convolvers = {s: (_convolver(rep.chi_e[::s], s * h), _convolver(rep.chi_m[::s], s * h))
                   for s in (1, 2)}
@@ -329,15 +311,15 @@ def maxwell_residual(rep: FieldOperatorRepresentation) -> MaxwellResidualReport:
         # the Faraday and Ampere rows on every s-th point, and their scale
         conv_e, conv_m = convolvers[s]
         e_ch, h_ch = e_ch[::s], h_ch[::s]
-        p = c.eps0 * conv_e(e_ch) + (0.0 if p_noise is None else p_noise[::s])
-        d_rate = _central_difference(c.eps0 * e_ch + p, s * h)
+        p = conv_e(e_ch) + (0.0 if p_noise is None else p_noise[::s])
+        d_rate = _central_difference(e_ch + p, s * h)
         m = conv_m(h_ch) + (0.0 if m_noise is None else m_noise[::s])
-        b_rate = _central_difference(c.mu0 * (h_ch + m), s * h)
+        b_rate = _central_difference(h_ch + m, s * h)
         curl_e, curl_h = e_ch @ o.T, h_ch @ o.T
         # longitudinal channels have vanishing curls and flux rates; their
         # natural scale is the displacement-rate of the field term
-        rates = (c.eps0 * float(np.max(np.abs(_central_difference(e_ch, s * h)))),
-                 c.mu0 * float(np.max(np.abs(_central_difference(h_ch, s * h)))))
+        rates = (float(np.max(np.abs(_central_difference(e_ch, s * h)))),
+                 float(np.max(np.abs(_central_difference(h_ch, s * h)))))
         scale = max(*(float(np.max(np.abs(x))) for x in (b_rate, d_rate, curl_e, curl_h)), *rates)
         return np.concatenate([curl_e + b_rate, d_rate - curl_h], axis=1), scale
 
@@ -377,7 +359,6 @@ def constitutive_roundtrip(
     model,
     kernel: SusceptibilityKernel,
     t_grid,
-    constants: PhysicalConstants = NATURAL,
 ) -> ConstitutiveCheck:
     """Polarization under a c-number probe, two ways, from the model's
     kernel (its quadrature representation).
@@ -404,7 +385,6 @@ def constitutive_roundtrip(
     t0 = 5.0 * tau
     amp = np.exp(-(((t - t0) / tau) ** 2))
     probe_field = (amp[:, None] * e_dir[None, :]).astype(complex)
-    eps0 = constants.eps0 if model.which == ELECTRIC else 1.0
     chi_vals = rep.kernel_values(t)
 
     def routes(s):
@@ -412,10 +392,10 @@ def constitutive_roundtrip(
         # B, every reservoir frequency driven as an independent oscillator by
         # the exact one-step propagator with the probe linear on each step (a
         # different discretization, so agreement is a genuine cross-check)
-        p_a = eps0 * _convolver(chi_vals[::s], s * h)(probe_field[::s])
+        p_a = _convolver(chi_vals[::s], s * h)(probe_field[::s])
         ladder = block_tensors(_oscillator_responses(rep.nodes, amp[::s], t[::s], rep.block),
                                rep.basis)
-        return p_a, eps0 * (ladder @ e_dir.astype(complex))
+        return p_a, ladder @ e_dir.astype(complex)
 
     (p_a, p_b), (p_a2, p_b2) = routes(1), routes(2)
     residual, plain, h_estimate = _richardson(p_a - p_b, p_a2 - p_b2, float(np.max(np.abs(p_a))))
@@ -443,9 +423,7 @@ def vacuum_spectrum(
     matrix). Positivity is returned, not enforced: a caller judges it from the
     eigenvalues.
     """
-    it = int(np.argmin(np.abs(rep.t_grid - t)))
-    if abs(rep.t_grid[it] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValidationError("t must be drawn from the representation t_grid")
+    it = _on_grid(rep.t_grid, t, "t")
     delta = np.asarray(r_offset, dtype=float)
     wq = rep.omega_q_weights * rep.radial_measure
     phase = np.exp(1j * float(rep.k @ delta))

@@ -16,8 +16,9 @@ from numpy.polynomial import polynomial as P
 
 from .errors import PoleFindingFailed
 
-# the relative distance within which two poles count as one: a root the
-# numerator shares is cancelled, any other is a repeated pole
+# the distance, relative to the larger of the two, within which two poles
+# count as one: a root the numerator shares is cancelled, any other is a
+# repeated pole
 POLE_TOL = 1e-7
 
 
@@ -105,14 +106,16 @@ def _cancel_removable(num, den):
     check."""
     while den.size > 1:
         roots = P.polyroots(den)
-        scale = max(1.0, float(np.max(np.abs(roots))))
+        size = np.abs(roots)
         diff = np.abs(roots[:, None] - roots[None, :])
         np.fill_diagonal(diff, np.inf)
-        pairs = np.argwhere(diff < POLE_TOL * scale)
+        # each pair against POLE_TOL times the larger of the two
+        pairs = np.argwhere(diff <= POLE_TOL * np.maximum(size[:, None], size[None, :]))
         if pairs.size == 0:
             return num, den, roots
         p = roots[pairs[0][0]]
-        num_scale = float(np.max(np.abs(num))) * max(1.0, abs(p)) ** (num.size - 1)
+        # the size of num's terms at p, which bounds the rounding of num(p)
+        num_scale = float(np.sum(np.abs(num) * abs(p) ** np.arange(num.size)))
         if abs(P.polyval(p, num)) > 1e-8 * num_scale or num.size < 2:
             raise PoleFindingFailed(
                 f"genuine repeated pole near {p:.6g}: simple-pole expansion unsupported"

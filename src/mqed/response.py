@@ -6,9 +6,8 @@ transform of the coupling spectral density,
 
     chi(k, t) = pref * integral_0^inf domega omega^2 sin(omega t) f f^dag,
 
-with pref = 8 pi / (hbar c^3 eps0) for the electric sector and
-8 pi mu0 / (hbar c^3) for the magnetic one; chi vanishes identically for
-t <= 0.
+with pref = 8 pi in either sector (`KERNEL_PREFACTOR`; natural units, as in
+every numerical module); chi vanishes identically for t <= 0.
 
 A rational part (a Lorentz or Drude coupling, gauged or not) has this
 integral in closed form, chi_hat(rho) = s^2 / (rho^2 + gamma rho +
@@ -74,8 +73,11 @@ from .errors import (
 )
 from .quadrature import QuadratureResult, QuadratureSpec, adaptive_nodes, trapezoid_nodes
 from .rational import Rational
-from .tensors import IDENTITY3, NATURAL, PhysicalConstants
+from .tensors import IDENTITY3
 
+# pref of chi = pref int omega^2 sin(omega t) f f^dag, and of the cosine
+# kernel Q = pref int omega^3 cos(omega t) f f^dag, in either sector
+KERNEL_PREFACTOR = 8.0 * np.pi
 # elements of one chunked table (`_chunks`), 8 MB of complex values, sized
 # for the cache
 _TABLE_ELEMENTS = 1 << 19
@@ -106,14 +108,6 @@ _BASIS_RTOL = 1e-14
 _FLAT_IDENTITY = IDENTITY3.reshape(1, 9).astype(complex)
 _UNIT_REAL = np.eye(9, dtype=complex)
 _UNIT_COMPLEX = np.concatenate([np.eye(9), 1j * np.eye(9)])
-
-
-def kernel_prefactor(which: str, constants: PhysicalConstants) -> float:
-    if which == ELECTRIC:
-        return 8.0 * np.pi / (constants.hbar * constants.c**3 * constants.eps0)
-    if which == MAGNETIC:
-        return 8.0 * np.pi * constants.mu0 / (constants.hbar * constants.c**3)
-    raise ValidationError(f"unknown sector '{which}'", key="which")
 
 
 def tensor_block(tensors):
@@ -459,7 +453,6 @@ def chi_kernel(
     model,
     k,
     t_grid,
-    constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> SusceptibilityKernel:
     """Time-domain susceptibility kernel chi(k, t) on t_grid (t >= 0).
@@ -479,7 +472,6 @@ def chi_kernel(
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
-    pref = kernel_prefactor(model.which, constants)
     closed = None if model.is_zero else model.closed_form
     if model.is_zero:  # no rule: an empty representation, +0 at every t
         gap = None
@@ -488,7 +480,7 @@ def chi_kernel(
         result = QuadratureResult(0, _cutoff(model, quad), quad.rtol, 0.0, rule=None, kept=0)
     elif closed is not None:
         t_rep = check_grid(model)
-        rep, on_rep, result = _converged_rep(model, k, quad, pref,
+        rep, on_rep, result = _converged_rep(model, k, quad, KERNEL_PREFACTOR,
                                              lambda r: r.kernel_values(t_rep))
         exact = partial(_damped_oscillator, closed)
         gap = _relative_deviation(on_rep, block_tensors(exact(t_rep)[:, None], _FLAT_IDENTITY))
@@ -496,7 +488,7 @@ def chi_kernel(
     else:
         gap, t_rep = None, t
         alias = t[-1] + model.suggested_t_max(_KERNEL_TAIL) if model.even_entire_density else None
-        rep, values, result = _converged_rep(model, k, quad, pref,
+        rep, values, result = _converged_rep(model, k, quad, KERNEL_PREFACTOR,
                                              lambda r: r.kernel_values(t), alias)
     return SusceptibilityKernel(
         which=model.which,
@@ -744,8 +736,8 @@ class LaplaceResponse:
 
     The medium is a tuple of coupling parts, each an independent oscillator
     family in the sector its `which` names; free carriers are one more
-    electric part. eps_hat = eps0 (1 + chi_hat_e) and mu_hat = mu0 (1 +
-    chi_hat_m), each chi_hat the sum over the nonzero parts of its sector
+    electric part. eps_hat = 1 + chi_hat_e and mu_hat = 1 + chi_hat_m,
+    each chi_hat the sum over the nonzero parts of its sector
     (`sector`), and the reservoir couples to the same parts. A rational part
     contributes its closed form, evaluated anywhere off its poles; any other
     goes through its kernel quadrature representation (`laplace_rep`, one
@@ -760,7 +752,6 @@ class LaplaceResponse:
     """
 
     medium: tuple
-    constants: PhysicalConstants
     quad: QuadratureSpec
     horizon: float = 10.0
     omega_top: float = 50.0
@@ -798,11 +789,10 @@ class LaplaceResponse:
             # converged on probe values of rho, not on a time horizon: this
             # representation is evaluated at every Bromwich-line point, so it
             # stays as small as the Laplace transform allows
-            pref = kernel_prefactor(model.which, self.constants)
             probe = np.array([0.37, 1.1, 3.3]) * model.frequency_scale
-            rep, _, _ = _converged_rep(model, k, self.quad, pref, lambda rep: rep.contract(
-                rep.nodes[None, :] / (probe[:, None] ** 2 + rep.nodes[None, :] ** 2)
-            ))
+            rep, _, _ = _converged_rep(model, k, self.quad, KERNEL_PREFACTOR,
+                                       lambda rep: rep.contract(rep.nodes[None, :] / (
+                                           probe[:, None] ** 2 + rep.nodes[None, :] ** 2)))
             self._rep_cache[key] = rep
         return rep
 
@@ -846,22 +836,21 @@ class LaplaceResponse:
         return out
 
     def eps(self, k, rho) -> np.ndarray:
-        return self.constants.eps0 * (IDENTITY3 + self.chi(ELECTRIC, k, rho))
+        return IDENTITY3 + self.chi(ELECTRIC, k, rho)
 
     def mu(self, k, rho) -> np.ndarray:
-        return self.constants.mu0 * (IDENTITY3 + self.chi(MAGNETIC, k, rho))
+        return IDENTITY3 + self.chi(MAGNETIC, k, rho)
 
 
 def laplace_response(
     *parts,
-    constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
     horizon: float = 10.0,
     omega_top: float = 50.0,
 ) -> LaplaceResponse:
     """The medium of the coupling `parts` (none for the vacuum)."""
-    return LaplaceResponse(medium=parts, constants=constants, quad=quad,
-                           horizon=float(horizon), omega_top=float(omega_top))
+    return LaplaceResponse(medium=parts, quad=quad, horizon=float(horizon),
+                           omega_top=float(omega_top))
 
 
 @dataclass(frozen=True)
@@ -872,7 +861,7 @@ class QKernelReport:
     t_grid: np.ndarray
     q_values: np.ndarray  # (n_t, 3, 3)
     chi_values: np.ndarray
-    implied_sigma: np.ndarray  # Q - eps0 d(chi)/dt by finite differences
+    implied_sigma: np.ndarray  # Q - d(chi)/dt by finite differences
     quad: QuadratureResult
 
     @property
@@ -911,35 +900,42 @@ def _central_difference(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _richardson(fine: np.ndarray, coarse: np.ndarray, scale: float) -> tuple:
+    """Of an O(h^2) error sampled at step h (`fine`) and again at 2h on every
+    other point (`coarse`), relative to `scale` (1 when it is 0): the worst
+    Richardson value (4 r_h - r_2h) / 3, the worst r_h and the worst
+    |r_h - r_2h| / 3, its h^2 estimate."""
+    scale = scale if scale > 0.0 else 1.0
+    return (float(np.max(np.abs(4.0 * fine[::2] - coarse))) / (3.0 * scale),
+            float(np.max(np.abs(fine))) / scale,
+            float(np.max(np.abs(fine[::2] - coarse))) / (3.0 * scale))
+
+
 def conductor_Q(
     model,
     k,
     t_grid,
-    constants: PhysicalConstants = NATURAL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> QKernelReport:
     """Cosine-kernel linear-response tensor
 
-        Q(k, t) = (8 pi / hbar c^3) int_0^inf domega omega^3 cos(omega t) f f^dag
+        Q(k, t) = 8 pi int_0^inf domega omega^3 cos(omega t) f f^dag
 
-    together with the decomposition check Q - eps0 * d(chi)/dt, whose residual
+    together with the decomposition check Q - d(chi)/dt, whose residual
     is the implied conductivity kernel sigma(k, t).
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
-    pref_q = 8.0 * np.pi / (constants.hbar * constants.c**3)
-    pref_chi = kernel_prefactor(ELECTRIC, constants)
 
     def q_on_t(rep):
-        block = (pref_q * rep.nodes)[:, None] * rep.block
+        block = (KERNEL_PREFACTOR * rep.nodes)[:, None] * rep.block
         return block_tensors(_angle_table(t, rep.nodes, None, block), rep.basis)
 
     # pref = 1: the one representation carries w omega^2 f f^dag, scaled per
     # consumer to Q and to chi
     rep, q_values, result = _converged_rep(model, k, quad, 1.0, q_on_t)
-    chi_values = pref_chi * rep.kernel_values(t)
-    dchi = finite_difference_time(chi_values, t)
-    implied_sigma = q_values - constants.eps0 * dchi
+    chi_values = KERNEL_PREFACTOR * rep.kernel_values(t)
+    implied_sigma = q_values - finite_difference_time(chi_values, t)
     return QKernelReport(
         k=k,
         t_grid=t,

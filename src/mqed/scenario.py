@@ -18,15 +18,16 @@ import sys
 import time
 from contextlib import contextmanager
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .conductor import conductor_modes
-from .couplings import (_KINDS, ELECTRIC, MAGNETIC, coupling_from_target, coupling_product,
-                        tabulated_from_csv)
+from .couplings import (_KINDS, ELECTRIC, MAGNETIC, TabulatedTable, coupling_from_target,
+                        coupling_product, tabulated_from_csv)
 from .errors import BudgetExceeded, NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
@@ -36,12 +37,80 @@ from .observables import (constitutive_roundtrip, equal_time_commutators, field_
 from .quadrature import QuadratureSpec, gauss_legendre
 from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, check_grid,
                        chi_kernel, chi_spectrum, conductor_Q, kk_check, laplace_response)
-from .tensors import NATURAL, PhysicalConstants
 
 try:
     import resource
 except ImportError:  # not on Windows
     resource = None
+
+
+@dataclass(frozen=True)
+class PhysicalConstants:
+    """hbar, c, eps0, mu0 with eps0 mu0 c^2 = 1, the units a config is read
+    and its outputs are written in: natural by default, SI from :meth:`si`
+    (eps0 derived from mu0 and c, so the relation holds to rounding)."""
+
+    hbar: float = 1.0
+    c: float = 1.0
+    eps0: float = 1.0
+    mu0: float = 1.0
+
+    def __post_init__(self):
+        for name in ("hbar", "c", "eps0", "mu0"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if abs(self.eps0 * self.mu0 * self.c**2 - 1.0) > 1e-12:
+            raise ValueError("eps0 * mu0 * c^2 must equal 1")
+
+    @classmethod
+    def si(cls) -> "PhysicalConstants":
+        c = 299792458.0
+        mu0 = 4.0e-7 * np.pi
+        return cls(hbar=1.054571817e-34, c=c, eps0=1.0 / (mu0 * c**2), mu0=mu0)
+
+
+NATURAL = PhysicalConstants()
+
+# The unit map at the config/output boundary: the engine runs in natural
+# units, hbar = c = eps0 = mu0 = 1 with time in the config's unit. A
+# quantity of each family below is its natural value times hbar^a c^b
+# eps0^e mu0^m in the units of a `PhysicalConstants`, with the powers
+# (a, b, e, m). So the engine reads an SI k (1/m) as c k and a length (m) as
+# length / c, and frequencies and times as they are; a check value is
+# dimensionless.
+_SI_POWERS = {
+    "k": (0, -1, 0, 0),
+    # f and g: a tabulated part's table, a recovered coupling
+    "coupling_electric": (0.5, 1.5, 0.5, 0),
+    "coupling_magnetic": (0.5, 1.5, 0, -0.5),
+    # modes_*, conductor_gamma_* (gamma): the eh, ee, hh and he blocks of
+    # Lambda^-1 carry 1 / eps0, c, c and 1 / mu0, zeta and eta g and f
+    "gamma": (0, 0, -1, 0),
+    "xi": (0, 1, 0, 0),
+    "gamma_tilde": (0, 1, 0, 0),
+    "xi_tilde": (0, 0, 0, -1),
+    "zeta": (0.5, 2.5, 0, 0.5),
+    "eta": (0.5, 1.5, -0.5, 0),
+    "zeta_tilde": (0.5, 1.5, 0, -0.5),
+    "eta_tilde": (0.5, 2.5, 0.5, 0),
+    # hbar eps0 Im chi_hat_e / pi, hbar Im chi_hat_m / (mu0 pi), hbar c^2 O(k)
+    "noise_P": (1, 0, 1, 0),
+    "noise_M": (1, 0, 0, -1),
+    "commutator_equal_time": (1, 1, 0, 0),
+}
+
+
+def _si_factor(family: str, constants: PhysicalConstants) -> float:
+    """A quantity of `family` in the units of `constants` over its natural
+    value (`_SI_POWERS`): exactly 1.0 in natural units."""
+    units = (constants.hbar, constants.c, constants.eps0, constants.mu0)
+    return float(np.prod([u**p for u, p in zip(units, _SI_POWERS[family])]))
+
+
+def _to_units(constants: PhysicalConstants, family: str, values):
+    """Natural-unit values of `family` in the units of `constants`, as they are if natural."""
+    factor = _si_factor(family, constants)
+    return values if factor == 1.0 else factor * values
 
 
 def output_formats(value) -> list:
@@ -155,14 +224,22 @@ class ScenarioConfig:
             cutoff_factor=n["cutoff_factor"],
         )
 
-    def model(self, part: str, constants: PhysicalConstants):
+    def model(self, part: str, constants: PhysicalConstants = NATURAL):
         """The coupling model of the medium part electric, magnetic or
-        conductor; zero when the config names no kind for it."""
+        conductor in natural units, read in the units of `constants` (a
+        length, a table's |k| axis and couplings); zero for no kind."""
         which, kinds, _ = _PARTS[part]
         kind = kinds[self.medium.get(f"{part}.kind", "zero")]
         given = {name: self.medium[f"{part}.{name}"] for name in kind.required + kind.optional
                  if f"{part}.{name}" in self.medium}
-        return kind.build(which=which, constants=constants, **given)
+        if "correlation_length" in given:  # the one length, as 1 / k
+            given["correlation_length"] *= _si_factor("k", constants)
+        model = kind.build(which=which, **given)
+        if (table := model.table) is None:
+            return model
+        return replace(model, table=TabulatedTable(
+            omegas=table.omegas, kmags=table.kmags / _si_factor("k", constants),
+            values=table.values / _si_factor(f"coupling_{which}", constants)))
 
 
 def _value(key: str, spec: _Key, text: str, line: int | None = None):
@@ -345,14 +422,13 @@ def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants)
     emit("manifest.json", write_json, manifest.payload())
 
 
-def part_kernel(model, k, t_grid=None, constants: PhysicalConstants = NATURAL,
-                quad: QuadratureSpec = QuadratureSpec()):
+def part_kernel(model, k, t_grid=None, quad: QuadratureSpec = QuadratureSpec()):
     """The susceptibility kernel of one medium part at k, the one every check
     of a run reads: on 2200 points to where it has decayed to `_KERNEL_TAIL`
     of its peak, or on t_grid for a zero part, which has no such time."""
     if not model.is_zero:
         t_grid = np.linspace(0.0, model.suggested_t_max(_KERNEL_TAIL), 2200)
-    return chi_kernel(model, k, t_grid, constants=constants, quad=quad)
+    return chi_kernel(model, k, t_grid, quad=quad)
 
 
 # At each k a stage's builder writes its outputs and returns its product for
@@ -364,7 +440,7 @@ def part_kernel(model, k, t_grid=None, constants: PhysicalConstants = NATURAL,
 def _chi_products(run, part, _):
     """A part's kernel and spectrum, which its chi and noise checks read."""
     model = run.models[part]
-    kernel = part_kernel(model, run.k, run.t_grid, run.constants, run.quad)
+    kernel = part_kernel(model, run.k, run.t_grid, run.quad)
     run.manifest.quadrature[f"chi_{part}_{run.tag}"] = kernel.metadata()
     run.emit(f"chi_{part}_{run.tag}.csv", write_tensor_series_csv, "t", kernel.t_grid,
              kernel.values)
@@ -378,8 +454,8 @@ def _noise_products(run, part, chi):
     """A part's kernel and noise commutator report."""
     if chi is None:
         return None
-    rep = noise_commutator(run.models[part], chi[1], constants=run.constants)
-    _emit_report(run, f"noise_{_POLARIZATION[part]}_{run.tag}", "omega", rep)
+    rep = noise_commutator(run.models[part], chi[1])
+    _emit_report(run, f"noise_{_POLARIZATION[part]}", "omega", rep)
     return chi[0], rep
 
 
@@ -390,10 +466,10 @@ def _modes_products(run, part, _):
     run.manifest.quadrature[f"modes_{run.tag}"] = dict(mc.metadata)
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
         run.emit(f"modes_{name}_{run.tag}.csv", write_tensor_series_csv, "t", mc.t_grid,
-                 getattr(mc, name))
+                 run.units(name, getattr(mc, name)))
     for name in ("zeta", "eta", "zeta_tilde", "eta_tilde") if mc.omega_q_grid.size else ():
         run.emit(f"modes_{name}_{run.tag}.csv", write_tensor_grid_csv, ("omega_q", "t"),
-                 (mc.omega_q_grid, mc.t_grid), getattr(mc, name))
+                 (mc.omega_q_grid, mc.t_grid), run.units(name, getattr(mc, name)))
     return rep
 
 
@@ -403,14 +479,18 @@ def _conductor_products(run, part, _):
                          run.nodes)
     run.manifest.quadrature[f"conductor_{run.tag}"] = dict(mc.metadata)
     run.emit(f"conductor_gamma_{run.tag}.csv", write_tensor_series_csv, "t", mc.t_grid,
-             mc.gamma)
+             run.units("gamma", mc.gamma))
     return mc
 
 
-def _emit_report(run, name, label, report):
-    """A commutator report's deviation curve and lhs tensors as CSV, the report as JSON."""
+def _emit_report(run, family, label, report):
+    """A commutator report's deviation curve and lhs tensors as CSV, the
+    report as JSON, in the run's units: `family` of `_SI_POWERS`."""
+    report = replace(report, k=run.units("k", report.k), lhs=run.units(family, report.lhs),
+                     rhs=run.units(family, report.rhs))
     scale = float(np.max(np.linalg.norm(report.rhs, axis=(1, 2)))) or 1.0
     deviation = np.linalg.norm(report.lhs - report.rhs, axis=(1, 2)) / scale
+    name = f"{family}_{run.tag}"
     run.emit(f"{name}.csv", write_deviation_csv, label, report.grid, deviation, report.lhs)
     run.emit(f"{name}.json", lambda path: write_json(path, asdict(report)))
 
@@ -437,30 +517,34 @@ def _kk(run, part, got):
 
 def _equal_time(run, part, got):
     comm = equal_time_commutators(got, run.t_set)
-    _emit_report(run, f"commutator_equal_time_{run.tag}", "t", comm)
+    _emit_report(run, "commutator_equal_time", "t", comm)
     return _Measure(comm.max_rel_err, {"minus_k": comm.details["minus_k"]})
 
 
 def _vacuum_psd(run, part, got):
     eigs = np.linalg.eigvalsh(vacuum_spectrum(got, (0.0, 0.0, 0.0), 0.0))
-    return _Measure(max(0.0, -float(np.min(eigs))), None, max(1.0, float(np.max(np.abs(eigs)))))
+    return _Measure(max(0.0, -float(np.min(eigs))), None, float(np.max(np.abs(eigs))))
 
 
 def _maxwell(run, part, got):
     # on [0, t_max] at a step of _MAXWELL_KAPPA over the fastest rate of the
-    # channels, c |k| plus the top node of the run's small reservoir sample
+    # channels, |k| plus the top node of the run's small reservoir sample
     nodes, weights = run.maxwell_sample
     t_max = run.grids["t_max"]
-    rate = run.constants.c * float(np.linalg.norm(run.k)) + float(np.max(nodes))
+    rate = float(np.linalg.norm(run.k)) + float(np.max(nodes))
     t = np.linspace(0.0, t_max, _steps("Maxwell", t_max, _MAXWELL_KAPPA / rate) + 1)
     res = maxwell_residual(field_representation(run.response, run.k, t, nodes, weights))
     return _Measure(res.max_residual, {"plain": res.plain, "h_estimate": res.h_estimate,
                                        "n_t": t.size, "t_max": t_max, "channels": res.channels})
 
 
+def _continuity(run, part, got):
+    rep = pdot_continuity(run.models[part], got[0])
+    return _Measure(rep.relative_jump, {"dt": rep.dt, "h_estimate": rep.h_estimate})
+
+
 def _constitutive(run, part, got):
-    res = constitutive_roundtrip(run.models[part], got[0], check_grid(run.models[part]),
-                                 run.constants)
+    res = constitutive_roundtrip(run.models[part], got[0], check_grid(run.models[part]))
     return _Measure(res.residual, {"plain": res.plain, "h_estimate": res.h_estimate})
 
 
@@ -483,7 +567,7 @@ _CHECK_POINTS = 1 << 15
 
 # The tolerances no config key sets, each with one value in use.
 # vacuum_spectrum is a positively weighted sum of v v^dag, so a negative
-# eigenvalue is rounding, relative to the largest one (taken as at least 1).
+# eigenvalue is rounding, relative to the largest one.
 _PSD_RTOL = 1e-10
 # q_decomposition takes dchi/dt by second-order differences on the kernel's
 # t grid, coarser than the Maxwell grid, so it gets ten times maxwell_tol.
@@ -502,7 +586,7 @@ _CANONICAL = "medium independence of the canonical structure"
 _ROUNDTRIP = _Check(
     "roundtrip_{part}_{tag}", "chi", _BOTH, "susceptibilities from the coupling tensors",
     "roundtrip_tol", lambda run, part, got: _Measure(_roundtrip_error(
-        run.models[part], got[1], run.omega, run.k, run.constants)))
+        run.models[part], got[1], run.omega, run.k)))
 _CHECKS = (
     _Check("kk_{part}_{tag}", "chi", _BOTH, "causality", "kk_tol", _kk),
     _ROUNDTRIP,
@@ -511,16 +595,16 @@ _CHECKS = (
     _Check("fdt_J_{tag}", "noise", ("electric",), "fluctuation–dissipation", "fdt_tol",
            lambda run, part, got: _Measure(noise_current_coefficient(got[1]).max_rel_err)),
     _Check("pdot_continuity_{tag}", "noise", ("electric",), _HEISENBERG, "continuity_tol",
-           lambda run, part, got: _Measure(pdot_continuity(
-               run.models[part], got[0], run.constants).relative_jump)),
+           _continuity),
     _Check("constitutive_roundtrip_{tag}", "noise", ("electric",), _HEISENBERG,
            "constitutive_tol", _constitutive),
     # ten random sign flips of k: each draw has k's own k . k, so it reads
-    # the representation built for k, inside any table that covers k
+    # the representation built for k, inside any table that covers k; rho
+    # on [0.1, 5] times the medium's frequency scale
     _Check("lambda_reality_{tag}", "modes", _MEDIUM, _HEISENBERG, "reality_tol",
            lambda run, part, got: _Measure(lambda_reality_scan(
                run.response, run.rng.choice((-1.0, 1.0), size=(10, 3)) * run.k,
-               run.rng.uniform(0.1, 5.0, size=10)).max_deviation), reads=False),
+               run.rng.uniform(0.1, 5.0, size=10) * run.scale).max_deviation), reads=False),
     _Check("equal_time_commutator_{tag}", "commutators", _MEDIUM, _CANONICAL,
            "commutator_tol", _equal_time),
     _Check("vacuum_spectrum_psd_{tag}", "commutators", _MEDIUM, _CANONICAL, None, _vacuum_psd,
@@ -532,11 +616,11 @@ _CHECKS = (
     _Check("conductor_poles_{tag}", "conductor", _MEDIUM, "conductor pathway", None,
            lambda run, part, got: _Measure(float(got.metadata.get("max_re_pole", 0.0))),
            MARGINAL_POLE_TOL),
-    # only the bound part: its Q must be eps0 dchi/dt (a zero part reads 0)
+    # only the bound part: its Q must be dchi/dt (a zero part reads 0)
     _Check("q_decomposition_{tag}", "conductor", _MEDIUM, "conductor pathway", "maxwell_tol",
            lambda run, part, got: _Measure(conductor_Q(
-               run.models["electric"], run.k, run.t_grid, run.constants,
-               run.quad).sigma_residual), _Q_TOL_FACTOR, reads=False),
+               run.models["electric"], run.k, run.t_grid, run.quad).sigma_residual),
+           _Q_TOL_FACTOR, reads=False),
 )
 
 
@@ -548,8 +632,10 @@ def run_scenario(
 ) -> RunManifest:
     """Execute the configured checks and write artifacts + manifest.
 
-    A stage runs with the stage it reads (noise reads chi, commutators read
-    modes); the conductor stage runs only with free carriers. Each product is
+    The config is read, and the outputs written, in the units of `constants`
+    (`_SI_POWERS`). A stage runs with the stage it reads (noise reads chi,
+    commutators read modes); the conductor stage runs only with free
+    carriers. Each product is
     freed after its last reader, so the working set is the largest stage's.
     The run builds one medium, and one more with free carriers: the
     equal-time commutators compare with their closed-form free-space value.
@@ -558,13 +644,15 @@ def run_scenario(
     the numbers produced, and all random sampling is seeded from the config.
     """
     grids = config.grids
-    run = SimpleNamespace(constants=constants, quad=config.quadrature(), grids=grids,
-                          num=config.numerics)
+    run = SimpleNamespace(quad=config.quadrature(), grids=grids, num=config.numerics,
+                          units=partial(_to_units, constants))
     run.models = models = {part: config.model(part, constants) for part in _BOTH}
     free = config.model("conductor", constants)
-    # the scale of the Maxwell residual's reservoir sample
-    scales = [m.frequency_scale for m in (*models.values(), free) if not m.is_zero]
-    res_cut = 5.0 * max(scales, default=1.0)
+    ks = [k / _si_factor("k", constants) for k in config.k_list()]
+    # the medium's frequency scale (a vacuum's: its largest |k|)
+    run.scale = max((m.frequency_scale for m in (*models.values(), free) if not m.is_zero),
+                    default=max(float(np.linalg.norm(k)) for k in ks))
+    res_cut = 5.0 * run.scale  # the top of the Maxwell residual's reservoir sample
     # the latest time and the top reservoir frequency any stage asks the
     # modes for: they fix the Bromwich line of a continuum medium
     bounds = {"horizon": grids["t_max"],
@@ -572,10 +660,8 @@ def run_scenario(
     # the medium of the conductor stage: the free carriers as one more
     # electric part; None without free carriers
     run.cond = None if free.is_zero else laplace_response(
-        models["electric"], free, models["magnetic"], constants=constants, quad=run.quad,
-        **bounds)
-    run.response = laplace_response(*models.values(), constants=constants, quad=run.quad,
-                                    **bounds)
+        models["electric"], free, models["magnetic"], quad=run.quad, **bounds)
+    run.response = laplace_response(*models.values(), quad=run.quad, **bounds)
     run.rng = np.random.default_rng(int(run.num["seed"]))
     run.omega = np.linspace(grids["omega_min"], grids["omega_max"], int(grids["n_omega"]))
     run.t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
@@ -593,7 +679,7 @@ def run_scenario(
     ran = [name for name in _STAGES if name in wanted and (name != "conductor" or run.cond)]
     kept = {_STAGES[name][2] for name in ran}
     with _recorded_run(config, out_dir, constants) as (run.manifest, run.emit):
-        for ik, k in enumerate(config.k_list()):
+        for ik, k in enumerate(ks):
             run.k, run.tag = k, f"k{ik}"
             held = {}  # (stage, part) -> the product a later stage reads
             for name in ran:
@@ -620,9 +706,8 @@ def run_scenario(
     return run.manifest
 
 
-def _roundtrip_error(model, spectrum, omega, k, constants) -> float:
-    rec = coupling_from_target(spectrum.imag_hermitian(), omega, k, which=model.which,
-                               constants=constants)
+def _roundtrip_error(model, spectrum, omega, k) -> float:
+    rec = coupling_from_target(spectrum.imag_hermitian(), omega, k)
     return _relative_deviation(rec @ np.conj(np.transpose(rec, (0, 2, 1))),
                                coupling_product(model, omega, k))
 
@@ -634,6 +719,7 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
     With electric.target_table configured the target Im chi_hat is read from
     CSV (omega, |k| grid); a non-PSD target raises NotPSD with provenance in
     the manifest. Otherwise the configured analytic medium is round-tripped.
+    The config is read, and the couplings written, in the units of `constants`.
     """
     quad = config.quadrature()
     num = config.numerics
@@ -653,13 +739,13 @@ def invert_chi(config: ScenarioConfig, out_dir=None,
             with manifest.timed(f"invert_{tag}"):
                 if target_path is not None:
                     rec = coupling_from_target(table.interpolate(omega, float(np.linalg.norm(k))),
-                                               omega, k, which=ELECTRIC, constants=constants)
+                                               omega, k)
                     emit(f"recovered_coupling_{tag}.csv", write_tensor_series_csv, "omega", omega,
-                         rec)
+                         _to_units(constants, "coupling_electric", rec))
                 else:
-                    kernel = part_kernel(model, k, constants=constants, quad=quad)
-                    spectrum = chi_spectrum(kernel, omega)
-                    err = _roundtrip_error(model, spectrum, omega, k, constants)
+                    k = k / _si_factor("k", constants)
+                    spectrum = chi_spectrum(part_kernel(model, k, quad=quad), omega)
+                    err = _roundtrip_error(model, spectrum, omega, k)
                     manifest.add_check(f"roundtrip_{tag}", _ROUNDTRIP.claim, err,
                                        num[_ROUNDTRIP.tol])
     return manifest

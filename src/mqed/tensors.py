@@ -21,36 +21,6 @@ _Z = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """hbar, c, eps0, mu0 with the vacuum relation eps0*mu0*c**2 = 1.
-
-    Defaults are natural units. Use :meth:`si` for SI values (eps0 derived
-    from mu0 and c so the relation holds to rounding).
-    """
-
-    hbar: float = 1.0
-    c: float = 1.0
-    eps0: float = 1.0
-    mu0: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hbar", "c", "eps0", "mu0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if abs(self.eps0 * self.mu0 * self.c**2 - 1.0) > 1e-12:
-            raise ValueError("eps0 * mu0 * c^2 must equal 1")
-
-    @classmethod
-    def si(cls) -> "PhysicalConstants":
-        c = 299792458.0
-        mu0 = 4.0e-7 * np.pi
-        return cls(hbar=1.054571817e-34, c=c, eps0=1.0 / (mu0 * c**2), mu0=mu0)
-
-
-NATURAL = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class PolarizationTriad:
     """Orthonormal decomposition attached to a wave vector.
 

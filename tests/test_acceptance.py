@@ -86,7 +86,7 @@ def test_criterion_2_roundtrip_inversion():
         spectrum = spectrum_for(model, K)
         imh = spectrum.imag_hermitian()
         rec = np.stack([
-            coupling_from_target(imh[i], w, K, which=model.which)
+            coupling_from_target(imh[i], w, K)
             for i, w in enumerate(OMEGA_FDT)
         ])
         recrec = rec @ np.conj(np.transpose(rec, (0, 2, 1)))

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_orthogonal_gauge, rotation_gauge, write_table_csv
 from mqed.couplings import (
-    ELECTRIC,
+    _SECTOR_SCALE,
     GaugeTransform,
     TabulatedTable,
     apply_gauge,
@@ -18,12 +18,11 @@ from mqed.couplings import (
     sector_coupling,
     tabulated,
     tabulated_from_csv,
-    _sector_scale,
     zero_coupling,
 )
 from mqed.errors import NotOrthogonal, NotPSD, OutOfTableRange, ValidationError, ZeroFrequency
 from mqed.quadrature import gauss_legendre
-from mqed.tensors import NATURAL, hermitian_sqrt
+from mqed.tensors import hermitian_sqrt
 
 K = np.array([0.3, -0.2, 0.9])
 
@@ -162,7 +161,7 @@ def test_coupling_from_target_on_a_stack_is_the_per_omega_recovery():
     m = rng.standard_normal((240, 3, 3)) + 1j * rng.standard_normal((240, 3, 3))
     targets = m @ np.conj(np.transpose(m, (0, 2, 1)))
     got = coupling_from_target(targets, omega, K)
-    scale = _sector_scale(ELECTRIC, NATURAL) ** 2
+    scale = _SECTOR_SCALE ** 2
     assert np.array_equal(got, np.stack([hermitian_sqrt(scale / float(w)**2 * t, tol=1e-12)
                                          for t, w in zip(targets, omega)]))
     assert np.array_equal(got[17], coupling_from_target(targets[17], float(omega[17]), K))
@@ -275,11 +274,10 @@ def test_sector_coupling_carries_the_summed_density(rotated):
     from pathlib import Path
 
     from mqed.scenario import parse_scenario
-    from mqed.tensors import NATURAL
 
     path = Path(__file__).resolve().parent.parent / "configs" / "conductor.cfg"
     config = parse_scenario(path.read_text(encoding="utf-8"))
-    free, bound = config.model("conductor", NATURAL), config.model("electric", NATURAL)
+    free, bound = config.model("conductor"), config.model("electric")
     w = np.linspace(0.0, 20.0, 401)
     k = config.k_list()[0]
     if rotated:

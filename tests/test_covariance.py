@@ -8,20 +8,30 @@ Each CSV must equal the reference's after the known power of Omega of its
 grid columns and of its tensor columns, and in SI after the power of hbar,
 c, eps0 and mu0 that `_FAMILIES` states for its family. That table is
 written here, apart from the program's, so the SI outputs check the map
-from natural units against an independent statement of it."""
+from natural units against an independent statement of it.
 
+The numerical modules run in natural units only: none of them names the
+constants of a unit system, so the map stays at the config/output boundary
+(`scenario`)."""
+
+import ast
 import functools
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import write_table_csv
+from mqed import PhysicalConstants
+from mqed.couplings import eval_coupling_batch, gaussian_anisotropic
 from mqed.errors import NumericalError
 from mqed.scenario import parse_scenario, run_scenario
-from mqed.tensors import PhysicalConstants
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+_NUMERICAL = ("response", "modes", "noise", "observables", "couplings", "conductor")
 SI = PhysicalConstants.si()
 # the medium parameters that are frequencies, and the one that is a length
 _FREQUENCIES = ("strength", "resonance", "width", "center", "omega_max")
@@ -52,25 +62,10 @@ _CHECK_RTOL, _CHECK_FLOOR = 1e-4, 1e-7
 # a CSV's columns agree to this fraction of their largest entry: rounding,
 # times the conditioning of the solves (1.6e-13 measured)
 _CSV_RTOL = 1e-11
+# the free-space run's config, whose one scale is |k|
+_VACUUM = "[grids]\nk = 0,0,1.3\n"
 # scale -> (Omega, SI constants or None)
 _SCALES = {"1e-3": (1e-3, None), "1e3": (1e3, None), "si": (1e15, SI)}
-# (config, scale) -> the checks that disagree today, each with its ROADMAP
-# item; "run" when the scaled run raises. Item 23: pdot_continuity's stencil
-# step is an absolute 1e-3 (step 2); maxwell_residual scales its Faraday and
-# Ampere rows by one shared size, which moves with the units (steps 3 and
-# 5); bromwich_line's frequency scales include an absolute 1.0, so the line
-# of gaussian.cfg's medium at Omega = 1e-3 runs past its budget (step 4)
-_KNOWN = {
-    ("lorentz", "1e-3"): {"pdot_continuity_k0"},
-    ("lorentz", "1e3"): {"pdot_continuity_k0"},
-    ("lorentz", "si"): {"pdot_continuity_k0", "maxwell_residual_k0"},
-    ("gaussian", "1e-3"): {"run"},
-    ("gaussian", "1e3"): {"pdot_continuity_k0"},
-    ("gaussian", "si"): {"pdot_continuity_k0", "maxwell_residual_k0"},
-    ("conductor", "1e-3"): {"pdot_continuity_k0"},
-    ("conductor", "1e3"): {"pdot_continuity_k0"},
-    ("conductor", "si"): {"pdot_continuity_k0", "maxwell_residual_k0"},
-}
 
 
 def _scaled(config, omega: float, constants):
@@ -95,12 +90,16 @@ def _scaled(config, omega: float, constants):
     return replace(config, medium=medium, grids=grids)
 
 
+def _config(name: str):
+    return parse_scenario(_VACUUM if name == "vacuum" else (CONFIGS / f"{name}.cfg").read_text())
+
+
 @functools.cache
 def _run(name: str, scale: str, out: Path):
-    """The verify run of configs/<name>.cfg at `scale` ("1" for the
-    reference): its checks by name and its output directory, or the
-    NumericalError that ended it."""
-    config = parse_scenario((CONFIGS / f"{name}.cfg").read_text())
+    """The verify run of configs/<name>.cfg, or of the vacuum, at `scale`
+    ("1" for the reference): its checks by name and its output directory,
+    or the NumericalError that ended it."""
+    config = _config(name)
     constants = None
     if scale != "1":
         omega, constants = _SCALES[scale]
@@ -146,27 +145,82 @@ def out(tmp_path_factory):
 
 
 @pytest.mark.parametrize("scale", list(_SCALES))
-@pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor"])
+@pytest.mark.parametrize("name", ["lorentz", "gaussian", "conductor", "vacuum"])
 def test_verify_is_covariant(name, scale, out):
     """Every check value of the scaled run agrees with the reference's and
-    every CSV maps onto the reference's, except the disagreements `_KNOWN`
-    lists: a listed one that is mended fails the test until it is struck."""
+    every CSV maps onto the reference's."""
     reference, ref_dir = _run(name, "1", out)
     got, got_dir = _run(name, scale, out)
-    known = _KNOWN.get((name, scale), set())
-    if isinstance(got, NumericalError):
-        assert "run" in known, f"the scaled run raised {type(got).__name__}: {got}"
-        return
+    assert not isinstance(got, NumericalError), f"{type(got).__name__}: {got}"
     assert list(got) == list(reference)
-    disagree = set()
+    disagree = {}
     for check, ref in reference.items():
         value, want = got[check]["max_error"], ref["max_error"]
         if not abs(value - want) <= _CHECK_RTOL * abs(want) + _CHECK_FLOOR * ref["tolerance"]:
-            disagree.add(check)
-    assert disagree == known, {c: (reference[c]["max_error"], got[c]["max_error"])
-                               for c in disagree ^ known if c in got}
+            disagree[check] = (want, value)
+    assert not disagree
+    # a value above rounding at Omega = 1 never reads exactly 0 here
+    assert not [check for check, ref in reference.items()
+                if ref["max_error"] != 0.0 and got[check]["max_error"] == 0.0]
     omega, constants = _SCALES[scale]
     csvs = sorted(ref_dir.glob("*.csv"))
     assert [p.name for p in csvs] == sorted(p.name for p in got_dir.glob("*.csv"))
     gaps = {p.name: _csv_gap(p, got_dir / p.name, omega, constants) for p in csvs}
     assert max(gaps.values()) <= _CSV_RTOL, {n: g for n, g in gaps.items() if g > _CSV_RTOL}
+    # a JSON report's k is the config's
+    c = 1.0 if constants is None else constants.c
+    want = np.array(_config(name).grids["k"][0])
+    got_k = json.loads((got_dir / "commutator_equal_time_k0.json").read_text())["k"]
+    assert np.max(np.abs(np.array(got_k) - want * omega / c)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("module", _NUMERICAL)
+def test_numerical_module_names_no_unit_system(module):
+    """No PhysicalConstants, no NATURAL, and no `constants` parameter or
+    attribute in a numerical module."""
+    tree = ast.parse((ROOT / "src" / "mqed" / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        names = {getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None) if isinstance(node, ast.alias) else None}
+        if names & {"PhysicalConstants", "NATURAL"}:
+            found.append(f"line {node.lineno}: {names - {None}}")
+        if isinstance(node, ast.arg) and node.arg == "constants" or \
+                isinstance(node, ast.Attribute) and node.attr == "constants":
+            found.append(f"line {node.lineno}: constants")
+    assert not found
+
+
+def test_si_reads_a_tabulated_part_in_si_units(tmp_path):
+    """A tabulated part's |k| axis is read in 1/m and its couplings in the
+    SI unit of f (g): the tables of a natural config, mapped to SI with the
+    config's k, give the same mode coefficients after their factors, and
+    the same checks."""
+    omegas = np.linspace(0.0, 6.0, 61)
+    f = eval_coupling_batch(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0), omegas, (0.0, 0.0, 1.0))
+    units = (SI.hbar, SI.c, SI.eps0, SI.mu0)
+    texts = {}
+    for label, c, scale in (("natural", 1.0, {"electric": 1.0, "magnetic": 1.0}),
+                            ("si", SI.c, {part: float(np.prod([u**p for u, p in zip(
+                                units, powers)])) for part, powers in
+                                (("electric", (0.5, 1.5, 0.5, 0)),
+                                 ("magnetic", (0.5, 1.5, 0, -0.5)))})):
+        lines = ["[medium]"]
+        for part in ("electric", "magnetic"):
+            table = write_table_csv(tmp_path / f"{label}_{part}.csv", omegas,
+                                    (0.0, 10.0 / c), scale[part] * f[:, None])
+            lines += [f"{part}.kind = tabulated", f"{part}.table = {table}"]
+        lines += ["[grids]", f"k = 0,0,{1.3 / c!r}", "t_max = 2", "commutator_t = 0,1",
+                  "reservoir_order = 16", "[numerics]", "quad_rtol = 1e-5"]
+        texts[label] = "\n".join(lines) + "\n"
+    runs = {label: run_scenario(parse_scenario(text), out_dir=tmp_path / label, stages=("modes",),
+                                **({"constants": SI} if label == "si" else {}))
+            for label, text in texts.items()}
+    for check, want in zip(runs["si"].checks, runs["natural"].checks):
+        assert check["name"] == want["name"]
+        assert abs(check["max_error"] - want["max_error"]) <= \
+            _CHECK_RTOL * want["max_error"] + _CHECK_FLOOR * want["tolerance"], check["name"]
+    csvs = sorted((tmp_path / "natural").glob("*.csv"))
+    assert len(csvs) == 8
+    for path in csvs:
+        assert _csv_gap(path, tmp_path / "si" / path.name, 1.0, SI) <= _CSV_RTOL, path.name

@@ -25,7 +25,6 @@ from mqed.observables import (constitutive_roundtrip, field_representation, maxw
 from mqed.quadrature import gauss_legendre
 from mqed.response import _angle_table, _fft_size, check_grid, laplace_response
 from mqed.scenario import _MAXWELL_KAPPA, _steps, parse_scenario, part_kernel, run_scenario
-from mqed.tensors import NATURAL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,8 +195,8 @@ def _lorentz_config():
     """lorentz.cfg, its medium (rational, so the mode solver takes the exact
     path) and its one k."""
     config = parse_scenario((CONFIGS / "lorentz.cfg").read_text(encoding="utf-8"))
-    response = laplace_response(config.model("electric", NATURAL),
-                                config.model("magnetic", NATURAL), quad=config.quadrature())
+    response = laplace_response(config.model("electric"),
+                                config.model("magnetic"), quad=config.quadrature())
     return config, response, config.k_list()[0]
 
 
@@ -244,8 +243,8 @@ def _gaussian_config():
     one k."""
     config = parse_scenario((CONFIGS / "gaussian.cfg").read_text(encoding="utf-8"))
     grids = config.grids
-    model = config.model("electric", NATURAL)
-    response = laplace_response(model, config.model("magnetic", NATURAL),
+    model = config.model("electric")
+    response = laplace_response(model, config.model("magnetic"),
                                 quad=config.quadrature(),
                                 horizon=grids["t_max"],
                                 omega_top=max(grids["reservoir_cutoff"],
@@ -277,8 +276,8 @@ def test_constitutive_roundtrip_of_the_gaussian_config_stays_bounded():
     # 4,880 trapezoid nodes, 4,246 of which carry no weight, each driven as
     # an oscillator on the whole grid
     config, _, k = _gaussian_config()
-    model = config.model("electric", NATURAL)
-    kernel = part_kernel(model, k, None, NATURAL, config.quadrature())
+    model = config.model("electric")
+    kernel = part_kernel(model, k, None, config.quadrature())
     assert (kernel.quad.order, kernel.quad.kept) == (4880, kernel.rep.nodes.size)
     peak = _traced_peak_mb(lambda: constitutive_roundtrip(model, kernel, check_grid(model)))
     assert peak <= 6.0

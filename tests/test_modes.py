@@ -21,7 +21,6 @@ from mqed.modes import (
 )
 from mqed.rational import Rational, ilt_rational, partial_fractions
 from mqed.response import laplace_response
-from mqed.tensors import NATURAL
 from mqed.tensors import (
     curl_symbol,
     longitudinal_projector,
@@ -222,7 +221,7 @@ def test_conductor_block_substitution():
         lam_b = assemble_lambda(laplace_response(bound, mm), k, rho).value
         lam_c = assemble_lambda(cond, k, rho).value
         r = np.asarray(rho)[..., None, None]
-        drude_term = NATURAL.eps0 * r * strength**2 / (r**2 + width * r) * np.eye(3)
+        drude_term = r * strength**2 / (r**2 + width * r) * np.eye(3)
         want = lam_b[..., 3:, :3] + drude_term
         err = np.max(np.abs(lam_c[..., 3:, :3] - want)) / np.max(np.abs(want))
         assert err <= 1e-13, err
@@ -297,7 +296,7 @@ def test_medium_initial_values():
 def test_initial_value_theorem_vs_small_time():
     # rho Lambda^-1 -> A^-1 as rho -> inf, so the transforms start there
     me, mm, resp = lorentz_pair()
-    limit = modes._initial_data(NATURAL)
+    limit = modes._INITIAL_DATA
     t = np.array([0.0, 1e-6])
     mc = mode_coefficients(resp, K, t, [])
     assert np.max(np.abs(mc.gamma[1] - limit[:3, 3:])) < 1e-6
@@ -316,26 +315,21 @@ _INITIAL_DATA_MEDIA = {
 
 @pytest.mark.parametrize("medium", sorted(_INITIAL_DATA_MEDIA))
 def test_every_method_starts_from_the_initial_data(medium):
-    # at t = 0 every transform is A^-1 = [[0, I / eps0], [-I / mu0, 0]]:
-    # gamma = I / eps0, xi~ = I / mu0, eta = -f_q / eps0, zeta~ = -g_q, and
-    # xi, gamma~, zeta and eta~ vanish. The exact path and the line reach it
-    # from their own transforms. eps0 and mu0 differ, so a swapped block
-    # would show
-    from mqed.tensors import PhysicalConstants
-
-    constants = PhysicalConstants(eps0=2.0, mu0=0.5)
+    # at t = 0 every transform is A^-1 = [[0, I], [-I, 0]]: gamma = I,
+    # xi~ = I, eta = -f_q, zeta~ = -g_q, and xi, gamma~, zeta and eta~
+    # vanish. The exact path and the line reach it from their own transforms
     me, mm = _INITIAL_DATA_MEDIA[medium]()
-    resp = laplace_response(me, mm, constants=constants)
-    a_inv = modes._initial_data(constants)
+    resp = laplace_response(me, mm)
+    a_inv = modes._INITIAL_DATA
     eye = np.eye(3)
-    assert np.array_equal(a_inv[:3, 3:], eye / 2.0) and np.array_equal(a_inv[3:, :3], -eye / 0.5)
+    assert np.array_equal(a_inv[:3, 3:], eye) and np.array_equal(a_inv[3:, :3], -eye)
     assert not np.any(a_inv[:3, :3]) and not np.any(a_inv[3:, 3:])
     t = np.linspace(0.0, 6.0, 7)
     wq = np.array([0.6, 2.3, 20.0])
     f_q, g_q = eval_coupling_batch(me, wq, K), eval_coupling_batch(mm, wq, K)
     zero = np.zeros((3, 3))
-    want = {"gamma": eye / 2.0, "xi": zero, "gamma_tilde": zero, "xi_tilde": eye / 0.5,
-            "eta": -f_q / 2.0, "zeta_tilde": -g_q, "zeta": zero, "eta_tilde": zero}
+    want = {"gamma": eye, "xi": zero, "gamma_tilde": zero, "xi_tilde": eye,
+            "eta": -f_q, "zeta_tilde": -g_q, "zeta": zero, "eta_tilde": zero}
     tolerances = {"rational_exact": 1e-13, "bromwich_line": 1e-9}
     solvers = {"bromwich_line": line_mode_coefficients}
     if medium != "gaussian":
@@ -721,8 +715,8 @@ def _dense_line_reference(resp, me, mm, k, t, wq, meta):
         "xi": -base[:, e, e],
         "gamma_tilde": base[:, h, h],
         "xi_tilde": -base[:, h, e],
-        "zeta": NATURAL.mu0 * res["ee"] @ g_q[:, None],
-        "zeta_tilde": NATURAL.mu0 * res["he"] @ g_q[:, None],
+        "zeta": res["ee"] @ g_q[:, None],
+        "zeta_tilde": res["he"] @ g_q[:, None],
         "eta": -res["eh"] @ f_q[:, None],
         "eta_tilde": -res["hh"] @ f_q[:, None],
     }
@@ -869,3 +863,37 @@ def test_mode_families_are_covariant_under_a_symmetry_rotation(medium):
     for name in _FAMILIES:
         want = rot @ getattr(at_k, name) @ rot.T
         assert np.max(np.abs(getattr(at_rk, name) - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("kmag", [1e3, 1e4])
+def test_lorentz_medium_builds_its_modes_far_past_its_resonances(kmag):
+    # lorentz.cfg's medium at c|k| >> omega_0: a transverse root of D_T lies
+    # about 4e-7 from mu_hat's own pole at |k| = 1e3, closer than POLE_TOL
+    # times the photon root, so a tolerance scaled by the largest root read
+    # the pair as one repeated pole and raised PoleFindingFailed. Each pair
+    # is compared against the larger of its own two roots, and the
+    # commutators keep their free-space value
+    from mqed.observables import equal_time_commutators, field_representation
+    from mqed.quadrature import gauss_legendre
+
+    t = np.linspace(0.0, 10.0, 81)
+    nodes, weights = gauss_legendre(256, 0.0, 50.0)
+    rep = field_representation(lorentz_pair()[2], np.array([0.0, 0.0, kmag]), t, nodes, weights)
+    assert rep.coeffs.metadata["method"] == "rational_exact"
+    assert equal_time_commutators(rep, t[[0, 8, 40]]).max_rel_err < 1e-4
+
+
+def test_longitudinal_scalars_do_not_depend_on_k():
+    # l_e = 1 / (rho eps_hat) and l_h = 1 / (rho mu_hat) hold no k: along z
+    # they are gamma_zz and xi~_zz of the exact path, the same bit for bit
+    # from |k| = 1e-6 to 1e6, where every |k| builds its modes
+    resp = lorentz_pair()[2]
+    t = np.linspace(0.0, 10.0, 81)
+    got = {}
+    for kmag in (1e-6, 1e-3, 1.3, 30.0, 1e3, 1e4, 1e6):
+        mc = mode_coefficients(resp, np.array([0.0, 0.0, kmag]), t, np.array([0.5, 2.0]))
+        got[kmag] = mc.gamma[:, 2, 2], mc.xi_tilde[:, 2, 2]
+    l_e, l_h = got[1.3]
+    assert np.max(np.abs(l_e)) > 0.1 and np.max(np.abs(l_h)) > 0.1
+    for kmag, (e, h) in got.items():
+        assert np.array_equal(e, l_e) and np.array_equal(h, l_h), kmag

@@ -18,11 +18,10 @@ from mqed.response import (
     chi_kernel,
     chi_spectrum,
     conductor_Q,
-    kernel_prefactor,
+    KERNEL_PREFACTOR,
     kk_check,
     laplace_response,
 )
-from mqed.tensors import NATURAL
 
 K = np.array([0.3, -0.2, 0.9])
 WP, W0, G = 1.3, 1.0, 0.5
@@ -43,7 +42,7 @@ def coupling_kernel(model, t, quad=QuadratureSpec(), k=K):
     kernel = chi_kernel(model, k, t, quad=quad)
     if kernel.closed_form is None:
         return kernel
-    pref = kernel_prefactor(model.which, NATURAL)
+    pref = KERNEL_PREFACTOR
     rep, values, result = _converged_rep(model, k, quad, pref, lambda r: r.kernel_values(t))
     return replace(kernel, values=values, quad=result, rep=rep, rep_horizon=float(t[-1]),
                    closed_form=None, couplings_gap=None)
@@ -162,7 +161,7 @@ def test_bundled_rational_parts_keep_their_coupling_integral_near_the_closed_for
     # integral would leave O(1)
     config = _bundled(name)
     for part in parts:
-        model = config.model(part, NATURAL)
+        model = config.model(part)
         for k in config.k_list():
             kernel = chi_kernel(model, k, np.linspace(0.0, 5.0, 11), quad=config.quadrature())
             assert kernel.closed_form is not None
@@ -701,7 +700,7 @@ def test_bundled_media_hold_one_coefficient_column(pin_order, name):
 
     config = _bundled(name)
     quad = config.quadrature()
-    models = [m for m in (config.model(part, NATURAL) for part in
+    models = [m for m in (config.model(part) for part in
                           ("electric", "magnetic", "conductor")) if not m.is_zero]
     assert len(models) == {"lorentz": 2, "gaussian": 1, "conductor": 2}[name]
     for model in models:
@@ -726,7 +725,7 @@ def test_gaussian_representations_keep_only_the_nodes_that_carry_weight():
     from mqed.response import _KERNEL_TAIL, _PRUNE_RTOL, QuadRep
 
     config = _bundled("gaussian")
-    model, k, quad = config.model("electric", NATURAL), config.k_list()[0], config.quadrature()
+    model, k, quad = config.model("electric"), config.k_list()[0], config.quadrature()
     t = np.linspace(0.0, model.suggested_t_max(_KERNEL_TAIL), 2200)
     kernel = chi_kernel(model, k, t, quad=quad)
     assert (kernel.quad.rule, kernel.quad.order) == ("trapezoid", 4880)
@@ -737,7 +736,7 @@ def test_gaussian_representations_keep_only_the_nodes_that_carry_weight():
     h = kernel.quad.cutoff / n
     x = np.arange(1, n + 1) * h
     w = np.append(np.full(n - 1, h), 0.5 * h)
-    coeffs = (w * kernel_prefactor(model.which, NATURAL) * x**2)[:, None, None] * \
+    coeffs = (w * KERNEL_PREFACTOR * x**2)[:, None, None] * \
         coupling_product(model, x, k)
     kept = np.isin(x, kernel.rep.nodes)
     assert kept.sum() == kernel.quad.kept
@@ -751,7 +750,7 @@ def test_gaussian_representations_keep_only_the_nodes_that_carry_weight():
     assert norms[~kept].sum() <= 2e-16 * peak
     assert np.max(np.abs(kernel.values - full)) <= 2e-15 * peak
 
-    response = laplace_response(model, config.model("magnetic", NATURAL), quad=quad)
+    response = laplace_response(model, config.model("magnetic"), quad=quad)
     rep = response.laplace_rep(model, k)
     assert rep.nodes.size <= 130
     assert np.all(np.isin(rep.nodes, gauss_legendre(512, 0.0, kernel.quad.cutoff)[0]))
@@ -766,8 +765,8 @@ def test_rational_representations_keep_every_node(name):
     # its rule is below 1e-16 of the rule's weight: nothing is dropped
     config = _bundled(name)
     quad = config.quadrature()
-    bound, free = config.model("electric", NATURAL), config.model("conductor", NATURAL)
-    models = [m for m in (bound, config.model("magnetic", NATURAL), free) if not m.is_zero]
+    bound, free = config.model("electric"), config.model("conductor")
+    models = [m for m in (bound, config.model("magnetic"), free) if not m.is_zero]
     assert len(models) == 2
     t = np.linspace(0.0, 8.0, 81)
     for model in models:
@@ -810,7 +809,7 @@ def test_zero_part_builds_no_rule(monkeypatch):
     monkeypatch.setattr(mqed.quadrature, "_legendre_cache",
                         lambda order: orders.append(order) or build(order))
     config = _bundled("gaussian")
-    model = config.model("magnetic", NATURAL)
+    model = config.model("magnetic")
     assert model.is_zero
     kernel = chi_kernel(model, config.k_list()[0], np.linspace(0.0, 8.0, 1601),
                         quad=config.quadrature())
@@ -831,10 +830,10 @@ def test_gaussian_trapezoid_kernel_matches_order_8192(pin_order, grid):
     # config's own t_max = 8 grid: the trapezoid rule of alias time t_max
     # plus the horizon agrees with the order-8192 Gauss-Legendre kernel to
     # 1e-10 of its peak, and its midpoint estimate reads that difference
-    from mqed.response import _KERNEL_TAIL, _converged_rep, kernel_prefactor
+    from mqed.response import _KERNEL_TAIL, KERNEL_PREFACTOR, _converged_rep
 
     config = _bundled("gaussian")
-    model, k, quad = config.model("electric", NATURAL), config.k_list()[0], config.quadrature()
+    model, k, quad = config.model("electric"), config.k_list()[0], config.quadrature()
     horizon = model.suggested_t_max(_KERNEL_TAIL)
     if grid == "horizon":
         t = np.linspace(0.0, horizon, 2200)
@@ -845,7 +844,7 @@ def test_gaussian_trapezoid_kernel_matches_order_8192(pin_order, grid):
     assert kernel.quad.order == int(np.ceil((t[-1] + horizon) * 50.0 / (2.0 * np.pi)))
     assert kernel.quad.alias_time >= t[-1] + horizon
     pin_order(8192)
-    pref = kernel_prefactor(model.which, NATURAL)
+    pref = KERNEL_PREFACTOR
     _, ref, _ = _converged_rep(model, k, quad, pref, lambda rep: rep.kernel_values(t))
     diff = np.max(np.abs(kernel.values - ref)) / np.max(np.abs(ref))
     assert diff <= 1e-10

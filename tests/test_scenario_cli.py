@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import TENSOR_HEADER, write_table_csv
-from mqed import NATURAL, scenario
+from mqed import scenario
 from mqed.cli import _STAGES, build_parser, main
 from mqed.couplings import (_KINDS, MAGNETIC, drude, eval_coupling_batch, gaussian_anisotropic,
                             lorentz_isotropic)
@@ -54,7 +54,7 @@ def test_parse_minimal_vacuum_defaults():
     config = parse_scenario("")
     assert config.grids["k"] == [(0.0, 0.0, 1.0)]
     assert "laplace" not in config.numerics
-    assert config.model("electric", __import__("mqed").NATURAL).is_zero
+    assert config.model("electric").is_zero
 
 
 def test_parse_rejects_negative_tolerance():
@@ -196,10 +196,10 @@ def test_model_builds_each_kind_from_its_parameters():
         "magnetic.resonance = 1.4\nmagnetic.width = 0.6\nmagnetic.omega_max = 9\n"
         "conductor.kind = drude\nconductor.strength = 1.1\nconductor.width = 0.5\n"
     )
-    assert config.model("electric", NATURAL) == gaussian_anisotropic((1.0, 0.7, 0.4), 1.0)
-    assert config.model("magnetic", NATURAL) == lorentz_isotropic(
+    assert config.model("electric") == gaussian_anisotropic((1.0, 0.7, 0.4), 1.0)
+    assert config.model("magnetic") == lorentz_isotropic(
         0.8, 1.4, 0.6, which=MAGNETIC, omega_max=9.0)
-    assert config.model("conductor", NATURAL) == drude(1.1, 0.5)
+    assert config.model("conductor") == drude(1.1, 0.5)
 
 
 @pytest.mark.parametrize("medium, key", [
@@ -768,7 +768,7 @@ def test_conductor_stage_keeps_the_magnetic_part(tmp_path, monkeypatch):
     manifest = run_scenario(config, out_dir=str(tmp_path), stages=("conductor",))
     assert manifest.all_passed
     assert len(media) == 1
-    assert media[0].sector("magnetic") == (config.model("magnetic", NATURAL),)
+    assert media[0].sector("magnetic") == (config.model("magnetic"),)
     assert media[0].sector("magnetic")[0].kind == "lorentz_isotropic"
     assert "nan" not in (tmp_path / "conductor_gamma_k0.csv").read_text().lower()
 
@@ -923,7 +923,7 @@ def test_each_mode_solve_of_a_run_follows_its_medium(tmp_path, bound, method):
     text = (CONFIGS / "conductor.cfg").read_text(encoding="utf-8")
     text = re.sub(r"electric\.kind = [^\n]*\n(electric\.[^\n]*\n)*", bound, text)
     config = parse_scenario(text)
-    assert config.model("electric", NATURAL).is_rational == (method == "rational_exact")
+    assert config.model("electric").is_rational == (method == "rational_exact")
     manifest = run_scenario(config, out_dir=str(tmp_path), stages=("commutators", "conductor"))
     solves = ("modes_k0", "conductor_k0")
     assert [manifest.quadrature[name]["method"] for name in solves] == [method] * 2

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from mqed import NATURAL, PhysicalConstants
 from mqed.errors import NotHermitian, NotPSD, ZeroWaveVector
 from mqed.tensors import (
-    NATURAL,
-    PhysicalConstants,
     curl_symbol,
     hermitian_sqrt,
     longitudinal_projector,
