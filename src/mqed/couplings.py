@@ -15,7 +15,8 @@ has a simple closed form:
 
 Each kind is declared once, as a row of `_KINDS`: its config parameters and
 constructor, its profile f, frequency scale, hard cutoff, horizon, closed
-form, nonzero test and manifest record. `CouplingModel`'s properties and
+form, nonzero test, manifest record and whether the sign flips of k are its
+symmetry. `CouplingModel`'s properties and
 `eval_coupling_batch` read the part's row, and no module branches on a kind.
 
 A medium is a tuple of parts, each in the sector its `which` names; a
@@ -150,6 +151,13 @@ class CouplingModel:
     def even_entire_density(self) -> bool:
         """True when omega^2 f f^dag is even and entire in omega (gaussian)."""
         return self._row.even_entire
+
+    @property
+    def sign_flip_symmetric(self) -> bool:
+        """True when R f(omega, R k) R = f(omega, k) for the eight sign flips
+        R = diag(+-1, +-1, +-1): the kind declares it, and no gauge, which
+        may mix the axes, is applied."""
+        return self._row.sign_flips and self.gauge is None
 
     @property
     def frequency_scale(self) -> float:
@@ -290,23 +298,25 @@ def _table_top(model: CouplingModel) -> float:
 # - closed(model): chi_hat(rho) when rational without an envelope, else None;
 # - record(model): its parameters in the run manifest.
 # even_entire: omega^2 f f^dag is even and entire in omega.
+# sign_flips: R f(omega, R k) R = f(omega, k) for the eight sign flips
+# R = diag(+-1, +-1, +-1), whatever the parameters (`sign_flip_symmetric`).
 _Kind = namedtuple("_Kind", "build profile nonzero scale record required optional horizon "
-                            "closed cutoff even_entire",
+                            "closed cutoff even_entire sign_flips",
                    defaults=((), (), lambda model, tail: 50.0 / model.frequency_scale,
-                             lambda model: None, lambda model: None, False))
+                             lambda model: None, lambda model: None, False, False))
 # the damped-oscillator kinds: lorentz_isotropic and its resonance -> 0 limit
 _OSCILLATOR = dict(
     profile=_oscillator_profile, nonzero=lambda model: model.strength != 0.0,
     scale=lambda model: max(model.resonance, model.width, 1e-30),
     record=lambda model: {"strength": model.strength, "resonance": model.resonance,
                           "width": model.width},
-    optional=("omega_max",), closed=_oscillator_closed)
+    optional=("omega_max",), closed=_oscillator_closed, sign_flips=True)
 _KINDS = {
     "zero": _Kind(
         zero_coupling,
         lambda model, omegas, kk: np.zeros((omegas.size, 3, 3), dtype=complex),
         nonzero=lambda model: False, scale=lambda model: 1.0, record=lambda model: {},
-        closed=lambda model: Rational.constant(0.0)),
+        closed=lambda model: Rational.constant(0.0), sign_flips=True),
     "lorentz_isotropic": _Kind(
         lorentz_isotropic, required=("strength", "resonance", "width"),
         horizon=_lorentz_horizon, **_OSCILLATOR),
@@ -324,7 +334,8 @@ _KINDS = {
         # the sine transform of the omega^4-vanishing profile decays only
         # algebraically (~t^-6 from the omega = 0 endpoint)
         horizon=lambda model, tail: 4.5 * tail ** (-1.0 / 6.0) / model.frequency_scale,
-        even_entire=True),
+        even_entire=True, sign_flips=True),
+    # a table may hold off-diagonal tensors: it declares no symmetry
     "tabulated": _Kind(
         lambda which, table: tabulated_from_csv(table, which=which),
         lambda model, omegas, kk: model.table.interpolate(omegas, np.sqrt(kk)),

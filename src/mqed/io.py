@@ -1,7 +1,9 @@
 """CSV/JSON export helpers.
 
-Every CSV value is written exactly as Python's '%.17g' writes it, so
-identical configurations produce byte-identical CSV files. Python needs
+Every CSV value x is written exactly as Python's '%.17g' writes x + 0.0,
+which is x with a zero written 0 whatever its sign. So identical
+configurations produce byte-identical CSV files, and the bytes depend on the
+values alone, not on how a computation signed its zeros. Python needs
 about 0.7 us for one 17-digit value, so the tables are formatted by a numpy
 kernel instead, one block of rows at a time, in three steps:
 
@@ -17,7 +19,7 @@ kernel instead, one block of rows at a time, in three steps:
    zeros of the fixed notation below 1, the 17 digits with a slot for the
    dot, the exponent ("e+XX", at least two digits) and the separator.
    Trailing fractional zeros and a bare dot are left as zero bytes. A column
-   whose values in the block are all +0 or -0 takes 3-byte cells (sign, "0",
+   whose values in the block are all +0 or -0 takes 2-byte cells ("0",
    separator) and is not formatted, and a grid column of the grid writer is
    formatted once, each block gathering its cells. The block's cells are
    joined in one concatenation, and its zero bytes dropped in one
@@ -166,8 +168,8 @@ def _cells(x: np.ndarray) -> np.ndarray:
     """The '%.17g' cells of 1-d values x, as (x.size, _CELL) uint8 rows
     padded with zero bytes, each ending in a comma."""
     out = np.zeros((x.size, _CELL), dtype=np.uint8)
-    out[:, _SIGN] = 45 * np.signbit(x)
-    out[:, _BODY] = 48  # zeros stay "0" / "-0"
+    out[:, _SIGN] = 45 * (x < 0.0)
+    out[:, _BODY] = 48  # zeros stay "0", -0 too
     out[:, _SEP] = ord(",")
     nonzero = np.flatnonzero(x)
     if not nonzero.size:
@@ -184,14 +186,13 @@ def _cells(x: np.ndarray) -> np.ndarray:
 def _format_rows(block: np.ndarray, lead: list) -> bytes:
     """The '%.17g' CSV rows of the (nrows, _CELL) cells `lead` of leading
     columns, then of a 2-d float block: a column of the block whose values
-    are all +0 or -0 takes 3-byte cells, the others are formatted in one
-    call."""
+    are all +0 or -0 takes the 2-byte cells "0,", the others are formatted
+    in one call."""
     nrows = block.shape[0]
     live = (block != 0.0).any(axis=0)  # nan is nonzero
     dense = _cells(block[:, live].ravel()).reshape(nrows, -1, _CELL)
-    zero = np.empty((nrows, live.size - dense.shape[1], 3), dtype=np.uint8)
-    zero[:, :, 0] = 45 * np.signbit(block[:, ~live])
-    zero[:, :, 1:] = (48, ord(","))
+    zero = np.empty((nrows, live.size - dense.shape[1], 2), dtype=np.uint8)
+    zero[...] = (48, ord(","))
     cells = iter(zero.swapaxes(0, 1)), iter(dense.swapaxes(0, 1))
     rows = np.concatenate([*lead, *(next(cells[on]) for on in live.tolist())], axis=1)
     rows[:, -1] = ord("\n")
@@ -265,7 +266,9 @@ def _encode(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def write_json(path, payload: dict):
-    text = json.dumps(payload, indent=2, default=_encode, sort_keys=False) + "\n"
+def write_json(path, payload: dict, indent: int | None = 2):
+    """The payload as JSON, numpy values as lists; with indent=None on one
+    line, through json's C encoder, which an indent leaves out."""
+    text = json.dumps(payload, indent=indent, default=_encode, sort_keys=False) + "\n"
     with _create(path) as fh:
         fh.write(text.encode("utf-8"))

@@ -34,6 +34,12 @@ line's reservoir sums are formed: one line sum per reservoir node, or on a
 uniform t from 0 one per node of a Gauss-Legendre rule over each step
 (`_panel_sums`) when that rule has fewer nodes. Their numerical controls
 are the module constants below.
+
+Under a sign flip R = diag(+-1, +-1, +-1) of k on a medium that keeps it
+(`LaplaceResponse.sign_flip_symmetric`), either path's arithmetic at R k is
+its arithmetic at k with the signs of some entries flipped, so its families
+are +-R X(k) R bit for bit (`observables.sign_flipped`, which a run uses in
+place of the solve at R k).
 """
 
 from __future__ import annotations

@@ -12,9 +12,12 @@ free-space value O(k) in any medium; both statements are checked
 numerically here. A representation reads the medium from one
 `LaplaceResponse`: its Lambda system, its reservoir couplings and its memory
 kernels. It holds the mode coefficients and the photon channels at one wave
-vector and forms each reservoir channel from them when read (`channel`); the
-commutators pair it with its parity partner at -k, mapped from the same
-coefficients at their own times only.
+vector and forms each reservoir channel from them when read (`channel`). On
+a medium with the sign flips R of k as its symmetry, the representation at
+R k is mapped from the one at k (`sign_flipped`), with no second solve;
+parity, R = -I, holds for every medium, and the commutators pair a
+representation with its parity partner at -k, mapped at their own times
+only.
 """
 
 from __future__ import annotations
@@ -160,19 +163,40 @@ def _with_photons(response: LaplaceResponse, mc: ModeCoefficients, weights: np.n
     )
 
 
-# each family's sign from k to -k: + on the eh and he blocks, - on ee and hh
+# each family's sign under a sign flip R of det -1 (parity, R = -I, among
+# them): + on the eh and he blocks, - on ee and hh
 _PARITY = {"gamma": 1, "xi_tilde": 1, "eta": 1, "zeta_tilde": 1,
            "xi": -1, "gamma_tilde": -1, "zeta": -1, "eta_tilde": -1}
 
 
+def sign_flipped(rep: FieldOperatorRepresentation, flip, idx=slice(None)
+                 ) -> FieldOperatorRepresentation:
+    """The representation at R k, R = diag(flip) of entries +-1, at rep's
+    time indices idx, from rep's mode coefficients with no second solve.
+
+    O(R k) = det R R O(k) R. When every part of the medium satisfies
+    R f(w, R k) R = f(w, k) (`LaplaceResponse.sign_flip_symmetric`), so do
+    eps_hat and mu_hat, and Lambda(R k)^-1 is S Lambda(k)^-1 S with
+    S = diag(R, R) when det R = 1, and -S P Lambda(k)^-1 P S with
+    P = diag(I3, -I3) when det R = -1. So each family X maps to s R X R, s
+    its `_PARITY` sign when det R = -1 and +1 otherwise; f_q and g_q, which
+    read k only through |k|, are kept. A product with +-1 is exact, and the
+    solve at R k only flips the signs of the solve at k, so the two agree
+    bit for bit. Parity, R = -I, holds for every medium (`_parity_partner`).
+    """
+    r = np.asarray(flip, dtype=float)
+    sign = np.multiply.outer(r, r)  # R_ii R_jj
+    odd = np.prod(r) < 0.0
+    families = {name: (s * sign if odd else sign) * getattr(rep.coeffs, name)[..., idx, :, :]
+                for name, s in _PARITY.items()}
+    return _with_photons(rep.response, replace(rep.coeffs, k=r * rep.k, t_grid=rep.t_grid[idx],
+                                               **families), rep.omega_q_weights)
+
+
 def _parity_partner(rep: FieldOperatorRepresentation, idx: list) -> FieldOperatorRepresentation:
     """The representation at -k at rep's time indices idx, from rep's mode
-    coefficients. A coupling reads k only through |k|, so f_q and g_q are
-    kept and Lambda(-k)^-1 = -S Lambda(k)^-1 S with S = diag(I3, -I3)."""
-    families = {name: sign * getattr(rep.coeffs, name)[..., idx, :, :]
-                for name, sign in _PARITY.items()}
-    return _with_photons(rep.response, replace(rep.coeffs, k=-rep.k, t_grid=rep.t_grid[idx],
-                                               metadata={}, **families), rep.omega_q_weights)
+    coefficients: `sign_flipped` at R = -I."""
+    return sign_flipped(rep, (-1.0, -1.0, -1.0), idx)
 
 
 def _eh_coefficient(p: FieldOperatorRepresentation, m: FieldOperatorRepresentation,

@@ -768,6 +768,13 @@ class LaplaceResponse:
     def is_rational(self) -> bool:
         return all(part.is_rational for part in self.medium if not part.is_zero)
 
+    @property
+    def sign_flip_symmetric(self) -> bool:
+        """True when every part is (`CouplingModel.sign_flip_symmetric`):
+        the mode coefficients at R k then follow from those at k
+        (`observables.sign_flipped`)."""
+        return all(part.sign_flip_symmetric for part in self.medium)
+
     def sector(self, which: str) -> tuple:
         """The nonzero parts of the medium in sector `which`, in order."""
         return tuple(p for p in self.medium if p.which == which and not p.is_zero)
@@ -900,15 +907,16 @@ def _central_difference(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _richardson(fine: np.ndarray, coarse: np.ndarray, scale: float) -> tuple:
-    """Of an O(h^2) error sampled at step h (`fine`) and again at 2h on every
-    other point (`coarse`), relative to `scale` (1 when it is 0): the worst
-    Richardson value (4 r_h - r_2h) / 3, the worst r_h and the worst
-    |r_h - r_2h| / 3, its h^2 estimate."""
+def _richardson(fine: np.ndarray, coarse: np.ndarray, scale: float, order: int = 2) -> tuple:
+    """Of an O(h^p) error, p = `order`, sampled at step h (`fine`) and again
+    at 2h on every other point (`coarse`), relative to `scale` (1 when it is
+    0): the worst Richardson value (2^p r_h - r_2h) / (2^p - 1), the worst
+    r_h and the worst |r_h - r_2h| / (2^p - 1), its h^p estimate."""
     scale = scale if scale > 0.0 else 1.0
-    return (float(np.max(np.abs(4.0 * fine[::2] - coarse))) / (3.0 * scale),
+    up = 2.0**order
+    return (float(np.max(np.abs(up * fine[::2] - coarse))) / ((up - 1.0) * scale),
             float(np.max(np.abs(fine))) / scale,
-            float(np.max(np.abs(fine[::2] - coarse))) / (3.0 * scale))
+            float(np.max(np.abs(fine[::2] - coarse))) / ((up - 1.0) * scale))
 
 
 def conductor_Q(

@@ -33,7 +33,7 @@ from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_te
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
-                          maxwell_residual, reservoir_picks, vacuum_spectrum)
+                          maxwell_residual, reservoir_picks, sign_flipped, vacuum_spectrum)
 from .quadrature import QuadratureSpec, gauss_legendre
 from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, check_grid,
                        chi_kernel, chi_spectrum, conductor_Q, kk_check, laplace_response)
@@ -459,11 +459,35 @@ def _noise_products(run, part, chi):
     return chi[0], rep
 
 
+def _orbit(k: np.ndarray) -> tuple:
+    """The key of k's orbit under the sign flips: |k| componentwise, and the
+    sign of each zero component, which maps with R_ii = +1."""
+    return (*np.abs(k), *(np.signbit(k) & (k == 0.0)))
+
+
+def _representation(run, name, *grids):
+    """The field representation at run.k on the (t, omega_q nodes, weights)
+    `grids` of the grid `name` (modes or maxwell), and its manifest record:
+    `reused` when it is mapped by a sign flip (`sign_flipped`) from its
+    orbit's solve, which run_scenario keeps while a later k of the run is in
+    the orbit."""
+    kept = run.solved.get(run.orbit, {})
+    if name in kept:
+        tag, source = kept[name]
+        flip = np.where(run.k == source.k, 1.0, -1.0)
+        return sign_flipped(source, flip), {
+            "reused": {"from": tag, "sign_flip": flip.astype(int).tolist()}}
+    rep = field_representation(run.response, run.k, *grids)
+    if run.keep:
+        run.solved.setdefault(run.orbit, {})[name] = run.tag, rep
+    return rep, {}
+
+
 def _modes_products(run, part, _):
     """The modes-grid field representation, which the commutators read."""
-    rep = field_representation(run.response, run.k, run.t_modes, run.nodes, run.weights)
+    rep, record = _representation(run, "modes", run.t_modes, run.nodes, run.weights)
     mc = rep.coeffs
-    run.manifest.quadrature[f"modes_{run.tag}"] = dict(mc.metadata)
+    run.manifest.quadrature[f"modes_{run.tag}"] = {**mc.metadata, **record}
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
         run.emit(f"modes_{name}_{run.tag}.csv", write_tensor_series_csv, "t", mc.t_grid,
                  run.units(name, getattr(mc, name)))
@@ -485,14 +509,14 @@ def _conductor_products(run, part, _):
 
 def _emit_report(run, family, label, report):
     """A commutator report's deviation curve and lhs tensors as CSV, the
-    report as JSON, in the run's units: `family` of `_SI_POWERS`."""
+    report as one-line JSON, in the run's units: `family` of `_SI_POWERS`."""
     report = replace(report, k=run.units("k", report.k), lhs=run.units(family, report.lhs),
                      rhs=run.units(family, report.rhs))
     scale = float(np.max(np.linalg.norm(report.rhs, axis=(1, 2)))) or 1.0
     deviation = np.linalg.norm(report.lhs - report.rhs, axis=(1, 2)) / scale
     name = f"{family}_{run.tag}"
     run.emit(f"{name}.csv", write_deviation_csv, label, report.grid, deviation, report.lhs)
-    run.emit(f"{name}.json", lambda path: write_json(path, asdict(report)))
+    run.emit(f"{name}.json", lambda path: write_json(path, asdict(report), indent=None))
 
 
 def _steps(grid: str, span: float, step: float) -> int:
@@ -533,9 +557,11 @@ def _maxwell(run, part, got):
     t_max = run.grids["t_max"]
     rate = float(np.linalg.norm(run.k)) + float(np.max(nodes))
     t = np.linspace(0.0, t_max, _steps("Maxwell", t_max, _MAXWELL_KAPPA / rate) + 1)
-    res = maxwell_residual(field_representation(run.response, run.k, t, nodes, weights))
+    rep, record = _representation(run, "maxwell", t, nodes, weights)
+    res = maxwell_residual(rep)
     return _Measure(res.max_residual, {"plain": res.plain, "h_estimate": res.h_estimate,
-                                       "n_t": t.size, "t_max": t_max, "channels": res.channels})
+                                       "n_t": t.size, "t_max": t_max, "channels": res.channels,
+                                       **record})
 
 
 def _continuity(run, part, got):
@@ -639,6 +665,9 @@ def run_scenario(
     freed after its last reader, so the working set is the largest stage's.
     The run builds one medium, and one more with free carriers: the
     equal-time commutators compare with their closed-form free-space value.
+    On a medium with the sign flips of k as its symmetry, the modes-grid and
+    Maxwell-grid representations are solved once per orbit of the k list,
+    and mapped at its later members (`_representation`).
 
     Deterministic for a fixed config and version: CSV bytes depend only on
     the numbers produced, and all random sampling is seeded from the config.
@@ -678,9 +707,12 @@ def run_scenario(
     wanted = {*stages, *(_STAGES[name][2] for name in stages)}
     ran = [name for name in _STAGES if name in wanted and (name != "conductor" or run.cond)]
     kept = {_STAGES[name][2] for name in ran}
+    orbits = [_orbit(k) if run.response.sign_flip_symmetric else None for k in ks]
+    run.solved = {}  # orbit -> {grid: (tag, representation)} (`_representation`)
     with _recorded_run(config, out_dir, constants) as (run.manifest, run.emit):
         for ik, k in enumerate(ks):
-            run.k, run.tag = k, f"k{ik}"
+            run.k, run.tag, run.orbit = k, f"k{ik}", orbits[ik]
+            run.keep = run.orbit is not None and run.orbit in orbits[ik + 1:]
             held = {}  # (stage, part) -> the product a later stage reads
             for name in ran:
                 parts, build, reads = _STAGES[name]
@@ -700,9 +732,11 @@ def run_scenario(
                             run.manifest.add_check(check.name.format(**names), check.claim,
                                                    value, tol * scale, details)
                         del got
-            # no later k reads this k's lines
+            # no later k reads this k's lines, nor its orbit's solves after its last member
             for medium in filter(None, (run.response, run.cond)):
                 medium.lines.clear()
+            if not run.keep:
+                run.solved.pop(run.orbit, None)
     return run.manifest
 
 

@@ -60,9 +60,12 @@ def write_table_csv(path, omegas, kmags, values):
 
 
 def percent_g_csv(header, table) -> bytes:
-    """A float table's CSV as Python's own '%.17g' join writes it: the header
-    line, then one row per row of the 2-d table."""
+    """A float table's CSV as Python's own '%.17g' join writes it, of x + 0.0
+    for each value x (a zero as 0, whatever its sign): the header line, then
+    one row per row of the 2-d table."""
     template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with np.errstate(invalid="ignore"):  # a signalling nan
+        table = np.asarray(table) + 0.0
     rows = "".join(template % tuple(row) for row in table.tolist())
     return (",".join(header) + "\n" + rows).encode()
 

@@ -1,13 +1,14 @@
-"""The vectorised CSV writer against Python's own '%.17g' rows, byte for
-byte."""
+"""The vectorised CSV writer against Python's own '%.17g' rows of x + 0.0
+(a zero as 0, whatever its sign), byte for byte."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import percent_g_csv
-from mqed import io
+from mqed import io, scenario
 from mqed.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -131,11 +132,15 @@ def test_streamed_tensor_rows_match_the_percent_g_join(tmp_path):
 
 
 def test_column_of_mixed_signed_zeros(tmp_path):
-    # a column of +0 and -0 only takes 3-byte cells, each with its own sign
+    # a column of +0 and -0 only takes the cells "0,", and a -0 beside
+    # nonzero values is written 0 too
     rng = np.random.default_rng(12)
     table = rng.normal(size=(50, 3))
     table[:, 1] = np.where(rng.random(50) < 0.5, -0.0, 0.0)
+    table[::7, 2] = -0.0
     _assert_same_bytes(tmp_path, table)
+    text = (tmp_path / "table.csv").read_bytes()
+    assert b"-0," not in text and b",0," in text
 
 
 def test_column_zero_in_one_block_only(tmp_path, monkeypatch):
@@ -201,9 +206,9 @@ def test_grid_writer_formats_no_zero_column_and_each_grid_value_once(tmp_path, m
 
 def test_conductor_verify_writes_the_percent_g_join(tmp_path, monkeypatch):
     # every CSV of a conductor.cfg run (the most all-zero columns of the
-    # bundled runs, a zero magnetic part and -0 cells) against the '%.17g'
-    # join of the very table the writer was handed
-    joined = {}
+    # bundled runs, a zero magnetic part and -0 values, written 0) against
+    # the '%.17g' join of the very table the writer was handed
+    joined, handed = {}, []
     write = io._write_table
 
     def write_and_join(path, header, columns, grids=()):
@@ -211,11 +216,38 @@ def test_conductor_verify_writes_the_percent_g_join(tmp_path, monkeypatch):
         table = np.column_stack([np.asarray(values, dtype=float)[index] for values, index in grids]
                                 + [np.asarray(c, dtype=float) for c in columns])
         joined[Path(path).name] = percent_g_csv(header, table)
+        handed.append(table)
 
     monkeypatch.setattr(io, "_write_table", write_and_join)
     assert main(["verify", "--config", str(CONFIGS / "conductor.cfg"), "--out", str(tmp_path)]) == 2
     written = {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")}
     assert set(written) == set(joined) and len(written) == 15
-    assert any(b",-0," in text for text in written.values())
+    assert not any(b",-0," in text for text in written.values())
+    assert any(np.any(np.signbit(table) & (table == 0.0)) for table in handed)
     for name, text in written.items():
         assert text == joined[name], name
+
+
+def test_reports_are_one_line_json_with_the_payload_of_the_indented_form(tmp_path, monkeypatch):
+    # the noise and commutator reports of a lorentz.cfg run go through json's
+    # C encoder (no indent) and read back as the indented text did; the
+    # manifest keeps its indent
+    payloads = {}
+    write = scenario.write_json
+
+    def recorded(path, payload, indent=2):
+        payloads[Path(path).name] = payload, indent
+        write(path, payload, indent)
+
+    monkeypatch.setattr(scenario, "write_json", recorded)
+    assert main(["commutators", "--config", str(CONFIGS / "lorentz.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    reports = {"noise_P_k0.json", "noise_M_k0.json", "commutator_equal_time_k0.json"}
+    assert set(payloads) == reports | {"manifest.json"}
+    for name, (_, indent) in payloads.items():
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert indent == (None if name in reports else 2)
+        assert (text.count("\n") == 1) == (name in reports)
+    for name in reports:
+        indented = json.dumps(payloads[name][0], indent=2, default=io._encode)
+        assert json.loads((tmp_path / name).read_text(encoding="utf-8")) == json.loads(indented)

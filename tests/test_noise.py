@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from helpers import random_orthogonal_gauge
 from mqed.couplings import (
@@ -10,6 +11,7 @@ from mqed.couplings import (
     tabulated,
     zero_coupling,
 )
+from mqed import noise
 from mqed.noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from mqed.response import chi_kernel, chi_spectrum
 from mqed.scenario import part_kernel
@@ -93,6 +95,24 @@ def test_pdot_continuity_shrinks_with_dt():
     jumps = [pdot_continuity(model, chi, dt=dt).jump for dt in (2e-3, 1e-3, 5e-4)]
     assert jumps[1] <= jumps[0] / 2.0
     assert jumps[2] <= jumps[1] / 2.0
+
+
+def test_pdot_continuity_extrapolates_its_dt_cubed_error(monkeypatch):
+    # lorentz.cfg's electric part at the default step: P holds only even
+    # powers of t, so the stencil's error is O(dt^3) and (8 r_h - r_2h) / 7
+    # cancels its leading term, where (4 r_h - r_2h) / 3 reads 4/3 of the
+    # plain jump and is no sharper than it
+    model = lorentz_isotropic(1.3, 1.0, 0.5)
+    chi = part_kernel(model, np.array([0.0, 0.0, 1.3]), T_ZERO)
+    report = pdot_continuity(model, chi)
+    plain = report.jump / report.peak_rate
+    assert report.relative_jump <= 1e-2 * plain
+    assert report.h_estimate == pytest.approx(plain, rel=1e-2)  # |r_h - 8 r_h| / 7
+    richardson = noise._richardson
+    monkeypatch.setattr(noise, "_richardson",
+                        lambda fine, coarse, scale, order: richardson(fine, coarse, scale))
+    second_order = pdot_continuity(model, chi)
+    assert second_order.relative_jump == pytest.approx(4.0 / 3.0 * plain, rel=1e-2)
 
 
 def _dense_peak_rate(rep, tau, eps0=1.0):

@@ -84,19 +84,26 @@ def _written_runs(tmp: Path) -> list:
     """(command, config text, the exit codes it may end with) of the runs on
     configs the test writes under tmp: a tabulated medium whose table stops
     at omega = 6, below the reservoir rule's top (its chi stage may stop at
-    a numerical check), invert-chi on a target table and on a non-PSD one,
-    and two config errors."""
+    a numerical check), a k list of two sign flips of one k, whose second k
+    maps the first one's modes-grid and Maxwell-grid representations,
+    invert-chi on a target table and on a non-PSD one, and two config
+    errors."""
     omegas = np.linspace(0.0, 6.0, 61)
     f = eval_coupling_batch(gaussian_anisotropic((1.0, 0.7, 0.4), 1.0), omegas, (0.0, 0.0, 1.0))
     table = write_table_csv(tmp / "table.csv", omegas, (0.0, 10.0), f[:, None])
     tabulated = f"[medium]\nelectric.kind = tabulated\nelectric.table = {table}\n" \
                 "[grids]\nk = 0,0,1.3\nt_max = 2\ncommutator_t = 0,1\nreservoir_order = 16\n" \
                 "[numerics]\nquad_rtol = 1e-5\n"
+    flips = "[medium]\nelectric.kind = lorentz_isotropic\nelectric.strength = 1.3\n" \
+            "electric.resonance = 1.0\nelectric.width = 0.5\n" \
+            "[grids]\nk = 0.3,-0.4,1.2; 0.3,0.4,-1.2\nn_t = 401\nn_omega = 20\n" \
+            "reservoir_order = 16\n"
     target = "[medium]\nelectric.target_table = {}\n[grids]\nn_omega = 5\n"
     psd, not_psd = (write_table_csv(tmp / f"{name}.csv", (0.0, 1.0, 2.0, 6.0), (0.0, 2.0),
                                     value * np.eye(3))
                     for name, value in (("psd", 0.5), ("not_psd", -0.5)))
     return [("chi", tabulated, (0, 2)), ("modes", tabulated, (0, 2)),
+            ("commutators", flips, (0, 2)),
             ("invert-chi", target.format(psd), (0,)),
             ("invert-chi", target.format(not_psd), (2,)),
             ("verify", "[grids\n", (1,)), ("verify", "[grids]\nn_t = 1\n", (1,))]

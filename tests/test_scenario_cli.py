@@ -76,25 +76,26 @@ def test_parse_rejects_unknown_key():
 def test_csv_row_bytes_match_repr_format(tmp_path):
     from mqed.io import write_deviation_csv, write_tensor_grid_csv, write_tensor_series_csv
 
+    # '%.17g' of x + 0.0: a -0 is written 0
     values = [-0.0, 5e-324, 1e300]
     tensor = np.zeros((1, 3, 3), dtype=complex)
     tensor[0, 0, 0] = complex(-0.0, 5e-324)
     tensor[0, 2, 2] = complex(1e300, -0.0)
     entries = ["0"] * 18
-    entries[0:2] = [format(-0.0, ".17g"), format(5e-324, ".17g")]
-    entries[16:18] = [format(1e300, ".17g"), format(-0.0, ".17g")]
-    grid = ",".join(format(x, ".17g") for x in values)
-    assert grid == "-0,4.9406564584124654e-324,1.0000000000000001e+300"
+    entries[0:2] = [format(-0.0 + 0.0, ".17g"), format(5e-324, ".17g")]
+    entries[16:18] = [format(1e300, ".17g"), format(-0.0 + 0.0, ".17g")]
+    grid = ",".join(format(x + 0.0, ".17g") for x in values)
+    assert grid == "0,4.9406564584124654e-324,1.0000000000000001e+300"
 
     write_tensor_series_csv(tmp_path / "s.csv", "t", np.array([-0.0]), tensor)
-    assert (tmp_path / "s.csv").read_bytes().split(b"\n")[1] == ",".join(["-0"] + entries).encode()
+    assert (tmp_path / "s.csv").read_bytes().split(b"\n")[1] == ",".join(["0"] + entries).encode()
     write_tensor_grid_csv(tmp_path / "g.csv", ("a", "b"), (np.array([5e-324]), np.array([1e300])),
                           tensor[None])
     row = ",".join([format(5e-324, ".17g"), format(1e300, ".17g")] + entries)
     assert (tmp_path / "g.csv").read_bytes() == ("a,b," + ",".join(TENSOR_HEADER) + "\n"
                                                  + row + "\n").encode()
     write_deviation_csv(tmp_path / "d.csv", "w", np.array([1e300]), np.array([-0.0]))
-    assert (tmp_path / "d.csv").read_bytes() == b"w,deviation\n1.0000000000000001e+300,-0\n"
+    assert (tmp_path / "d.csv").read_bytes() == b"w,deviation\n1.0000000000000001e+300,0\n"
 
 
 @pytest.mark.parametrize("value", ["xml", "csv,xml", "csv,", ""])
