@@ -28,10 +28,19 @@ kernel instead, one block of rows at a time, in three steps:
    values, values whose scaled fraction lies within 1e-9 of one half (a
    tie, or too close to one to decide), and values beyond the power table
    (|x| >= 1e300).
+
+The tensor writers also write sign-flipped copies of a table in the same
+pass: each copy is the table with each tensor entry's Re and Im times a
+sign +-1. '%.17g' of -x is "-" followed by '%.17g' of x, and a zero is "0"
+whatever its sign, so a copy takes the block's cells with each sign byte set
+anew and joins its own rows; its fallback cells are written again from their
+flipped values. A copy whose live columns all keep their sign is the block's
+bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -164,39 +173,59 @@ def _nonzero_cells(x: np.ndarray):
     return cells, good
 
 
-def _cells(x: np.ndarray) -> np.ndarray:
+def _cells(x: np.ndarray):
     """The '%.17g' cells of 1-d values x, as (x.size, _CELL) uint8 rows
-    padded with zero bytes, each ending in a comma."""
+    padded with zero bytes, each ending in a comma, and the indices of the
+    fallback cells, the ones Python's own '%.17g' wrote."""
     out = np.zeros((x.size, _CELL), dtype=np.uint8)
     out[:, _SIGN] = 45 * (x < 0.0)
     out[:, _BODY] = 48  # zeros stay "0", -0 too
     out[:, _SEP] = ord(",")
     nonzero = np.flatnonzero(x)
     if not nonzero.size:
-        return out
+        return out, nonzero
     cells, good = _nonzero_cells(x[nonzero])
     out[nonzero, _LEAD:_SEP] = cells.T
-    for k in nonzero[~good]:
+    fallback = nonzero[~good]
+    for k in fallback:
         text = b"%.17g" % x[k]
         out[k, :_SEP] = 0
         out[k, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return out
+    return out, fallback
 
 
-def _format_rows(block: np.ndarray, lead: list) -> bytes:
+def _format_rows(block: np.ndarray, lead: list, flips=()) -> list:
     """The '%.17g' CSV rows of the (nrows, _CELL) cells `lead` of leading
     columns, then of a 2-d float block: a column of the block whose values
     are all +0 or -0 takes the 2-byte cells "0,", the others are formatted
-    in one call."""
+    in one call. Then the rows of each copy of the block with its columns
+    times `flips`, one +-1 per column, from the same cells (module
+    docstring)."""
     nrows = block.shape[0]
     live = (block != 0.0).any(axis=0)  # nan is nonzero
-    dense = _cells(block[:, live].ravel()).reshape(nrows, -1, _CELL)
-    zero = np.empty((nrows, live.size - dense.shape[1], 2), dtype=np.uint8)
+    values = block[:, live]
+    dense, fallback = _cells(values.ravel())
+    zero = np.empty((nrows, live.size - values.shape[1], 2), dtype=np.uint8)
     zero[...] = (48, ord(","))
-    cells = iter(zero.swapaxes(0, 1)), iter(dense.swapaxes(0, 1))
-    rows = np.concatenate([*lead, *(next(cells[on]) for on in live.tolist())], axis=1)
-    rows[:, -1] = ord("\n")
-    return rows.tobytes().translate(None, b"\0")
+
+    def join():
+        cells = iter(zero.swapaxes(0, 1)), iter(dense.reshape(nrows, -1, _CELL).swapaxes(0, 1))
+        rows = np.concatenate([*lead, *(next(cells[on]) for on in live.tolist())], axis=1)
+        rows[:, -1] = ord("\n")
+        return rows.tobytes().translate(None, b"\0")
+
+    texts = [join()]
+    for signs in flips:
+        signs = np.asarray(signs, dtype=float)[live]
+        if (signs > 0.0).all():
+            texts.append(texts[0])
+            continue
+        flipped = (values * signs).ravel()
+        dense[:, _SIGN] = 45 * (flipped < 0.0)
+        if fallback.size:
+            dense[fallback] = _cells(flipped[fallback])[0]
+        texts.append(join())
+    return texts
 
 
 def _create(path):
@@ -212,37 +241,53 @@ def _tensor_columns(tensors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tensors, dtype=complex).reshape(-1, 9).view(float)
 
 
-def _write_table(path, header: list, columns: list, grids=()):
+def _write_table(path, header: list, columns: list, grids=(), copies=()):
     """Header line, then one '%.17g' row per row of the float matrix made
     of the `grids` columns, then of `columns` (1-d columns and 2-d column
     blocks), formatted in blocks of about _BLOCK_VALUES values; each
     block's matrix is built only when it is formatted, so no copy of the
     whole table is made. A grid column, given as (values, index), is
-    values[index], and each of its values is formatted once."""
+    values[index], and each of its values is formatted once. Each of
+    `copies`, (path, signs), is the table with the `columns` part's
+    columns times signs, one +-1 per column, written from the same cells
+    (`_format_rows`)."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    grids = [(_cells(np.asarray(values, dtype=float)), index) for values, index in grids]
+    grids = [(_cells(np.asarray(values, dtype=float))[0], index) for values, index in grids]
     width = len(grids) + sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
     rows = max(1, _BLOCK_VALUES // width)
-    with _create(path) as fh:
-        fh.write((",".join(header) + "\n").encode())
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_create(p)) for p in (path, *(p for p, _ in copies))]
+        for fh in files:
+            fh.write((",".join(header) + "\n").encode())
         for start in range(0, columns[0].shape[0], rows):
             stop = start + rows
-            fh.write(_format_rows(np.column_stack([c[start:stop] for c in columns]),
-                                  [cells[index[start:stop]] for cells, index in grids]))
+            texts = _format_rows(np.column_stack([c[start:stop] for c in columns]),
+                                 [cells[index[start:stop]] for cells, index in grids],
+                                 [signs for _, signs in copies])
+            for fh, text in zip(files, texts):
+                fh.write(text)
 
 
-def write_tensor_series_csv(path, label: str, grid: np.ndarray, tensors: np.ndarray):
-    """One row per grid point: label column then 18 Re/Im tensor entries."""
-    _write_table(path, [label] + TENSOR_COLUMNS, [grid, _tensor_columns(tensors)])
+def _entry_signs(signs) -> np.ndarray:
+    """(3, 3) entries +-1 -> the signs of the 18 columns of TENSOR_COLUMNS."""
+    return np.repeat(np.ravel(signs), 2)
 
 
-def write_tensor_grid_csv(path, labels: tuple, grids: tuple, tensors: np.ndarray):
+def write_tensor_series_csv(path, label: str, grid: np.ndarray, tensors: np.ndarray, copies=()):
+    """One row per grid point: label column then 18 Re/Im tensor entries.
+    Each of `copies`, (path, signs), is the table of the tensors times the
+    (3, 3) entries +-1 signs, written in the same pass."""
+    _write_table(path, [label] + TENSOR_COLUMNS, [grid, _tensor_columns(tensors)],
+                 copies=[(p, np.r_[1.0, _entry_signs(s)]) for p, s in copies])
+
+
+def write_tensor_grid_csv(path, labels: tuple, grids: tuple, tensors: np.ndarray, copies=()):
     """Two index columns (e.g. omega_q, t) then 18 Re/Im entries; the first
-    grid varies slowest."""
+    grid varies slowest. `copies` as in write_tensor_series_csv."""
     a, b = (np.asarray(g, dtype=float) for g in grids)
     ia, ib = np.divmod(np.arange(a.size * b.size), b.size)
     _write_table(path, list(labels) + TENSOR_COLUMNS, [_tensor_columns(tensors)],
-                 [(a, ia), (b, ib)])
+                 [(a, ia), (b, ib)], [(p, _entry_signs(s)) for p, s in copies])
 
 
 def write_deviation_csv(path, label: str, grid: np.ndarray, deviation: np.ndarray, tensors=None):

@@ -175,12 +175,16 @@ def _families(k, t, omega_q, f_q, g_q, transforms) -> ModeCoefficients:
 
 
 def _pole_flags(poles: np.ndarray) -> dict:
+    """Pole counts: a pole is marginal when |Re p| is at most
+    MARGINAL_POLE_TOL max(1, |p|), the rounding of a root of that size, and
+    unstable past it."""
     re = np.real(poles)
+    tol = MARGINAL_POLE_TOL * np.maximum(1.0, np.abs(poles))
     return {
         "n_poles": int(poles.size),
         "max_re_pole": float(np.max(re)) if poles.size else 0.0,
-        "marginal_poles": int(np.sum(np.abs(re) <= MARGINAL_POLE_TOL)),
-        "unstable_poles": int(np.sum(re > MARGINAL_POLE_TOL)),
+        "marginal_poles": int(np.sum(np.abs(re) <= tol)),
+        "unstable_poles": int(np.sum(re > tol)),
     }
 
 

@@ -169,6 +169,15 @@ _PARITY = {"gamma": 1, "xi_tilde": 1, "eta": 1, "zeta_tilde": 1,
            "xi": -1, "gamma_tilde": -1, "zeta": -1, "eta_tilde": -1}
 
 
+def flip_signs(name: str, flip) -> np.ndarray:
+    """The (3, 3) entries +-1 that family `name` is multiplied by under R =
+    diag(flip), X(R k) = flip_signs * X(k) (`sign_flipped`): s R_ii R_jj,
+    s its `_PARITY` sign when det R = -1 and +1 otherwise."""
+    r = np.asarray(flip, dtype=float)
+    sign = np.multiply.outer(r, r)
+    return _PARITY[name] * sign if np.prod(r) < 0.0 else sign
+
+
 def sign_flipped(rep: FieldOperatorRepresentation, flip, idx=slice(None)
                  ) -> FieldOperatorRepresentation:
     """The representation at R k, R = diag(flip) of entries +-1, at rep's
@@ -178,17 +187,14 @@ def sign_flipped(rep: FieldOperatorRepresentation, flip, idx=slice(None)
     R f(w, R k) R = f(w, k) (`LaplaceResponse.sign_flip_symmetric`), so do
     eps_hat and mu_hat, and Lambda(R k)^-1 is S Lambda(k)^-1 S with
     S = diag(R, R) when det R = 1, and -S P Lambda(k)^-1 P S with
-    P = diag(I3, -I3) when det R = -1. So each family X maps to s R X R, s
-    its `_PARITY` sign when det R = -1 and +1 otherwise; f_q and g_q, which
-    read k only through |k|, are kept. A product with +-1 is exact, and the
+    P = diag(I3, -I3) when det R = -1. So each family X maps to s R X R
+    (`flip_signs`); f_q and g_q, which read k only through |k|, are kept. A product with +-1 is exact, and the
     solve at R k only flips the signs of the solve at k, so the two agree
     bit for bit. Parity, R = -I, holds for every medium (`_parity_partner`).
     """
     r = np.asarray(flip, dtype=float)
-    sign = np.multiply.outer(r, r)  # R_ii R_jj
-    odd = np.prod(r) < 0.0
-    families = {name: (s * sign if odd else sign) * getattr(rep.coeffs, name)[..., idx, :, :]
-                for name, s in _PARITY.items()}
+    families = {name: flip_signs(name, r) * getattr(rep.coeffs, name)[..., idx, :, :]
+                for name in _PARITY}
     return _with_photons(rep.response, replace(rep.coeffs, k=r * rep.k, t_grid=rep.t_grid[idx],
                                                **families), rep.omega_q_weights)
 

@@ -33,7 +33,8 @@ from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_te
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
-                          maxwell_residual, reservoir_picks, sign_flipped, vacuum_spectrum)
+                          flip_signs, maxwell_residual, reservoir_picks, sign_flipped,
+                          vacuum_spectrum)
 from .quadrature import QuadratureSpec, gauss_legendre
 from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, check_grid,
                        chi_kernel, chi_spectrum, conductor_Q, kk_check, laplace_response)
@@ -397,9 +398,11 @@ class RunManifest:
 def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants):
     """The manifest of one run and its writer: emit(name, writer, *args)
     writes the output `name` when the config's formats include its
-    extension, and lists it in the manifest. The manifest is written when the
-    run completes, and when a NumericalError ends it, after recording the
-    error; the error then propagates."""
+    extension, and lists it in the manifest; with `copies`, (name, signs),
+    the writer writes them too, in the same call (`io._write_table`), and
+    each is listed. The manifest is written when the run completes, and when
+    a NumericalError ends it, after recording the error; the error then
+    propagates."""
     out_dir = out_dir or config.output["directory"]
     formats = output_formats(config.output["formats"])
     manifest = RunManifest(
@@ -407,10 +410,12 @@ def _recorded_run(config: ScenarioConfig, out_dir, constants: PhysicalConstants)
         constants="natural" if constants is NATURAL else "si",
     )
 
-    def emit(name, writer, *args):
+    def emit(name, writer, *args, copies=()):
         if name.rsplit(".", 1)[1] in formats:
+            if copies:
+                args = (*args, [(os.path.join(out_dir, n), signs) for n, signs in copies])
             writer(os.path.join(out_dir, name), *args)
-            manifest.outputs.append(name)
+            manifest.outputs += [name, *(n for n, _ in copies)]
 
     try:
         yield manifest, emit
@@ -470,7 +475,7 @@ def _representation(run, name, *grids):
     `grids` of the grid `name` (modes or maxwell), and its manifest record:
     `reused` when it is mapped by a sign flip (`sign_flipped`) from its
     orbit's solve, which run_scenario keeps while a later k of the run is in
-    the orbit."""
+    the orbit (run.later)."""
     kept = run.solved.get(run.orbit, {})
     if name in kept:
         tag, source = kept[name]
@@ -478,22 +483,35 @@ def _representation(run, name, *grids):
         return sign_flipped(source, flip), {
             "reused": {"from": tag, "sign_flip": flip.astype(int).tolist()}}
     rep = field_representation(run.response, run.k, *grids)
-    if run.keep:
+    if run.later:
         run.solved.setdefault(run.orbit, {})[name] = run.tag, rep
     return rep, {}
 
 
 def _modes_products(run, part, _):
-    """The modes-grid field representation, which the commutators read."""
+    """The modes-grid field representation, which the commutators read.
+
+    The first k of an orbit writes the mode tables of its later k too, each
+    family X times its signs under the flip (`flip_signs`), from the same
+    cells (`io._write_table`); a mapped k then writes none. run.units
+    multiplies by a positive constant, so it commutes with the flip."""
     rep, record = _representation(run, "modes", run.t_modes, run.nodes, run.weights)
     mc = rep.coeffs
     run.manifest.quadrature[f"modes_{run.tag}"] = {**mc.metadata, **record}
+    if record:
+        return rep
+    flips = [(tag, np.where(k == run.k, 1.0, -1.0)) for tag, k in run.later]
+
+    def copies(name):
+        return [(f"modes_{name}_{tag}.csv", flip_signs(name, flip)) for tag, flip in flips]
+
     for name in ("gamma", "xi", "gamma_tilde", "xi_tilde"):
         run.emit(f"modes_{name}_{run.tag}.csv", write_tensor_series_csv, "t", mc.t_grid,
-                 run.units(name, getattr(mc, name)))
+                 run.units(name, getattr(mc, name)), copies=copies(name))
     for name in ("zeta", "eta", "zeta_tilde", "eta_tilde") if mc.omega_q_grid.size else ():
         run.emit(f"modes_{name}_{run.tag}.csv", write_tensor_grid_csv, ("omega_q", "t"),
-                 (mc.omega_q_grid, mc.t_grid), run.units(name, getattr(mc, name)))
+                 (mc.omega_q_grid, mc.t_grid), run.units(name, getattr(mc, name)),
+                 copies=copies(name))
     return rep
 
 
@@ -712,7 +730,9 @@ def run_scenario(
     with _recorded_run(config, out_dir, constants) as (run.manifest, run.emit):
         for ik, k in enumerate(ks):
             run.k, run.tag, run.orbit = k, f"k{ik}", orbits[ik]
-            run.keep = run.orbit is not None and run.orbit in orbits[ik + 1:]
+            # the later k of the run in this k's orbit, (tag, k)
+            run.later = [(f"k{j}", ks[j]) for j in range(ik + 1, len(ks))
+                         if run.orbit is not None and orbits[j] == run.orbit]
             held = {}  # (stage, part) -> the product a later stage reads
             for name in ran:
                 parts, build, reads = _STAGES[name]
@@ -735,7 +755,7 @@ def run_scenario(
             # no later k reads this k's lines, nor its orbit's solves after its last member
             for medium in filter(None, (run.response, run.cond)):
                 medium.lines.clear()
-            if not run.keep:
+            if not run.later:
                 run.solved.pop(run.orbit, None)
     return run.manifest
 

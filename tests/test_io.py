@@ -1,6 +1,7 @@
 """The vectorised CSV writer against Python's own '%.17g' rows of x + 0.0
 (a zero as 0, whatever its sign), byte for byte."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -204,6 +205,94 @@ def test_grid_writer_formats_no_zero_column_and_each_grid_value_once(tmp_path, m
     np.testing.assert_array_equal(seen, want)
 
 
+def _flip_tensors(rng, n):
+    """(n, 3, 3) tensors in blocks of 10 rows: entry 12 all zero, entry 13
+    +-0 in Re and Im, entry 22 zero in the first block only, entry 23's Im
+    -0 in the second block only, and the fallback values (nan, +-inf,
+    |x| >= 1e300 and ties), subnormals and signed zeros among the rest."""
+    values = rng.normal(size=(n, 9, 2)) * 10.0 ** rng.integers(-30, 30, size=(n, 9, 2))
+    values[:, 1] = 0.0
+    values[:, 2] = [0.0, -0.0]
+    values[:10, 4] = 0.0
+    values[10:20, 5, 1] = -0.0
+    specials = [np.nan, -np.nan, np.inf, -np.inf, 1e300, -1.5e305, 1.00000762939453125,
+                -1.00000762939453125, 5e-324, -2.5e-310, 0.0, -0.0]
+    live = [(i, j, p) for i in range(n) for j in (0, 3, 6, 7, 8) for p in (0, 1)]
+    for at, x in zip(rng.choice(len(live), size=3 * len(specials), replace=False),
+                     specials * 3):
+        values[live[at]] = x
+    return values.view(complex)[..., 0].reshape(n, 3, 3)
+
+
+# every flip R = diag(+-1, +-1, +-1) of a family of either parity sign
+_FLIP_SIGNS = [s * np.multiply.outer(r, r) for r in itertools.product((1.0, -1.0), repeat=3)
+               for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("writer", ["series", "grid"])
+def test_flipped_copies_are_the_direct_write_of_the_flipped_tensors(tmp_path, monkeypatch,
+                                                                     writer):
+    # 30 rows in blocks of 10; each copy is written from the table's own
+    # cells, and its bytes are those of writing signs * tensors directly,
+    # which are Python's '%.17g' join
+    monkeypatch.setattr(io, "_BLOCK_VALUES", 200)
+    tensors = _flip_tensors(np.random.default_rng(17), 30)
+    a, b = np.array([0.0, 0.5, -1.5, 1e-310, 3.0]), np.linspace(0.0, 2.0, 6)
+    # the leading columns, and the values of them the writer formats
+    if writer == "series":
+        t = b[:5].repeat(6)
+        write, args, header, lead, once = io.write_tensor_series_csv, ("t", t), ["t"], [t], [t]
+    else:
+        write, args, header, lead, once = io.write_tensor_grid_csv, (("q", "t"), (a, b)), \
+            ["q", "t"], [np.repeat(a, b.size), np.tile(b, a.size)], [a, b]
+    copies = [(tmp_path / f"copy{i}.csv", signs) for i, signs in enumerate(_FLIP_SIGNS)]
+    # the kernel formats each value of the table once; only the fallback
+    # cells of a copy are written again
+    kernel = []
+    nonzero_cells = io._nonzero_cells
+
+    def counted(x):
+        cells, good = nonzero_cells(x)
+        kernel.append(int(good.sum()))
+        return cells, good
+
+    monkeypatch.setattr(io, "_nonzero_cells", counted)
+    write(tmp_path / "table.csv", *args, tensors, copies)
+    values = np.concatenate([*once, tensors.view(float).ravel()])
+    assert sum(kernel) == nonzero_cells(values[values != 0.0])[1].sum()
+    monkeypatch.setattr(io, "_nonzero_cells", nonzero_cells)
+    for path, signs in [(tmp_path / "table.csv", np.ones((3, 3))), *copies]:
+        # Re and Im times the sign, which a complex product would not keep
+        # for inf (0 * inf is nan)
+        columns = tensors.reshape(-1, 9).view(float) * np.repeat(signs.ravel(), 2)
+        write(tmp_path / "direct.csv", *args, columns.view(complex).reshape(-1, 3, 3))
+        direct = (tmp_path / "direct.csv").read_bytes()
+        assert path.read_bytes() == direct, signs
+        table = np.column_stack([*lead, columns])
+        assert direct == percent_g_csv(header + io.TENSOR_COLUMNS, table)
+
+
+def test_a_copy_with_no_live_column_flipped_is_the_tables_bytes(tmp_path, monkeypatch):
+    # a sign on the all-zero entries 12 and 13 changes nothing, so the copy
+    # joins no row of its own
+    tensors = _flip_tensors(np.random.default_rng(18), 30)
+    signs = np.ones((3, 3))
+    signs[0, [1, 2]] = -1.0
+    joins = []
+    format_rows = io._format_rows
+
+    def counted(block, lead, flips=()):
+        texts = format_rows(block, lead, flips)
+        joins.append(len({id(text) for text in texts}))
+        return texts
+
+    monkeypatch.setattr(io, "_format_rows", counted)
+    io.write_tensor_series_csv(tmp_path / "table.csv", "t", np.arange(30.0), tensors,
+                               [(tmp_path / "copy.csv", signs)])
+    assert joins == [1]
+    assert (tmp_path / "copy.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
 def test_conductor_verify_writes_the_percent_g_join(tmp_path, monkeypatch):
     # every CSV of a conductor.cfg run (the most all-zero columns of the
     # bundled runs, a zero magnetic part and -0 values, written 0) against
@@ -211,7 +300,8 @@ def test_conductor_verify_writes_the_percent_g_join(tmp_path, monkeypatch):
     joined, handed = {}, []
     write = io._write_table
 
-    def write_and_join(path, header, columns, grids=()):
+    def write_and_join(path, header, columns, grids=(), copies=()):
+        assert not copies  # one k: no table is a flipped copy
         write(path, header, columns, grids)
         table = np.column_stack([np.asarray(values, dtype=float)[index] for values, index in grids]
                                 + [np.asarray(c, dtype=float) for c in columns])

@@ -897,3 +897,29 @@ def test_longitudinal_scalars_do_not_depend_on_k():
     assert np.max(np.abs(l_e)) > 0.1 and np.max(np.abs(l_h)) > 0.1
     for kmag, (e, h) in got.items():
         assert np.array_equal(e, l_e) and np.array_equal(h, l_h), kmag
+
+
+def test_a_pole_is_unstable_only_past_the_rounding_of_its_own_size(tmp_path):
+    # at |k| = 1e6 a photon pole of lorentz.cfg's medium reads Re p =
+    # +1.25e-11, rounding for a root of size 1e6: it counts as marginal
+    # against MARGINAL_POLE_TOL max(1, |p|), not as unstable
+    from pathlib import Path
+    from mqed.scenario import parse_scenario, run_scenario
+
+    mc = mode_coefficients(lorentz_pair()[2], np.array([0.0, 0.0, 1e6]),
+                           np.linspace(0.0, 10.0, 81), np.array([0.5, 2.0]))
+    assert mc.metadata["max_re_pole"] > modes.MARGINAL_POLE_TOL
+    assert mc.metadata["unstable_poles"] == 0
+    # the flags of the bundled configs are the ones the absolute margin gave
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    flags = {}
+    for name in ("lorentz", "gaussian", "conductor"):
+        config = parse_scenario((configs / f"{name}.cfg").read_text(encoding="utf-8"))
+        manifest = run_scenario(config, out_dir=str(tmp_path / name), stages=("modes", "conductor"))
+        for key, record in manifest.quadrature.items():
+            flags[name, key] = tuple(record.get(flag) for flag in (
+                "n_poles", "marginal_poles", "unstable_poles"))
+    assert flags == {("lorentz", "modes_k0"): (28, 2, 0),
+                     ("gaussian", "modes_k0"): (None, None, None),
+                     ("conductor", "modes_k0"): (18, 2, 0),
+                     ("conductor", "conductor_k0"): (27, 5, 0)}

@@ -314,15 +314,20 @@ def _dense_kk_sum(omega, im):
     at each grid point w_i > 0, as the n x n matrix of the rule: g = w' Im
     at weight 2h / (pi w_i) on the points w_j at odd j - i, over w_j - w_i,
     and on the mirrored points -w_j at an odd (w_i + w_j) / h, over
-    -(w_i + w_j)."""
+    -(w_i + w_j). The rule is built 256 rows at a time."""
     h = (omega[-1] - omega[0]) / (omega.size - 1)
-    offset = np.subtract.outer(np.arange(omega.size), np.arange(omega.size)).T
-    mirrored = np.add.outer(omega, omega)
-    odd, odd_mirrored = offset % 2 == 1, np.rint(mirrored / h) % 2 == 1
-    rule = np.where(odd, 1.0 / (h * np.where(odd, offset, 1)), 0.0)
-    rule -= np.where(odd_mirrored, 1.0 / np.where(odd_mirrored, mirrored, 1.0), 0.0)
+    index, g = np.arange(omega.size), omega[:, None] * im
+    sums = []
+    for start in range(0, omega.size, 256):
+        offset = index - index[start:start + 256, None]
+        mirrored = np.add.outer(omega[start:start + 256], omega)
+        odd = offset & 1 == 1
+        odd_mirrored = np.rint(mirrored / h).astype(np.int64) & 1 == 1
+        rule = np.where(odd, 1.0 / (h * np.where(odd, offset, 1)), 0.0)
+        rule -= np.where(odd_mirrored, 1.0 / np.where(odd_mirrored, mirrored, 1.0), 0.0)
+        sums.append(rule @ g)
     rows = omega > 0.0
-    return (2.0 * h / np.pi) * (rule[rows] @ (omega[:, None] * im)) / omega[rows, None]
+    return (2.0 * h / np.pi) * np.concatenate(sums)[rows] / omega[rows, None]
 
 
 @pytest.mark.parametrize("m", [1, 9, 18])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_response, random_orthogonal_gauge, write_table_csv
-from mqed import modes, observables
+from mqed import io, modes, observables
 from mqed.couplings import (_KINDS, apply_gauge, eval_coupling_batch, gaussian_anisotropic,
                             lorentz_isotropic, tabulated_from_csv, zero_coupling)
 from mqed.observables import field_representation, sign_flipped
@@ -118,10 +118,34 @@ def _defeat_the_map(monkeypatch):
     monkeypatch.setattr(LaplaceResponse, "sign_flip_symmetric", property(lambda self: False))
 
 
+def _formatted_run(monkeypatch, text, out, stages):
+    """_counted_run, and the number of values the CSV writer formatted."""
+    formatted = []
+    cells = io._nonzero_cells
+    monkeypatch.setattr(io, "_nonzero_cells", lambda x: formatted.append(x.size) or cells(x))
+    manifest, solved = _counted_run(monkeypatch, text, out, stages)
+    monkeypatch.setattr(io, "_nonzero_cells", cells)
+    return manifest, solved, sum(formatted)
+
+
+def _assert_same_outputs(mapped, unmapped, tmp_path):
+    """Both runs wrote the same files, byte for byte, and each manifest
+    lists the files of its run, each once."""
+    names = sorted(path.name for path in (tmp_path / "solved").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "mapped").iterdir())
+    for manifest in (mapped, unmapped):
+        assert sorted(manifest.outputs) == names
+    for name in names:
+        if name != "manifest.json":
+            assert (tmp_path / "mapped" / name).read_bytes() == \
+                (tmp_path / "solved" / name).read_bytes(), name
+
+
 def test_a_four_flip_modes_run_solves_once(monkeypatch, tmp_path):
     # gaussian-modes-sweep's k list: four sign flips of gaussian.cfg's k
     text = _config("gaussian.cfg", k="0.4,-0.3,1.1; 0.4,-0.3,-1.1; 0.4,0.3,1.1; 0.4,0.3,-1.1")
-    manifest, solved = _counted_run(monkeypatch, text, tmp_path / "mapped", ("modes",))
+    manifest, solved, formatted = _formatted_run(monkeypatch, text, tmp_path / "mapped",
+                                                 ("modes",))
     assert solved == [[0.4, -0.3, 1.1]]
     records = manifest.quadrature
     assert "reused" not in records["modes_k0"]
@@ -129,14 +153,36 @@ def test_a_four_flip_modes_run_solves_once(monkeypatch, tmp_path):
     assert records["modes_k3"]["reused"] == {"from": "k0", "sign_flip": [1, -1, -1]}
     assert {key: value for key, value in records["modes_k2"].items() if key != "reused"} \
         == records["modes_k0"]
-    # the same run with the map defeated solves at each k, to the same bytes
+    # the same run with the map defeated solves at each k, to the same
+    # bytes, and formats each family's values at each k: the mapped run
+    # formats them once, at k0, and writes the other k from its cells
     _defeat_the_map(monkeypatch)
-    _, solved = _counted_run(monkeypatch, text, tmp_path / "solved", ("modes",))
+    unmapped, solved, solved_formatted = _formatted_run(monkeypatch, text, tmp_path / "solved",
+                                                        ("modes",))
     assert len(solved) == 4
-    names = sorted(path.name for path in (tmp_path / "solved").glob("*.csv"))
-    assert len(names) == 32
-    for name in names:
-        assert (tmp_path / "mapped" / name).read_bytes() == (tmp_path / "solved" / name).read_bytes()
+    assert formatted > 0 and solved_formatted == 4 * formatted
+    assert len(manifest.outputs) == 33  # 8 families at 4 k, and the manifest
+    _assert_same_outputs(manifest, unmapped, tmp_path)
+
+
+def test_interleaved_orbits_write_the_bytes_of_their_solves(monkeypatch, tmp_path):
+    # lorentz.cfg's medium at two orbits in turn, one k repeated (the flip
+    # I) and one with a zero component, which maps with R_ii = +1; the k
+    # with -0 in its place is an orbit of its own
+    text = _config("lorentz.cfg", reservoir_order="32",
+                   k="0.3,-0.4,1.2; 0,0.5,0.9; -0.3,-0.4,-1.2; 0.3,-0.4,1.2; 0,-0.5,0.9; "
+                     "-0,0.5,0.9")
+    mapped, solved = _counted_run(monkeypatch, text, tmp_path / "mapped", ("modes",))
+    assert solved == [[0.3, -0.4, 1.2], [0.0, 0.5, 0.9], [-0.0, 0.5, 0.9]]
+    assert {key: record.get("reused") for key, record in mapped.quadrature.items()} == {
+        "modes_k0": None, "modes_k1": None,
+        "modes_k2": {"from": "k0", "sign_flip": [-1, 1, -1]},
+        "modes_k3": {"from": "k0", "sign_flip": [1, 1, 1]},
+        "modes_k4": {"from": "k1", "sign_flip": [1, -1, 1]}, "modes_k5": None}
+    _defeat_the_map(monkeypatch)
+    unmapped, solved = _counted_run(monkeypatch, text, tmp_path / "solved", ("modes",))
+    assert len(solved) == 6 and len(mapped.outputs) == 49
+    _assert_same_outputs(mapped, unmapped, tmp_path)
 
 
 def test_a_run_keeps_an_orbit_only_while_a_later_k_is_in_it(monkeypatch, tmp_path):
