@@ -247,14 +247,14 @@ def test_constitutive_roundtrip_needs_a_subsample_ending_at_the_last_time(lorent
 def test_constitutive_roundtrip_fails_a_ladder_defect_of_one_part_per_million(monkeypatch):
     # route B scaled by 1 + 1e-6: the plain residual (3.2e-6 on its own)
     # stays below the 1e-5 tolerance the check had, and the extrapolated
-    # one reads the defect and fails the tightened default
+    # one reads the defect and fails the tightened tolerance
     from mqed import observables
-    from mqed.scenario import _SCHEMA
+    from mqed.scenario import _CHECKS
 
     model = lorentz_isotropic(1.3, 1.0, 0.5)
     t = check_grid(model)
     kernel = chi_kernel(model, K, np.linspace(0.0, 30.0, 3001), quad=QuadratureSpec(rtol=1e-9))
-    tol = float(_SCHEMA["numerics"]["constitutive_tol"].default)
+    tol = next(c.tol for c in _CHECKS if c.name.startswith("constitutive_roundtrip_"))
     assert constitutive_roundtrip(model, kernel, t).residual <= tol
     responses = observables._oscillator_responses
     monkeypatch.setattr(observables, "_oscillator_responses",

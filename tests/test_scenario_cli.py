@@ -117,14 +117,14 @@ def test_cli_unknown_config_format_exit_code(tmp_path):
 @pytest.mark.parametrize("text, lines", [
     ("[grids]\nn_t = 11\nn_t = 801\n", (2, 3)),
     ("[grids]\nn_t = 11\n\n[numerics]\nseed = 1\n[grids]\nn_t = 801\n", (2, 7)),
-    ("[numerics]\nseed = 1\n\n[grids]\nn_t = 11\n[numerics]\nfdt_tol = 1e-3\n", None),
+    ("[numerics]\nseed = 1\n\n[grids]\nn_t = 11\n[numerics]\nquad_rtol = 1e-3\n", None),
 ], ids=["same_header", "second_header", "distinct_keys"])
 def test_parse_key_set_twice_in_a_section(text, lines):
     # a repeated key is an error naming both lines, even under a second
     # header of its section; a repeated header with new keys stays legal
     if lines is None:
         config = parse_scenario(text)
-        assert (config.numerics["seed"], config.numerics["fdt_tol"]) == (1, 1e-3)
+        assert (config.numerics["seed"], config.numerics["quad_rtol"]) == (1, 1e-3)
         assert config.grids["n_t"] == 11
         return
     with pytest.raises(ValidationError) as err:
@@ -170,13 +170,20 @@ def test_readme_config_table_matches_schema():
                      for name, kind in _KINDS.items()}
 
 
-def test_check_table_tolerances_are_numerics_keys():
-    # each table entry's tolerance key is a [numerics] key, and each *_tol key
-    # there sets at least one check; the rest are constants beside the table
-    keys = {check.tol for check in scenario._CHECKS if check.tol is not None}
-    assert keys <= set(_SCHEMA["numerics"])
-    assert {key for key in _SCHEMA["numerics"] if key.endswith("_tol")} <= keys
-    assert all(check.factor > 0.0 for check in scenario._CHECKS)
+def test_check_table_tolerances_are_constants():
+    # each check's tolerance is a number in its row, and no config key sets one
+    for check in scenario._CHECKS:
+        assert type(check.tol) is float and np.isfinite(check.tol) and check.tol > 0.0
+    assert not [key for key in _SCHEMA["numerics"] if key.endswith("_tol")]
+
+
+def test_readme_cli_example_config_parses():
+    # the example config under README's CLI heading sets only keys the schema has
+    cli = (CONFIGS.parent / "README.md").read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    example = re.search(r"^```ini\n(.*?)^```$", cli, re.MULTILINE | re.DOTALL).group(1)
+    config = parse_scenario(example)
+    assert config.grids["k"] == [(0.0, 0.0, 1.3), (0.4, -0.3, 1.1)]
+    assert config.model("magnetic").kind == "lorentz_isotropic"
 
 
 def test_readme_claims_match_the_check_table():
@@ -962,13 +969,22 @@ def test_cli_line_not_converged_exit_code(tmp_path, capsys, monkeypatch):
     assert "LineNotConverged: bromwich line grid-halving estimate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["kk_omega_max", "kk_n_omega", "maxwell_t_max", "maxwell_n_t",
-                                 "continuity_dt"])
+# a removed key -> the section it was set in
+_REMOVED_KEYS = {
+    **dict.fromkeys(("kk_omega_max", "kk_n_omega", "maxwell_t_max", "maxwell_n_t"), "grids"),
+    **dict.fromkeys(("continuity_dt", "fdt_tol", "kk_tol", "commutator_tol", "maxwell_tol",
+                     "roundtrip_tol", "continuity_tol", "constitutive_tol", "reality_tol"),
+                    "numerics"),
+}
+
+
+@pytest.mark.parametrize("key", _REMOVED_KEYS)
 def test_cli_removed_grid_key_exits_before_any_stage(tmp_path, capsys, key):
     # the engine sizes the Maxwell and Kramers-Kronig grids and the
-    # continuity probe's step, so a config that still sets one of their keys
-    # is a config error naming it
-    section = "numerics" if key == "continuity_dt" else "grids"
+    # continuity probe's step, and each check's tolerance is a constant of
+    # its row, so a config that still sets one of their keys is a config
+    # error naming it
+    section = _REMOVED_KEYS[key]
     out_dir = tmp_path / "out"
     cfg = tmp_path / "removed.cfg"
     cfg.write_text(LORENTZ_CFG.replace("PLACEHOLDER", str(out_dir)) + f"\n[{section}]\n{key} = 1\n")
