@@ -29,14 +29,15 @@ from . import __version__
 from .conductor import conductor_modes
 from .couplings import (_KINDS, ELECTRIC, MAGNETIC, TabulatedTable, coupling_from_target,
                         coupling_product, tabulated_from_csv)
-from .errors import BudgetExceeded, NumericalError, ParseError, ValidationError
+from .errors import (BudgetExceeded, NumericalError, ParseError, QuadratureNotConverged,
+                     ValidationError)
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
                           flip_signs, maxwell_residual, reservoir_picks, sign_flipped,
                           vacuum_spectrum)
-from .quadrature import QuadratureSpec, gauss_legendre
+from .quadrature import QuadratureSpec, gauss_legendre, tan_clenshaw_curtis
 from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, check_grid,
                        chi_kernel, chi_spectrum, conductor_Q, kk_check, laplace_response)
 
@@ -463,22 +464,63 @@ def _orbit(k: np.ndarray) -> tuple:
     return (*np.abs(k), *(np.signbit(k) & (k == 0.0)))
 
 
-def _representation(run, name, *grids):
-    """The field representation at run.k on the (t, omega_q nodes, weights)
-    `grids` of the grid `name` (modes or maxwell), and its manifest record:
-    `reused` when it is mapped by a sign flip (`sign_flipped`) from its
-    orbit's solve, which run_scenario keeps while a later k of the run is in
-    the orbit (run.later)."""
+def _representation(run, name, build):
+    """The field representation at run.k of the grid `name` (modes, maxwell
+    or reservoir) and its manifest record, both from build(): with `reused`
+    added when it is mapped by a sign flip (`sign_flipped`) from its orbit's
+    solve, which run_scenario keeps while a later k of the run is in the
+    orbit (run.later)."""
     kept = run.solved.get(run.orbit, {})
     if name in kept:
-        tag, source = kept[name]
+        tag, source, record = kept[name]
         flip = np.where(run.k == source.k, 1.0, -1.0)
         return sign_flipped(source, flip), {
-            "reused": {"from": tag, "sign_flip": flip.astype(int).tolist()}}
-    rep = field_representation(run.response, run.k, *grids)
+            **record, "reused": {"from": tag, "sign_flip": flip.astype(int).tolist()}}
+    rep, record = build()
     if run.later:
-        run.solved.setdefault(run.orbit, {})[name] = run.tag, rep
-    return rep, {}
+        run.solved.setdefault(run.orbit, {})[name] = run.tag, rep, record
+    return rep, record
+
+
+def _solved(run, *grids):
+    """The field representation at run.k on the (t, omega_q nodes, weights)
+    `grids`, with an empty record."""
+    return field_representation(run.response, run.k, *grids), {}
+
+
+def _nested_rule(run):
+    """The field representation at run.k at the commutator times (t_set, and
+    0, which the vacuum spectrum reads) on the reservoir rule of the
+    commutators, and its record.
+
+    The rule is Clenshaw-Curtis mapped to the medium's frequency scale on
+    [0, reservoir_cutoff] (`tan_clenshaw_curtis`). From _RULE_POINTS[0]
+    points it doubles until the commutator's estimate, its move from the
+    rule's every-other-node subrule, is at most the commutator row's
+    `rule_share` of its tolerance; QuadratureNotConverged naming the rule
+    at _RULE_POINTS[1]. The subrule is the previous order, so a doubling
+    computes one commutator (the first order two); it solves all the
+    order's nodes, a few ms on the rational path."""
+    t = np.array(sorted({0.0, *run.t_set}))
+    cutoff = run.grids["reservoir_cutoff"]
+    tol = _EQUAL_TIME.rule_share * _EQUAL_TIME.tol
+    n, prev, tried = _RULE_POINTS[0], None, []
+    while True:
+        nodes, weights, sub = tan_clenshaw_curtis(n, cutoff, run.scale)
+        rep = field_representation(run.response, run.k, t, nodes, weights)
+        lhs = equal_time_commutators(rep, run.t_set).lhs
+        if prev is None:
+            prev = equal_time_commutators(replace(rep, omega_q_weights=sub), run.t_set).lhs
+        estimate = _relative_deviation(prev, lhs)
+        tried.append([n, estimate])
+        if estimate <= tol:
+            return rep, {"rule": _RULE, "scale": run.scale, "cutoff": cutoff, "nodes": n,
+                         "estimate": estimate, "estimate_tol": tol, "tried": tried}
+        if n >= _RULE_POINTS[1]:
+            raise QuadratureNotConverged(
+                f"reservoir rule {_RULE} on [0, {cutoff:g}] at scale {run.scale:g}: "
+                f"estimate {estimate:.3g} > {tol:g} at its cap of {n} nodes")
+        n, prev = 2 * n - 1, lhs
 
 
 def _modes_products(run, part, _):
@@ -488,7 +530,8 @@ def _modes_products(run, part, _):
     family X times its signs under the flip (`flip_signs`), from the same
     cells (`io._write_table`); a mapped k then writes none. run.units
     multiplies by a positive constant, so it commutes with the flip."""
-    rep, record = _representation(run, "modes", run.t_modes, run.nodes, run.weights)
+    rep, record = _representation(run, "modes", partial(_solved, run, run.t_modes, run.nodes,
+                                                        run.weights))
     mc = rep.coeffs
     run.manifest.quadrature[f"modes_{run.tag}"] = {**mc.metadata, **record}
     if record:
@@ -506,6 +549,14 @@ def _modes_products(run, part, _):
                  (mc.omega_q_grid, mc.t_grid), run.units(name, getattr(mc, name)),
                  copies=copies(name))
     return rep
+
+
+def _commutator_products(run, part, grid):
+    """The representation on the commutators' nested reservoir rule
+    (`_nested_rule`), which their checks read, with its record, beside the
+    modes-grid one `grid`, whose own values they report."""
+    rep, record = _representation(run, "reservoir", partial(_nested_rule, run))
+    return _Reservoir(grid, rep, record)
 
 
 def _conductor_products(run, part, _):
@@ -550,15 +601,28 @@ def _kk(run, part, got):
                                               "step": report.grid_step})
 
 
+def _exported(run, value):
+    """The record of the exported modes grid's own value of a check."""
+    return {"rule": "gauss_legendre", "nodes": run.nodes.size, "value": value}
+
+
 def _equal_time(run, part, got):
-    comm = equal_time_commutators(got, run.t_set)
+    comm = equal_time_commutators(got.rep, run.t_set)
     _emit_report(run, "commutator_equal_time", "t", comm)
-    return _Measure(comm.max_rel_err, {"minus_k": comm.details["minus_k"]})
+    grid = equal_time_commutators(got.grid, run.t_set).max_rel_err
+    return _Measure(comm.max_rel_err, {"minus_k": comm.details["minus_k"], **got.record,
+                                       "exported_grid": _exported(run, grid)})
 
 
 def _vacuum_psd(run, part, got):
-    eigs = np.linalg.eigvalsh(vacuum_spectrum(got, (0.0, 0.0, 0.0), 0.0))
-    return _Measure(max(0.0, -float(np.min(eigs))), None, float(np.max(np.abs(eigs))))
+    # the most negative eigenvalue and the largest |eigenvalue|
+    def psd(rep):
+        eigs = np.linalg.eigvalsh(vacuum_spectrum(rep, (0.0, 0.0, 0.0), 0.0))
+        return max(0.0, -float(np.min(eigs))), float(np.max(np.abs(eigs)))
+
+    (value, scale), (grid, grid_scale) = psd(got.rep), psd(got.grid)
+    return _Measure(value, {**got.record, "exported_grid": {**_exported(run, grid),
+                                                            "scale": grid_scale}}, scale)
 
 
 def _maxwell(run, part, got):
@@ -568,7 +632,7 @@ def _maxwell(run, part, got):
     t_max = run.grids["t_max"]
     rate = float(np.linalg.norm(run.k)) + float(np.max(nodes))
     t = np.linspace(0.0, t_max, _steps("Maxwell", t_max, _MAXWELL_KAPPA / rate) + 1)
-    rep, record = _representation(run, "maxwell", t, nodes, weights)
+    rep, record = _representation(run, "maxwell", partial(_solved, run, t, nodes, weights))
     res = maxwell_residual(rep)
     return _Measure(res.max_residual, {"plain": res.plain, "h_estimate": res.h_estimate,
                                        "n_t": t.size, "t_max": t_max, "channels": res.channels,
@@ -593,7 +657,7 @@ _STAGES = {
     "chi": (_BOTH, _chi_products, None),
     "noise": (_BOTH, _noise_products, "chi"),
     "modes": (_MEDIUM, _modes_products, None),
-    "commutators": (_MEDIUM, lambda run, part, modes: modes, "modes"),
+    "commutators": (_MEDIUM, _commutator_products, "modes"),
     "conductor": (_MEDIUM, _conductor_products, None),
 }
 
@@ -601,20 +665,37 @@ _STAGES = {
 _MAXWELL_KAPPA = 0.019
 # the most points the Maxwell and Kramers-Kronig grids may take
 _CHECK_POINTS = 1 << 15
+# the commutators' reservoir rule (`_nested_rule`): its first and its most
+# points, the omega = 0 one among them. The bundled media take 65 to 257,
+# and the reach test's |k| = 30 takes 1,025
+_RULE = "clenshaw_curtis_tan"
+_RULE_POINTS = (65, 2049)
+# the commutators stage's product: the modes-grid representation, the one on
+# the nested reservoir rule and the rule's record
+_Reservoir = namedtuple("_Reservoir", "grid rep record")
 
 # a check's value, its details and the scale its tolerance is relative to
 _Measure = namedtuple("_Measure", "value details scale", defaults=(None, 1.0))
 # A manifest check: its name (formatted with the part, its polarization and
 # the k tag), stage, parts, README claim, tolerance (times the measured
 # scale; no config sets it) and measure(run, part, got). With reads=False it
-# does not read its stage's product `got`, which is freed first.
-_Check = namedtuple("_Check", "name stage parts claim tol measure reads", defaults=(True,))
+# does not read its stage's product `got`, which is freed first. A check
+# read on an adaptive quadrature gives rule_share, the share of its
+# tolerance the rule's error estimate may take.
+_Check = namedtuple("_Check", "name stage parts claim tol measure reads rule_share",
+                    defaults=(True, None))
 _HEISENBERG = "Maxwell and constitutive equations as Heisenberg equations"
 _CANONICAL = "medium independence of the canonical structure"
 _ROUNDTRIP = _Check(
     "roundtrip_{part}_{tag}", "chi", _BOTH, "susceptibilities from the coupling tensors",
     1e-6, lambda run, part, got: _Measure(_roundtrip_error(
         run.models[part], got[1], run.omega, run.k)))
+# its reservoir sum stops when the nested rule's estimate, the error of its
+# every-other-node subrule, is at most a quarter of the tolerance
+# (`_nested_rule`): gaussian.cfg, conductor.cfg and lorentz.cfg stop at 65,
+# 129 and 257 points, at estimates of 8.0e-7, 9.1e-6 and 1.6e-5
+_EQUAL_TIME = _Check("equal_time_commutator_{tag}", "commutators", _MEDIUM, _CANONICAL, 1e-4,
+                     _equal_time, rule_share=0.25)
 _CHECKS = (
     # 1e-3 until KK summed Maclaurin's rule on the part's own step; rational
     # parts now read 5e-6 to 7e-6, the truncation at the rule's top
@@ -636,8 +717,7 @@ _CHECKS = (
            lambda run, part, got: _Measure(lambda_reality_scan(
                run.response, run.rng.choice((-1.0, 1.0), size=(10, 3)) * run.k,
                run.rng.uniform(0.1, 5.0, size=10) * run.scale).max_deviation), reads=False),
-    _Check("equal_time_commutator_{tag}", "commutators", _MEDIUM, _CANONICAL, 1e-4,
-           _equal_time),
+    _EQUAL_TIME,
     # vacuum_spectrum is a positively weighted sum of v v^dag, so a negative
     # eigenvalue is rounding, relative to the largest one
     _Check("vacuum_spectrum_psd_{tag}", "commutators", _MEDIUM, _CANONICAL, 1e-10, _vacuum_psd),
@@ -672,9 +752,9 @@ def run_scenario(
     freed after its last reader, so the working set is the largest stage's.
     The run builds one medium, and one more with free carriers: the
     equal-time commutators compare with their closed-form free-space value.
-    On a medium with the sign flips of k as its symmetry, the modes-grid and
-    Maxwell-grid representations are solved once per orbit of the k list,
-    and mapped at its later members (`_representation`).
+    On a medium with the sign flips of k as its symmetry, the modes-grid,
+    Maxwell-grid and reservoir-rule representations are solved once per
+    orbit of the k list, and mapped at its later members (`_representation`).
 
     Deterministic for a fixed config and version: CSV bytes depend only on
     the numbers produced, and all random sampling is seeded from the config.
@@ -703,7 +783,8 @@ def run_scenario(
     run.t_grid = np.linspace(0.0, grids["t_max"], int(grids["n_t"]))
     run.t_modes = t_modes = np.linspace(0.0, grids["t_max"], 81)
     run.t_set = [t_modes[np.argmin(np.abs(t_modes - ti))] for ti in grids["commutator_t"]]
-    # the reservoir rule of the modes, commutators and conductor stages
+    # the exported reservoir grid of the modes and conductor stages; the
+    # commutators sum on their own rule (`_nested_rule`)
     run.nodes, run.weights = gauss_legendre(int(grids["reservoir_order"]), 0.0,
                                             grids["reservoir_cutoff"])
     # the Maxwell residual's reservoir sample at moderate frequencies: two

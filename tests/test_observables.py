@@ -392,8 +392,9 @@ def test_commutators_solve_no_minus_side(monkeypatch, lorentz_models):
 
 
 def _run_partners(monkeypatch, tmp_path, name: str) -> list:
-    """(+k representation, time indices, parity partner) of each k of a run
-    of `name`'s modes and commutators stages."""
+    """(+k representation, time indices, parity partner) of each commutator
+    a run of `name`'s modes and commutators stages computes: on the nested
+    reservoir rule and on the modes grid, at each k."""
     partners = []
     partner = observables._parity_partner
 
@@ -404,7 +405,8 @@ def _run_partners(monkeypatch, tmp_path, name: str) -> list:
     monkeypatch.setattr(observables, "_parity_partner", recorded)
     config = parse_scenario((CONFIGS / name).read_text(encoding="utf-8"))
     run_scenario(config, out_dir=str(tmp_path), stages=("commutators",))
-    assert len(partners) == len(config.k_list())
+    assert {tuple(rep.k) for rep, _, _ in partners} == {tuple(k) for k in config.k_list()}
+    assert {rep.omega_q_grid.size for rep, _, _ in partners} >= {config.grids["reservoir_order"]}
     return partners
 
 

@@ -658,7 +658,9 @@ def test_cli_verify_gaussian_builds_one_line_per_k(tmp_path, capsys, monkeypatch
     assert sizes == [line["line_points"]]
     assert not [name for name in manifest["quadrature"] if name.startswith("modes_minus")]
     check = next(c for c in manifest["checks"] if c["name"] == "equal_time_commutator_k0")
-    assert check["details"] == {"minus_k": "parity"}
+    assert check["details"]["minus_k"] == "parity"
+    # the commutators' reservoir rule is solved on the same line
+    assert (check["details"]["rule"], check["details"]["nodes"]) == ("clenshaw_curtis_tan", 65)
     # the geometry comes from the run: horizon t_max and
     # the top reservoir frequency reservoir_cutoff
     assert line["method"] == "bromwich_line"
@@ -782,14 +784,12 @@ def test_conductor_stage_keeps_the_magnetic_part(tmp_path, monkeypatch):
 
 
 def test_cli_verify_bundled_conductor_config(tmp_path, capsys):
-    # exit 2 with the one known failure: the reservoir sum is under-resolved
-    # (KK passes since it is summed at the grid points by Maclaurin's rule;
-    # the midpoint rule's interpolation read 1.110e-3 against its kk_tol of 1e-3)
+    # every check passes: the commutator sums its reservoir on the nested
+    # rule (129 points), where the exported 64-node grid reads 1.7e-2
     code = main(["verify", "--config", str(CONFIGS / "conductor.cfg"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
-    assert code == 2
-    assert re.findall(r"^\[FAIL\] (\S+):", out, re.MULTILINE) == ["equal_time_commutator_k0"]
-    assert out.count("[PASS]") == 11
+    assert code == 0
+    assert "[FAIL]" not in out and out.count("[PASS]") == 12
     assert _bench_gate_problems("conductor-verify", code, out, tmp_path) == []
 
 

@@ -187,21 +187,24 @@ def test_interleaved_orbits_write_the_bytes_of_their_solves(monkeypatch, tmp_pat
 
 def test_a_run_keeps_an_orbit_only_while_a_later_k_is_in_it(monkeypatch, tmp_path):
     # lorentz.cfg's medium through the commutators: k0 and k2 are one orbit
-    # (det R = -1), and k1, a permutation of k0, is its own; the modes grid
-    # and the Maxwell grid each solve once per orbit, and every check reads
-    # as with the map defeated
+    # (det R = -1), and k1, a permutation of k0, is its own; the modes grid,
+    # the Maxwell grid and each order of the nested reservoir rule solve once
+    # per orbit, and every check reads as with the map defeated
     text = _config("lorentz.cfg", reservoir_order="32",
                    k="0.3,-0.4,1.2; 0.4,0.3,1.2; -0.3,-0.4,1.2")
     mapped, solved = _counted_run(monkeypatch, text, tmp_path / "mapped", ("commutators",))
-    assert solved == [[0.3, -0.4, 1.2]] * 2 + [[0.4, 0.3, 1.2]] * 2
+    details = {c["name"]: c.get("details", {}) for c in mapped.checks}
+    orders = [len(details[f"equal_time_commutator_k{i}"]["tried"]) for i in range(3)]
+    assert orders[0] == orders[2] > 1
+    assert solved == [[0.3, -0.4, 1.2]] * (2 + orders[0]) + [[0.4, 0.3, 1.2]] * (2 + orders[1])
     reused = {"from": "k0", "sign_flip": [-1, 1, 1]}
     assert mapped.quadrature["modes_k2"]["reused"] == reused
-    details = {c["name"]: c.get("details", {}) for c in mapped.checks}
-    assert details["maxwell_residual_k2"]["reused"] == reused
-    assert "reused" not in details["maxwell_residual_k1"]
+    for check in ("maxwell_residual", "equal_time_commutator", "vacuum_spectrum_psd"):
+        assert details[f"{check}_k2"]["reused"] == reused
+        assert "reused" not in details[f"{check}_k1"]
     _defeat_the_map(monkeypatch)
     unmapped, solved = _counted_run(monkeypatch, text, tmp_path / "solved", ("commutators",))
-    assert len(solved) == 6
+    assert len(solved) == 6 + sum(orders)
     assert [(c["name"], c["max_error"]) for c in mapped.checks] == \
         [(c["name"], c["max_error"]) for c in unmapped.checks]
     for name in ("commutator_equal_time_k2.csv", "modes_eta_k2.csv"):
