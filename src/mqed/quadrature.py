@@ -22,8 +22,8 @@ The recurrence runs in Reinsch's difference form, so P_n' keeps its digits
 next to x = +-1: the weights there agree with a 40-digit reference to a few
 1e-14 at order 8192.
 
-The adaptive scheme doubles the order until the target functional stops
-moving (relative change below rtol) or the order cap is hit.
+Each adaptive rule below is a family of levels that one loop (`refine`)
+runs until a level's value is within rtol of the previous level's.
 
 The Clenshaw-Curtis rule of n = N + 1 points takes the nodes cos(j pi / N)
 and is about as accurate as Gauss-Legendre of the same size on a smooth
@@ -153,6 +153,12 @@ class QuadratureSpec:
     max_order: int = 8192
     cutoff_factor: float = 50.0
 
+    def __post_init__(self):
+        if not (1 <= self.start_order <= self.max_order and self.rtol > 0.0
+                and self.cutoff_factor > 0.0):
+            raise ValidationError(f"{self}: needs 1 <= start_order <= max_order, rtol > 0 "
+                                  "and cutoff_factor > 0")
+
     def orders(self):
         out = []
         n = self.start_order
@@ -171,33 +177,44 @@ class QuadratureResult:
     rule: str = "gauss_legendre"
     alias_time: float | None = None
     kept: int | None = None  # of the order's nodes, those the representation keeps
+    scale: float | None = None
+    tried: tuple = ()  # (points, estimate) of every level with an estimate
 
     def metadata(self) -> dict:
         return {key: value for key, value in vars(self).items() if value is not None}
 
 
-def adaptive_nodes(spec: QuadratureSpec, cutoff: float, evaluate):
-    """Run `evaluate(nodes, weights) -> ndarray` at doubling orders.
-
-    Returns (value, QuadratureResult). Raises QuadratureNotConverged when the
-    cap is reached while the value is still moving by more than rtol.
-    """
-    orders = spec.orders()
-    prev = None
-    rel = np.inf
-    for order in orders:
-        x, w = gauss_legendre(order, 0.0, cutoff)
-        value = evaluate(x, w)
+def refine(levels, evaluate, rtol, rule, cutoff, deviation, **record):
+    """Run `evaluate(nodes, weights) -> ndarray` on the (points, nodes,
+    weights) of `levels`, drawn as needed, until the value's deviation from
+    the previous level's is within rtol: returns it with a QuadratureResult of
+    `record` and every estimate (`tried`), or raises QuadratureNotConverged."""
+    prev, tried = None, []
+    for points, nodes, weights in levels:
+        value = evaluate(nodes, weights)
         if prev is not None:
-            scale = float(np.max(np.abs(value)))
-            diff = float(np.max(np.abs(value - prev)))
-            rel = diff / scale if scale > 0.0 else 0.0
-            if rel <= spec.rtol:
-                return value, QuadratureResult(order, cutoff, spec.rtol, rel)
+            tried.append((points, deviation(prev, value)))
+            if tried[-1][1] <= rtol:
+                return value, QuadratureResult(points, cutoff, rtol, tried[-1][1], rule,
+                                               tried=tuple(tried), **record)
         prev = value
-    raise QuadratureNotConverged(
-        f"order {orders[-1]} still changing by {rel:g} (> rtol {spec.rtol:g})"
-    )
+    setting = "".join(f", {name} {number:g}" for name, number in record.items())
+    moves = ", ".join(f"{n} points: {est:.3g}" for n, est in tried) or "no estimate"
+    raise QuadratureNotConverged(f"{rule} on [0, {cutoff:g}]{setting}: no level within rtol "
+                                 f"{rtol:g}; tried {moves}")
+
+
+def _max_move(prev, value) -> float:
+    """max |value - prev| / max |value|, 0 when value is 0."""
+    scale = float(np.max(np.abs(value)))
+    return float(np.max(np.abs(value - prev))) / scale if scale > 0.0 else 0.0
+
+
+def adaptive_nodes(spec: QuadratureSpec, cutoff: float, evaluate):
+    """Gauss-Legendre doubling over spec.orders() on [0, cutoff], run by
+    `refine` to spec.rtol. Returns (value, QuadratureResult)."""
+    levels = ((order, *gauss_legendre(order, 0.0, cutoff)) for order in spec.orders())
+    return refine(levels, evaluate, spec.rtol, "gauss_legendre", cutoff, _max_move)
 
 
 def trapezoid_nodes(spec: QuadratureSpec, cutoff: float, evaluate, alias_time: float):
@@ -208,20 +225,17 @@ def trapezoid_nodes(spec: QuadratureSpec, cutoff: float, evaluate, alias_time: f
     adds its images at t + j 2 pi / h, j != 0 (Poisson summation; Trefethen &
     Weideman, SIAM Rev. 56:385, 2014), and M the same with odd j negated:
     est_rel_error = max |T - M| / (2 max |T|). Raises QuadratureNotConverged
-    above rtol, or before any evaluation when 2N is over sum(spec.orders()),
-    the most the order-doubling loop takes."""
+    above rtol (`refine`), or before any evaluation when 2N is over
+    sum(spec.orders()), the most the order-doubling loop takes."""
     n, budget = int(np.ceil(alias_time * cutoff / (2.0 * np.pi))), sum(spec.orders())
     if 2 * n > budget:
         raise QuadratureNotConverged(f"trapezoid rule of N = {n} nodes: 2N > budget {budget}")
     h = cutoff / n
     steps = np.arange(1, n + 1)
-    twin = evaluate((steps - 0.5) * h, np.full(n, h))
-    value = evaluate(steps * h, np.append(np.full(n - 1, h), 0.5 * h))
-    scale = float(np.max(np.abs(value)))
-    est = float(np.max(np.abs(value - twin))) / (2.0 * scale) if scale > 0.0 else 0.0
-    if est > spec.rtol:
-        raise QuadratureNotConverged(f"trapezoid rule of N = {n} off by {est:g} > rtol")
-    return value, QuadratureResult(n, cutoff, spec.rtol, est, "trapezoid", 2.0 * np.pi / h)
+    levels = ((n, (steps - 0.5) * h, np.full(n, h)),
+              (n, steps * h, np.append(np.full(n - 1, h), 0.5 * h)))
+    return refine(levels, evaluate, spec.rtol, "trapezoid", cutoff,
+                  lambda twin, value: 0.5 * _max_move(twin, value), alias_time=2.0 * np.pi / h)
 
 
 @lru_cache(maxsize=16)

@@ -398,14 +398,14 @@ def _weighted_nodes(nodes: np.ndarray, coeffs: np.ndarray):
 
 def _converged_rep(model, k, quad: QuadratureSpec, pref: float, functional, alias_time=None):
     """The representation of `model` at k, coefficients w_n pref omega_n^2
-    f f^dag: the trapezoid rule of `alias_time` if given, else Gauss-Legendre
-    doubled until functional(rep) stops moving. Each rule keeps only the
-    nodes that carry weight (`_weighted_nodes`); the dropped coefficients sum
-    to at most `_PRUNE_RTOL` of sum_n |c_n|, which bounds the move of the
-    kernel, |delta chi(t)| <= sum_dropped |c_n|, and of every other value
-    read from it by the same sum times the largest factor its consumer puts
-    on a node. Returns the representation, the converged functional and the
-    quadrature record, whose `kept` counts the nodes kept of its `order`."""
+    f f^dag, at the level `refine` keeps for functional(rep): of the
+    trapezoid rule of `alias_time` if given, else of Gauss-Legendre doubling.
+    Each level keeps only the nodes that carry weight (`_weighted_nodes`);
+    the dropped coefficients sum to at most `_PRUNE_RTOL` of sum_n |c_n|,
+    which bounds the move of the kernel, |delta chi(t)| <= sum_dropped
+    |c_n|, and of every other value read from it by the same sum times the
+    largest factor its consumer puts on a node. Returns the representation,
+    the converged functional and the record, `kept` the nodes it keeps."""
     stash = {}  # the last rule evaluated, the one kept
 
     def evaluate(x, w):

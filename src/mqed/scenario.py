@@ -29,15 +29,14 @@ from . import __version__
 from .conductor import conductor_modes
 from .couplings import (_KINDS, ELECTRIC, MAGNETIC, TabulatedTable, coupling_from_target,
                         coupling_product, tabulated_from_csv)
-from .errors import (BudgetExceeded, NumericalError, ParseError, QuadratureNotConverged,
-                     ValidationError)
+from .errors import BudgetExceeded, NumericalError, ParseError, ValidationError
 from .io import write_deviation_csv, write_json, write_tensor_grid_csv, write_tensor_series_csv
 from .modes import MARGINAL_POLE_TOL, lambda_reality_scan
 from .noise import noise_commutator, noise_current_coefficient, pdot_continuity
 from .observables import (constitutive_roundtrip, equal_time_commutators, field_representation,
                           flip_signs, maxwell_residual, reservoir_picks, sign_flipped,
                           vacuum_spectrum)
-from .quadrature import QuadratureSpec, gauss_legendre, tan_clenshaw_curtis
+from .quadrature import QuadratureSpec, gauss_legendre, refine, tan_clenshaw_curtis
 from .response import (_KERNEL_TAIL, KK_MIN_POINTS, _cutoff, _relative_deviation, check_grid,
                        chi_kernel, chi_spectrum, conductor_Q, kk_check, laplace_response)
 
@@ -490,37 +489,31 @@ def _solved(run, *grids):
 
 def _nested_rule(run):
     """The field representation at run.k at the commutator times (t_set, and
-    0, which the vacuum spectrum reads) on the reservoir rule of the
-    commutators, and its record.
+    0, which the vacuum spectrum reads), and its record, on the commutators'
+    reservoir rule: Clenshaw-Curtis mapped to the medium's frequency scale on
+    [0, reservoir_cutoff] (`tan_clenshaw_curtis`), refined from its
+    every-other-node subrule at _RULE_POINTS[0] points up to _RULE_POINTS[1]
+    until the commutator moves by at most `rule_share` of its tolerance. Each
+    new rule solves all its nodes, a few ms on the rational path."""
+    solve = partial(field_representation, run.response, run.k, np.array(sorted({0.0, *run.t_set})))
+    cutoff, solved = run.grids["reservoir_cutoff"], {}
 
-    The rule is Clenshaw-Curtis mapped to the medium's frequency scale on
-    [0, reservoir_cutoff] (`tan_clenshaw_curtis`). From _RULE_POINTS[0]
-    points it doubles until the commutator's estimate, its move from the
-    rule's every-other-node subrule, is at most the commutator row's
-    `rule_share` of its tolerance; QuadratureNotConverged naming the rule
-    at _RULE_POINTS[1]. The subrule is the previous order, so a doubling
-    computes one commutator (the first order two); it solves all the
-    order's nodes, a few ms on the rational path."""
-    t = np.array(sorted({0.0, *run.t_set}))
-    cutoff = run.grids["reservoir_cutoff"]
-    tol = _EQUAL_TIME.rule_share * _EQUAL_TIME.tol
-    n, prev, tried = _RULE_POINTS[0], None, []
-    while True:
+    def levels(n=_RULE_POINTS[0]):
         nodes, weights, sub = tan_clenshaw_curtis(n, cutoff, run.scale)
-        rep = field_representation(run.response, run.k, t, nodes, weights)
-        lhs = equal_time_commutators(rep, run.t_set).lhs
-        if prev is None:
-            prev = equal_time_commutators(replace(rep, omega_q_weights=sub), run.t_set).lhs
-        estimate = _relative_deviation(prev, lhs)
-        tried.append([n, estimate])
-        if estimate <= tol:
-            return rep, {"rule": _RULE, "scale": run.scale, "cutoff": cutoff, "nodes": n,
-                         "estimate": estimate, "estimate_tol": tol, "tried": tried}
-        if n >= _RULE_POINTS[1]:
-            raise QuadratureNotConverged(
-                f"reservoir rule {_RULE} on [0, {cutoff:g}] at scale {run.scale:g}: "
-                f"estimate {estimate:.3g} > {tol:g} at its cap of {n} nodes")
-        n, prev = 2 * n - 1, lhs
+        yield from (((n + 1) // 2, nodes, sub), (n, nodes, weights))
+        while n < _RULE_POINTS[1]:
+            n = 2 * n - 1
+            yield n, *tan_clenshaw_curtis(n, cutoff, run.scale)[:2]
+
+    def evaluate(nodes, weights):
+        if solved.get("nodes") is not nodes:  # the subrule rides on its rule's solve
+            solved.update(nodes=nodes, rep=solve(nodes, weights))
+        solved["rep"] = replace(solved["rep"], omega_q_weights=weights)
+        return equal_time_commutators(solved["rep"], run.t_set).lhs
+
+    _, result = refine(levels(), evaluate, _EQUAL_TIME.rule_share * _EQUAL_TIME.tol,
+                       "clenshaw_curtis_tan", cutoff, _relative_deviation, scale=run.scale)
+    return solved["rep"], result.metadata()
 
 
 def _modes_products(run, part, _):
@@ -668,7 +661,6 @@ _CHECK_POINTS = 1 << 15
 # the commutators' reservoir rule (`_nested_rule`): its first and its most
 # points, the omega = 0 one among them. The bundled media take 65 to 257,
 # and the reach test's |k| = 30 takes 1,025
-_RULE = "clenshaw_curtis_tan"
 _RULE_POINTS = (65, 2049)
 # the commutators stage's product: the modes-grid representation, the one on
 # the nested reservoir rule and the rule's record

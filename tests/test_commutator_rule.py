@@ -107,7 +107,7 @@ def test_commutator_reach_over_k(tmp_path, name):
             continue
         check = checks["equal_time_commutator_k0"]
         assert check["passed"], (kmag, check)
-        assert check["details"]["estimate"] <= check["details"]["estimate_tol"]
+        assert check["details"]["est_rel_error"] <= check["details"]["rtol"]
         if budget is None:
             assert all(c["passed"] for c in checks.values()), kmag
 
@@ -130,14 +130,14 @@ def test_conductor_commutator_passes_on_the_rule_beside_the_exported_grid(tmp_pa
     assert check["passed"] and check["max_error"] < 1e-5
     assert (details["rule"], details["scale"], details["cutoff"]) == \
         ("clenshaw_curtis_tan", 1.0, 50.0)
-    assert details["nodes"] == 129 and [n for n, _ in details["tried"]] == [65, 129]
-    assert details["estimate"] <= details["estimate_tol"] == 0.25 * check["tolerance"]
+    assert details["order"] == 129 and [n for n, _ in details["tried"]] == [65, 129]
+    assert details["est_rel_error"] <= details["rtol"] == 0.25 * check["tolerance"]
     # the exported 64-node Gauss-Legendre grid keeps its own value
     assert details["exported_grid"]["rule"] == "gauss_legendre"
     assert details["exported_grid"]["nodes"] == 64
     assert details["exported_grid"]["value"] == pytest.approx(1.709e-2, rel=1e-3)
     psd = checks["vacuum_spectrum_psd_k0"]["details"]
-    assert psd["nodes"] == 129 and psd["exported_grid"]["nodes"] == 64
+    assert psd["order"] == 129 and psd["exported_grid"]["nodes"] == 64
 
 
 def test_commutator_fails_reservoir_weights_off_by_one_part_per_thousand(monkeypatch, tmp_path):
@@ -185,6 +185,6 @@ def test_rule_at_its_cap_is_a_typed_error(monkeypatch, tmp_path, capsys):
     error = json.loads((out / "manifest.json").read_text())["error"]
     assert error["type"] == QuadratureNotConverged.__name__
     message = error["message"]
-    assert "clenshaw_curtis_tan" in message and "129 nodes" in message
-    estimate = float(re.search(r"estimate (\S+)", message).group(1))
-    assert estimate > 0.25e-4
+    assert "clenshaw_curtis_tan" in message
+    last = re.search(r"(\d+) points: (\S+)$", message)
+    assert last.group(1) == "129" and float(last.group(2)) > 0.25e-4

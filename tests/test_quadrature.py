@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import mqed
-from mqed.errors import ValidationError
-from mqed.quadrature import _legendre_cache, gauss_legendre
+from mqed.errors import QuadratureNotConverged, ValidationError
+from mqed.quadrature import QuadratureSpec, _legendre_cache, gauss_legendre, refine
 
 
 @pytest.mark.parametrize("n", range(1, 41))
@@ -128,3 +128,111 @@ def test_rule_8192_matches_40_digit_reference():
             ref = 2 / ((1 - r * r) * d * d)
             # next to x = 1 too: the weight takes 1 - x^2 at the unrounded node
             assert float(abs(w[i] - ref) / ref) <= 1e-13, i
+
+
+def _family(values, drawn):
+    """Levels of j + 1 points whose value is values[j]; `drawn` lists each
+    level's index as the driver draws it."""
+    for j, value in enumerate(values):
+        drawn.append(j)
+        yield j + 1, np.array([float(value)]), np.ones(1)
+
+
+def _move(prev, value):
+    return float(abs(value - prev)[0])
+
+
+def _take(nodes, weights):
+    return nodes * weights
+
+
+def test_refine_stops_at_the_first_level_within_rtol_and_draws_no_further():
+    drawn = []
+    value, result = refine(_family([1.0, 2.0, 2.5, 2.501, 2.50101, 9.0], drawn), _take, 2e-3,
+                           "demo", 4.0, _move, scale=2.0)
+    assert value[0] == 2.501 and drawn == [0, 1, 2, 3]
+    assert (result.order, result.cutoff, result.rtol, result.rule, result.scale) == \
+        (4, 4.0, 2e-3, "demo", 2.0)
+    # every level with an estimate, the accepted one last
+    assert [n for n, _ in result.tried] == [2, 3, 4]
+    assert [est for _, est in result.tried] == pytest.approx([1.0, 0.5, 1e-3], rel=1e-9)
+    assert result.est_rel_error == result.tried[-1][1]
+    assert result.metadata()["tried"] == result.tried and result.metadata()["scale"] == 2.0
+
+
+def test_refine_reads_the_estimate_from_the_given_deviation():
+    pairs = []
+
+    def deviation(prev, value):
+        pairs.append((prev[0], value[0]))
+        return 0.25 if len(pairs) < 3 else 0.125
+
+    drawn = []
+    value, result = refine(_family([1.0, 2.0, 3.0, 4.0, 5.0], drawn), _take, 0.2, "demo", 1.0,
+                           deviation)
+    assert pairs == [(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)]
+    assert value[0] == 4.0 and result.est_rel_error == 0.125 and drawn == [0, 1, 2, 3]
+    assert result.tried == ((2, 0.25), (3, 0.25), (4, 0.125))
+
+
+def test_refine_at_its_last_level_raises_the_one_text():
+    drawn = []
+    with pytest.raises(QuadratureNotConverged) as info:
+        refine(_family([1.0, 2.0, 4.0], drawn), _take, 0.5, "demo", 3.0, _move, scale=0.5)
+    assert str(info.value) == \
+        "demo on [0, 3], scale 0.5: no level within rtol 0.5; tried 2 points: 1, 3 points: 2"
+    assert drawn == [0, 1, 2]
+
+
+@pytest.mark.parametrize("values", [[], [1.0]])
+def test_refine_with_fewer_than_two_levels_has_no_estimate(values):
+    with pytest.raises(QuadratureNotConverged, match="no estimate"):
+        refine(_family(values, []), _take, 1.0, "demo", 1.0, _move)
+
+
+def test_adaptive_nodes_builds_no_rule_after_the_accepted_order(monkeypatch):
+    import mqed.quadrature as quadrature
+
+    built = []
+    rule = quadrature.gauss_legendre
+    monkeypatch.setattr(quadrature, "gauss_legendre",
+                        lambda order, a, b: built.append(order) or rule(order, a, b))
+    spec = QuadratureSpec(rtol=1e-12, start_order=8, max_order=64)
+    value, result = quadrature.adaptive_nodes(spec, 1.0, lambda x, w: np.array([w @ np.cos(x)]))
+    assert value[0] == pytest.approx(np.sin(1.0), rel=1e-15)
+    assert built == [8, 16] and result.order == 16 and result.tried[-1][0] == 16
+
+
+def test_trapezoid_estimate_is_half_the_move_from_its_midpoint_twin():
+    import mqed.quadrature as quadrature
+
+    got = []
+
+    def evaluate(x, w):
+        got.append(np.array([w @ (x * np.exp(-x * x))]))
+        return got[-1]
+
+    value, result = quadrature.trapezoid_nodes(QuadratureSpec(rtol=1e-2), 6.0, evaluate,
+                                               alias_time=20.0 * np.pi)
+    twin, kept = got
+    assert value is kept and (result.rule, result.order) == ("trapezoid", 60)
+    assert result.alias_time == pytest.approx(20.0 * np.pi, rel=1e-15)
+    assert result.tried == ((60, result.est_rel_error),)
+    assert result.est_rel_error == abs(kept - twin)[0] / (2.0 * abs(kept)[0])
+
+
+@pytest.mark.parametrize("spec", [
+    dict(start_order=512, max_order=256), dict(start_order=0), dict(start_order=-4),
+    dict(rtol=-1.0), dict(rtol=0.0), dict(rtol=float("nan")), dict(cutoff_factor=0.0),
+    dict(cutoff_factor=-50.0),
+])
+def test_quadrature_spec_rejects_an_empty_or_unbounded_rule(spec):
+    with pytest.raises(ValidationError):
+        QuadratureSpec(**spec)
+
+
+def test_quadrature_spec_orders_double_up_to_the_cap():
+    assert QuadratureSpec().orders() == [256, 512, 1024, 2048, 4096, 8192]
+    assert QuadratureSpec(rtol=1e-12, start_order=8, max_order=64).orders() == [8, 16, 32, 64]
+    assert QuadratureSpec(start_order=3, max_order=13).orders() == [3, 6, 12]
+    assert QuadratureSpec(start_order=256, max_order=511).orders() == [256]
