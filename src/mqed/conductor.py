@@ -77,7 +77,7 @@ def q_kernel_consistency(
     return QConsistencyReport(
         k=k,
         q_values=q_values,
-        bound_sigma_residual=q_bound.sigma_residual,
+        bound_sigma_residual=q_bound.sigma_richardson()[1],
         implied_sigma=implied,
         sigma_initial_psd=psd0,
     )

@@ -139,12 +139,14 @@ class CouplingModel:
     @property
     def closed_form(self) -> Rational | None:
         """chi_hat(rho) = s^2 / (rho^2 + gamma rho + omega_0^2) of the
-        damped-oscillator kinds (0 for a zero part); None when not rational."""
+        damped-oscillator kinds; None when not rational, and for the zero
+        kind, which joins no sector."""
         return None if self.omega_max is not None else self._row.closed(self)
 
     @property
     def is_rational(self) -> bool:
-        """True when chi_hat(rho) is a rational function of rho."""
+        """True when the part carries chi_hat(rho) as a rational function of
+        rho (`closed_form`)."""
         return self.closed_form is not None
 
     @property
@@ -257,12 +259,6 @@ def _oscillator_profile(model: CouplingModel, w: np.ndarray, kk: float) -> np.nd
     return prof[:, None, None] * IDENTITY3[None, :, :].astype(complex)
 
 
-def _oscillator_closed(model: CouplingModel) -> Rational:
-    if model.strength == 0.0:
-        return Rational.constant(0.0)
-    return Rational.make([model.strength**2], [model.resonance**2, model.width, 1.0])
-
-
 def _lorentz_horizon(model: CouplingModel, tail: float) -> float:
     # the slower pole of rho^2 + width rho + resonance^2: Re = -width / 2
     # when underdamped, -resonance^2 / (width / 2 + root) when overdamped
@@ -310,13 +306,15 @@ _OSCILLATOR = dict(
     scale=lambda model: max(model.resonance, model.width, 1e-30),
     record=lambda model: {"strength": model.strength, "resonance": model.resonance,
                           "width": model.width},
-    optional=("omega_max",), closed=_oscillator_closed, sign_flips=True)
+    optional=("omega_max",), sign_flips=True,
+    closed=lambda model: Rational.make([model.strength**2],
+                                       [model.resonance**2, model.width, 1.0]))
 _KINDS = {
     "zero": _Kind(
         zero_coupling,
         lambda model, omegas, kk: np.zeros((omegas.size, 3, 3), dtype=complex),
         nonzero=lambda model: False, scale=lambda model: 1.0, record=lambda model: {},
-        closed=lambda model: Rational.constant(0.0), sign_flips=True),
+        sign_flips=True),
     "lorentz_isotropic": _Kind(
         lorentz_isotropic, required=("strength", "resonance", "width"),
         horizon=_lorentz_horizon, **_OSCILLATOR),

@@ -21,7 +21,8 @@ with f, g the electric and magnetic sector couplings at the reservoir
 nodes: a lone part's own coupling, or the PSD square root of the summed
 f f^dag of a sector's parts (`couplings.sector_coupling`).
 The medium picks the inverse transform that produces them: exact partial
-fractions for rational (isotropic damped-oscillator) media, and a
+fractions for rational (isotropic damped-oscillator) media, of five scalars
+formed from the sectors' polynomials (`rational.lambda_scalars`), and a
 vacuum-subtracted Bromwich line Re rho = a > 0 for continuum-absorption
 media, whose imaginary-axis branch cut bounds the domain of chi_hat. The
 line serves every medium; on a rational one it is the reference route
@@ -52,7 +53,7 @@ import numpy as np
 from .couplings import ELECTRIC, MAGNETIC, sector_coupling
 from .errors import BudgetExceeded, LineNotConverged, PoleFindingFailed, ValidationError
 from .quadrature import gauss_legendre
-from .rational import POLE_TOL, Rational, ilt_rational
+from .rational import POLE_TOL, Rational, ilt_rational, lambda_scalars
 from .response import LaplaceResponse, _chunks, _fft_size, laplace_response, uniform_step
 from .tensors import curl_symbol, longitudinal_projector, transverse_projector
 
@@ -195,14 +196,11 @@ def _ilt_with_reservoir(rat: Rational, poles, residues, omega_q: np.ndarray, t: 
     The base poles are shared; only the extra pole at -i w_q and the residue
     weights depend on w_q, so the expansion vectorizes over the grid."""
     extra = -1j * omega_q  # (n_q,)
-    if poles.size:
-        dist = np.abs(extra[:, None] - poles[None, :])
-        # each pair against POLE_TOL times the larger of the two
-        if np.any(dist <= POLE_TOL * np.maximum(np.abs(extra)[:, None], np.abs(poles))):
-            raise PoleFindingFailed("reservoir pole collides with a medium pole")
-    # residue of rho/(rho+iw) rat at base pole p: p res_p / (p + iw), from
-    # the residues of the cancelled form (a removable root of rat.den, as at
-    # rho = 0 for a Drude part with a magnetic part, is 0/0 in num/den')
+    dist = np.abs(extra[:, None] - poles[None, :])
+    # each pair against POLE_TOL times the larger of the two
+    if np.any(dist <= POLE_TOL * np.maximum(np.abs(extra)[:, None], np.abs(poles))):
+        raise PoleFindingFailed("reservoir pole collides with a medium pole")
+    # residue of rho/(rho+iw) rat at base pole p: p res_p / (p + iw)
     res_base = (poles * residues)[None, :] / (poles[None, :] - extra[:, None])  # (n_q, n_p)
     # residue at rho = -i w_q: (-i w) num(-i w) / den(-i w)
     res_extra = extra * rat(extra)  # (n_q,)
@@ -219,14 +217,10 @@ def _rational_mode_path(response, blocks, k, t, omega_q):
 
     With D_T = k^2 + rho^2 mu_hat eps_hat, the scalars are t_eh = rho mu_hat
     / D_T, t_ee = 1 / D_T, l_e = 1 / (rho eps_hat), t_he = rho eps_hat / D_T
-    and l_h = 1 / (rho mu_hat)."""
-    rho = Rational.variable()
-    a_rat = rho * (response.closed_form(ELECTRIC) + 1.0)
-    mu_rat = response.closed_form(MAGNETIC) + 1.0
-    d_t = (rho * mu_rat) * a_rat + float(k @ k)
-    one = Rational.constant(1.0)
-    scalars = {"t_eh": (rho * mu_rat) / d_t, "t_ee": one / d_t, "l_e": one / a_rat,
-               "t_he": a_rat / d_t, "l_h": one / (rho * mu_rat)}
+    and l_h = 1 / (rho mu_hat), each formed from the sectors' polynomials
+    (`rational.lambda_scalars`), so that it lists no pole that cancels."""
+    scalars = lambda_scalars(*([part.closed_form for part in response.sector(which)]
+                               for which in (ELECTRIC, MAGNETIC)), float(k @ k))
     p_t = transverse_projector(k).astype(complex)
     p_l = longitudinal_projector(k).astype(complex)
     o = _curl_block(k)

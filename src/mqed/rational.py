@@ -1,15 +1,22 @@
 """Rational functions of the Laplace variable with exact partial-fraction
-inverse transforms.
+inverse transforms, and the five scalars of Lambda^-1 of an isotropic
+rational medium, built from its parts' polynomials.
 
-Coefficient arrays run low to high degree (numpy.polynomial convention).
-Poles come from the companion-matrix root finder; only simple poles are
-supported, which covers every damped-oscillator / free-carrier scenario the
-solver builds.
+Coefficient arrays run low to high degree (numpy.polynomial convention),
+and this is the one module that does polynomial arithmetic. Each sector is
+one fraction N / D of polynomials (`_sector`), and each scalar one product
+of them over the transverse denominator (`lambda_scalars`), so no pole of
+eps_hat or mu_hat is formed where it cancels. What is left in common is a
+power of rho (a Drude part's pole at 0), which `Rational.make` cancels
+exactly. Poles come from the companion-matrix root finder, and only simple
+ones are supported: two within `POLE_TOL` of each other are a repeated pole
+(a critically damped part's), which raises PoleFindingFailed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -17,17 +24,8 @@ from numpy.polynomial import polynomial as P
 from .errors import PoleFindingFailed
 
 # the distance, relative to the larger of the two, within which two poles
-# count as one: a root the numerator shares is cancelled, any other is a
-# repeated pole
+# count as one: a repeated pole, or a reservoir pole on a medium pole
 POLE_TOL = 1e-7
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(c, dtype=complex))
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=complex)
-    return c[: nz[-1] + 1]
 
 
 @dataclass(frozen=True)
@@ -37,107 +35,69 @@ class Rational:
 
     @classmethod
     def make(cls, num, den) -> "Rational":
-        num = _trim(num)
-        den = _trim(den)
+        """num / den with the power of rho they share cancelled: the exact
+        zeros at the low end of both coefficient arrays."""
+        num, den = (P.polytrim(np.asarray(c, dtype=complex)) for c in (num, den))
         if den.size == 1 and den[0] == 0:
             raise ZeroDivisionError("zero denominator polynomial")
-        return cls(num=num, den=den)
-
-    @classmethod
-    def constant(cls, value) -> "Rational":
-        return cls.make([value], [1.0])
-
-    @classmethod
-    def variable(cls) -> "Rational":
-        """The identity function rho."""
-        return cls.make([0.0, 1.0], [1.0])
+        shared = min(np.argmax(num != 0), np.argmax(den != 0))
+        return cls(num=num[shared:], den=den[shared:])
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=complex)
         return P.polyval(rho, self.num) / P.polyval(rho, self.den)
 
-    def __mul__(self, other) -> "Rational":
-        if isinstance(other, Rational):
-            return Rational.make(P.polymul(self.num, other.num), P.polymul(self.den, other.den))
-        return Rational.make(self.num * other, self.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Rational":
-        if isinstance(other, Rational):
-            return Rational.make(P.polymul(self.num, other.den), P.polymul(self.den, other.num))
-        return Rational.make(self.num / other, self.den)
-
-    def __add__(self, other) -> "Rational":
-        if not isinstance(other, Rational):
-            other = Rational.constant(other)
-        num = P.polyadd(P.polymul(self.num, other.den), P.polymul(other.num, self.den))
-        return Rational.make(num, P.polymul(self.den, other.den))
-
-    __radd__ = __add__
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.size == 1 and self.num[0] == 0
-
-    @property
-    def strictly_proper(self) -> bool:
-        return self.num.size < self.den.size or self.is_zero
+def _sector(forms) -> tuple:
+    """(N, D) of 1 + the sum of the closed forms `forms` as N / D: D the
+    product of their distinct denominators, where forms that share one add
+    their numerators. (1, 1) for no form."""
+    sums = {}  # each distinct denominator -> the sum of its forms' numerators
+    for form in forms:
+        sums[tuple(form.den)] = P.polyadd(sums.get(tuple(form.den), 0.0), form.num)
+    dens = [np.array(den) for den in sums]
+    d = n = reduce(P.polymul, dens, np.ones(1))
+    for i, num in enumerate(sums.values()):
+        n = P.polyadd(n, reduce(P.polymul, dens[:i] + dens[i + 1:], num))
+    return n, d
 
 
-def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
-    """Synthetic division of a (low-to-high) polynomial by (x - root)."""
-    n = coeffs.size
-    out = np.zeros(n - 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for i in range(n - 1, 0, -1):
-        acc = coeffs[i] + acc * root
-        out[i - 1] = acc
-    return out
+def lambda_scalars(electric, magnetic, kk: float) -> dict:
+    """The five scalars of Lambda^-1 of an isotropic rational medium at
+    k . k = kk, from the closed forms of its electric and magnetic parts.
 
+    With eps_hat = E / D_e and mu_hat = M / D_m (`_sector`) and the
+    transverse denominator Q = kk D_m D_e + rho^2 M E:
 
-def _cancel_removable(num, den):
-    """Deflate common (removable) roots so repeated denominator roots that
-    the numerator shares do not masquerade as genuine multiple poles.
-
-    Rational arithmetic leaves common factors uncancelled (e.g. the rho
-    factors shared by the conductivity and the free-carrier susceptibility);
-    they carry zero residue but must be stripped before the simple-pole
-    check."""
-    while den.size > 1:
-        roots = P.polyroots(den)
-        size = np.abs(roots)
-        diff = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(diff, np.inf)
-        # each pair against POLE_TOL times the larger of the two
-        pairs = np.argwhere(diff <= POLE_TOL * np.maximum(size[:, None], size[None, :]))
-        if pairs.size == 0:
-            return num, den, roots
-        p = roots[pairs[0][0]]
-        # the size of num's terms at p, which bounds the rounding of num(p)
-        num_scale = float(np.sum(np.abs(num) * abs(p) ** np.arange(num.size)))
-        if abs(P.polyval(p, num)) > 1e-8 * num_scale or num.size < 2:
-            raise PoleFindingFailed(
-                f"genuine repeated pole near {p:.6g}: simple-pole expansion unsupported"
-            )
-        num = _deflate(num, p)
-        den = _deflate(den, p)
-    return num, den, P.polyroots(den)
+        t_ee = D_m D_e / Q     t_eh = rho M D_e / Q    t_he = rho E D_m / Q
+        l_e = D_e / (rho E)    l_h = D_m / (rho M)."""
+    e, d_e = _sector(electric)
+    m, d_m = _sector(magnetic)
+    q = P.polyadd(kk * P.polymul(d_m, d_e), P.polymulx(P.polymulx(P.polymul(m, e))))
+    return {"t_eh": Rational.make(P.polymulx(P.polymul(m, d_e)), q),
+            "t_ee": Rational.make(P.polymul(d_m, d_e), q),
+            "l_e": Rational.make(d_e, P.polymulx(e)),
+            "t_he": Rational.make(P.polymulx(P.polymul(e, d_m)), q),
+            "l_h": Rational.make(d_m, P.polymulx(m))}
 
 
 def partial_fractions(rat: Rational):
     """Simple-pole expansion: returns (poles, residues).
 
-    Removable common factors are cancelled first; genuinely repeated poles
-    (where residue = num(p)/den'(p) breaks down) raise PoleFindingFailed.
+    Two poles within POLE_TOL of the larger of the two are a repeated pole,
+    where residue = num(p) / den'(p) breaks down: PoleFindingFailed names it.
     """
-    if rat.is_zero:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    if not rat.strictly_proper:
+    if rat.num.size >= rat.den.size:
         raise PoleFindingFailed("inverse transform needs a strictly proper rational function")
-    num, den, poles = _cancel_removable(rat.num, rat.den)
-    dden = P.polyder(den)
-    residues = P.polyval(poles, num) / P.polyval(poles, dden)
+    poles = P.polyroots(rat.den)
+    size = np.abs(poles)
+    diff = np.abs(poles[:, None] - poles[None, :])
+    np.fill_diagonal(diff, np.inf)
+    pairs = np.argwhere(diff <= POLE_TOL * np.maximum(size[:, None], size[None, :]))
+    if pairs.size:
+        raise PoleFindingFailed(f"repeated pole near {poles[pairs[0][0]]:.6g}: "
+                                "simple-pole expansion unsupported")
+    residues = P.polyval(poles, rat.num) / P.polyval(poles, P.polyder(rat.den))
     return poles, residues
 
 
@@ -148,7 +108,5 @@ def ilt_rational(rat: Rational, t_grid):
     """
     t = np.asarray(t_grid, dtype=float)
     poles, residues = partial_fractions(rat)
-    if poles.size == 0:
-        return np.zeros(t.shape, dtype=complex), poles, residues
     values = np.exp(np.outer(t, poles)) @ residues
     return values, poles, residues

@@ -779,12 +779,6 @@ class LaplaceResponse:
         """The nonzero parts of the medium in sector `which`, in order."""
         return tuple(p for p in self.medium if p.which == which and not p.is_zero)
 
-    def closed_form(self, which: str) -> Rational:
-        """chi_hat of sector `which` of a rational medium: the sum of its
-        parts' closed forms (0 for no part)."""
-        forms = [part.closed_form for part in self.sector(which)]
-        return sum(forms[1:], forms[0]) if forms else Rational.constant(0.0)
-
     def laplace_rep(self, model, k) -> QuadRep:
         """The representation chi_hat of the continuum `model` at k is
         evaluated from, one per |k|, built on first use. Its kernel values are
@@ -868,15 +862,21 @@ class QKernelReport:
     t_grid: np.ndarray
     q_values: np.ndarray  # (n_t, 3, 3)
     chi_values: np.ndarray
-    implied_sigma: np.ndarray  # Q - d(chi)/dt by finite differences
     quad: QuadratureResult
 
-    @property
-    def sigma_residual(self) -> float:
-        scale = float(np.max(np.abs(self.q_values)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.implied_sigma))) / scale
+    def sigma_richardson(self) -> tuple:
+        """Of Q - dchi/dt relative to the peak of Q, from dchi/dt at step h
+        and again at 2h on every other point, both on the grid's first odd
+        number of points (so both end on one point): the Richardson value
+        (4 r_h - r_2h) / 3, the worst r_h and its h^2 estimate
+        (`_richardson`)."""
+        n = self.t_grid.size - 1 + self.t_grid.size % 2
+
+        def residual(s):  # on every s-th of the first n points
+            t = self.t_grid[:n:s]
+            return self.q_values[:n:s] - finite_difference_time(self.chi_values[:n:s], t)
+
+        return _richardson(residual(1), residual(2), float(np.max(np.abs(self.q_values))))
 
 
 def difference_step(t_grid) -> float:
@@ -929,8 +929,9 @@ def conductor_Q(
 
         Q(k, t) = 8 pi int_0^inf domega omega^3 cos(omega t) f f^dag
 
-    together with the decomposition check Q - d(chi)/dt, whose residual
-    is the implied conductivity kernel sigma(k, t).
+    together with chi(k, t) for the decomposition check Q - d(chi)/dt,
+    whose residual is the implied conductivity kernel sigma(k, t)
+    (`QKernelReport.sigma_richardson`).
     """
     t = _validate_t_grid(t_grid)
     k = np.asarray(k, dtype=float)
@@ -943,12 +944,10 @@ def conductor_Q(
     # consumer to Q and to chi
     rep, q_values, result = _converged_rep(model, k, quad, 1.0, q_on_t)
     chi_values = KERNEL_PREFACTOR * rep.kernel_values(t)
-    implied_sigma = q_values - finite_difference_time(chi_values, t)
     return QKernelReport(
         k=k,
         t_grid=t,
         q_values=q_values,
         chi_values=chi_values,
-        implied_sigma=implied_sigma,
         quad=result,
     )

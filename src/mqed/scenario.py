@@ -160,7 +160,8 @@ _SCHEMA = {
         "omega_max": _Key("5.0", _finite, _POSITIVE),
         "n_omega": _Key("200", int, _SIZE),
         "t_max": _Key("10.0", _finite, _POSITIVE),
-        "n_t": _Key("2001", int, _Rule(">= 3", lambda n: n >= 3)),  # differences read three
+        # differences read three, on every other point too
+        "n_t": _Key("2001", int, _Rule(">= 5", lambda n: n >= 5)),
         "reservoir_order": _Key("384", int, _SIZE),
         "reservoir_cutoff": _Key("50.0", _finite, _POSITIVE),
         "commutator_t": _Key("0,1,5", _finite_list),  # in [0, t_max]: _validate
@@ -575,9 +576,10 @@ def _emit_report(run, family, label, report):
 
 
 def _steps(grid: str, span: float, step: float) -> int:
-    """The fewest steps of at most `step` over `span`, even (the Maxwell residual reads
-    every other point too); BudgetExceeded naming the grid past `_CHECK_POINTS`."""
-    n = 2 * int(np.ceil(0.5 * span / step))
+    """The fewest steps of at most `step` over `span`, even and at least 4 (the Maxwell
+    residual differences every other point too, which takes 3 of them); BudgetExceeded
+    naming the grid past `_CHECK_POINTS`."""
+    n = max(4, 2 * int(np.ceil(0.5 * span / step)))
     if n >= _CHECK_POINTS:
         raise BudgetExceeded(f"the {grid} grid needs {n:.4g} steps, above its budget "
                              f"_CHECK_POINTS = {_CHECK_POINTS}")
@@ -640,6 +642,12 @@ def _continuity(run, part, got):
 def _constitutive(run, part, got):
     res = constitutive_roundtrip(run.models[part], got[0], check_grid(run.models[part]))
     return _Measure(res.residual, {"plain": res.plain, "h_estimate": res.h_estimate})
+
+
+def _q_decomposition(run, part, got):
+    value, plain, estimate = conductor_Q(run.models["electric"], run.k, run.t_grid,
+                                         run.quad).sigma_richardson()
+    return _Measure(value, {"plain": plain, "h_estimate": estimate})
 
 
 _BOTH, _MEDIUM = ("electric", "magnetic"), ("medium",)
@@ -721,11 +729,11 @@ _CHECKS = (
            lambda run, part, got: _Measure(float(got.metadata.get("max_re_pole", 0.0)))),
     # only the bound part: its Q must be dchi/dt (a zero part reads 0). It
     # takes dchi/dt by second-order differences on the kernel's t grid,
-    # coarser than the Maxwell grid, so it gets ten times maxwell_residual's 1e-5
+    # coarser than the Maxwell grid, so it gets ten times maxwell_residual's
+    # 1e-5; since it reads its Richardson value, conductor.cfg reads 5.0e-9
+    # (plain 4.5e-6)
     _Check("q_decomposition_{tag}", "conductor", _MEDIUM, "conductor pathway", 10.0 * 1e-5,
-           lambda run, part, got: _Measure(conductor_Q(
-               run.models["electric"], run.k, run.t_grid, run.quad).sigma_residual),
-           reads=False),
+           _q_decomposition, reads=False),
 )
 
 

@@ -1,4 +1,5 @@
-"""The error estimates of the adaptive rules, audited against their errors.
+"""The error estimates of the adaptive rules and of the Richardson checks,
+audited against their errors.
 
 Every level that a rule records in its `tried` list is evaluated again,
 beside a reference of four times the points. Its estimate must then be at
@@ -6,7 +7,13 @@ least half its error. The factor 2 allows an estimate of the error's own
 size: the gaussian medium's trapezoid rule reads 1.49e-11 against an error
 of 1.50e-11. The cases are every `chi_*` record of the bundled configs, and
 the commutators' nested rule on the lorentz and conductor media, at their
-bundled k and along z at |k| = 1e-3, 3 and 30."""
+bundled k and along z at |k| = 1e-3, 3 and 30.
+
+The Richardson estimates |r_h - r_2h| / (2^p - 1) of maxwell_residual,
+constitutive_roundtrip, pdot_continuity and q_decomposition are audited the
+same way on lorentz.cfg and conductor.cfg: each check's plain value r_h is
+taken again at a quarter of its step, and 2 x h_estimate must be at least
+the move of r_h."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -15,9 +22,11 @@ import numpy as np
 import pytest
 
 from mqed import response, scenario
-from mqed.observables import equal_time_commutators, field_representation
+from mqed.noise import pdot_continuity
+from mqed.observables import (constitutive_roundtrip, equal_time_commutators,
+                              field_representation, maxwell_residual)
 from mqed.quadrature import tan_clenshaw_curtis
-from mqed.response import _relative_deviation
+from mqed.response import _relative_deviation, conductor_Q
 from mqed.scenario import parse_scenario, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -103,3 +112,66 @@ def test_nested_rule_estimates_bound_their_errors_but_the_known_ones(monkeypatch
                 under.add((name, float(np.linalg.norm(k)), points))
     assert len(runs) == 4
     assert under == {case for case in _UNDER_READS if case[0] == name}
+
+
+# (config, check) whose Richardson h_estimate reads less than half the move
+# of its plain value from step h to h / 4; none is known. Each estimate
+# reads 1.03 to 1.07 times that move: on lorentz.cfg and conductor.cfg
+# maxwell_residual 1.5e-5 and 1.9e-5, constitutive_roundtrip 3.2e-6 and
+# 3.1e-6, pdot_continuity 1.2e-8 and 9.3e-9, and conductor.cfg's
+# q_decomposition 4.5e-6. An estimate found to under-read is listed here
+# until its fix takes it off.
+_RICHARDSON_UNDER_READS = set()
+
+
+def _quarter(t):
+    """t's uniform grid at a quarter of its step."""
+    return np.linspace(t[0], t[-1], 4 * (t.size - 1) + 1)
+
+
+def _jump(report):
+    """pdot_continuity's plain value: the one-sided rate's jump over the
+    pulse's peak rate."""
+    return report.jump / report.peak_rate
+
+
+# check -> (the scenario function it reads, and from that call's arguments
+# and result: (plain, h_estimate) at the run's step and plain at a quarter
+# of it)
+_RICHARDSON = {
+    "maxwell_residual": ("maxwell_residual", lambda args, got: (
+        got.plain, got.h_estimate, maxwell_residual(field_representation(
+            args[0].response, args[0].k, _quarter(args[0].t_grid), args[0].omega_q_grid,
+            args[0].omega_q_weights)).plain)),
+    "constitutive_roundtrip": ("constitutive_roundtrip", lambda args, got: (
+        got.plain, got.h_estimate, constitutive_roundtrip(*args[:2], _quarter(args[2])).plain)),
+    "pdot_continuity": ("pdot_continuity", lambda args, got: (
+        _jump(got), got.h_estimate, _jump(pdot_continuity(*args, dt=got.dt / 4.0)))),
+    "q_decomposition": ("conductor_Q", lambda args, got: (
+        *got.sigma_richardson()[1:], conductor_Q(args[0], args[1], _quarter(args[2]),
+                                                 args[3]).sigma_richardson()[1])),
+}
+
+
+@pytest.mark.parametrize("name", ["lorentz.cfg", "conductor.cfg"])
+def test_richardson_estimates_bound_their_errors(monkeypatch, tmp_path, name):
+    calls = {}
+    for check, (function, _) in _RICHARDSON.items():
+        def recorded(*args, _check=check, _function=getattr(scenario, function)):
+            got = _function(*args)
+            calls.setdefault(_check, []).append((args, got))
+            return got
+
+        monkeypatch.setattr(scenario, function, recorded)
+    run_scenario(_config(name), out_dir=str(tmp_path))
+    monkeypatch.undo()
+    # lorentz.cfg has no free carriers, so no conductor stage
+    assert set(calls) == set(_RICHARDSON) - ({"q_decomposition"} if name == "lorentz.cfg"
+                                             else set())
+    under = set()
+    for check, records in calls.items():
+        assert len(records) == 1
+        plain, estimate, fine = _RICHARDSON[check][1](*records[0])
+        if 2.0 * estimate < abs(plain - fine):
+            under.add((name, check))
+    assert under == {case for case in _RICHARDSON_UNDER_READS if case[0] == name}

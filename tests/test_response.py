@@ -18,6 +18,7 @@ from mqed.response import (
     chi_kernel,
     chi_spectrum,
     conductor_Q,
+    finite_difference_time,
     KERNEL_PREFACTOR,
     kk_check,
     laplace_response,
@@ -403,14 +404,31 @@ def test_conductor_q_zero():
     t = np.linspace(0.0, 5.0, 100)
     report = conductor_Q(zero_coupling(), K, t)
     assert np.allclose(report.q_values, 0.0)
-    assert report.sigma_residual == 0.0
+    assert report.sigma_richardson()[1] == 0.0
 
 
 def test_conductor_q_lorentz_derivative_identity():
     t = np.linspace(0.0, 10.0, 10001)
     report = conductor_Q(lorentz_isotropic(WP, W0, G), K, t,
                          quad=QuadratureSpec(rtol=1e-9))
-    assert report.sigma_residual < 1e-5
+    assert report.sigma_richardson()[1] < 1e-5
+
+
+@pytest.mark.parametrize("n_t", [2001, 2000])
+def test_conductor_q_reads_its_richardson_value(n_t):
+    # a bound part of width 0.5 on the default 2001-point grid: Q - dchi/dt
+    # is the h^2 error of the differences, 1.4e-4 of Q's peak, and its
+    # Richardson value from every other point leaves 3.8e-6; an even grid
+    # takes its first 1999 points, so that the subsample ends where it does
+    report = conductor_Q(lorentz_isotropic(1.0, 1.0, 0.5), K, np.linspace(0.0, 10.0, n_t))
+    value, plain, estimate = report.sigma_richardson()
+    assert 1.3e-4 < plain < 1.5e-4 and value < 5e-6
+    assert estimate == pytest.approx(plain - value, rel=1e-6)
+    if n_t % 2:
+        sigma = report.q_values - finite_difference_time(report.chi_values, report.t_grid)
+        assert plain == np.max(np.abs(sigma)) / np.max(np.abs(report.q_values))
+    assert conductor_Q(zero_coupling(), K, np.linspace(0.0, 5.0, 100)).sigma_richardson() == (
+        0.0, 0.0, 0.0)
 
 
 def test_conductor_q_drude_positive_at_zero():
@@ -425,7 +443,7 @@ def test_conductor_q_drude_positive_at_zero():
     # stays at the finite-difference/truncation floor (the free-carrier sigma
     # with its positive t -> 0+ value lives in the bound/free split, tested
     # in the conductor module)
-    assert report.sigma_residual < 2e-3
+    assert report.sigma_richardson()[1] < 2e-3
 
 
 def test_structural_fdt_identity():

@@ -282,6 +282,24 @@ def test_cli_verify_at_critical_damping(tmp_path):
     assert all(c["passed"] for c in checks)
 
 
+def test_cli_verify_on_a_short_horizon_runs_the_maxwell_residual(tmp_path):
+    # lorentz.cfg on t_max = 1e-3: the Maxwell grid's step bound asks for
+    # 2 steps over it, whose every-other-point subsample has no difference
+    # stencil; the grid takes 4, so this is a run, not a config error
+    text = (CONFIGS / "lorentz.cfg").read_text(encoding="utf-8")
+    edits = [("t_max = 10.0", "t_max = 0.001"),
+             ("n_t = 2001", "n_t = 11\ncommutator_t = 0,0.0005")]
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 2)
+    checks = json.loads((tmp_path / "out" / "manifest.json").read_text())["checks"]
+    maxwell = [c for c in checks if c["name"] == "maxwell_residual_k0"]
+    assert len(maxwell) == 1 and maxwell[0]["details"]["n_t"] == 5
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[numerics]\nquad_rtol = -1\n")
@@ -834,6 +852,21 @@ def test_cli_conductor_bundled_config(tmp_path, capsys):
     assert "[PASS] conductor_poles_k0" in out
     assert "[PASS] q_decomposition_k0" in out
     assert (tmp_path / "conductor_gamma_k0.csv").is_file()
+
+
+def test_q_decomposition_reads_its_richardson_value(tmp_path):
+    # conductor.cfg's medium with a bound part of width 0.5 on the default
+    # n_t = 2001: Q - dchi/dt is the differences' h^2 error, 1.4e-4 of Q's
+    # peak and above the tolerance, which the Richardson value takes out
+    text = (CONFIGS / "conductor.cfg").read_text(encoding="utf-8")
+    for old, new in (("electric.width = 0.4", "electric.width = 0.5"), ("n_t = 10001\n", "")):
+        assert old in text
+        text = text.replace(old, new)
+    manifest = run_scenario(parse_scenario(text), out_dir=str(tmp_path), stages=("conductor",))
+    check = [c for c in manifest.checks if c["name"] == "q_decomposition_k0"][0]
+    assert check["passed"] and check["max_error"] < 5e-6
+    assert 1.3e-4 < check["details"]["plain"] < 1.5e-4
+    assert check["details"]["h_estimate"] > check["max_error"]
 
 
 LORENTZ_ELECTRIC = ("electric.kind = lorentz_isotropic\nelectric.strength = 1.3\n"
